@@ -14,6 +14,11 @@
 //! 3. **Bit-identical batches** — `query_batch` against a pinned snapshot
 //!    must equal single-threaded execution exactly.
 //!
+//! Every arm runs `ConcurrentDurableShardedIndexSet` with one shard. The
+//! single-writer baselines are one thread with
+//! `ConcurrencyConfig::publish_every(MUTATIONS)`, so they pay no
+//! copy-on-publish clone per mutation.
+//!
 //! Results are printed as tables and written to `BENCH_concurrent.json`.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -23,8 +28,8 @@ use crate::report::{ms, Table};
 use crate::{time_ms, Config};
 use planar_core::fault::TempDir;
 use planar_core::{
-    ConcurrencyConfig, ConcurrentDurablePlanarIndexSet, DurablePlanarIndexSet, ExecutionConfig,
-    FsyncPolicy, IndexConfig, InequalityQuery, PlanarIndexSet, VecStore, WalOptions,
+    ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ExecutionConfig, FsyncPolicy, IndexConfig,
+    InequalityQuery, ShardConfig, ShardedIndexSet, VecStore, WalOptions,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
@@ -104,25 +109,32 @@ pub fn concurrent(cfg: &Config) {
         planar_core::FeatureTable::from_rows(DIM, head).expect("base table")
     };
     let build = || {
-        PlanarIndexSet::<VecStore>::build(
+        ShardedIndexSet::<VecStore>::build(
             base.clone(),
             eq18_domain(DIM, RQ),
             IndexConfig::with_budget(BUDGET).seed(cfg.seed),
+            ShardConfig::round_robin(1),
         )
         .expect("concurrent experiment build")
+    };
+    let create = |dir: &TempDir, set, policy, conc| {
+        ConcurrentDurableShardedIndexSet::create(
+            dir.path().join("idx"),
+            set,
+            WalOptions::default().fsync(policy),
+            conc,
+        )
+        .expect("create concurrent durable")
     };
 
     // ── 1. Group-commit amortization ────────────────────────────────────
     // Single-writer baselines first: the curve we are trying to collapse.
+    // One thread, one publish for the whole run.
     let mut single_ms = Vec::new();
     for p in [FsyncPolicy::Always, FsyncPolicy::EveryN(64)] {
         let dir = TempDir::new("bench-conc-single").expect("temp dir");
-        let mut durable = DurablePlanarIndexSet::create(
-            dir.path().join("idx"),
-            build(),
-            WalOptions::default().fsync(p),
-        )
-        .expect("create durable");
+        let single = ConcurrencyConfig::default().publish_every(MUTATIONS);
+        let durable = create(&dir, build(), p, single);
         let (_, t) = time_ms(|| {
             for row in rows.iter().take(MUTATIONS) {
                 durable.insert_point(row).expect("durable insert");
@@ -138,13 +150,12 @@ pub fn concurrent(cfg: &Config) {
     // `every_64` number the clone would masquerade as fsync tax.
     let conc_every64_ms = {
         let dir = TempDir::new("bench-conc-every64").expect("temp dir");
-        let conc = ConcurrentDurablePlanarIndexSet::create(
-            dir.path().join("idx"),
+        let conc = create(
+            &dir,
             build(),
-            WalOptions::default().fsync(FsyncPolicy::EveryN(64)),
+            FsyncPolicy::EveryN(64),
             ConcurrencyConfig::default(),
-        )
-        .expect("create concurrent durable");
+        );
         let (_, t) = time_ms(|| {
             for row in rows.iter().take(MUTATIONS) {
                 conc.insert_point(row).expect("concurrent insert");
@@ -158,13 +169,12 @@ pub fn concurrent(cfg: &Config) {
     let mut gc_rows = Vec::new();
     for &threads in &WRITER_SWEEP {
         let dir = TempDir::new("bench-conc-gc").expect("temp dir");
-        let conc = ConcurrentDurablePlanarIndexSet::create(
-            dir.path().join("idx"),
+        let conc = create(
+            &dir,
             build(),
-            WalOptions::default().fsync(FsyncPolicy::Always),
+            FsyncPolicy::Always,
             ConcurrencyConfig::default(),
-        )
-        .expect("create concurrent durable");
+        );
         let fsyncs_before = conc.fsync_count();
         let next = AtomicUsize::new(0);
         let (_, total_ms) = time_ms(|| {
@@ -250,19 +260,17 @@ pub fn concurrent(cfg: &Config) {
     t.print();
 
     // ── 2. Readers racing a writer ──────────────────────────────────────
-    let set = build();
     let mut generator =
-        Eq18Generator::new(set.table(), RQ, cfg.seed ^ 0x0ead).with_inequality_parameter(0.2);
+        Eq18Generator::new(&base, RQ, cfg.seed ^ 0x0ead).with_inequality_parameter(0.2);
     let queries: Vec<InequalityQuery> = generator.queries(cfg.queries.max(32));
 
     let dir = TempDir::new("bench-conc-readers").expect("temp dir");
-    let conc = ConcurrentDurablePlanarIndexSet::create(
-        dir.path().join("idx"),
-        set,
-        WalOptions::default(),
+    let conc = create(
+        &dir,
+        build(),
+        FsyncPolicy::Always,
         ConcurrencyConfig::default(),
-    )
-    .expect("create concurrent durable");
+    );
 
     let (idle_rps, idle_p99, _) = read_window(&conc, &queries, None, None);
     let race_policies = [
@@ -285,13 +293,7 @@ pub fn concurrent(cfg: &Config) {
         )))
     {
         let dir = TempDir::new("bench-conc-race").expect("temp dir");
-        let fresh = ConcurrentDurablePlanarIndexSet::create(
-            dir.path().join("idx"),
-            build(),
-            WalOptions::default().fsync(p),
-            ConcurrencyConfig::default(),
-        )
-        .expect("create racing durable");
+        let fresh = create(&dir, build(), p, ConcurrencyConfig::default());
         let (rps, p99, acked) = read_window(&fresh, &queries, Some(&rows), pace);
         race_rows.push(RaceRow {
             policy: if pace.is_some() {
@@ -389,7 +391,7 @@ pub fn concurrent(cfg: &Config) {
 /// latency in microseconds, acked mutations/sec — 0 when the writer is
 /// idle).
 fn read_window(
-    set: &ConcurrentDurablePlanarIndexSet<VecStore>,
+    set: &ConcurrentDurableShardedIndexSet<VecStore>,
     queries: &[InequalityQuery],
     rows: Option<&[Vec<f64>]>,
     pace_per_sec: Option<u64>,

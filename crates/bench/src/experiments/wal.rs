@@ -13,6 +13,11 @@
 //!    survive as the `ExecutionConfig::deadline` budget shrinks from
 //!    "generous" to zero.
 //!
+//! Every measurement runs on the sharded engine with one shard
+//! (`ConcurrentDurableShardedIndexSet` for the logged arms). Each durable
+//! arm publishes one epoch per `MUTATIONS`, so no copy-on-publish clone is
+//! paid per mutation and the numbers are the WAL's cost alone.
+//!
 //! Results are printed as tables and written to `BENCH_wal.json`.
 
 use std::time::Duration;
@@ -21,8 +26,8 @@ use crate::report::{ms, Table};
 use crate::{time_ms, Config};
 use planar_core::fault::TempDir;
 use planar_core::{
-    DurablePlanarIndexSet, ExecutionConfig, FsyncPolicy, IndexConfig, InequalityQuery,
-    PlanarIndexSet, VecStore, WalOptions,
+    ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ExecutionConfig, FsyncPolicy, IndexConfig,
+    InequalityQuery, ShardConfig, ShardedIndexSet, VecStore, WalOptions,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
@@ -58,12 +63,17 @@ pub fn wal(cfg: &Config) {
         planar_core::FeatureTable::from_rows(DIM, head).expect("base table")
     };
     let build = || {
-        PlanarIndexSet::<VecStore>::build(
+        ShardedIndexSet::<VecStore>::build(
             base.clone(),
             eq18_domain(DIM, RQ),
             IndexConfig::with_budget(BUDGET).seed(cfg.seed),
+            ShardConfig::round_robin(1),
         )
         .expect("wal experiment build")
+    };
+    let conc = ConcurrencyConfig::default().publish_every(MUTATIONS);
+    let open = |idx: &std::path::Path, opts: WalOptions| {
+        ConcurrentDurableShardedIndexSet::<VecStore>::open(idx, opts, conc)
     };
 
     // 1. Fsync-policy mutation latency.
@@ -82,10 +92,11 @@ pub fn wal(cfg: &Config) {
     let mut policy_ms = Vec::new();
     for &p in &policies {
         let dir = TempDir::new("bench-wal-fsync").expect("temp dir");
-        let mut durable = DurablePlanarIndexSet::create(
+        let durable = ConcurrentDurableShardedIndexSet::create(
             dir.path().join("idx"),
             build(),
             WalOptions::default().fsync(p),
+            conc,
         )
         .expect("create durable");
         let (_, t) = time_ms(|| {
@@ -120,7 +131,8 @@ pub fn wal(cfg: &Config) {
     let dir = TempDir::new("bench-wal-replay").expect("temp dir");
     let idx = dir.path().join("idx");
     let opts = WalOptions::default().fsync(FsyncPolicy::OnCheckpoint);
-    let mut durable = DurablePlanarIndexSet::create(&idx, build(), opts).expect("create durable");
+    let durable = ConcurrentDurableShardedIndexSet::create(&idx, build(), opts, conc)
+        .expect("create durable");
     for row in &rows {
         durable.insert_point(row).expect("durable insert");
     }
@@ -132,22 +144,19 @@ pub fn wal(cfg: &Config) {
     // caches, then subtract the checkpointed clean-open cost to isolate
     // the replay path's marginal throughput.
     let (_, cold_open_ms) = time_ms(|| {
-        let (d, report) =
-            PlanarIndexSet::<VecStore>::open_durable(&idx, opts).expect("recover tail (cold)");
+        let (d, report) = open(&idx, opts).expect("recover tail (cold)");
         assert_eq!(report.wal_replayed, MUTATIONS);
         d
     });
-    let (mut durable, warm_open_ms) = {
-        let ((d, report), t) = time_ms(|| {
-            PlanarIndexSet::<VecStore>::open_durable(&idx, opts).expect("recover tail (warm)")
-        });
+    let (durable, warm_open_ms) = {
+        let ((d, report), t) = time_ms(|| open(&idx, opts).expect("recover tail (warm)"));
         assert_eq!(report.wal_replayed, MUTATIONS);
         (d, t)
     };
     durable.checkpoint().expect("checkpoint");
     drop(durable);
     let (_, clean_open_ms) = time_ms(|| {
-        let (d, report) = PlanarIndexSet::<VecStore>::open_durable(&idx, opts).expect("clean open");
+        let (d, report) = open(&idx, opts).expect("clean open");
         assert_eq!(report.wal_replayed, 0);
         d
     });
@@ -188,11 +197,12 @@ pub fn wal(cfg: &Config) {
     // 3. Deadline-hit partial rates.
     let set = build();
     let mut generator =
-        Eq18Generator::new(set.table(), RQ, cfg.seed ^ 0x0ead).with_inequality_parameter(0.2);
+        Eq18Generator::new(&base, RQ, cfg.seed ^ 0x0ead).with_inequality_parameter(0.2);
     let queries: Vec<InequalityQuery> = generator.queries(cfg.queries.max(64));
     let exec = ExecutionConfig::with_threads(cfg.threads);
     let (full, full_ms) = time_ms(|| set.query_batch(&queries, &exec).expect("unbudgeted batch"));
-    assert!(full.iter().all(|o| !o.served_by.is_partial()));
+    let partial = |o: &planar_core::ShardedQueryOutcome| o.served_by.iter().any(|s| s.is_partial());
+    assert!(!full.iter().any(partial));
 
     let budgets = [
         ("unbudgeted", None),
@@ -208,7 +218,7 @@ pub fn wal(cfg: &Config) {
                 .with_deadline(Duration::from_secs_f64(b / 1e3)),
         };
         let out = set.query_batch(&queries, &exec).expect("budgeted batch");
-        let partial = out.iter().filter(|o| o.served_by.is_partial()).count();
+        let partial = out.iter().filter(|o| partial(o)).count();
         deadline_rows.push((label, budget, queries.len() - partial, partial));
     }
 

@@ -1,15 +1,15 @@
 //! Epoch-based snapshot isolation: **concurrent readers under a single
 //! writer**, without reader locks on the query path.
 //!
-//! Every engine in this crate answers queries through `&self` but mutates
+//! [`ShardedIndexSet`] answers queries through `&self` but mutates
 //! through `&mut self` — correct, but reader-excluding: a process serving
-//! a mixed read/write workload had to serialize query batches behind every
-//! mutation. This module converts the mutation path into an **epoch
-//! scheme**:
+//! a mixed read/write workload would serialize query batches behind every
+//! mutation. [`ConcurrentShardedIndexSet`] converts the mutation path into
+//! an **epoch scheme**:
 //!
 //! * the published state lives in an [`EpochCell`] as an immutable
-//!   `Arc<PlanarIndexSet>` (or `Arc<ShardedIndexSet>`); readers call
-//!   [`ConcurrentPlanarIndexSet::snapshot`] — one brief `RwLock` read and
+//!   `Arc<ShardedIndexSet>`; readers call
+//!   [`ConcurrentShardedIndexSet::snapshot`] — one brief `RwLock` read and
 //!   an `Arc` clone — and then run `query_batch`/`top_k_batch` against
 //!   the snapshot with **no further synchronization**, for as long as
 //!   they like;
@@ -27,22 +27,26 @@
 //! proptests in `tests/concurrent_proptests.rs` hold this across random
 //! interleavings).
 //!
-//! [`ConcurrentDurablePlanarIndexSet`] composes the epoch scheme with the
-//! **group-commit** write-ahead log (`core::wal::GroupCommitQueue`):
-//! mutations from any number of threads append to a commit queue, one
-//! leader fsyncs for the whole group, and every waiter is acknowledged by
-//! that single fsync — collapsing the `FsyncPolicy::Always` latency curve
-//! toward `EveryN(64)` while preserving "acknowledged ⇒ durable".
+//! [`ConcurrentDurableShardedIndexSet`] is that same engine plus the
+//! shard logs: one **group-commit** write-ahead log per shard
+//! (`core::wal::GroupCommitQueue`). Mutations from any number of threads
+//! append to their shard's commit queue, one leader fsyncs for the whole
+//! group, and every waiter is acknowledged by that single fsync —
+//! collapsing the `FsyncPolicy::Always` latency curve toward `EveryN(64)`
+//! while preserving "acknowledged ⇒ durable". A one-shard set
+//! (`ShardConfig::round_robin(1)`) is the unsharded engine.
 //!
 //! ```
-//! use planar_core::concurrent::{ConcurrencyConfig, ConcurrentPlanarIndexSet};
+//! use planar_core::concurrent::{ConcurrencyConfig, ConcurrentShardedIndexSet};
 //! use planar_core::{Cmp, FeatureTable, IndexConfig, InequalityQuery, ParameterDomain,
-//!                   PlanarIndexSet};
+//!                   ShardConfig, ShardedIndexSet};
 //!
 //! let table = FeatureTable::from_rows(2, vec![vec![1.0, 1.0], vec![4.0, 2.0]]).unwrap();
 //! let domain = ParameterDomain::uniform_continuous(2, 0.5, 2.0).unwrap();
-//! let set: PlanarIndexSet = PlanarIndexSet::build(table, domain, IndexConfig::with_budget(4)).unwrap();
-//! let conc = ConcurrentPlanarIndexSet::new(set, ConcurrencyConfig::default());
+//! let set: ShardedIndexSet = ShardedIndexSet::build(
+//!     table, domain, IndexConfig::with_budget(4), ShardConfig::round_robin(1),
+//! ).unwrap();
+//! let conc = ConcurrentShardedIndexSet::new(set, ConcurrencyConfig::default());
 //!
 //! let snap = conc.snapshot();              // readers pin an epoch…
 //! conc.insert_point(&[9.0, 9.0]).unwrap(); // …while a writer publishes the next
@@ -57,15 +61,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
-use crate::multi::PlanarIndexSet;
-use crate::persist::{RecoveryReport, SaveOptions, ShardedRecoveryReport};
+use crate::persist::ShardedRecoveryReport;
+use crate::quant::{QuantAutotuneConfig, QuantPolicy};
 use crate::shard::ShardedIndexSet;
 use crate::store::{KeyStore, VecStore};
 use crate::table::PointId;
 use crate::wal::{
-    snapshot_path, sweep_snapshots, validate_batch, validate_row, write_manifest,
-    DurablePlanarIndexSet, DurableShardedIndexSet, FsyncPolicy, GroupCommitQueue, GroupCommitStats,
-    Lsn, Manifest, Mutation, MutationAck, QuorumGate, WalHealth, WalOptions, WalRecord,
+    enqueue_all, ensure_fresh_dir, read_manifest, shard_wal_dir, snapshot_path, sweep_snapshots,
+    validate_row, write_manifest, FsyncPolicy, GroupCommitQueue, GroupCommitStats, Lsn, Manifest,
+    Mutation, MutationAck, QuorumGate, WalHealth, WalOptions, WalRecord, WalWriter,
 };
 use crate::{PlanarError, Result};
 
@@ -80,7 +84,7 @@ pub struct ConcurrencyConfig {
     /// every mutation is immediately visible to new snapshots). Larger
     /// values amortize the staged-copy clone that each publish takes, at
     /// the cost of bounded snapshot staleness; batch mutations
-    /// ([`ConcurrentPlanarIndexSet::apply_batch`]) always publish at the
+    /// ([`ConcurrentShardedIndexSet::apply_batch`]) always publish at the
     /// end of the batch.
     pub publish_every: usize,
 }
@@ -193,8 +197,8 @@ impl<T> EpochCell<T> {
         }
     }
 
-    /// Record one copy-on-publish clone's cost (called by the wrappers,
-    /// which know how to measure their set's heap footprint).
+    /// Record one copy-on-publish clone's cost (called by the engine,
+    /// which knows how to measure its set's heap footprint).
     pub fn record_clone(&self, bytes: usize, elapsed: std::time::Duration) {
         self.clones.fetch_add(1, Ordering::Relaxed);
         self.clone_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
@@ -264,252 +268,34 @@ impl<T> EpochCell<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent planar set (in-memory)
+// Concurrent engine (in-memory)
 // ---------------------------------------------------------------------------
 
 #[derive(Debug)]
-struct Staged<T> {
-    set: T,
+struct Staged<S: KeyStore + Clone> {
+    set: ShardedIndexSet<S>,
     dirty: usize,
 }
 
-/// Deep-copy the staged set for publication, charging the clone's bytes
-/// and wall-clock cost to the cell's ledger (see [`EpochStats::clones`]).
-fn timed_clone<T: Clone>(cell: &EpochCell<T>, set: &T, bytes: usize) -> T {
-    let start = Instant::now();
-    let copy = set.clone();
-    cell.record_clone(bytes, start.elapsed());
-    copy
+/// When a writer-side operation makes its result visible to readers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Publish {
+    /// Count this many staged mutations toward
+    /// [`ConcurrencyConfig::publish_every`].
+    Cadence(usize),
+    /// Publish one epoch now.
+    Now,
 }
 
-/// A [`PlanarIndexSet`] behind an [`EpochCell`]: lock-free snapshot reads
+/// A [`ShardedIndexSet`] behind an [`EpochCell`]: lock-free snapshot reads
 /// from any number of threads, mutations from any thread serialized by an
 /// internal writer mutex. See the module docs for the epoch lifecycle.
-#[derive(Debug)]
-pub struct ConcurrentPlanarIndexSet<S: KeyStore + Clone = VecStore> {
-    cell: EpochCell<PlanarIndexSet<S>>,
-    writer: Mutex<Staged<PlanarIndexSet<S>>>,
-    publish_every: usize,
-}
-
-impl<S: KeyStore + Clone> ConcurrentPlanarIndexSet<S> {
-    /// Wrap `set` for concurrent serving.
-    pub fn new(set: PlanarIndexSet<S>, cfg: ConcurrencyConfig) -> Self {
-        let staged = set.clone();
-        Self {
-            cell: EpochCell::new(set),
-            writer: Mutex::new(Staged {
-                set: staged,
-                dirty: 0,
-            }),
-            publish_every: cfg.publish_every.max(1),
-        }
-    }
-
-    fn lock_writer(&self) -> MutexGuard<'_, Staged<PlanarIndexSet<S>>> {
-        self.writer.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Pin the current epoch for reading. Queries on the snapshot are the
-    /// plain [`PlanarIndexSet`] API (`query`, `query_batch`, `top_k_batch`,
-    /// …) and run with no synchronization whatsoever.
-    pub fn snapshot(&self) -> Snapshot<PlanarIndexSet<S>> {
-        self.cell.load()
-    }
-
-    fn maybe_publish(&self, staged: &mut Staged<PlanarIndexSet<S>>) {
-        if staged.dirty >= self.publish_every {
-            self.cell.publish(timed_clone(
-                &self.cell,
-                &staged.set,
-                staged.set.memory_usage(),
-            ));
-            staged.dirty = 0;
-        }
-    }
-
-    /// Serialized insert; publishes per [`ConcurrencyConfig::publish_every`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PlanarIndexSet::insert_point`].
-    pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
-        let mut w = self.lock_writer();
-        let id = w.set.insert_point(row)?;
-        w.dirty += 1;
-        self.maybe_publish(&mut w);
-        Ok(id)
-    }
-
-    /// Serialized update. See [`PlanarIndexSet::update_point`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PlanarIndexSet::update_point`].
-    pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
-        let mut w = self.lock_writer();
-        w.set.update_point(id, row)?;
-        w.dirty += 1;
-        self.maybe_publish(&mut w);
-        Ok(())
-    }
-
-    /// Serialized delete. See [`PlanarIndexSet::delete_point`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PlanarIndexSet::delete_point`].
-    pub fn delete_point(&self, id: PointId) -> Result<()> {
-        let mut w = self.lock_writer();
-        w.set.delete_point(id)?;
-        w.dirty += 1;
-        self.maybe_publish(&mut w);
-        Ok(())
-    }
-
-    /// Apply a whole mutation batch under one writer-lock acquisition and
-    /// publish exactly one epoch at the end, so readers observe the batch
-    /// atomically. Returns per-mutation acks in batch order.
-    ///
-    /// # Errors
-    ///
-    /// Validation errors before anything is applied (the batch is
-    /// all-or-nothing against the staged copy).
-    pub fn apply_batch(&self, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
-        let mut w = self.lock_writer();
-        let next_id = w.set.table().len() as PointId;
-        let records = validate_batch(w.set.dim(), next_id, |id| w.set.is_live(id), muts)?;
-        let mut acks = Vec::with_capacity(records.len());
-        for rec in &records {
-            acks.push(apply_planar_record(&mut w.set, rec)?);
-        }
-        if !records.is_empty() {
-            w.dirty += records.len();
-            self.cell
-                .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-            w.dirty = 0;
-        }
-        Ok(acks)
-    }
-
-    /// Serialized compaction (renumbers ids — see
-    /// [`PlanarIndexSet::compact`]); always publishes.
-    pub fn compact(&self) -> Vec<Option<PointId>> {
-        let mut w = self.lock_writer();
-        // Reader observations land on the published epoch's tuner clone;
-        // fold them in so compact's internal retune sees the workload.
-        let snap = self.snapshot();
-        w.set.adopt_quant_window(&snap);
-        drop(snap);
-        let remap = w.set.compact();
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
-        remap
-    }
-
-    /// The quantization policy active on the staged writer state (the
-    /// next publish carries it to readers).
-    pub fn quant_policy(&self) -> crate::quant::QuantPolicy {
-        self.lock_writer().set.quant_policy()
-    }
-
-    /// Install a quantization policy (see
-    /// [`PlanarIndexSet::set_quant_policy`]); always publishes so readers
-    /// get the re-encoded mirror immediately.
-    pub fn set_quant_policy(&self, policy: crate::quant::QuantPolicy) {
-        let mut w = self.lock_writer();
-        w.set.set_quant_policy(policy);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
-    }
-
-    /// Fold reader observations into the staged tuner, retune (see
-    /// [`crate::quant::retune`]), and publish the chosen policy.
-    pub fn retune_quantization(
-        &self,
-        cfg: &crate::quant::QuantAutotuneConfig,
-    ) -> crate::quant::QuantPolicy {
-        let mut w = self.lock_writer();
-        let snap = self.snapshot();
-        w.set.adopt_quant_window(&snap);
-        drop(snap);
-        let policy = w.set.retune_quantization(cfg);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
-        policy
-    }
-
-    /// Publish the staged state now, regardless of the dirty counter.
-    /// Returns the published epoch.
-    pub fn publish(&self) -> u64 {
-        let mut w = self.lock_writer();
-        let epoch = self
-            .cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
-        epoch
-    }
-
-    /// Sweep retired epochs whose grace period ended.
-    pub fn reclaim(&self) -> usize {
-        self.cell.reclaim()
-    }
-
-    /// Epoch bookkeeping (publish count, grace-period population).
-    pub fn epoch_stats(&self) -> EpochStats {
-        self.cell.stats()
-    }
-}
-
-fn apply_planar_record<S: KeyStore + Clone>(
-    set: &mut PlanarIndexSet<S>,
-    rec: &WalRecord,
-) -> Result<MutationAck> {
-    match rec {
-        WalRecord::Insert { id, row } => {
-            let got = set.insert_point(row).map_err(internal_apply)?;
-            if got != *id {
-                return Err(PlanarError::Internal(format!(
-                    "staged insert assigned id {got}, batch validation predicted {id}"
-                )));
-            }
-            Ok(MutationAck::Inserted(got))
-        }
-        WalRecord::Update { id, row } => {
-            set.update_point(*id, row).map_err(internal_apply)?;
-            Ok(MutationAck::Updated)
-        }
-        WalRecord::Delete { id } => {
-            set.delete_point(*id).map_err(internal_apply)?;
-            Ok(MutationAck::Deleted)
-        }
-        _ => Err(PlanarError::Internal(
-            "only point mutations are batch-applied".into(),
-        )),
-    }
-}
-
-fn internal_apply(e: PlanarError) -> PlanarError {
-    PlanarError::Internal(format!(
-        "pre-validated mutation failed to apply to the staged copy: {e}"
-    ))
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent sharded set (in-memory)
-// ---------------------------------------------------------------------------
-
-/// A [`ShardedIndexSet`] behind an [`EpochCell`]: the sharded counterpart
-/// of [`ConcurrentPlanarIndexSet`] (same epoch lifecycle, same publish
-/// cadence; snapshots answer through the shard-aware
-/// `query_batch`/`top_k_batch` fan-out).
+/// This is the only owner of the epoch cell, the staged writer, and the
+/// publish cadence; the durable engine adds its shard logs on top.
 #[derive(Debug)]
 pub struct ConcurrentShardedIndexSet<S: KeyStore + Clone = VecStore> {
     cell: EpochCell<ShardedIndexSet<S>>,
-    writer: Mutex<Staged<ShardedIndexSet<S>>>,
+    writer: Mutex<Staged<S>>,
     publish_every: usize,
 }
 
@@ -527,38 +313,76 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
         }
     }
 
-    fn lock_writer(&self) -> MutexGuard<'_, Staged<ShardedIndexSet<S>>> {
+    /// Change the publish cadence (failover promotion hands a replica's
+    /// engine to a primary with the primary's cadence).
+    pub(crate) fn with_config(mut self, cfg: ConcurrencyConfig) -> Self {
+        self.publish_every = cfg.publish_every.max(1);
+        self
+    }
+
+    fn lock_writer(&self) -> MutexGuard<'_, Staged<S>> {
         self.writer.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Pin the current epoch for reading.
+    /// Deep-copy the staged set into a new epoch, charging the clone's
+    /// bytes and wall-clock cost to the cell's ledger (see
+    /// [`EpochStats::clones`]).
+    fn publish_staged(&self, w: &mut Staged<S>) -> u64 {
+        let bytes = w.set.memory_usage();
+        let start = Instant::now();
+        let copy = w.set.clone();
+        self.cell.record_clone(bytes, start.elapsed());
+        w.dirty = 0;
+        self.cell.publish(copy)
+    }
+
+    /// Run `f` on the staged set under the writer lock, then publish as
+    /// `when` says. Nothing is counted or published when `f` fails. The
+    /// durable engine logs inside `f`, which keeps LSN order equal to
+    /// apply order.
+    pub(crate) fn write<T>(
+        &self,
+        when: Publish,
+        f: impl FnOnce(&mut ShardedIndexSet<S>) -> Result<T>,
+    ) -> Result<T> {
+        let mut w = self.lock_writer();
+        let out = f(&mut w.set)?;
+        match when {
+            Publish::Cadence(n) => {
+                w.dirty += n;
+                if w.dirty >= self.publish_every {
+                    self.publish_staged(&mut w);
+                }
+            }
+            Publish::Now => {
+                self.publish_staged(&mut w);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Fold reader observations from the published epoch into the staged
+    /// quant tuners, so a retune (explicit, or inside compaction or a
+    /// checkpoint) sees the workload.
+    pub(crate) fn adopt_readers(&self, staged: &ShardedIndexSet<S>) {
+        staged.adopt_quant_window(&self.snapshot());
+    }
+
+    /// Pin the current epoch for reading. Queries on the snapshot are the
+    /// plain [`ShardedIndexSet`] API (`query`, `query_batch`,
+    /// `top_k_batch`, …) and run with no synchronization whatsoever.
     pub fn snapshot(&self) -> Snapshot<ShardedIndexSet<S>> {
         self.cell.load()
     }
 
-    fn maybe_publish(&self, staged: &mut Staged<ShardedIndexSet<S>>) {
-        if staged.dirty >= self.publish_every {
-            self.cell.publish(timed_clone(
-                &self.cell,
-                &staged.set,
-                staged.set.memory_usage(),
-            ));
-            staged.dirty = 0;
-        }
-    }
-
-    /// Serialized insert routed by the partitioner. See
-    /// [`ShardedIndexSet::insert_point`].
+    /// Serialized insert routed by the partitioner; publishes per
+    /// [`ConcurrencyConfig::publish_every`].
     ///
     /// # Errors
     ///
     /// See [`ShardedIndexSet::insert_point`].
     pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
-        let mut w = self.lock_writer();
-        let id = w.set.insert_point(row)?;
-        w.dirty += 1;
-        self.maybe_publish(&mut w);
-        Ok(id)
+        self.write(Publish::Cadence(1), |set| set.insert_point(row))
     }
 
     /// Serialized update. See [`ShardedIndexSet::update_point`].
@@ -567,11 +391,7 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
     ///
     /// See [`ShardedIndexSet::update_point`].
     pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
-        let mut w = self.lock_writer();
-        w.set.update_point(id, row)?;
-        w.dirty += 1;
-        self.maybe_publish(&mut w);
-        Ok(())
+        self.write(Publish::Cadence(1), |set| set.update_point(id, row))
     }
 
     /// Serialized delete. See [`ShardedIndexSet::delete_point`].
@@ -580,68 +400,69 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
     ///
     /// See [`ShardedIndexSet::delete_point`].
     pub fn delete_point(&self, id: PointId) -> Result<()> {
-        let mut w = self.lock_writer();
-        w.set.delete_point(id)?;
-        w.dirty += 1;
-        self.maybe_publish(&mut w);
-        Ok(())
+        self.write(Publish::Cadence(1), |set| set.delete_point(id))
+    }
+
+    /// Apply a whole mutation batch under one writer-lock acquisition and
+    /// publish exactly one epoch at the end, so readers observe the batch
+    /// atomically. Returns per-mutation acks in batch order.
+    ///
+    /// # Errors
+    ///
+    /// Validation errors before anything is applied (the batch is
+    /// all-or-nothing against the staged copy).
+    pub fn apply_batch(&self, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
+        if muts.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.write(Publish::Now, |set| {
+            let routed = route_batch(set, muts)?;
+            routed
+                .iter()
+                .map(|(_, rec)| apply_record(set, rec))
+                .collect()
+        })
     }
 
     /// Serialized threshold-gated compaction; always publishes. See
     /// [`ShardedIndexSet::compact`].
     pub fn compact(&self, threshold: f64) -> Vec<usize> {
         let mut w = self.lock_writer();
-        // Fold reader observations in so each compacted shard's internal
-        // retune sees the workload (see the planar wrapper's `compact`).
-        let snap = self.snapshot();
-        w.set.adopt_quant_window(&snap);
-        drop(snap);
+        self.adopt_readers(&w.set);
         let compacted = w.set.compact(threshold);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
+        self.publish_staged(&mut w);
         compacted
     }
 
-    /// Per-shard quantization policies on the staged writer state.
-    pub fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy> {
+    /// Per-shard quantization policies on the staged writer state (the
+    /// next publish carries them to readers).
+    pub fn quant_policies(&self) -> Vec<QuantPolicy> {
         self.lock_writer().set.quant_policies()
     }
 
-    /// Install one quantization policy on every shard; always publishes.
-    pub fn set_quant_policy(&self, policy: crate::quant::QuantPolicy) {
+    /// Install one quantization policy on every shard; always publishes
+    /// so readers get the re-encoded mirror immediately.
+    pub fn set_quant_policy(&self, policy: QuantPolicy) {
         let mut w = self.lock_writer();
         w.set.set_quant_policy(policy);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
+        self.publish_staged(&mut w);
     }
 
     /// Fold reader observations into each shard's tuner, retune every
-    /// shard, and publish. Returns the policy now active per shard.
-    pub fn retune_quantization(
-        &self,
-        cfg: &crate::quant::QuantAutotuneConfig,
-    ) -> Vec<crate::quant::QuantPolicy> {
+    /// shard (see [`crate::quant::retune`]), and publish. Returns the
+    /// policy now active per shard.
+    pub fn retune_quantization(&self, cfg: &QuantAutotuneConfig) -> Vec<QuantPolicy> {
         let mut w = self.lock_writer();
-        let snap = self.snapshot();
-        w.set.adopt_quant_window(&snap);
-        drop(snap);
+        self.adopt_readers(&w.set);
         let policies = w.set.retune_quantization(cfg);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
+        self.publish_staged(&mut w);
         policies
     }
 
-    /// Publish the staged state now. Returns the published epoch.
+    /// Publish the staged state now, regardless of the dirty counter.
+    /// Returns the published epoch.
     pub fn publish(&self) -> u64 {
-        let mut w = self.lock_writer();
-        let epoch = self
-            .cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
-        epoch
+        self.publish_staged(&mut self.lock_writer())
     }
 
     /// Sweep retired epochs whose grace period ended.
@@ -649,7 +470,7 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
         self.cell.reclaim()
     }
 
-    /// Epoch bookkeeping.
+    /// Epoch bookkeeping (publish count, grace-period population).
     pub fn epoch_stats(&self) -> EpochStats {
         self.cell.stats()
     }
@@ -669,507 +490,305 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
         if frames.is_empty() {
             return Ok(());
         }
-        let mut w = self.lock_writer();
-        for (shard, lsn, rec) in frames {
-            w.set.replay_record(*shard, *lsn, rec)?;
-        }
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
-        Ok(())
+        self.write(Publish::Now, |set| {
+            frames
+                .iter()
+                .try_for_each(|(shard, lsn, rec)| set.replay_record(*shard, *lsn, rec))
+        })
     }
+}
 
-    /// Consume the wrapper, returning the staged (most recent) set —
-    /// the failover-promotion handoff.
-    pub fn into_staged(self) -> ShardedIndexSet<S> {
-        self.writer
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .set
+/// Validate a mutation batch against the live set it will see and route
+/// each mutation to its shard, so that once records are logged every
+/// apply is infallible: inserts are assigned global ids
+/// `next_global, next_global + 1, …`, and updates/deletes may target both
+/// pre-existing live points and points born (and not yet deleted) earlier
+/// in the same batch.
+fn route_batch<S: KeyStore + Clone>(
+    set: &ShardedIndexSet<S>,
+    muts: &[Mutation],
+) -> Result<Vec<(usize, WalRecord)>> {
+    let mut born: Vec<(PointId, usize)> = Vec::new();
+    let mut killed: Vec<PointId> = Vec::new();
+    let shard_of = |id: PointId, born: &[(PointId, usize)], killed: &[PointId]| {
+        if killed.contains(&id) {
+            return Err(PlanarError::PointNotFound(id));
+        }
+        match born.iter().find(|&&(b, _)| b == id) {
+            Some(&(_, shard)) => Ok(shard),
+            None => set.shard_of(id).ok_or(PlanarError::PointNotFound(id)),
+        }
+    };
+    let mut next = set.next_global();
+    let mut routed = Vec::with_capacity(muts.len());
+    for m in muts {
+        match m {
+            Mutation::Insert { row } => {
+                validate_row(set.dim(), row)?;
+                let shard = set.partitioner().route(next, row);
+                routed.push((
+                    shard,
+                    WalRecord::Insert {
+                        id: next,
+                        row: row.clone(),
+                    },
+                ));
+                born.push((next, shard));
+                next += 1;
+            }
+            Mutation::Update { id, row } => {
+                validate_row(set.dim(), row)?;
+                let shard = shard_of(*id, &born, &killed)?;
+                routed.push((
+                    shard,
+                    WalRecord::Update {
+                        id: *id,
+                        row: row.clone(),
+                    },
+                ));
+            }
+            Mutation::Delete { id } => {
+                let shard = shard_of(*id, &born, &killed)?;
+                routed.push((shard, WalRecord::Delete { id: *id }));
+                killed.push(*id);
+            }
+        }
+    }
+    Ok(routed)
+}
+
+/// Apply one pre-validated point mutation to the staged set. A failure
+/// here means validation and apply disagree — an internal error, never a
+/// user error.
+fn apply_record<S: KeyStore + Clone>(
+    set: &mut ShardedIndexSet<S>,
+    rec: &WalRecord,
+) -> Result<MutationAck> {
+    let internal = |e: PlanarError| {
+        PlanarError::Internal(format!(
+            "pre-validated mutation failed to apply to the staged copy: {e}"
+        ))
+    };
+    match rec {
+        WalRecord::Insert { id, row } => {
+            let got = set.insert_point(row).map_err(internal)?;
+            if got != *id {
+                return Err(PlanarError::Internal(format!(
+                    "staged insert assigned global id {got}, routing predicted {id}"
+                )));
+            }
+            Ok(MutationAck::Inserted(got))
+        }
+        WalRecord::Update { id, row } => {
+            set.update_point(*id, row).map_err(internal)?;
+            Ok(MutationAck::Updated)
+        }
+        WalRecord::Delete { id } => {
+            set.delete_point(*id).map_err(internal)?;
+            Ok(MutationAck::Deleted)
+        }
+        _ => Err(PlanarError::Internal(
+            "only point mutations are batch-applied".into(),
+        )),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent durable planar set: epochs + group commit
+// Concurrent durable engine: the engine above plus per-shard group commit
 // ---------------------------------------------------------------------------
 
+/// The log position. Locked only inside the engine's writer closure, so
+/// the lock order is always writer → log and this lock never contends.
 #[derive(Debug)]
-struct DurableStaged<S: KeyStore + Clone> {
-    set: PlanarIndexSet<S>,
+struct LogState {
     next_lsn: Lsn,
-    dirty: usize,
     generation: u64,
 }
 
-/// Epoch snapshot reads **plus** group-commit durability: the concurrent
-/// counterpart of [`DurablePlanarIndexSet`]. Mutations may be issued from
-/// any number of threads through `&self`; each one is write-ahead logged
-/// into a commit queue, applied to the staged copy in LSN order, and —
-/// under [`FsyncPolicy::Always`] — acknowledged only once a commit-group
-/// leader's fsync covers its LSN. Concurrent mutators therefore share
-/// fsyncs instead of paying one each, and concurrent readers never block:
-/// they run against pinned epoch snapshots throughout.
+/// [`ConcurrentShardedIndexSet`] plus the shard logs: epoch snapshot reads
+/// with **one group-commit queue per shard WAL**, a durable directory, a
+/// checkpoint generation, and an fsync policy.
+///
+/// Mutations may be issued from any number of threads through `&self`.
+/// Each one is write-ahead logged into its shard's commit queue, applied
+/// to the staged copy, and — under [`FsyncPolicy::Always`] — acknowledged
+/// only once a commit-group leader's fsync covers its LSN. Mutations
+/// routed to different shards commit through independent queues
+/// (independent fsync leaders); mutations hitting the same shard share
+/// commit groups. The global LSN order is assigned under the engine's one
+/// writer mutex, so recovery's cross-shard replay order is exactly the
+/// acknowledged order.
+///
+/// On disk: `CHECKPOINT` (the manifest), `snapshot-N.plnr` (the
+/// `PLNRSHD1` snapshot of generation N), and `wal/shard-NNNN/` (each
+/// shard's segments).
 #[derive(Debug)]
-pub struct ConcurrentDurablePlanarIndexSet<S: KeyStore + Clone = VecStore> {
-    cell: EpochCell<PlanarIndexSet<S>>,
-    writer: Mutex<DurableStaged<S>>,
-    queue: GroupCommitQueue,
+pub struct ConcurrentDurableShardedIndexSet<S: KeyStore + Clone = VecStore> {
+    engine: ConcurrentShardedIndexSet<S>,
+    log: Mutex<LogState>,
+    queues: Vec<GroupCommitQueue>,
     dir: PathBuf,
     fsync: FsyncPolicy,
-    save_opts: SaveOptions,
-    publish_every: usize,
 }
 
 /// `OnCheckpoint` group mode still writes (without fsync) once this many
 /// records are queued, so the in-memory commit queue stays bounded.
 const LAZY_FLUSH_RECORDS: u64 = 512;
 
-impl<S: KeyStore + Clone> ConcurrentDurablePlanarIndexSet<S> {
-    /// Initialize `dir` as a durable home for `set` and wrap it for
-    /// concurrent serving. See [`DurablePlanarIndexSet::create`].
-    ///
-    /// # Errors
-    ///
-    /// See [`DurablePlanarIndexSet::create`].
-    pub fn create(
-        dir: impl AsRef<Path>,
-        set: PlanarIndexSet<S>,
-        opts: WalOptions,
-        cfg: ConcurrencyConfig,
-    ) -> Result<Self> {
-        DurablePlanarIndexSet::create(dir, set, opts).map(|d| Self::from_durable(d, cfg))
-    }
-
-    /// Open a durable directory (recovering as
-    /// [`PlanarIndexSet::open_durable`] does) and wrap it for concurrent
-    /// serving.
-    ///
-    /// # Errors
-    ///
-    /// See [`PlanarIndexSet::open_durable`].
-    pub fn open(
-        dir: impl AsRef<Path>,
-        opts: WalOptions,
-        cfg: ConcurrencyConfig,
-    ) -> Result<(Self, RecoveryReport)> {
-        let (durable, report) = PlanarIndexSet::<S>::open_durable(dir, opts)?;
-        Ok((Self::from_durable(durable, cfg), report))
-    }
-
-    /// Re-wrap a single-writer durable set for concurrent serving: the
-    /// WAL writer moves into a group-commit queue and the set into an
-    /// epoch cell.
-    pub fn from_durable(durable: DurablePlanarIndexSet<S>, cfg: ConcurrencyConfig) -> Self {
-        let (set, wal, dir, generation, next_lsn, save_opts) = durable.into_parts();
-        let fsync = wal.options().fsync;
-        let staged = set.clone();
-        Self {
-            cell: EpochCell::new(set),
-            writer: Mutex::new(DurableStaged {
-                set: staged,
-                next_lsn,
-                dirty: 0,
-                generation,
-            }),
-            queue: GroupCommitQueue::new(wal),
-            dir,
-            fsync,
-            save_opts,
-            publish_every: cfg.publish_every.max(1),
-        }
-    }
-
-    fn lock_writer(&self) -> MutexGuard<'_, DurableStaged<S>> {
-        self.writer.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Pin the current epoch for reading.
-    pub fn snapshot(&self) -> Snapshot<PlanarIndexSet<S>> {
-        self.cell.load()
-    }
-
-    fn maybe_publish(&self, staged: &mut DurableStaged<S>) {
-        if staged.dirty >= self.publish_every {
-            self.cell.publish(timed_clone(
-                &self.cell,
-                &staged.set,
-                staged.set.memory_usage(),
-            ));
-            staged.dirty = 0;
-        }
-    }
-
-    /// Acknowledge `lsn` per the fsync policy: `Always` joins (or leads)
-    /// a commit group and returns only once durable; the bounded-loss
-    /// policies return immediately, flushing the queue when due.
-    fn ack(&self, lsn: Lsn) -> Result<()> {
-        match self.fsync {
-            FsyncPolicy::Always => self.queue.wait_durable(lsn),
-            FsyncPolicy::EveryN(n) => {
-                if self.queue.ack_lag() >= u64::from(n.max(1)) {
-                    self.queue.flush(false)?;
-                }
-                Ok(())
-            }
-            FsyncPolicy::OnCheckpoint => {
-                if self.queue.ack_lag() >= LAZY_FLUSH_RECORDS {
-                    self.queue.flush(false)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Group-committed insert. See [`PlanarIndexSet::insert_point`];
-    /// under `Always` the returned id is durable.
-    ///
-    /// # Errors
-    ///
-    /// Validation errors before logging, [`PlanarError::Persist`] if the
-    /// commit group's append/fsync failed (the mutation is *not*
-    /// acknowledged).
-    pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
-        let (lsn, ack) = {
-            let mut w = self.lock_writer();
-            validate_row(w.set.dim(), row)?;
-            let id = w.set.table().len() as PointId;
-            let rec = WalRecord::Insert {
-                id,
-                row: row.to_vec(),
-            };
-            let lsn = w.next_lsn;
-            self.queue.enqueue(lsn, rec.clone())?;
-            w.next_lsn = lsn + 1;
-            let ack = apply_planar_record(&mut w.set, &rec)?;
-            w.dirty += 1;
-            self.maybe_publish(&mut w);
-            (lsn, ack)
-        };
-        self.ack(lsn)?;
-        match ack {
-            MutationAck::Inserted(id) => Ok(id),
-            _ => unreachable!("insert acks as Inserted"),
-        }
-    }
-
-    /// Group-committed update. See [`PlanarIndexSet::update_point`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::insert_point`], plus [`PlanarError::PointNotFound`].
-    pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
-        let lsn = {
-            let mut w = self.lock_writer();
-            validate_row(w.set.dim(), row)?;
-            if !w.set.is_live(id) {
-                return Err(PlanarError::PointNotFound(id));
-            }
-            let rec = WalRecord::Update {
-                id,
-                row: row.to_vec(),
-            };
-            let lsn = w.next_lsn;
-            self.queue.enqueue(lsn, rec.clone())?;
-            w.next_lsn = lsn + 1;
-            apply_planar_record(&mut w.set, &rec)?;
-            w.dirty += 1;
-            self.maybe_publish(&mut w);
-            lsn
-        };
-        self.ack(lsn)
-    }
-
-    /// Group-committed delete. See [`PlanarIndexSet::delete_point`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::update_point`].
-    pub fn delete_point(&self, id: PointId) -> Result<()> {
-        let lsn = {
-            let mut w = self.lock_writer();
-            if !w.set.is_live(id) {
-                return Err(PlanarError::PointNotFound(id));
-            }
-            let rec = WalRecord::Delete { id };
-            let lsn = w.next_lsn;
-            self.queue.enqueue(lsn, rec.clone())?;
-            w.next_lsn = lsn + 1;
-            apply_planar_record(&mut w.set, &rec)?;
-            w.dirty += 1;
-            self.maybe_publish(&mut w);
-            lsn
-        };
-        self.ack(lsn)
-    }
-
-    /// Group-committed mutation batch: the whole batch is validated up
-    /// front, logged contiguously, applied, published as **one** epoch,
-    /// and acknowledged by a single fsync (under `Always`). This is the
-    /// highest-throughput durable write path.
-    ///
-    /// # Errors
-    ///
-    /// As [`DurablePlanarIndexSet::apply_batch`].
-    pub fn apply_batch(&self, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
-        if muts.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (last_lsn, acks) = {
-            let mut w = self.lock_writer();
-            let next_id = w.set.table().len() as PointId;
-            let records = validate_batch(w.set.dim(), next_id, |id| w.set.is_live(id), muts)?;
-            let first_lsn = w.next_lsn;
-            for (i, rec) in records.iter().enumerate() {
-                self.queue.enqueue(first_lsn + i as Lsn, rec.clone())?;
-            }
-            w.next_lsn = first_lsn + records.len() as Lsn;
-            let mut acks = Vec::with_capacity(records.len());
-            for rec in &records {
-                acks.push(apply_planar_record(&mut w.set, rec)?);
-            }
-            w.dirty += records.len();
-            self.cell
-                .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-            w.dirty = 0;
-            (w.next_lsn - 1, acks)
-        };
-        self.ack(last_lsn)?;
-        Ok(acks)
-    }
-
-    /// Force everything queued to stable storage now, regardless of the
-    /// fsync policy. Afterwards `wal_health()` shows
-    /// `acked_lsn == appended_lsn`.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on append/fsync failure.
-    pub fn sync(&self) -> Result<()> {
-        self.queue.flush(true)
-    }
-
-    /// Checkpoint-then-truncate (see
-    /// [`DurablePlanarIndexSet::checkpoint`]). Takes the writer lock, so
-    /// mutations block for the duration; readers keep serving from their
-    /// pinned epochs throughout.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on I/O failure.
-    pub fn checkpoint(&self) -> Result<Lsn> {
-        let mut w = self.lock_writer();
-        let watermark = w.next_lsn;
-        self.queue
-            .enqueue(watermark, WalRecord::Checkpoint { watermark })?;
-        w.next_lsn = watermark + 1;
-        self.queue.flush(true)?;
-        // Checkpoint cadence doubles as the autotuner's retune point;
-        // adopt reader observations from the published epoch first, and
-        // the snapshot below then carries the freshly chosen tier. The
-        // policy is derived state, so it needs no WAL record: replay
-        // without it yields identical answers, just unfiltered.
-        let snap = self.snapshot();
-        w.set.adopt_quant_window(&snap);
-        drop(snap);
-        w.set
-            .retune_quantization(&crate::quant::QuantAutotuneConfig::default());
-        let generation = w.generation + 1;
-        w.set.save_to_with(
-            snapshot_path(&self.dir, generation),
-            &mut crate::fault::StdIo,
-            &self.save_opts,
-        )?;
-        write_manifest(
-            &self.dir,
-            Manifest {
-                generation,
-                watermark,
-                term: self.queue.term(),
-            },
-        )?;
-        w.generation = generation;
-        self.queue
-            .with_writer(|wal| wal.truncate_all(watermark + 1))?;
-        sweep_snapshots(&self.dir, generation);
-        Ok(watermark)
-    }
-
-    /// Install a quantization policy; always publishes. Derived state —
-    /// not WAL-logged, so a crash before the next checkpoint recovers
-    /// with the tier from the last snapshot (answers are identical under
-    /// any tier by contract).
-    pub fn set_quant_policy(&self, policy: crate::quant::QuantPolicy) {
-        let mut w = self.lock_writer();
-        w.set.set_quant_policy(policy);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
-    }
-
-    /// The quantization policy active on the staged writer state.
-    pub fn quant_policy(&self) -> crate::quant::QuantPolicy {
-        self.lock_writer().set.quant_policy()
-    }
-
-    /// Publish the staged state now. Returns the published epoch.
-    pub fn publish(&self) -> u64 {
-        let mut w = self.lock_writer();
-        let epoch = self
-            .cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
-        epoch
-    }
-
-    /// Sweep retired epochs whose grace period ended.
-    pub fn reclaim(&self) -> usize {
-        self.cell.reclaim()
-    }
-
-    /// Epoch bookkeeping.
-    pub fn epoch_stats(&self) -> EpochStats {
-        self.cell.stats()
-    }
-
-    /// WAL health including the group-commit watermarks
-    /// (`acked_lsn`/`appended_lsn`).
-    pub fn wal_health(&self) -> WalHealth {
-        self.queue.health()
-    }
-
-    /// Group-commit amortization counters (fsyncs, records per fsync).
-    pub fn group_commit_stats(&self) -> GroupCommitStats {
-        self.queue.stats()
-    }
-
-    /// Data fsyncs issued by the underlying WAL writer since opening.
-    pub fn fsync_count(&self) -> u64 {
-        self.queue.fsync_count()
-    }
-
-    /// Recover the group-commit queue from a fail-stop append/fsync
-    /// error: revalidate the log tail on disk, re-append any applied-but-
-    /// undurable records the failed drain parked, and resume accepting
-    /// mutations. Acks issued before the error still hold — they were
-    /// covered by an fsync at ack time and reopen never truncates below
-    /// the synced watermark. No-op on a healthy queue.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] if the tail repair itself fails (the
-    /// queue stays fail-stopped and can be reopened again).
-    pub fn reopen_wal(&self) -> Result<WalHealth> {
-        self.queue.reopen()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent durable sharded set: epochs + per-shard group commit
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct DurableShardedStaged<S: KeyStore + Clone> {
-    set: ShardedIndexSet<S>,
-    next_lsn: Lsn,
-    dirty: usize,
-    generation: u64,
-}
-
-/// The sharded counterpart of [`ConcurrentDurablePlanarIndexSet`]: epoch
-/// snapshot reads over a [`ShardedIndexSet`] with **one group-commit
-/// queue per shard WAL**. Mutations routed to different shards commit
-/// through independent queues (independent fsync leaders); mutations
-/// hitting the same shard share commit groups. The global LSN order is
-/// still assigned under one writer mutex, so recovery's cross-shard
-/// replay order is exactly the acknowledged order.
-#[derive(Debug)]
-pub struct ConcurrentDurableShardedIndexSet<S: KeyStore + Clone = VecStore> {
-    cell: EpochCell<ShardedIndexSet<S>>,
-    writer: Mutex<DurableShardedStaged<S>>,
-    queues: Vec<GroupCommitQueue>,
-    dir: PathBuf,
-    fsync: FsyncPolicy,
-    save_opts: SaveOptions,
-    publish_every: usize,
-}
-
 impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
-    /// Initialize `dir` as a durable home for `set` and wrap it for
-    /// concurrent serving. See [`DurableShardedIndexSet::create`].
+    /// Initialize `dir` as a durable home for `set` — snapshot generation
+    /// 1, the manifest at watermark 0, and one empty WAL per shard — and
+    /// wrap it for concurrent serving.
     ///
     /// # Errors
     ///
-    /// See [`DurableShardedIndexSet::create`].
+    /// [`PlanarError::Persist`] on I/O failure, if `dir` already holds a
+    /// durable index, or if it holds WAL remnants without a manifest.
     pub fn create(
         dir: impl AsRef<Path>,
         set: ShardedIndexSet<S>,
         opts: WalOptions,
         cfg: ConcurrencyConfig,
     ) -> Result<Self> {
-        DurableShardedIndexSet::create(dir, set, opts).map(|d| Self::from_durable(d, cfg))
+        let dir = dir.as_ref();
+        ensure_fresh_dir(dir)?;
+        set.save_to(snapshot_path(dir, 1))?;
+        write_manifest(
+            dir,
+            Manifest {
+                generation: 1,
+                watermark: 0,
+                term: 0,
+            },
+        )?;
+        let wals = (0..set.num_shards())
+            .map(|shard| WalWriter::open_repair(&shard_wal_dir(dir, shard), opts).map(|(w, _)| w))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Self::assemble(
+            ConcurrentShardedIndexSet::new(set, cfg),
+            wals,
+            dir.to_path_buf(),
+            1,
+            1,
+        ))
     }
 
-    /// Open a durable sharded directory (recovering as
-    /// [`ShardedIndexSet::open_durable`] does) and wrap it for concurrent
-    /// serving.
+    /// Open a durable directory: load the newest valid sharded snapshot
+    /// ([`ShardedIndexSet::load_or_recover`] semantics), repair every
+    /// shard's WAL tail, replay each shard's records above the manifest's
+    /// LSN watermark, and wrap the result for concurrent serving. The
+    /// report carries snapshot and replay provenance; its
+    /// `shard_watermarks` give each shard's last applied LSN. Torn tails
+    /// are truncated and reported — never an error.
     ///
     /// # Errors
     ///
-    /// See [`ShardedIndexSet::open_durable`].
+    /// [`PlanarError::Persist`] if the directory was never initialized
+    /// ([`Self::create`]), on real I/O failures, on replay divergence, or
+    /// if the snapshot core itself is unrecoverable.
     pub fn open(
         dir: impl AsRef<Path>,
         opts: WalOptions,
         cfg: ConcurrencyConfig,
     ) -> Result<(Self, ShardedRecoveryReport)> {
-        let (durable, report) = ShardedIndexSet::<S>::open_durable(dir, opts)?;
-        Ok((Self::from_durable(durable, cfg), report))
+        let dir = dir.as_ref();
+        let m = read_manifest(dir)?;
+        let (mut set, mut report) =
+            ShardedIndexSet::<S>::load_or_recover(snapshot_path(dir, m.generation))?;
+        let shards = set.num_shards();
+        let mut wals = Vec::with_capacity(shards);
+        let mut watermarks = vec![m.watermark; shards];
+        let mut max_lsn = m.watermark;
+        for (shard, watermark) in watermarks.iter_mut().enumerate() {
+            let (mut wal, scan) = WalWriter::open_repair(&shard_wal_dir(dir, shard), opts)?;
+            // The manifest carries the authoritative replication term;
+            // adopt it if it is ahead of anything the segments carry.
+            wal.set_term(m.term);
+            for (lsn, rec) in scan.frames.iter().filter(|(lsn, _)| *lsn > m.watermark) {
+                set.replay_record(shard, *lsn, rec)?;
+                *watermark = *lsn;
+                report.wal_replayed += 1;
+            }
+            report.wal_dropped += scan.dropped_records;
+            report.wal_torn_bytes += scan.torn_bytes;
+            max_lsn = max_lsn.max(wal.health().last_lsn).max(*watermark);
+            wals.push(wal);
+        }
+        report.shard_watermarks = watermarks;
+        sweep_snapshots(dir, m.generation);
+        let durable = Self::assemble(
+            ConcurrentShardedIndexSet::new(set, cfg),
+            wals,
+            dir.to_path_buf(),
+            m.generation,
+            max_lsn + 1,
+        );
+        Ok((durable, report))
     }
 
-    /// Re-wrap a single-writer durable sharded set for concurrent
-    /// serving: each shard's WAL writer moves into its own group-commit
-    /// queue.
-    pub fn from_durable(durable: DurableShardedIndexSet<S>, cfg: ConcurrencyConfig) -> Self {
-        let (set, wals, dir, generation, next_lsn, save_opts) = durable.into_parts();
+    /// Put an engine and its shard logs together. The caller guarantees
+    /// they agree: the engine's state is exactly the replay of `wals` over
+    /// snapshot `generation` in `dir`, and `next_lsn` is above every
+    /// logged LSN. Failover promotion uses this to turn a replica's
+    /// mirrored logs and applied engine into a writable primary.
+    pub(crate) fn assemble(
+        engine: ConcurrentShardedIndexSet<S>,
+        wals: Vec<WalWriter>,
+        dir: PathBuf,
+        generation: u64,
+        next_lsn: Lsn,
+    ) -> Self {
         let fsync = wals
             .first()
             .map(|w| w.options().fsync)
             .unwrap_or(FsyncPolicy::Always);
-        let queues = wals.into_iter().map(GroupCommitQueue::new).collect();
-        let staged = set.clone();
         Self {
-            cell: EpochCell::new(set),
-            writer: Mutex::new(DurableShardedStaged {
-                set: staged,
+            engine,
+            log: Mutex::new(LogState {
                 next_lsn,
-                dirty: 0,
                 generation,
             }),
-            queues,
+            queues: wals.into_iter().map(GroupCommitQueue::new).collect(),
             dir,
             fsync,
-            save_opts,
-            publish_every: cfg.publish_every.max(1),
         }
     }
 
-    fn lock_writer(&self) -> MutexGuard<'_, DurableShardedStaged<S>> {
-        self.writer.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock_log(&self) -> MutexGuard<'_, LogState> {
+        self.log.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Log `count` consecutive LSNs, starting at the next free one, with
+    /// the `(shard, lsn, record)` entries `entries` builds from that first
+    /// LSN. The enqueue is all-or-nothing across shards, and `next_lsn`
+    /// advances only when it succeeds, so no queue ever holds a record the
+    /// staged set does not apply. Called inside the engine's writer
+    /// closure. Returns the first LSN.
+    fn log(
+        &self,
+        count: Lsn,
+        entries: impl FnOnce(Lsn) -> Vec<(usize, Lsn, WalRecord)>,
+    ) -> Result<Lsn> {
+        let mut log = self.lock_log();
+        let first = log.next_lsn;
+        enqueue_all(&self.queues, entries(first))?;
+        log.next_lsn = first + count;
+        Ok(first)
+    }
+
+    /// Log one record on every shard at a single shared LSN (compaction
+    /// and checkpoint markers: each shard's replay acts on its own part).
+    fn log_everywhere(&self, rec: impl Fn(Lsn) -> WalRecord) -> Result<Lsn> {
+        self.log(1, |lsn| {
+            (0..self.queues.len())
+                .map(|shard| (shard, lsn, rec(lsn)))
+                .collect()
+        })
     }
 
     /// Pin the current epoch for reading.
     pub fn snapshot(&self) -> Snapshot<ShardedIndexSet<S>> {
-        self.cell.load()
-    }
-
-    fn maybe_publish(&self, staged: &mut DurableShardedStaged<S>) {
-        if staged.dirty >= self.publish_every {
-            self.cell.publish(timed_clone(
-                &self.cell,
-                &staged.set,
-                staged.set.memory_usage(),
-            ));
-            staged.dirty = 0;
-        }
+        self.engine.snapshot()
     }
 
     /// Install a replication [`QuorumGate`] on every shard's commit
@@ -1193,324 +812,221 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
         }
     }
 
-    /// Acknowledge `lsn` on shard `shard` per the fsync policy (see
-    /// [`ConcurrentDurablePlanarIndexSet`]'s policy mapping).
+    /// Acknowledge `lsn` on shard `shard` per the fsync policy: `Always`
+    /// joins (or leads) a commit group and returns only once durable; the
+    /// bounded-loss policies return immediately, flushing the queue when
+    /// due.
     fn ack(&self, shard: usize, lsn: Lsn) -> Result<()> {
         let queue = &self.queues[shard];
-        match self.fsync {
-            FsyncPolicy::Always => queue.wait_durable(lsn),
-            FsyncPolicy::EveryN(n) => {
-                if queue.ack_lag() >= u64::from(n.max(1)) {
-                    queue.flush(false)?;
-                }
-                Ok(())
-            }
-            FsyncPolicy::OnCheckpoint => {
-                if queue.ack_lag() >= LAZY_FLUSH_RECORDS {
-                    queue.flush(false)?;
-                }
-                Ok(())
-            }
+        let due = match self.fsync {
+            FsyncPolicy::Always => return queue.wait_durable(lsn),
+            FsyncPolicy::EveryN(n) => u64::from(n.max(1)),
+            FsyncPolicy::OnCheckpoint => LAZY_FLUSH_RECORDS,
+        };
+        if queue.ack_lag() >= due {
+            queue.flush(false)?;
         }
+        Ok(())
     }
 
-    /// Group-committed insert routed by the partitioner. See
-    /// [`DurableShardedIndexSet::insert_point`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableShardedIndexSet::insert_point`] (a commit-group
-    /// append/fsync failure is *not* acknowledged).
-    pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
-        let (shard, lsn, id) = {
-            let mut w = self.lock_writer();
-            validate_row(w.set.dim(), row)?;
-            let global = w.set.next_global();
-            let shard = w.set.partitioner().route(global, row);
-            let lsn = w.next_lsn;
-            self.queues[shard].enqueue(
-                lsn,
-                WalRecord::Insert {
-                    id: global,
-                    row: row.to_vec(),
-                },
-            )?;
-            w.next_lsn = lsn + 1;
-            let got = w.set.insert_point(row).map_err(internal_apply)?;
-            if got != global {
-                return Err(PlanarError::Internal(format!(
-                    "staged insert assigned global id {got}, routing predicted {global}"
-                )));
+    /// Validate, log, apply, and acknowledge point mutations: one LSN
+    /// each, at most one acknowledgement wait per touched shard.
+    fn commit(&self, when: Publish, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
+        let (acks, last) = self.engine.write(when, |set| {
+            let routed = route_batch(set, muts)?;
+            let first = self.log(routed.len() as Lsn, |first| {
+                routed
+                    .iter()
+                    .zip(first..)
+                    .map(|((shard, rec), lsn)| (*shard, lsn, rec.clone()))
+                    .collect()
+            })?;
+            let mut last: Vec<Option<Lsn>> = vec![None; self.queues.len()];
+            for ((shard, _), lsn) in routed.iter().zip(first..) {
+                last[*shard] = Some(lsn);
             }
-            w.dirty += 1;
-            self.maybe_publish(&mut w);
-            (shard, lsn, got)
-        };
-        self.ack(shard, lsn)?;
-        Ok(id)
-    }
-
-    /// Group-committed update on the point's shard. See
-    /// [`DurableShardedIndexSet::update_point`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableShardedIndexSet::update_point`].
-    pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
-        let (shard, lsn) = {
-            let mut w = self.lock_writer();
-            validate_row(w.set.dim(), row)?;
-            let shard = w.set.shard_of(id).ok_or(PlanarError::PointNotFound(id))?;
-            let lsn = w.next_lsn;
-            self.queues[shard].enqueue(
-                lsn,
-                WalRecord::Update {
-                    id,
-                    row: row.to_vec(),
-                },
-            )?;
-            w.next_lsn = lsn + 1;
-            w.set.update_point(id, row).map_err(internal_apply)?;
-            w.dirty += 1;
-            self.maybe_publish(&mut w);
-            (shard, lsn)
-        };
-        self.ack(shard, lsn)
-    }
-
-    /// Group-committed delete on the point's shard. See
-    /// [`DurableShardedIndexSet::delete_point`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableShardedIndexSet::delete_point`].
-    pub fn delete_point(&self, id: PointId) -> Result<()> {
-        let (shard, lsn) = {
-            let mut w = self.lock_writer();
-            let shard = w.set.shard_of(id).ok_or(PlanarError::PointNotFound(id))?;
-            let lsn = w.next_lsn;
-            self.queues[shard].enqueue(lsn, WalRecord::Delete { id })?;
-            w.next_lsn = lsn + 1;
-            w.set.delete_point(id).map_err(internal_apply)?;
-            w.dirty += 1;
-            self.maybe_publish(&mut w);
-            (shard, lsn)
-        };
-        self.ack(shard, lsn)
-    }
-
-    /// Group-committed mutation batch routed across shards: validated up
-    /// front, logged contiguously in global LSN order, applied, published
-    /// as one epoch, then acknowledged with at most one fsync **per
-    /// touched shard**.
-    ///
-    /// # Errors
-    ///
-    /// As [`DurableShardedIndexSet::apply_batch`].
-    pub fn apply_batch(&self, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
-        if muts.is_empty() {
-            return Ok(Vec::new());
-        }
-        let (acks, touched) = {
-            let mut w = self.lock_writer();
-            let dim = w.set.dim();
-            let mut born: Vec<(PointId, usize)> = Vec::new();
-            let mut killed: Vec<PointId> = Vec::new();
-            let mut next = w.set.next_global();
-            let mut routed: Vec<(usize, WalRecord)> = Vec::with_capacity(muts.len());
-            for m in muts {
-                match m {
-                    Mutation::Insert { row } => {
-                        validate_row(dim, row)?;
-                        let shard = w.set.partitioner().route(next, row);
-                        routed.push((
-                            shard,
-                            WalRecord::Insert {
-                                id: next,
-                                row: row.clone(),
-                            },
-                        ));
-                        born.push((next, shard));
-                        next += 1;
-                    }
-                    Mutation::Update { id, row } => {
-                        validate_row(dim, row)?;
-                        let shard = shard_in_batch(&w.set, *id, &born, &killed)?;
-                        routed.push((
-                            shard,
-                            WalRecord::Update {
-                                id: *id,
-                                row: row.clone(),
-                            },
-                        ));
-                    }
-                    Mutation::Delete { id } => {
-                        let shard = shard_in_batch(&w.set, *id, &born, &killed)?;
-                        routed.push((shard, WalRecord::Delete { id: *id }));
-                        killed.push(*id);
-                    }
-                }
-            }
-            let first_lsn = w.next_lsn;
-            let mut touched: Vec<Option<Lsn>> = vec![None; self.queues.len()];
-            for (i, (shard, rec)) in routed.iter().enumerate() {
-                let lsn = first_lsn + i as Lsn;
-                self.queues[*shard].enqueue(lsn, rec.clone())?;
-                touched[*shard] = Some(lsn);
-            }
-            w.next_lsn = first_lsn + routed.len() as Lsn;
-            let mut acks = Vec::with_capacity(routed.len());
-            for (_, rec) in &routed {
-                acks.push(apply_sharded_record(&mut w.set, rec)?);
-            }
-            w.dirty += routed.len();
-            self.cell
-                .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-            w.dirty = 0;
-            (acks, touched)
-        };
-        for (shard, last) in touched.iter().enumerate() {
-            if let Some(lsn) = last {
+            let acks = routed
+                .iter()
+                .map(|(_, rec)| apply_record(set, rec))
+                .collect::<Result<Vec<_>>>()?;
+            Ok((acks, last))
+        })?;
+        for (shard, lsn) in last.iter().enumerate() {
+            if let Some(lsn) = lsn {
                 self.ack(shard, *lsn)?;
             }
         }
         Ok(acks)
     }
 
-    /// Log-then-compact under group commit: the marker is broadcast to
-    /// **every** shard's queue at one shared LSN, then each shard
-    /// compacts (see [`DurableShardedIndexSet::compact`]). Readers keep
-    /// serving pinned epochs; the compacted state publishes immediately.
+    /// Group-committed insert routed by the partitioner; the record lands
+    /// in the target shard's WAL with the assigned global id. Under
+    /// `Always` the returned id is durable.
+    ///
+    /// # Errors
+    ///
+    /// Row validation errors before logging, [`PlanarError::Persist`] if
+    /// the commit group's append/fsync failed (the mutation is *not*
+    /// acknowledged).
+    pub fn insert_point(&self, row: &[f64]) -> Result<PointId> {
+        let insert = Mutation::Insert { row: row.to_vec() };
+        match self.commit(Publish::Cadence(1), &[insert])?[..] {
+            [MutationAck::Inserted(id)] => Ok(id),
+            _ => unreachable!("an insert acks as Inserted"),
+        }
+    }
+
+    /// Group-committed update on the point's shard.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::insert_point`], plus [`PlanarError::PointNotFound`]
+    /// (checked before logging).
+    pub fn update_point(&self, id: PointId, row: &[f64]) -> Result<()> {
+        let update = Mutation::Update {
+            id,
+            row: row.to_vec(),
+        };
+        self.commit(Publish::Cadence(1), &[update]).map(drop)
+    }
+
+    /// Group-committed delete on the point's shard.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::update_point`].
+    pub fn delete_point(&self, id: PointId) -> Result<()> {
+        self.commit(Publish::Cadence(1), &[Mutation::Delete { id }])
+            .map(drop)
+    }
+
+    /// Group-committed mutation batch routed across shards: validated up
+    /// front, logged contiguously in global LSN order, applied, published
+    /// as one epoch, then acknowledged with at most one fsync **per
+    /// touched shard**. This is the highest-throughput durable write path.
+    ///
+    /// # Errors
+    ///
+    /// Validation errors ([`PlanarError::DimensionMismatch`],
+    /// [`PlanarError::NotFinite`], [`PlanarError::PointNotFound`]) before
+    /// anything is logged; [`PlanarError::Persist`] if a shard's queue has
+    /// fail-stopped (nothing is logged or applied) or a commit group's
+    /// append/fsync fails (the batch is not acknowledged).
+    pub fn apply_batch(&self, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
+        if muts.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.commit(Publish::Now, muts)
+    }
+
+    /// Log-then-compact under group commit: the marker is logged on
+    /// **every** shard's queue at one shared LSN, then each shard whose
+    /// tombstone fraction exceeds `threshold` compacts (see
+    /// [`ShardedIndexSet::compact`]). Readers keep serving pinned epochs;
+    /// the compacted state publishes immediately.
     ///
     /// # Errors
     ///
     /// [`PlanarError::Persist`] on append/fsync failure.
     pub fn compact(&self, threshold: f64) -> Result<Vec<usize>> {
-        let (reclaimed, lsn) = {
-            let mut w = self.lock_writer();
-            let lsn = w.next_lsn;
-            let rec = WalRecord::Compact {
+        let (reclaimed, lsn) = self.engine.write(Publish::Now, |set| {
+            let lsn = self.log_everywhere(|_| WalRecord::Compact {
                 threshold: Some(threshold),
-            };
-            for queue in &self.queues {
-                queue.enqueue(lsn, rec.clone())?;
-            }
-            w.next_lsn = lsn + 1;
-            // Fold reader observations in so each compacted shard's
-            // internal retune sees the workload.
-            let snap = self.snapshot();
-            w.set.adopt_quant_window(&snap);
-            drop(snap);
-            let reclaimed = w.set.compact(threshold);
-            self.cell
-                .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-            w.dirty = 0;
-            (reclaimed, lsn)
-        };
+            })?;
+            self.engine.adopt_readers(set);
+            Ok((set.compact(threshold), lsn))
+        })?;
         for shard in 0..self.queues.len() {
             self.ack(shard, lsn)?;
         }
         Ok(reclaimed)
     }
 
-    /// Force every shard's queue to stable storage now.
+    /// Force every shard's queue to stable storage now, regardless of the
+    /// fsync policy. Afterwards `wal_health()` shows
+    /// `acked_lsn == appended_lsn`.
     ///
     /// # Errors
     ///
     /// [`PlanarError::Persist`] on append/fsync failure.
     pub fn sync(&self) -> Result<()> {
-        for queue in &self.queues {
-            queue.flush(true)?;
-        }
-        Ok(())
+        self.queues.iter().try_for_each(|q| q.flush(true))
     }
 
-    /// Checkpoint-then-truncate across every shard (see
-    /// [`DurableShardedIndexSet::checkpoint`]). Mutations block for the
-    /// duration; readers keep serving from pinned epochs.
+    /// Checkpoint-then-truncate: log a `Checkpoint` marker on every shard,
+    /// fsync every log, atomically write the next snapshot generation,
+    /// publish it in the manifest, then delete the covered WAL segments.
+    /// A crash at any point recovers to either the old or the new
+    /// checkpoint, never in between. Mutations block for the duration;
+    /// readers keep serving from pinned epochs. Returns the new watermark.
     ///
     /// # Errors
     ///
     /// [`PlanarError::Persist`] on I/O failure.
     pub fn checkpoint(&self) -> Result<Lsn> {
-        let mut w = self.lock_writer();
-        let watermark = w.next_lsn;
-        for queue in &self.queues {
-            queue.enqueue(watermark, WalRecord::Checkpoint { watermark })?;
-            queue.flush(true)?;
-        }
-        w.next_lsn = watermark + 1;
-        // Retune each shard's quantization tier at checkpoint cadence —
-        // see the durable planar twin above for why no WAL record exists.
-        let snap = self.snapshot();
-        w.set.adopt_quant_window(&snap);
-        drop(snap);
-        w.set
-            .retune_quantization(&crate::quant::QuantAutotuneConfig::default());
-        let generation = w.generation + 1;
-        w.set.save_to_with(
-            snapshot_path(&self.dir, generation),
-            &mut crate::fault::StdIo,
-            &self.save_opts,
-        )?;
-        write_manifest(
-            &self.dir,
-            Manifest {
-                generation,
-                watermark,
-                term: self
-                    .queues
-                    .iter()
-                    .map(GroupCommitQueue::term)
-                    .max()
-                    .unwrap_or(0),
-            },
-        )?;
-        w.generation = generation;
-        for queue in &self.queues {
-            queue.with_writer(|wal| wal.truncate_all(watermark + 1))?;
-        }
-        sweep_snapshots(&self.dir, generation);
-        Ok(watermark)
+        // A checkpoint changes nothing readers see, so it publishes no
+        // epoch.
+        self.engine.write(Publish::Cadence(0), |set| {
+            let watermark = self.log_everywhere(|lsn| WalRecord::Checkpoint { watermark: lsn })?;
+            self.sync()?;
+            // Checkpoint cadence doubles as the autotuner's retune point;
+            // adopt reader observations from the published epoch first,
+            // and the snapshot below then carries the freshly chosen tier.
+            // The policy is derived state, so it needs no WAL record:
+            // replay without it yields identical answers, just unfiltered.
+            self.engine.adopt_readers(set);
+            set.retune_quantization(&QuantAutotuneConfig::default());
+            let mut log = self.lock_log();
+            let generation = log.generation + 1;
+            set.save_to(snapshot_path(&self.dir, generation))?;
+            write_manifest(
+                &self.dir,
+                Manifest {
+                    generation,
+                    watermark,
+                    term: self.term(),
+                },
+            )?;
+            log.generation = generation;
+            for queue in &self.queues {
+                queue.with_writer(|wal| wal.truncate_all(watermark + 1))?;
+            }
+            sweep_snapshots(&self.dir, generation);
+            Ok(watermark)
+        })
     }
 
     /// Install one quantization policy on every shard; always publishes.
-    /// Derived state — not WAL-logged (see the durable planar twin).
-    pub fn set_quant_policy(&self, policy: crate::quant::QuantPolicy) {
-        let mut w = self.lock_writer();
-        w.set.set_quant_policy(policy);
-        self.cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
+    /// Derived state — not WAL-logged, so a crash before the next
+    /// checkpoint recovers with the tier from the last snapshot (answers
+    /// are identical under any tier by contract).
+    pub fn set_quant_policy(&self, policy: QuantPolicy) {
+        self.engine.set_quant_policy(policy);
     }
 
     /// Per-shard quantization policies on the staged writer state.
-    pub fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy> {
-        self.lock_writer().set.quant_policies()
+    pub fn quant_policies(&self) -> Vec<QuantPolicy> {
+        self.engine.quant_policies()
     }
 
     /// Publish the staged state now. Returns the published epoch.
     pub fn publish(&self) -> u64 {
-        let mut w = self.lock_writer();
-        let epoch = self
-            .cell
-            .publish(timed_clone(&self.cell, &w.set, w.set.memory_usage()));
-        w.dirty = 0;
-        epoch
+        self.engine.publish()
     }
 
     /// Sweep retired epochs whose grace period ended.
     pub fn reclaim(&self) -> usize {
-        self.cell.reclaim()
+        self.engine.reclaim()
     }
 
     /// Epoch bookkeeping.
     pub fn epoch_stats(&self) -> EpochStats {
-        self.cell.stats()
+        self.engine.epoch_stats()
     }
 
-    /// Aggregate WAL health across every shard's queue (the merge keeps
-    /// the most conservative `acked_lsn`).
+    /// Aggregate WAL health across every shard's queue, including the
+    /// group-commit watermarks (`acked_lsn`/`appended_lsn`; the merge
+    /// keeps the most conservative `acked_lsn`).
     pub fn wal_health(&self) -> WalHealth {
         let mut h = WalHealth::default();
         for queue in &self.queues {
@@ -1519,7 +1035,8 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
         h
     }
 
-    /// Group-commit counters summed across shards.
+    /// Group-commit amortization counters (fsyncs, records per fsync)
+    /// summed across shards.
     pub fn group_commit_stats(&self) -> GroupCommitStats {
         let mut total = GroupCommitStats::default();
         for queue in &self.queues {
@@ -1531,19 +1048,24 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
         total
     }
 
-    /// Data fsyncs summed across every shard's WAL writer.
+    /// Data fsyncs summed across every shard's WAL writer since opening —
+    /// the denominator benchmarks divide by to report amortization.
     pub fn fsync_count(&self) -> u64 {
         self.queues.iter().map(GroupCommitQueue::fsync_count).sum()
     }
 
-    /// Recover every shard's group-commit queue from a fail-stop error
-    /// (see [`ConcurrentDurablePlanarIndexSet::reopen_wal`]). Healthy
-    /// queues are untouched; the merged health keeps the most
-    /// conservative acked watermark.
+    /// Recover every shard's group-commit queue from a fail-stop
+    /// append/fsync error: revalidate the log tail on disk, re-append any
+    /// applied-but-undurable records the failed drain parked, and resume
+    /// accepting mutations. Acks issued before the error still hold — they
+    /// were covered by an fsync at ack time and reopen never truncates
+    /// below the synced watermark. Healthy queues are untouched; the
+    /// merged health keeps the most conservative acked watermark.
     ///
     /// # Errors
     ///
-    /// [`PlanarError::Persist`] if any shard's tail repair fails.
+    /// [`PlanarError::Persist`] if any shard's tail repair fails (that
+    /// queue stays fail-stopped and can be reopened again).
     pub fn reopen_wal(&self) -> Result<WalHealth> {
         let mut h = WalHealth::default();
         for queue in &self.queues {
@@ -1572,77 +1094,50 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
     }
 }
 
-/// Shard routing for updates/deletes inside a batch: points born earlier
-/// in the batch route to their recorded shard, killed points are gone.
-fn shard_in_batch<S: KeyStore + Clone>(
-    set: &ShardedIndexSet<S>,
-    id: PointId,
-    born: &[(PointId, usize)],
-    killed: &[PointId],
-) -> Result<usize> {
-    if killed.contains(&id) {
-        return Err(PlanarError::PointNotFound(id));
-    }
-    if let Some(&(_, shard)) = born.iter().find(|&&(b, _)| b == id) {
-        return Ok(shard);
-    }
-    set.shard_of(id).ok_or(PlanarError::PointNotFound(id))
-}
-
-fn apply_sharded_record<S: KeyStore + Clone>(
-    set: &mut ShardedIndexSet<S>,
-    rec: &WalRecord,
-) -> Result<MutationAck> {
-    match rec {
-        WalRecord::Insert { id, row } => {
-            let got = set.insert_point(row).map_err(internal_apply)?;
-            if got != *id {
-                return Err(PlanarError::Internal(format!(
-                    "staged insert assigned global id {got}, batch routing predicted {id}"
-                )));
-            }
-            Ok(MutationAck::Inserted(got))
-        }
-        WalRecord::Update { id, row } => {
-            set.update_point(*id, row).map_err(internal_apply)?;
-            Ok(MutationAck::Updated)
-        }
-        WalRecord::Delete { id } => {
-            set.delete_point(*id).map_err(internal_apply)?;
-            Ok(MutationAck::Deleted)
-        }
-        _ => Err(PlanarError::Internal(
-            "only point mutations are batch-applied".into(),
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::domain::ParameterDomain;
-    use crate::fault::TempDir;
+    use crate::fault::{self, TempDir, WalFaultKind};
     use crate::multi::IndexConfig;
     use crate::query::{Cmp, InequalityQuery};
+    use crate::shard::ShardConfig;
     use crate::table::FeatureTable;
     use crate::VecStore;
 
-    fn small_set(n: usize) -> PlanarIndexSet<VecStore> {
+    /// An `n`-row set over `shards` round-robin shards; one shard is the
+    /// unsharded engine.
+    fn small_set(n: usize, shards: usize) -> ShardedIndexSet<VecStore> {
         let rows: Vec<Vec<f64>> = (0..n)
             .map(|i| vec![1.0 + (i % 13) as f64, 1.0 + (i % 7) as f64])
             .collect();
         let table = FeatureTable::from_rows(2, rows).unwrap();
         let domain = ParameterDomain::uniform_continuous(2, 0.5, 2.0).unwrap();
-        PlanarIndexSet::build(table, domain, IndexConfig::with_budget(4)).unwrap()
+        ShardedIndexSet::build(
+            table,
+            domain,
+            IndexConfig::with_budget(3),
+            ShardConfig::round_robin(shards),
+        )
+        .unwrap()
     }
 
     fn probe(b: f64) -> InequalityQuery {
         InequalityQuery::new(vec![1.0, 1.5], Cmp::Leq, b).unwrap()
     }
 
+    fn assert_same_answers(a: &ShardedIndexSet<VecStore>, b: &ShardedIndexSet<VecStore>) {
+        for bound in [8.0, 12.0, 14.0, 20.0] {
+            assert_eq!(
+                a.query(&probe(bound)).unwrap().sorted_ids(),
+                b.query(&probe(bound)).unwrap().sorted_ids()
+            );
+        }
+    }
+
     #[test]
     fn snapshots_pin_epochs_and_reclaim_after_grace() {
-        let conc = ConcurrentPlanarIndexSet::new(small_set(40), ConcurrencyConfig::default());
+        let conc = ConcurrentShardedIndexSet::new(small_set(40, 1), ConcurrencyConfig::default());
         let pinned = conc.snapshot();
         assert_eq!(pinned.epoch(), 1);
         assert_eq!(pinned.len(), 40);
@@ -1668,8 +1163,8 @@ mod tests {
 
     #[test]
     fn batch_publishes_one_epoch_and_matches_serial() {
-        let conc = ConcurrentPlanarIndexSet::new(small_set(30), ConcurrencyConfig::default());
-        let mut twin = small_set(30);
+        let conc = ConcurrentShardedIndexSet::new(small_set(30, 3), ConcurrencyConfig::default());
+        let mut twin = small_set(30, 3);
         let muts = vec![
             Mutation::Insert {
                 row: vec![2.0, 9.0],
@@ -1682,28 +1177,33 @@ mod tests {
                 row: vec![6.0, 6.0],
             },
             Mutation::Delete { id: 3 },
+            Mutation::Delete { id: 31 },
         ];
         let acks = conc.apply_batch(&muts).unwrap();
-        assert_eq!(acks[0], MutationAck::Inserted(30));
-        assert_eq!(acks[1], MutationAck::Inserted(31));
+        assert_eq!(
+            acks,
+            vec![
+                MutationAck::Inserted(30),
+                MutationAck::Inserted(31),
+                MutationAck::Updated,
+                MutationAck::Deleted,
+                MutationAck::Deleted,
+            ]
+        );
         twin.insert_point(&[2.0, 9.0]).unwrap();
         twin.insert_point(&[7.0, 1.0]).unwrap();
         twin.update_point(30, &[6.0, 6.0]).unwrap();
         twin.delete_point(3).unwrap();
+        twin.delete_point(31).unwrap();
 
         let snap = conc.snapshot();
         assert_eq!(snap.epoch(), 2, "one epoch for the whole batch");
-        for b in [8.0, 12.0, 20.0] {
-            assert_eq!(
-                snap.query(&probe(b)).unwrap().sorted_ids(),
-                twin.query(&probe(b)).unwrap().sorted_ids()
-            );
-        }
+        assert_same_answers(&snap, &twin);
     }
 
     #[test]
     fn batch_validation_is_all_or_nothing() {
-        let conc = ConcurrentPlanarIndexSet::new(small_set(10), ConcurrencyConfig::default());
+        let conc = ConcurrentShardedIndexSet::new(small_set(10, 2), ConcurrencyConfig::default());
         let muts = vec![
             Mutation::Insert {
                 row: vec![2.0, 2.0],
@@ -1721,7 +1221,7 @@ mod tests {
     #[test]
     fn publish_cadence_batches_epochs() {
         let cfg = ConcurrencyConfig::default().publish_every(4);
-        let conc = ConcurrentPlanarIndexSet::new(small_set(10), cfg);
+        let conc = ConcurrentShardedIndexSet::new(small_set(10, 1), cfg);
         for i in 0..3 {
             conc.insert_point(&[2.0 + i as f64, 2.0]).unwrap();
         }
@@ -1736,23 +1236,8 @@ mod tests {
 
     #[test]
     fn sharded_snapshots_match_twin() {
-        use crate::shard::{ShardConfig, ShardedIndexSet};
-        let build = || {
-            let rows: Vec<Vec<f64>> = (0..60)
-                .map(|i| vec![1.0 + (i % 11) as f64, 1.0 + (i % 6) as f64])
-                .collect();
-            let table = FeatureTable::from_rows(2, rows).unwrap();
-            let domain = ParameterDomain::uniform_continuous(2, 0.5, 2.0).unwrap();
-            ShardedIndexSet::<VecStore>::build(
-                table,
-                domain,
-                IndexConfig::with_budget(3),
-                ShardConfig::round_robin(3),
-            )
-            .unwrap()
-        };
-        let conc = ConcurrentShardedIndexSet::new(build(), ConcurrencyConfig::default());
-        let mut twin = build();
+        let conc = ConcurrentShardedIndexSet::new(small_set(60, 3), ConcurrencyConfig::default());
+        let mut twin = small_set(60, 3);
         let pinned = conc.snapshot();
         for i in 0..10 {
             let row = vec![2.0 + (i % 5) as f64, 3.0];
@@ -1764,13 +1249,7 @@ mod tests {
         conc.delete_point(2).unwrap();
         twin.delete_point(2).unwrap();
         assert_eq!(pinned.len(), 60, "pinned epoch is frozen");
-        let now = conc.snapshot();
-        for b in [8.0, 14.0] {
-            assert_eq!(
-                now.query(&probe(b)).unwrap().sorted_ids(),
-                twin.query(&probe(b)).unwrap().sorted_ids()
-            );
-        }
+        assert_same_answers(&conc.snapshot(), &twin);
     }
 
     /// Readers race a writer across epochs; every reader answer must be
@@ -1779,8 +1258,8 @@ mod tests {
     /// name is load-bearing).
     #[test]
     fn tsan_smoke_readers_race_writer() {
-        let conc = std::sync::Arc::new(ConcurrentPlanarIndexSet::new(
-            small_set(50),
+        let conc = std::sync::Arc::new(ConcurrentShardedIndexSet::new(
+            small_set(50, 2),
             ConcurrencyConfig::default(),
         ));
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -1814,12 +1293,13 @@ mod tests {
 
     #[test]
     fn durable_concurrent_group_commit_roundtrip() {
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("conc_durable").unwrap();
         let opts = WalOptions::default(); // Always: every ack durable
         let conc = std::sync::Arc::new(
-            ConcurrentDurablePlanarIndexSet::create(
+            ConcurrentDurableShardedIndexSet::create(
                 tmp.path(),
-                small_set(40),
+                small_set(40, 1),
                 opts,
                 ConcurrencyConfig::default(),
             )
@@ -1848,7 +1328,7 @@ mod tests {
 
         // Kill without checkpoint; recovery must replay all 32.
         drop(conc);
-        let (recovered, report) = ConcurrentDurablePlanarIndexSet::<VecStore>::open(
+        let (recovered, report) = ConcurrentDurableShardedIndexSet::<VecStore>::open(
             tmp.path(),
             opts,
             ConcurrencyConfig::default(),
@@ -1860,11 +1340,12 @@ mod tests {
 
     #[test]
     fn durable_concurrent_checkpoint_truncates_and_reopens() {
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("conc_ckpt").unwrap();
         let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(8));
-        let conc = ConcurrentDurablePlanarIndexSet::create(
+        let conc = ConcurrentDurableShardedIndexSet::create(
             tmp.path(),
-            small_set(20),
+            small_set(20, 1),
             opts,
             ConcurrencyConfig::default(),
         )
@@ -1881,9 +1362,14 @@ mod tests {
         );
         let watermark = conc.checkpoint().unwrap();
         assert_eq!(watermark, 11);
+        assert!(
+            !snapshot_path(tmp.path(), 1).exists(),
+            "stale snapshot generation swept"
+        );
+        assert!(snapshot_path(tmp.path(), 2).exists());
         conc.delete_point(5).unwrap();
         drop(conc);
-        let (recovered, report) = ConcurrentDurablePlanarIndexSet::<VecStore>::open(
+        let (recovered, report) = ConcurrentDurableShardedIndexSet::<VecStore>::open(
             tmp.path(),
             opts,
             ConcurrencyConfig::default(),
@@ -1895,31 +1381,17 @@ mod tests {
 
     #[test]
     fn sharded_durable_concurrent_routes_and_recovers() {
-        use crate::shard::{ShardConfig, ShardedIndexSet};
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("conc_shard_durable").unwrap();
         let opts = WalOptions::default(); // Always
-        let build = || {
-            let rows: Vec<Vec<f64>> = (0..30)
-                .map(|i| vec![1.0 + (i % 9) as f64, 1.0 + (i % 5) as f64])
-                .collect();
-            let table = FeatureTable::from_rows(2, rows).unwrap();
-            let domain = ParameterDomain::uniform_continuous(2, 0.5, 2.0).unwrap();
-            ShardedIndexSet::<VecStore>::build(
-                table,
-                domain,
-                IndexConfig::with_budget(3),
-                ShardConfig::round_robin(3),
-            )
-            .unwrap()
-        };
         let conc = ConcurrentDurableShardedIndexSet::create(
             tmp.path(),
-            build(),
+            small_set(30, 3),
             opts,
             ConcurrencyConfig::default(),
         )
         .unwrap();
-        let mut twin = build();
+        let mut twin = small_set(30, 3);
 
         let pinned = conc.snapshot();
         let muts: Vec<Mutation> = (0..6)
@@ -1954,12 +1426,83 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.wal_replayed, 1, "only the post-checkpoint insert");
-        let snap = recovered.snapshot();
-        for b in [8.0, 14.0] {
-            assert_eq!(
-                snap.query(&probe(b)).unwrap().sorted_ids(),
-                twin.query(&probe(b)).unwrap().sorted_ids()
-            );
+        assert_same_answers(&recovered.snapshot(), &twin);
+    }
+
+    /// A batch spanning a healthy shard and a fail-stopped one must log
+    /// nothing anywhere: a record left on the healthy shard's queue would
+    /// never be applied, and the LSN it took would wedge that shard's
+    /// later writes as non-monotonic until a restart.
+    #[test]
+    fn failed_shard_queue_refuses_a_spanning_batch_and_heals() {
+        let _g = fault::serial_wal_tests();
+        let tmp = TempDir::new("conc_wedge").unwrap();
+        let opts = WalOptions::default(); // Always
+        let conc = ConcurrentDurableShardedIndexSet::create(
+            tmp.path(),
+            small_set(10, 2),
+            opts,
+            ConcurrencyConfig::default(),
+        )
+        .unwrap();
+        let mut acked: Vec<Vec<f64>> = Vec::new();
+
+        // Global id 10 routes to shard 0, whose first append fails: the
+        // insert is applied but not acknowledged, and shard 0 fail-stops.
+        fault::arm_wal_fault(0, WalFaultKind::FailAppend);
+        assert!(conc.insert_point(&[5.0, 5.0]).is_err());
+        fault::disarm_wal_fault();
+
+        // Ids 11 and 12 route to shards 1 and 0.
+        let spanning = vec![
+            Mutation::Insert {
+                row: vec![6.0, 2.0],
+            },
+            Mutation::Insert {
+                row: vec![7.0, 3.0],
+            },
+        ];
+        assert!(conc.apply_batch(&spanning).is_err());
+        assert_eq!(
+            conc.snapshot().len(),
+            11,
+            "the refused batch applied nothing"
+        );
+
+        conc.reopen_wal().unwrap();
+        for i in 0..4 {
+            let row = vec![2.0 + i as f64, 1.0 + i as f64];
+            let id = conc.insert_point(&row).unwrap();
+            assert_eq!(id, 11 + i, "both shards accept writes after reopen");
+            acked.push(row);
         }
+        let batch_acks = conc.apply_batch(&spanning).unwrap();
+        assert_eq!(
+            batch_acks,
+            vec![MutationAck::Inserted(15), MutationAck::Inserted(16)]
+        );
+        drop(conc);
+
+        // Every acknowledged write is recovered; so is the parked insert,
+        // which reopen made durable.
+        let (recovered, report) = ConcurrentDurableShardedIndexSet::<VecStore>::open(
+            tmp.path(),
+            opts,
+            ConcurrencyConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(report.wal_replayed, 7);
+        let mut twin = small_set(10, 2);
+        twin.insert_point(&[5.0, 5.0]).unwrap();
+        for row in &acked {
+            twin.insert_point(row).unwrap();
+        }
+        for m in &spanning {
+            if let Mutation::Insert { row } = m {
+                twin.insert_point(row).unwrap();
+            }
+        }
+        assert_eq!(recovered.snapshot().len(), twin.len());
+        assert_same_answers(&recovered.snapshot(), &twin);
     }
 }

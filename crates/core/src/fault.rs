@@ -475,6 +475,15 @@ pub(crate) fn wal_fault_action(this_append: u64) -> Option<WalFaultKind> {
     }
 }
 
+/// Serializes the unit tests that open WAL writers: the fault trigger is
+/// process-global and every writer consults it, so an armed fault must
+/// not be consumed by a neighboring test's appends.
+#[cfg(test)]
+pub(crate) fn serial_wal_tests() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 // ---------------------------------------------------------------------------
 // Replication transport fault trigger.
 // ---------------------------------------------------------------------------

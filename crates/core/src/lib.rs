@@ -115,8 +115,8 @@ pub mod wal;
 pub use adaptive::{AdaptiveConfig, AdaptivePlanarIndexSet};
 pub use backoff::Backoff;
 pub use concurrent::{
-    ConcurrencyConfig, ConcurrentDurablePlanarIndexSet, ConcurrentDurableShardedIndexSet,
-    ConcurrentPlanarIndexSet, ConcurrentShardedIndexSet, EpochCell, EpochStats, Snapshot,
+    ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet, EpochCell,
+    EpochStats, Snapshot,
 };
 pub use conjunction::{ConjunctionOutcome, ConjunctionQuery};
 pub use domain::{Domain, DomainTracker, ParameterDomain};
@@ -152,8 +152,8 @@ pub use stats::{ExecutionPath, JsonObject, QueryStats, ServedBy, StatsAggregator
 pub use store::{BPlusTree, EytzingerStore, KeyStore, VecStore};
 pub use table::{ColSegment, ColumnMajorRows, FeatureTable};
 pub use wal::{
-    DurablePlanarIndexSet, DurableShardedIndexSet, FsyncPolicy, GroupCommitStats, Lsn, Mutation,
-    MutationAck, QuorumGate, WalHealth, WalOptions, WalRecord,
+    FsyncPolicy, GroupCommitStats, Lsn, Mutation, MutationAck, QuorumGate, WalHealth, WalOptions,
+    WalRecord,
 };
 
 use planar_geom::GeomError;

@@ -493,8 +493,8 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     }
 
     /// Adopt another instance's tuner window (see
-    /// [`crate::quant::QuantTuner::adopt`]). The concurrent wrappers call
-    /// this with the published epoch's clone — where reader observations
+    /// [`crate::quant::QuantTuner::adopt`]). The concurrent engine calls
+    /// this (per shard) with the published epoch's clone — where reader observations
     /// actually land — before retuning the staged writer set.
     pub fn adopt_quant_window(&self, other: &Self) {
         self.quant_tuner.adopt(&other.quant_tuner);
@@ -503,7 +503,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// Re-evaluate the quantization policy from the observed workload (see
     /// [`crate::quant::retune`]), apply the result, and return it. Called
     /// automatically by [`Self::compact`]; callers with checkpoint cadence
-    /// (e.g. the durable wrappers) invoke it there too.
+    /// (e.g. the durable engine) invoke it there too.
     pub fn retune_quantization(
         &mut self,
         cfg: &crate::quant::QuantAutotuneConfig,

@@ -222,18 +222,6 @@ pub struct RecoveryReport {
     /// Positions rebuilt from the table after loading (only
     /// [`PlanarIndexSet::load_or_recover`] rebuilds).
     pub rebuilt: Vec<usize>,
-    /// WAL records replayed on top of the snapshot (only
-    /// [`PlanarIndexSet::open_durable`] replays; 0 for plain loads).
-    pub wal_replayed: usize,
-    /// Structurally complete WAL records dropped because they sit at or
-    /// after the first invalid frame (CRC mismatch / torn write).
-    pub wal_dropped: usize,
-    /// Torn trailing bytes truncated from the WAL — a crash mid-write,
-    /// detected and repaired, never an error.
-    pub wal_torn_bytes: usize,
-    /// LSN watermark after recovery: every record at or below it is
-    /// reflected in the returned state.
-    pub wal_watermark: u64,
 }
 
 impl RecoveryReport {
@@ -795,12 +783,14 @@ pub struct ShardedRecoveryReport {
     /// Per-shard recovery reports.
     pub shards: Vec<RecoveryReport>,
     /// WAL records replayed across all shards (only
-    /// [`ShardedIndexSet::open_durable`] replays; 0 for plain loads).
+    /// [`crate::ConcurrentDurableShardedIndexSet::open`] replays; 0 for
+    /// plain loads).
     pub wal_replayed: usize,
-    /// WAL records dropped at or after the first invalid frame, summed
-    /// across shards.
+    /// WAL records dropped because they sit at or after the first invalid
+    /// frame (CRC mismatch / torn write), summed across shards.
     pub wal_dropped: usize,
-    /// Torn trailing bytes truncated, summed across shards.
+    /// Torn trailing bytes truncated — a crash mid-write, detected and
+    /// repaired, never an error — summed across shards.
     pub wal_torn_bytes: usize,
     /// Per-shard LSN watermarks after replay (empty for plain loads):
     /// `shard_watermarks[s]` is the last LSN applied to shard `s`.
@@ -899,12 +889,12 @@ fn load_sharded<S: KeyStore>(
         let sec_end = crate::frame::sealed_end(header_end, len, data.len())
             .ok_or_else(|| corrupt(format!("shard {s} section extends past EOF")))?;
         let body = &data[header_end..sec_end - crate::frame::CRC_LEN];
-        if crate::frame::open_sealed(&data[header_end..sec_end]).is_none() && !recover {
+        if !recover && crate::frame::open_sealed(&data[header_end..sec_end]).is_none() {
             return Err(corrupt(format!("shard {s} section checksum mismatch")));
         }
-        // Even with a failed outer CRC, the wrapped PLNRIDX2 bytes carry
-        // their own section CRCs — recovery descends and salvages every
-        // index section that still verifies.
+        // Recovery skips the outer CRC: the wrapped PLNRIDX2 bytes carry
+        // their own section CRCs, so it descends and salvages every index
+        // section that still verifies.
         if recover {
             let (set, report) = PlanarIndexSet::from_bytes_recover(body)
                 .map_err(|e| corrupt(format!("shard {s}: {e}")))?;

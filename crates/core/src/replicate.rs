@@ -105,8 +105,8 @@ use crate::shard::ShardedIndexSet;
 use crate::store::{KeyStore, VecStore};
 use crate::wal::{
     init_shard_wals, parse_frame, read_manifest, shard_wal_dir, snapshot_path, wal_root,
-    write_manifest, DurableShardedIndexSet, Lsn, Manifest, Mutation, MutationAck, QuorumGate,
-    TailedFrame, WalOptions, WalRecord, WalTailer, WalWriter,
+    write_manifest, Lsn, Manifest, Mutation, MutationAck, QuorumGate, TailedFrame, WalOptions,
+    WalRecord, WalTailer, WalWriter,
 };
 use crate::{PlanarError, Result};
 
@@ -1775,7 +1775,6 @@ pub struct Replica<S: KeyStore + Clone = VecStore> {
     up: Box<dyn Transport>,
     opts: WalOptions,
     cfg: FailoverConfig,
-    save_opts: SaveOptions,
     state: Option<ReplicaState<S>>,
     reorder: BTreeMap<Lsn, (u32, Vec<u8>)>,
     term: u64,
@@ -1812,7 +1811,6 @@ impl<S: KeyStore + Clone> Replica<S> {
             up,
             opts,
             cfg,
-            save_opts: SaveOptions::default(),
             state: None,
             reorder: BTreeMap::new(),
             term: 0,
@@ -2033,8 +2031,9 @@ impl<S: KeyStore + Clone> Replica<S> {
 
     /// Promote this replica to a primary under `term + 1`: fsync the
     /// mirrored WALs, stamp the new term into the manifest and future
-    /// segments, and reassemble a writable
-    /// [`ConcurrentDurableShardedIndexSet`] over the same directory.
+    /// segments, and wrap the replica's own engine and mirrored logs as a
+    /// writable [`ConcurrentDurableShardedIndexSet`] over the same
+    /// directory (no copy of the set is taken).
     /// Frames still in the reorder buffer (beyond the contiguous applied
     /// prefix) are discarded — they were never acked.
     ///
@@ -2061,15 +2060,13 @@ impl<S: KeyStore + Clone> Replica<S> {
                 term: new_term,
             },
         )?;
-        let durable = DurableShardedIndexSet::from_parts(
-            state.set.into_staged(),
+        let store = ConcurrentDurableShardedIndexSet::assemble(
+            state.set.with_config(ccfg),
             state.wals,
             self.dir,
             self.generation,
             self.applied + 1,
-            self.save_opts,
         );
-        let store = ConcurrentDurableShardedIndexSet::from_durable(durable, ccfg);
         Ok(Primary::new(store, self.cfg))
     }
 
@@ -2115,7 +2112,7 @@ impl<S: KeyStore + Clone> Replica<S> {
         install_snapshot_bytes(
             &snapshot_path(&self.dir, generation),
             bytes,
-            &self.save_opts,
+            &SaveOptions::default(),
         )?;
         write_manifest(
             &self.dir,
@@ -2274,22 +2271,13 @@ mod tests {
     use super::*;
     use crate::concurrent::ConcurrencyConfig;
     use crate::domain::ParameterDomain;
-    use crate::fault::TempDir;
+    use crate::fault::{self, TempDir};
     use crate::multi::IndexConfig;
     use crate::query::{Cmp, InequalityQuery};
     use crate::shard::ShardConfig;
     use crate::table::FeatureTable;
     use crate::wal::FsyncPolicy;
     use crate::VecStore;
-    use std::sync::Mutex;
-
-    /// WAL + transport fault triggers are process-global; replication
-    /// tests serialize like the wal tests do.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn serialized() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     fn build_sharded(n: usize) -> ShardedIndexSet<VecStore> {
         let rows: Vec<Vec<f64>> = (0..n)
@@ -2411,7 +2399,7 @@ mod tests {
 
     #[test]
     fn write_quorum_confirms_and_times_out_typed() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let (_pd, _rd, mut primary, mut replica) = primary_replica(40);
         let mut now = 0u64;
         settle(&mut primary, &mut replica, &mut now);
@@ -2492,7 +2480,7 @@ mod tests {
 
     #[test]
     fn quorum_two_replicas_gate_on_slowest_of_quorum() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let pdir = TempDir::new("repl_quorum2").unwrap();
         let rdir = TempDir::new("repl_quorum2_r").unwrap();
         let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(4));
@@ -2551,7 +2539,7 @@ mod tests {
 
     #[test]
     fn hello_resumes_stream_without_reseed_and_reseeds_after_truncation() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let (_pd, rd, mut primary, mut replica) = primary_replica(40);
         let mut now = 0u64;
         settle(&mut primary, &mut replica, &mut now);
@@ -2615,7 +2603,7 @@ mod tests {
 
     #[test]
     fn disconnected_links_are_reaped() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let (_pd, _rd, mut primary, mut replica) = primary_replica(20);
         let mut now = 0u64;
         settle(&mut primary, &mut replica, &mut now);
@@ -2656,7 +2644,7 @@ mod tests {
 
     #[test]
     fn replica_bootstraps_and_follows() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let (_pd, _rd, mut primary, mut replica) = primary_replica(60);
         let mut now = 0u64;
         settle(&mut primary, &mut replica, &mut now);
@@ -2715,7 +2703,7 @@ mod tests {
 
     #[test]
     fn broadcast_compact_replicates() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let (_pd, _rd, mut primary, mut replica) = primary_replica(40);
         let mut now = 0u64;
         settle(&mut primary, &mut replica, &mut now);
@@ -2737,7 +2725,7 @@ mod tests {
 
     #[test]
     fn checkpoint_truncation_reseeds_lagging_replica() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let (_pd, _rd, mut primary, mut replica) = primary_replica(40);
         let mut now = 0u64;
         settle(&mut primary, &mut replica, &mut now);
@@ -2766,7 +2754,7 @@ mod tests {
 
     #[test]
     fn promotion_fences_the_old_primary() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let (_pd, _rd, mut primary, mut replica) = primary_replica(40);
         let mut now = 0u64;
         settle(&mut primary, &mut replica, &mut now);
@@ -2838,7 +2826,7 @@ mod tests {
 
     #[test]
     fn elect_prefers_highest_acked_then_lowest_index() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let rdir = TempDir::new("repl_elect").unwrap();
         let mk = |i: u32| -> Replica<VecStore> {
             let (down, _) = pipe();
@@ -2859,7 +2847,7 @@ mod tests {
 
     #[test]
     fn promoted_replica_serves_identically_and_accepts_reopen() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let (_pd, _rd, mut primary, mut replica) = primary_replica(50);
         let mut now = 0u64;
         settle(&mut primary, &mut replica, &mut now);

@@ -554,7 +554,7 @@ impl<S: KeyStore> ShardedIndexSet<S> {
 
     /// Adopt another instance's per-shard tuner windows (see
     /// [`PlanarIndexSet::adopt_quant_window`]). Shard counts always match:
-    /// the concurrent wrappers only pair a staged set with its own
+    /// the concurrent engine only pairs a staged set with its own
     /// published clone.
     pub fn adopt_quant_window(&self, other: &Self) {
         for (mine, theirs) in self.shards.iter().zip(&other.shards) {

@@ -1,9 +1,10 @@
-//! Crash-consistent mutation durability: a per-set (and per-shard)
-//! **write-ahead log** with point-in-time recovery.
+//! Crash-consistent mutation durability: a per-shard **write-ahead log**
+//! with point-in-time recovery.
 //!
-//! PR 2 made *snapshots* crash-safe, but every mutation since the last
-//! snapshot was still lost on a crash. This module closes that gap with a
-//! classic WAL protocol:
+//! Snapshots alone are crash-safe, but every mutation since the last
+//! snapshot would be lost on a crash. This module closes that gap with a
+//! classic WAL protocol, which
+//! [`crate::concurrent::ConcurrentDurableShardedIndexSet`] runs:
 //!
 //! * every mutation is appended to the log **before** it is applied
 //!   in memory, framed with a CRC-64 and a monotonically increasing
@@ -11,15 +12,15 @@
 //! * [`FsyncPolicy`] bounds data loss: `Always` fsyncs per record,
 //!   `EveryN(n)` amortizes the fsync over `n` records, `OnCheckpoint`
 //!   trusts the OS until the next checkpoint;
-//! * `save()` becomes **checkpoint-then-truncate**: append a `Checkpoint`
+//! * a checkpoint is **checkpoint-then-truncate**: append a `Checkpoint`
 //!   marker, fsync the log, write a fresh snapshot atomically, publish it
 //!   in the `CHECKPOINT` manifest, then delete the now-covered segments;
-//! * `open_durable` loads the newest valid snapshot and **replays** the
-//!   records with LSN above the manifest watermark — replay is idempotent
-//!   because every record is keyed by LSN;
+//! * opening a durable directory loads the newest valid snapshot and
+//!   **replays** the records with LSN above the manifest watermark —
+//!   replay is idempotent because every record is keyed by LSN;
 //! * a **torn tail** (a crash mid-write) is detected by the frame CRC,
 //!   truncated at the first bad frame, and *reported* in the
-//!   [`RecoveryReport`] — it is never a hard error.
+//!   [`crate::ShardedRecoveryReport`] — it is never a hard error.
 //!
 //! ## Frame format
 //!
@@ -44,12 +45,11 @@
 //!
 //! ```text
 //! dir/CHECKPOINT                 manifest: generation + LSN watermark (CRC'd, atomically replaced)
-//! dir/snapshot-<gen>.plnr        the PLNRIDX2 / PLNRSHD1 snapshot
-//! dir/wal/wal-<lsn>.log          segments (PlanarIndexSet)
-//! dir/wal/shard-NNNN/wal-<lsn>.log  per-shard segments (ShardedIndexSet)
+//! dir/snapshot-<gen>.plnr        the PLNRSHD1 snapshot
+//! dir/wal/shard-NNNN/wal-<lsn>.log  per-shard segments
 //! ```
 //!
-//! Sharded sets keep **one WAL per shard** sharing a single global LSN
+//! A durable set keeps **one WAL per shard** sharing a single global LSN
 //! counter; each `Insert` record carries its assigned global id, so
 //! replay is shard-local and independent of cross-shard interleaving.
 
@@ -62,12 +62,7 @@ use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::multi::{PlanarIndexSet, QueryOutcome, TopKOutcome};
-use crate::parallel::ExecutionConfig;
-use crate::persist::{RecoveryReport, SaveOptions, ShardedRecoveryReport};
-use crate::query::{InequalityQuery, TopKQuery};
-use crate::shard::{ShardedIndexSet, ShardedQueryOutcome, ShardedTopKOutcome};
-use crate::store::{KeyStore, VecStore};
+use crate::persist::SaveOptions;
 use crate::table::PointId;
 use crate::{PlanarError, Result};
 
@@ -173,8 +168,8 @@ pub struct WalHealth {
     /// Highest LSN known durable: every record at or below it has been
     /// covered by an fsync. `appended_lsn − acked_lsn` is the group-commit
     /// lag — the records a power cut would lose right now. The two
-    /// converge after [`DurablePlanarIndexSet::sync`] (and its sharded and
-    /// concurrent counterparts).
+    /// converge after
+    /// [`crate::concurrent::ConcurrentDurableShardedIndexSet::sync`].
     pub acked_lsn: Lsn,
 }
 
@@ -255,8 +250,9 @@ pub enum WalRecord {
 
 /// One point mutation, expressed independently of any set so batches can
 /// be validated, logged, and applied as a unit. This is the group-commit
-/// currency: [`DurablePlanarIndexSet::apply_batch`] (and the sharded and
-/// concurrent counterparts) log a whole `&[Mutation]` with **one** fsync.
+/// currency:
+/// [`crate::concurrent::ConcurrentDurableShardedIndexSet::apply_batch`]
+/// logs a whole `&[Mutation]` with at most one fsync per touched shard.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Mutation {
     /// Insert a new point (the engine assigns the id, returned in the ack).
@@ -287,57 +283,6 @@ pub enum MutationAck {
     Updated,
     /// A delete was applied.
     Deleted,
-}
-
-/// Pre-validate a whole mutation batch against the *simulated* live-set
-/// it will see, so once frames start hitting the log every apply is
-/// infallible: inserts are assigned ids `next_id, next_id+1, …`, and
-/// updates/deletes may target both pre-existing live points and ids born
-/// (and not yet re-deleted) earlier in the same batch.
-pub(crate) fn validate_batch(
-    dim: usize,
-    next_id: PointId,
-    is_live: impl Fn(PointId) -> bool,
-    muts: &[Mutation],
-) -> Result<Vec<WalRecord>> {
-    let mut born: Vec<PointId> = Vec::new();
-    let mut killed: Vec<PointId> = Vec::new();
-    let mut next = next_id;
-    let live = |id: PointId, born: &[PointId], killed: &[PointId]| -> bool {
-        !killed.contains(&id) && (is_live(id) || born.contains(&id))
-    };
-    let mut records = Vec::with_capacity(muts.len());
-    for m in muts {
-        match m {
-            Mutation::Insert { row } => {
-                validate_row(dim, row)?;
-                records.push(WalRecord::Insert {
-                    id: next,
-                    row: row.clone(),
-                });
-                born.push(next);
-                next += 1;
-            }
-            Mutation::Update { id, row } => {
-                validate_row(dim, row)?;
-                if !live(*id, &born, &killed) {
-                    return Err(PlanarError::PointNotFound(*id));
-                }
-                records.push(WalRecord::Update {
-                    id: *id,
-                    row: row.clone(),
-                });
-            }
-            Mutation::Delete { id } => {
-                if !live(*id, &born, &killed) {
-                    return Err(PlanarError::PointNotFound(*id));
-                }
-                records.push(WalRecord::Delete { id: *id });
-                killed.push(*id);
-            }
-        }
-    }
-    Ok(records)
 }
 
 fn encode_frame(lsn: Lsn, rec: &WalRecord) -> Vec<u8> {
@@ -751,6 +696,7 @@ impl WalWriter {
 
     /// Append one record at `lsn` (must exceed every prior LSN), rotating
     /// and fsyncing per policy.
+    #[cfg(test)]
     fn append(&mut self, lsn: Lsn, rec: &WalRecord) -> Result<()> {
         self.append_frame(lsn, rec)?;
         self.policy_sync()
@@ -1007,7 +953,7 @@ impl WalTailer {
 // ---------------------------------------------------------------------------
 
 /// Counters describing how well group commit is amortizing fsyncs,
-/// exposed by the concurrent durable wrappers and stamped into
+/// exposed by the durable engine and stamped into
 /// [`crate::StatsSnapshot`] via [`crate::StatsAggregator::record_group_commit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupCommitStats {
@@ -1217,23 +1163,10 @@ impl GroupCommitQueue {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enqueue one record. `lsn` must be assigned under the caller's
-    /// serialization (the concurrent wrappers hold their writer mutex), so
-    /// `pending` stays LSN-ordered.
+    /// Enqueue one record (see [`enqueue_all`]).
+    #[cfg(test)]
     pub(crate) fn enqueue(&self, lsn: Lsn, rec: WalRecord) -> Result<()> {
-        let mut st = self.lock();
-        if let Some(msg) = &st.failed {
-            return Err(walerr(format!("commit queue failed earlier: {msg}")));
-        }
-        if lsn <= st.appended {
-            return Err(walerr(format!(
-                "non-monotonic lsn {lsn} enqueued (last {})",
-                st.appended
-            )));
-        }
-        st.appended = lsn;
-        st.pending.push((lsn, rec));
-        Ok(())
+        enqueue_all(std::slice::from_ref(self), vec![(0, lsn, rec)])
     }
 
     /// Block until every record at or below `lsn` is durable, becoming the
@@ -1497,12 +1430,50 @@ impl GroupCommitQueue {
     }
 }
 
+/// Enqueue `(queue, lsn, record)` entries across `queues` all or nothing:
+/// lock every touched queue in index order, refuse the whole set if any
+/// of them has fail-stopped or would go non-monotonic, and only then push.
+/// LSNs must be assigned under the caller's serialization (the durable
+/// engine holds its writer mutex) and ascend within each queue, so every
+/// `pending` list stays LSN-ordered.
+pub(crate) fn enqueue_all(
+    queues: &[GroupCommitQueue],
+    entries: Vec<(usize, Lsn, WalRecord)>,
+) -> Result<()> {
+    let mut states: Vec<Option<std::sync::MutexGuard<'_, GcState>>> =
+        queues.iter().map(|_| None).collect();
+    let mut touched: Vec<usize> = entries.iter().map(|&(q, _, _)| q).collect();
+    touched.sort_unstable();
+    touched.dedup();
+    for &q in &touched {
+        let st = queues[q].lock();
+        if let Some(msg) = &st.failed {
+            return Err(walerr(format!("commit queue failed earlier: {msg}")));
+        }
+        states[q] = Some(st);
+    }
+    for &(q, lsn, _) in &entries {
+        let appended = states[q].as_ref().expect("touched queue locked").appended;
+        if lsn <= appended {
+            return Err(walerr(format!(
+                "non-monotonic lsn {lsn} enqueued (last {appended})"
+            )));
+        }
+    }
+    for (q, lsn, rec) in entries {
+        let st = states[q].as_mut().expect("touched queue locked");
+        st.appended = lsn;
+        st.pending.push((lsn, rec));
+    }
+    Ok(())
+}
+
 impl Drop for GroupCommitQueue {
     /// Best-effort drain on clean shutdown: write any still-queued frames
-    /// (fsyncing only if the writer's policy says so), matching the
-    /// single-writer wrappers where every append reaches the file
-    /// immediately. A crash before this runs is exactly the bounded-loss
-    /// window the fsync policy already permits for unacknowledged work.
+    /// (fsyncing only if the writer's policy says so), so every enqueued
+    /// record reaches the file. A crash before this runs is exactly the
+    /// bounded-loss window the fsync policy already permits for
+    /// unacknowledged work.
     fn drop(&mut self) {
         let _ = self.flush(false);
     }
@@ -1586,11 +1557,13 @@ pub(crate) fn sweep_snapshots(dir: &Path, current: u64) {
     }
 }
 
-fn ensure_fresh_dir(dir: &Path) -> Result<()> {
+/// Refuse to initialize `dir` over an existing durable index or over the
+/// remnants of one.
+pub(crate) fn ensure_fresh_dir(dir: &Path) -> Result<()> {
     fs::create_dir_all(dir).map_err(|e| walio("create durable dir", e))?;
     if dir.join(MANIFEST_FILE).exists() {
         return Err(walerr(format!(
-            "{} already contains a durable index (open it with open_durable)",
+            "{} already contains a durable index (open it instead)",
             dir.display()
         )));
     }
@@ -1615,104 +1588,8 @@ fn ensure_fresh_dir(dir: &Path) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Durable planar set
+// Durable directory helpers
 // ---------------------------------------------------------------------------
-
-/// A [`PlanarIndexSet`] whose mutations are write-ahead logged. Created by
-/// [`DurablePlanarIndexSet::create`] or
-/// [`PlanarIndexSet::open_durable`]; queries go through [`Self::set`] (or
-/// `Deref`), mutations through the logging wrappers here.
-#[derive(Debug)]
-pub struct DurablePlanarIndexSet<S: KeyStore = VecStore> {
-    set: PlanarIndexSet<S>,
-    wal: WalWriter,
-    dir: PathBuf,
-    generation: u64,
-    next_lsn: Lsn,
-    save_opts: SaveOptions,
-}
-
-impl<S: KeyStore> PlanarIndexSet<S> {
-    /// Open a durable directory: load the newest valid snapshot
-    /// ([`Self::load_or_recover`] semantics per index section), repair the
-    /// WAL's torn tail, and replay every record above the manifest's LSN
-    /// watermark. The report carries both snapshot *and* replay
-    /// provenance. Torn tails are truncated and reported — never an error.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] if the directory was never initialized
-    /// ([`DurablePlanarIndexSet::create`]), on real I/O failures, or if
-    /// the snapshot core itself is unrecoverable.
-    pub fn open_durable(
-        dir: impl AsRef<Path>,
-        opts: WalOptions,
-    ) -> Result<(DurablePlanarIndexSet<S>, RecoveryReport)> {
-        let dir = dir.as_ref();
-        let m = read_manifest(dir)?;
-        let (mut set, mut report) = Self::load_or_recover(snapshot_path(dir, m.generation))?;
-        let (mut wal, scan) = WalWriter::open_repair(&dir.join(WAL_SUBDIR), opts)?;
-        // The manifest carries the authoritative replication term; adopt
-        // it if it is ahead of anything the segments were stamped with.
-        wal.set_term(m.term);
-        let mut watermark = m.watermark;
-        let mut replayed = 0usize;
-        for (lsn, rec) in &scan.frames {
-            if *lsn <= m.watermark {
-                continue;
-            }
-            replay_planar(&mut set, *lsn, rec)?;
-            watermark = *lsn;
-            replayed += 1;
-        }
-        report.wal_replayed = replayed;
-        report.wal_dropped = scan.dropped_records;
-        report.wal_torn_bytes = scan.torn_bytes;
-        report.wal_watermark = watermark;
-        let next_lsn = wal.last_lsn.max(watermark) + 1;
-        sweep_snapshots(dir, m.generation);
-        Ok((
-            DurablePlanarIndexSet {
-                set,
-                wal,
-                dir: dir.to_path_buf(),
-                generation: m.generation,
-                next_lsn,
-                save_opts: SaveOptions::default(),
-            },
-            report,
-        ))
-    }
-}
-
-fn replay_planar<S: KeyStore>(
-    set: &mut PlanarIndexSet<S>,
-    lsn: Lsn,
-    rec: &WalRecord,
-) -> Result<()> {
-    match rec {
-        WalRecord::Insert { id, row } => {
-            let got = set.insert_point(row)?;
-            if got != *id {
-                return Err(walerr(format!(
-                    "replay diverged at lsn {lsn}: insert assigned id {got}, log says {id}"
-                )));
-            }
-            Ok(())
-        }
-        WalRecord::Update { id, row } => set.update_point(*id, row),
-        WalRecord::Delete { id } => set.delete_point(*id),
-        WalRecord::Compact { threshold: None } => {
-            set.compact();
-            Ok(())
-        }
-        WalRecord::Compact { threshold: Some(t) } => {
-            set.compact_if(*t);
-            Ok(())
-        }
-        WalRecord::Checkpoint { .. } => Ok(()),
-    }
-}
 
 /// Pre-validate a mutation row so nothing unreplayable is ever logged:
 /// the write-ahead contract is log-then-apply, so the apply must be
@@ -1730,310 +1607,7 @@ pub(crate) fn validate_row(dim: usize, row: &[f64]) -> Result<()> {
     Ok(())
 }
 
-impl<S: KeyStore> DurablePlanarIndexSet<S> {
-    /// Initialize `dir` as a durable home for `set`: write snapshot
-    /// generation 1, publish the manifest at watermark 0, and open an
-    /// empty WAL.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on I/O failure or if `dir` already holds a
-    /// durable index.
-    pub fn create(dir: impl AsRef<Path>, set: PlanarIndexSet<S>, opts: WalOptions) -> Result<Self> {
-        let dir = dir.as_ref();
-        ensure_fresh_dir(dir)?;
-        set.save_to(snapshot_path(dir, 1))?;
-        write_manifest(
-            dir,
-            Manifest {
-                generation: 1,
-                watermark: 0,
-                term: 0,
-            },
-        )?;
-        let (wal, _) = WalWriter::open_repair(&dir.join(WAL_SUBDIR), opts)?;
-        let next_lsn = wal.last_lsn + 1;
-        Ok(Self {
-            set,
-            wal,
-            dir: dir.to_path_buf(),
-            generation: 1,
-            next_lsn,
-            save_opts: SaveOptions::default(),
-        })
-    }
-
-    /// The underlying set, for queries and inspection.
-    pub fn set(&self) -> &PlanarIndexSet<S> {
-        &self.set
-    }
-
-    /// Current WAL health (segments, unsynced records, last LSN).
-    pub fn wal_health(&self) -> WalHealth {
-        self.wal.health()
-    }
-
-    /// Retry/backoff schedule for checkpoint snapshot writes.
-    pub fn save_options(mut self, opts: SaveOptions) -> Self {
-        self.save_opts = opts;
-        self
-    }
-
-    fn log_apply<T>(
-        &mut self,
-        rec: WalRecord,
-        apply: impl FnOnce(&mut PlanarIndexSet<S>) -> Result<T>,
-    ) -> Result<T> {
-        let lsn = self.next_lsn;
-        self.wal.append(lsn, &rec)?;
-        self.next_lsn = lsn + 1;
-        apply(&mut self.set).map_err(|e| {
-            // Pre-validation makes the apply infallible; reaching this
-            // means the in-memory state and the log have diverged.
-            PlanarError::Internal(format!(
-                "mutation failed after WAL append at lsn {lsn}: {e}"
-            ))
-        })
-    }
-
-    /// Log-then-insert. See [`PlanarIndexSet::insert_point`].
-    ///
-    /// # Errors
-    ///
-    /// Row validation errors (checked *before* logging), or
-    /// [`PlanarError::Persist`] if the append failed (nothing applied).
-    pub fn insert_point(&mut self, row: &[f64]) -> Result<PointId> {
-        validate_row(self.set.dim(), row)?;
-        let id = self.set.table().len() as PointId;
-        self.log_apply(
-            WalRecord::Insert {
-                id,
-                row: row.to_vec(),
-            },
-            |set| set.insert_point(row),
-        )
-    }
-
-    /// Log-then-update. See [`PlanarIndexSet::update_point`].
-    ///
-    /// # Errors
-    ///
-    /// Validation/[`PlanarError::PointNotFound`] (checked before
-    /// logging), or [`PlanarError::Persist`] on append failure.
-    pub fn update_point(&mut self, id: PointId, row: &[f64]) -> Result<()> {
-        validate_row(self.set.dim(), row)?;
-        if !self.set.is_live(id) {
-            return Err(PlanarError::PointNotFound(id));
-        }
-        self.log_apply(
-            WalRecord::Update {
-                id,
-                row: row.to_vec(),
-            },
-            |set| set.update_point(id, row),
-        )
-    }
-
-    /// Log-then-delete. See [`PlanarIndexSet::delete_point`].
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::PointNotFound`] (checked before logging), or
-    /// [`PlanarError::Persist`] on append failure.
-    pub fn delete_point(&mut self, id: PointId) -> Result<()> {
-        if !self.set.is_live(id) {
-            return Err(PlanarError::PointNotFound(id));
-        }
-        self.log_apply(WalRecord::Delete { id }, |set| set.delete_point(id))
-    }
-
-    /// Log-then-compact (unconditional). Compaction renumbers ids; see
-    /// [`PlanarIndexSet::compact`]. Replay re-runs the same deterministic
-    /// compaction, so only the marker is logged.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on append failure.
-    pub fn compact(&mut self) -> Result<Vec<Option<PointId>>> {
-        self.log_apply(WalRecord::Compact { threshold: None }, |set| {
-            Ok(set.compact())
-        })
-    }
-
-    /// Log-then-compact when the tombstone fraction exceeds `threshold`.
-    /// The marker is logged unconditionally — replay makes the same
-    /// decision from the same state. See [`PlanarIndexSet::compact_if`].
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on append failure.
-    pub fn compact_if(&mut self, threshold: f64) -> Result<Option<Vec<Option<PointId>>>> {
-        self.log_apply(
-            WalRecord::Compact {
-                threshold: Some(threshold),
-            },
-            |set| Ok(set.compact_if(threshold)),
-        )
-    }
-
-    /// **Group commit**: log-then-apply a whole batch of mutations with a
-    /// single fsync. Every record is appended *without* per-record
-    /// syncing, one `sync` (under `FsyncPolicy::Always`; the other
-    /// policies keep their usual cadence against the batched appends)
-    /// makes the whole batch durable, and only then is the batch applied
-    /// and acknowledged — so the per-mutation fsync tax is divided by the
-    /// batch length while "acknowledged ⇒ durable" still holds.
-    ///
-    /// The batch is validated up front against the live-set it will see
-    /// (inserts may be updated/deleted later in the same batch); nothing
-    /// is logged or applied unless the whole batch validates.
-    ///
-    /// # Errors
-    ///
-    /// Validation errors ([`PlanarError::DimensionMismatch`],
-    /// [`PlanarError::NotFinite`], [`PlanarError::PointNotFound`]) before
-    /// anything is logged; [`PlanarError::Persist`] on append/fsync
-    /// failure (the un-fsynced suffix is unacknowledged and will be
-    /// truncated at recovery).
-    pub fn apply_batch(&mut self, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
-        let next_id = self.set.table().len() as PointId;
-        let records = validate_batch(self.set.dim(), next_id, |id| self.set.is_live(id), muts)?;
-        let first_lsn = self.next_lsn;
-        for (i, rec) in records.iter().enumerate() {
-            self.wal.append_frame(first_lsn + i as Lsn, rec)?;
-        }
-        self.next_lsn = first_lsn + records.len() as Lsn;
-        self.wal.policy_sync()?;
-        let mut acks = Vec::with_capacity(records.len());
-        for (i, rec) in records.iter().enumerate() {
-            let lsn = first_lsn + i as Lsn;
-            replay_planar(&mut self.set, lsn, rec).map_err(|e| {
-                PlanarError::Internal(format!(
-                    "batch mutation failed after WAL append at lsn {lsn}: {e}"
-                ))
-            })?;
-            acks.push(match rec {
-                WalRecord::Insert { id, .. } => MutationAck::Inserted(*id),
-                WalRecord::Update { .. } => MutationAck::Updated,
-                _ => MutationAck::Deleted,
-            });
-        }
-        Ok(acks)
-    }
-
-    /// Decompose into the pieces the concurrent wrapper re-assembles
-    /// around a [`GroupCommitQueue`].
-    pub(crate) fn into_parts(
-        self,
-    ) -> (PlanarIndexSet<S>, WalWriter, PathBuf, u64, Lsn, SaveOptions) {
-        (
-            self.set,
-            self.wal,
-            self.dir,
-            self.generation,
-            self.next_lsn,
-            self.save_opts,
-        )
-    }
-
-    /// Checkpoint-then-truncate: append a `Checkpoint` marker, fsync the
-    /// log, atomically write the next snapshot generation, publish it in
-    /// the manifest, then delete the covered WAL segments. Every step is
-    /// crash-safe: a crash at any point recovers to either the old or the
-    /// new checkpoint, never in between. Returns the new watermark.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on I/O failure.
-    pub fn checkpoint(&mut self) -> Result<Lsn> {
-        let watermark = self.next_lsn;
-        self.wal
-            .append(watermark, &WalRecord::Checkpoint { watermark })?;
-        self.next_lsn = watermark + 1;
-        self.wal.sync()?;
-        // Checkpoint cadence doubles as the autotuner's retune point: the
-        // snapshot then carries the freshly chosen quantization tier.
-        self.set
-            .retune_quantization(&crate::quant::QuantAutotuneConfig::default());
-        let generation = self.generation + 1;
-        self.set.save_to_with(
-            snapshot_path(&self.dir, generation),
-            &mut crate::fault::StdIo,
-            &self.save_opts,
-        )?;
-        write_manifest(
-            &self.dir,
-            Manifest {
-                generation,
-                watermark,
-                term: self.wal.term(),
-            },
-        )?;
-        self.generation = generation;
-        self.wal.truncate_all(watermark + 1)?;
-        sweep_snapshots(&self.dir, generation);
-        Ok(watermark)
-    }
-
-    /// Alias for [`Self::checkpoint`] — the durable counterpart of
-    /// [`PlanarIndexSet::save_to`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::checkpoint`].
-    pub fn save(&mut self) -> Result<Lsn> {
-        self.checkpoint()
-    }
-
-    /// Force buffered WAL records to stable storage now, regardless of
-    /// the fsync policy.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on fsync failure.
-    pub fn sync(&mut self) -> Result<()> {
-        self.wal.sync()
-    }
-
-    /// Data fsyncs issued by the WAL writer since this wrapper opened —
-    /// the denominator benchmarks divide by to report amortization.
-    pub fn fsync_count(&self) -> u64 {
-        self.wal.fsync_count()
-    }
-
-    /// Consume the wrapper, returning the in-memory set (the directory
-    /// keeps its durable state).
-    pub fn into_inner(self) -> PlanarIndexSet<S> {
-        self.set
-    }
-}
-
-impl<S: KeyStore> std::ops::Deref for DurablePlanarIndexSet<S> {
-    type Target = PlanarIndexSet<S>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.set
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Durable sharded set
-// ---------------------------------------------------------------------------
-
-/// A [`ShardedIndexSet`] with one write-ahead log **per shard**, all
-/// sharing a single global LSN counter. `Insert` records carry their
-/// assigned global id, so each shard's log replays independently — a torn
-/// tail on one shard never blocks another shard's recovery.
-#[derive(Debug)]
-pub struct DurableShardedIndexSet<S: KeyStore = VecStore> {
-    set: ShardedIndexSet<S>,
-    wals: Vec<WalWriter>,
-    dir: PathBuf,
-    generation: u64,
-    next_lsn: Lsn,
-    save_opts: SaveOptions,
-}
-
+/// One shard's WAL directory.
 pub(crate) fn shard_wal_dir(dir: &Path, shard: usize) -> PathBuf {
     dir.join(WAL_SUBDIR).join(format!("shard-{shard:04}"))
 }
@@ -2055,529 +1629,10 @@ pub(crate) fn init_shard_wals(dir: &Path, shards: usize, next_lsn: Lsn, term: u6
     Ok(())
 }
 
-impl<S: KeyStore> ShardedIndexSet<S> {
-    /// Sharded counterpart of [`PlanarIndexSet::open_durable`]: load the
-    /// newest valid sharded snapshot, repair every shard's WAL tail, and
-    /// replay each shard's records above the watermark. The report's
-    /// `shard_watermarks` give each shard's last applied LSN.
-    ///
-    /// # Errors
-    ///
-    /// As [`PlanarIndexSet::open_durable`].
-    pub fn open_durable(
-        dir: impl AsRef<Path>,
-        opts: WalOptions,
-    ) -> Result<(DurableShardedIndexSet<S>, ShardedRecoveryReport)> {
-        let dir = dir.as_ref();
-        let m = read_manifest(dir)?;
-        let (mut set, mut report) = Self::load_or_recover(snapshot_path(dir, m.generation))?;
-        let shards = set.num_shards();
-        let mut wals = Vec::with_capacity(shards);
-        let mut replayed = 0usize;
-        let mut dropped = 0usize;
-        let mut torn = 0usize;
-        let mut watermarks = vec![m.watermark; shards];
-        let mut max_lsn = m.watermark;
-        for (shard, watermark) in watermarks.iter_mut().enumerate() {
-            let (mut wal, scan) = WalWriter::open_repair(&shard_wal_dir(dir, shard), opts)?;
-            wal.set_term(m.term);
-            for (lsn, rec) in &scan.frames {
-                if *lsn <= m.watermark {
-                    continue;
-                }
-                set.replay_record(shard, *lsn, rec)?;
-                *watermark = *lsn;
-                replayed += 1;
-            }
-            dropped += scan.dropped_records;
-            torn += scan.torn_bytes;
-            max_lsn = max_lsn.max(wal.last_lsn).max(*watermark);
-            wals.push(wal);
-        }
-        report.wal_replayed = replayed;
-        report.wal_dropped = dropped;
-        report.wal_torn_bytes = torn;
-        report.shard_watermarks = watermarks;
-        sweep_snapshots(dir, m.generation);
-        Ok((
-            DurableShardedIndexSet {
-                set,
-                wals,
-                dir: dir.to_path_buf(),
-                generation: m.generation,
-                next_lsn: max_lsn + 1,
-                save_opts: SaveOptions::default(),
-            },
-            report,
-        ))
-    }
-}
-
-impl<S: KeyStore> DurableShardedIndexSet<S> {
-    /// Initialize `dir` as a durable home for a sharded set. See
-    /// [`DurablePlanarIndexSet::create`].
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on I/O failure or if `dir` already holds
-    /// a durable index.
-    pub fn create(
-        dir: impl AsRef<Path>,
-        set: ShardedIndexSet<S>,
-        opts: WalOptions,
-    ) -> Result<Self> {
-        let dir = dir.as_ref();
-        ensure_fresh_dir(dir)?;
-        set.save_to(snapshot_path(dir, 1))?;
-        write_manifest(
-            dir,
-            Manifest {
-                generation: 1,
-                watermark: 0,
-                term: 0,
-            },
-        )?;
-        let mut wals = Vec::with_capacity(set.num_shards());
-        for shard in 0..set.num_shards() {
-            let (wal, _) = WalWriter::open_repair(&shard_wal_dir(dir, shard), opts)?;
-            wals.push(wal);
-        }
-        let next_lsn = wals.iter().map(|w| w.last_lsn).max().unwrap_or(0) + 1;
-        Ok(Self {
-            set,
-            wals,
-            dir: dir.to_path_buf(),
-            generation: 1,
-            next_lsn,
-            save_opts: SaveOptions::default(),
-        })
-    }
-
-    /// The underlying sharded set, for queries and inspection.
-    pub fn set(&self) -> &ShardedIndexSet<S> {
-        &self.set
-    }
-
-    /// Aggregate WAL health across all shards.
-    pub fn wal_health(&self) -> WalHealth {
-        let mut h = WalHealth::default();
-        for w in &self.wals {
-            h.merge(&w.health());
-        }
-        h
-    }
-
-    /// Data fsyncs summed across every shard's WAL writer.
-    pub fn fsync_count(&self) -> u64 {
-        self.wals.iter().map(WalWriter::fsync_count).sum()
-    }
-
-    /// Retry/backoff schedule for checkpoint snapshot writes.
-    pub fn save_options(mut self, opts: SaveOptions) -> Self {
-        self.save_opts = opts;
-        self
-    }
-
-    /// Log-then-insert, routed by the partitioner; the record lands in
-    /// the target shard's WAL with the assigned global id. See
-    /// [`ShardedIndexSet::insert_point`].
-    ///
-    /// # Errors
-    ///
-    /// Row validation (before logging) or [`PlanarError::Persist`] on
-    /// append failure.
-    pub fn insert_point(&mut self, row: &[f64]) -> Result<PointId> {
-        validate_row(self.set.dim(), row)?;
-        let global = self.set.next_global();
-        let shard = self.set.partitioner().route(global, row);
-        let lsn = self.next_lsn;
-        self.wals[shard].append(
-            lsn,
-            &WalRecord::Insert {
-                id: global,
-                row: row.to_vec(),
-            },
-        )?;
-        self.next_lsn = lsn + 1;
-        let got = self.set.insert_point(row).map_err(|e| {
-            PlanarError::Internal(format!(
-                "mutation failed after WAL append at lsn {lsn}: {e}"
-            ))
-        })?;
-        if got != global {
-            // The log now disagrees with the applied state; surface it at
-            // write time rather than as replay divergence at recovery.
-            return Err(PlanarError::Internal(format!(
-                "insert at lsn {lsn} assigned global id {got} but logged {global}"
-            )));
-        }
-        Ok(got)
-    }
-
-    /// Log-then-update on the point's shard. See
-    /// [`ShardedIndexSet::update_point`].
-    ///
-    /// # Errors
-    ///
-    /// Validation/[`PlanarError::PointNotFound`] (before logging) or
-    /// [`PlanarError::Persist`] on append failure.
-    pub fn update_point(&mut self, id: PointId, row: &[f64]) -> Result<()> {
-        validate_row(self.set.dim(), row)?;
-        let shard = self
-            .set
-            .shard_of(id)
-            .ok_or(PlanarError::PointNotFound(id))?;
-        let lsn = self.next_lsn;
-        self.wals[shard].append(
-            lsn,
-            &WalRecord::Update {
-                id,
-                row: row.to_vec(),
-            },
-        )?;
-        self.next_lsn = lsn + 1;
-        self.set.update_point(id, row).map_err(|e| {
-            PlanarError::Internal(format!(
-                "mutation failed after WAL append at lsn {lsn}: {e}"
-            ))
-        })
-    }
-
-    /// Log-then-delete on the point's shard. See
-    /// [`ShardedIndexSet::delete_point`].
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::PointNotFound`] (before logging) or
-    /// [`PlanarError::Persist`] on append failure.
-    pub fn delete_point(&mut self, id: PointId) -> Result<()> {
-        let shard = self
-            .set
-            .shard_of(id)
-            .ok_or(PlanarError::PointNotFound(id))?;
-        let lsn = self.next_lsn;
-        self.wals[shard].append(lsn, &WalRecord::Delete { id })?;
-        self.next_lsn = lsn + 1;
-        self.set.delete_point(id).map_err(|e| {
-            PlanarError::Internal(format!(
-                "mutation failed after WAL append at lsn {lsn}: {e}"
-            ))
-        })
-    }
-
-    /// Log-then-compact: the marker is broadcast to **every** shard's WAL
-    /// at one shared LSN (shard-local replay applies each shard's own
-    /// compaction). See [`ShardedIndexSet::compact`].
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on append failure.
-    pub fn compact(&mut self, threshold: f64) -> Result<Vec<usize>> {
-        let lsn = self.next_lsn;
-        let rec = WalRecord::Compact {
-            threshold: Some(threshold),
-        };
-        for wal in &mut self.wals {
-            wal.append(lsn, &rec)?;
-        }
-        self.next_lsn = lsn + 1;
-        Ok(self.set.compact(threshold))
-    }
-
-    /// **Group commit** across shards: log-then-apply a whole batch of
-    /// mutations with one fsync *per touched shard* (instead of one per
-    /// record). See [`DurablePlanarIndexSet::apply_batch`]; records are
-    /// routed by the partitioner, and updates/deletes may target points
-    /// born earlier in the same batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`DurablePlanarIndexSet::apply_batch`].
-    pub fn apply_batch(&mut self, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
-        let dim = self.set.dim();
-        let mut born: Vec<(PointId, usize)> = Vec::new();
-        let mut killed: Vec<PointId> = Vec::new();
-        let mut next = self.set.next_global();
-        let shard_for = |set: &ShardedIndexSet<S>,
-                         id: PointId,
-                         born: &[(PointId, usize)],
-                         killed: &[PointId]|
-         -> Result<usize> {
-            if killed.contains(&id) {
-                return Err(PlanarError::PointNotFound(id));
-            }
-            if let Some(&(_, shard)) = born.iter().find(|&&(b, _)| b == id) {
-                return Ok(shard);
-            }
-            set.shard_of(id).ok_or(PlanarError::PointNotFound(id))
-        };
-        let mut routed: Vec<(usize, WalRecord)> = Vec::with_capacity(muts.len());
-        for m in muts {
-            match m {
-                Mutation::Insert { row } => {
-                    validate_row(dim, row)?;
-                    let shard = self.set.partitioner().route(next, row);
-                    routed.push((
-                        shard,
-                        WalRecord::Insert {
-                            id: next,
-                            row: row.clone(),
-                        },
-                    ));
-                    born.push((next, shard));
-                    next += 1;
-                }
-                Mutation::Update { id, row } => {
-                    validate_row(dim, row)?;
-                    let shard = shard_for(&self.set, *id, &born, &killed)?;
-                    routed.push((
-                        shard,
-                        WalRecord::Update {
-                            id: *id,
-                            row: row.clone(),
-                        },
-                    ));
-                }
-                Mutation::Delete { id } => {
-                    let shard = shard_for(&self.set, *id, &born, &killed)?;
-                    routed.push((shard, WalRecord::Delete { id: *id }));
-                    killed.push(*id);
-                }
-            }
-        }
-        let first_lsn = self.next_lsn;
-        let mut touched = vec![false; self.wals.len()];
-        for (i, (shard, rec)) in routed.iter().enumerate() {
-            self.wals[*shard].append_frame(first_lsn + i as Lsn, rec)?;
-            touched[*shard] = true;
-        }
-        self.next_lsn = first_lsn + routed.len() as Lsn;
-        for (shard, hit) in touched.iter().enumerate() {
-            if *hit {
-                self.wals[shard].policy_sync()?;
-            }
-        }
-        let mut acks = Vec::with_capacity(routed.len());
-        for (i, (_, rec)) in routed.iter().enumerate() {
-            let lsn = first_lsn + i as Lsn;
-            let internal = |e: PlanarError| {
-                PlanarError::Internal(format!(
-                    "batch mutation failed after WAL append at lsn {lsn}: {e}"
-                ))
-            };
-            match rec {
-                WalRecord::Insert { id, row } => {
-                    let got = self.set.insert_point(row).map_err(internal)?;
-                    if got != *id {
-                        return Err(PlanarError::Internal(format!(
-                            "batch insert at lsn {lsn} assigned global id {got} but logged {id}"
-                        )));
-                    }
-                    acks.push(MutationAck::Inserted(got));
-                }
-                WalRecord::Update { id, row } => {
-                    self.set.update_point(*id, row).map_err(internal)?;
-                    acks.push(MutationAck::Updated);
-                }
-                WalRecord::Delete { id } => {
-                    self.set.delete_point(*id).map_err(internal)?;
-                    acks.push(MutationAck::Deleted);
-                }
-                _ => unreachable!("apply_batch only routes point mutations"),
-            }
-        }
-        Ok(acks)
-    }
-
-    /// Decompose into the pieces the concurrent wrapper re-assembles
-    /// around per-shard [`GroupCommitQueue`]s.
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        ShardedIndexSet<S>,
-        Vec<WalWriter>,
-        PathBuf,
-        u64,
-        Lsn,
-        SaveOptions,
-    ) {
-        (
-            self.set,
-            self.wals,
-            self.dir,
-            self.generation,
-            self.next_lsn,
-            self.save_opts,
-        )
-    }
-
-    /// Reassemble a durable sharded set from parts — the inverse of
-    /// [`Self::into_parts`], used by failover promotion to turn a
-    /// replica's mirrored WALs and applied state into a writable primary.
-    /// The caller guarantees the parts are mutually consistent (the set is
-    /// exactly the replay of the WALs over the snapshot at `generation`).
-    pub(crate) fn from_parts(
-        set: ShardedIndexSet<S>,
-        wals: Vec<WalWriter>,
-        dir: PathBuf,
-        generation: u64,
-        next_lsn: Lsn,
-        save_opts: SaveOptions,
-    ) -> Self {
-        Self {
-            set,
-            wals,
-            dir,
-            generation,
-            next_lsn,
-            save_opts,
-        }
-    }
-
-    /// Checkpoint-then-truncate across every shard. See
-    /// [`DurablePlanarIndexSet::checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on I/O failure.
-    pub fn checkpoint(&mut self) -> Result<Lsn> {
-        let watermark = self.next_lsn;
-        for wal in &mut self.wals {
-            wal.append(watermark, &WalRecord::Checkpoint { watermark })?;
-            wal.sync()?;
-        }
-        self.next_lsn = watermark + 1;
-        // Retune each shard's quantization tier at checkpoint cadence so
-        // the snapshot carries fresh policies (see the planar twin above).
-        self.set
-            .retune_quantization(&crate::quant::QuantAutotuneConfig::default());
-        let generation = self.generation + 1;
-        self.set.save_to_with(
-            snapshot_path(&self.dir, generation),
-            &mut crate::fault::StdIo,
-            &self.save_opts,
-        )?;
-        write_manifest(
-            &self.dir,
-            Manifest {
-                generation,
-                watermark,
-                term: self.wals.iter().map(WalWriter::term).max().unwrap_or(0),
-            },
-        )?;
-        self.generation = generation;
-        for wal in &mut self.wals {
-            wal.truncate_all(watermark + 1)?;
-        }
-        sweep_snapshots(&self.dir, generation);
-        Ok(watermark)
-    }
-
-    /// Alias for [`Self::checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::checkpoint`].
-    pub fn save(&mut self) -> Result<Lsn> {
-        self.checkpoint()
-    }
-
-    /// Force every shard's buffered records to stable storage now.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on fsync failure.
-    pub fn sync(&mut self) -> Result<()> {
-        for wal in &mut self.wals {
-            wal.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Consume the wrapper, returning the in-memory sharded set.
-    pub fn into_inner(self) -> ShardedIndexSet<S> {
-        self.set
-    }
-}
-
-impl<S: KeyStore> std::ops::Deref for DurableShardedIndexSet<S> {
-    type Target = ShardedIndexSet<S>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.set
-    }
-}
-
-// Query pass-throughs so a durable set is a drop-in for the plain one in
-// batch-serving code (Deref covers `&self` methods already; these exist
-// for discoverability in docs).
-impl<S: KeyStore> DurablePlanarIndexSet<S> {
-    /// See [`PlanarIndexSet::query_batch`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PlanarIndexSet::query_batch`].
-    pub fn query_batch(
-        &self,
-        qs: &[InequalityQuery],
-        exec: &ExecutionConfig,
-    ) -> Result<Vec<QueryOutcome>>
-    where
-        S: Sync,
-    {
-        self.set.query_batch(qs, exec)
-    }
-
-    /// See [`PlanarIndexSet::top_k_batch`].
-    ///
-    /// # Errors
-    ///
-    /// See [`PlanarIndexSet::top_k_batch`].
-    pub fn top_k_batch(&self, qs: &[TopKQuery], exec: &ExecutionConfig) -> Result<Vec<TopKOutcome>>
-    where
-        S: Sync,
-    {
-        self.set.top_k_batch(qs, exec)
-    }
-}
-
-impl<S: KeyStore> DurableShardedIndexSet<S> {
-    /// See [`ShardedIndexSet::query_batch`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedIndexSet::query_batch`].
-    pub fn query_batch(
-        &self,
-        qs: &[InequalityQuery],
-        exec: &ExecutionConfig,
-    ) -> Result<Vec<ShardedQueryOutcome>>
-    where
-        S: Sync,
-    {
-        self.set.query_batch(qs, exec)
-    }
-
-    /// See [`ShardedIndexSet::top_k_batch`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ShardedIndexSet::top_k_batch`].
-    pub fn top_k_batch(
-        &self,
-        qs: &[TopKQuery],
-        exec: &ExecutionConfig,
-    ) -> Result<Vec<ShardedTopKOutcome>>
-    where
-        S: Sync,
-    {
-        self.set.top_k_batch(qs, exec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concurrent::{ConcurrencyConfig, ConcurrentDurableShardedIndexSet};
     use crate::domain::ParameterDomain;
     use crate::fault::{self, TempDir, WalFaultKind};
     use crate::multi::IndexConfig;
@@ -2587,22 +1642,40 @@ mod tests {
     use crate::VecStore;
     use std::sync::Mutex;
 
-    /// The WAL fault trigger is process-global and *every* writer consults
-    /// it, so tests that open writers serialize on this lock to keep an
-    /// armed fault from being consumed by a neighbor's appends.
-    static LOCK: Mutex<()> = Mutex::new(());
+    type Durable = ConcurrentDurableShardedIndexSet<VecStore>;
 
-    fn serialized() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn small_set(n: usize) -> PlanarIndexSet<VecStore> {
+    /// An `n`-row set over `shards` round-robin shards; one shard is the
+    /// unsharded engine, with a single WAL writer.
+    fn small_set(n: usize, shards: usize) -> ShardedIndexSet<VecStore> {
         let rows: Vec<Vec<f64>> = (0..n)
             .map(|i| vec![1.0 + (i % 13) as f64, 1.0 + (i % 7) as f64])
             .collect();
         let table = FeatureTable::from_rows(2, rows).unwrap();
         let domain = ParameterDomain::uniform_continuous(2, 0.5, 2.0).unwrap();
-        PlanarIndexSet::build(table, domain, IndexConfig::with_budget(4)).unwrap()
+        ShardedIndexSet::build(
+            table,
+            domain,
+            IndexConfig::with_budget(4),
+            ShardConfig::round_robin(shards),
+        )
+        .unwrap()
+    }
+
+    fn create(dir: &Path, set: ShardedIndexSet<VecStore>, opts: WalOptions) -> Result<Durable> {
+        Durable::create(dir, set, opts, ConcurrencyConfig::default())
+    }
+
+    fn open(dir: &Path, opts: WalOptions) -> Result<(Durable, crate::ShardedRecoveryReport)> {
+        Durable::open(dir, opts, ConcurrencyConfig::default())
+    }
+
+    fn assert_same_answers(a: &ShardedIndexSet<VecStore>, b: &ShardedIndexSet<VecStore>) {
+        for q in probes() {
+            assert_eq!(
+                a.query(&q).unwrap().sorted_ids(),
+                b.query(&q).unwrap().sorted_ids()
+            );
+        }
     }
 
     fn probes() -> Vec<InequalityQuery> {
@@ -2670,7 +1743,7 @@ mod tests {
 
     #[test]
     fn writer_rotates_segments_and_scan_reads_in_order() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_rotate").unwrap();
         let opts = WalOptions::default()
             .fsync(FsyncPolicy::OnCheckpoint)
@@ -2702,7 +1775,7 @@ mod tests {
 
     #[test]
     fn fsync_policy_governs_unsynced_window() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_fsync").unwrap();
         let rec = WalRecord::Delete { id: 1 };
         let (mut w, _) = WalWriter::open_repair(tmp.path(), WalOptions::default()).unwrap();
@@ -2733,7 +1806,7 @@ mod tests {
 
     #[test]
     fn corrupt_frame_drops_suffix_and_repair_truncates() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_corrupt").unwrap();
         let (mut w, _) = WalWriter::open_repair(tmp.path(), WalOptions::default()).unwrap();
         let mut offsets = vec![SEGMENT_HEADER_LEN as u64]; // byte offset of each frame
@@ -2771,7 +1844,7 @@ mod tests {
 
     #[test]
     fn torn_header_at_rotation_keeps_prior_segments() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_torn_header").unwrap();
         let (mut w, _) = WalWriter::open_repair(tmp.path(), WalOptions::default()).unwrap();
         for lsn in 1..=5u64 {
@@ -2809,7 +1882,7 @@ mod tests {
 
     #[test]
     fn partial_tail_bytes_are_torn_not_dropped() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_torn").unwrap();
         let (mut w, _) = WalWriter::open_repair(tmp.path(), WalOptions::default()).unwrap();
         for lsn in 1..=4u64 {
@@ -2831,7 +1904,7 @@ mod tests {
 
     #[test]
     fn manifest_roundtrip_and_corruption_are_typed() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_manifest").unwrap();
         let m = Manifest {
             generation: 9,
@@ -2853,12 +1926,12 @@ mod tests {
     }
 
     #[test]
-    fn durable_planar_recovers_unsnapshotted_mutations() {
-        let _g = serialized();
+    fn durable_set_recovers_unsnapshotted_mutations() {
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_planar_rt").unwrap();
         let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(4));
-        let mut durable = DurablePlanarIndexSet::create(tmp.path(), small_set(120), opts).unwrap();
-        let mut twin = small_set(120);
+        let durable = create(tmp.path(), small_set(120, 1), opts).unwrap();
+        let mut twin = small_set(120, 1);
 
         for i in 0..30 {
             let row = vec![2.0 + (i % 9) as f64, 3.0 + (i % 5) as f64];
@@ -2874,26 +1947,18 @@ mod tests {
             durable.delete_point(id).unwrap();
             twin.delete_point(id).unwrap();
         }
-        assert_eq!(durable.compact_if(0.01).unwrap().is_some(), {
-            twin.compact_if(0.01).is_some()
-        });
-        let health = durable.wal_health();
-        assert_eq!(health.last_lsn, 37);
+        assert_eq!(durable.compact(0.01).unwrap(), twin.compact(0.01));
+        assert_eq!(durable.wal_health().last_lsn, 37);
         drop(durable); // killed without a checkpoint
 
-        let (recovered, report) =
-            PlanarIndexSet::<VecStore>::open_durable(tmp.path(), opts).unwrap();
+        let (recovered, report) = open(tmp.path(), opts).unwrap();
         assert_eq!(report.wal_replayed, 37);
         assert_eq!(report.wal_dropped, 0);
         assert_eq!(report.wal_torn_bytes, 0);
-        assert_eq!(report.wal_watermark, 37);
+        assert_eq!(report.shard_watermarks, vec![37]);
+        let recovered = recovered.snapshot();
         assert_eq!(recovered.len(), twin.len());
-        for q in probes() {
-            assert_eq!(
-                recovered.query(&q).unwrap().sorted_ids(),
-                twin.query(&q).unwrap().sorted_ids()
-            );
-        }
+        assert_same_answers(&recovered, &twin);
         let tk = TopKQuery::new(probes().remove(1), 5).unwrap();
         assert_eq!(
             recovered.top_k(&tk).unwrap().neighbors,
@@ -2903,17 +1968,17 @@ mod tests {
 
     #[test]
     fn checkpoint_truncates_and_only_later_records_replay() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_ckpt").unwrap();
         let opts = WalOptions::default();
-        let mut durable = DurablePlanarIndexSet::create(tmp.path(), small_set(60), opts).unwrap();
-        let mut twin = small_set(60);
+        let durable = create(tmp.path(), small_set(60, 1), opts).unwrap();
+        let mut twin = small_set(60, 1);
         for i in 0..10 {
             let row = vec![2.0 + i as f64, 4.0];
             durable.insert_point(&row).unwrap();
             twin.insert_point(&row).unwrap();
         }
-        let watermark = durable.save().unwrap();
+        let watermark = durable.checkpoint().unwrap();
         assert_eq!(watermark, 11, "10 inserts + checkpoint marker");
         let h = durable.wal_health();
         assert_eq!(h.segments, 1);
@@ -2928,25 +1993,19 @@ mod tests {
         twin.delete_point(5).unwrap();
         drop(durable);
 
-        let (recovered, report) =
-            PlanarIndexSet::<VecStore>::open_durable(tmp.path(), opts).unwrap();
+        let (recovered, report) = open(tmp.path(), opts).unwrap();
         assert_eq!(report.wal_replayed, 1, "pre-checkpoint records are covered");
-        for q in probes() {
-            assert_eq!(
-                recovered.query(&q).unwrap().sorted_ids(),
-                twin.query(&q).unwrap().sorted_ids()
-            );
-        }
+        assert_same_answers(&recovered.snapshot(), &twin);
     }
 
     #[test]
     fn create_and_open_misuse_is_typed() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_misuse").unwrap();
         let opts = WalOptions::default();
-        let d = DurablePlanarIndexSet::create(tmp.path(), small_set(20), opts).unwrap();
+        let d = create(tmp.path(), small_set(20, 1), opts).unwrap();
         drop(d);
-        let err = DurablePlanarIndexSet::create(tmp.path(), small_set(20), opts)
+        let err = create(tmp.path(), small_set(20, 1), opts)
             .unwrap_err()
             .to_string();
         assert!(
@@ -2955,55 +2014,59 @@ mod tests {
         );
 
         let fresh = TempDir::new("wal_misuse_fresh").unwrap();
-        let err = PlanarIndexSet::<VecStore>::open_durable(fresh.path(), opts)
-            .unwrap_err()
-            .to_string();
+        let err = open(fresh.path(), opts).unwrap_err().to_string();
         assert!(err.contains("not a durable index directory"), "got: {err}");
     }
 
     #[test]
     fn create_refuses_wal_remnants_without_manifest() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_remnants").unwrap();
         let opts = WalOptions::default();
-        let mut d = DurablePlanarIndexSet::create(tmp.path(), small_set(20), opts).unwrap();
+        let d = create(tmp.path(), small_set(20, 1), opts).unwrap();
         d.insert_point(&[2.0, 2.0]).unwrap();
         drop(d);
         // Partial cleanup: the manifest is gone but high-LSN segments
         // linger. Re-creating at LSN 1 underneath them would brick every
         // subsequent append as non-monotonic.
         fs::remove_file(tmp.file(MANIFEST_FILE)).unwrap();
-        let err = DurablePlanarIndexSet::create(tmp.path(), small_set(20), opts)
+        let err = create(tmp.path(), small_set(20, 1), opts)
             .unwrap_err()
             .to_string();
         assert!(err.contains("WAL remnants"), "got: {err}");
     }
 
     #[test]
-    fn fail_append_rejects_mutation_without_applying() {
-        let _g = serialized();
+    fn fail_append_fail_stops_until_reopen() {
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_failapp").unwrap();
-        let mut durable =
-            DurablePlanarIndexSet::create(tmp.path(), small_set(40), WalOptions::default())
-                .unwrap();
-        let before = durable.len();
+        let opts = WalOptions::default();
+        let durable = create(tmp.path(), small_set(40, 1), opts).unwrap();
         fault::arm_wal_fault(0, WalFaultKind::FailAppend);
         let err = durable.insert_point(&[5.0, 5.0]).unwrap_err().to_string();
         fault::disarm_wal_fault();
         assert!(err.contains("transient append failure"), "got: {err}");
-        assert_eq!(durable.len(), before, "nothing applied on append failure");
-        // The writer survives a transient failure.
-        durable.insert_point(&[5.0, 5.0]).unwrap();
-        assert_eq!(durable.len(), before + 1);
+        assert_eq!(durable.wal_health().acked_lsn, 0, "nothing acknowledged");
+        // The queue fail-stops: nothing more is logged until a reopen.
+        let err = durable.insert_point(&[6.0, 6.0]).unwrap_err().to_string();
+        assert!(err.contains("failed earlier"), "got: {err}");
+        // Reopen re-appends the applied-but-unlogged insert and restores
+        // service.
+        assert_eq!(durable.reopen_wal().unwrap().acked_lsn, 1);
+        assert_eq!(durable.insert_point(&[6.0, 6.0]).unwrap(), 41);
+        drop(durable);
+        let (recovered, report) = open(tmp.path(), opts).unwrap();
+        assert_eq!(report.wal_replayed, 2);
+        assert_eq!(recovered.snapshot().len(), 42);
     }
 
     #[test]
     fn torn_append_crash_recovers_durable_prefix() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_tornapp").unwrap();
         let opts = WalOptions::default();
-        let mut durable = DurablePlanarIndexSet::create(tmp.path(), small_set(40), opts).unwrap();
-        let mut twin = small_set(40);
+        let durable = create(tmp.path(), small_set(40, 1), opts).unwrap();
+        let mut twin = small_set(40, 1);
         for i in 0..6 {
             let row = vec![3.0 + i as f64, 2.0];
             durable.insert_point(&row).unwrap();
@@ -3011,35 +2074,28 @@ mod tests {
         }
         fault::arm_wal_fault(6, WalFaultKind::TornAppend { keep: 9 });
         assert!(durable.insert_point(&[9.0, 9.0]).is_err());
-        // The writer is dead from here on — like after a power cut.
+        // The log is dead from here on — like after a power cut.
         let err = durable.delete_point(0).unwrap_err().to_string();
-        assert!(err.contains("crashed"), "got: {err}");
+        assert!(err.contains("crash mid-frame"), "got: {err}");
         fault::disarm_wal_fault();
         drop(durable);
 
-        let (recovered, report) =
-            PlanarIndexSet::<VecStore>::open_durable(tmp.path(), opts).unwrap();
+        let (recovered, report) = open(tmp.path(), opts).unwrap();
         assert_eq!(report.wal_replayed, 6);
         assert_eq!(report.wal_torn_bytes, 9, "the half-written frame");
         assert_eq!(report.wal_dropped, 0);
-        for q in probes() {
-            assert_eq!(
-                recovered.query(&q).unwrap().sorted_ids(),
-                twin.query(&q).unwrap().sorted_ids()
-            );
-        }
+        assert_same_answers(&recovered.snapshot(), &twin);
         // The repaired log keeps accepting appends.
-        let (mut durable, _) = PlanarIndexSet::<VecStore>::open_durable(tmp.path(), opts).unwrap();
-        durable.insert_point(&[1.0, 1.0]).unwrap();
+        recovered.insert_point(&[1.0, 1.0]).unwrap();
     }
 
     #[test]
     fn crash_after_append_keeps_the_whole_record() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_crashafter").unwrap();
         let opts = WalOptions::default();
-        let mut durable = DurablePlanarIndexSet::create(tmp.path(), small_set(40), opts).unwrap();
-        let mut twin = small_set(40);
+        let durable = create(tmp.path(), small_set(40, 1), opts).unwrap();
+        let mut twin = small_set(40, 1);
         for i in 0..3 {
             let row = vec![3.0 + i as f64, 2.0];
             durable.insert_point(&row).unwrap();
@@ -3053,38 +2109,18 @@ mod tests {
         fault::disarm_wal_fault();
         drop(durable);
 
-        let (recovered, report) =
-            PlanarIndexSet::<VecStore>::open_durable(tmp.path(), opts).unwrap();
+        let (recovered, report) = open(tmp.path(), opts).unwrap();
         assert_eq!(report.wal_replayed, 4);
-        for q in probes() {
-            assert_eq!(
-                recovered.query(&q).unwrap().sorted_ids(),
-                twin.query(&q).unwrap().sorted_ids()
-            );
-        }
+        assert_same_answers(&recovered.snapshot(), &twin);
     }
 
     #[test]
     fn durable_sharded_recovers_across_shard_logs() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_sharded_rt").unwrap();
         let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(8));
-        let build = || {
-            let rows: Vec<Vec<f64>> = (0..90)
-                .map(|i| vec![1.0 + (i % 11) as f64, 1.0 + (i % 6) as f64])
-                .collect();
-            let table = FeatureTable::from_rows(2, rows).unwrap();
-            let domain = ParameterDomain::uniform_continuous(2, 0.5, 2.0).unwrap();
-            ShardedIndexSet::<VecStore>::build(
-                table,
-                domain,
-                IndexConfig::with_budget(3),
-                ShardConfig::round_robin(3),
-            )
-            .unwrap()
-        };
-        let mut durable = DurableShardedIndexSet::create(tmp.path(), build(), opts).unwrap();
-        let mut twin = build();
+        let durable = create(tmp.path(), small_set(90, 3), opts).unwrap();
+        let mut twin = small_set(90, 3);
         for i in 0..20 {
             let row = vec![2.0 + (i % 7) as f64, 3.0];
             assert_eq!(
@@ -3104,17 +2140,12 @@ mod tests {
         assert!(durable.wal_health().segments >= 3, "one log per shard");
         drop(durable); // killed mid-fsync-window
 
-        let (recovered, report) =
-            ShardedIndexSet::<VecStore>::open_durable(tmp.path(), opts).unwrap();
+        let (recovered, report) = open(tmp.path(), opts).unwrap();
         assert_eq!(report.shard_watermarks.len(), 3);
         assert_eq!(report.wal_dropped, 0);
         assert!(report.wal_replayed >= 26, "20 inserts + 6 point ops");
-        for q in probes() {
-            assert_eq!(
-                recovered.query(&q).unwrap().sorted_ids(),
-                twin.query(&q).unwrap().sorted_ids()
-            );
-        }
+        let recovered = recovered.snapshot();
+        assert_same_answers(&recovered, &twin);
         let tk = TopKQuery::new(probes().remove(0), 7).unwrap();
         assert_eq!(
             recovered.top_k(&tk).unwrap().neighbors,
@@ -3124,10 +2155,10 @@ mod tests {
 
     #[test]
     fn wal_health_acked_vs_appended_converge_on_sync() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_acked").unwrap();
         let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(8));
-        let mut durable = DurablePlanarIndexSet::create(tmp.path(), small_set(6), opts).unwrap();
+        let durable = create(tmp.path(), small_set(6, 1), opts).unwrap();
         for i in 0..5 {
             durable.insert_point(&[2.0 + i as f64, 3.0]).unwrap();
         }
@@ -3175,11 +2206,11 @@ mod tests {
 
     #[test]
     fn apply_batch_is_one_fsync_and_matches_serial() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_batch").unwrap();
         let opts = WalOptions::default(); // Always
-        let mut durable = DurablePlanarIndexSet::create(tmp.path(), small_set(20), opts).unwrap();
-        let mut twin = small_set(20);
+        let durable = create(tmp.path(), small_set(20, 1), opts).unwrap();
+        let mut twin = small_set(20, 1);
 
         let muts = vec![
             Mutation::Insert {
@@ -3223,12 +2254,7 @@ mod tests {
         twin.update_point(20, &[3.0, 3.0]).unwrap();
         twin.delete_point(2).unwrap();
         twin.delete_point(21).unwrap();
-        for q in probes() {
-            assert_eq!(
-                durable.set().query(&q).unwrap().sorted_ids(),
-                twin.query(&q).unwrap().sorted_ids()
-            );
-        }
+        assert_same_answers(&durable.snapshot(), &twin);
 
         // A batch that fails validation must log and apply nothing.
         let before_lsn = durable.wal_health().appended_lsn;
@@ -3249,38 +2275,18 @@ mod tests {
 
         // Crash-equivalent reopen replays the whole batch.
         drop(durable);
-        let (recovered, report) =
-            PlanarIndexSet::<VecStore>::open_durable(tmp.path(), opts).unwrap();
+        let (recovered, report) = open(tmp.path(), opts).unwrap();
         assert_eq!(report.wal_replayed, 5);
-        for q in probes() {
-            assert_eq!(
-                recovered.set().query(&q).unwrap().sorted_ids(),
-                twin.query(&q).unwrap().sorted_ids()
-            );
-        }
+        assert_same_answers(&recovered.snapshot(), &twin);
     }
 
     #[test]
     fn sharded_apply_batch_fsyncs_once_per_touched_shard() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_shard_batch").unwrap();
         let opts = WalOptions::default(); // Always
-        let build = || {
-            let rows: Vec<Vec<f64>> = (0..30)
-                .map(|i| vec![1.0 + (i % 9) as f64, 1.0 + (i % 5) as f64])
-                .collect();
-            let table = FeatureTable::from_rows(2, rows).unwrap();
-            let domain = ParameterDomain::uniform_continuous(2, 0.5, 2.0).unwrap();
-            ShardedIndexSet::<VecStore>::build(
-                table,
-                domain,
-                IndexConfig::with_budget(3),
-                ShardConfig::round_robin(3),
-            )
-            .unwrap()
-        };
-        let mut durable = DurableShardedIndexSet::create(tmp.path(), build(), opts).unwrap();
-        let mut twin = build();
+        let durable = create(tmp.path(), small_set(30, 3), opts).unwrap();
+        let mut twin = small_set(30, 3);
 
         // Six round-robin inserts touch all three shards.
         let muts: Vec<Mutation> = (0..6)
@@ -3308,20 +2314,14 @@ mod tests {
         assert_eq!(h.acked_lsn, 6);
 
         drop(durable);
-        let (recovered, report) =
-            ShardedIndexSet::<VecStore>::open_durable(tmp.path(), opts).unwrap();
+        let (recovered, report) = open(tmp.path(), opts).unwrap();
         assert_eq!(report.wal_replayed, 6);
-        for q in probes() {
-            assert_eq!(
-                recovered.set().query(&q).unwrap().sorted_ids(),
-                twin.query(&q).unwrap().sorted_ids()
-            );
-        }
+        assert_same_answers(&recovered.snapshot(), &twin);
     }
 
     #[test]
     fn group_commit_queue_amortizes_and_acks_durably() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_gcq").unwrap();
         let opts = WalOptions::default(); // Always
         let (writer, _) = WalWriter::open_repair(tmp.path(), opts).unwrap();
@@ -3368,7 +2368,7 @@ mod tests {
 
     #[test]
     fn group_commit_queue_flush_converges_everyn() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_gcq_lazy").unwrap();
         let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(64));
         let (writer, _) = WalWriter::open_repair(tmp.path(), opts).unwrap();
@@ -3391,7 +2391,7 @@ mod tests {
 
     #[test]
     fn group_commit_queue_reopen_restores_service_and_prior_acks() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_gcq_reopen").unwrap();
         let (writer, _) = WalWriter::open_repair(tmp.path(), WalOptions::default()).unwrap();
         let queue = GroupCommitQueue::new(writer);
@@ -3430,7 +2430,7 @@ mod tests {
 
     #[test]
     fn group_commit_reopen_with_quorum_gate_resolves_typed_or_confirmed() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_gcq_gate").unwrap();
         let (writer, _) = WalWriter::open_repair(tmp.path(), WalOptions::default()).unwrap();
         let queue = GroupCommitQueue::new(writer);
@@ -3491,10 +2491,9 @@ mod tests {
     /// confirms it and the replica reads back bit-identical.
     #[test]
     fn quorum_write_across_wal_fail_stop_reopens_and_heals() {
-        use crate::concurrent::{ConcurrencyConfig, ConcurrentDurableShardedIndexSet};
         use crate::replicate::{AckPolicy, ChannelTransport, FailoverConfig, Primary, Replica};
 
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let pdir = TempDir::new("wal_quorum_p").unwrap();
         let rdir = TempDir::new("wal_quorum_r").unwrap();
         let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(4));
@@ -3591,7 +2590,7 @@ mod tests {
 
     #[test]
     fn wal_tailer_follows_appends_rotation_and_detects_truncation() {
-        let _g = serialized();
+        let _g = fault::serial_wal_tests();
         let tmp = TempDir::new("wal_tailer").unwrap();
         let opts = WalOptions::default().segment_max_bytes(4096);
         let (mut writer, _) = WalWriter::open_repair(tmp.path(), opts).unwrap();

@@ -12,15 +12,18 @@
 //!    `FsyncPolicy::Always` must leave every *acknowledged* mutation
 //!    recoverable; the faulted mutation itself may or may not survive, but
 //!    recovery always lands on a clean prefix of the attempted stream.
+//!
+//! Every engine here has one shard, so it has one WAL writer and append
+//! `n` is mutation `n`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use planar_core::fault::{arm_wal_fault, disarm_wal_fault, TempDir, WalFaultKind};
 use planar_core::{
-    Cmp, ConcurrencyConfig, ConcurrentDurablePlanarIndexSet, ConcurrentPlanarIndexSet,
-    FeatureTable, IndexConfig, InequalityQuery, ParameterDomain, PlanarIndexSet, VecStore,
-    WalOptions,
+    Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet,
+    FeatureTable, IndexConfig, InequalityQuery, ParameterDomain, ShardConfig, ShardedIndexSet,
+    VecStore, WalOptions,
 };
 use proptest::prelude::*;
 
@@ -84,10 +87,16 @@ fn trace() -> impl Strategy<Value = Trace> {
     })
 }
 
-fn build_planar(t: &Trace) -> PlanarIndexSet<VecStore> {
+fn build(t: &Trace) -> ShardedIndexSet<VecStore> {
     let table = FeatureTable::from_rows(t.dim, t.rows.clone()).unwrap();
     let domain = ParameterDomain::uniform_continuous(t.dim, 0.1, 10.0).unwrap();
-    PlanarIndexSet::build(table, domain, IndexConfig::with_budget(t.budget)).unwrap()
+    ShardedIndexSet::build(
+        table,
+        domain,
+        IndexConfig::with_budget(t.budget),
+        ShardConfig::round_robin(1),
+    )
+    .unwrap()
 }
 
 fn probe_queries(t: &Trace) -> Vec<InequalityQuery> {
@@ -97,7 +106,7 @@ fn probe_queries(t: &Trace) -> Vec<InequalityQuery> {
         .collect()
 }
 
-fn answers(set: &PlanarIndexSet<VecStore>, queries: &[InequalityQuery]) -> Vec<Vec<u32>> {
+fn answers(set: &ShardedIndexSet<VecStore>, queries: &[InequalityQuery]) -> Vec<Vec<u32>> {
     queries
         .iter()
         .map(|q| set.query(q).unwrap().sorted_ids())
@@ -133,7 +142,7 @@ fn resolve_ops(t: &Trace) -> Vec<Applied> {
     applied
 }
 
-fn apply_one(set: &mut PlanarIndexSet<VecStore>, a: &Applied) {
+fn apply_one(set: &mut ShardedIndexSet<VecStore>, a: &Applied) {
     match a {
         Applied::Insert(row) => {
             set.insert_point(row).unwrap();
@@ -145,8 +154,8 @@ fn apply_one(set: &mut PlanarIndexSet<VecStore>, a: &Applied) {
 
 /// Serial-prefix oracle: the base set with the first `prefix` mutations
 /// applied — what epoch `1 + prefix` (publish cadence 1) must answer.
-fn oracle_prefix(t: &Trace, applied: &[Applied], prefix: usize) -> PlanarIndexSet<VecStore> {
-    let mut set = build_planar(t);
+fn oracle_prefix(t: &Trace, applied: &[Applied], prefix: usize) -> ShardedIndexSet<VecStore> {
+    let mut set = build(t);
     for a in &applied[..prefix] {
         apply_one(&mut set, a);
     }
@@ -164,8 +173,8 @@ proptest! {
     fn pinned_epochs_never_observe_later_mutations(t in trace()) {
         let queries = probe_queries(&t);
         let applied = resolve_ops(&t);
-        let conc = ConcurrentPlanarIndexSet::new(build_planar(&t), ConcurrencyConfig::default());
-        let mut twin = build_planar(&t);
+        let conc = ConcurrentShardedIndexSet::new(build(&t), ConcurrencyConfig::default());
+        let mut twin = build(&t);
 
         let mut pins = Vec::with_capacity(applied.len() + 1);
         for a in &applied {
@@ -211,7 +220,7 @@ proptest! {
     fn concurrent_reads_match_serialized_replay(t in trace()) {
         let queries = probe_queries(&t);
         let applied = resolve_ops(&t);
-        let conc = ConcurrentPlanarIndexSet::new(build_planar(&t), ConcurrencyConfig::default());
+        let conc = ConcurrentShardedIndexSet::new(build(&t), ConcurrencyConfig::default());
         let stop = AtomicBool::new(false);
 
         let mut observations: Vec<Vec<(u64, Vec<Vec<u32>>)>> = Vec::new();
@@ -274,9 +283,9 @@ fn run_with_fault(
     kind: WalFaultKind,
 ) -> (usize, usize) {
     arm_wal_fault(nth, kind);
-    let conc = ConcurrentDurablePlanarIndexSet::create(
+    let conc = ConcurrentDurableShardedIndexSet::create(
         dir,
-        build_planar(t),
+        build(t),
         WalOptions::default(), // Always: an Ok return promises durability
         ConcurrencyConfig::default(),
     )
@@ -313,7 +322,7 @@ fn check_crash_case(t: &Trace, nth: u64, kind: WalFaultKind) {
     let applied = resolve_ops(t);
     let (acked, attempted) = run_with_fault(&dir, t, &applied, nth, kind);
 
-    let (recovered, report) = ConcurrentDurablePlanarIndexSet::<VecStore>::open(
+    let (recovered, report) = ConcurrentDurableShardedIndexSet::<VecStore>::open(
         &dir,
         WalOptions::default(),
         ConcurrencyConfig::default(),
@@ -373,9 +382,9 @@ fn acked_and_appended_converge_after_sync() {
         probes: vec![(vec![1.0, 1.0], 8.0)],
         budget: 2,
     };
-    let conc = ConcurrentDurablePlanarIndexSet::create(
+    let conc = ConcurrentDurableShardedIndexSet::create(
         tmp.path(),
-        build_planar(&t),
+        build(&t),
         WalOptions::default().fsync(planar_core::FsyncPolicy::EveryN(64)),
         ConcurrencyConfig::default(),
     )

@@ -11,7 +11,7 @@ use planar_core::{
     QuantPolicy, QuantTier, TopKQuery, VecStore,
 };
 use planar_core::{
-    ConcurrencyConfig, ConcurrentPlanarIndexSet, DurablePlanarIndexSet, ShardConfig,
+    ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet, ShardConfig,
     ShardedIndexSet, TempDir, WalOptions,
 };
 use proptest::prelude::*;
@@ -158,6 +158,32 @@ fn build_planar(s: &Scenario) -> PlanarIndexSet<VecStore> {
         }
     }
     set
+}
+
+/// The scenario as a one-shard engine (the unsharded engine the durable
+/// and concurrent layers wrap), with the same quarantine mask.
+fn build_single(s: &Scenario) -> ShardedIndexSet<VecStore> {
+    let table = FeatureTable::from_rows(s.dim, s.rows.clone()).unwrap();
+    let mut set: ShardedIndexSet<VecStore> = ShardedIndexSet::build(
+        table,
+        domain(s),
+        IndexConfig::with_budget(s.budget),
+        ShardConfig::round_robin(1),
+    )
+    .unwrap();
+    let indices = set.shard(0).unwrap().num_indices();
+    for pos in 0..indices {
+        if s.quarantine_mask & (1 << (pos % 32)) != 0 {
+            set.quarantine(0, pos);
+        }
+    }
+    set
+}
+
+/// Resolve an op's folded id against the `total` ids assigned so far
+/// (global ids are sequential from the initial row count).
+fn op_id(i: usize, total: usize) -> u32 {
+    (i % total) as u32
 }
 
 fn ineq_queries(s: &Scenario) -> Vec<InequalityQuery> {
@@ -330,30 +356,38 @@ proptest! {
     fn quantized_durable_equals_unquantized(s in scenario()) {
         let dir_p = TempDir::new("quant-prop-plain").unwrap();
         let dir_q = TempDir::new("quant-prop-quant").unwrap();
-        let mut plain =
-            DurablePlanarIndexSet::create(dir_p.path(), build_planar(&s), WalOptions::default())
-                .unwrap();
-        let mut quantized = build_planar(&s);
+        let create = |dir: &TempDir, set| {
+            ConcurrentDurableShardedIndexSet::create(
+                dir.path(),
+                set,
+                WalOptions::default(),
+                ConcurrencyConfig::default(),
+            )
+            .unwrap()
+        };
+        let plain = create(&dir_p, build_single(&s));
+        let mut quantized = build_single(&s);
         quantized.set_quant_policy(s.policy);
-        let mut quant =
-            DurablePlanarIndexSet::create(dir_q.path(), quantized, WalOptions::default()).unwrap();
+        let quant = create(&dir_q, quantized);
 
+        let mut total = s.rows.len();
         for op in &s.ops {
             match op {
                 Op::Insert(row) => {
                     plain.insert_point(row).unwrap();
                     quant.insert_point(row).unwrap();
+                    total += 1;
                 }
                 Op::Update(i, row) => {
-                    let id = (*i % plain.set().table().len()) as u32;
-                    if plain.set().is_live(id) {
+                    let id = op_id(*i, total);
+                    if plain.snapshot().is_live(id) {
                         plain.update_point(id, row).unwrap();
                         quant.update_point(id, row).unwrap();
                     }
                 }
                 Op::Delete(i) => {
-                    let id = (*i % plain.set().table().len()) as u32;
-                    if plain.set().is_live(id) {
+                    let id = op_id(*i, total);
+                    if plain.snapshot().is_live(id) {
                         plain.delete_point(id).unwrap();
                         quant.delete_point(id).unwrap();
                     }
@@ -364,13 +398,20 @@ proptest! {
         // it lands on, answers must not move.
         plain.checkpoint().unwrap();
         quant.checkpoint().unwrap();
-        let (plain, _) =
-            PlanarIndexSet::<VecStore>::open_durable(dir_p.path(), WalOptions::default()).unwrap();
-        let (quant, _) =
-            PlanarIndexSet::<VecStore>::open_durable(dir_q.path(), WalOptions::default()).unwrap();
+        drop((plain, quant));
+        let open = |dir: &TempDir| {
+            ConcurrentDurableShardedIndexSet::<VecStore>::open(
+                dir.path(),
+                WalOptions::default(),
+                ConcurrencyConfig::default(),
+            )
+            .unwrap()
+            .0
+        };
+        let (plain, quant) = (open(&dir_p).snapshot(), open(&dir_q).snapshot());
         for q in ineq_queries(&s) {
-            let p = plain.set().query(&q).unwrap();
-            let x = quant.set().query(&q).unwrap();
+            let p = plain.query(&q).unwrap();
+            let x = quant.query(&q).unwrap();
             prop_assert_eq!(p.matches, x.matches, "durable answers diverged after reopen");
         }
     }
@@ -380,8 +421,8 @@ proptest! {
     /// mutations interleaved between query rounds.
     #[test]
     fn quantized_concurrent_equals_unquantized(s in scenario()) {
-        let plain = ConcurrentPlanarIndexSet::new(build_planar(&s), ConcurrencyConfig::default());
-        let quant = ConcurrentPlanarIndexSet::new(build_planar(&s), ConcurrencyConfig::default());
+        let plain = ConcurrentShardedIndexSet::new(build_single(&s), ConcurrencyConfig::default());
+        let quant = ConcurrentShardedIndexSet::new(build_single(&s), ConcurrencyConfig::default());
         quant.set_quant_policy(s.policy);
 
         let check = |round: &str| {
@@ -394,23 +435,23 @@ proptest! {
             }
         };
         check("pre-mutation");
+        let mut total = s.rows.len();
         for op in &s.ops {
             match op {
                 Op::Insert(row) => {
                     plain.insert_point(row).unwrap();
                     quant.insert_point(row).unwrap();
+                    total += 1;
                 }
                 Op::Update(i, row) => {
-                    let len = plain.snapshot().table().len();
-                    let id = (*i % len) as u32;
+                    let id = op_id(*i, total);
                     if plain.snapshot().is_live(id) {
                         plain.update_point(id, row).unwrap();
                         quant.update_point(id, row).unwrap();
                     }
                 }
                 Op::Delete(i) => {
-                    let len = plain.snapshot().table().len();
-                    let id = (*i % len) as u32;
+                    let id = op_id(*i, total);
                     if plain.snapshot().is_live(id) {
                         plain.delete_point(id).unwrap();
                         quant.delete_point(id).unwrap();

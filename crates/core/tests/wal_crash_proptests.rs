@@ -2,19 +2,22 @@
 //! the process "dies" (the on-disk WAL is truncated or bit-flipped at a
 //! proptest-chosen point), and recovery must answer bit-identically to a
 //! twin that only ever saw the durable prefix of the mutation stream.
-//! Recovery is never allowed to hard-error on a damaged tail.
+//! Recovery is never allowed to hard-error on a damaged tail. The sweeps
+//! run on a one-shard durable engine, so the whole log is
+//! `wal/shard-0000/`.
 //!
-//! Also: the sharded durability round trip from the issue checklist —
-//! `FsyncPolicy::EveryN(8)`, kill without checkpoint, recover, and the
-//! answers must match a never-crashed twin for every key store.
+//! Also: the sharded durability round trip — `FsyncPolicy::EveryN(8)`,
+//! kill without checkpoint, recover, and the answers must match a
+//! never-crashed twin for every key store.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use planar_core::{
-    BPlusTree, Cmp, Corruption, DurablePlanarIndexSet, DurableShardedIndexSet, EytzingerStore,
-    FeatureTable, FsyncPolicy, IndexConfig, InequalityQuery, KeyStore, ParameterDomain,
-    PlanarIndexSet, ShardConfig, ShardedIndexSet, TempDir, TopKQuery, VecStore, WalOptions,
+    BPlusTree, Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, Corruption,
+    EytzingerStore, FeatureTable, FsyncPolicy, IndexConfig, InequalityQuery, KeyStore,
+    ParameterDomain, ShardConfig, ShardedIndexSet, ShardedRecoveryReport, TempDir, TopKQuery,
+    VecStore, WalOptions,
 };
 use proptest::prelude::*;
 
@@ -25,6 +28,8 @@ const FRAME_HEADER: usize = 4 + 8 + 1;
 const FRAME_OVERHEAD: usize = FRAME_HEADER + 8;
 /// `PLNRWAL2` magic + term u64 — the v2 segment header length.
 const SEGMENT_MAGIC_LEN: usize = 16;
+/// Tombstone-fraction threshold of every logged compaction.
+const COMPACT_THRESHOLD: f64 = 0.0;
 
 /// One step of a mutation trace. `pick` indexes the live-id list modulo
 /// its length, so traces are valid by construction.
@@ -52,8 +57,8 @@ fn frame_len(a: &Applied, dim: usize) -> usize {
         + match a {
             Applied::Insert(_) | Applied::Update(_, _) => 8 + 8 * dim,
             Applied::Delete(_) => 4,
-            // Unconditional compact: a single "no threshold" byte.
-            Applied::Compact => 1,
+            // Threshold compact: a "threshold present" byte + the f64.
+            Applied::Compact => 9,
         }
 }
 
@@ -96,31 +101,37 @@ fn trace() -> impl Strategy<Value = Trace> {
     })
 }
 
-fn build_planar<S: KeyStore>(t: &Trace) -> PlanarIndexSet<S> {
-    let table = FeatureTable::from_rows(t.dim, t.rows.clone()).unwrap();
-    let domain = ParameterDomain::uniform_continuous(t.dim, 0.1, 10.0).unwrap();
-    PlanarIndexSet::build(table, domain, IndexConfig::with_budget(t.budget)).unwrap()
-}
-
-fn build_sharded<S: KeyStore + Send>(t: &Trace) -> ShardedIndexSet<S> {
+fn build_sharded<S: KeyStore + Send>(t: &Trace, shards: usize) -> ShardedIndexSet<S> {
     let table = FeatureTable::from_rows(t.dim, t.rows.clone()).unwrap();
     let domain = ParameterDomain::uniform_continuous(t.dim, 0.1, 10.0).unwrap();
     ShardedIndexSet::build(
         table,
         domain,
         IndexConfig::with_budget(t.budget),
-        ShardConfig::round_robin(3),
+        ShardConfig::round_robin(shards),
     )
     .unwrap()
 }
 
-/// Run the trace through a durable planar set, returning the resolved
-/// mutations in WAL order. Compaction renumbers planar ids, so the live
-/// list is pushed through each remap.
-fn apply_trace_planar<S: KeyStore>(
-    durable: &mut DurablePlanarIndexSet<S>,
-    t: &Trace,
-) -> Vec<Applied> {
+fn create<S: KeyStore + Clone + Send>(
+    dir: &Path,
+    set: ShardedIndexSet<S>,
+    opts: WalOptions,
+) -> ConcurrentDurableShardedIndexSet<S> {
+    ConcurrentDurableShardedIndexSet::create(dir, set, opts, ConcurrencyConfig::default()).unwrap()
+}
+
+fn open<S: KeyStore + Clone + Send>(
+    dir: &Path,
+    opts: WalOptions,
+) -> (ConcurrentDurableShardedIndexSet<S>, ShardedRecoveryReport) {
+    ConcurrentDurableShardedIndexSet::open(dir, opts, ConcurrencyConfig::default()).unwrap()
+}
+
+/// Run the trace through a one-shard durable set, returning the resolved
+/// mutations in WAL order. Compaction keeps global ids, so the live list
+/// only changes on insert/delete.
+fn apply_trace(durable: &ConcurrentDurableShardedIndexSet<VecStore>, t: &Trace) -> Vec<Applied> {
     let mut live: Vec<u32> = (0..t.rows.len() as u32).collect();
     let mut applied = Vec::new();
     for op in &t.ops {
@@ -142,10 +153,7 @@ fn apply_trace_planar<S: KeyStore>(
                 applied.push(Applied::Delete(id));
             }
             Op::Compact => {
-                let remap = durable.compact().unwrap();
-                for id in &mut live {
-                    *id = remap[*id as usize].unwrap();
-                }
+                durable.compact(COMPACT_THRESHOLD).unwrap();
                 applied.push(Applied::Compact);
             }
             _ => {}
@@ -157,8 +165,8 @@ fn apply_trace_planar<S: KeyStore>(
 /// The durable-prefix oracle: a fresh base set with the first `prefix`
 /// resolved mutations applied — exactly the state a crash at that frame
 /// boundary must recover to.
-fn oracle_prefix(t: &Trace, prefix: &[Applied]) -> PlanarIndexSet<VecStore> {
-    let mut set = build_planar::<VecStore>(t);
+fn oracle_prefix(t: &Trace, prefix: &[Applied]) -> ShardedIndexSet<VecStore> {
+    let mut set = build_sharded::<VecStore>(t, 1);
     for a in prefix {
         match a {
             Applied::Insert(row) => {
@@ -167,17 +175,17 @@ fn oracle_prefix(t: &Trace, prefix: &[Applied]) -> PlanarIndexSet<VecStore> {
             Applied::Update(id, row) => set.update_point(*id, row).unwrap(),
             Applied::Delete(id) => set.delete_point(*id).unwrap(),
             Applied::Compact => {
-                set.compact();
+                set.compact(COMPACT_THRESHOLD);
             }
         }
     }
     set
 }
 
-/// The single WAL segment under `dir/wal/`. Traces here are far below the
-/// rotation threshold, so exactly one segment must exist.
+/// The single WAL segment under `dir/wal/shard-0000/`. Traces here are
+/// far below the rotation threshold, so exactly one segment must exist.
 fn only_segment(dir: &Path) -> PathBuf {
-    let mut segs: Vec<PathBuf> = fs::read_dir(dir.join("wal"))
+    let mut segs: Vec<PathBuf> = fs::read_dir(dir.join("wal").join("shard-0000"))
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| {
@@ -191,11 +199,7 @@ fn only_segment(dir: &Path) -> PathBuf {
     segs.pop().unwrap()
 }
 
-fn check_planar_answers<A: KeyStore, B: KeyStore>(
-    got: &PlanarIndexSet<A>,
-    want: &PlanarIndexSet<B>,
-    t: &Trace,
-) {
+fn check_answers(got: &ShardedIndexSet<VecStore>, want: &ShardedIndexSet<VecStore>, t: &Trace) {
     for (coeffs, b) in &t.probes {
         let q = InequalityQuery::new(coeffs.clone(), Cmp::Leq, *b).unwrap();
         assert_eq!(
@@ -222,10 +226,8 @@ proptest! {
     fn truncation_sweep_recovers_the_durable_prefix(t in trace(), partial in 0usize..24) {
         let tmp = TempDir::new("wal-crash-sweep").unwrap();
         let dir = tmp.path().join("idx");
-        let mut durable =
-            DurablePlanarIndexSet::create(&dir, build_planar::<VecStore>(&t), WalOptions::default())
-                .unwrap();
-        let applied = apply_trace_planar(&mut durable, &t);
+        let durable = create(&dir, build_sharded::<VecStore>(&t, 1), WalOptions::default());
+        let applied = apply_trace(&durable, &t);
         drop(durable);
 
         let seg = only_segment(&dir);
@@ -249,12 +251,11 @@ proptest! {
             Corruption::TruncateAt(cut).apply(&mut bytes);
             fs::write(&seg, &bytes).unwrap();
 
-            let (recovered, report) =
-                PlanarIndexSet::<VecStore>::open_durable(&dir, WalOptions::default()).unwrap();
+            let (recovered, report) = open::<VecStore>(&dir, WalOptions::default());
             prop_assert_eq!(report.wal_replayed, j);
             prop_assert_eq!(report.wal_dropped, 0);
             prop_assert_eq!(report.wal_torn_bytes, cut - bounds[j]);
-            check_planar_answers(recovered.set(), &oracle_prefix(&t, &applied[..j]), &t);
+            check_answers(&recovered.snapshot(), &oracle_prefix(&t, &applied[..j]), &t);
         }
     }
 
@@ -270,10 +271,8 @@ proptest! {
     ) {
         let tmp = TempDir::new("wal-crash-flip").unwrap();
         let dir = tmp.path().join("idx");
-        let mut durable =
-            DurablePlanarIndexSet::create(&dir, build_planar::<VecStore>(&t), WalOptions::default())
-                .unwrap();
-        let applied = apply_trace_planar(&mut durable, &t);
+        let durable = create(&dir, build_sharded::<VecStore>(&t, 1), WalOptions::default());
+        let applied = apply_trace(&durable, &t);
         drop(durable);
         if applied.is_empty() {
             // Every pick missed (empty live list); nothing to corrupt.
@@ -291,28 +290,27 @@ proptest! {
         Corruption::BitFlip { offset, bit }.apply(&mut bytes);
         fs::write(&seg, &bytes).unwrap();
 
-        let (recovered, report) =
-            PlanarIndexSet::<VecStore>::open_durable(&dir, WalOptions::default()).unwrap();
+        let (recovered, report) = open::<VecStore>(&dir, WalOptions::default());
         prop_assert_eq!(report.wal_replayed, f);
         // Frames past the flip are lost one way or the other (dropped
         // whole frames and/or torn bytes) — but never silently replayed.
         prop_assert!(report.wal_dropped + report.wal_torn_bytes > 0);
-        check_planar_answers(recovered.set(), &oracle_prefix(&t, &applied[..f]), &t);
+        check_answers(&recovered.snapshot(), &oracle_prefix(&t, &applied[..f]), &t);
     }
 }
 
-/// Sharded durability round trip (issue checklist): mutate a durable
+/// Sharded durability round trip: mutate a durable
 /// sharded set under `FsyncPolicy::EveryN(8)`, kill it without a
 /// checkpoint, recover, and compare every probe answer against a
 /// never-crashed in-memory twin. The unsynced tail survives a process
 /// kill (the OS still has the writes), so recovery must replay *all* of
 /// it.
-fn sharded_kill_recover_roundtrip<S: KeyStore + Send>(t: &Trace) {
+fn sharded_kill_recover_roundtrip<S: KeyStore + Clone + Send>(t: &Trace) {
     let tmp = TempDir::new("wal-shard-roundtrip").unwrap();
     let dir = tmp.path().join("idx");
     let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(8));
-    let mut durable = DurableShardedIndexSet::create(&dir, build_sharded::<S>(t), opts).unwrap();
-    let mut twin = build_sharded::<S>(t);
+    let durable = create(&dir, build_sharded::<S>(t, 3), opts);
+    let mut twin = build_sharded::<S>(t, 3);
 
     // Sharded compaction preserves global ids, so the live list only
     // changes on insert/delete.
@@ -350,7 +348,8 @@ fn sharded_kill_recover_roundtrip<S: KeyStore + Send>(t: &Trace) {
     }
 
     drop(durable); // kill: no checkpoint, unsynced tail left behind
-    let (recovered, report) = ShardedIndexSet::<S>::open_durable(&dir, opts).unwrap();
+    let (recovered, report) = open::<S>(&dir, opts);
+    let recovered = recovered.snapshot();
     // Broadcast Compact lands once per shard (3 shards here).
     let expect_replayed = mutations + t.ops.iter().filter(|o| matches!(o, Op::Compact)).count() * 2;
     assert_eq!(report.wal_replayed, expect_replayed);

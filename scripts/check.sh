@@ -17,8 +17,18 @@ echo "== fault suite (injection + durability + WAL crash proptests) =="
 cargo test -p planar-core -q --features fault-injection \
   --test fault_injection --test durability_proptests --test wal_crash_proptests
 
-echo "== concurrency suite (snapshot isolation + group-commit crash sweep) =="
+echo "== concurrency suite (snapshot isolation + group-commit crash sweep + bench smokes) =="
 cargo test -p planar-core -q --test concurrent_proptests
+# The harness writes BENCH_*.json into its working directory, so the
+# smokes run in a scratch directory and the archived files stay as
+# committed.
+repo="$(pwd)"
+smoke_dir="$(mktemp -d)"
+(cd "${smoke_dir}" && cargo run -q --manifest-path "${repo}/Cargo.toml" -p planar-bench --release -- \
+  wal --scale 0.002 --queries 16)
+(cd "${smoke_dir}" && cargo run -q --manifest-path "${repo}/Cargo.toml" -p planar-bench --release -- \
+  concurrent --scale 0.002 --queries 8)
+rm -rf "${smoke_dir}"
 
 echo "== replication suite (transport fault sweep + failover promotion) =="
 cargo test -p planar-core -q --features fault-injection \

@@ -43,14 +43,13 @@ pub use planar_relation;
 /// The types most programs need.
 pub mod prelude {
     pub use planar_core::{
-        elect, ChannelTransport, Cmp, ConcurrencyConfig, ConcurrentDurablePlanarIndexSet,
-        ConcurrentDurableShardedIndexSet, ConcurrentPlanarIndexSet, ConcurrentShardedIndexSet,
-        DirTransport, Domain, DurablePlanarIndexSet, DurableShardedIndexSet, DynamicPlanarIndexSet,
-        ExecutionConfig, FailoverConfig, FeatureMap, FeatureTable, FnFeatureMap, FsyncPolicy,
-        IdentityMap, IndexConfig, InequalityQuery, Mutation, MutationAck, ParameterDomain,
-        PartitionScheme, PlanarIndexSet, Primary, QuantAutotuneConfig, QuantPolicy, QuantTier,
-        QueryScratch, ReadConsistency, Replica, ScratchPool, SelectionStrategy, SeqScan, ServedBy,
-        ShardConfig, ShardedIndexSet, TopKQuery, VecStore, WalOptions,
+        elect, ChannelTransport, Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet,
+        ConcurrentShardedIndexSet, DirTransport, Domain, DynamicPlanarIndexSet, ExecutionConfig,
+        FailoverConfig, FeatureMap, FeatureTable, FnFeatureMap, FsyncPolicy, IdentityMap,
+        IndexConfig, InequalityQuery, Mutation, MutationAck, ParameterDomain, PartitionScheme,
+        PlanarIndexSet, Primary, QuantAutotuneConfig, QuantPolicy, QuantTier, QueryScratch,
+        ReadConsistency, Replica, ScratchPool, SelectionStrategy, SeqScan, ServedBy, ShardConfig,
+        ShardedIndexSet, ShardedQueryOutcome, TopKQuery, VecStore, WalOptions,
     };
     pub use planar_geom::{Hyperplane, Normalizer, Octant, Vector};
 }
