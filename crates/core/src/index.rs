@@ -39,7 +39,7 @@ use crate::stats::{ExecutionPath, QueryStats};
 use crate::store::{Entry, KeyStore};
 use crate::table::{FeatureTable, PointId};
 use crate::{HeapSize, PlanarError, Result};
-use planar_geom::{dot_slices, NormalizedQuery, Normalizer};
+use planar_geom::{dot_slices, NormalizedQuery, Normalizer, BLOCK_ROWS};
 
 /// Relative slack applied to interval boundaries so that float rounding in
 /// key/threshold computation can never misclassify a boundary point into a
@@ -121,38 +121,53 @@ pub(crate) struct AuxFilter<'a> {
     pub keys: &'a [f64],
 }
 
-/// What one sibling index's key proves about an II candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KeyClass {
-    /// Provably satisfies the query (Observation 2 with slack).
-    Accept,
-    /// Provably violates the query (Observation 1 with slack).
-    Reject,
-    /// No proof either way — the candidate still needs verification.
-    Verify,
+impl AuxFilter<'_> {
+    /// Classify the candidates `cand` of candidate-bitmap word `w` (bit `l`
+    /// is row `w·BLOCK_ROWS + l`) through this sibling's intervals.
+    /// Returns the lanes it proves to satisfy (Observation 2 with slack)
+    /// and to violate (Observation 1 with slack), disjoint subsets of
+    /// `cand`. Mirrors [`SingleIndex::boundaries`]: for `≤` the smaller
+    /// interval (`key ≤ lo`) is accepted and the larger (`key > hi`)
+    /// rejected; `≥` swaps the roles and keeps `key = lo` in the verified
+    /// middle (it can lie exactly on the hyperplane). An id absent from the
+    /// sibling (`NaN` key, or beyond its table) fails every comparison and
+    /// stays unsettled.
+    #[inline]
+    fn classify_word(&self, w: usize, cand: u64, cmp: Cmp) -> (u64, u64) {
+        let base = w * BLOCK_ROWS;
+        let (mut accept, mut reject) = (0, 0);
+        let mut m = cand;
+        while m != 0 {
+            let l = m.trailing_zeros();
+            if let Some(&key) = self.keys.get(base + l as usize) {
+                let (acc, rej) = match cmp {
+                    Cmp::Leq => (key <= self.lo, key > self.hi),
+                    Cmp::Geq => (key > self.hi, key < self.lo),
+                };
+                accept |= u64::from(acc) << l;
+                reject |= u64::from(rej) << l;
+            }
+            m &= m - 1;
+        }
+        (accept, reject)
+    }
 }
 
-impl AuxFilter<'_> {
-    /// Classify a candidate through this sibling's intervals. Mirrors
-    /// [`SingleIndex::boundaries`]: for `≤` the smaller interval
-    /// (`key ≤ lo`) is accepted and the larger (`key > hi`) rejected; `≥`
-    /// swaps the roles and keeps `key = lo` in the verified middle (it can
-    /// lie exactly on the hyperplane). An id absent from the sibling
-    /// (`NaN` key) fails every comparison and lands on `Verify`.
-    #[inline]
-    fn classify(&self, id: PointId, cmp: Cmp) -> KeyClass {
-        let key = match self.keys.get(id as usize) {
-            Some(&k) => k,
-            None => return KeyClass::Verify,
-        };
-        match cmp {
-            Cmp::Leq if key <= self.lo => KeyClass::Accept,
-            Cmp::Geq if key > self.hi => KeyClass::Accept,
-            Cmp::Leq if key > self.hi => KeyClass::Reject,
-            Cmp::Geq if key < self.lo => KeyClass::Reject,
-            _ => KeyClass::Verify,
+/// Intersection pruning of one candidate-bitmap word: each sibling in turn
+/// settles the candidates no earlier sibling settled. Returns the
+/// (accepted, rejected) lanes.
+fn settle_word(aux: &[AuxFilter<'_>], cmp: Cmp, w: usize, cand: u64) -> (u64, u64) {
+    let (mut accept, mut reject, mut open) = (0, 0, cand);
+    for f in aux {
+        if open == 0 {
+            break;
         }
+        let (a, r) = f.classify_word(w, open, cmp);
+        accept |= a;
+        reject |= r;
+        open &= !(a | r);
     }
+    (accept, reject)
 }
 
 impl<S: KeyStore> SingleIndex<S> {
@@ -415,11 +430,11 @@ impl<S: KeyStore> SingleIndex<S> {
     /// reusable scratch buffers.
     ///
     /// The result vector is allocated once with capacity from the interval
-    /// bounds (accepted-interval size + II size); all staging goes through
-    /// `scratch`, so a warm scratch makes the hot loop allocation-free
-    /// beyond that single result allocation. Matches are ordered
-    /// canonically — the wholesale-accepted interval in store (key) order,
-    /// then II matches in ascending-id order — identically for every
+    /// bounds (accepted-interval size + II size); the II candidate bitmap
+    /// lives in `scratch`, so a warm scratch makes the hot loop
+    /// allocation-free beyond that single result allocation. Matches are
+    /// ordered canonically — the wholesale-accepted interval in store (key)
+    /// order, then II matches in ascending-id order — identically for every
     /// `exec.threads` value.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_with(
@@ -435,16 +450,22 @@ impl<S: KeyStore> SingleIndex<S> {
         self.evaluate_with_aux(verify, nq, shift, table, index_pos, &[], exec, scratch)
     }
 
-    /// [`Self::evaluate_with`] with multi-index intersection pruning: before
-    /// verification, each II candidate is classified through the sibling
-    /// indices' slacked intervals (`aux`). A candidate a sibling wholesale
-    /// accepts or rejects skips its scalar product; the rest are verified
-    /// exactly as before. Matches and their order are identical to the
-    /// unpruned path — the sibling proofs are the same Observations 1 and 2
-    /// the chosen index itself uses for its outer intervals.
+    /// [`Self::evaluate_with`] with multi-index intersection pruning.
     ///
-    /// The cost model skips the whole pass when the II holds fewer than
-    /// `exec.intersect_min_candidates` candidates.
+    /// The II ids go from the store's key-order walk straight into the
+    /// candidate bitmap of `scratch` (one word per 64-row block), so reading
+    /// the words in order yields ascending ids without a sort. Each
+    /// block's candidates are first classified through the sibling
+    /// indices' slacked intervals (`aux`): lanes a sibling wholesale
+    /// accepts join the block's answer mask and lanes it rejects are
+    /// dropped, neither paying a scalar product; the rest are verified
+    /// block by block (see [`parallel::verify_mask_blocked`]). Matches and
+    /// their order are identical to the unpruned path — the sibling proofs
+    /// are the same Observations 1 and 2 the chosen index itself uses for
+    /// its outer intervals.
+    ///
+    /// The cost model skips sibling classification when the II holds fewer
+    /// than `exec.intersect_min_candidates` candidates.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn evaluate_with_aux(
         &self,
@@ -473,51 +494,27 @@ impl<S: KeyStore> SingleIndex<S> {
         };
         matches.extend(accepted.map(|e| e.id));
 
-        // Intermediate interval: verify each point exactly. Candidates are
-        // re-sorted by id so consecutive rows coalesce into blocked
-        // scalar-product calls (and chunked verification stays
-        // order-deterministic).
-        scratch.ids.clear();
-        scratch
-            .ids
-            .extend(self.store.iter_asc(j_min, j_max).map(|e| e.id));
-        scratch.ids.sort_unstable();
-
-        // Multi-index intersection: let sibling indices settle candidates
-        // via O(1) key classifications before paying for scalar products.
-        let candidates = scratch.ids.len();
-        scratch.accepted.clear();
-        if !aux.is_empty() && candidates >= exec.intersect_min_candidates {
-            let cmp = verify.cmp();
-            let (ids, accepted) = (&mut scratch.ids, &mut scratch.accepted);
-            ids.retain(|&id| {
-                for f in aux {
-                    match f.classify(id, cmp) {
-                        KeyClass::Accept => {
-                            accepted.push(id);
-                            return false;
-                        }
-                        KeyClass::Reject => return false,
-                        KeyClass::Verify => {}
-                    }
-                }
-                true
-            });
-        }
-        let intersect_pruned = candidates - scratch.ids.len();
-        let verified = scratch.ids.len();
-
-        let quant = if scratch.accepted.is_empty() {
-            parallel::verify_ids(verify, table, &scratch.ids, exec, &mut matches)
+        // Intermediate interval, in ascending id order: sibling indices
+        // settle what they can via O(1) key classifications, and the rest
+        // is verified exactly.
+        let words = scratch.fill(table.len(), self.store.iter_asc(j_min, j_max).map(|e| e.id));
+        let aux = if intermediate >= exec.intersect_min_candidates {
+            aux
         } else {
-            // Sibling-accepted ids never went through verification, so they
-            // must be merged back to keep the ascending-id II match order.
-            scratch.verified_out.clear();
-            let quant =
-                parallel::verify_ids(verify, table, &scratch.ids, exec, &mut scratch.verified_out);
-            merge_ascending(&scratch.accepted, &scratch.verified_out, &mut matches);
-            quant
+            &[]
         };
+        let cmp = verify.cmp();
+        let (verified, quant) = parallel::verify_mask(
+            verify,
+            table,
+            &scratch.mask[words.clone()],
+            words.start,
+            intermediate,
+            &|w, cand| settle_word(aux, cmp, w, cand),
+            exec,
+            &mut matches,
+        );
+        let intersect_pruned = intermediate - verified;
 
         let stats = QueryStats {
             n,
@@ -609,6 +606,11 @@ impl<S: KeyStore> SingleIndex<S> {
         )
     }
 
+    /// Algorithm 2 body behind every top-k entry point: the II goes into
+    /// the scratch's candidate bitmap and, after reject-only sibling
+    /// pruning, is verified block by block into the top-k buffer; then the
+    /// accepting interval is walked outward from the query hyperplane until
+    /// Claim 3's lower bound stops it (`use_pruning = false` walks it all).
     #[allow(clippy::too_many_arguments)]
     fn top_k_inner(
         &self,
@@ -627,36 +629,34 @@ impl<S: KeyStore> SingleIndex<S> {
         let mut buffer = TopKBuffer::new(q.k);
         let inv_norm = 1.0 / q.query.a_norm();
 
-        // Intermediate interval first (paper Algorithm 2, lines 3–7),
-        // verified with the blocked kernel in ascending-id order. The
-        // buffer's total (dist, id) order makes its contents independent of
-        // arrival order, so this matches the store-order walk exactly.
-        scratch.ids.clear();
-        scratch
-            .ids
-            .extend(self.store.iter_asc(j_min, j_max).map(|e| e.id));
-        scratch.ids.sort_unstable();
-
+        // Intermediate interval first (paper Algorithm 2, lines 3–7), held
+        // as the scratch's candidate bitmap and verified block by block in
+        // ascending-id order. The buffer's total (dist, id) order makes its
+        // contents independent of arrival order, so this matches the
+        // store-order walk exactly.
+        //
         // Reject-only intersection pruning: a sibling-rejected candidate
         // provably violates the constraint, so it can skip both the scalar
         // product and the distance.
-        let candidates = scratch.ids.len();
-        if !aux.is_empty() && candidates >= exec.intersect_min_candidates {
-            scratch
-                .ids
-                .retain(|&id| !aux.iter().any(|f| f.classify(id, cmp) == KeyClass::Reject));
-        }
-        let intersect_pruned = candidates - scratch.ids.len();
-        let verified = scratch.ids.len();
-        parallel::verify_top_k(
+        let candidates = j_max - j_min;
+        let words = scratch.fill(table.len(), self.store.iter_asc(j_min, j_max).map(|e| e.id));
+        let aux = if candidates >= exec.intersect_min_candidates {
+            aux
+        } else {
+            &[]
+        };
+        let verified = parallel::verify_top_k(
             &q.query,
             table,
-            &scratch.ids,
-            q.k,
+            &scratch.mask[words.clone()],
+            words.start,
+            candidates,
+            &|w, cand| settle_word(aux, cmp, w, cand),
             exec,
             &mut scratch.dots,
             &mut buffer,
         );
+        let intersect_pruned = candidates - verified;
 
         // Walk the accepting interval from the query hyperplane outward,
         // terminating when the lower-bound distance (Def. 5) of the next
@@ -720,23 +720,6 @@ fn keys_from_entries(entries: &[Entry]) -> Vec<f64> {
         keys[e.id as usize] = e.key;
     }
     keys
-}
-
-/// Merge two ascending, disjoint id lists into `out` (ascending).
-fn merge_ascending(a: &[PointId], b: &[PointId], out: &mut Vec<PointId>) {
-    out.reserve(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] < b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
 }
 
 /// Shave a relative epsilon off a lower bound so float rounding in the key

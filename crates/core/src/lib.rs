@@ -129,7 +129,7 @@ pub use health::{HealthIssue, HealthReport, IndexHealth, ShardedHealthReport};
 pub use index::{IntervalBounds, SingleIndex, TopKStats};
 pub use memory::HeapSize;
 pub use multi::{DynamicPlanarIndexSet, IndexConfig, PlanarIndexSet, QueryOutcome, TopKOutcome};
-pub use parallel::{ExecutionConfig, QueryScratch, ScratchPool};
+pub use parallel::{ExecutionConfig, QueryScratch};
 pub use persist::{RecoveryReport, SaveOptions, ShardedRecoveryReport};
 pub use quant::{
     retune, QuantAutotuneConfig, QuantFilterStats, QuantObservations, QuantPolicy, QuantTier,

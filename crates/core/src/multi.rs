@@ -18,7 +18,7 @@ use crate::stats::{ExecutionPath, QueryStats, ScanReason, ServedBy};
 use crate::store::{KeyStore, VecStore};
 use crate::table::{FeatureTable, PointId};
 use crate::{BPlusTree, HeapSize, PlanarError, Result};
-use planar_geom::{NormalizedQuery, Normalizer};
+use planar_geom::{NormalizedQuery, Normalizer, BLOCK_ROWS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -300,7 +300,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         } else {
             let table_ref = &table;
             let normalizer_ref = &normalizer;
-            parallel::map_chunks(&normals, workers, |chunk| {
+            parallel::map_chunks(&normals, workers, |_, chunk| {
                 chunk
                     .iter()
                     .map(|c| SingleIndex::build(table_ref, normalizer_ref, c.clone()))
@@ -752,7 +752,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 })
                 .collect();
         }
-        let per_chunk = parallel::map_chunks(qs, workers, |chunk| {
+        let per_chunk = parallel::map_chunks(qs, workers, |_, chunk| {
             let mut scratch = QueryScratch::new();
             chunk
                 .iter()
@@ -876,15 +876,24 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     }
 
     fn scan_fallback(&self, q: &InequalityQuery, reason: ScanReason) -> QueryOutcome {
-        // Collect live ids and verify them through the blocked kernel, so
-        // the quantized tier (when active) wholesale-settles most rows on
-        // the scan path too. The kernel mask is bit-identical to the
-        // per-row `q.satisfies` predicate, so answers are unchanged.
-        let live: Vec<PointId> = (0..self.table.len() as PointId)
-            .filter(|&id| !self.deleted[id as usize])
+        // Verify the live rows' bitmap through the blocked kernels, so the
+        // quantized tier (when active) wholesale-settles most rows on the
+        // scan path too. The kernel mask is bit-identical to the per-row
+        // `q.satisfies` predicate, so answers are unchanged.
+        let live: Vec<u64> = self
+            .deleted
+            .chunks(BLOCK_ROWS)
+            .map(|block| {
+                let dead = block
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |m, (l, &d)| m | (u64::from(d) << l));
+                !dead & (u64::MAX >> (BLOCK_ROWS - block.len()))
+            })
             .collect();
         let mut matches = Vec::new();
-        let quant = parallel::verify_ids_blocked(q, &self.table, &live, &mut matches);
+        let (_, quant) =
+            parallel::verify_mask_blocked(q, &self.table, &live, 0, &|_, _| (0, 0), &mut matches);
         let stats = QueryStats {
             n: self.n_live,
             smaller: 0,
@@ -999,7 +1008,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 })
                 .collect();
         }
-        let per_chunk = parallel::map_chunks(qs, workers, |chunk| {
+        let per_chunk = parallel::map_chunks(qs, workers, |_, chunk| {
             let mut scratch = QueryScratch::new();
             chunk
                 .iter()

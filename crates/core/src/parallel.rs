@@ -7,15 +7,18 @@
 //! Every parallel path in this crate returns results **bit-identical to and
 //! identically ordered with** its serial counterpart, for any thread count:
 //!
-//! * Intermediate-interval (II) candidates are verified in ascending-id
-//!   order. Splitting a sorted id list into contiguous chunks and
-//!   concatenating the per-chunk matches in chunk order reproduces the
+//! * Intermediate-interval (II) candidates are held as a bitmap with one
+//!   word per 64-row block ([`QueryScratch`]) and verified in ascending-id
+//!   order. Splitting the bitmap into contiguous word ranges and
+//!   concatenating the per-range matches in range order reproduces the
 //!   serial order exactly.
 //! * Scalar products go through the columnar SIMD kernels
-//!   ([`planar_geom::dot_cmp_block`] / [`planar_geom::dot_block_cols`]),
-//!   whose per-lane accumulation is bit-identical to the row-at-a-time
-//!   [`planar_geom::dot_slices`] path regardless of the dispatched
-//!   implementation (AVX2 or portable — see `planar_geom::kernels`).
+//!   ([`planar_geom::dot_cmp_block`] / [`planar_geom::dot_block_cols`]) for
+//!   dense blocks and the row-at-a-time [`planar_geom::dot_slices`] for
+//!   sparse ones; the kernels' per-lane accumulation is bit-identical to
+//!   `dot_slices` regardless of the dispatched implementation (AVX2 or
+//!   portable — see `planar_geom::kernels`), so the split never changes a
+//!   verdict or a distance.
 //! * Top-k merging relies on the total `(distance, id)` order of the top-k
 //!   buffer, which makes its contents independent of candidate arrival
 //!   order.
@@ -29,13 +32,15 @@ use crate::scan::TopKBuffer;
 use crate::table::{ColSegment, FeatureTable, PointId};
 use crate::{PlanarError, Result};
 use planar_geom::{dot_block_cols, dot_cmp_block, dot_slices, BLOCK_ROWS};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Minimum segment width (lanes) for the quantized filter to engage;
-/// shorter runs go straight to the exact kernel (see
-/// [`quant_segment_mask`]).
+/// Minimum candidate lanes in a block for one whole-block verification
+/// pass (quantized classify, or one exact kernel when the tier is off);
+/// sparser blocks verify each candidate on its row (see
+/// [`verify_mask_blocked`]).
 const QUANT_MIN_SEGMENT_LANES: usize = 16;
 
 /// Default minimum II size before a single query's verification is split
@@ -232,22 +237,21 @@ impl ExecutionConfig {
 
 /// Reusable per-worker buffers for the query hot loop.
 ///
-/// Algorithms 1 and 2 stage intermediate-interval candidate ids and their
-/// blocked scalar products here instead of allocating per query; a scratch
-/// threaded through a batch of queries makes the verification loop
-/// allocation-free once the buffers have grown to the workload's high-water
-/// mark.
+/// Algorithms 1 and 2 hold the intermediate-interval (II) candidate set
+/// here as a bitmap with one `u64` word per [`BLOCK_ROWS`]-row block of the
+/// table's columnar mirror: bit `l` of word `w` is row `w·BLOCK_ROWS + l`.
+/// Setting bits straight from the store's key-order walk and reading the
+/// words in order yields ascending ids in `O(m + n/64)` with no sort, and
+/// each word is exactly the candidate mask of one block for the verification
+/// kernels. A scratch threaded through a batch of queries makes the
+/// verification loop allocation-free once its buffers have grown to the
+/// table's size.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
-    /// II candidate ids, sorted ascending before verification.
-    pub(crate) ids: Vec<PointId>,
-    /// Blocked scalar-product outputs, one per id in the current run.
+    /// II candidate bitmap, one word per block of the columnar mirror.
+    pub(crate) mask: Vec<u64>,
+    /// Blocked scalar-product outputs of one block (top-k).
     pub(crate) dots: Vec<f64>,
-    /// Candidates wholesale-accepted by a sibling index during
-    /// intersection pruning (ascending id order).
-    pub(crate) accepted: Vec<PointId>,
-    /// Verified II matches staged for the merge with `accepted`.
-    pub(crate) verified_out: Vec<PointId>,
 }
 
 impl QueryScratch {
@@ -256,93 +260,55 @@ impl QueryScratch {
         Self::default()
     }
 
-    /// Scratch pre-sized for intermediate intervals of up to `capacity`
-    /// points, so the first query allocates nothing.
+    /// Scratch pre-sized for tables of up to `capacity` rows, so the first
+    /// query allocates nothing.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            ids: Vec::with_capacity(capacity),
-            dots: Vec::with_capacity(capacity.min(BLOCK_ROWS)),
-            accepted: Vec::new(),
-            verified_out: Vec::new(),
-        }
-    }
-}
-
-/// A shared pool of [`QueryScratch`] buffers for concurrent readers.
-///
-/// Snapshot readers (see `crate::concurrent`) arrive on arbitrary threads
-/// and would otherwise either allocate a fresh scratch per query or hold
-/// one scratch per long-lived thread. The pool lets short-lived reader
-/// tasks [`Self::take`] a warmed scratch, run any number of queries with
-/// it, and [`Self::put`] it back — buffers keep their high-water-mark
-/// capacity across owners, so a steady mixed workload settles into zero
-/// verification-loop allocation regardless of which thread serves which
-/// query.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    free: std::sync::Mutex<Vec<QueryScratch>>,
-}
-
-impl ScratchPool {
-    /// Empty pool; scratches are created on demand by [`Self::take`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pool pre-filled with `n` scratches sized for intermediate intervals
-    /// of up to `capacity` points.
-    pub fn with_capacity(n: usize, capacity: usize) -> Self {
-        let mut free = Vec::with_capacity(n);
-        free.resize_with(n, || QueryScratch::with_capacity(capacity));
-        Self {
-            free: std::sync::Mutex::new(free),
+            mask: Vec::with_capacity(capacity.div_ceil(BLOCK_ROWS)),
+            dots: Vec::with_capacity(BLOCK_ROWS),
         }
     }
 
-    /// Pop a pooled scratch, or create a fresh one when the pool is empty
-    /// (never blocks).
-    pub fn take(&self) -> QueryScratch {
-        self.free
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Return a scratch to the pool; its grown buffers are kept warm for
-    /// the next taker.
-    pub fn put(&self, scratch: QueryScratch) {
-        self.free
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(scratch);
-    }
-
-    /// Scratches currently parked in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.lock().unwrap_or_else(|e| e.into_inner()).len()
+    /// Reset the bitmap to the candidate set `ids` over a table of `rows`
+    /// rows. Returns the word range `[lo, hi)` outside which every word is
+    /// zero (empty when `ids` is).
+    pub(crate) fn fill(&mut self, rows: usize, ids: impl Iterator<Item = PointId>) -> Range<usize> {
+        self.mask.clear();
+        self.mask.resize(rows.div_ceil(BLOCK_ROWS), 0);
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for id in ids {
+            let w = id as usize / BLOCK_ROWS;
+            self.mask[w] |= 1u64 << (id as usize % BLOCK_ROWS);
+            lo = lo.min(w);
+            hi = hi.max(w + 1);
+        }
+        lo.min(hi)..hi
     }
 }
 
-/// Split `items` into `workers` contiguous chunks, apply `f` to each chunk
-/// on its own scoped thread, and return the per-chunk results in chunk
-/// order. `workers` must be ≥ 2 and `items` non-empty.
+/// Split `items` into `workers` contiguous chunks, apply `f(start, chunk)`
+/// to each chunk on its own scoped thread (`start` is the chunk's offset in
+/// `items`), and return the per-chunk results in chunk order. `workers`
+/// must be ≥ 2 and `items` non-empty.
 pub(crate) fn map_chunks<I, T, F>(items: &[I], workers: usize, f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
-    F: Fn(&[I]) -> T + Sync,
+    F: Fn(usize, &[I]) -> T + Sync,
 {
     let chunk_len = items.len().div_ceil(workers.max(1)).max(1);
-    let chunks: Vec<&[I]> = items.chunks(chunk_len).collect();
+    let chunks: Vec<(usize, &[I])> = items
+        .chunks(chunk_len)
+        .enumerate()
+        .map(|(i, chunk)| (i * chunk_len, chunk))
+        .collect();
     let mut results: Vec<Option<T>> = Vec::with_capacity(chunks.len());
     results.resize_with(chunks.len(), || None);
     let f = &f;
     std::thread::scope(|s| {
-        for (slot, chunk) in results.iter_mut().zip(&chunks) {
-            let chunk: &[I] = chunk;
+        for (slot, &(start, chunk)) in results.iter_mut().zip(&chunks) {
             s.spawn(move || {
-                *slot = Some(f(chunk));
+                *slot = Some(f(start, chunk));
             });
         }
     });
@@ -356,223 +322,283 @@ where
         .collect()
 }
 
-/// Verify ascending-sorted candidate ids against `query` with the fused
-/// columnar kernel, pushing satisfying ids onto `out` in ascending-id
-/// order.
+/// Block `w`'s first row id, row count (`BLOCK_ROWS` except in the last,
+/// partial block) and columnar storage.
+fn block(table: &FeatureTable, w: usize) -> (PointId, usize, ColSegment<'_>) {
+    let first = (w * BLOCK_ROWS) as PointId;
+    let lanes = (table.len() - w * BLOCK_ROWS).min(BLOCK_ROWS);
+    let seg = table
+        .columns()
+        .segments(first, first + lanes as PointId)
+        .next();
+    (first, lanes, seg.expect("a non-empty block has a segment"))
+}
+
+/// Verify a window of the candidate bitmap against `query`, pushing
+/// satisfying ids onto `out` in ascending-id order. `words[i]` is the
+/// candidate mask of block `first_word + i`.
 ///
-/// Consecutive ids form maximal runs; each run is walked through the
-/// table's interleaved-block columnar mirror one [`ColSegment`] at a time,
-/// and [`dot_cmp_block`] evaluates the whole segment's predicate into a
-/// bitmask — the scalar products are never materialized.
+/// Each non-empty word first goes through `settle(w, cand)`, the sibling
+/// intersection pruning: it returns the lanes of `cand` proven to satisfy
+/// and proven to violate the query (disjoint). Proven-accepted lanes join
+/// the block's answer mask without a scalar product and proven-rejected
+/// lanes are dropped. The remaining candidates are verified block by
+/// block:
 ///
-/// When a quantized tier is active, each segment first goes through the
-/// fixed-point classifier: lanes it proves in or out are settled without
-/// touching `f64` rows, and only the uncertainty band is re-verified at
-/// full precision (whole-segment kernel when the band is dense, per-lane
-/// [`dot_slices`] when sparse). The emitted mask is identical to the pure
-/// `f64` mask by the classifier's soundness contract, which the debug
-/// assertions below check directly.
+/// * a block with at least [`QUANT_MIN_SEGMENT_LANES`] candidates gets one
+///   whole-block pass — the quantized classifier when the tier is on, else
+///   one fused [`dot_cmp_block`] — AND-ed with its candidate mask (see
+///   [`dense_block_mask`]);
+/// * a sparser block verifies each candidate on its row-major row (see
+///   [`rowwise_mask`]): about one cache line per lane at `d ≤ 8`, where a
+///   columnar pass touches `d` lines for every run of lanes, however short.
 ///
-/// Returns the quantized-filter counters for this call (all zeros when the
-/// tier is off).
-///
-/// [`ColSegment`]: crate::table::ColSegment
-pub(crate) fn verify_ids_blocked(
+/// The emitted ids are identical to checking every candidate row by row.
+/// Returns the number of candidates verified (not settled by `settle`) and
+/// the quantized-filter counters (all zeros when the tier is off).
+pub(crate) fn verify_mask_blocked(
     query: &InequalityQuery,
     table: &FeatureTable,
-    ids: &[PointId],
+    words: &[u64],
+    first_word: usize,
+    settle: &impl Fn(usize, u64) -> (u64, u64),
     out: &mut Vec<PointId>,
-) -> QuantFilterStats {
-    let cols = table.columns();
-    let stride = cols.stride();
-    let leq = query.cmp() == Cmp::Leq;
+) -> (usize, QuantFilterStats) {
     let mut stats = QuantFilterStats::default();
     let mut filter = table.quant().map(|q| {
         stats.tier = q.tier();
         QuantFilter::new(query, q)
     });
-    let mut s = 0;
-    while s < ids.len() {
-        // Maximal consecutive-id run starting at s.
-        let first = ids[s];
-        let mut e = s + 1;
-        while e < ids.len() && ids[e] == first + (e - s) as PointId {
-            e += 1;
+    let mut verified = 0;
+    for (i, &cand) in words.iter().enumerate() {
+        if cand == 0 {
+            continue;
         }
-        let run = (e - s) as PointId;
-        for seg in cols.segments(first, first + run) {
-            let mut mask = match &mut filter {
-                None => dot_cmp_block(query.a(), seg.cols, stride, seg.lanes, query.b(), leq),
-                Some(f) => quant_segment_mask(f, query, table, &seg, stride, leq, &mut stats),
-            };
-            while mask != 0 {
-                out.push(seg.first + mask.trailing_zeros());
-                mask &= mask - 1;
+        let w = first_word + i;
+        let base = (w * BLOCK_ROWS) as PointId;
+        let (accept, reject) = settle(w, cand);
+        let todo = cand & !(accept | reject);
+        let lanes = todo.count_ones() as usize;
+        verified += lanes;
+        let mut mask = accept;
+        if lanes >= QUANT_MIN_SEGMENT_LANES {
+            mask |= dense_block_mask(query, table, w, todo, filter.as_mut(), &mut stats);
+        } else if lanes > 0 {
+            // Too few lanes to amortize a classify dispatch: counting them
+            // as fallback tells the autotuner the filter isn't engaging.
+            if filter.is_some() {
+                stats.lanes += lanes;
+                stats.fallback += lanes;
             }
+            mask |= rowwise_mask(query, table, base, todo);
         }
-        s = e;
+        while mask != 0 {
+            out.push(base + mask.trailing_zeros());
+            mask &= mask - 1;
+        }
     }
-    stats
+    (verified, stats)
 }
 
-/// Evaluate one segment's predicate mask through the quantized filter,
-/// falling back to (or re-verifying the uncertainty band with) the exact
-/// `f64` path. The returned mask is bit-identical to
-/// [`dot_cmp_block`] on the same segment.
-fn quant_segment_mask(
-    filter: &mut QuantFilter<'_>,
+/// Exact predicate mask of the lanes `lanes` of the block starting at row
+/// `first`, settling each lane with the row-wise reference dot (the
+/// definition of the exact answer).
+fn rowwise_mask(query: &InequalityQuery, table: &FeatureTable, first: PointId, lanes: u64) -> u64 {
+    let mut mask = 0;
+    let mut m = lanes;
+    while m != 0 {
+        let l = m.trailing_zeros();
+        if query.satisfies_dot(dot_slices(query.a(), table.row(first + l))) {
+            mask |= 1u64 << l;
+        }
+        m &= m - 1;
+    }
+    mask
+}
+
+/// Predicate mask of the candidate lanes `cand` of block `w` from one
+/// whole-block pass. Bits outside `cand` are clear; the result is
+/// bit-identical to [`rowwise_mask`].
+///
+/// With a quantized tier, the block is classified in fixed point: lanes
+/// it proves in or out are settled without touching `f64` rows, and only
+/// the candidate lanes of the uncertainty band are re-verified at full
+/// precision (one whole-block kernel when the band is dense, per-lane
+/// [`dot_slices`] when sparse). The result equals the pure `f64` mask by
+/// the classifier's soundness contract, which the debug assertions below
+/// check directly.
+fn dense_block_mask(
     query: &InequalityQuery,
     table: &FeatureTable,
-    seg: &ColSegment<'_>,
-    stride: usize,
-    leq: bool,
+    w: usize,
+    cand: u64,
+    filter: Option<&mut QuantFilter<'_>>,
     stats: &mut QuantFilterStats,
 ) -> u64 {
-    stats.lanes += seg.lanes;
-    // Short runs can't amortize the classify dispatch: the quantized scan
-    // only beats the exact kernel through memory traffic, and a few lanes
-    // move few bytes either way. Taking the exact path directly keeps
-    // scattered-candidate workloads at baseline cost, and counting the
-    // lanes as fallback tells the autotuner the filter isn't engaging.
-    if seg.lanes < QUANT_MIN_SEGMENT_LANES {
-        stats.fallback += seg.lanes;
-        return dot_cmp_block(query.a(), seg.cols, stride, seg.lanes, query.b(), leq);
-    }
-    let lanes_mask = if seg.lanes == BLOCK_ROWS {
-        u64::MAX
-    } else {
-        (1u64 << seg.lanes) - 1
+    let leq = query.cmp() == Cmp::Leq;
+    let (first, lanes, seg) = block(table, w);
+    let exact = || dot_cmp_block(query.a(), seg.cols, BLOCK_ROWS, lanes, query.b(), leq) & cand;
+    let Some(filter) = filter else {
+        return exact();
     };
-    match filter.classify(seg.first, seg.lanes) {
+    let cand_lanes = cand.count_ones() as usize;
+    stats.lanes += cand_lanes;
+    match filter.classify(first, lanes) {
         BlockClass::Fallback => {
-            stats.fallback += seg.lanes;
-            dot_cmp_block(query.a(), seg.cols, stride, seg.lanes, query.b(), leq)
+            stats.fallback += cand_lanes;
+            exact()
         }
         BlockClass::Classified { accept, reject } => {
-            let band = !(accept | reject) & lanes_mask;
+            let (accept, reject) = (accept & cand, reject & cand);
+            let band = cand & !(accept | reject);
             let band_lanes = band.count_ones() as usize;
             stats.accepted += accept.count_ones() as usize;
-            stats.rejected += (reject & lanes_mask).count_ones() as usize;
+            stats.rejected += reject.count_ones() as usize;
             stats.reverified += band_lanes;
             if band_lanes == 0 {
                 return accept;
             }
-            if band_lanes * 4 >= seg.lanes {
-                // Dense band: one whole-segment kernel pass costs less than
+            if band_lanes * 4 >= cand_lanes {
+                // Dense band: one whole-block kernel pass costs less than
                 // gathering rows lane by lane. Soundness makes the results
                 // interchangeable: accept ⊆ exact and reject ∩ exact = ∅.
-                let exact = dot_cmp_block(query.a(), seg.cols, stride, seg.lanes, query.b(), leq);
+                let exact = exact();
                 debug_assert_eq!(accept & !exact, 0, "quant accept disagrees with f64 path");
                 debug_assert_eq!(reject & exact, 0, "quant reject disagrees with f64 path");
                 return exact;
             }
-            // Sparse band: settle each uncertain lane with the row-wise
-            // reference dot (the definition of the exact answer).
-            let mut mask = accept;
-            let mut b = band;
-            while b != 0 {
-                let l = b.trailing_zeros();
-                let id = seg.first + l;
-                if query.satisfies_dot(dot_slices(query.a(), table.row(id))) {
-                    mask |= 1u64 << l;
-                }
-                b &= b - 1;
-            }
-            mask
+            // Sparse band: settle each uncertain lane on its row.
+            accept | rowwise_mask(query, table, first, band)
         }
     }
 }
 
-/// Inequality-query II verification: serial blocked kernel, or chunked
-/// across `exec.threads` workers when the candidate count crosses
-/// `exec.parallel_verify_threshold`. Output order is ascending-id either
-/// way (see module docs).
-pub(crate) fn verify_ids(
+/// Inequality-query II verification of a bitmap window (see
+/// [`verify_mask_blocked`]): serial, or split on word boundaries across
+/// `exec.threads` workers when the `candidates` count crosses
+/// `exec.parallel_verify_threshold`. Per-chunk matches are concatenated in
+/// chunk order, so the output is ascending-id either way (see module
+/// docs).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn verify_mask(
     query: &InequalityQuery,
     table: &FeatureTable,
-    ids: &[PointId],
+    words: &[u64],
+    first_word: usize,
+    candidates: usize,
+    settle: &(impl Fn(usize, u64) -> (u64, u64) + Sync),
     exec: &ExecutionConfig,
     out: &mut Vec<PointId>,
-) -> QuantFilterStats {
-    if exec.is_parallel() && ids.len() >= exec.parallel_verify_threshold.max(2) {
-        let workers = exec.threads.min(ids.len());
-        let per_chunk = map_chunks(ids, workers, |chunk| {
-            let mut local_out = Vec::with_capacity(chunk.len());
-            let stats = verify_ids_blocked(query, table, chunk, &mut local_out);
-            (local_out, stats)
-        });
-        let mut stats = QuantFilterStats::default();
-        for (part, part_stats) in per_chunk {
-            out.extend_from_slice(&part);
-            stats.merge(&part_stats);
-        }
-        stats
-    } else {
-        verify_ids_blocked(query, table, ids, out)
+) -> (usize, QuantFilterStats) {
+    if !(exec.is_parallel() && candidates >= exec.parallel_verify_threshold.max(2)) {
+        return verify_mask_blocked(query, table, words, first_word, settle, out);
     }
+    let workers = exec.threads.min(words.len());
+    let per_chunk = map_chunks(words, workers, |start, chunk| {
+        let mut local = Vec::new();
+        let counts =
+            verify_mask_blocked(query, table, chunk, first_word + start, settle, &mut local);
+        (local, counts)
+    });
+    let (mut verified, mut stats) = (0, QuantFilterStats::default());
+    for (part, (part_verified, part_stats)) in per_chunk {
+        out.extend_from_slice(&part);
+        verified += part_verified;
+        stats.merge(&part_stats);
+    }
+    (verified, stats)
 }
 
-/// Top-k II verification over ascending-sorted candidate ids: blocked
-/// scalar products feed the top-k buffer serially, or per-chunk buffers are
-/// merged when the candidate count crosses the threshold. Buffer contents
-/// are arrival-order independent, so both paths yield identical results.
+/// Top-k II verification of a bitmap window: each word's candidates that
+/// `settle(w, cand)` proves to violate the query are dropped (proven
+/// satisfying ones still need their distance), and the rest feed the top-k
+/// buffer serially, or per-chunk buffers (split on word boundaries) are
+/// merged when the `candidates` count crosses the threshold. Buffer
+/// contents are arrival-order independent, so both paths yield identical
+/// results. Returns the number of candidates verified.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn verify_top_k(
     query: &InequalityQuery,
     table: &FeatureTable,
-    ids: &[PointId],
-    k: usize,
+    words: &[u64],
+    first_word: usize,
+    candidates: usize,
+    settle: &(impl Fn(usize, u64) -> (u64, u64) + Sync),
     exec: &ExecutionConfig,
     dots: &mut Vec<f64>,
     buffer: &mut TopKBuffer,
-) {
-    if exec.is_parallel() && ids.len() >= exec.parallel_verify_threshold.max(2) {
-        let workers = exec.threads.min(ids.len());
-        let per_chunk = map_chunks(ids, workers, |chunk| {
-            let mut local_dots = Vec::new();
-            let mut local_buf = TopKBuffer::new(k);
-            verify_top_k_blocked(query, table, chunk, &mut local_dots, &mut local_buf);
-            local_buf
-        });
-        for part in per_chunk {
-            buffer.merge(part);
-        }
-    } else {
-        verify_top_k_blocked(query, table, ids, dots, buffer);
+) -> usize {
+    if !(exec.is_parallel() && candidates >= exec.parallel_verify_threshold.max(2)) {
+        return verify_top_k_blocked(query, table, words, first_word, settle, dots, buffer);
     }
+    let k = buffer.k();
+    let workers = exec.threads.min(words.len());
+    let per_chunk = map_chunks(words, workers, |start, chunk| {
+        let (mut local_dots, mut local_buf) = (Vec::new(), TopKBuffer::new(k));
+        let verified = verify_top_k_blocked(
+            query,
+            table,
+            chunk,
+            first_word + start,
+            settle,
+            &mut local_dots,
+            &mut local_buf,
+        );
+        (local_buf, verified)
+    });
+    let mut verified = 0;
+    for (part, part_verified) in per_chunk {
+        buffer.merge(part);
+        verified += part_verified;
+    }
+    verified
 }
 
-/// Serial blocked top-k verification of one id run list. Unlike the
-/// inequality path, top-k ranking needs the raw scalar products, so runs go
-/// through [`dot_block_cols`] into the `dots` scratch (at most
-/// [`BLOCK_ROWS`] entries per segment).
+/// Serial blocked top-k verification of a bitmap window. Unlike the
+/// inequality path, top-k ranking needs the raw scalar products: a block
+/// with at least [`QUANT_MIN_SEGMENT_LANES`] candidates computes all of
+/// them with one [`dot_block_cols`] into the `dots` scratch, a sparser
+/// block one [`dot_slices`] per candidate row. Both are bit-identical to
+/// the row-at-a-time product (see module docs).
 fn verify_top_k_blocked(
     query: &InequalityQuery,
     table: &FeatureTable,
-    ids: &[PointId],
+    words: &[u64],
+    first_word: usize,
+    settle: &impl Fn(usize, u64) -> (u64, u64),
     dots: &mut Vec<f64>,
     buffer: &mut TopKBuffer,
-) {
-    let cols = table.columns();
-    let stride = cols.stride();
-    let mut s = 0;
-    while s < ids.len() {
-        let first = ids[s];
-        let mut e = s + 1;
-        while e < ids.len() && ids[e] == first + (e - s) as PointId {
-            e += 1;
+) -> usize {
+    dots.resize(BLOCK_ROWS, 0.0);
+    let mut verified = 0;
+    for (i, &cand) in words.iter().enumerate() {
+        if cand == 0 {
+            continue;
         }
-        let run = (e - s) as PointId;
-        for seg in cols.segments(first, first + run) {
-            dots.resize(seg.lanes, 0.0);
-            dot_block_cols(query.a(), seg.cols, stride, &mut dots[..seg.lanes]);
-            for (i, &dot) in dots[..seg.lanes].iter().enumerate() {
-                if query.satisfies_dot(dot) {
-                    buffer.offer(query.distance_from_dot(dot), seg.first + i as PointId);
-                }
+        let w = first_word + i;
+        let todo = cand & !settle(w, cand).1;
+        let dense = todo.count_ones() as usize >= QUANT_MIN_SEGMENT_LANES;
+        verified += todo.count_ones() as usize;
+        let first = (w * BLOCK_ROWS) as PointId;
+        if dense {
+            let (_, lanes, seg) = block(table, w);
+            dot_block_cols(query.a(), seg.cols, BLOCK_ROWS, &mut dots[..lanes]);
+        }
+        let mut m = todo;
+        while m != 0 {
+            let l = m.trailing_zeros();
+            let dot = if dense {
+                dots[l as usize]
+            } else {
+                dot_slices(query.a(), table.row(first + l))
+            };
+            if query.satisfies_dot(dot) {
+                buffer.offer(query.distance_from_dot(dot), first + l);
             }
+            m &= m - 1;
         }
-        s = e;
     }
+    verified
 }
 
 /// Sharding plan for a batch of queries: how many workers a batch of
@@ -660,20 +686,95 @@ mod tests {
         assert!(!generous.expired());
     }
 
+    /// Candidate bitmap of `ids` over a table of `rows` rows.
+    fn bitmap(rows: usize, ids: &[PointId]) -> Vec<u64> {
+        let mut scratch = QueryScratch::new();
+        scratch.fill(rows, ids.iter().copied());
+        scratch.mask
+    }
+
+    #[test]
+    fn fill_sets_exactly_the_candidate_bits() {
+        let mut scratch = QueryScratch::new();
+        let words = scratch.fill(200, [130u32, 3, 64, 199].into_iter());
+        assert_eq!(words, 0..4);
+        assert_eq!(scratch.mask, vec![1 << 3, 1, 1 << 2, 1 << 7]);
+        // A refill starts from an empty set, whatever the last query left.
+        assert_eq!(scratch.fill(200, [70u32].into_iter()), 1..2);
+        assert_eq!(scratch.mask, vec![0, 1 << 6, 0, 0]);
+        assert!(scratch.fill(200, std::iter::empty()).is_empty());
+    }
+
     #[test]
     fn blocked_verification_matches_rowwise() {
+        // 500 rows: the last block is partial. Every third point (sparse
+        // blocks, runs of one lane) plus a contiguous tail (dense blocks).
         let t = table(500);
         let q = query();
-        // Non-contiguous ids: every third point, plus a contiguous tail.
         let ids: Vec<PointId> = (0..500u32).filter(|i| i % 3 == 0 || *i > 400).collect();
-        let mut expected = Vec::new();
-        for &id in &ids {
-            if q.satisfies(t.row(id)) {
-                expected.push(id);
-            }
-        }
+        let expected: Vec<PointId> = ids
+            .iter()
+            .copied()
+            .filter(|&id| q.satisfies(t.row(id)))
+            .collect();
         let mut got = Vec::new();
-        verify_ids_blocked(&q, &t, &ids, &mut got);
+        let (verified, _) =
+            verify_mask_blocked(&q, &t, &bitmap(500, &ids), 0, &|_, _| (0, 0), &mut got);
+        assert_eq!(got, expected);
+        assert_eq!(verified, ids.len());
+    }
+
+    #[test]
+    fn settled_lanes_skip_verification() {
+        let t = table(300);
+        let q = query();
+        let ids: Vec<PointId> = (0..300).collect();
+        // Settle lane 0 of every block as accepted and lane 1 as rejected,
+        // whatever their rows say.
+        let settle = |_: usize, cand: u64| (cand & 1, cand & 2);
+        let mut got = Vec::new();
+        let (verified, _) = verify_mask_blocked(&q, &t, &bitmap(300, &ids), 0, &settle, &mut got);
+        let expected: Vec<PointId> = ids
+            .iter()
+            .copied()
+            .filter(|&id| match id % 64 {
+                0 => true,
+                1 => false,
+                _ => q.satisfies(t.row(id)),
+            })
+            .collect();
+        assert_eq!(got, expected);
+        assert_eq!(verified, 300 - 2 * 5);
+    }
+
+    #[test]
+    fn quant_lanes_count_candidate_lanes_only() {
+        let mut t = table(1000);
+        t.set_quant_policy(crate::quant::QuantPolicy::tier(
+            crate::quant::QuantTier::I16,
+        ));
+        let q = query();
+        // Dense blocks with holes (4 of every 5 rows), sparse blocks (every
+        // ninth row) and a partial last block.
+        let ids: Vec<PointId> = (0..1000u32)
+            .filter(|i| if *i < 500 { i % 5 != 0 } else { i % 9 == 0 })
+            .collect();
+        let mut got = Vec::new();
+        let (verified, stats) =
+            verify_mask_blocked(&q, &t, &bitmap(1000, &ids), 0, &|_, _| (0, 0), &mut got);
+        assert_eq!(stats.tier, crate::quant::QuantTier::I16);
+        assert_eq!(verified, ids.len());
+        assert_eq!(stats.lanes, ids.len(), "{stats:?}");
+        assert_eq!(
+            stats.accepted + stats.rejected + stats.reverified + stats.fallback,
+            stats.lanes,
+            "every candidate lane is accounted for once: {stats:?}"
+        );
+        let expected: Vec<PointId> = ids
+            .iter()
+            .copied()
+            .filter(|&id| q.satisfies(t.row(id)))
+            .collect();
         assert_eq!(got, expected);
     }
 
@@ -681,14 +782,25 @@ mod tests {
     fn parallel_verification_is_identical_to_serial() {
         let t = table(2000);
         let q = query();
-        let ids: Vec<PointId> = (0..2000u32).collect();
+        let ids: Vec<PointId> = (0..2000u32).filter(|i| i % 7 != 3).collect();
+        let words = bitmap(2000, &ids);
         let mut serial = Vec::new();
-        verify_ids_blocked(&q, &t, &ids, &mut serial);
-        for threads in [2, 3, 8] {
+        let serial_counts = verify_mask_blocked(&q, &t, &words, 0, &|_, _| (0, 0), &mut serial);
+        for threads in [2, 3, 8, 64] {
             let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
             let mut out = Vec::new();
-            verify_ids(&q, &t, &ids, &exec, &mut out);
+            let counts = verify_mask(
+                &q,
+                &t,
+                &words,
+                0,
+                ids.len(),
+                &|_, _| (0, 0),
+                &exec,
+                &mut out,
+            );
             assert_eq!(out, serial, "threads={threads}");
+            assert_eq!(counts, serial_counts, "threads={threads}");
         }
     }
 
@@ -696,31 +808,56 @@ mod tests {
     fn parallel_top_k_is_identical_to_serial() {
         let t = table(2000);
         let q = query();
-        let ids: Vec<PointId> = (0..2000u32).collect();
+        let ids: Vec<PointId> = (0..2000u32).filter(|i| i % 11 != 4).collect();
+        let words = bitmap(2000, &ids);
         let mut dots = Vec::new();
         let mut serial_buf = TopKBuffer::new(7);
-        verify_top_k(
+        let serial_verified = verify_top_k(
             &q,
             &t,
-            &ids,
-            7,
+            &words,
+            0,
+            ids.len(),
+            &|_, _| (0, 0),
             &ExecutionConfig::serial(),
             &mut dots,
             &mut serial_buf,
         );
+        assert_eq!(serial_verified, ids.len());
         let serial = serial_buf.into_sorted();
+        let mut want = TopKBuffer::new(7);
+        for &id in &ids {
+            if q.satisfies(t.row(id)) {
+                want.offer(q.distance(t.row(id)), id);
+            }
+        }
+        assert_eq!(serial, want.into_sorted());
         for threads in [2, 5] {
             let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
             let mut buf = TopKBuffer::new(7);
-            verify_top_k(&q, &t, &ids, 7, &exec, &mut dots, &mut buf);
+            let verified = verify_top_k(
+                &q,
+                &t,
+                &words,
+                0,
+                ids.len(),
+                &|_, _| (0, 0),
+                &exec,
+                &mut dots,
+                &mut buf,
+            );
             assert_eq!(buf.into_sorted(), serial, "threads={threads}");
+            assert_eq!(verified, serial_verified);
         }
     }
 
     #[test]
     fn map_chunks_preserves_chunk_order() {
         let items: Vec<u32> = (0..97).collect();
-        let parts = map_chunks(&items, 4, |c| c.to_vec());
+        let parts = map_chunks(&items, 4, |start, c| {
+            assert_eq!(c[0], start as u32, "start is the chunk's offset");
+            c.to_vec()
+        });
         let flat: Vec<u32> = parts.into_iter().flatten().collect();
         assert_eq!(flat, items);
     }
@@ -781,27 +918,5 @@ mod tests {
         assert_eq!(err, PlanarError::Internal("poisoned query".into()));
         let err = run_isolated(|| -> u32 { panic!("{} {}", "formatted", 7) }).unwrap_err();
         assert_eq!(err, PlanarError::Internal("formatted 7".into()));
-    }
-
-    #[test]
-    fn scratch_pool_recycles_warmed_buffers() {
-        let pool = ScratchPool::with_capacity(2, 64);
-        assert_eq!(pool.idle(), 2);
-        let mut a = pool.take();
-        let b = pool.take();
-        let c = pool.take(); // pool empty: freshly created
-        assert_eq!(pool.idle(), 0);
-        a.ids.reserve(1024);
-        let warmed = a.ids.capacity();
-        pool.put(a);
-        pool.put(b);
-        pool.put(c);
-        assert_eq!(pool.idle(), 3);
-        // LIFO: the most recently returned scratch comes back first…
-        let _c = pool.take();
-        let _b = pool.take();
-        let a = pool.take();
-        // …and the grown buffer kept its high-water-mark capacity.
-        assert!(a.ids.capacity() >= warmed);
     }
 }

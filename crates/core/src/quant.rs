@@ -404,7 +404,9 @@ pub(crate) enum BlockClass {
 /// Per-query classification driver: folds the query into per-block `f32`
 /// weights and outward-rounded thresholds, then dispatches the fused
 /// kernels. Create once per (query, table) pair; `classify` is called per
-/// [`crate::table::ColSegment`].
+/// block, at most once per block and query: the verification walk visits
+/// the candidate bitmap one block at a time, so a fold is never reused and
+/// none is cached.
 pub(crate) struct QuantFilter<'a> {
     q: &'a QuantizedColumns,
     a: &'a [f64],
@@ -412,11 +414,6 @@ pub(crate) struct QuantFilter<'a> {
     leq: bool,
     /// Scratch: per-dimension `f32` weights for the current block.
     w: Vec<f32>,
-    /// Fold cache: `(block, t_lo, t_hi)` of the block `w` currently holds.
-    /// Sorted candidate ids revisit the same block in consecutive short
-    /// runs, so caching the fold makes the per-segment setup O(1) after
-    /// the first run instead of O(dim) every time.
-    folded: Option<(usize, f32, f32)>,
 }
 
 impl<'a> QuantFilter<'a> {
@@ -427,7 +424,6 @@ impl<'a> QuantFilter<'a> {
             b: query.b(),
             leq: query.cmp() == Cmp::Leq,
             w: vec![0.0; query.a().len()],
-            folded: None,
         }
     }
 
@@ -441,12 +437,8 @@ impl<'a> QuantFilter<'a> {
         if self.q.fallback[block] {
             return BlockClass::Fallback;
         }
-        let (t_lo, t_hi) = match self.folded {
-            Some((b, lo, hi)) if b == block => (lo, hi),
-            _ => match self.fold(block) {
-                Some(bounds) => bounds,
-                None => return BlockClass::Fallback,
-            },
+        let Some((t_lo, t_hi)) = self.fold(block) else {
+            return BlockClass::Fallback;
         };
 
         let base = block * dim * BLOCK_ROWS + shift;
@@ -467,9 +459,9 @@ impl<'a> QuantFilter<'a> {
         }
     }
 
-    /// Fold the query into `block`'s decode, filling `self.w` and the fold
-    /// cache. Returns the outward-rounded thresholds, or `None` when the
-    /// fold is numerically unsafe (the caller must take the exact path).
+    /// Fold the query into `block`'s decode, filling `self.w`. Returns the
+    /// outward-rounded thresholds, or `None` when the fold is numerically
+    /// unsafe (the caller must take the exact path).
     fn fold(&mut self, block: usize) -> Option<(f32, f32)> {
         let dim = self.a.len();
         let scales = &self.q.scales[block * dim..(block + 1) * dim];
@@ -514,7 +506,6 @@ impl<'a> QuantFilter<'a> {
             // reject ⇐ D < −E − bias; accept ⇐ D ≥ E − bias.
             (f32_strictly_below(-e - bias), f32_at_least(e - bias))
         };
-        self.folded = Some((block, t_lo, t_hi));
         Some((t_lo, t_hi))
     }
 }

@@ -79,6 +79,11 @@ impl TopKBuffer {
         self.heap.peek().map(|c| c.dist)
     }
 
+    /// The buffer's capacity `k`.
+    pub(crate) fn k(&self) -> usize {
+        self.k
+    }
+
     /// Fold another buffer's candidates into this one. Because the buffer
     /// keeps the `k` smallest candidates under the total `(dist, id)`
     /// order, merging per-chunk buffers yields exactly the buffer a single

@@ -806,7 +806,7 @@ impl<S: KeyStore> ShardedIndexSet<S> {
             return self.shards.iter().map(|sh| f(sh, &inner)).collect();
         }
         let shard_refs: Vec<&PlanarIndexSet<S>> = self.shards.iter().collect();
-        parallel::map_chunks(&shard_refs, workers, |chunk| {
+        parallel::map_chunks(&shard_refs, workers, |_, chunk| {
             chunk.iter().map(|sh| f(sh, &inner)).collect::<Vec<_>>()
         })
         .into_iter()

@@ -7,8 +7,8 @@
 //! precision tradeoff.
 
 use planar_core::{
-    Cmp, Domain, FeatureTable, IndexConfig, InequalityQuery, ParameterDomain, PlanarIndexSet,
-    QuantPolicy, QuantTier, TopKQuery, VecStore,
+    Cmp, Domain, ExecutionConfig, FeatureTable, IndexConfig, InequalityQuery, ParameterDomain,
+    PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, TopKQuery, VecStore,
 };
 use planar_core::{
     ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet, ShardConfig,
@@ -259,6 +259,59 @@ fn assert_same_answers(
     }
 }
 
+/// The scenario's rows tiled `copies` times, each copy scaled by a
+/// slightly different factor (same octant), so the table spans several
+/// 64-row blocks and intermediate intervals fill whole blocks densely —
+/// the whole-block classify path — as well as sparsely.
+fn tiled(s: &Scenario, copies: usize) -> Scenario {
+    let mut t = s.clone();
+    t.rows = (0..copies)
+        .flat_map(|c| {
+            s.rows
+                .iter()
+                .map(move |row| row.iter().map(|v| v * (1.0 + 0.01 * c as f64)).collect())
+        })
+        .collect();
+    t
+}
+
+/// Block-mask verification under the quantized tier: the planar twins
+/// answer identically for every thread count (chunks split the candidate
+/// bitmap on word boundaries) and pruning setting, and the filter counts
+/// exactly the verified candidate lanes.
+fn assert_same_block_answers(
+    plain: &PlanarIndexSet<VecStore>,
+    quant: &PlanarIndexSet<VecStore>,
+    s: &Scenario,
+) {
+    for threads in [1, 2, 3] {
+        for pruning in [true, false] {
+            let exec = ExecutionConfig::with_threads(threads)
+                .verify_threshold(1)
+                .intersect_pruning(pruning)
+                .intersect_min_candidates(1);
+            let mut scratch = QueryScratch::new();
+            for q in ineq_queries(s) {
+                let p = plain.query_with(&q, &exec, &mut scratch).unwrap();
+                let x = quant.query_with(&q, &exec, &mut scratch).unwrap();
+                assert_eq!(p.matches, x.matches, "threads={threads} pruning={pruning}");
+                assert_eq!(p.stats.verified, x.stats.verified);
+                if x.stats.quant.tier != QuantTier::Off {
+                    assert_eq!(x.stats.quant.lanes, x.stats.verified, "{:?}", x.stats);
+                }
+                let k = TopKQuery::new(q, s.k).unwrap();
+                let pt = plain.top_k_with(&k, &exec, &mut scratch).unwrap();
+                let xt = quant.top_k_with(&k, &exec, &mut scratch).unwrap();
+                assert_eq!(pt.neighbors.len(), xt.neighbors.len());
+                for (a, b) in pt.neighbors.iter().zip(&xt.neighbors) {
+                    assert_eq!(a.0, b.0);
+                    assert_eq!(a.1.to_bits(), b.1.to_bits());
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -466,5 +519,24 @@ proptest! {
         // re-publishes; whatever tier it picks, answers must hold.
         quant.retune_quantization(&planar_core::QuantAutotuneConfig::default());
         check("post-retune");
+    }
+
+    /// Multi-block planar twins, before and after mutations that leave
+    /// tombstones inside candidate blocks: quantized ≡ unquantized through
+    /// the block-mask path for every thread count and pruning setting.
+    #[test]
+    fn quantized_block_masks_equal_unquantized(s in scenario(), copies in 2..6usize) {
+        let s = tiled(&s, copies);
+        let plain = build_planar(&s);
+        let mut quant = build_planar(&s);
+        quant.set_quant_policy(s.policy);
+        assert_same_block_answers(&plain, &quant, &s);
+
+        let mut plain = plain;
+        for op in &s.ops {
+            apply_planar(&mut plain, op);
+            apply_planar(&mut quant, op);
+        }
+        assert_same_block_answers(&plain, &quant, &s);
     }
 }

@@ -4,12 +4,17 @@
 //! agree bit-for-bit with the row-major layout — same gathered rows, same
 //! fused compare masks — and (2) intersection pruning must never change an
 //! answer, only shrink the verified set, for inequality and top-k queries
-//! alike.
+//! alike; (3) the block-mask verification path (candidate bitmap, whole-
+//! block passes for dense blocks, per-run passes for sparse ones) returns
+//! exactly the `SeqScan` answer in the canonical match order, for every
+//! store, quantized tier, pruning setting, and thread count.
 
+use planar_core::table::PointId;
 use planar_core::{BPlusTree, EytzingerStore, VecStore};
 use planar_core::{
-    Cmp, Domain, ExecutionConfig, FeatureTable, IndexConfig, InequalityQuery, KeyStore,
-    ParameterDomain, PlanarIndexSet, QueryScratch, TopKQuery,
+    Cmp, Domain, ExecutionConfig, ExecutionPath, FeatureTable, IndexConfig, InequalityQuery,
+    KeyStore, ParameterDomain, PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, SeqScan,
+    TopKQuery,
 };
 use planar_geom::{dot_cmp_block, dot_slices};
 use proptest::prelude::*;
@@ -174,6 +179,208 @@ fn check_top_k_pruning<S: KeyStore>(s: &Scenario) {
     }
 }
 
+/// A workload for the block-mask verification path: several 64-row blocks
+/// and a partial last one, values clustered so the intermediate intervals
+/// fill some blocks densely (≥ 16 candidates) and others sparsely, and a
+/// deletion pattern that leaves tombstones inside candidate blocks. Some
+/// blocks repeat one row 64 times and some query hyperplanes pass through a
+/// data row, so whole blocks can fall into the quantized filter's
+/// uncertainty band (and top-k distances tie).
+#[derive(Debug, Clone)]
+struct BlockScenario {
+    dim: usize,
+    rows: Vec<Vec<f64>>,
+    /// Row `i` is deleted when bit `i % 64` is set (applied after build).
+    delete_mask: u64,
+    queries: Vec<(Vec<f64>, f64, Cmp)>,
+    budget: usize,
+    k: usize,
+}
+
+fn block_scenario() -> impl Strategy<Value = BlockScenario> {
+    (1..=4usize)
+        .prop_flat_map(|dim| {
+            (
+                Just(dim),
+                // 64·blocks + tail rows: never a multiple of 64.
+                (0..5usize, 1..64usize),
+                any::<u64>(),
+                any::<u64>(),
+                prop::collection::vec(
+                    (
+                        prop::collection::vec(0.1..10.0_f64, dim),
+                        0.1..0.9_f64,
+                        any::<usize>(),
+                        any::<bool>(),
+                    ),
+                    1..6,
+                ),
+                1..5usize,
+                1..12usize,
+            )
+        })
+        .prop_map(|(dim, (blocks, tail), seed, delete_mask, raw, budget, k)| {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            // Rows jitter around per-block centres, so the rows of one
+            // block tend to land in the same interval together; a quarter
+            // of the blocks are one row repeated.
+            let n = 64 * blocks + tail;
+            let (mut centre, mut jitter) = (Vec::new(), 0.0);
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    if i % 64 == 0 {
+                        centre = (0..dim).map(|_| next() * 80.0).collect();
+                        jitter = if next() < 0.25 { 0.0 } else { 20.0 };
+                    }
+                    centre.iter().map(|&c| c + jitter * next()).collect()
+                })
+                .collect();
+            // Sparse deletions: at most a quarter of each block's lanes.
+            let delete_mask = delete_mask & (delete_mask >> 1);
+            let queries = raw
+                .into_iter()
+                .map(|(a, frac, pick, leq)| {
+                    // Half the hyperplanes pass exactly through a row.
+                    let b = if pick % 2 == 0 {
+                        dot_slices(&a, &rows[pick / 2 % n])
+                    } else {
+                        frac * a.iter().sum::<f64>() * 100.0
+                    };
+                    (a, b, if leq { Cmp::Leq } else { Cmp::Geq })
+                })
+                .collect();
+            BlockScenario {
+                dim,
+                rows,
+                delete_mask,
+                queries,
+                budget,
+                k,
+            }
+        })
+}
+
+/// Every verification configuration the block-mask path must be neutral
+/// to: threads 1/2/3 (with the chunking threshold at 1, so chunks split the
+/// bitmap on word boundaries) × intersection pruning on/off.
+fn block_configs() -> Vec<ExecutionConfig> {
+    let mut out = Vec::new();
+    for threads in [1, 2, 3] {
+        let base = ExecutionConfig::with_threads(threads).verify_threshold(1);
+        out.push(base.intersect_min_candidates(1));
+        out.push(base.intersect_pruning(false));
+    }
+    out
+}
+
+/// The canonical match order of an indexed answer: the chosen index's
+/// wholesale-accepted interval in key order, then the intermediate
+/// interval's matches in ascending id order.
+fn canonical<S: KeyStore>(
+    set: &PlanarIndexSet<S>,
+    q: &InequalityQuery,
+    pos: usize,
+    smaller: usize,
+    intermediate: usize,
+) -> Vec<PointId> {
+    let idx = set.index_at(pos).unwrap();
+    let (j_min, j_max) = (smaller, smaller + intermediate);
+    let mut out: Vec<PointId> = match q.cmp() {
+        Cmp::Leq => idx.ids_in(0, j_min).collect(),
+        Cmp::Geq => idx.ids_in(j_max, idx.len()).collect(),
+    };
+    let mut ii: Vec<PointId> = idx
+        .ids_in(j_min, j_max)
+        .filter(|&id| q.satisfies(set.table().row(id)))
+        .collect();
+    ii.sort_unstable();
+    out.extend(ii);
+    out
+}
+
+/// Top-k answers: `(id, distance)` ascending by `(distance, id)`.
+type Neighbors = Vec<(PointId, f64)>;
+
+fn check_block_masks<S: KeyStore>(s: &BlockScenario) {
+    let table = FeatureTable::from_rows(s.dim, s.rows.clone()).unwrap();
+    let domain = ParameterDomain::uniform_continuous(s.dim, 0.1, 10.0).unwrap();
+    let mut set: PlanarIndexSet<S> =
+        PlanarIndexSet::build(table, domain, IndexConfig::with_budget(s.budget)).unwrap();
+    for id in 0..s.rows.len() {
+        if s.delete_mask & (1 << (id % 64)) != 0 {
+            set.delete_point(id as PointId).unwrap();
+        }
+    }
+    let queries: Vec<InequalityQuery> = s
+        .queries
+        .iter()
+        .map(|(a, b, cmp)| InequalityQuery::new(a.clone(), *cmp, *b).unwrap())
+        .collect();
+    // Oracle answers over the live rows: ascending ids, and the k nearest
+    // satisfying rows by (distance, id).
+    let scan = SeqScan::new(set.table());
+    let oracle: Vec<(Vec<PointId>, Neighbors)> = queries
+        .iter()
+        .map(|q| {
+            let want: Vec<PointId> = scan
+                .evaluate(q)
+                .unwrap()
+                .into_iter()
+                .filter(|&id| set.is_live(id))
+                .collect();
+            let mut top: Neighbors = want
+                .iter()
+                .map(|&id| (id, q.distance(set.table().row(id))))
+                .collect();
+            top.sort_by(|x, y| x.1.total_cmp(&y.1).then(x.0.cmp(&y.0)));
+            top.truncate(s.k);
+            (want, top)
+        })
+        .collect();
+    for tier in [QuantTier::Off, QuantTier::I8, QuantTier::I16] {
+        set.set_quant_policy(QuantPolicy::tier(tier));
+        for (q, (want, want_top)) in queries.iter().zip(&oracle) {
+            let top_q = TopKQuery::new(q.clone(), s.k).unwrap();
+            for exec in block_configs() {
+                let mut scratch = QueryScratch::new();
+                let got = set.query_with(q, &exec, &mut scratch).unwrap();
+                let mut sorted = got.matches.clone();
+                sorted.sort_unstable();
+                assert_eq!(&sorted, want, "{tier:?} {exec:?}");
+                let st = &got.stats;
+                if let ExecutionPath::Index { index } = st.path {
+                    assert_eq!(
+                        got.matches,
+                        canonical(&set, q, index, st.smaller, st.intermediate),
+                        "canonical order, {tier:?} {exec:?}"
+                    );
+                    assert_eq!(st.verified + st.intersect_pruned, st.intermediate);
+                } else {
+                    assert_eq!(&got.matches, want, "scan order, {tier:?} {exec:?}");
+                }
+                if tier == QuantTier::Off {
+                    assert_eq!(st.quant.lanes, 0);
+                } else {
+                    assert_eq!(st.quant.lanes, st.verified, "{tier:?} {exec:?}");
+                }
+
+                let top = set.top_k_with(&top_q, &exec, &mut scratch).unwrap();
+                assert_eq!(top.neighbors.len(), want_top.len(), "{tier:?} {exec:?}");
+                for (g, w) in top.neighbors.iter().zip(want_top) {
+                    assert_eq!(g.0, w.0, "{tier:?} {exec:?}");
+                    assert_eq!(g.1.to_bits(), w.1.to_bits(), "{tier:?} {exec:?}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -241,5 +448,23 @@ proptest! {
     #[test]
     fn pruned_top_k_equals_unpruned_eytzinger(s in scenario()) {
         check_top_k_pruning::<EytzingerStore>(&s);
+    }
+
+    /// The block-mask path equals `SeqScan` (canonical order, bit-exact
+    /// top-k) on every store, quantized tier, pruning setting, and thread
+    /// count, with tombstones inside candidate blocks.
+    #[test]
+    fn block_masks_equal_scan_vec_store(s in block_scenario()) {
+        check_block_masks::<VecStore>(&s);
+    }
+
+    #[test]
+    fn block_masks_equal_scan_bplus_tree(s in block_scenario()) {
+        check_block_masks::<BPlusTree>(&s);
+    }
+
+    #[test]
+    fn block_masks_equal_scan_eytzinger(s in block_scenario()) {
+        check_block_masks::<EytzingerStore>(&s);
     }
 }

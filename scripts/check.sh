@@ -45,6 +45,9 @@ PLANAR_FORCE_PORTABLE=1 cargo test -p planar-core -q --test quant_proptests
 echo "== serving suite (loopback wire round trips, coalescing identity, overload) =="
 cargo test -p planar-serve -q
 
+echo "== benchmark smoke (every workload at n = 20k: served ≡ direct ≡ SeqScan) =="
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== planar-core unit tests with fault injection compiled in =="
 cargo test -p planar-core -q --features fault-injection --lib
 

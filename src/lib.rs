@@ -48,7 +48,7 @@ pub mod prelude {
         FailoverConfig, FeatureMap, FeatureTable, FnFeatureMap, FsyncPolicy, IdentityMap,
         IndexConfig, InequalityQuery, Mutation, MutationAck, ParameterDomain, PartitionScheme,
         PlanarIndexSet, Primary, QuantAutotuneConfig, QuantPolicy, QuantTier, QueryScratch,
-        ReadConsistency, Replica, ScratchPool, SelectionStrategy, SeqScan, ServedBy, ShardConfig,
+        ReadConsistency, Replica, SelectionStrategy, SeqScan, ServedBy, ShardConfig,
         ShardedIndexSet, ShardedQueryOutcome, TopKQuery, VecStore, WalOptions,
     };
     pub use planar_geom::{Hyperplane, Normalizer, Octant, Vector};

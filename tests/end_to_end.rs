@@ -120,3 +120,57 @@ fn dynamic_workload_over_synthetic_data() {
         assert_eq!(indexed, scanned);
     }
 }
+
+#[test]
+fn sharded_quantized_block_masks_equal_scan() {
+    // The served configuration at small scale: a 4-shard pilot-key-range
+    // engine retuned to the I16 quantized tier, so Eq. 18 queries verify
+    // their intermediate intervals through the per-block candidate masks
+    // and the whole-block quantized classify.
+    let (dim, rq) = (8, 4);
+    let table = SyntheticConfig::paper(SyntheticKind::Independent, 20_000, dim).generate();
+    let scan_table = table.clone();
+    let mut set = ShardedIndexSet::<VecStore>::build(
+        table,
+        eq18_domain(dim, rq),
+        IndexConfig::with_budget(16),
+        ShardConfig::pilot_key_range(4),
+    )
+    .expect("build");
+    for policy in set.retune_quantization(&QuantAutotuneConfig::default()) {
+        assert_eq!(policy.tier, QuantTier::I16);
+    }
+    let scan = SeqScan::new(&scan_table);
+    let queries = Eq18Generator::new(&scan_table, rq, 5)
+        .with_inequality_parameter(0.25)
+        .queries(24);
+    let mut filtered = 0;
+    for exec in [
+        ExecutionConfig::serial(),
+        ExecutionConfig::with_threads(2).verify_threshold(1),
+    ] {
+        let mut scratch = QueryScratch::new();
+        for q in &queries {
+            let out = set.query_with(q, &exec, &mut scratch).expect("query");
+            assert_eq!(out.sorted_ids(), scan.evaluate(q).expect("scan"));
+            let stats = out.merged_stats();
+            assert_eq!(stats.quant.lanes, stats.verified);
+            filtered += stats.quant.lanes - stats.quant.fallback;
+            let tk = TopKQuery::new(q.clone(), 10).expect("k");
+            assert_eq!(
+                set.top_k_with(&tk, &exec, &mut scratch)
+                    .expect("top_k")
+                    .neighbors,
+                scan.top_k(&tk).expect("scan top_k")
+            );
+        }
+        let batch = set.query_batch(&queries, &exec).expect("batch");
+        for (out, q) in batch.iter().zip(&queries) {
+            assert_eq!(out.sorted_ids(), scan.evaluate(q).expect("scan"));
+        }
+    }
+    assert!(
+        filtered > 0,
+        "the quantized filter must classify some lanes"
+    );
+}
