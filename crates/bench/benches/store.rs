@@ -2,7 +2,7 @@
 //! B+-tree (rank queries, scans, point updates).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use planar_core::store::{BPlusTree, Entry, EytzingerStore, KeyStore, VecStore};
+use planar_core::store::{BPlusTree, Entry, KeyStore, VecStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -35,14 +35,6 @@ fn bench_rank(c: &mut Criterion) {
         b.iter(|| {
             j = (j + 1) % thresholds.len();
             black_box(tree.rank_leq(thresholds[j]))
-        })
-    });
-    let eytzinger = EytzingerStore::build(entries(N));
-    let mut l = 0;
-    group.bench_function(BenchmarkId::new("rank_leq", "eytzinger"), |b| {
-        b.iter(|| {
-            l = (l + 1) % thresholds.len();
-            black_box(eytzinger.rank_leq(thresholds[l]))
         })
     });
     group.finish();

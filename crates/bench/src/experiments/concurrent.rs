@@ -24,12 +24,13 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use crate::report::{ms, Table};
+use crate::report::{self, ms, Table};
 use crate::{time_ms, Config};
 use planar_core::fault::TempDir;
+use planar_core::stats::json_array;
 use planar_core::{
     ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ExecutionConfig, FsyncPolicy, IndexConfig,
-    InequalityQuery, ShardConfig, ShardedIndexSet, VecStore, WalOptions,
+    InequalityQuery, JsonObject, ShardConfig, ShardedIndexSet, VecStore, WalOptions,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
@@ -259,6 +260,31 @@ pub fn concurrent(cfg: &Config) {
     ]);
     t.print();
 
+    let group_commit = JsonObject::new()
+        .field_f64("single_writer_always_ms", single_always_ms)
+        .field_f64("single_writer_every_64_ms", single_every64_ms)
+        .field_f64("concurrent_every_64_ms", conc_every64_ms)
+        .field_raw(
+            "concurrent_always",
+            &json_array(gc_rows.iter().map(|r| {
+                JsonObject::new()
+                    .field_usize("threads", r.threads)
+                    .field_f64("total_ms", r.total_ms)
+                    .field_f64("per_mutation_us", r.total_ms * 1e3 / MUTATIONS as f64)
+                    .field_u64("fsyncs", r.fsyncs)
+                    .field_u64("max_group", r.max_group)
+                    .finish()
+            })),
+        )
+        .field_f64("best_always_vs_concurrent_every_64_ratio", gc_ratio)
+        .field_f64(
+            "best_always_vs_single_writer_every_64_ratio",
+            best_gc_ms / single_every64_ms,
+        )
+        .field_f64("target_ratio", GC_TARGET_RATIO)
+        .field_bool("pass", gc_pass)
+        .finish();
+
     // ── 2. Readers racing a writer ──────────────────────────────────────
     let mut generator =
         Eq18Generator::new(&base, RQ, cfg.seed ^ 0x0ead).with_inequality_parameter(0.2);
@@ -348,6 +374,28 @@ pub fn concurrent(cfg: &Config) {
     ]);
     t.print();
 
+    let readers = JsonObject::new()
+        .field_usize("reader_threads", READERS)
+        .field_u64("window_ms", READ_WINDOW_MS)
+        .field_u64("paced_writer_per_sec", PACED_WRITER_PER_SEC)
+        .field_f64("idle_reads_per_sec", idle_rps)
+        .field_f64("idle_p99_us", idle_p99)
+        .field_raw(
+            "racing",
+            &json_array(race_rows.iter().map(|r| {
+                JsonObject::new()
+                    .field_str("policy", r.policy)
+                    .field_f64("reads_per_sec", r.reads_per_sec)
+                    .field_f64("p99_us", r.p99_us)
+                    .field_f64("acked_mutations_per_sec", r.acked_per_sec)
+                    .field_f64("ratio_vs_idle", r.ratio_vs_idle)
+                    .finish()
+            })),
+        )
+        .field_f64("target_ratio", READ_TARGET_RATIO)
+        .field_bool("pass", read_pass)
+        .finish();
+
     // ── 3. Bit-identical batches ────────────────────────────────────────
     let snap = conc.snapshot();
     let exec = ExecutionConfig::with_threads(cfg.threads);
@@ -362,26 +410,17 @@ pub fn concurrent(cfg: &Config) {
         queries.len()
     );
 
-    let json = render_json(
-        cfg,
-        n,
-        single_always_ms,
-        single_every64_ms,
-        conc_every64_ms,
-        &gc_rows,
-        gc_ratio,
-        gc_pass,
-        idle_rps,
-        idle_p99,
-        &race_rows,
-        read_pass,
-        identical,
-    );
-    let path = "BENCH_concurrent.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[harness] wrote {path}"),
-        Err(e) => eprintln!("[harness] could not write {path}: {e}"),
-    }
+    report::write_json("concurrent", |doc| {
+        doc.field_usize("n", n)
+            .field_usize("dim", DIM)
+            .field_usize("budget", BUDGET)
+            .field_u64("seed", cfg.seed)
+            .field_usize("host_cpus", report::host_cpus())
+            .field_usize("mutations", MUTATIONS)
+            .field_raw("group_commit", &group_commit)
+            .field_raw("readers", &readers)
+            .field_bool("batch_bit_identical", identical)
+    });
 }
 
 /// Run `READERS` snapshot-reading threads for `READ_WINDOW_MS` against
@@ -461,92 +500,4 @@ fn read_window(
         percentile_us(&mut lat_us, 0.99),
         acked as f64 / elapsed_s,
     )
-}
-
-/// Hand-rolled JSON (the workspace has no serde).
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    cfg: &Config,
-    n: usize,
-    single_always_ms: f64,
-    single_every64_ms: f64,
-    conc_every64_ms: f64,
-    gc_rows: &[GcRow],
-    gc_ratio: f64,
-    gc_pass: bool,
-    idle_rps: f64,
-    idle_p99: f64,
-    race_rows: &[RaceRow],
-    read_pass: bool,
-    identical: bool,
-) -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"concurrent\",\n");
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str(&format!("  \"dim\": {DIM},\n"));
-    out.push_str(&format!("  \"budget\": {BUDGET},\n"));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"host_cpus\": {cpus},\n"));
-    out.push_str(&format!("  \"mutations\": {MUTATIONS},\n"));
-    out.push_str("  \"group_commit\": {\n");
-    out.push_str(&format!(
-        "    \"single_writer_always_ms\": {single_always_ms:.3},\n"
-    ));
-    out.push_str(&format!(
-        "    \"single_writer_every_64_ms\": {single_every64_ms:.3},\n"
-    ));
-    out.push_str(&format!(
-        "    \"concurrent_every_64_ms\": {conc_every64_ms:.3},\n"
-    ));
-    out.push_str("    \"concurrent_always\": [\n");
-    for (i, r) in gc_rows.iter().enumerate() {
-        let comma = if i + 1 == gc_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "      {{\"threads\": {}, \"total_ms\": {:.3}, \"per_mutation_us\": {:.2}, \"fsyncs\": {}, \"max_group\": {}}}{comma}\n",
-            r.threads,
-            r.total_ms,
-            r.total_ms * 1e3 / MUTATIONS as f64,
-            r.fsyncs,
-            r.max_group,
-        ));
-    }
-    out.push_str("    ],\n");
-    let best_gc_ms = gc_rows
-        .iter()
-        .map(|r| r.total_ms)
-        .fold(f64::INFINITY, f64::min);
-    out.push_str(&format!(
-        "    \"best_always_vs_concurrent_every_64_ratio\": {gc_ratio:.3},\n"
-    ));
-    out.push_str(&format!(
-        "    \"best_always_vs_single_writer_every_64_ratio\": {:.3},\n",
-        best_gc_ms / single_every64_ms
-    ));
-    out.push_str(&format!("    \"target_ratio\": {GC_TARGET_RATIO:.1},\n"));
-    out.push_str(&format!("    \"pass\": {gc_pass}\n"));
-    out.push_str("  },\n");
-    out.push_str("  \"readers\": {\n");
-    out.push_str(&format!("    \"reader_threads\": {READERS},\n"));
-    out.push_str(&format!("    \"window_ms\": {READ_WINDOW_MS},\n"));
-    out.push_str(&format!(
-        "    \"paced_writer_per_sec\": {PACED_WRITER_PER_SEC},\n"
-    ));
-    out.push_str(&format!("    \"idle_reads_per_sec\": {idle_rps:.0},\n"));
-    out.push_str(&format!("    \"idle_p99_us\": {idle_p99:.1},\n"));
-    out.push_str("    \"racing\": [\n");
-    for (i, r) in race_rows.iter().enumerate() {
-        let comma = if i + 1 == race_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "      {{\"policy\": \"{}\", \"reads_per_sec\": {:.0}, \"p99_us\": {:.1}, \"acked_mutations_per_sec\": {:.0}, \"ratio_vs_idle\": {:.3}}}{comma}\n",
-            r.policy, r.reads_per_sec, r.p99_us, r.acked_per_sec, r.ratio_vs_idle,
-        ));
-    }
-    out.push_str("    ],\n");
-    out.push_str(&format!("    \"target_ratio\": {READ_TARGET_RATIO:.1},\n"));
-    out.push_str(&format!("    \"pass\": {read_pass}\n"));
-    out.push_str("  },\n");
-    out.push_str(&format!("  \"batch_bit_identical\": {identical}\n"));
-    out.push_str("}\n");
-    out
 }

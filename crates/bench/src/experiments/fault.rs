@@ -12,11 +12,12 @@
 //!
 //! Results are printed as tables and written to `BENCH_fault.json`.
 
-use crate::report::{ms, Table};
+use crate::report::{self, ms, Table};
 use crate::{time_ms, Config};
 use planar_core::fault::{Corruption, TempDir};
 use planar_core::{
-    ExecutionConfig, IndexConfig, InequalityQuery, PlanarIndexSet, QueryScratch, VecStore,
+    ExecutionConfig, IndexConfig, InequalityQuery, JsonObject, PlanarIndexSet, QueryScratch,
+    VecStore,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
@@ -31,20 +32,6 @@ const RQ: usize = 4;
 const BUDGET: usize = 16;
 /// Timing repetitions per measurement (the mean is reported).
 const REPS: usize = 3;
-
-struct Lifecycle {
-    snapshot_bytes: usize,
-    cold_build_ms: f64,
-    save_ms: f64,
-    clean_load_ms: f64,
-    recover_ms: f64,
-    rebuilt_indices: usize,
-}
-
-struct Serving {
-    healthy_ms: f64,
-    degraded_ms: f64,
-}
 
 /// The `fault` experiment (see module docs).
 pub fn fault(cfg: &Config) {
@@ -109,14 +96,12 @@ pub fn fault(cfg: &Config) {
     recover_ms /= REPS as f64;
     std::fs::write(&path, &pristine).expect("restore snapshot");
 
-    let lifecycle = Lifecycle {
-        snapshot_bytes: pristine.len(),
-        cold_build_ms,
-        save_ms,
-        clean_load_ms,
-        recover_ms,
-        rebuilt_indices,
-    };
+    let lifecycle_ms = JsonObject::new()
+        .field_f64("cold_build", cold_build_ms)
+        .field_f64("save", save_ms)
+        .field_f64("clean_load", clean_load_ms)
+        .field_f64("recover", recover_ms)
+        .finish();
 
     // Degraded vs healthy serving on the same query workload.
     // Selective queries (small accepting interval) so the indexed path has
@@ -159,25 +144,20 @@ pub fn fault(cfg: &Config) {
     }
     degraded_ms /= REPS as f64;
 
-    let serving = Serving {
-        healthy_ms,
-        degraded_ms,
-    };
-
     let mut t = Table::new(
         &format!("Index lifecycle: n={n}, dim={DIM}, #index={BUDGET}"),
         &["phase", "time_ms", "vs cold build"],
     );
     for (phase, v) in [
-        ("cold build", lifecycle.cold_build_ms),
-        ("save", lifecycle.save_ms),
-        ("clean load", lifecycle.clean_load_ms),
-        ("recover (1 bad section)", lifecycle.recover_ms),
+        ("cold build", cold_build_ms),
+        ("save", save_ms),
+        ("clean load", clean_load_ms),
+        ("recover (1 bad section)", recover_ms),
     ] {
         t.row(vec![
             phase.to_string(),
             ms(v),
-            format!("{:.2}x", v / lifecycle.cold_build_ms),
+            format!("{:.2}x", v / cold_build_ms),
         ]);
     }
     t.print();
@@ -188,49 +168,30 @@ pub fn fault(cfg: &Config) {
     );
     t.row(vec![
         "healthy (indexed)".into(),
-        ms(serving.healthy_ms),
+        ms(healthy_ms),
         "1.00x".into(),
     ]);
     t.row(vec![
         "degraded (all quarantined)".into(),
-        ms(serving.degraded_ms),
-        format!("{:.2}x", serving.degraded_ms / serving.healthy_ms),
+        ms(degraded_ms),
+        format!("{:.2}x", degraded_ms / healthy_ms),
     ]);
     t.print();
 
-    let json = render_json(cfg, n, queries.len(), &lifecycle, &serving);
-    let path = "BENCH_fault.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[harness] wrote {path}"),
-        Err(e) => eprintln!("[harness] could not write {path}: {e}"),
-    }
-}
-
-/// Hand-rolled JSON (the workspace has no serde).
-fn render_json(cfg: &Config, n: usize, queries: usize, lc: &Lifecycle, sv: &Serving) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"fault\",\n");
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str(&format!("  \"dim\": {DIM},\n"));
-    out.push_str(&format!("  \"budget\": {BUDGET},\n"));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"snapshot_bytes\": {},\n", lc.snapshot_bytes));
-    out.push_str("  \"lifecycle_ms\": {\n");
-    out.push_str(&format!("    \"cold_build\": {:.3},\n", lc.cold_build_ms));
-    out.push_str(&format!("    \"save\": {:.3},\n", lc.save_ms));
-    out.push_str(&format!("    \"clean_load\": {:.3},\n", lc.clean_load_ms));
-    out.push_str(&format!("    \"recover\": {:.3}\n", lc.recover_ms));
-    out.push_str("  },\n");
-    out.push_str(&format!("  \"rebuilt_indices\": {},\n", lc.rebuilt_indices));
-    out.push_str("  \"serving\": {\n");
-    out.push_str(&format!("    \"queries\": {queries},\n"));
-    out.push_str(&format!("    \"healthy_ms\": {:.3},\n", sv.healthy_ms));
-    out.push_str(&format!("    \"degraded_ms\": {:.3},\n", sv.degraded_ms));
-    out.push_str(&format!(
-        "    \"degraded_slowdown\": {:.3}\n",
-        sv.degraded_ms / sv.healthy_ms
-    ));
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
+    let serving = JsonObject::new()
+        .field_usize("queries", queries.len())
+        .field_f64("healthy_ms", healthy_ms)
+        .field_f64("degraded_ms", degraded_ms)
+        .field_f64("degraded_slowdown", degraded_ms / healthy_ms)
+        .finish();
+    report::write_json("fault", |doc| {
+        doc.field_usize("n", n)
+            .field_usize("dim", DIM)
+            .field_usize("budget", BUDGET)
+            .field_u64("seed", cfg.seed)
+            .field_usize("snapshot_bytes", pristine.len())
+            .field_raw("lifecycle_ms", &lifecycle_ms)
+            .field_usize("rebuilt_indices", rebuilt_indices)
+            .field_raw("serving", &serving)
+    });
 }

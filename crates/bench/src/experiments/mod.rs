@@ -198,7 +198,7 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             name: "netrepl",
             description:
-                "networked replication: TCP vs spool catch-up, quorum vs async ack latency, reconnect-storm recovery (BENCH_netrepl.json)",
+                "networked replication: TCP vs in-process catch-up, quorum vs async ack latency, reconnect-storm recovery (BENCH_netrepl.json)",
             run: netrepl::netrepl,
         },
         Experiment {

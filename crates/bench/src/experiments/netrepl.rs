@@ -1,14 +1,15 @@
 //! Networked replication experiment: what does the TCP ship transport
-//! cost over the in-process spool, and what does a quorum buy?
+//! cost over an in-process link, and what does a quorum buy?
 //!
 //! Three questions the networked-replication work raises, answered with
 //! numbers:
 //!
-//! 1. **TCP catch-up vs spool catch-up** — the same backlog is drained
-//!    once over a `DirTransport` spool (bytes on a filesystem, no
-//!    sockets) and once over a real `TcpTransport` dialing the serve
-//!    listener's sniffed `PLNRSHP1` surface. The gap is the price of
-//!    the socket hop, framing, and relay threads.
+//! 1. **TCP catch-up vs in-process catch-up** — the same backlog is
+//!    drained once over an in-process `ChannelTransport` pair (messages
+//!    handed over in memory, no sockets) and once over a real
+//!    `TcpTransport` dialing the serve listener's sniffed `PLNRSHP1`
+//!    surface. The gap is the price of the socket hop, framing, and
+//!    relay threads.
 //! 2. **Quorum vs async acknowledgement latency** — per-write latency
 //!    of `AckPolicy::Async` (local group-commit ack) against
 //!    `write_quorum` under `AckPolicy::Quorum(1)` with a live TCP
@@ -23,12 +24,14 @@
 //! before any timing is reported. Results are printed as tables and
 //! written to `BENCH_netrepl.json`.
 
-use crate::report::{ms, Table};
+use crate::report::{self, ms, Table};
 use crate::{time_ms, Config};
 use planar_core::fault::{ChaosProxy, TempDir};
+use planar_core::replicate::ChannelTransport;
+use planar_core::stats::{json_array, json_f64};
 use planar_core::{
-    AckPolicy, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, DirTransport, FailoverConfig,
-    FsyncPolicy, InequalityQuery, Mutation, Primary, ReadConsistency, Replica, ShardConfig,
+    AckPolicy, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, FailoverConfig, FsyncPolicy,
+    InequalityQuery, JsonObject, Mutation, Primary, ReadConsistency, Replica, ShardConfig,
     ShardedIndexSet, TcpLinkOptions, TcpTransport, VecStore, WalOptions,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
@@ -124,6 +127,17 @@ struct CatchUp {
     records_per_sec: f64,
 }
 
+impl CatchUp {
+    fn to_json(&self) -> String {
+        JsonObject::new()
+            .field_f64("seed_ms", self.seed_ms)
+            .field_f64("frames_ms", self.frames_ms)
+            .field_u64("frames_applied", self.frames_applied)
+            .field_f64("records_per_sec", self.records_per_sec)
+            .finish()
+    }
+}
+
 /// Seed + frame catch-up time for one already-wired replica. The
 /// primary starts with a shipped-but-unreplicated backlog.
 fn catch_up(
@@ -198,25 +212,22 @@ pub fn netrepl(cfg: &Config) {
         store
     };
 
-    // 1. Catch-up over the DirTransport spool (no sockets).
-    let dir_tmp = TempDir::new("bench-netrepl-dir").expect("temp dir");
-    let store = fresh_primary(dir_tmp.path());
+    // 1. Catch-up over an in-process channel pair (no sockets).
+    let local_tmp = TempDir::new("bench-netrepl-local").expect("temp dir");
+    let store = fresh_primary(local_tmp.path());
     let mut primary = Primary::from_shared(Arc::clone(&store), FailoverConfig::default());
-    let down_spool = dir_tmp.path().join("spool-down");
-    let up_spool = dir_tmp.path().join("spool-up");
-    primary.add_replica(
-        Box::new(DirTransport::new(&down_spool).expect("spool")),
-        Box::new(DirTransport::new(&up_spool).expect("spool")),
-    );
+    let down = ChannelTransport::new();
+    let up = ChannelTransport::new();
+    primary.add_replica(Box::new(down.clone()), Box::new(up.clone()));
     let mut replica = Replica::<VecStore>::new(
-        dir_tmp.path().join("replica"),
+        local_tmp.path().join("replica"),
         0,
-        Box::new(DirTransport::new(&down_spool).expect("spool")),
-        Box::new(DirTransport::new(&up_spool).expect("spool")),
+        Box::new(down),
+        Box::new(up),
         opts,
         FailoverConfig::default(),
     );
-    let dir_result = catch_up(None, &mut primary, &mut replica, &queries);
+    let local_result = catch_up(None, &mut primary, &mut replica, &queries);
     drop(primary);
     drop(replica);
 
@@ -242,7 +253,7 @@ pub fn netrepl(cfg: &Config) {
         &["transport", "seed", "frames", "rate"],
     );
     for (name, r) in [
-        ("dir spool", &dir_result),
+        ("in-process channel", &local_result),
         ("tcp (sniffed port)", &tcp_result),
     ] {
         t.row(vec![
@@ -393,92 +404,35 @@ pub fn netrepl(cfg: &Config) {
     t.print();
     server.shutdown();
 
-    let json = render_json(
-        cfg,
-        n,
-        backlog,
-        &dir_result,
-        &tcp_result,
-        async_mean,
-        async_max,
-        quorum_mean,
-        quorum_max,
-        &heal_ms,
-        heal_mean,
-        heal_max,
-        link_drops,
-    );
-    let path = "BENCH_netrepl.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[harness] wrote {path}"),
-        Err(e) => eprintln!("[harness] could not write {path}: {e}"),
-    }
-}
-
-/// Hand-rolled JSON (the workspace has no serde).
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    cfg: &Config,
-    n: usize,
-    backlog: usize,
-    dir: &CatchUp,
-    tcp: &CatchUp,
-    async_mean: f64,
-    async_max: f64,
-    quorum_mean: f64,
-    quorum_max: f64,
-    heal_ms: &[f64],
-    heal_mean: f64,
-    heal_max: f64,
-    link_drops: u64,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"netrepl\",\n");
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str(&format!("  \"dim\": {DIM},\n"));
-    out.push_str(&format!("  \"budget\": {BUDGET},\n"));
-    out.push_str(&format!("  \"shards\": {SHARDS},\n"));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str("  \"catch_up\": {\n");
-    out.push_str(&format!("    \"backlog_records\": {backlog},\n"));
-    for (key, r, comma) in [("dir_spool", dir, true), ("tcp", tcp, false)] {
-        out.push_str(&format!("    \"{key}\": {{\n"));
-        out.push_str(&format!("      \"seed_ms\": {:.3},\n", r.seed_ms));
-        out.push_str(&format!("      \"frames_ms\": {:.3},\n", r.frames_ms));
-        out.push_str(&format!(
-            "      \"frames_applied\": {},\n",
-            r.frames_applied
-        ));
-        out.push_str(&format!(
-            "      \"records_per_sec\": {:.0}\n",
-            r.records_per_sec
-        ));
-        out.push_str(if comma { "    },\n" } else { "    }\n" });
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"ack_latency\": {\n");
-    out.push_str(&format!("    \"writes\": {ACK_WRITES},\n"));
-    out.push_str(&format!("    \"async_mean_ms\": {async_mean:.3},\n"));
-    out.push_str(&format!("    \"async_max_ms\": {async_max:.3},\n"));
-    out.push_str(&format!("    \"quorum_mean_ms\": {quorum_mean:.3},\n"));
-    out.push_str(&format!("    \"quorum_max_ms\": {quorum_max:.3}\n"));
-    out.push_str("  },\n");
-    out.push_str("  \"reconnect_storm\": {\n");
-    out.push_str(&format!("    \"storms\": {STORMS},\n"));
-    out.push_str("    \"heal_ms\": [");
-    for (i, h) in heal_ms.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("{h:.3}"));
-    }
-    out.push_str("],\n");
-    out.push_str(&format!("    \"mean_heal_ms\": {heal_mean:.3},\n"));
-    out.push_str(&format!("    \"max_heal_ms\": {heal_max:.3},\n"));
-    out.push_str(&format!("    \"link_drops\": {link_drops},\n"));
-    out.push_str("    \"reseeds\": 0\n");
-    out.push_str("  },\n");
-    out.push_str("  \"follower_reads_identical\": true\n");
-    out.push_str("}\n");
-    out
+    let catch_up = JsonObject::new()
+        .field_usize("backlog_records", backlog)
+        .field_raw("in_process", &local_result.to_json())
+        .field_raw("tcp", &tcp_result.to_json())
+        .finish();
+    let ack_latency = JsonObject::new()
+        .field_usize("writes", ACK_WRITES)
+        .field_f64("async_mean_ms", async_mean)
+        .field_f64("async_max_ms", async_max)
+        .field_f64("quorum_mean_ms", quorum_mean)
+        .field_f64("quorum_max_ms", quorum_max)
+        .finish();
+    let reconnect_storm = JsonObject::new()
+        .field_usize("storms", STORMS)
+        .field_raw("heal_ms", &json_array(heal_ms.iter().map(|&h| json_f64(h))))
+        .field_f64("mean_heal_ms", heal_mean)
+        .field_f64("max_heal_ms", heal_max)
+        .field_u64("link_drops", link_drops)
+        .field_u64("reseeds", 0)
+        .finish();
+    report::write_json("netrepl", |doc| {
+        doc.field_usize("n", n)
+            .field_usize("dim", DIM)
+            .field_usize("budget", BUDGET)
+            .field_usize("shards", SHARDS)
+            .field_u64("seed", cfg.seed)
+            .field_raw("catch_up", &catch_up)
+            .field_raw("ack_latency", &ack_latency)
+            .field_raw("reconnect_storm", &reconnect_storm)
+            .field_bool("follower_reads_identical", true)
+    });
 }

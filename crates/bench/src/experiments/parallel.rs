@@ -3,9 +3,12 @@
 //! single-threaded engine. Results are printed as tables and written to
 //! `BENCH_parallel.json` for machine consumption.
 
-use crate::report::{ms, Table};
+use crate::report::{self, ms, Table};
 use crate::{time_ms, Config};
-use planar_core::{ExecutionConfig, IndexConfig, InequalityQuery, PlanarIndexSet, VecStore};
+use planar_core::stats::json_array;
+use planar_core::{
+    ExecutionConfig, IndexConfig, InequalityQuery, JsonObject, PlanarIndexSet, VecStore,
+};
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
 use planar_datagen::SYNTHETIC_N;
@@ -112,67 +115,45 @@ pub fn parallel_engine(cfg: &Config) {
             "threads", "build_ms", "build_x", "batch_ms", "batch_x", "qps", "topk_ms", "topk_x",
         ],
     );
+    let mut rows = Vec::new();
     for s in &sweeps {
+        let build_x = base_build / s.build_ms;
+        let batch_x = base_batch / s.batch_ms;
+        let topk_x = base_topk / s.topk_ms;
+        let qps = batch as f64 / (s.batch_ms / 1e3);
         t.row(vec![
             s.threads.to_string(),
             ms(s.build_ms),
-            format!("{:.2}", base_build / s.build_ms),
+            format!("{build_x:.2}"),
             ms(s.batch_ms),
-            format!("{:.2}", base_batch / s.batch_ms),
-            format!("{:.0}", batch as f64 / (s.batch_ms / 1e3)),
+            format!("{batch_x:.2}"),
+            format!("{qps:.0}"),
             ms(s.topk_ms),
-            format!("{:.2}", base_topk / s.topk_ms),
+            format!("{topk_x:.2}"),
         ]);
+        rows.push(
+            JsonObject::new()
+                .field_usize("threads", s.threads)
+                .field_f64("build_ms", s.build_ms)
+                .field_f64("build_speedup", build_x)
+                .field_f64("batch_ms", s.batch_ms)
+                .field_f64("batch_speedup", batch_x)
+                .field_f64("batch_queries_per_s", qps)
+                .field_f64("topk_ms", s.topk_ms)
+                .field_f64("topk_speedup", topk_x)
+                .finish(),
+        );
     }
     t.print();
 
-    let json = render_json(n, batch, &sweeps);
-    let path = "BENCH_parallel.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[harness] wrote {path}"),
-        Err(e) => eprintln!("[harness] could not write {path}: {e}"),
-    }
-}
-
-/// Hand-rolled JSON (the workspace has no serde): one object per thread
-/// count with absolute times and speedups over the single-thread row.
-fn render_json(n: usize, batch: usize, sweeps: &[Sweep]) -> String {
-    let base = &sweeps[0];
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"parallel\",\n");
-    // Speedups are bounded by the host's core count; record it so a sweep
-    // run on a small machine is not misread as an engine limitation.
-    let host = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    out.push_str(&format!("  \"host_cpus\": {host},\n"));
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str(&format!("  \"dim\": {DIM},\n"));
-    out.push_str(&format!("  \"budget\": {BUDGET},\n"));
-    out.push_str(&format!("  \"batch_queries\": {batch},\n"));
-    out.push_str("  \"sweep\": [\n");
-    for (i, s) in sweeps.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"threads\": {}, ",
-                "\"build_ms\": {:.3}, \"build_speedup\": {:.3}, ",
-                "\"batch_ms\": {:.3}, \"batch_speedup\": {:.3}, ",
-                "\"batch_queries_per_s\": {:.1}, ",
-                "\"topk_ms\": {:.3}, \"topk_speedup\": {:.3}}}{}\n"
-            ),
-            s.threads,
-            s.build_ms,
-            base.build_ms / s.build_ms,
-            s.batch_ms,
-            base.batch_ms / s.batch_ms,
-            batch as f64 / (s.batch_ms / 1e3),
-            s.topk_ms,
-            base.topk_ms / s.topk_ms,
-            if i + 1 == sweeps.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    report::write_json("parallel", |doc| {
+        doc.field_usize("host_cpus", report::host_cpus())
+            .field_usize("n", n)
+            .field_usize("dim", DIM)
+            .field_usize("budget", BUDGET)
+            .field_usize("batch_queries", batch)
+            .field_raw("sweep", &json_array(rows))
+    });
 }
 
 #[cfg(test)]
@@ -191,28 +172,5 @@ mod tests {
         assert_eq!(counts[0], 1);
         assert!(counts.contains(&8));
         assert_eq!(*counts.last().unwrap(), 12);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let sweeps = vec![
-            Sweep {
-                threads: 1,
-                build_ms: 10.0,
-                batch_ms: 8.0,
-                topk_ms: 6.0,
-            },
-            Sweep {
-                threads: 4,
-                build_ms: 3.0,
-                batch_ms: 2.0,
-                topk_ms: 2.0,
-            },
-        ];
-        let json = render_json(1000, 64, &sweeps);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches("\"threads\"").count(), 2);
-        assert!(json.contains("\"build_speedup\": 3.333"));
-        assert!(json.contains("\"batch_speedup\": 4.000"));
     }
 }

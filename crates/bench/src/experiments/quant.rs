@@ -6,11 +6,13 @@
 //! policies with a no-regression latency check. Results go to
 //! `BENCH_quant.json`.
 
-use crate::report::{ms, Table};
+use crate::report::{self, ms, Table};
 use crate::{time_ms, Config};
+use planar_core::stats::json_array;
 use planar_core::{
-    Cmp, IndexConfig, InequalityQuery, PlanarIndexSet, QuantAutotuneConfig, QuantFilterStats,
-    QuantPolicy, QuantTier, QuantizedColumns, ShardConfig, ShardedIndexSet, VecStore,
+    Cmp, IndexConfig, InequalityQuery, JsonObject, PlanarIndexSet, QuantAutotuneConfig,
+    QuantFilterStats, QuantPolicy, QuantTier, QuantizedColumns, ShardConfig, ShardedIndexSet,
+    VecStore,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
@@ -186,15 +188,27 @@ pub fn quant(cfg: &Config) {
         ),
         &["n", "f64 ms", "i16 ms", "i8 ms", "i16 x", "i8 x"],
     );
+    let mut filter_pass = Vec::new();
     for p in &filter {
+        let (x16, x8) = (p.f64_ms / p.i16_ms, p.f64_ms / p.i8_ms);
         t.row(vec![
             p.n.to_string(),
             ms(p.f64_ms),
             ms(p.i16_ms),
             ms(p.i8_ms),
-            format!("{:.2}", p.f64_ms / p.i16_ms),
-            format!("{:.2}", p.f64_ms / p.i8_ms),
+            format!("{x16:.2}"),
+            format!("{x8:.2}"),
         ]);
+        filter_pass.push(
+            JsonObject::new()
+                .field_usize("n", p.n)
+                .field_f64("f64_ms", p.f64_ms)
+                .field_f64("i16_ms", p.i16_ms)
+                .field_f64("i8_ms", p.i8_ms)
+                .field_f64("speedup_i16", x16)
+                .field_f64("speedup_i8", x8)
+                .finish(),
+        );
     }
     t.print();
 
@@ -204,6 +218,7 @@ pub fn quant(cfg: &Config) {
             "n", "off ms", "i16 ms", "i8 ms", "band i16", "band i8", "fallback",
         ],
     );
+    let mut end_to_end = Vec::new();
     for p in &e2e {
         t.row(vec![
             p.n.to_string(),
@@ -214,6 +229,20 @@ pub fn quant(cfg: &Config) {
             format!("{:.4}", p.band_i8),
             format!("{:.3}", p.fallback),
         ]);
+        end_to_end.push(
+            JsonObject::new()
+                .field_usize("n", p.n)
+                .field_f64("off_ms", p.off_ms)
+                .field_f64("i16_ms", p.i16_ms)
+                .field_f64("i8_ms", p.i8_ms)
+                .field_f64("speedup_i16", p.off_ms / p.i16_ms)
+                .field_f64("speedup_i8", p.off_ms / p.i8_ms)
+                .field_f64("band_i16", p.band_i16)
+                .field_f64("band_i8", p.band_i8)
+                .field_f64("fallback", p.fallback)
+                .field_bool("answers_identical", true)
+                .finish(),
+        );
     }
     t.print();
 
@@ -221,6 +250,7 @@ pub fn quant(cfg: &Config) {
         "Re-verification band vs slack (i8, rates over classified lanes)",
         &["slack", "band", "rejected", "accepted"],
     );
+    let mut band_vs_slack = Vec::new();
     for p in &slack {
         t.row(vec![
             format!("{:.0}", p.slack),
@@ -228,6 +258,14 @@ pub fn quant(cfg: &Config) {
             format!("{:.4}", p.rejected),
             format!("{:.4}", p.accepted),
         ]);
+        band_vs_slack.push(
+            JsonObject::new()
+                .field_f64("slack", p.slack)
+                .field_f64("band", p.band)
+                .field_f64("rejected", p.rejected)
+                .field_f64("accepted", p.accepted)
+                .finish(),
+        );
     }
     t.print();
 
@@ -240,21 +278,36 @@ pub fn quant(cfg: &Config) {
         ),
         &["shard", "tier", "slack"],
     );
+    let mut per_shard = Vec::new();
     for (s, p) in tuner.policies.iter().enumerate() {
-        t.row(vec![
-            s.to_string(),
-            format!("{:?}", p.tier),
-            format!("{:.0}", p.slack),
-        ]);
+        let tier = format!("{:?}", p.tier);
+        t.row(vec![s.to_string(), tier.clone(), format!("{:.0}", p.slack)]);
+        per_shard.push(
+            JsonObject::new()
+                .field_str("tier", &tier)
+                .field_f64("slack", p.slack)
+                .finish(),
+        );
     }
     t.print();
 
-    let json = render_json(&filter, &e2e, &slack, &tuner);
-    let path = "BENCH_quant.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[harness] wrote {path}"),
-        Err(e) => eprintln!("[harness] could not write {path}: {e}"),
-    }
+    let autotuner = JsonObject::new()
+        .field_usize("shards", tuner.shards)
+        .field_raw("per_shard", &json_array(per_shard))
+        .field_f64("off_ms", tuner.off_ms)
+        .field_f64("tuned_ms", tuner.tuned_ms)
+        .field_bool("answers_identical", true)
+        .finish();
+    report::write_json("quant", |doc| {
+        doc.field_usize("dim", DIM)
+            .field_usize("budget", BUDGET)
+            .field_str("kernel_i8", quant_kernel_name(false))
+            .field_str("kernel_i16", quant_kernel_name(true))
+            .field_raw("filter_pass", &json_array(filter_pass))
+            .field_raw("end_to_end", &json_array(end_to_end))
+            .field_raw("band_vs_slack", &json_array(band_vs_slack))
+            .field_raw("autotuner", &autotuner)
+    });
 }
 
 fn filter_arm(
@@ -431,92 +484,6 @@ fn tuner_arm(cfg: &Config) -> TunerArm {
     }
 }
 
-/// Hand-rolled JSON (the workspace has no serde).
-fn render_json(
-    filter: &[FilterPoint],
-    e2e: &[EndToEndPoint],
-    slack: &[SlackPoint],
-    tuner: &TunerArm,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"quant\",\n");
-    out.push_str(&format!("  \"dim\": {DIM},\n"));
-    out.push_str(&format!("  \"budget\": {BUDGET},\n"));
-    out.push_str(&format!(
-        "  \"kernel_i8\": \"{}\",\n  \"kernel_i16\": \"{}\",\n",
-        quant_kernel_name(false),
-        quant_kernel_name(true)
-    ));
-    out.push_str("  \"filter_pass\": [\n");
-    for (i, p) in filter.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"f64_ms\": {:.3}, \"i16_ms\": {:.3}, \"i8_ms\": {:.3}, \
-             \"speedup_i16\": {:.3}, \"speedup_i8\": {:.3}}}{}\n",
-            p.n,
-            p.f64_ms,
-            p.i16_ms,
-            p.i8_ms,
-            p.f64_ms / p.i16_ms,
-            p.f64_ms / p.i8_ms,
-            if i + 1 == filter.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"end_to_end\": [\n");
-    for (i, p) in e2e.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"off_ms\": {:.3}, \"i16_ms\": {:.3}, \"i8_ms\": {:.3}, \
-             \"speedup_i16\": {:.3}, \"speedup_i8\": {:.3}, \"band_i16\": {:.4}, \
-             \"band_i8\": {:.4}, \"fallback\": {:.4}, \"answers_identical\": true}}{}\n",
-            p.n,
-            p.off_ms,
-            p.i16_ms,
-            p.i8_ms,
-            p.off_ms / p.i16_ms,
-            p.off_ms / p.i8_ms,
-            p.band_i16,
-            p.band_i8,
-            p.fallback,
-            if i + 1 == e2e.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"band_vs_slack\": [\n");
-    for (i, p) in slack.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"slack\": {:.1}, \"band\": {:.4}, \"rejected\": {:.4}, \
-             \"accepted\": {:.4}}}{}\n",
-            p.slack,
-            p.band,
-            p.rejected,
-            p.accepted,
-            if i + 1 == slack.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"autotuner\": {\n");
-    out.push_str(&format!("    \"shards\": {},\n", tuner.shards));
-    out.push_str("    \"per_shard\": [\n");
-    for (i, p) in tuner.policies.iter().enumerate() {
-        out.push_str(&format!(
-            "      {{\"tier\": \"{:?}\", \"slack\": {:.1}}}{}\n",
-            p.tier,
-            p.slack,
-            if i + 1 == tuner.policies.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("    ],\n");
-    out.push_str(&format!("    \"off_ms\": {:.3},\n", tuner.off_ms));
-    out.push_str(&format!("    \"tuned_ms\": {:.3},\n", tuner.tuned_ms));
-    out.push_str("    \"answers_identical\": true\n");
-    out.push_str("  }\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,44 +513,5 @@ mod tests {
         let (set, queries) = dataset(&cfg, n);
         let p = filter_arm(&set, &queries, n);
         assert!(p.f64_ms >= 0.0 && p.i16_ms >= 0.0 && p.i8_ms >= 0.0);
-    }
-
-    #[test]
-    fn json_has_all_arms() {
-        let tuner = TunerArm {
-            shards: 2,
-            policies: vec![QuantPolicy::tier(QuantTier::I16); 2],
-            off_ms: 1.0,
-            tuned_ms: 0.5,
-        };
-        let json = render_json(
-            &[FilterPoint {
-                n: 100,
-                f64_ms: 1.0,
-                i16_ms: 0.5,
-                i8_ms: 0.25,
-            }],
-            &[EndToEndPoint {
-                n: 100,
-                off_ms: 1.0,
-                i16_ms: 0.8,
-                i8_ms: 0.7,
-                band_i16: 0.01,
-                band_i8: 0.1,
-                fallback: 0.2,
-            }],
-            &[SlackPoint {
-                slack: 1.0,
-                band: 0.01,
-                rejected: 0.9,
-                accepted: 0.09,
-            }],
-            &tuner,
-        );
-        assert!(json.contains("\"filter_pass\""));
-        assert!(json.contains("\"end_to_end\""));
-        assert!(json.contains("\"band_vs_slack\""));
-        assert!(json.contains("\"autotuner\""));
-        assert!(json.contains("\"answers_identical\": true"));
     }
 }

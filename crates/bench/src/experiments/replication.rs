@@ -17,14 +17,14 @@
 //! answers at the same LSN — bit-identical or the experiment panics.
 //! Results are printed as tables and written to `BENCH_replication.json`.
 
-use crate::report::{ms, Table};
+use crate::report::{self, ms, Table};
 use crate::{time_ms, Config};
 use planar_core::fault::TempDir;
 use planar_core::replicate::ChannelTransport;
 use planar_core::{
     elect, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, FailoverConfig, FsyncPolicy,
-    InequalityQuery, Primary, ReadConsistency, Replica, ShardConfig, ShardedIndexSet, VecStore,
-    WalOptions,
+    InequalityQuery, JsonObject, Primary, ReadConsistency, Replica, ShardConfig, ShardedIndexSet,
+    VecStore, WalOptions,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
@@ -182,6 +182,17 @@ pub fn replication(cfg: &Config) {
     ]);
     t.print();
 
+    let catch_up = JsonObject::new()
+        .field_usize("backlog_records", BACKLOG)
+        .field_f64("snapshot_install_ms", seed_ms)
+        .field_f64("frames_ms", frames_ms)
+        .field_u64("frames_applied", frames_applied)
+        .field_f64("total_ms", catch_up_ms)
+        .field_f64("records_per_sec", catch_up_per_sec)
+        .field_usize("replication_turns", turns)
+        .field_u64("snapshots_installed", snapshots_installed)
+        .finish();
+
     // 2. Steady-state lag under a paced writer.
     let mut lags = Vec::with_capacity(PACED_ROUNDS);
     let (_, paced_ms) = time_ms(|| {
@@ -227,6 +238,14 @@ pub fn replication(cfg: &Config) {
     t.row(vec!["paced phase time".into(), ms(paced_ms)]);
     t.print();
 
+    let steady_state = JsonObject::new()
+        .field_usize("rounds", PACED_ROUNDS)
+        .field_usize("batch", PACED_BATCH)
+        .field_f64("mean_lag_records", mean_lag)
+        .field_u64("max_lag_records", max_lag)
+        .field_u64("final_lag_records", final_lag)
+        .finish();
+
     // 3. Failover: elect + promote + first write on the new primary.
     let expected: Vec<Vec<u32>> = {
         let snap = primary.store().snapshot();
@@ -267,6 +286,7 @@ pub fn replication(cfg: &Config) {
         );
     }
 
+    let unavailable_ms = elect_ms + promote_ms + first_write_ms;
     let mut t = Table::new(
         "Failover: dead primary -> promoted follower",
         &["phase", "time"],
@@ -277,91 +297,24 @@ pub fn replication(cfg: &Config) {
         ms(promote_ms),
     ]);
     t.row(vec!["first write accepted".into(), ms(first_write_ms)]);
-    t.row(vec![
-        "total unavailability".into(),
-        ms(elect_ms + promote_ms + first_write_ms),
-    ]);
+    t.row(vec!["total unavailability".into(), ms(unavailable_ms)]);
     t.print();
 
-    let json = render_json(
-        cfg,
-        n,
-        seed_ms,
-        frames_ms,
-        frames_applied,
-        catch_up_per_sec,
-        turns,
-        snapshots_installed,
-        mean_lag,
-        max_lag,
-        final_lag,
-        elect_ms,
-        promote_ms,
-        first_write_ms,
-    );
-    let path = "BENCH_replication.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[harness] wrote {path}"),
-        Err(e) => eprintln!("[harness] could not write {path}: {e}"),
-    }
-}
-
-/// Hand-rolled JSON (the workspace has no serde).
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    cfg: &Config,
-    n: usize,
-    seed_ms: f64,
-    frames_ms: f64,
-    frames_applied: u64,
-    catch_up_per_sec: f64,
-    turns: usize,
-    snapshots_installed: u64,
-    mean_lag: f64,
-    max_lag: u64,
-    final_lag: u64,
-    elect_ms: f64,
-    promote_ms: f64,
-    first_write_ms: f64,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"replication\",\n");
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str(&format!("  \"dim\": {DIM},\n"));
-    out.push_str(&format!("  \"budget\": {BUDGET},\n"));
-    out.push_str(&format!("  \"shards\": {SHARDS},\n"));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str("  \"catch_up\": {\n");
-    out.push_str(&format!("    \"backlog_records\": {BACKLOG},\n"));
-    out.push_str(&format!("    \"snapshot_install_ms\": {seed_ms:.3},\n"));
-    out.push_str(&format!("    \"frames_ms\": {frames_ms:.3},\n"));
-    out.push_str(&format!("    \"frames_applied\": {frames_applied},\n"));
-    out.push_str(&format!("    \"total_ms\": {:.3},\n", seed_ms + frames_ms));
-    out.push_str(&format!(
-        "    \"records_per_sec\": {catch_up_per_sec:.0},\n"
-    ));
-    out.push_str(&format!("    \"replication_turns\": {turns},\n"));
-    out.push_str(&format!(
-        "    \"snapshots_installed\": {snapshots_installed}\n"
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"steady_state\": {\n");
-    out.push_str(&format!("    \"rounds\": {PACED_ROUNDS},\n"));
-    out.push_str(&format!("    \"batch\": {PACED_BATCH},\n"));
-    out.push_str(&format!("    \"mean_lag_records\": {mean_lag:.1},\n"));
-    out.push_str(&format!("    \"max_lag_records\": {max_lag},\n"));
-    out.push_str(&format!("    \"final_lag_records\": {final_lag}\n"));
-    out.push_str("  },\n");
-    out.push_str("  \"failover\": {\n");
-    out.push_str(&format!("    \"elect_ms\": {elect_ms:.3},\n"));
-    out.push_str(&format!("    \"promote_ms\": {promote_ms:.3},\n"));
-    out.push_str(&format!("    \"first_write_ms\": {first_write_ms:.3},\n"));
-    out.push_str(&format!(
-        "    \"total_unavailability_ms\": {:.3}\n",
-        elect_ms + promote_ms + first_write_ms
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"follower_reads_identical\": true\n");
-    out.push_str("}\n");
-    out
+    let failover = JsonObject::new()
+        .field_f64("elect_ms", elect_ms)
+        .field_f64("promote_ms", promote_ms)
+        .field_f64("first_write_ms", first_write_ms)
+        .field_f64("total_unavailability_ms", unavailable_ms)
+        .finish();
+    report::write_json("replication", |doc| {
+        doc.field_usize("n", n)
+            .field_usize("dim", DIM)
+            .field_usize("budget", BUDGET)
+            .field_usize("shards", SHARDS)
+            .field_u64("seed", cfg.seed)
+            .field_raw("catch_up", &catch_up)
+            .field_raw("steady_state", &steady_state)
+            .field_raw("failover", &failover)
+            .field_bool("follower_reads_identical", true)
+    });
 }

@@ -26,11 +26,12 @@
 //!
 //! Results are printed as tables and written to `BENCH_serve.json`.
 
-use crate::report::Table;
+use crate::report::{self, Table};
 use crate::{time_ms, Config};
+use planar_core::stats::json_array;
 use planar_core::{
     ConcurrencyConfig, ConcurrentShardedIndexSet, ExecutionConfig, IndexConfig, InequalityQuery,
-    PartitionScheme, ShardConfig, ShardedIndexSet, VecStore,
+    JsonObject, PartitionScheme, ShardConfig, ShardedIndexSet, VecStore,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
@@ -195,12 +196,8 @@ pub fn serve(cfg: &Config) {
         ]);
     }
     t.print();
-    let coalesced_rps = dispatch_rows[0].1;
-    let per_request_rps = dispatch_rows[1].1;
-    println!(
-        "  coalesced/per-request throughput ratio: {:.2}x\n",
-        coalesced_rps / per_request_rps
-    );
+    let coalesced_speedup = dispatch_rows[0].1 / dispatch_rows[1].1;
+    println!("  coalesced/per-request throughput ratio: {coalesced_speedup:.2}x\n");
 
     // ---- Arm 2: latency percentiles vs offered load --------------------
     let mut load_rows: Vec<(usize, u64, u64, u64, f64, f64)> = Vec::new();
@@ -367,19 +364,50 @@ pub fn serve(cfg: &Config) {
         checked.load(Ordering::Relaxed)
     );
 
-    let json = render_json(
-        cfg,
-        n,
-        n_dispatch,
-        &dispatch_rows,
-        &load_rows,
-        &overload_rows,
-    );
-    let path = "BENCH_serve.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[harness] wrote {path}"),
-        Err(e) => eprintln!("[harness] could not write {path}: {e}"),
-    }
+    let dispatch = dispatch_rows.iter().map(|(label, rps, mean_batch, wall)| {
+        JsonObject::new()
+            .field_str("policy", label)
+            .field_f64("requests_per_sec", *rps)
+            .field_f64("mean_batch", *mean_batch)
+            .field_f64("wall_ms", *wall)
+            .finish()
+    });
+    let latency_vs_load = load_rows
+        .iter()
+        .map(|&(clients, p50, p90, p99, mean_batch, rps)| {
+            JsonObject::new()
+                .field_usize("clients", clients)
+                .field_u64("p50_us", p50)
+                .field_u64("p90_us", p90)
+                .field_u64("p99_us", p99)
+                .field_f64("mean_batch", mean_batch)
+                .field_f64("requests_per_sec", rps)
+                .finish()
+        });
+    let overload = overload_rows
+        .iter()
+        .map(|&(clients, served, retries, overloads)| {
+            JsonObject::new()
+                .field_usize("clients", clients)
+                .field_usize("served", served)
+                .field_usize("retries", retries)
+                .field_usize("overloads", overloads)
+                .finish()
+        });
+    report::write_json("serve", |doc| {
+        doc.field_usize("n", n)
+            .field_usize("n_dispatch", n_dispatch)
+            .field_usize("dispatch_clients", DISPATCH_CLIENTS)
+            .field_usize("dim", DIM)
+            .field_usize("budget", BUDGET)
+            .field_usize("shards", SHARDS)
+            .field_u64("seed", cfg.seed)
+            .field_usize("host_cpus", report::host_cpus())
+            .field_raw("dispatch", &json_array(dispatch))
+            .field_f64("coalesced_speedup", coalesced_speedup)
+            .field_raw("latency_vs_load", &json_array(latency_vs_load))
+            .field_raw("overload", &json_array(overload))
+    });
 }
 
 /// A served engine plus its query set and direct-call ground truth.
@@ -420,66 +448,4 @@ fn build_served_engine(cfg: &Config, n: usize) -> ServedEngine {
         .map(|r| r.expect("direct ground truth").matches)
         .collect();
     (engine, Arc::new(queries), Arc::new(expected))
-}
-
-/// Hand-rolled JSON (the workspace has no serde).
-fn render_json(
-    cfg: &Config,
-    n: usize,
-    n_dispatch: usize,
-    dispatch_rows: &[(&str, f64, f64, f64)],
-    load_rows: &[(usize, u64, u64, u64, f64, f64)],
-    overload_rows: &[(usize, usize, usize, usize)],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"serve\",\n");
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str(&format!("  \"n_dispatch\": {n_dispatch},\n"));
-    out.push_str(&format!("  \"dispatch_clients\": {DISPATCH_CLIENTS},\n"));
-    out.push_str(&format!("  \"dim\": {DIM},\n"));
-    out.push_str(&format!("  \"budget\": {BUDGET},\n"));
-    out.push_str(&format!("  \"shards\": {SHARDS},\n"));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    ));
-    out.push_str("  \"dispatch\": [\n");
-    for (i, (label, rps, mean_batch, wall)) in dispatch_rows.iter().enumerate() {
-        let comma = if i + 1 == dispatch_rows.len() {
-            ""
-        } else {
-            ","
-        };
-        out.push_str(&format!(
-            "    {{\"policy\": \"{label}\", \"requests_per_sec\": {rps:.1}, \"mean_batch\": {mean_batch:.3}, \"wall_ms\": {wall:.2}}}{comma}\n"
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"coalesced_speedup\": {:.3},\n",
-        dispatch_rows[0].1 / dispatch_rows[1].1
-    ));
-    out.push_str("  \"latency_vs_load\": [\n");
-    for (i, (clients, p50, p90, p99, mean_batch, rps)) in load_rows.iter().enumerate() {
-        let comma = if i + 1 == load_rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"clients\": {clients}, \"p50_us\": {p50}, \"p90_us\": {p90}, \"p99_us\": {p99}, \"mean_batch\": {mean_batch:.3}, \"requests_per_sec\": {rps:.1}}}{comma}\n"
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"overload\": [\n");
-    for (i, (clients, served, retries, overloads)) in overload_rows.iter().enumerate() {
-        let comma = if i + 1 == overload_rows.len() {
-            ""
-        } else {
-            ","
-        };
-        out.push_str(&format!(
-            "    {{\"clients\": {clients}, \"served\": {served}, \"retries\": {retries}, \"overloads\": {overloads}}}{comma}\n"
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
 }

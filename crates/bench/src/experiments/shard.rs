@@ -17,11 +17,12 @@
 //! `host_cpus` is recorded in the JSON so the two regimes are not
 //! conflated when reading results.
 
-use crate::report::{ms, Table};
+use crate::report::{self, ms, Table};
 use crate::{time_ms, Config};
+use planar_core::stats::json_array;
 use planar_core::{
-    ExecutionConfig, IndexConfig, InequalityQuery, PartitionScheme, PlanarIndexSet, ShardConfig,
-    ShardedIndexSet, TopKQuery, VecStore,
+    ExecutionConfig, IndexConfig, InequalityQuery, JsonObject, PartitionScheme, PlanarIndexSet,
+    ShardConfig, ShardedIndexSet, TopKQuery, VecStore,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
@@ -174,72 +175,49 @@ pub fn shard(cfg: &Config) {
         ms(base_topk_ms),
         "1.00".into(),
     ]);
+    let mut rows = Vec::new();
     for s in &sweeps {
+        let batch_x = base_batch_ms / s.batch_ms;
+        let topk_x = base_topk_ms / s.topk_ms;
+        let qps = batch as f64 / (s.batch_ms / 1e3);
         t.row(vec![
             s.shards.to_string(),
             ms(s.build_ms),
             ms(s.batch_ms),
-            format!("{:.2}", base_batch_ms / s.batch_ms),
-            format!("{:.0}", batch as f64 / (s.batch_ms / 1e3)),
+            format!("{batch_x:.2}"),
+            format!("{qps:.0}"),
             ms(s.topk_ms),
-            format!("{:.2}", base_topk_ms / s.topk_ms),
+            format!("{topk_x:.2}"),
         ]);
+        rows.push(
+            JsonObject::new()
+                .field_usize("shards", s.shards)
+                .field_f64("build_ms", s.build_ms)
+                .field_f64("batch_ms", s.batch_ms)
+                .field_f64("batch_speedup", batch_x)
+                .field_f64("batch_queries_per_s", qps)
+                .field_f64("topk_ms", s.topk_ms)
+                .field_f64("topk_speedup", topk_x)
+                .finish(),
+        );
     }
     t.print();
 
-    let json = render_json(n, batch, base_batch_ms, base_topk_ms, &sweeps);
-    let path = "BENCH_shard.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[harness] wrote {path}"),
-        Err(e) => eprintln!("[harness] could not write {path}: {e}"),
-    }
-}
-
-/// Hand-rolled JSON (the workspace has no serde): the unsharded baseline
-/// plus one object per shard count with speedups over that baseline.
-fn render_json(
-    n: usize,
-    batch: usize,
-    base_batch_ms: f64,
-    base_topk_ms: f64,
-    sweeps: &[Sweep],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"shard\",\n");
-    let host = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    out.push_str(&format!("  \"host_cpus\": {host},\n"));
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str(&format!("  \"dim\": {DIM},\n"));
-    out.push_str(&format!("  \"budget_per_shard\": {BUDGET},\n"));
-    out.push_str(&format!("  \"batch_queries\": {batch},\n"));
-    out.push_str("  \"partitioner\": \"pilot_key_range\",\n");
-    out.push_str("  \"answers_verified\": true,\n");
-    out.push_str(&format!(
-        "  \"unsharded\": {{\"batch_ms\": {base_batch_ms:.3}, \"topk_ms\": {base_topk_ms:.3}}},\n"
-    ));
-    out.push_str("  \"sweep\": [\n");
-    for (i, s) in sweeps.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"shards\": {}, \"build_ms\": {:.3}, ",
-                "\"batch_ms\": {:.3}, \"batch_speedup\": {:.3}, ",
-                "\"batch_queries_per_s\": {:.1}, ",
-                "\"topk_ms\": {:.3}, \"topk_speedup\": {:.3}}}{}\n"
-            ),
-            s.shards,
-            s.build_ms,
-            s.batch_ms,
-            base_batch_ms / s.batch_ms,
-            batch as f64 / (s.batch_ms / 1e3),
-            s.topk_ms,
-            base_topk_ms / s.topk_ms,
-            if i + 1 == sweeps.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let unsharded = JsonObject::new()
+        .field_f64("batch_ms", base_batch_ms)
+        .field_f64("topk_ms", base_topk_ms)
+        .finish();
+    report::write_json("shard", |doc| {
+        doc.field_usize("host_cpus", report::host_cpus())
+            .field_usize("n", n)
+            .field_usize("dim", DIM)
+            .field_usize("budget_per_shard", BUDGET)
+            .field_usize("batch_queries", batch)
+            .field_str("partitioner", "pilot_key_range")
+            .field_bool("answers_verified", true)
+            .field_raw("unsharded", &unsharded)
+            .field_raw("sweep", &json_array(rows))
+    });
 }
 
 #[cfg(test)]
@@ -249,29 +227,5 @@ mod tests {
     #[test]
     fn shard_sweep_covers_one_through_eight() {
         assert_eq!(SHARD_COUNTS, [1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let sweeps = vec![
-            Sweep {
-                shards: 1,
-                build_ms: 50.0,
-                batch_ms: 10.0,
-                topk_ms: 8.0,
-            },
-            Sweep {
-                shards: 8,
-                build_ms: 60.0,
-                batch_ms: 2.5,
-                topk_ms: 4.0,
-            },
-        ];
-        let json = render_json(1000, 160, 10.0, 8.0, &sweeps);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches("\"shards\"").count(), 2);
-        assert!(json.contains("\"batch_speedup\": 4.000"));
-        assert!(json.contains("\"topk_speedup\": 2.000"));
-        assert!(json.contains("\"answers_verified\": true"));
     }
 }

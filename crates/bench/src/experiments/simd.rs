@@ -4,10 +4,10 @@
 //! `BENCH_simd.json`, stamped with the dispatched kernel so archived
 //! numbers are traceable to the code path that produced them.
 
-use crate::report::{ms, Table};
+use crate::report::{self, ms, Table};
 use crate::{time_ms, Config};
 use planar_core::{
-    Cmp, ExecutionConfig, IndexConfig, InequalityQuery, PlanarIndexSet, QueryScratch,
+    Cmp, ExecutionConfig, IndexConfig, InequalityQuery, JsonObject, PlanarIndexSet, QueryScratch,
     StatsAggregator, StatsSnapshot, VecStore,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
@@ -141,12 +141,37 @@ pub fn simd(cfg: &Config) {
     ]);
     t.print();
 
-    let json = render_json(n, &kernel, &pruning);
-    let path = "BENCH_simd.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[harness] wrote {path}"),
-        Err(e) => eprintln!("[harness] could not write {path}: {e}"),
-    }
+    let snap = &pruning.snapshot;
+    let verification = JsonObject::new()
+        .field_usize("rows_verified", kernel.rows_verified)
+        .field_f64("rowmajor_blocked_ms", kernel.rowmajor_ms)
+        .field_f64("columnar_fused_ms", kernel.columnar_ms)
+        .field_f64("speedup", kernel.rowmajor_ms / kernel.columnar_ms)
+        .finish();
+    let reduction_pct = if pruning.verified_off == 0 {
+        0.0
+    } else {
+        100.0 * (pruning.verified_off - pruning.verified_on) as f64 / pruning.verified_off as f64
+    };
+    let intersection_pruning = JsonObject::new()
+        .field_usize("queries", pruning.queries)
+        .field_usize("verified_unpruned", pruning.verified_off)
+        .field_usize("verified_pruned", pruning.verified_on)
+        .field_usize("settled_by_siblings", pruning.intersect_pruned)
+        .field_f64("verified_reduction_pct", reduction_pct)
+        .field_f64("mean_intersect_pruned", snap.mean_intersect_pruned)
+        .field_bool("result_sets_identical", true)
+        .finish();
+    report::write_json("simd", |doc| {
+        doc.field_usize("n", n)
+            .field_usize("dim", DIM)
+            .field_usize("budget", BUDGET)
+            .field_str("kernel", snap.kernel)
+            .field_bool("fma_available", snap.fma_available)
+            .field_u64("thread_clamp_events", snap.thread_clamp_events)
+            .field_raw("verification", &verification)
+            .field_raw("intersection_pruning", &intersection_pruning)
+    });
 }
 
 /// Time full-table verification through both layouts, asserting they agree
@@ -212,69 +237,6 @@ fn pruning_arm(set: &PlanarIndexSet<VecStore>, queries: &[InequalityQuery]) -> P
     }
 }
 
-/// Hand-rolled JSON (the workspace has no serde).
-fn render_json(n: usize, kernel: &KernelArm, pruning: &PruningArm) -> String {
-    let snap = &pruning.snapshot;
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"simd\",\n");
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str(&format!("  \"dim\": {DIM},\n"));
-    out.push_str(&format!("  \"budget\": {BUDGET},\n"));
-    out.push_str(&format!("  \"kernel\": \"{}\",\n", snap.kernel));
-    out.push_str(&format!("  \"fma_available\": {},\n", snap.fma_available));
-    out.push_str(&format!(
-        "  \"thread_clamp_events\": {},\n",
-        snap.thread_clamp_events
-    ));
-    out.push_str("  \"verification\": {\n");
-    out.push_str(&format!(
-        "    \"rows_verified\": {},\n",
-        kernel.rows_verified
-    ));
-    out.push_str(&format!(
-        "    \"rowmajor_blocked_ms\": {:.3},\n",
-        kernel.rowmajor_ms
-    ));
-    out.push_str(&format!(
-        "    \"columnar_fused_ms\": {:.3},\n",
-        kernel.columnar_ms
-    ));
-    out.push_str(&format!(
-        "    \"speedup\": {:.3}\n",
-        kernel.rowmajor_ms / kernel.columnar_ms
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"intersection_pruning\": {\n");
-    out.push_str(&format!("    \"queries\": {},\n", pruning.queries));
-    out.push_str(&format!(
-        "    \"verified_unpruned\": {},\n",
-        pruning.verified_off
-    ));
-    out.push_str(&format!(
-        "    \"verified_pruned\": {},\n",
-        pruning.verified_on
-    ));
-    out.push_str(&format!(
-        "    \"settled_by_siblings\": {},\n",
-        pruning.intersect_pruned
-    ));
-    let reduction = if pruning.verified_off == 0 {
-        0.0
-    } else {
-        100.0 * (pruning.verified_off - pruning.verified_on) as f64 / pruning.verified_off as f64
-    };
-    out.push_str(&format!(
-        "    \"verified_reduction_pct\": {reduction:.2},\n"
-    ));
-    out.push_str(&format!(
-        "    \"mean_intersect_pruned\": {:.2},\n",
-        snap.mean_intersect_pruned
-    ));
-    out.push_str("    \"result_sets_identical\": true\n");
-    out.push_str("  }\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,21 +271,5 @@ mod tests {
                 verify_columnar(set.table(), q, window)
             );
         }
-    }
-
-    #[test]
-    fn json_records_kernel_and_pruning() {
-        let (set, queries) = tiny_setup();
-        let kernel = kernel_arm(&set, &queries);
-        let pruning = pruning_arm(&set, &queries);
-        let json = render_json(100, &kernel, &pruning);
-        assert!(json.contains("\"kernel\": \"avx2\"") || json.contains("\"kernel\": \"portable\""));
-        assert!(json.contains("\"result_sets_identical\": true"));
-        assert!(json.contains("\"verified_reduction_pct\""));
-        assert_eq!(
-            pruning.verified_on + pruning.intersect_pruned,
-            pruning.verified_off,
-            "pruned + settled must cover exactly the unpruned verifications"
-        );
     }
 }

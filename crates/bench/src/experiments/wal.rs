@@ -22,12 +22,13 @@
 
 use std::time::Duration;
 
-use crate::report::{ms, Table};
+use crate::report::{self, ms, Table};
 use crate::{time_ms, Config};
 use planar_core::fault::TempDir;
+use planar_core::stats::{json_array, json_f64};
 use planar_core::{
     ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ExecutionConfig, FsyncPolicy, IndexConfig,
-    InequalityQuery, ShardConfig, ShardedIndexSet, VecStore, WalOptions,
+    InequalityQuery, JsonObject, ShardConfig, ShardedIndexSet, VecStore, WalOptions,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
@@ -239,79 +240,35 @@ pub fn wal(cfg: &Config) {
     }
     t.print();
 
-    let json = render_json(
-        cfg,
-        n,
-        &policies,
-        &policy_ms,
-        memory_ms,
-        cold_open_ms,
-        warm_open_ms,
-        clean_open_ms,
-        cold_per_sec,
-        warm_per_sec,
-        &deadline_rows,
-    );
-    let path = "BENCH_wal.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[harness] wrote {path}"),
-        Err(e) => eprintln!("[harness] could not write {path}: {e}"),
+    let mut fsync_policy_ms = JsonObject::new().field_f64("none", memory_ms);
+    for (&p, &v) in policies.iter().zip(&policy_ms) {
+        fsync_policy_ms = fsync_policy_ms.field_f64(policy_name(p), v);
     }
-}
-
-/// Hand-rolled JSON (the workspace has no serde).
-#[allow(clippy::too_many_arguments)]
-fn render_json(
-    cfg: &Config,
-    n: usize,
-    policies: &[FsyncPolicy],
-    policy_ms: &[f64],
-    memory_ms: f64,
-    cold_open_ms: f64,
-    warm_open_ms: f64,
-    clean_open_ms: f64,
-    cold_per_sec: f64,
-    warm_per_sec: f64,
-    deadline_rows: &[(&str, Option<f64>, usize, usize)],
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"wal\",\n");
-    out.push_str(&format!("  \"n\": {n},\n"));
-    out.push_str(&format!("  \"dim\": {DIM},\n"));
-    out.push_str(&format!("  \"budget\": {BUDGET},\n"));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"mutations\": {MUTATIONS},\n"));
-    out.push_str("  \"fsync_policy_ms\": {\n");
-    out.push_str(&format!("    \"none\": {memory_ms:.3},\n"));
-    for (i, (&p, &v)) in policies.iter().zip(policy_ms).enumerate() {
-        let comma = if i + 1 == policies.len() { "" } else { "," };
-        out.push_str(&format!("    \"{}\": {v:.3}{comma}\n", policy_name(p)));
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"recovery\": {\n");
-    out.push_str(&format!("    \"cold_open_ms\": {cold_open_ms:.3},\n"));
-    out.push_str(&format!("    \"warm_open_ms\": {warm_open_ms:.3},\n"));
-    out.push_str(&format!("    \"clean_open_ms\": {clean_open_ms:.3},\n"));
-    out.push_str(&format!(
-        "    \"replay_cold_records_per_sec\": {cold_per_sec:.0},\n"
-    ));
-    out.push_str(&format!(
-        "    \"replay_warm_records_per_sec\": {warm_per_sec:.0}\n"
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"deadline\": [\n");
-    for (i, (label, budget, completed, partial)) in deadline_rows.iter().enumerate() {
-        let comma = if i + 1 == deadline_rows.len() {
-            ""
-        } else {
-            ","
-        };
-        let budget = budget.map_or("null".to_string(), |b| format!("{b:.3}"));
-        out.push_str(&format!(
-            "    {{\"budget\": \"{label}\", \"budget_ms\": {budget}, \"completed\": {completed}, \"partial\": {partial}}}{comma}\n"
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    let recovery = JsonObject::new()
+        .field_f64("cold_open_ms", cold_open_ms)
+        .field_f64("warm_open_ms", warm_open_ms)
+        .field_f64("clean_open_ms", clean_open_ms)
+        .field_f64("replay_cold_records_per_sec", cold_per_sec)
+        .field_f64("replay_warm_records_per_sec", warm_per_sec)
+        .finish();
+    let deadline = deadline_rows
+        .iter()
+        .map(|(label, budget, completed, partial)| {
+            JsonObject::new()
+                .field_str("budget", label)
+                .field_raw("budget_ms", &budget.map_or_else(|| "null".into(), json_f64))
+                .field_usize("completed", *completed)
+                .field_usize("partial", *partial)
+                .finish()
+        });
+    report::write_json("wal", |doc| {
+        doc.field_usize("n", n)
+            .field_usize("dim", DIM)
+            .field_usize("budget", BUDGET)
+            .field_u64("seed", cfg.seed)
+            .field_usize("mutations", MUTATIONS)
+            .field_raw("fsync_policy_ms", &fsync_policy_ms.finish())
+            .field_raw("recovery", &recovery)
+            .field_raw("deadline", &json_array(deadline))
+    });
 }

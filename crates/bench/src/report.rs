@@ -1,8 +1,11 @@
-//! Plain-text table rendering for harness output.
+//! Harness output: aligned text tables and the `BENCH_*.json` reports.
 //!
 //! Every experiment prints the same rows/series the corresponding paper
 //! table or figure reports, in an aligned text table that is also easy to
-//! grep/awk into a plot.
+//! grep/awk into a plot. Experiments that archive their numbers build one
+//! [`JsonObject`] document and hand it to [`write_json`].
+
+use planar_core::JsonObject;
 
 /// An aligned text table built row by row.
 #[derive(Debug, Clone)]
@@ -61,6 +64,24 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
     }
+}
+
+/// Write `BENCH_<experiment>.json` into the working directory and log the
+/// path. `fill` adds the experiment's fields to a document whose first
+/// field, `experiment`, already names it.
+pub fn write_json(experiment: &str, fill: impl FnOnce(JsonObject) -> JsonObject) {
+    let doc = fill(JsonObject::new().field_str("experiment", experiment)).finish();
+    let path = format!("BENCH_{experiment}.json");
+    match std::fs::write(&path, doc + "\n") {
+        Ok(()) => eprintln!("[harness] wrote {path}"),
+        Err(e) => eprintln!("[harness] could not write {path}: {e}"),
+    }
+}
+
+/// CPUs available to this process. Reports record it so a speedup
+/// measured on a small host is not misread as an engine limitation.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// Format milliseconds with sensible precision.

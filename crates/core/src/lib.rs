@@ -137,9 +137,9 @@ pub use quant::{
 };
 pub use query::{Cmp, InequalityQuery, InvalidQueryReason, TopKQuery};
 pub use replicate::{
-    elect, endpoint_pair, AckPolicy, ChannelTransport, DirTransport, FailoverConfig, FollowerRead,
-    Primary, ReadConsistency, Replica, ReplicaHealth, ReplicationHealth, ReplicationStats,
-    ShipEndpoint, ShipEndpointDriver, TcpLinkOptions, TcpTransport, Transport, SHIP_MAGIC,
+    elect, endpoint_pair, AckPolicy, ChannelTransport, FailoverConfig, FollowerRead, Primary,
+    ReadConsistency, Replica, ReplicaHealth, ReplicationHealth, ReplicationStats, ShipEndpoint,
+    ShipEndpointDriver, TcpLinkOptions, TcpTransport, Transport, SHIP_MAGIC,
 };
 pub use router::AxisReductionRouter;
 pub use scan::SeqScan;
@@ -149,7 +149,7 @@ pub use shard::{
     ShardedTopKOutcome,
 };
 pub use stats::{ExecutionPath, JsonObject, QueryStats, ServedBy, StatsAggregator, StatsSnapshot};
-pub use store::{BPlusTree, EytzingerStore, KeyStore, VecStore};
+pub use store::{BPlusTree, KeyStore, VecStore};
 pub use table::{ColSegment, ColumnMajorRows, FeatureTable};
 pub use wal::{
     FsyncPolicy, GroupCommitStats, Lsn, Mutation, MutationAck, QuorumGate, WalHealth, WalOptions,

@@ -163,7 +163,7 @@ pub trait Transport: Send + std::fmt::Debug {
 
     /// False once the pipe is permanently closed: the peer went away and
     /// this transport will never deliver again. [`Primary::pump`] reaps
-    /// links whose transports report disconnection. In-process and spool
+    /// links whose transports report disconnection. In-process
     /// transports never close.
     fn connected(&self) -> bool {
         true
@@ -215,82 +215,6 @@ impl Transport for ChannelTransport {
 
     fn recv(&mut self) -> Result<Option<Vec<u8>>> {
         Ok(self.lock().pop_front())
-    }
-}
-
-/// Directory-spool [`Transport`]: each message is a numbered file
-/// (`msg-<seq>.bin`, temp-written then renamed, so a reader never sees a
-/// half-written message), delivered in name order and deleted on
-/// receive. Works across processes sharing a filesystem; the spool
-/// directory is the whole wire, so every transport fault the tests
-/// inject has a bytes-on-disk analogue.
-#[derive(Debug)]
-pub struct DirTransport {
-    dir: PathBuf,
-    next_seq: u64,
-}
-
-impl DirTransport {
-    /// Open (creating if needed) the spool at `dir`. The send sequence
-    /// resumes above any message already spooled.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] when the directory cannot be created or
-    /// listed.
-    pub fn new(dir: impl Into<PathBuf>) -> Result<Self> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| shipio("create spool dir", e))?;
-        let mut next_seq = 0;
-        for seq in Self::spooled(&dir)? {
-            next_seq = next_seq.max(seq + 1);
-        }
-        Ok(Self { dir, next_seq })
-    }
-
-    fn spooled(dir: &Path) -> Result<Vec<u64>> {
-        let mut seqs = Vec::new();
-        let entries = fs::read_dir(dir).map_err(|e| shipio("list spool dir", e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| shipio("list spool dir", e))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(digits) = name
-                .strip_prefix("msg-")
-                .and_then(|n| n.strip_suffix(".bin"))
-            {
-                if let Ok(seq) = digits.parse() {
-                    seqs.push(seq);
-                }
-            }
-        }
-        seqs.sort_unstable();
-        Ok(seqs)
-    }
-
-    fn msg_path(&self, seq: u64) -> PathBuf {
-        self.dir.join(format!("msg-{seq:020}.bin"))
-    }
-}
-
-impl Transport for DirTransport {
-    fn send(&mut self, msg: Vec<u8>) -> Result<()> {
-        let seq = self.next_seq;
-        let tmp = self.dir.join(format!(".msg-{seq:020}.tmp"));
-        fs::write(&tmp, &msg).map_err(|e| shipio("spool message", e))?;
-        fs::rename(&tmp, self.msg_path(seq)).map_err(|e| shipio("publish message", e))?;
-        self.next_seq = seq + 1;
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Option<Vec<u8>>> {
-        let Some(&seq) = Self::spooled(&self.dir)?.first() else {
-            return Ok(None);
-        };
-        let path = self.msg_path(seq);
-        let bytes = fs::read(&path).map_err(|e| shipio("read spooled message", e))?;
-        fs::remove_file(&path).map_err(|e| shipio("consume spooled message", e))?;
-        Ok(Some(bytes))
     }
 }
 
@@ -2620,26 +2544,13 @@ mod tests {
     }
 
     #[test]
-    fn channel_and_dir_transports_are_fifo() {
+    fn channel_transport_is_fifo() {
         let mut c = ChannelTransport::new();
         c.send(vec![1]).unwrap();
         c.send(vec![2]).unwrap();
         assert_eq!(c.recv().unwrap(), Some(vec![1]));
         assert_eq!(c.recv().unwrap(), Some(vec![2]));
         assert_eq!(c.recv().unwrap(), None);
-
-        let tmp = TempDir::new("repl_dir_transport").unwrap();
-        let mut tx = DirTransport::new(tmp.path()).unwrap();
-        let mut rx = DirTransport::new(tmp.path()).unwrap();
-        tx.send(vec![7; 100]).unwrap();
-        tx.send(vec![8]).unwrap();
-        assert_eq!(rx.recv().unwrap(), Some(vec![7; 100]));
-        // A transport opened later resumes the sequence.
-        let mut tx2 = DirTransport::new(tmp.path()).unwrap();
-        tx2.send(vec![9]).unwrap();
-        assert_eq!(rx.recv().unwrap(), Some(vec![8]));
-        assert_eq!(rx.recv().unwrap(), Some(vec![9]));
-        assert_eq!(rx.recv().unwrap(), None);
     }
 
     #[test]

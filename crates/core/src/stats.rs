@@ -809,6 +809,21 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
+/// Render items as a JSON array. Each item's `Display` form must already
+/// be a JSON value: an integer, or text from [`json_f64`],
+/// [`JsonObject::finish`] or a nested `json_array`.
+pub fn json_array<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&item.to_string());
+    }
+    out.push(']');
+    out
+}
+
 impl StatsSnapshot {
     /// Serialize the snapshot as a flat JSON object — the `/metrics`
     /// payload of `planar-serve` and the provenance block of the
@@ -863,17 +878,15 @@ impl StatsSnapshot {
                 self.replication_quorum_timeouts,
             )
             .field_u64("replication_link_drops", self.replication_link_drops)
-            .field_raw("replication_link_acked", &{
-                let mut arr = String::from("[");
-                for (i, (id, acked)) in self.replication_link_acked.iter().enumerate() {
-                    if i > 0 {
-                        arr.push(',');
-                    }
-                    arr.push_str(&format!("{{\"id\":{id},\"acked_lsn\":{acked}}}"));
-                }
-                arr.push(']');
-                arr
-            })
+            .field_raw(
+                "replication_link_acked",
+                &json_array(self.replication_link_acked.iter().map(|&(id, acked)| {
+                    JsonObject::new()
+                        .field_u64("id", id as u64)
+                        .field_u64("acked_lsn", acked)
+                        .finish()
+                })),
+            )
             .field_str("kernel", self.kernel)
             .field_bool("fma_available", self.fma_available)
             .field_u64("thread_clamp_events", self.thread_clamp_events)
@@ -1061,6 +1074,17 @@ mod tests {
              \"inner\":{\"x\":7}}"
         );
         assert_eq!(JsonObject::new().finish(), "{}");
+    }
+
+    #[test]
+    fn json_array_joins_rendered_values() {
+        assert_eq!(json_array([1u32, 2, 3]), "[1,2,3]");
+        assert_eq!(json_array(Vec::<u32>::new()), "[]");
+        let rows = [
+            json_array([json_f64(0.5), json_f64(f64::NAN)]),
+            JsonObject::new().field_u64("x", 7).finish(),
+        ];
+        assert_eq!(json_array(rows), "[[0.5,null],{\"x\":7}]");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   (Algorithm 2's pruned top-k walk);
 //! * *point updates* — the dynamic maintenance of §4.4.
 //!
-//! Three implementations are provided:
+//! Two implementations are provided:
 //!
 //! * [`VecStore`] — a packed sorted array. Fastest scans, O(n) updates.
 //!   The right choice for the read-heavy workloads of the paper's main
@@ -20,16 +20,11 @@
 //!   O(log n) updates, matching the paper's `O(d' log n)` per-point update
 //!   claim, at a modest constant-factor cost on scans. The right choice for
 //!   moving-object style workloads where points change continuously.
-//! * [`EytzingerStore`] — a packed array plus a BFS-ordered key copy that
-//!   accelerates the rank queries (cache-predictable probe sequence);
-//!   static like `VecStore`.
 
 mod bptree;
-mod eytzinger;
 mod vec_store;
 
 pub use bptree::BPlusTree;
-pub use eytzinger::EytzingerStore;
 pub use vec_store::VecStore;
 
 use crate::memory::HeapSize;

@@ -3,8 +3,8 @@
 //! bit-identical answers (ids *and* distances) — for every key store.
 
 use planar_core::{
-    BPlusTree, Domain, EytzingerStore, FeatureTable, IndexConfig, InequalityQuery, KeyStore,
-    ParameterDomain, PlanarIndexSet, TopKQuery, VecStore,
+    BPlusTree, Domain, FeatureTable, IndexConfig, InequalityQuery, KeyStore, ParameterDomain,
+    PlanarIndexSet, TopKQuery, VecStore,
 };
 use proptest::prelude::*;
 
@@ -121,10 +121,5 @@ proptest! {
     #[test]
     fn mutated_sets_round_trip_exactly_bptree(t in trace()) {
         check_store::<BPlusTree>(&t);
-    }
-
-    #[test]
-    fn mutated_sets_round_trip_exactly_eytzinger(t in trace()) {
-        check_store::<EytzingerStore>(&t);
     }
 }

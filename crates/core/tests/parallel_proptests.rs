@@ -6,8 +6,8 @@
 
 use planar_core::{BPlusTree, QueryOutcome, TopKOutcome};
 use planar_core::{
-    Cmp, Domain, ExecutionConfig, EytzingerStore, FeatureTable, IndexConfig, InequalityQuery,
-    KeyStore, ParameterDomain, PlanarIndexSet, QueryScratch, TopKQuery, VecStore,
+    Cmp, Domain, ExecutionConfig, FeatureTable, IndexConfig, InequalityQuery, KeyStore,
+    ParameterDomain, PlanarIndexSet, QueryScratch, TopKQuery, VecStore,
 };
 use proptest::prelude::*;
 
@@ -175,11 +175,6 @@ proptest! {
         check_query_batch::<BPlusTree>(&s);
     }
 
-    #[test]
-    fn query_batch_equals_sequential_eytzinger(s in scenario()) {
-        check_query_batch::<EytzingerStore>(&s);
-    }
-
     /// Batched top-k queries ≡ the sequential loop, on every store.
     #[test]
     fn top_k_batch_equals_sequential_vec_store(s in scenario()) {
@@ -189,11 +184,6 @@ proptest! {
     #[test]
     fn top_k_batch_equals_sequential_bplus_tree(s in scenario()) {
         check_top_k_batch::<BPlusTree>(&s);
-    }
-
-    #[test]
-    fn top_k_batch_equals_sequential_eytzinger(s in scenario()) {
-        check_top_k_batch::<EytzingerStore>(&s);
     }
 
     /// `query_with` with a reused scratch and chunked verification matches

@@ -8,9 +8,9 @@
 
 use planar_core::{BPlusTree, StatsAggregator};
 use planar_core::{
-    Cmp, Domain, ExecutionConfig, EytzingerStore, FeatureTable, IndexConfig, InequalityQuery,
-    KeyStore, ParameterDomain, PartitionScheme, PlanarError, PlanarIndexSet, ShardConfig,
-    ShardedIndexSet, TopKQuery, VecStore,
+    Cmp, Domain, ExecutionConfig, FeatureTable, IndexConfig, InequalityQuery, KeyStore,
+    ParameterDomain, PartitionScheme, PlanarError, PlanarIndexSet, ShardConfig, ShardedIndexSet,
+    TopKQuery, VecStore,
 };
 use proptest::prelude::*;
 
@@ -296,11 +296,6 @@ proptest! {
         check_equivalence::<BPlusTree>(&s);
     }
 
-    #[test]
-    fn sharded_equals_unsharded_eytzinger(s in scenario()) {
-        check_equivalence::<EytzingerStore>(&s);
-    }
-
     /// Shard-major batches ≡ one-at-a-time ≡ unsharded, for any thread
     /// count, on every store.
     #[test]
@@ -313,11 +308,6 @@ proptest! {
         check_batches::<BPlusTree>(&s);
     }
 
-    #[test]
-    fn sharded_batches_equal_unsharded_eytzinger(s in scenario()) {
-        check_batches::<EytzingerStore>(&s);
-    }
-
     /// Interleaved insert/update/delete keeps the two engines in lockstep:
     /// same global ids, same liveness verdicts, same answers after.
     #[test]
@@ -328,11 +318,6 @@ proptest! {
     #[test]
     fn mutations_preserve_equivalence_bplus_tree(s in scenario()) {
         check_mutations::<BPlusTree>(&s);
-    }
-
-    #[test]
-    fn mutations_preserve_equivalence_eytzinger(s in scenario()) {
-        check_mutations::<EytzingerStore>(&s);
     }
 
     /// Arbitrary per-shard quarantine masks never change answers, and

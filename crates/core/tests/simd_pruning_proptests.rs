@@ -10,7 +10,7 @@
 //! store, quantized tier, pruning setting, and thread count.
 
 use planar_core::table::PointId;
-use planar_core::{BPlusTree, EytzingerStore, VecStore};
+use planar_core::{BPlusTree, VecStore};
 use planar_core::{
     Cmp, Domain, ExecutionConfig, ExecutionPath, FeatureTable, IndexConfig, InequalityQuery,
     KeyStore, ParameterDomain, PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, SeqScan,
@@ -429,11 +429,6 @@ proptest! {
         check_inequality_pruning::<BPlusTree>(&s);
     }
 
-    #[test]
-    fn pruned_inequality_equals_unpruned_eytzinger(s in scenario()) {
-        check_inequality_pruning::<EytzingerStore>(&s);
-    }
-
     /// Top-k with reject-only pruning returns bit-identical neighbors.
     #[test]
     fn pruned_top_k_equals_unpruned_vec_store(s in scenario()) {
@@ -443,11 +438,6 @@ proptest! {
     #[test]
     fn pruned_top_k_equals_unpruned_bplus_tree(s in scenario()) {
         check_top_k_pruning::<BPlusTree>(&s);
-    }
-
-    #[test]
-    fn pruned_top_k_equals_unpruned_eytzinger(s in scenario()) {
-        check_top_k_pruning::<EytzingerStore>(&s);
     }
 
     /// The block-mask path equals `SeqScan` (canonical order, bit-exact
@@ -461,10 +451,5 @@ proptest! {
     #[test]
     fn block_masks_equal_scan_bplus_tree(s in block_scenario()) {
         check_block_masks::<BPlusTree>(&s);
-    }
-
-    #[test]
-    fn block_masks_equal_scan_eytzinger(s in block_scenario()) {
-        check_block_masks::<EytzingerStore>(&s);
     }
 }

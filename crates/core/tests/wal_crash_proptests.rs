@@ -14,10 +14,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use planar_core::{
-    BPlusTree, Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, Corruption,
-    EytzingerStore, FeatureTable, FsyncPolicy, IndexConfig, InequalityQuery, KeyStore,
-    ParameterDomain, ShardConfig, ShardedIndexSet, ShardedRecoveryReport, TempDir, TopKQuery,
-    VecStore, WalOptions,
+    BPlusTree, Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, Corruption, FeatureTable,
+    FsyncPolicy, IndexConfig, InequalityQuery, KeyStore, ParameterDomain, ShardConfig,
+    ShardedIndexSet, ShardedRecoveryReport, TempDir, TopKQuery, VecStore, WalOptions,
 };
 use proptest::prelude::*;
 
@@ -382,10 +381,5 @@ proptest! {
     #[test]
     fn sharded_roundtrip_bplus_tree(t in trace()) {
         sharded_kill_recover_roundtrip::<BPlusTree>(&t);
-    }
-
-    #[test]
-    fn sharded_roundtrip_eytzinger(t in trace()) {
-        sharded_kill_recover_roundtrip::<EytzingerStore>(&t);
     }
 }

@@ -27,7 +27,7 @@
 use crate::json::Json;
 use crate::wire::{error_code, Request, Response};
 use crate::{Engine, Inner};
-use planar_core::stats::json_f64;
+use planar_core::stats::{json_array, json_f64};
 use planar_core::{Cmp, JsonObject};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -317,15 +317,8 @@ fn parse_query_body(body: &[u8], want_k: bool) -> Result<Request, String> {
 fn respond(stream: &mut TcpStream, resp: Response, close: bool) -> io::Result<()> {
     match resp {
         Response::Matches { ids, provenance } => {
-            let ids_json = format!(
-                "[{}]",
-                ids.iter()
-                    .map(|i| i.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
             let body = JsonObject::new()
-                .field_raw("ids", &ids_json)
+                .field_raw("ids", &json_array(&ids))
                 .field_bool("partial", provenance.partial)
                 .field_bool("degraded", provenance.degraded)
                 .field_u64("completed", provenance.completed as u64)
@@ -336,13 +329,10 @@ fn respond(stream: &mut TcpStream, resp: Response, close: bool) -> io::Result<()
             neighbors,
             provenance,
         } => {
-            let nn = format!(
-                "[{}]",
+            let nn = json_array(
                 neighbors
                     .iter()
-                    .map(|(id, d)| format!("[{},{}]", id, json_f64(*d)))
-                    .collect::<Vec<_>>()
-                    .join(",")
+                    .map(|(id, d)| json_array([id.to_string(), json_f64(*d)])),
             );
             let body = JsonObject::new()
                 .field_raw("neighbors", &nn)
