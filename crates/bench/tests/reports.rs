@@ -158,15 +158,6 @@ fn simd_report() {
         num(&doc, "verification.speedup"),
         num(&doc, "verification.rowmajor_blocked_ms") / num(&doc, "verification.columnar_fused_ms")
     );
-    let p = at(&doc, "intersection_pruning");
-    assert!(is_true(p, "result_sets_identical"));
-    let (off, on) = (num(p, "verified_unpruned"), num(p, "verified_pruned"));
-    assert_eq!(
-        on + num(p, "settled_by_siblings"),
-        off,
-        "pruned + settled must cover exactly the unpruned verifications"
-    );
-    assert_eq!(num(p, "verified_reduction_pct"), 100.0 * (off - on) / off);
 }
 
 #[test]

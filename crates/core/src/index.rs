@@ -39,7 +39,7 @@ use crate::stats::{ExecutionPath, QueryStats};
 use crate::store::{Entry, KeyStore};
 use crate::table::{FeatureTable, PointId};
 use crate::{HeapSize, PlanarError, Result};
-use planar_geom::{dot_slices, NormalizedQuery, Normalizer, BLOCK_ROWS};
+use planar_geom::{dot_slices, NormalizedQuery, Normalizer};
 
 /// Relative slack applied to interval boundaries so that float rounding in
 /// key/threshold computation can never misclassify a boundary point into a
@@ -70,9 +70,9 @@ pub struct TopKStats {
     pub walked: usize,
     /// Scalar products computed.
     pub verified: usize,
-    /// II candidates rejected by multi-index intersection pruning (a
-    /// sibling index proved they violate the constraint, so neither a
-    /// scalar product nor a distance was computed for them).
+    /// Always 0: every intermediate-interval candidate is verified. The
+    /// field stays for the repository benchmark (`benchmark/src/replay.rs`),
+    /// which reports it as `index.intersect_pruned_per_query`.
     pub intersect_pruned: usize,
 }
 
@@ -101,73 +101,6 @@ pub struct SingleIndex<S: KeyStore> {
     /// `c_rawᵢ = cᵢ·sign(O, i)` — the raw-space key normal.
     raw_normal: Vec<f64>,
     store: S,
-    /// Raw key by point id (`NaN` for ids this index does not hold) — the
-    /// O(1) side table behind multi-index intersection pruning: a sibling
-    /// index classifies an II candidate with one array load and two
-    /// comparisons instead of a rank query.
-    keys_by_id: Vec<f64>,
-}
-
-/// One sibling index's contribution to intersection pruning: its slacked
-/// raw-key thresholds `(lo, hi)` for the current query plus its id→key side
-/// table. Built by the index set, consumed by [`SingleIndex`] verification.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct AuxFilter<'a> {
-    /// Slacked lower threshold (raw-key space): `t_min − ε − shift`.
-    pub lo: f64,
-    /// Slacked upper threshold (raw-key space): `t_max + ε − shift`.
-    pub hi: f64,
-    /// The sibling's id→raw-key table.
-    pub keys: &'a [f64],
-}
-
-impl AuxFilter<'_> {
-    /// Classify the candidates `cand` of candidate-bitmap word `w` (bit `l`
-    /// is row `w·BLOCK_ROWS + l`) through this sibling's intervals.
-    /// Returns the lanes it proves to satisfy (Observation 2 with slack)
-    /// and to violate (Observation 1 with slack), disjoint subsets of
-    /// `cand`. Mirrors [`SingleIndex::boundaries`]: for `≤` the smaller
-    /// interval (`key ≤ lo`) is accepted and the larger (`key > hi`)
-    /// rejected; `≥` swaps the roles and keeps `key = lo` in the verified
-    /// middle (it can lie exactly on the hyperplane). An id absent from the
-    /// sibling (`NaN` key, or beyond its table) fails every comparison and
-    /// stays unsettled.
-    #[inline]
-    fn classify_word(&self, w: usize, cand: u64, cmp: Cmp) -> (u64, u64) {
-        let base = w * BLOCK_ROWS;
-        let (mut accept, mut reject) = (0, 0);
-        let mut m = cand;
-        while m != 0 {
-            let l = m.trailing_zeros();
-            if let Some(&key) = self.keys.get(base + l as usize) {
-                let (acc, rej) = match cmp {
-                    Cmp::Leq => (key <= self.lo, key > self.hi),
-                    Cmp::Geq => (key > self.hi, key < self.lo),
-                };
-                accept |= u64::from(acc) << l;
-                reject |= u64::from(rej) << l;
-            }
-            m &= m - 1;
-        }
-        (accept, reject)
-    }
-}
-
-/// Intersection pruning of one candidate-bitmap word: each sibling in turn
-/// settles the candidates no earlier sibling settled. Returns the
-/// (accepted, rejected) lanes.
-fn settle_word(aux: &[AuxFilter<'_>], cmp: Cmp, w: usize, cand: u64) -> (u64, u64) {
-    let (mut accept, mut reject, mut open) = (0, 0, cand);
-    for f in aux {
-        if open == 0 {
-            break;
-        }
-        let (a, r) = f.classify_word(w, open, cmp);
-        accept |= a;
-        reject |= r;
-        open &= !(a | r);
-    }
-    (accept, reject)
 }
 
 impl<S: KeyStore> SingleIndex<S> {
@@ -194,12 +127,10 @@ impl<S: KeyStore> SingleIndex<S> {
             .iter()
             .map(|(id, row)| Entry::new(dot_slices(&raw_normal, row), id))
             .collect();
-        let keys_by_id = keys_from_entries(&entries);
         Ok(Self {
             normal,
             raw_normal,
             store: S::build(entries),
-            keys_by_id,
         })
     }
 
@@ -231,13 +162,10 @@ impl<S: KeyStore> SingleIndex<S> {
     /// Reassemble from persisted parts; `normal` must be validated by the
     /// caller and `store` already built over this index's entries.
     pub(crate) fn from_parts(normal: Vec<f64>, raw_normal: Vec<f64>, store: S) -> Self {
-        let entries: Vec<Entry> = store.iter_asc(0, store.len()).collect();
-        let keys_by_id = keys_from_entries(&entries);
         Self {
             normal,
             raw_normal,
             store,
-            keys_by_id,
         }
     }
 
@@ -257,48 +185,24 @@ impl<S: KeyStore> SingleIndex<S> {
             .filter(|(id, _)| !deleted.get(*id as usize).copied().unwrap_or(false))
             .map(|(id, row)| Entry::new(self.raw_key(row), id))
             .collect();
-        self.keys_by_id = keys_from_entries(&entries);
         self.store = S::build(entries);
     }
 
     /// Register a new point (paper §4.4 dynamic maintenance).
     pub fn insert_point(&mut self, id: PointId, row: &[f64]) {
-        let entry = Entry::new(self.raw_key(row), id);
-        self.set_key(id, entry.key);
-        self.store.insert(entry);
+        self.store.insert(Entry::new(self.raw_key(row), id));
     }
 
     /// Remove a point, given its current feature row.
     pub fn remove_point(&mut self, id: PointId, row: &[f64]) -> bool {
-        let removed = self.store.remove(Entry::new(self.raw_key(row), id));
-        if removed {
-            self.set_key(id, f64::NAN);
-        }
-        removed
+        self.store.remove(Entry::new(self.raw_key(row), id))
     }
 
     /// Update a point's feature row: `O(d' + log n)` with a tree store.
     pub fn update_point(&mut self, id: PointId, old_row: &[f64], new_row: &[f64]) -> bool {
         let removed = self.store.remove(Entry::new(self.raw_key(old_row), id));
-        let entry = Entry::new(self.raw_key(new_row), id);
-        self.set_key(id, entry.key);
-        self.store.insert(entry);
+        self.store.insert(Entry::new(self.raw_key(new_row), id));
         removed
-    }
-
-    /// Maintain the id→key side table alongside a store mutation.
-    fn set_key(&mut self, id: PointId, key: f64) {
-        let i = id as usize;
-        if i >= self.keys_by_id.len() {
-            self.keys_by_id.resize(i + 1, f64::NAN);
-        }
-        self.keys_by_id[i] = key;
-    }
-
-    /// The id→raw-key side table (NaN for absent ids), for intersection
-    /// pruning by sibling queries.
-    pub(crate) fn keys_by_id(&self) -> &[f64] {
-        &self.keys_by_id
     }
 
     /// Interval boundaries for a normalized query. `shift` is the current
@@ -323,9 +227,8 @@ impl<S: KeyStore> SingleIndex<S> {
     /// The slacked raw-key thresholds `(lo, hi)` for a normalized query:
     /// the per-axis threshold extremes widened by the boundary epsilon and
     /// shifted to raw-key space. Keys `≤ lo` are in the smaller interval,
-    /// keys `> hi` in the larger — the comparisons the [`AuxFilter`] runs
-    /// per candidate.
-    pub(crate) fn slack_bounds(&self, nq: &NormalizedQuery, shift: f64) -> (f64, f64) {
+    /// keys `> hi` in the larger.
+    fn slack_bounds(&self, nq: &NormalizedQuery, shift: f64) -> (f64, f64) {
         let mut t_min = f64::INFINITY;
         let mut t_max = f64::NEG_INFINITY;
         for (&ci, &ai) in self.normal.iter().zip(&nq.a) {
@@ -430,12 +333,15 @@ impl<S: KeyStore> SingleIndex<S> {
     /// reusable scratch buffers.
     ///
     /// The result vector is allocated once with capacity from the interval
-    /// bounds (accepted-interval size + II size); the II candidate bitmap
-    /// lives in `scratch`, so a warm scratch makes the hot loop
-    /// allocation-free beyond that single result allocation. Matches are
-    /// ordered canonically — the wholesale-accepted interval in store (key)
-    /// order, then II matches in ascending-id order — identically for every
-    /// `exec.threads` value.
+    /// bounds (accepted-interval size + II size). The II ids go from the
+    /// store's key-order walk straight into the candidate bitmap of
+    /// `scratch` (one word per 64-row block), so reading the words in order
+    /// yields ascending ids without a sort, and every candidate is verified
+    /// block by block (see [`parallel::verify_mask_blocked`]); a warm
+    /// scratch makes the hot loop allocation-free beyond that single result
+    /// allocation. Matches are ordered canonically — the wholesale-accepted
+    /// interval in store (key) order, then II matches in ascending-id order
+    /// — identically for every `exec.threads` value.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_with(
         &self,
@@ -444,37 +350,6 @@ impl<S: KeyStore> SingleIndex<S> {
         shift: f64,
         table: &FeatureTable,
         index_pos: usize,
-        exec: &ExecutionConfig,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<PointId>, QueryStats) {
-        self.evaluate_with_aux(verify, nq, shift, table, index_pos, &[], exec, scratch)
-    }
-
-    /// [`Self::evaluate_with`] with multi-index intersection pruning.
-    ///
-    /// The II ids go from the store's key-order walk straight into the
-    /// candidate bitmap of `scratch` (one word per 64-row block), so reading
-    /// the words in order yields ascending ids without a sort. Each
-    /// block's candidates are first classified through the sibling
-    /// indices' slacked intervals (`aux`): lanes a sibling wholesale
-    /// accepts join the block's answer mask and lanes it rejects are
-    /// dropped, neither paying a scalar product; the rest are verified
-    /// block by block (see [`parallel::verify_mask_blocked`]). Matches and
-    /// their order are identical to the unpruned path — the sibling proofs
-    /// are the same Observations 1 and 2 the chosen index itself uses for
-    /// its outer intervals.
-    ///
-    /// The cost model skips sibling classification when the II holds fewer
-    /// than `exec.intersect_min_candidates` candidates.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn evaluate_with_aux(
-        &self,
-        verify: &InequalityQuery,
-        nq: &NormalizedQuery,
-        shift: f64,
-        table: &FeatureTable,
-        index_pos: usize,
-        aux: &[AuxFilter<'_>],
         exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
     ) -> (Vec<PointId>, QueryStats) {
@@ -494,35 +369,25 @@ impl<S: KeyStore> SingleIndex<S> {
         };
         matches.extend(accepted.map(|e| e.id));
 
-        // Intermediate interval, in ascending id order: sibling indices
-        // settle what they can via O(1) key classifications, and the rest
-        // is verified exactly.
+        // Intermediate interval, verified exactly in ascending id order.
         let words = scratch.fill(table.len(), self.store.iter_asc(j_min, j_max).map(|e| e.id));
-        let aux = if intermediate >= exec.intersect_min_candidates {
-            aux
-        } else {
-            &[]
-        };
-        let cmp = verify.cmp();
-        let (verified, quant) = parallel::verify_mask(
+        let quant = parallel::verify_mask(
             verify,
             table,
             &scratch.mask[words.clone()],
             words.start,
             intermediate,
-            &|w, cand| settle_word(aux, cmp, w, cand),
             exec,
             &mut matches,
         );
-        let intersect_pruned = intermediate - verified;
 
         let stats = QueryStats {
             n,
             smaller,
             intermediate,
             larger,
-            verified,
-            intersect_pruned,
+            verified: intermediate,
+            intersect_pruned: 0,
             matched: matches.len(),
             quant,
             path: ExecutionPath::Index { index: index_pos },
@@ -544,7 +409,6 @@ impl<S: KeyStore> SingleIndex<S> {
             nq,
             shift,
             table,
-            &[],
             true,
             &ExecutionConfig::serial(),
             &mut QueryScratch::new(),
@@ -562,26 +426,7 @@ impl<S: KeyStore> SingleIndex<S> {
         exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
     ) -> (Vec<(PointId, f64)>, TopKStats) {
-        self.top_k_inner(q, nq, shift, table, &[], true, exec, scratch)
-    }
-
-    /// [`Self::top_k_with`] with multi-index intersection pruning of the
-    /// intermediate interval. Top-k needs a distance for every *satisfying*
-    /// point, so only sibling **rejections** prune (a rejected candidate
-    /// provably violates the constraint and could never enter the buffer);
-    /// sibling-accepted candidates are verified anyway for their distance.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn top_k_with_aux(
-        &self,
-        q: &TopKQuery,
-        nq: &NormalizedQuery,
-        shift: f64,
-        table: &FeatureTable,
-        aux: &[AuxFilter<'_>],
-        exec: &ExecutionConfig,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<(PointId, f64)>, TopKStats) {
-        self.top_k_inner(q, nq, shift, table, aux, true, exec, scratch)
+        self.top_k_inner(q, nq, shift, table, true, exec, scratch)
     }
 
     /// [`Self::top_k`] with the Claim-3 lower-bound pruning disabled: the
@@ -599,7 +444,6 @@ impl<S: KeyStore> SingleIndex<S> {
             nq,
             shift,
             table,
-            &[],
             false,
             &ExecutionConfig::serial(),
             &mut QueryScratch::new(),
@@ -607,8 +451,8 @@ impl<S: KeyStore> SingleIndex<S> {
     }
 
     /// Algorithm 2 body behind every top-k entry point: the II goes into
-    /// the scratch's candidate bitmap and, after reject-only sibling
-    /// pruning, is verified block by block into the top-k buffer; then the
+    /// the scratch's candidate bitmap and is verified block by block into
+    /// the top-k buffer; then the
     /// accepting interval is walked outward from the query hyperplane until
     /// Claim 3's lower bound stops it (`use_pruning = false` walks it all).
     #[allow(clippy::too_many_arguments)]
@@ -618,7 +462,6 @@ impl<S: KeyStore> SingleIndex<S> {
         nq: &NormalizedQuery,
         shift: f64,
         table: &FeatureTable,
-        aux: &[AuxFilter<'_>],
         use_pruning: bool,
         exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
@@ -634,29 +477,18 @@ impl<S: KeyStore> SingleIndex<S> {
         // ascending-id order. The buffer's total (dist, id) order makes its
         // contents independent of arrival order, so this matches the
         // store-order walk exactly.
-        //
-        // Reject-only intersection pruning: a sibling-rejected candidate
-        // provably violates the constraint, so it can skip both the scalar
-        // product and the distance.
         let candidates = j_max - j_min;
         let words = scratch.fill(table.len(), self.store.iter_asc(j_min, j_max).map(|e| e.id));
-        let aux = if candidates >= exec.intersect_min_candidates {
-            aux
-        } else {
-            &[]
-        };
-        let verified = parallel::verify_top_k(
+        parallel::verify_top_k(
             &q.query,
             table,
             &scratch.mask[words.clone()],
             words.start,
             candidates,
-            &|w, cand| settle_word(aux, cmp, w, cand),
             exec,
             &mut scratch.dots,
             &mut buffer,
         );
-        let intersect_pruned = candidates - verified;
 
         // Walk the accepting interval from the query hyperplane outward,
         // terminating when the lower-bound distance (Def. 5) of the next
@@ -702,24 +534,13 @@ impl<S: KeyStore> SingleIndex<S> {
 
         let stats = TopKStats {
             n,
-            intermediate: j_max - j_min,
+            intermediate: candidates,
             walked,
-            verified: verified + walked,
-            intersect_pruned,
+            verified: candidates + walked,
+            intersect_pruned: 0,
         };
         (buffer.into_sorted(), stats)
     }
-}
-
-/// Build the id→raw-key side table from an index's entries (`NaN` marks
-/// absent ids).
-fn keys_from_entries(entries: &[Entry]) -> Vec<f64> {
-    let len = entries.iter().map(|e| e.id as usize + 1).max().unwrap_or(0);
-    let mut keys = vec![f64::NAN; len];
-    for e in entries {
-        keys[e.id as usize] = e.key;
-    }
-    keys
 }
 
 /// Shave a relative epsilon off a lower bound so float rounding in the key

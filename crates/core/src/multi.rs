@@ -9,7 +9,7 @@
 
 use crate::domain::ParameterDomain;
 use crate::health::{HealthReport, IndexHealth};
-use crate::index::{AuxFilter, SingleIndex, TopKStats};
+use crate::index::{SingleIndex, TopKStats};
 use crate::parallel::{self, ExecutionConfig, QueryScratch};
 use crate::query::{Cmp, InequalityQuery, TopKQuery};
 use crate::scan::TopKBuffer;
@@ -593,56 +593,6 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         Some((pos, shift))
     }
 
-    /// Most sibling filters consulted per query: classification cost grows
-    /// linearly with the filter count while the marginal candidates a 4th
-    /// filter settles (that the 3 sharpest did not) are few.
-    const MAX_AUX_FILTERS: usize = 3;
-
-    /// Build the sibling-index intersection filters for a query served by
-    /// the index at `chosen` (the multi-index pruning of this crate's
-    /// batched engine; see `DESIGN.md`).
-    ///
-    /// Cost model: each sibling costs one `O(d' + log n)` boundary
-    /// computation up front and ~2 comparisons per II candidate thereafter,
-    /// and only pays off when it can actually settle candidates. A sibling
-    /// whose own intermediate interval covers more than ¾ of its entries
-    /// classifies almost everything `Verify` and is skipped; the rest are
-    /// ranked by II size (smaller II ⇒ sharper intervals ⇒ more settled
-    /// candidates) and capped at [`Self::MAX_AUX_FILTERS`].
-    fn aux_filters(&self, nq: &NormalizedQuery, cmp: Cmp, chosen: usize) -> Vec<AuxFilter<'_>> {
-        if self.indices.len() <= 1 {
-            return Vec::new();
-        }
-        let mut ranked: Vec<(usize, usize)> = Vec::new();
-        for (i, idx) in self.indices.iter().enumerate() {
-            if i == chosen || self.quarantined[i] || idx.is_empty() {
-                continue;
-            }
-            let shift = self.normalizer.key_shift(idx.normal());
-            let b = idx.boundaries(nq, shift, cmp);
-            let ii = b.j_max - b.j_min;
-            if ii * 4 > idx.len() * 3 {
-                continue;
-            }
-            ranked.push((ii, i));
-        }
-        ranked.sort_unstable();
-        ranked.truncate(Self::MAX_AUX_FILTERS);
-        ranked
-            .into_iter()
-            .map(|(_, i)| {
-                let idx = &self.indices[i];
-                let shift = self.normalizer.key_shift(idx.normal());
-                let (lo, hi) = idx.slack_bounds(nq, shift);
-                AuxFilter {
-                    lo,
-                    hi,
-                    keys: idx.keys_by_id(),
-                }
-            })
-            .collect()
-    }
-
     /// Answer an inequality query (paper Problem 1, Algorithm 1).
     ///
     /// Falls back to an exact sequential scan — with the reason recorded in
@@ -839,18 +789,12 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 let Some((pos, shift)) = self.select_index(&nq, view.cmp()) else {
                     return self.scan_fallback(q, ScanReason::IndexUnavailable);
                 };
-                let aux = if exec.intersect_pruning {
-                    self.aux_filters(&nq, view.cmp(), pos)
-                } else {
-                    Vec::new()
-                };
-                let (matches, stats) = self.indices[pos].evaluate_with_aux(
+                let (matches, stats) = self.indices[pos].evaluate_with(
                     view,
                     &nq,
                     shift,
                     &self.table,
                     pos,
-                    &aux,
                     exec,
                     scratch,
                 );
@@ -892,8 +836,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             })
             .collect();
         let mut matches = Vec::new();
-        let (_, quant) =
-            parallel::verify_mask_blocked(q, &self.table, &live, 0, &|_, _| (0, 0), &mut matches);
+        let quant = parallel::verify_mask_blocked(q, &self.table, &live, 0, &mut matches);
         let stats = QueryStats {
             n: self.n_live,
             smaller: 0,
@@ -1050,20 +993,8 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 let Some((pos, shift)) = self.select_index(&nq, eff_q.query.cmp()) else {
                     return self.top_k_scan(q, ScanReason::IndexUnavailable);
                 };
-                let aux = if exec.intersect_pruning {
-                    self.aux_filters(&nq, eff_q.query.cmp(), pos)
-                } else {
-                    Vec::new()
-                };
-                let (neighbors, stats) = self.indices[pos].top_k_with_aux(
-                    &eff_q,
-                    &nq,
-                    shift,
-                    &self.table,
-                    &aux,
-                    exec,
-                    scratch,
-                );
+                let (neighbors, stats) =
+                    self.indices[pos].top_k_with(&eff_q, &nq, shift, &self.table, exec, scratch);
                 TopKOutcome {
                     neighbors,
                     served_by: ServedBy::Index(pos),
@@ -1529,54 +1460,6 @@ mod tests {
                 assert_eq!(idx.sorted_ids(), scan.sorted_ids());
             }
         }
-    }
-
-    #[test]
-    fn intersection_pruning_preserves_answers_and_settles_candidates() {
-        // A large-ish random table so II sizes clear the pruning crossover.
-        let mut rng = StdRng::seed_from_u64(11);
-        let rows: Vec<Vec<f64>> = (0..2000)
-            .map(|_| vec![rng.random_range(0.0..10.0), rng.random_range(0.0..10.0)])
-            .collect();
-        let table = FeatureTable::from_rows(2, rows).unwrap();
-        let domain = ParameterDomain::uniform_continuous(2, 0.5, 3.0).unwrap();
-        let set: PlanarIndexSet =
-            PlanarIndexSet::build(table, domain, IndexConfig::with_budget(6)).unwrap();
-
-        let on = ExecutionConfig::serial().intersect_min_candidates(1);
-        let off = ExecutionConfig::serial().intersect_pruning(false);
-        let mut scratch = QueryScratch::new();
-        let mut settled_somewhere = false;
-        for (a, b) in [
-            (vec![1.0, 1.0], 9.0),
-            (vec![2.5, 0.6], 11.0),
-            (vec![0.7, 1.9], 14.0),
-        ] {
-            for cmp in [Cmp::Leq, Cmp::Geq] {
-                let q = InequalityQuery::new(a.clone(), cmp, b).unwrap();
-                let pruned = set.query_with(&q, &on, &mut scratch).unwrap();
-                let plain = set.query_with(&q, &off, &mut scratch).unwrap();
-                // Same matches in the same order — pruning only skips
-                // scalar products whose outcome a sibling already proves.
-                assert_eq!(pruned.matches, plain.matches, "{a:?} {cmp:?} {b}");
-                assert_eq!(plain.stats.intersect_pruned, 0);
-                assert_eq!(
-                    pruned.stats.verified + pruned.stats.intersect_pruned,
-                    plain.stats.verified,
-                    "every II candidate is either settled or verified"
-                );
-                settled_somewhere |= pruned.stats.intersect_pruned > 0;
-
-                let topk = TopKQuery::new(q.clone(), 7).unwrap();
-                let tk_pruned = set.top_k_with(&topk, &on, &mut scratch).unwrap();
-                let tk_plain = set.top_k_with(&topk, &off, &mut scratch).unwrap();
-                assert_eq!(tk_pruned.neighbors, tk_plain.neighbors);
-            }
-        }
-        assert!(
-            settled_somewhere,
-            "intersection pruning never settled a candidate across 6 queries"
-        );
     }
 
     #[test]

@@ -47,12 +47,6 @@ const QUANT_MIN_SEGMENT_LANES: usize = 16;
 /// across threads. Below this, fan-out overhead exceeds the win.
 pub const DEFAULT_PARALLEL_VERIFY_THRESHOLD: usize = 8192;
 
-/// Default minimum II size before multi-index intersection pruning is
-/// attempted. A key classification costs ~2 comparisons per candidate per
-/// auxiliary index; under this many candidates the rank lookups needed to
-/// set the filters up cost more than the scalar products they could save.
-pub const DEFAULT_INTERSECT_MIN_CANDIDATES: usize = 64;
-
 /// Counts clamp events: how many times a requested thread count of 0, or
 /// one exceeding the work available, was clamped by [`batch_plan`] /
 /// worker planning. See [`thread_clamp_events`].
@@ -149,15 +143,6 @@ pub struct ExecutionConfig {
     /// Minimum intermediate-interval size before one query's verification
     /// is chunked across threads.
     pub parallel_verify_threshold: usize,
-    /// Intersect the chosen index's intermediate interval with the
-    /// accept/reject intervals of the other healthy indices before
-    /// verification (on by default; off is the ablation control arm).
-    /// Answers are identical either way — pruning only skips scalar
-    /// products whose outcome a sibling index already proves.
-    pub intersect_pruning: bool,
-    /// Minimum intermediate-interval size before intersection pruning is
-    /// attempted (the cost-model crossover).
-    pub intersect_min_candidates: usize,
     /// Wall-clock budget for a whole batch call (`None` = unbounded).
     /// Polled at chunk boundaries only — one `Instant::now()` per query,
     /// never inside the verification hot loop. Queries not started when
@@ -180,8 +165,6 @@ impl ExecutionConfig {
         Self {
             threads: 1,
             parallel_verify_threshold: DEFAULT_PARALLEL_VERIFY_THRESHOLD,
-            intersect_pruning: true,
-            intersect_min_candidates: DEFAULT_INTERSECT_MIN_CANDIDATES,
             deadline: None,
         }
     }
@@ -206,18 +189,6 @@ impl ExecutionConfig {
     /// Override the II crossover threshold (builder style).
     pub fn verify_threshold(mut self, threshold: usize) -> Self {
         self.parallel_verify_threshold = threshold.max(1);
-        self
-    }
-
-    /// Enable or disable multi-index intersection pruning (builder style).
-    pub fn intersect_pruning(mut self, on: bool) -> Self {
-        self.intersect_pruning = on;
-        self
-    }
-
-    /// Override the intersection-pruning crossover (builder style).
-    pub fn intersect_min_candidates(mut self, min: usize) -> Self {
-        self.intersect_min_candidates = min;
         self
     }
 
@@ -336,14 +307,8 @@ fn block(table: &FeatureTable, w: usize) -> (PointId, usize, ColSegment<'_>) {
 
 /// Verify a window of the candidate bitmap against `query`, pushing
 /// satisfying ids onto `out` in ascending-id order. `words[i]` is the
-/// candidate mask of block `first_word + i`.
-///
-/// Each non-empty word first goes through `settle(w, cand)`, the sibling
-/// intersection pruning: it returns the lanes of `cand` proven to satisfy
-/// and proven to violate the query (disjoint). Proven-accepted lanes join
-/// the block's answer mask without a scalar product and proven-rejected
-/// lanes are dropped. The remaining candidates are verified block by
-/// block:
+/// candidate mask of block `first_word + i`. Every candidate is verified,
+/// block by block:
 ///
 /// * a block with at least [`QUANT_MIN_SEGMENT_LANES`] candidates gets one
 ///   whole-block pass — the quantized classifier when the tier is on, else
@@ -354,50 +319,43 @@ fn block(table: &FeatureTable, w: usize) -> (PointId, usize, ColSegment<'_>) {
 ///   columnar pass touches `d` lines for every run of lanes, however short.
 ///
 /// The emitted ids are identical to checking every candidate row by row.
-/// Returns the number of candidates verified (not settled by `settle`) and
-/// the quantized-filter counters (all zeros when the tier is off).
+/// Returns the quantized-filter counters (all zeros when the tier is off).
 pub(crate) fn verify_mask_blocked(
     query: &InequalityQuery,
     table: &FeatureTable,
     words: &[u64],
     first_word: usize,
-    settle: &impl Fn(usize, u64) -> (u64, u64),
     out: &mut Vec<PointId>,
-) -> (usize, QuantFilterStats) {
+) -> QuantFilterStats {
     let mut stats = QuantFilterStats::default();
     let mut filter = table.quant().map(|q| {
         stats.tier = q.tier();
         QuantFilter::new(query, q)
     });
-    let mut verified = 0;
     for (i, &cand) in words.iter().enumerate() {
         if cand == 0 {
             continue;
         }
         let w = first_word + i;
         let base = (w * BLOCK_ROWS) as PointId;
-        let (accept, reject) = settle(w, cand);
-        let todo = cand & !(accept | reject);
-        let lanes = todo.count_ones() as usize;
-        verified += lanes;
-        let mut mask = accept;
-        if lanes >= QUANT_MIN_SEGMENT_LANES {
-            mask |= dense_block_mask(query, table, w, todo, filter.as_mut(), &mut stats);
-        } else if lanes > 0 {
+        let lanes = cand.count_ones() as usize;
+        let mut mask = if lanes >= QUANT_MIN_SEGMENT_LANES {
+            dense_block_mask(query, table, w, cand, filter.as_mut(), &mut stats)
+        } else {
             // Too few lanes to amortize a classify dispatch: counting them
             // as fallback tells the autotuner the filter isn't engaging.
             if filter.is_some() {
                 stats.lanes += lanes;
                 stats.fallback += lanes;
             }
-            mask |= rowwise_mask(query, table, base, todo);
-        }
+            rowwise_mask(query, table, base, cand)
+        };
         while mask != 0 {
             out.push(base + mask.trailing_zeros());
             mask &= mask - 1;
         }
     }
-    (verified, stats)
+    stats
 }
 
 /// Exact predicate mask of the lanes `lanes` of the block starting at row
@@ -479,43 +437,37 @@ fn dense_block_mask(
 /// `exec.parallel_verify_threshold`. Per-chunk matches are concatenated in
 /// chunk order, so the output is ascending-id either way (see module
 /// docs).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn verify_mask(
     query: &InequalityQuery,
     table: &FeatureTable,
     words: &[u64],
     first_word: usize,
     candidates: usize,
-    settle: &(impl Fn(usize, u64) -> (u64, u64) + Sync),
     exec: &ExecutionConfig,
     out: &mut Vec<PointId>,
-) -> (usize, QuantFilterStats) {
+) -> QuantFilterStats {
     if !(exec.is_parallel() && candidates >= exec.parallel_verify_threshold.max(2)) {
-        return verify_mask_blocked(query, table, words, first_word, settle, out);
+        return verify_mask_blocked(query, table, words, first_word, out);
     }
     let workers = exec.threads.min(words.len());
     let per_chunk = map_chunks(words, workers, |start, chunk| {
         let mut local = Vec::new();
-        let counts =
-            verify_mask_blocked(query, table, chunk, first_word + start, settle, &mut local);
-        (local, counts)
+        let stats = verify_mask_blocked(query, table, chunk, first_word + start, &mut local);
+        (local, stats)
     });
-    let (mut verified, mut stats) = (0, QuantFilterStats::default());
-    for (part, (part_verified, part_stats)) in per_chunk {
+    let mut stats = QuantFilterStats::default();
+    for (part, part_stats) in per_chunk {
         out.extend_from_slice(&part);
-        verified += part_verified;
         stats.merge(&part_stats);
     }
-    (verified, stats)
+    stats
 }
 
-/// Top-k II verification of a bitmap window: each word's candidates that
-/// `settle(w, cand)` proves to violate the query are dropped (proven
-/// satisfying ones still need their distance), and the rest feed the top-k
-/// buffer serially, or per-chunk buffers (split on word boundaries) are
-/// merged when the `candidates` count crosses the threshold. Buffer
+/// Top-k II verification of a bitmap window: every candidate feeds the
+/// top-k buffer serially, or per-chunk buffers (split on word boundaries)
+/// are merged when the `candidates` count crosses the threshold. Buffer
 /// contents are arrival-order independent, so both paths yield identical
-/// results. Returns the number of candidates verified.
+/// results.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn verify_top_k(
     query: &InequalityQuery,
@@ -523,35 +475,30 @@ pub(crate) fn verify_top_k(
     words: &[u64],
     first_word: usize,
     candidates: usize,
-    settle: &(impl Fn(usize, u64) -> (u64, u64) + Sync),
     exec: &ExecutionConfig,
     dots: &mut Vec<f64>,
     buffer: &mut TopKBuffer,
-) -> usize {
+) {
     if !(exec.is_parallel() && candidates >= exec.parallel_verify_threshold.max(2)) {
-        return verify_top_k_blocked(query, table, words, first_word, settle, dots, buffer);
+        return verify_top_k_blocked(query, table, words, first_word, dots, buffer);
     }
     let k = buffer.k();
     let workers = exec.threads.min(words.len());
     let per_chunk = map_chunks(words, workers, |start, chunk| {
         let (mut local_dots, mut local_buf) = (Vec::new(), TopKBuffer::new(k));
-        let verified = verify_top_k_blocked(
+        verify_top_k_blocked(
             query,
             table,
             chunk,
             first_word + start,
-            settle,
             &mut local_dots,
             &mut local_buf,
         );
-        (local_buf, verified)
+        local_buf
     });
-    let mut verified = 0;
-    for (part, part_verified) in per_chunk {
+    for part in per_chunk {
         buffer.merge(part);
-        verified += part_verified;
     }
-    verified
 }
 
 /// Serial blocked top-k verification of a bitmap window. Unlike the
@@ -565,26 +512,22 @@ fn verify_top_k_blocked(
     table: &FeatureTable,
     words: &[u64],
     first_word: usize,
-    settle: &impl Fn(usize, u64) -> (u64, u64),
     dots: &mut Vec<f64>,
     buffer: &mut TopKBuffer,
-) -> usize {
+) {
     dots.resize(BLOCK_ROWS, 0.0);
-    let mut verified = 0;
     for (i, &cand) in words.iter().enumerate() {
         if cand == 0 {
             continue;
         }
         let w = first_word + i;
-        let todo = cand & !settle(w, cand).1;
-        let dense = todo.count_ones() as usize >= QUANT_MIN_SEGMENT_LANES;
-        verified += todo.count_ones() as usize;
+        let dense = cand.count_ones() as usize >= QUANT_MIN_SEGMENT_LANES;
         let first = (w * BLOCK_ROWS) as PointId;
         if dense {
             let (_, lanes, seg) = block(table, w);
             dot_block_cols(query.a(), seg.cols, BLOCK_ROWS, &mut dots[..lanes]);
         }
-        let mut m = todo;
+        let mut m = cand;
         while m != 0 {
             let l = m.trailing_zeros();
             let dot = if dense {
@@ -598,7 +541,6 @@ fn verify_top_k_blocked(
             m &= m - 1;
         }
     }
-    verified
 }
 
 /// Sharding plan for a batch of queries: how many workers a batch of
@@ -660,13 +602,6 @@ mod tests {
                 .parallel_verify_threshold,
             1
         );
-        assert!(c.intersect_pruning);
-        assert_eq!(c.intersect_min_candidates, DEFAULT_INTERSECT_MIN_CANDIDATES);
-        let ablation = ExecutionConfig::serial()
-            .intersect_pruning(false)
-            .intersect_min_candidates(0);
-        assert!(!ablation.intersect_pruning);
-        assert_eq!(ablation.intersect_min_candidates, 0);
         assert_eq!(c.deadline, None);
         assert_eq!(
             ExecutionConfig::serial()
@@ -718,33 +653,8 @@ mod tests {
             .filter(|&id| q.satisfies(t.row(id)))
             .collect();
         let mut got = Vec::new();
-        let (verified, _) =
-            verify_mask_blocked(&q, &t, &bitmap(500, &ids), 0, &|_, _| (0, 0), &mut got);
+        verify_mask_blocked(&q, &t, &bitmap(500, &ids), 0, &mut got);
         assert_eq!(got, expected);
-        assert_eq!(verified, ids.len());
-    }
-
-    #[test]
-    fn settled_lanes_skip_verification() {
-        let t = table(300);
-        let q = query();
-        let ids: Vec<PointId> = (0..300).collect();
-        // Settle lane 0 of every block as accepted and lane 1 as rejected,
-        // whatever their rows say.
-        let settle = |_: usize, cand: u64| (cand & 1, cand & 2);
-        let mut got = Vec::new();
-        let (verified, _) = verify_mask_blocked(&q, &t, &bitmap(300, &ids), 0, &settle, &mut got);
-        let expected: Vec<PointId> = ids
-            .iter()
-            .copied()
-            .filter(|&id| match id % 64 {
-                0 => true,
-                1 => false,
-                _ => q.satisfies(t.row(id)),
-            })
-            .collect();
-        assert_eq!(got, expected);
-        assert_eq!(verified, 300 - 2 * 5);
     }
 
     #[test]
@@ -760,10 +670,8 @@ mod tests {
             .filter(|i| if *i < 500 { i % 5 != 0 } else { i % 9 == 0 })
             .collect();
         let mut got = Vec::new();
-        let (verified, stats) =
-            verify_mask_blocked(&q, &t, &bitmap(1000, &ids), 0, &|_, _| (0, 0), &mut got);
+        let stats = verify_mask_blocked(&q, &t, &bitmap(1000, &ids), 0, &mut got);
         assert_eq!(stats.tier, crate::quant::QuantTier::I16);
-        assert_eq!(verified, ids.len());
         assert_eq!(stats.lanes, ids.len(), "{stats:?}");
         assert_eq!(
             stats.accepted + stats.rejected + stats.reverified + stats.fallback,
@@ -785,20 +693,11 @@ mod tests {
         let ids: Vec<PointId> = (0..2000u32).filter(|i| i % 7 != 3).collect();
         let words = bitmap(2000, &ids);
         let mut serial = Vec::new();
-        let serial_counts = verify_mask_blocked(&q, &t, &words, 0, &|_, _| (0, 0), &mut serial);
+        let serial_counts = verify_mask_blocked(&q, &t, &words, 0, &mut serial);
         for threads in [2, 3, 8, 64] {
             let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
             let mut out = Vec::new();
-            let counts = verify_mask(
-                &q,
-                &t,
-                &words,
-                0,
-                ids.len(),
-                &|_, _| (0, 0),
-                &exec,
-                &mut out,
-            );
+            let counts = verify_mask(&q, &t, &words, 0, ids.len(), &exec, &mut out);
             assert_eq!(out, serial, "threads={threads}");
             assert_eq!(counts, serial_counts, "threads={threads}");
         }
@@ -812,18 +711,16 @@ mod tests {
         let words = bitmap(2000, &ids);
         let mut dots = Vec::new();
         let mut serial_buf = TopKBuffer::new(7);
-        let serial_verified = verify_top_k(
+        verify_top_k(
             &q,
             &t,
             &words,
             0,
             ids.len(),
-            &|_, _| (0, 0),
             &ExecutionConfig::serial(),
             &mut dots,
             &mut serial_buf,
         );
-        assert_eq!(serial_verified, ids.len());
         let serial = serial_buf.into_sorted();
         let mut want = TopKBuffer::new(7);
         for &id in &ids {
@@ -835,19 +732,8 @@ mod tests {
         for threads in [2, 5] {
             let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
             let mut buf = TopKBuffer::new(7);
-            let verified = verify_top_k(
-                &q,
-                &t,
-                &words,
-                0,
-                ids.len(),
-                &|_, _| (0, 0),
-                &exec,
-                &mut dots,
-                &mut buf,
-            );
+            verify_top_k(&q, &t, &words, 0, ids.len(), &exec, &mut dots, &mut buf);
             assert_eq!(buf.into_sorted(), serial, "threads={threads}");
-            assert_eq!(verified, serial_verified);
         }
     }
 

@@ -15,9 +15,8 @@
 //!    `n`; with threads, shards scale near-linearly because they share
 //!    nothing.
 //! 2. **Locally adaptive planning.** Each shard selects its own best index
-//!    and its own sibling intersection filters for the same query, so a
-//!    heterogeneous shard (e.g. a pilot-key slab) can pick a different
-//!    normal than the global optimum.
+//!    for the same query, so a heterogeneous shard (e.g. a pilot-key slab)
+//!    can pick a different normal than the global optimum.
 //! 3. **Fault isolation.** Quarantine-and-degrade (see `crate::health`)
 //!    applies per shard: one shard with every index quarantined degrades
 //!    *that shard* to its exact scan while the rest keep serving indexed.

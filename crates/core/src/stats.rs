@@ -117,10 +117,10 @@ pub struct QueryStats {
     pub larger: usize,
     /// Scalar products actually computed.
     pub verified: usize,
-    /// Intermediate-interval candidates settled by multi-index intersection
-    /// pruning — accepted or rejected via a sibling index's interval proof
-    /// instead of a scalar product. Always `intermediate - verified` on the
-    /// indexed path.
+    /// Always 0: every intermediate-interval candidate is verified, so
+    /// `verified == intermediate` on the indexed path. The field stays for
+    /// the repository benchmark (`benchmark/src/replay.rs`), which reports
+    /// it as `index.intersect_pruned_per_query`.
     pub intersect_pruned: usize,
     /// Points in the answer set (`t` in the paper's complexity bounds).
     pub matched: usize,
@@ -148,14 +148,13 @@ impl QueryStats {
     }
 
     /// Fraction of points pruned (accepted/rejected without a scalar
-    /// product): `(smaller + larger + intersect_pruned) / n`. This is the
-    /// quantity of Figures 9 and 10, as a value in `[0, 1]`, extended with
-    /// the candidates the multi-index intersection settled.
+    /// product): `(smaller + larger) / n`. This is the quantity of Figures
+    /// 9 and 10, as a value in `[0, 1]`.
     pub fn pruned_fraction(&self) -> f64 {
         if self.n == 0 {
             return 1.0;
         }
-        (self.smaller + self.larger + self.intersect_pruned) as f64 / self.n as f64
+        (self.smaller + self.larger) as f64 / self.n as f64
     }
 
     /// Pruning percentage in `[0, 100]` (the paper's y-axis).
@@ -199,7 +198,6 @@ impl QueryStats {
             merged.intermediate += s.intermediate;
             merged.larger += s.larger;
             merged.verified += s.verified;
-            merged.intersect_pruned += s.intersect_pruned;
             merged.matched += s.matched;
             merged.quant.merge(&s.quant);
         }
@@ -216,7 +214,6 @@ pub struct StatsAggregator {
     verified_sum: usize,
     matched_sum: usize,
     intermediate_sum: usize,
-    intersect_pruned_sum: usize,
     index_hits: usize,
     scan_fallbacks: usize,
     degraded: usize,
@@ -265,7 +262,6 @@ impl StatsAggregator {
         self.verified_sum += s.verified;
         self.matched_sum += s.matched;
         self.intermediate_sum += s.intermediate;
-        self.intersect_pruned_sum += s.intersect_pruned;
         self.quant_sum.merge(&s.quant);
         if matches!(
             s.path,
@@ -396,7 +392,6 @@ impl StatsAggregator {
         self.verified_sum += other.verified_sum;
         self.matched_sum += other.matched_sum;
         self.intermediate_sum += other.intermediate_sum;
-        self.intersect_pruned_sum += other.intersect_pruned_sum;
         self.quant_sum.merge(&other.quant_sum);
         self.index_hits += other.index_hits;
         self.scan_fallbacks += other.scan_fallbacks;
@@ -499,15 +494,6 @@ impl StatsAggregator {
         self.degraded
     }
 
-    /// Mean number of II candidates settled by intersection pruning per
-    /// query.
-    pub fn mean_intersect_pruned(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.intersect_pruned_sum as f64 / self.count as f64
-    }
-
     /// Number of quarantine events reported via [`Self::record_quarantine`].
     pub fn quarantine_event_count(&self) -> usize {
         self.quarantine_events
@@ -529,7 +515,6 @@ impl StatsAggregator {
             mean_verified: self.mean_verified(),
             mean_intermediate: self.mean_intermediate(),
             mean_matched: self.mean_matched(),
-            mean_intersect_pruned: self.mean_intersect_pruned(),
             index_hit_rate: self.index_hit_rate(),
             scan_fallbacks: self.scan_fallbacks,
             degraded: self.degraded,
@@ -592,8 +577,6 @@ pub struct StatsSnapshot {
     pub mean_intermediate: f64,
     /// Mean answer-set size per query.
     pub mean_matched: f64,
-    /// Mean II candidates settled by multi-index intersection pruning.
-    pub mean_intersect_pruned: f64,
     /// Fraction of queries served by the indexed path.
     pub index_hit_rate: f64,
     /// Queries that fell back to a sequential scan.
@@ -837,7 +820,6 @@ impl StatsSnapshot {
             .field_f64("mean_verified", self.mean_verified)
             .field_f64("mean_intermediate", self.mean_intermediate)
             .field_f64("mean_matched", self.mean_matched)
-            .field_f64("mean_intersect_pruned", self.mean_intersect_pruned)
             .field_f64("index_hit_rate", self.index_hit_rate)
             .field_usize("scan_fallbacks", self.scan_fallbacks)
             .field_usize("degraded", self.degraded)
@@ -1013,16 +995,12 @@ mod tests {
     #[test]
     fn snapshot_records_kernel_provenance() {
         let mut agg = StatsAggregator::new();
-        let mut s = indexed(100, 40, 20, 40, 30);
-        s.verified = 12;
-        s.intersect_pruned = 8;
-        agg.add(&s);
+        agg.add(&indexed(100, 40, 20, 40, 30));
         let snap = agg.snapshot();
         assert_eq!(snap.count, 1);
-        assert_eq!(snap.mean_intersect_pruned, 8.0);
-        assert_eq!(snap.mean_verified, 12.0);
-        // 40 + 40 wholesale + 8 intersect-pruned of 100.
-        assert_eq!(snap.mean_pruning_percentage, 88.0);
+        assert_eq!(snap.mean_verified, 20.0);
+        // 40 + 40 wholesale of 100.
+        assert_eq!(snap.mean_pruning_percentage, 80.0);
         assert_eq!(snap.kernel, planar_geom::kernel_name());
         assert!(snap.kernel == "avx2" || snap.kernel == "portable");
         assert_eq!(snap.fma_available, planar_geom::host_has_fma());
@@ -1120,7 +1098,7 @@ mod tests {
         assert!(json.contains("\"replication_link_acked\":[]"));
         // Field count matches the struct: one "key": per field.
         let fields = json.matches("\":").count();
-        assert_eq!(fields, 44, "snapshot JSON should carry all 44 fields");
+        assert_eq!(fields, 43, "snapshot JSON should carry all 43 fields");
     }
 
     #[test]

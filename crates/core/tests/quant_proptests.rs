@@ -277,36 +277,31 @@ fn tiled(s: &Scenario, copies: usize) -> Scenario {
 
 /// Block-mask verification under the quantized tier: the planar twins
 /// answer identically for every thread count (chunks split the candidate
-/// bitmap on word boundaries) and pruning setting, and the filter counts
-/// exactly the verified candidate lanes.
+/// bitmap on word boundaries), and the filter counts exactly the verified
+/// candidate lanes.
 fn assert_same_block_answers(
     plain: &PlanarIndexSet<VecStore>,
     quant: &PlanarIndexSet<VecStore>,
     s: &Scenario,
 ) {
     for threads in [1, 2, 3] {
-        for pruning in [true, false] {
-            let exec = ExecutionConfig::with_threads(threads)
-                .verify_threshold(1)
-                .intersect_pruning(pruning)
-                .intersect_min_candidates(1);
-            let mut scratch = QueryScratch::new();
-            for q in ineq_queries(s) {
-                let p = plain.query_with(&q, &exec, &mut scratch).unwrap();
-                let x = quant.query_with(&q, &exec, &mut scratch).unwrap();
-                assert_eq!(p.matches, x.matches, "threads={threads} pruning={pruning}");
-                assert_eq!(p.stats.verified, x.stats.verified);
-                if x.stats.quant.tier != QuantTier::Off {
-                    assert_eq!(x.stats.quant.lanes, x.stats.verified, "{:?}", x.stats);
-                }
-                let k = TopKQuery::new(q, s.k).unwrap();
-                let pt = plain.top_k_with(&k, &exec, &mut scratch).unwrap();
-                let xt = quant.top_k_with(&k, &exec, &mut scratch).unwrap();
-                assert_eq!(pt.neighbors.len(), xt.neighbors.len());
-                for (a, b) in pt.neighbors.iter().zip(&xt.neighbors) {
-                    assert_eq!(a.0, b.0);
-                    assert_eq!(a.1.to_bits(), b.1.to_bits());
-                }
+        let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
+        let mut scratch = QueryScratch::new();
+        for q in ineq_queries(s) {
+            let p = plain.query_with(&q, &exec, &mut scratch).unwrap();
+            let x = quant.query_with(&q, &exec, &mut scratch).unwrap();
+            assert_eq!(p.matches, x.matches, "threads={threads}");
+            assert_eq!(p.stats.verified, x.stats.verified);
+            if x.stats.quant.tier != QuantTier::Off {
+                assert_eq!(x.stats.quant.lanes, x.stats.verified, "{:?}", x.stats);
+            }
+            let k = TopKQuery::new(q, s.k).unwrap();
+            let pt = plain.top_k_with(&k, &exec, &mut scratch).unwrap();
+            let xt = quant.top_k_with(&k, &exec, &mut scratch).unwrap();
+            assert_eq!(pt.neighbors.len(), xt.neighbors.len());
+            for (a, b) in pt.neighbors.iter().zip(&xt.neighbors) {
+                assert_eq!(a.0, b.0);
+                assert_eq!(a.1.to_bits(), b.1.to_bits());
             }
         }
     }

@@ -1,37 +1,30 @@
-//! Property tests for the columnar feature store and multi-index
-//! intersection pruning: for arbitrary tables, queries, quarantine
-//! patterns, and stores, (1) the interleaved-block columnar layout must
-//! agree bit-for-bit with the row-major layout — same gathered rows, same
-//! fused compare masks — and (2) intersection pruning must never change an
-//! answer, only shrink the verified set, for inequality and top-k queries
-//! alike; (3) the block-mask verification path (candidate bitmap, whole-
-//! block passes for dense blocks, per-run passes for sparse ones) returns
-//! exactly the `SeqScan` answer in the canonical match order, for every
-//! store, quantized tier, pruning setting, and thread count.
+//! Property tests for the columnar feature store and the block-mask
+//! verification path: for arbitrary tables, queries, and stores, (1) the
+//! interleaved-block columnar layout must agree bit-for-bit with the
+//! row-major layout — same gathered rows, same fused compare masks — and
+//! (2) the block-mask verification path (candidate bitmap, whole-block
+//! passes for dense blocks, per-lane passes for sparse ones) returns
+//! exactly the `SeqScan` answer in the canonical match order, verifying
+//! every intermediate-interval candidate, for every store, quantized tier,
+//! and thread count.
 
 use planar_core::table::PointId;
 use planar_core::{BPlusTree, VecStore};
 use planar_core::{
-    Cmp, Domain, ExecutionConfig, ExecutionPath, FeatureTable, IndexConfig, InequalityQuery,
-    KeyStore, ParameterDomain, PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, SeqScan,
+    Cmp, ExecutionConfig, ExecutionPath, FeatureTable, IndexConfig, InequalityQuery, KeyStore,
+    ParameterDomain, PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, SeqScan, ServedBy,
     TopKQuery,
 };
 use planar_geom::{dot_cmp_block, dot_slices};
 use proptest::prelude::*;
 
-/// A generated workload: a table folded into one sign octant (so the
-/// indexed path, not just the scan fallback, is exercised), a batch of
-/// queries, an index budget, and a quarantine bitmask.
+/// A generated workload: a table folded into one sign octant and a batch
+/// of queries in the same octant.
 #[derive(Debug, Clone)]
 struct Scenario {
     dim: usize,
     rows: Vec<Vec<f64>>,
-    signs: Vec<bool>,
     queries: Vec<(Vec<f64>, f64, Cmp)>,
-    budget: usize,
-    quarantine_mask: u32,
-    min_candidates: usize,
-    k: usize,
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
@@ -49,79 +42,27 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                     ),
                     1..8,
                 ),
-                // Budgets > 1 give the planner siblings to intersect with;
-                // budget 1 checks the no-sibling degenerate case.
-                1..8usize,
-                any::<u32>(),
-                // 1 forces classification on every candidate set; the
-                // default exercises the cost-model skip.
-                prop_oneof![Just(1usize), Just(64usize)],
-                1..6usize,
             )
         })
-        .prop_map(
-            |(dim, mut rows, signs, raw_queries, budget, quarantine_mask, min_candidates, k)| {
-                for row in &mut rows {
-                    for (v, &pos) in row.iter_mut().zip(&signs) {
-                        *v = if pos { v.abs() } else { -v.abs() };
-                    }
-                }
-                let queries = raw_queries
-                    .into_iter()
-                    .map(|(mag, b, leq)| {
-                        let a: Vec<f64> = mag
-                            .iter()
-                            .zip(&signs)
-                            .map(|(&m, &pos)| if pos { m } else { -m })
-                            .collect();
-                        (a, b, if leq { Cmp::Leq } else { Cmp::Geq })
-                    })
-                    .collect();
-                Scenario {
-                    dim,
-                    rows,
-                    signs,
-                    queries,
-                    budget,
-                    quarantine_mask,
-                    min_candidates,
-                    k,
-                }
-            },
-        )
-}
-
-fn domain(s: &Scenario) -> ParameterDomain {
-    let axes: Vec<Domain> = s
-        .signs
-        .iter()
-        .map(|&pos| {
-            if pos {
-                Domain::Continuous { lo: 0.1, hi: 10.0 }
-            } else {
-                Domain::Continuous {
-                    lo: -10.0,
-                    hi: -0.1,
+        .prop_map(|(dim, mut rows, signs, raw_queries)| {
+            for row in &mut rows {
+                for (v, &pos) in row.iter_mut().zip(&signs) {
+                    *v = if pos { v.abs() } else { -v.abs() };
                 }
             }
+            let queries = raw_queries
+                .into_iter()
+                .map(|(mag, b, leq)| {
+                    let a: Vec<f64> = mag
+                        .iter()
+                        .zip(&signs)
+                        .map(|(&m, &pos)| if pos { m } else { -m })
+                        .collect();
+                    (a, b, if leq { Cmp::Leq } else { Cmp::Geq })
+                })
+                .collect();
+            Scenario { dim, rows, queries }
         })
-        .collect();
-    ParameterDomain::new(axes).unwrap()
-}
-
-/// Build the index set and quarantine the positions picked out by the
-/// scenario's bitmask (possibly none, possibly all — the latter degrades
-/// every query to the exact scan, which must also be pruning-neutral).
-fn build_set<S: KeyStore>(s: &Scenario) -> PlanarIndexSet<S> {
-    let table = FeatureTable::from_rows(s.dim, s.rows.clone()).unwrap();
-    let mut set: PlanarIndexSet<S> =
-        PlanarIndexSet::build(table, domain(s), IndexConfig::with_budget(s.budget)).unwrap();
-    for pos in 0..set.num_indices() {
-        if s.quarantine_mask & (1 << (pos % 32)) != 0 {
-            set.quarantine(pos);
-        }
-    }
-    set
 }
 
 fn ineq_queries(s: &Scenario) -> Vec<InequalityQuery> {
@@ -129,54 +70,6 @@ fn ineq_queries(s: &Scenario) -> Vec<InequalityQuery> {
         .iter()
         .map(|(a, b, cmp)| InequalityQuery::new(a.clone(), *cmp, *b).unwrap())
         .collect()
-}
-
-/// Pruning forced on for every candidate set size vs forced off.
-fn configs(s: &Scenario) -> (ExecutionConfig, ExecutionConfig) {
-    let on = ExecutionConfig::serial().intersect_min_candidates(s.min_candidates);
-    let off = ExecutionConfig::serial().intersect_pruning(false);
-    (on, off)
-}
-
-fn check_inequality_pruning<S: KeyStore>(s: &Scenario) {
-    let set: PlanarIndexSet<S> = build_set(s);
-    let (on, off) = configs(s);
-    let mut scratch = QueryScratch::new();
-    for q in ineq_queries(s) {
-        let plain = set.query_with(&q, &off, &mut scratch).unwrap();
-        let pruned = set.query_with(&q, &on, &mut scratch).unwrap();
-        // Same ids in the same canonical order.
-        assert_eq!(pruned.matches, plain.matches);
-        assert_eq!(plain.stats.intersect_pruned, 0);
-        // Every candidate the pruned run skipped was settled, not lost.
-        assert_eq!(
-            pruned.stats.verified + pruned.stats.intersect_pruned,
-            plain.stats.verified
-        );
-        assert_eq!(pruned.stats.matched, plain.stats.matched);
-        assert_eq!(pruned.stats.intermediate, plain.stats.intermediate);
-    }
-}
-
-fn check_top_k_pruning<S: KeyStore>(s: &Scenario) {
-    let set: PlanarIndexSet<S> = build_set(s);
-    let (on, off) = configs(s);
-    let mut scratch = QueryScratch::new();
-    for q in ineq_queries(s) {
-        let q = TopKQuery::new(q, s.k).unwrap();
-        let plain = set.top_k_with(&q, &off, &mut scratch).unwrap();
-        let pruned = set.top_k_with(&q, &on, &mut scratch).unwrap();
-        assert_eq!(pruned.neighbors.len(), plain.neighbors.len());
-        for (p, w) in pruned.neighbors.iter().zip(&plain.neighbors) {
-            assert_eq!(p.0, w.0);
-            assert_eq!(
-                p.1.to_bits(),
-                w.1.to_bits(),
-                "distances must be bit-identical"
-            );
-        }
-        assert!(pruned.stats.verified <= plain.stats.verified);
-    }
 }
 
 /// A workload for the block-mask verification path: several 64-row blocks
@@ -267,16 +160,13 @@ fn block_scenario() -> impl Strategy<Value = BlockScenario> {
 }
 
 /// Every verification configuration the block-mask path must be neutral
-/// to: threads 1/2/3 (with the chunking threshold at 1, so chunks split the
-/// bitmap on word boundaries) × intersection pruning on/off.
+/// to: threads 1/2/3, with the chunking threshold at 1 so chunks split the
+/// bitmap on word boundaries (the quantized tiers are the other axis, set
+/// on the index set).
 fn block_configs() -> Vec<ExecutionConfig> {
-    let mut out = Vec::new();
-    for threads in [1, 2, 3] {
-        let base = ExecutionConfig::with_threads(threads).verify_threshold(1);
-        out.push(base.intersect_min_candidates(1));
-        out.push(base.intersect_pruning(false));
-    }
-    out
+    [1, 2, 3]
+        .map(|threads| ExecutionConfig::with_threads(threads).verify_threshold(1))
+        .to_vec()
 }
 
 /// The canonical match order of an indexed answer: the chosen index's
@@ -360,7 +250,10 @@ fn check_block_masks<S: KeyStore>(s: &BlockScenario) {
                         canonical(&set, q, index, st.smaller, st.intermediate),
                         "canonical order, {tier:?} {exec:?}"
                     );
-                    assert_eq!(st.verified + st.intersect_pruned, st.intermediate);
+                    // The chosen index's whole intermediate interval is
+                    // verified: nothing is settled any other way.
+                    assert_eq!(st.verified, st.intermediate, "{tier:?} {exec:?}");
+                    assert_eq!(st.intersect_pruned, 0, "{tier:?} {exec:?}");
                 } else {
                     assert_eq!(&got.matches, want, "scan order, {tier:?} {exec:?}");
                 }
@@ -375,6 +268,14 @@ fn check_block_masks<S: KeyStore>(s: &BlockScenario) {
                 for (g, w) in top.neighbors.iter().zip(want_top) {
                     assert_eq!(g.0, w.0, "{tier:?} {exec:?}");
                     assert_eq!(g.1.to_bits(), w.1.to_bits(), "{tier:?} {exec:?}");
+                }
+                if let ServedBy::Index(_) = top.served_by {
+                    let ts = &top.stats;
+                    assert_eq!(
+                        ts.verified,
+                        ts.intermediate + ts.walked,
+                        "{tier:?} {exec:?}"
+                    );
                 }
             }
         }
@@ -417,32 +318,9 @@ proptest! {
         }
     }
 
-    /// Intersection pruning never changes an inequality answer, on every
-    /// store, under arbitrary quarantine patterns.
-    #[test]
-    fn pruned_inequality_equals_unpruned_vec_store(s in scenario()) {
-        check_inequality_pruning::<VecStore>(&s);
-    }
-
-    #[test]
-    fn pruned_inequality_equals_unpruned_bplus_tree(s in scenario()) {
-        check_inequality_pruning::<BPlusTree>(&s);
-    }
-
-    /// Top-k with reject-only pruning returns bit-identical neighbors.
-    #[test]
-    fn pruned_top_k_equals_unpruned_vec_store(s in scenario()) {
-        check_top_k_pruning::<VecStore>(&s);
-    }
-
-    #[test]
-    fn pruned_top_k_equals_unpruned_bplus_tree(s in scenario()) {
-        check_top_k_pruning::<BPlusTree>(&s);
-    }
-
     /// The block-mask path equals `SeqScan` (canonical order, bit-exact
-    /// top-k) on every store, quantized tier, pruning setting, and thread
-    /// count, with tombstones inside candidate blocks.
+    /// top-k) on every store, quantized tier, and thread count, with
+    /// tombstones inside candidate blocks.
     #[test]
     fn block_masks_equal_scan_vec_store(s in block_scenario()) {
         check_block_masks::<VecStore>(&s);

@@ -35,6 +35,9 @@ echo "== quantization suite (quantized ≡ unquantized twins, both dispatches) =
 cargo test -p planar-core -q --test quant_proptests
 PLANAR_FORCE_PORTABLE=1 cargo test -p planar-core -q --test quant_proptests
 
+echo "== block-mask verification suite (block masks ≡ SeqScan, forced-portable dispatch) =="
+PLANAR_FORCE_PORTABLE=1 cargo test -p planar-core -q --test simd_pruning_proptests
+
 echo "== serving suite (loopback wire round trips, coalescing identity, overload) =="
 cargo test -p planar-serve -q
 

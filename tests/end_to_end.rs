@@ -1,6 +1,7 @@
 //! Cross-crate integration: datasets from `planar-datagen` flow through the
 //! `planar-core` index and always agree with the sequential scan.
 
+use planar::planar_core::table::PointId;
 use planar::planar_datagen::consumption::{
     consumption_domain, critical_consume_query, ConsumptionGenerator,
 };
@@ -173,4 +174,83 @@ fn sharded_quantized_block_masks_equal_scan() {
         filtered > 0,
         "the quantized filter must classify some lanes"
     );
+}
+
+#[test]
+fn index_selection_does_not_depend_on_the_data() {
+    // Stretch minimization (§5.1) picks each shard's index from its normals
+    // and the query alone, so inserts, updates and deletes inside the data
+    // range never change a query's per-shard `ServedBy`. Canonical answers
+    // recorded once and replica ≡ primary both rely on this; a selection
+    // that reads the data (exact interval counts) would break it.
+    let (dim, rq) = (8, 4);
+    let generated = SyntheticConfig::paper(SyntheticKind::Independent, 12_000, dim).generate();
+    let mut rows: Vec<Vec<f64>> = generated.iter().map(|(_, r)| r.to_vec()).collect();
+    let spare = rows.split_off(10_000);
+    let initial = FeatureTable::from_rows(dim, rows.clone()).expect("table");
+    let queries = Eq18Generator::new(&initial, rq, 9)
+        .with_inequality_parameter(0.25)
+        .queries(24);
+    let mut set = ShardedIndexSet::<VecStore>::build(
+        initial,
+        eq18_domain(dim, rq),
+        IndexConfig::with_budget(16),
+        ShardConfig::pilot_key_range(4),
+    )
+    .expect("build");
+    let mut live = vec![true; rows.len()];
+
+    // Every query's per-shard provenance and answer, checked against
+    // `SeqScan` over the live rows.
+    let observe = |set: &ShardedIndexSet<VecStore>, rows: &[Vec<f64>], live: &[bool]| {
+        let table = FeatureTable::from_rows(dim, rows.to_vec()).expect("table");
+        let scan = SeqScan::new(&table);
+        let mut seen = Vec::new();
+        for q in &queries {
+            let out = set.query(q).expect("query");
+            let want: Vec<PointId> = scan
+                .evaluate(q)
+                .expect("scan")
+                .into_iter()
+                .filter(|&id| live[id as usize])
+                .collect();
+            assert_eq!(out.sorted_ids(), want);
+            seen.push((out.served_by, want));
+        }
+        seen
+    };
+    let before = observe(&set, &rows, &live);
+    assert!(before
+        .iter()
+        .all(|(served, _)| served.iter().all(|s| matches!(s, ServedBy::Index(_)))));
+
+    let mut answers_moved = false;
+    let mut check = |set: &ShardedIndexSet<VecStore>, rows: &[Vec<f64>], live: &[bool], phase| {
+        for (q, (b, a)) in before.iter().zip(observe(set, rows, live)).enumerate() {
+            assert_eq!(
+                a.0, b.0,
+                "query {q} changed its served-by after the {phase}"
+            );
+            answers_moved |= a.1 != b.1;
+        }
+    };
+    for row in &spare {
+        let id = set.insert_point(row).expect("insert");
+        assert_eq!(id as usize, rows.len());
+        rows.push(row.clone());
+        live.push(true);
+    }
+    check(&set, &rows, &live, "inserts");
+    for (i, id) in (0..rows.len()).step_by(13).enumerate() {
+        let row = spare[i % spare.len()].clone();
+        set.update_point(id as PointId, &row).expect("update");
+        rows[id] = row;
+    }
+    check(&set, &rows, &live, "updates");
+    for id in (0..rows.len()).step_by(17) {
+        set.delete_point(id as PointId).expect("delete");
+        live[id] = false;
+    }
+    check(&set, &rows, &live, "deletes");
+    assert!(answers_moved, "the writes must change some answer");
 }
