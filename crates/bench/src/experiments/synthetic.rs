@@ -3,9 +3,7 @@
 
 use crate::report::{ms, pct, Table};
 use crate::{time_ms, Config};
-use planar_core::{
-    DynamicPlanarIndexSet, HeapSize, IndexConfig, PlanarIndexSet, SeqScan, VecStore,
-};
+use planar_core::{HeapSize, IndexConfig, PlanarIndexSet, SeqScan, VecStore};
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
 use planar_datagen::SYNTHETIC_N;
@@ -351,7 +349,7 @@ pub fn fig13c(cfg: &Config) {
     let n = cfg.scaled(SYNTHETIC_N);
     let n_index = 10usize;
     let mut t = Table::new(
-        &format!("Fig 13c: per-index update time (ms), n={n}, #index={n_index} (B+-tree store)"),
+        &format!("Fig 13c: per-index update time (ms), n={n}, #index={n_index} (packed id store)"),
         &["update_%", "dim=6", "dim=10"],
     );
     let mut rows: Vec<Vec<String>> = [1usize, 5, 10, 25]
@@ -360,7 +358,7 @@ pub fn fig13c(cfg: &Config) {
         .collect();
     for dim in [6usize, 10] {
         let table = SyntheticConfig::paper(SyntheticKind::Independent, n, dim).generate();
-        let mut set: DynamicPlanarIndexSet = PlanarIndexSet::build(
+        let mut set = PlanarIndexSet::<VecStore>::build(
             table,
             eq18_domain(dim, 4),
             IndexConfig::with_budget(n_index).seed(cfg.seed),

@@ -153,8 +153,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 .map(|(ci, p)| (*ci, p.accepted_range(n)))
                 .collect();
             let idx = self.index_at(pos).expect("planned index exists");
-            let ids: Vec<PointId> = idx.ids_in(lo, hi).collect();
-            for (offset, id) in ids.into_iter().enumerate() {
+            for (offset, &id) in idx.ids()[lo..hi].iter().enumerate() {
                 let rank = lo + offset;
                 verified += 1;
                 let fully_accepted = accepted_ranges

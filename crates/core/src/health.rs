@@ -1,16 +1,16 @@
 //! Index self-verification: the checks behind the quarantine-and-degrade
 //! lifecycle.
 //!
-//! A Planar index is *redundant* — every entry is recomputable from the
+//! A Planar index is *redundant* — its id order is recomputable from the
 //! feature table and the index normal — so a corrupted index never has to
 //! cost correctness: detect it, quarantine it, serve queries from the
 //! remaining indices (or the exact scan fallback), and rebuild at leisure.
 //! This module supplies the *detect* step:
 //!
 //! * [`SingleIndex::verify`] checks one index against the table it claims
-//!   to describe — sorted-key invariant, finite keys, entry-count
-//!   reconciliation against the live-point count, membership of every id,
-//!   and sampled key recomputation;
+//!   to describe — ids sorted by the keys computed from their rows,
+//!   entry-count reconciliation against the live-point count, and
+//!   membership of every id;
 //! * [`HealthIssue`] / [`IndexHealth`] / [`HealthReport`] describe what was
 //!   found, per index and per set.
 //!
@@ -31,17 +31,12 @@ pub const MAX_ISSUES_PER_INDEX: usize = 64;
 /// One defect found while verifying a single Planar index.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HealthIssue {
-    /// Adjacent entries out of `(key, id)` order at this rank — the sorted
-    /// list `L` invariant (paper §4.2) is broken, so rank queries lie.
+    /// Adjacent ids out of `(key, id)` order at this rank, with keys
+    /// computed from their rows — the sorted list `L` invariant (paper
+    /// §4.2) is broken, so rank queries lie.
     UnsortedKeys {
-        /// Rank of the first entry that is smaller than its predecessor.
+        /// Rank of the first id that sorts below its predecessor.
         rank: usize,
-    },
-    /// An entry's key is NaN or infinite; rank arithmetic on it is
-    /// meaningless.
-    NonFiniteKey {
-        /// The id carrying the non-finite key.
-        id: u32,
     },
     /// The index holds a different number of entries than there are live
     /// points.
@@ -57,17 +52,6 @@ pub enum HealthIssue {
         /// The offending id.
         id: u32,
     },
-    /// A sampled entry's stored key differs from `⟨c_raw, φ(x)⟩` recomputed
-    /// from the current table row — the index answers queries about a point
-    /// that is not where it says.
-    KeyMismatch {
-        /// The id whose key disagrees.
-        id: u32,
-        /// Key as stored in the index.
-        stored: f64,
-        /// Key recomputed from the table.
-        computed: f64,
-    },
 }
 
 impl core::fmt::Display for HealthIssue {
@@ -76,21 +60,12 @@ impl core::fmt::Display for HealthIssue {
             HealthIssue::UnsortedKeys { rank } => {
                 write!(f, "entries out of order at rank {rank}")
             }
-            HealthIssue::NonFiniteKey { id } => write!(f, "non-finite key for id {id}"),
             HealthIssue::EntryCountMismatch { expected, found } => {
                 write!(f, "expected {expected} entries, found {found}")
             }
             HealthIssue::DeadOrUnknownId { id } => {
                 write!(f, "entry references dead or unknown id {id}")
             }
-            HealthIssue::KeyMismatch {
-                id,
-                stored,
-                computed,
-            } => write!(
-                f,
-                "stored key {stored} for id {id} but table gives {computed}"
-            ),
         }
     }
 }
@@ -166,62 +141,38 @@ impl ShardedHealthReport {
 impl<S: KeyStore> SingleIndex<S> {
     /// Verify this index against the table it describes.
     ///
-    /// Checks, in one pass over the entries:
+    /// Checks, in one pass over the ids:
     ///
-    /// 1. the sorted-key invariant (`(key, id)` total order);
-    /// 2. every key finite;
-    /// 3. every id in range and live (`deleted[id] == false`);
-    /// 4. entry count equal to `expected_len` (the live-point count);
-    /// 5. for roughly `key_samples` evenly spaced entries, the stored key
-    ///    numerically equal to `⟨c_raw, φ(x)⟩` recomputed from the table
-    ///    (numeric equality, so a canonicalized `0.0` matches a recomputed
-    ///    `-0.0`).
+    /// 1. every id in range and live (`deleted[id] == false`);
+    /// 2. the sorted invariant: ids in `(key, id)` order, each key computed
+    ///    from its row by the same function the searches use;
+    /// 3. entry count equal to `expected_len` (the live-point count).
     ///
     /// Returns all issues found, capped at [`MAX_ISSUES_PER_INDEX`]. An
-    /// empty vector means healthy. `key_samples == 0` skips check 5.
+    /// empty vector means healthy. `O(n·d')`.
     pub fn verify(
         &self,
         table: &FeatureTable,
         deleted: &[bool],
         expected_len: usize,
-        key_samples: usize,
     ) -> Vec<HealthIssue> {
         let mut issues = Vec::new();
-        let n = self.len();
-        // `None` disables check 5 entirely; `rank % usize::MAX == 0` would
-        // still sample rank 0.
-        let stride = (key_samples > 0).then(|| (n / key_samples).max(1));
-        let mut prev: Option<crate::store::Entry> = None;
-        for (rank, e) in self.entries().enumerate() {
+        let mut prev: Option<(f64, u32)> = None;
+        for (rank, &id) in self.ids().iter().enumerate() {
             if issues.len() >= MAX_ISSUES_PER_INDEX {
                 return issues;
             }
-            if let Some(p) = prev {
-                if p.total_cmp(&e) == core::cmp::Ordering::Greater {
-                    issues.push(HealthIssue::UnsortedKeys { rank });
-                }
-            }
-            prev = Some(e);
-            if !e.key.is_finite() {
-                issues.push(HealthIssue::NonFiniteKey { id: e.id });
+            if id as usize >= table.len() || deleted.get(id as usize).copied().unwrap_or(false) {
+                issues.push(HealthIssue::DeadOrUnknownId { id });
                 continue;
             }
-            let id = e.id as usize;
-            if id >= table.len() || deleted.get(id).copied().unwrap_or(false) {
-                issues.push(HealthIssue::DeadOrUnknownId { id: e.id });
-                continue;
+            let entry = (self.key(table, id), id);
+            if prev.is_some_and(|p| p.0.total_cmp(&entry.0).then(p.1.cmp(&id)).is_gt()) {
+                issues.push(HealthIssue::UnsortedKeys { rank });
             }
-            if stride.is_some_and(|s| rank % s == 0) {
-                let computed = self.raw_key(table.row(e.id));
-                if e.key != computed {
-                    issues.push(HealthIssue::KeyMismatch {
-                        id: e.id,
-                        stored: e.key,
-                        computed,
-                    });
-                }
-            }
+            prev = Some(entry);
         }
+        let n = self.len();
         if n != expected_len && issues.len() < MAX_ISSUES_PER_INDEX {
             issues.push(HealthIssue::EntryCountMismatch {
                 expected: expected_len,
@@ -235,8 +186,7 @@ impl<S: KeyStore> SingleIndex<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::HeapSize;
-    use crate::store::{Entry, KeyStore, VecStore};
+    use crate::store::VecStore;
     use planar_geom::Normalizer;
 
     fn table() -> FeatureTable {
@@ -256,12 +206,24 @@ mod tests {
         SingleIndex::build(table, &Normalizer::identity(2), vec![1.0, 1.0]).unwrap()
     }
 
+    /// An index over normal (1, 1) that adopts `ids` in the given order.
+    fn index_with_ids(ids: Vec<u32>) -> SingleIndex<VecStore> {
+        let norm = Normalizer::identity(2);
+        SingleIndex::from_parts(
+            vec![1.0, 1.0],
+            norm.raw_normal(&[1.0, 1.0]),
+            VecStore::from_sorted_ids(ids),
+        )
+    }
+
     #[test]
     fn healthy_index_passes_all_checks() {
         let t = table();
         let idx = healthy_index(&t);
+        // Keys 3, 4, 4, 9: the tie between ids 1 and 2 breaks by id.
+        assert_eq!(idx.ids(), &[0, 1, 2, 3]);
         let deleted = vec![false; t.len()];
-        assert!(idx.verify(&t, &deleted, t.len(), t.len()).is_empty());
+        assert!(idx.verify(&t, &deleted, t.len()).is_empty());
     }
 
     #[test]
@@ -269,7 +231,7 @@ mod tests {
         let t = table();
         let idx = healthy_index(&t);
         let deleted = vec![false; t.len()];
-        let issues = idx.verify(&t, &deleted, t.len() - 1, 0);
+        let issues = idx.verify(&t, &deleted, t.len() - 1);
         assert_eq!(
             issues,
             vec![HealthIssue::EntryCountMismatch {
@@ -285,141 +247,45 @@ mod tests {
         let idx = healthy_index(&t);
         let mut deleted = vec![false; t.len()];
         deleted[2] = true; // tombstoned but still indexed
-        let issues = idx.verify(&t, &deleted, t.len() - 1, 0);
+        let issues = idx.verify(&t, &deleted, t.len() - 1);
         assert!(issues.contains(&HealthIssue::DeadOrUnknownId { id: 2 }));
         // EntryCountMismatch too: 4 entries vs 3 live.
         assert!(issues
             .iter()
             .any(|i| matches!(i, HealthIssue::EntryCountMismatch { .. })));
+        let unknown = index_with_ids(vec![0, 1, 2, 3, 9]);
+        let issues = unknown.verify(&t, &vec![false; t.len()], t.len());
+        assert!(issues.contains(&HealthIssue::DeadOrUnknownId { id: 9 }));
     }
 
     #[test]
-    fn key_mismatch_is_caught_by_sampling() {
+    fn swapped_ids_are_reported() {
         let t = table();
-        let norm = Normalizer::identity(2);
-        // Store claims id 1 has key 999 instead of 4.
-        let entries = vec![
-            Entry::new(3.0, 0),
-            Entry::new(4.0, 2),
-            Entry::new(9.0, 3),
-            Entry::new(999.0, 1),
-        ];
-        let idx = SingleIndex::from_parts(
-            vec![1.0, 1.0],
-            norm.raw_normal(&[1.0, 1.0]),
-            VecStore::build(entries),
-        );
         let deleted = vec![false; t.len()];
-        let issues = idx.verify(&t, &deleted, t.len(), t.len());
-        assert!(issues.contains(&HealthIssue::KeyMismatch {
-            id: 1,
-            stored: 999.0,
-            computed: 4.0,
-        }));
+        // Keys 3, 4, 4, 9 by id 0, 1, 2, 3: swapping ids 0 and 3 puts key 9
+        // first.
+        let issues = index_with_ids(vec![3, 1, 2, 0]).verify(&t, &deleted, t.len());
+        assert_eq!(
+            issues,
+            vec![
+                HealthIssue::UnsortedKeys { rank: 1 },
+                HealthIssue::UnsortedKeys { rank: 3 }
+            ]
+        );
+        // Equal keys must still follow id order.
+        let issues = index_with_ids(vec![0, 2, 1, 3]).verify(&t, &deleted, t.len());
+        assert_eq!(issues, vec![HealthIssue::UnsortedKeys { rank: 2 }]);
     }
 
     #[test]
-    fn zero_key_samples_skips_recomputation_even_at_rank_zero() {
-        let t = table();
-        let norm = Normalizer::identity(2);
-        // Rank 0 carries a wrong (but order-preserving) key: 2.5 vs the
-        // true 3.0. Check 5 must stay silent with key_samples == 0 and
-        // fire with sampling on.
-        let entries = vec![
-            Entry::new(2.5, 0),
-            Entry::new(4.0, 1),
-            Entry::new(4.0, 2),
-            Entry::new(9.0, 3),
-        ];
-        let idx = SingleIndex::from_parts(
-            vec![1.0, 1.0],
-            norm.raw_normal(&[1.0, 1.0]),
-            VecStore::build(entries),
-        );
-        let deleted = vec![false; t.len()];
-        assert!(idx.verify(&t, &deleted, t.len(), 0).is_empty());
-        assert!(idx
-            .verify(&t, &deleted, t.len(), t.len())
-            .contains(&HealthIssue::KeyMismatch {
-                id: 0,
-                stored: 2.5,
-                computed: 3.0,
-            }));
-    }
-
-    #[test]
-    fn non_finite_keys_are_reported() {
-        let t = table();
-        let norm = Normalizer::identity(2);
-        let entries = vec![Entry::new(3.0, 0), Entry::new(f64::INFINITY, 1)];
-        let idx = SingleIndex::from_parts(
-            vec![1.0, 1.0],
-            norm.raw_normal(&[1.0, 1.0]),
-            VecStore::build(entries),
-        );
-        let deleted = vec![false; t.len()];
-        let issues = idx.verify(&t, &deleted, 2, 0);
-        assert!(issues.contains(&HealthIssue::NonFiniteKey { id: 1 }));
-    }
-
-    /// A deliberately trusting store that preserves build order, so the
-    /// sorted-invariant check can actually be exercised (the real stores
-    /// sort on build).
-    #[derive(Debug)]
-    struct RawStore(Vec<Entry>);
-
-    impl HeapSize for RawStore {
-        fn heap_size(&self) -> usize {
-            self.0.capacity() * core::mem::size_of::<Entry>()
-        }
-    }
-
-    impl KeyStore for RawStore {
-        fn build(entries: Vec<Entry>) -> Self {
-            Self(entries) // no sort: trusts its input
-        }
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn rank_leq(&self, threshold: f64) -> usize {
-            self.0.iter().filter(|e| e.key <= threshold).count()
-        }
-        fn rank_lt(&self, threshold: f64) -> usize {
-            self.0.iter().filter(|e| e.key < threshold).count()
-        }
-        fn iter_asc(&self, from: usize, to: usize) -> impl Iterator<Item = Entry> + '_ {
-            self.0[from..to].iter().copied()
-        }
-        fn iter_desc(&self, below: usize) -> impl Iterator<Item = Entry> + '_ {
-            self.0[..below].iter().rev().copied()
-        }
-        fn insert(&mut self, e: Entry) {
-            self.0.push(e);
-        }
-        fn remove(&mut self, e: Entry) -> bool {
-            match self.0.iter().position(|x| x.total_cmp(&e).is_eq()) {
-                Some(i) => {
-                    self.0.remove(i);
-                    true
-                }
-                None => false,
-            }
-        }
-    }
-
-    #[test]
-    fn unsorted_entries_are_reported() {
-        let t = table();
-        let norm = Normalizer::identity(2);
-        let entries = vec![Entry::new(9.0, 3), Entry::new(3.0, 0)];
-        let idx = SingleIndex::from_parts(
-            vec![1.0, 1.0],
-            norm.raw_normal(&[1.0, 1.0]),
-            RawStore::build(entries),
-        );
-        let deleted = vec![false; t.len()];
-        let issues = idx.verify(&t, &deleted, 2, 0);
-        assert!(issues.contains(&HealthIssue::UnsortedKeys { rank: 1 }));
+    fn a_row_changed_behind_the_index_is_reported() {
+        // The row moved but the index was not told: the key computed from
+        // the new row breaks the order.
+        let mut t = table();
+        let idx = healthy_index(&t);
+        t.update_row(0, &[9.0, 9.0]).unwrap();
+        let issues = idx.verify(&t, &vec![false; t.len()], t.len());
+        assert_eq!(issues, vec![HealthIssue::UnsortedKeys { rank: 1 }]);
     }
 
     #[test]
@@ -432,15 +298,15 @@ mod tests {
                 },
                 IndexHealth {
                     pos: 1,
-                    issues: vec![HealthIssue::NonFiniteKey { id: 7 }],
+                    issues: vec![HealthIssue::UnsortedKeys { rank: 7 }],
                 },
             ],
         };
         assert!(!report.healthy());
         assert_eq!(report.failing_positions(), vec![1]);
         assert_eq!(
-            format!("{}", HealthIssue::NonFiniteKey { id: 7 }),
-            "non-finite key for id 7"
+            format!("{}", HealthIssue::UnsortedKeys { rank: 7 }),
+            "entries out of order at rank 7"
         );
     }
 }

@@ -7,10 +7,19 @@
 //! coefficients and non-negative data coordinates. General octants are
 //! handled by `planar_geom::Normalizer` (translation §4.5 + reflection).
 //! Crucially, the normalized key decomposes as
-//! `⟨c, φ''(x)⟩ = ⟨c_raw, φ(x)⟩ + shift`, so this index stores **raw-space
-//! keys** and applies the (query-time) `shift` to thresholds instead. Data
-//! updates that grow the translation deltas therefore never touch stored
-//! keys.
+//! `⟨c, φ''(x)⟩ = ⟨c_raw, φ(x)⟩ + shift`, so this index is ordered by
+//! **raw-space keys** and applies the (query-time) `shift` to thresholds
+//! instead. Data updates that grow the translation deltas therefore never
+//! change the order.
+//!
+//! ## Implicit keys
+//!
+//! The index stores only point ids, in key order. A key is a function of
+//! a row the table already holds, so it is computed whenever it is needed
+//! (see `row_key`): `⌈log₂ n⌉` rows per boundary bisection, one per step of
+//! the Algorithm 2 walk (which reads that row for its distance anyway),
+//! and none for the intermediate interval, whose ids go straight into the
+//! candidate bitmap.
 //!
 //! ## Interval boundaries
 //!
@@ -28,7 +37,7 @@
 //! (`= t_min`) are routed into the intermediate interval so that points
 //! exactly on the query hyperplane are still verified exactly. A small
 //! relative epsilon additionally widens the intermediate interval to absorb
-//! floating-point rounding between stored keys and computed thresholds —
+//! floating-point rounding between keys and computed thresholds —
 //! widening is always sound because the intermediate interval is verified
 //! exactly in raw space.
 
@@ -36,7 +45,7 @@ use crate::parallel::{self, ExecutionConfig, QueryScratch};
 use crate::query::{Cmp, InequalityQuery, TopKQuery};
 use crate::scan::TopKBuffer;
 use crate::stats::{ExecutionPath, QueryStats};
-use crate::store::{Entry, KeyStore};
+use crate::store::{canon, KeyStore, VecStore};
 use crate::table::{FeatureTable, PointId};
 use crate::{HeapSize, PlanarError, Result};
 use planar_geom::{dot_slices, NormalizedQuery, Normalizer};
@@ -92,10 +101,32 @@ impl TopKStats {
     }
 }
 
-/// One Planar index: a normal `c` and the points ordered by raw key
+/// The one key function of every index: the canonical raw-space key
+/// `canon(⟨c_raw, φ(x)⟩)` of a feature row. The bulk build, the boundary
+/// bisection, point inserts and removes, the Algorithm 2 walk and the
+/// health check all compute keys through it, so they agree bit for bit.
+#[inline]
+fn row_key(raw_normal: &[f64], row: &[f64]) -> f64 {
+    canon(dot_slices(raw_normal, row))
+}
+
+/// [`row_key`] of an id's current row in `table`.
+#[inline]
+fn keys<'a>(raw_normal: &'a [f64], table: &'a FeatureTable) -> impl Fn(PointId) -> f64 + Copy + 'a {
+    move |id| row_key(raw_normal, table.row(id))
+}
+
+/// One Planar index: a normal `c` and the point ids ordered by raw key
 /// `⟨c_raw, φ(x)⟩`.
+///
+/// The index stores ids only; every key is computed from the row in the
+/// [`FeatureTable`] the index was built over, which each method that needs
+/// keys takes as an argument. The index is correct only while that table's
+/// rows are the ones it was ordered by: remove an id
+/// ([`Self::remove_point`]) *before* its row changes and insert it
+/// ([`Self::insert_point`]) after.
 #[derive(Debug, Clone)]
-pub struct SingleIndex<S: KeyStore> {
+pub struct SingleIndex<S: KeyStore = VecStore> {
     /// The normal in normalized (first-octant) space; strictly positive.
     normal: Vec<f64>,
     /// `c_rawᵢ = cᵢ·sign(O, i)` — the raw-space key normal.
@@ -113,6 +144,16 @@ impl<S: KeyStore> SingleIndex<S> {
     /// table dimensionality, [`PlanarError::NotFinite`] on NaN/∞ or
     /// non-positive components.
     pub fn build(table: &FeatureTable, normalizer: &Normalizer, normal: Vec<f64>) -> Result<Self> {
+        Self::build_live(table, normalizer, normal, &[])
+    }
+
+    /// [`Self::build`] over the rows not marked in `deleted`.
+    pub(crate) fn build_live(
+        table: &FeatureTable,
+        normalizer: &Normalizer,
+        normal: Vec<f64>,
+        deleted: &[bool],
+    ) -> Result<Self> {
         if normal.len() != table.dim() {
             return Err(PlanarError::DimensionMismatch {
                 expected: table.dim(),
@@ -123,15 +164,19 @@ impl<S: KeyStore> SingleIndex<S> {
             return Err(PlanarError::NotFinite);
         }
         let raw_normal = normalizer.raw_normal(&normal);
-        let entries: Vec<Entry> = table
-            .iter()
-            .map(|(id, row)| Entry::new(dot_slices(&raw_normal, row), id))
-            .collect();
+        let store = Self::sorted(&raw_normal, table, deleted);
         Ok(Self {
             normal,
             raw_normal,
-            store: S::build(entries),
+            store,
         })
+    }
+
+    /// The live ids of `table` sorted by `(key, id)`. `O(n log n)`.
+    fn sorted(raw_normal: &[f64], table: &FeatureTable, deleted: &[bool]) -> S {
+        let live = (0..table.len() as PointId)
+            .filter(|&id| !deleted.get(id as usize).copied().unwrap_or(false));
+        S::build(live, keys(raw_normal, table))
     }
 
     /// The index normal `c` (normalized space).
@@ -149,18 +194,13 @@ impl<S: KeyStore> SingleIndex<S> {
         self.store.is_empty()
     }
 
-    /// All entries in ascending key order (used by persistence).
-    pub fn entries(&self) -> impl Iterator<Item = Entry> + '_ {
-        self.store.iter_asc(0, self.store.len())
-    }
-
-    /// Point ids in the rank range `[from, to)` of the sorted order.
-    pub fn ids_in(&self, from: usize, to: usize) -> impl Iterator<Item = PointId> + '_ {
-        self.store.iter_asc(from, to).map(|e| e.id)
+    /// The indexed ids in ascending `(key, id)` order.
+    pub fn ids(&self) -> &[PointId] {
+        self.store.ids()
     }
 
     /// Reassemble from persisted parts; `normal` must be validated by the
-    /// caller and `store` already built over this index's entries.
+    /// caller and `store` already ordered over this index's rows.
     pub(crate) fn from_parts(normal: Vec<f64>, raw_normal: Vec<f64>, store: S) -> Self {
         Self {
             normal,
@@ -169,55 +209,60 @@ impl<S: KeyStore> SingleIndex<S> {
         }
     }
 
-    /// The raw-space sort key of a feature row.
+    /// The canonical key of `id`'s current row in `table`.
     #[inline]
-    pub fn raw_key(&self, row: &[f64]) -> f64 {
-        dot_slices(&self.raw_normal, row)
+    pub(crate) fn key(&self, table: &FeatureTable, id: PointId) -> f64 {
+        row_key(&self.raw_normal, table.row(id))
     }
 
-    /// Discard the store and rebuild it from the table — every entry is
-    /// recomputable from the rows and this index's normal, which is what
-    /// makes quarantined indices recoverable. `deleted[id]` rows are
+    /// Discard the id order and rebuild it from the table — every position
+    /// is recomputable from the rows and this index's normal, which is
+    /// what makes quarantined indices recoverable. `deleted[id]` rows are
     /// skipped. `O(n log n)`.
     pub(crate) fn rebuild_from(&mut self, table: &FeatureTable, deleted: &[bool]) {
-        let entries: Vec<Entry> = table
-            .iter()
-            .filter(|(id, _)| !deleted.get(*id as usize).copied().unwrap_or(false))
-            .map(|(id, row)| Entry::new(self.raw_key(row), id))
-            .collect();
-        self.store = S::build(entries);
+        self.store = Self::sorted(&self.raw_normal, table, deleted);
     }
 
-    /// Register a new point (paper §4.4 dynamic maintenance).
-    pub fn insert_point(&mut self, id: PointId, row: &[f64]) {
-        self.store.insert(Entry::new(self.raw_key(row), id));
+    /// Register a point (paper §4.4 dynamic maintenance) whose row is
+    /// already in `table`: `O(d'·log n)` key computations to find its rank,
+    /// plus the store's shift.
+    pub fn insert_point(&mut self, table: &FeatureTable, id: PointId) {
+        self.store.insert(id, keys(&self.raw_normal, table));
     }
 
-    /// Remove a point, given its current feature row.
-    pub fn remove_point(&mut self, id: PointId, row: &[f64]) -> bool {
-        self.store.remove(Entry::new(self.raw_key(row), id))
-    }
-
-    /// Update a point's feature row: `O(d' + log n)` with a tree store.
-    pub fn update_point(&mut self, id: PointId, old_row: &[f64], new_row: &[f64]) -> bool {
-        let removed = self.store.remove(Entry::new(self.raw_key(old_row), id));
-        self.store.insert(Entry::new(self.raw_key(new_row), id));
-        removed
+    /// Remove a point while `table` still holds the row it was indexed
+    /// by; returns whether it was present.
+    pub fn remove_point(&mut self, table: &FeatureTable, id: PointId) -> bool {
+        self.store.remove(id, keys(&self.raw_normal, table))
     }
 
     /// Interval boundaries for a normalized query. `shift` is the current
-    /// key shift `Σ cᵢ·δᵢ` from the normalizer (see module docs).
-    pub fn boundaries(&self, nq: &NormalizedQuery, shift: f64, cmp: Cmp) -> IntervalBounds {
+    /// key shift `Σ cᵢ·δᵢ` from the normalizer (see module docs). Each
+    /// boundary bisects the id array, computing `⌈log₂ n⌉` keys from rows.
+    pub fn boundaries(
+        &self,
+        nq: &NormalizedQuery,
+        shift: f64,
+        cmp: Cmp,
+        table: &FeatureTable,
+    ) -> IntervalBounds {
         let (lo, hi) = self.slack_bounds(nq, shift);
+        self.bounds_for(lo, hi, cmp, table)
+    }
+
+    /// Ranks of the slacked raw-key thresholds `lo` (smaller interval) and
+    /// `hi` (larger interval).
+    fn bounds_for(&self, lo: f64, hi: f64, cmp: Cmp, table: &FeatureTable) -> IntervalBounds {
+        let key = keys(&self.raw_normal, table);
         let j_min = match cmp {
             // ≤: boundary keys (= t_min) satisfy the query and may stay in
             // the accepted smaller interval.
-            Cmp::Leq => self.store.rank_leq(lo),
+            Cmp::Leq => self.store.rank_leq(lo, key),
             // ≥: the smaller interval is rejected; keys equal to t_min can
             // lie exactly on the hyperplane, so they must be verified.
-            Cmp::Geq => self.store.rank_lt(lo),
+            Cmp::Geq => self.store.rank_lt(lo, key),
         };
-        let j_max = self.store.rank_leq(hi);
+        let j_max = self.store.rank_leq(hi, key);
         IntervalBounds {
             j_min,
             j_max: j_max.max(j_min),
@@ -254,19 +299,21 @@ impl<S: KeyStore> SingleIndex<S> {
     /// Functionally identical to [`Self::boundaries`], which refines the
     /// `O(d'·log n)` search to `O(d' + log n)` by reducing the thresholds
     /// first. Kept for the `ablation-search` benchmark.
-    pub fn boundaries_literal(&self, nq: &NormalizedQuery, shift: f64, cmp: Cmp) -> IntervalBounds {
+    pub fn boundaries_literal(
+        &self,
+        nq: &NormalizedQuery,
+        shift: f64,
+        cmp: Cmp,
+        table: &FeatureTable,
+    ) -> IntervalBounds {
         let mut j_min = usize::MAX;
         let mut j_max = 0usize;
         for (&ci, &ai) in self.normal.iter().zip(&nq.a) {
             let t = ci * nq.b / ai;
             let (lo, hi) = Self::slacked(t, t, shift);
-            let small = match cmp {
-                Cmp::Leq => self.store.rank_leq(lo),
-                Cmp::Geq => self.store.rank_lt(lo),
-            };
-            let large = self.store.rank_leq(hi);
-            j_min = j_min.min(small);
-            j_max = j_max.max(large);
+            let b = self.bounds_for(lo, hi, cmp, table);
+            j_min = j_min.min(b.j_min);
+            j_max = j_max.max(b.j_max);
         }
         if j_min == usize::MAX {
             j_min = 0;
@@ -279,28 +326,15 @@ impl<S: KeyStore> SingleIndex<S> {
 
     /// Exact intermediate-interval size for a query (used by the
     /// oracle-count selection strategy).
-    pub fn ii_size(&self, nq: &NormalizedQuery, shift: f64, cmp: Cmp) -> usize {
-        let b = self.boundaries(nq, shift, cmp);
-        b.j_max - b.j_min
-    }
-
-    /// The wholesale-accepted and wholesale-rejected point ids of a query's
-    /// interval partition (no verification performed). Used by the
-    /// linear-constraint conjunction evaluator.
-    pub fn partition(
+    pub fn ii_size(
         &self,
         nq: &NormalizedQuery,
         shift: f64,
         cmp: Cmp,
-    ) -> (Vec<PointId>, Vec<PointId>) {
-        let n = self.store.len();
-        let IntervalBounds { j_min, j_max } = self.boundaries(nq, shift, cmp);
-        let smaller: Vec<PointId> = self.store.iter_asc(0, j_min).map(|e| e.id).collect();
-        let larger: Vec<PointId> = self.store.iter_asc(j_max, n).map(|e| e.id).collect();
-        match cmp {
-            Cmp::Leq => (smaller, larger),
-            Cmp::Geq => (larger, smaller),
-        }
+        table: &FeatureTable,
+    ) -> usize {
+        let b = self.boundaries(nq, shift, cmp, table);
+        b.j_max - b.j_min
     }
 
     /// Algorithm 1: answer an inequality query.
@@ -334,7 +368,7 @@ impl<S: KeyStore> SingleIndex<S> {
     ///
     /// The result vector is allocated once with capacity from the interval
     /// bounds (accepted-interval size + II size). The II ids go from the
-    /// store's key-order walk straight into the candidate bitmap of
+    /// id array's key-order slice straight into the candidate bitmap of
     /// `scratch` (one word per 64-row block), so reading the words in order
     /// yields ascending ids without a sort, and every candidate is verified
     /// block by block (see [`parallel::verify_mask_blocked`]); a warm
@@ -353,24 +387,21 @@ impl<S: KeyStore> SingleIndex<S> {
         exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
     ) -> (Vec<PointId>, QueryStats) {
-        let n = self.store.len();
-        let IntervalBounds { j_min, j_max } = self.boundaries(nq, shift, verify.cmp());
+        let ids = self.store.ids();
+        let n = ids.len();
+        let IntervalBounds { j_min, j_max } = self.boundaries(nq, shift, verify.cmp(), table);
         let (smaller, intermediate, larger) = (j_min, j_max - j_min, n - j_max);
-        let accepted_len = match verify.cmp() {
-            Cmp::Leq => j_min,
-            Cmp::Geq => n - j_max,
-        };
-        let mut matches = Vec::with_capacity(accepted_len + intermediate);
 
         // Wholesale-accepted interval.
         let accepted = match verify.cmp() {
-            Cmp::Leq => self.store.iter_asc(0, j_min),
-            Cmp::Geq => self.store.iter_asc(j_max, n),
+            Cmp::Leq => &ids[..j_min],
+            Cmp::Geq => &ids[j_max..],
         };
-        matches.extend(accepted.map(|e| e.id));
+        let mut matches = Vec::with_capacity(accepted.len() + intermediate);
+        matches.extend_from_slice(accepted);
 
         // Intermediate interval, verified exactly in ascending id order.
-        let words = scratch.fill(table.len(), self.store.iter_asc(j_min, j_max).map(|e| e.id));
+        let words = scratch.fill(table.len(), ids[j_min..j_max].iter().copied());
         let quant = parallel::verify_mask(
             verify,
             table,
@@ -466,9 +497,10 @@ impl<S: KeyStore> SingleIndex<S> {
         exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
     ) -> (Vec<(PointId, f64)>, TopKStats) {
-        let n = self.store.len();
+        let ids = self.store.ids();
+        let n = ids.len();
         let cmp = q.query.cmp();
-        let IntervalBounds { j_min, j_max } = self.boundaries(nq, shift, cmp);
+        let IntervalBounds { j_min, j_max } = self.boundaries(nq, shift, cmp, table);
         let mut buffer = TopKBuffer::new(q.k);
         let inv_norm = 1.0 / q.query.a_norm();
 
@@ -476,9 +508,9 @@ impl<S: KeyStore> SingleIndex<S> {
         // as the scratch's candidate bitmap and verified block by block in
         // ascending-id order. The buffer's total (dist, id) order makes its
         // contents independent of arrival order, so this matches the
-        // store-order walk exactly.
+        // key-order walk exactly.
         let candidates = j_max - j_min;
-        let words = scratch.fill(table.len(), self.store.iter_asc(j_min, j_max).map(|e| e.id));
+        let words = scratch.fill(table.len(), ids[j_min..j_max].iter().copied());
         parallel::verify_top_k(
             &q.query,
             table,
@@ -493,7 +525,8 @@ impl<S: KeyStore> SingleIndex<S> {
         // Walk the accepting interval from the query hyperplane outward,
         // terminating when the lower-bound distance (Def. 5) of the next
         // point exceeds the worst buffered distance (Claim 3 makes every
-        // later point at least that far).
+        // later point at least that far). Each step's key comes from the
+        // row it reads for the distance anyway.
         //
         // r = aᵢ/cᵢ extremes: for ≤ queries the bound is
         // (b − r_max·key)/|a|; for ≥ queries (r_min·key − b)/|a|.
@@ -503,31 +536,30 @@ impl<S: KeyStore> SingleIndex<S> {
             r_min = r_min.min(r);
             r_max = r_max.max(r);
         }
-
         let mut walked = 0;
         match cmp {
             Cmp::Leq => {
-                for e in self.store.iter_desc(j_min) {
-                    let key_norm = e.key + shift;
+                for &id in ids[..j_min].iter().rev() {
+                    let row = table.row(id);
+                    let key_norm = row_key(&self.raw_normal, row) + shift;
                     let lbs = deflate((nq.b - r_max * key_norm) * inv_norm);
                     if use_pruning && buffer.is_full() && buffer.worst().is_some_and(|w| lbs > w) {
                         break;
                     }
                     walked += 1;
-                    let row = table.row(e.id);
-                    buffer.offer(q.query.distance(row), e.id);
+                    buffer.offer(q.query.distance(row), id);
                 }
             }
             Cmp::Geq => {
-                for e in self.store.iter_asc(j_max, n) {
-                    let key_norm = e.key + shift;
+                for &id in &ids[j_max..] {
+                    let row = table.row(id);
+                    let key_norm = row_key(&self.raw_normal, row) + shift;
                     let lbs = deflate((r_min * key_norm - nq.b) * inv_norm);
                     if use_pruning && buffer.is_full() && buffer.worst().is_some_and(|w| lbs > w) {
                         break;
                     }
                     walked += 1;
-                    let row = table.row(e.id);
-                    buffer.offer(q.query.distance(row), e.id);
+                    buffer.offer(q.query.distance(row), id);
                 }
             }
         }
@@ -540,6 +572,65 @@ impl<S: KeyStore> SingleIndex<S> {
             intersect_pruned: 0,
         };
         (buffer.into_sorted(), stats)
+    }
+}
+
+/// A [`SingleIndex`] paired with the feature table its keys are computed
+/// from — what [`crate::PlanarIndexSet::index_at`] lends out for
+/// diagnostics, ablation benches and tracing.
+pub struct IndexView<'a, S: KeyStore = VecStore> {
+    index: &'a SingleIndex<S>,
+    table: &'a FeatureTable,
+}
+
+// Manual impls: a derive would demand `S: Copy`, but the view only holds
+// references.
+impl<S: KeyStore> Clone for IndexView<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S: KeyStore> Copy for IndexView<'_, S> {}
+
+impl<'a, S: KeyStore> IndexView<'a, S> {
+    pub(crate) fn new(index: &'a SingleIndex<S>, table: &'a FeatureTable) -> Self {
+        Self { index, table }
+    }
+
+    /// The index normal `c` (normalized space).
+    pub fn normal(&self) -> &'a [f64] {
+        self.index.normal()
+    }
+
+    /// Number of indexed points.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// True when no points are indexed.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// The indexed ids in ascending `(key, id)` order.
+    pub fn ids(&self) -> &'a [PointId] {
+        self.index.ids()
+    }
+
+    /// [`SingleIndex::boundaries`] over the set's table.
+    pub fn boundaries(&self, nq: &NormalizedQuery, shift: f64, cmp: Cmp) -> IntervalBounds {
+        self.index.boundaries(nq, shift, cmp, self.table)
+    }
+
+    /// [`SingleIndex::boundaries_literal`] over the set's table.
+    pub fn boundaries_literal(&self, nq: &NormalizedQuery, shift: f64, cmp: Cmp) -> IntervalBounds {
+        self.index.boundaries_literal(nq, shift, cmp, self.table)
+    }
+
+    /// [`SingleIndex::ii_size`] over the set's table.
+    pub fn ii_size(&self, nq: &NormalizedQuery, shift: f64, cmp: Cmp) -> usize {
+        self.index.ii_size(nq, shift, cmp, self.table)
     }
 }
 
@@ -559,7 +650,6 @@ impl<S: KeyStore> HeapSize for SingleIndex<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{BPlusTree, VecStore};
     use planar_geom::Normalizer;
 
     fn first_octant_setup() -> (FeatureTable, Normalizer) {
@@ -609,7 +699,7 @@ mod tests {
         let idx = SingleIndex::<VecStore>::build(&table, &norm, vec![1.0, 1.0]).unwrap();
         let q = InequalityQuery::leq(vec![2.0, 2.0], 10.0).unwrap(); // parallel to c
         let nq = norm.normalize_query(q.a(), q.b()).unwrap();
-        let b = idx.boundaries(&nq, 0.0, Cmp::Leq);
+        let b = idx.boundaries(&nq, 0.0, Cmp::Leq, &table);
         // All thresholds coincide at key 5: II only holds boundary keys
         // (key exactly 5 → id 1), everything else is pruned.
         assert!(b.j_max - b.j_min <= 1);
@@ -655,16 +745,16 @@ mod tests {
         // Every smaller-interval point satisfies a ≤ query; every
         // larger-interval point violates it.
         let (table, norm) = first_octant_setup();
-        let idx = SingleIndex::<BPlusTree>::build(&table, &norm, vec![2.0, 1.0]).unwrap();
+        let idx = SingleIndex::<VecStore>::build(&table, &norm, vec![2.0, 1.0]).unwrap();
         let q = InequalityQuery::leq(vec![1.0, 3.0], 7.0).unwrap();
         let nq = norm.normalize_query(q.a(), q.b()).unwrap();
         let shift = norm.key_shift(idx.normal());
-        let b = idx.boundaries(&nq, shift, Cmp::Leq);
-        for e in idx.store.iter_asc(0, b.j_min) {
-            assert!(q.satisfies(table.row(e.id)), "SI point {e:?} must satisfy");
+        let b = idx.boundaries(&nq, shift, Cmp::Leq, &table);
+        for &id in &idx.ids()[..b.j_min] {
+            assert!(q.satisfies(table.row(id)), "SI point {id} must satisfy");
         }
-        for e in idx.store.iter_asc(b.j_max, idx.len()) {
-            assert!(!q.satisfies(table.row(e.id)), "LI point {e:?} must violate");
+        for &id in &idx.ids()[b.j_max..] {
+            assert!(!q.satisfies(table.row(id)), "LI point {id} must violate");
         }
     }
 
@@ -698,15 +788,28 @@ mod tests {
 
     #[test]
     fn update_point_moves_entry() {
+        // Remove under the old row, change the row, insert under the new.
         let (mut table, norm) = first_octant_setup();
-        let mut idx = SingleIndex::<BPlusTree>::build(&table, &norm, vec![1.0, 1.0]).unwrap();
-        let old = table.row(2).to_vec();
-        let new = vec![0.1, 0.1];
-        assert!(idx.update_point(2, &old, &new));
-        table.update_row(2, &new).unwrap();
+        let mut idx = SingleIndex::<VecStore>::build(&table, &norm, vec![1.0, 1.0]).unwrap();
+        assert!(idx.remove_point(&table, 2));
+        table.update_row(2, &[0.1, 0.1]).unwrap();
+        idx.insert_point(&table, 2);
+        assert_eq!(idx.ids(), &[2, 3, 0, 4, 1]);
         let q = InequalityQuery::leq(vec![1.0, 1.0], 1.0).unwrap();
         let (ids, _) = eval_ids(&idx, &table, &norm, &q);
         assert_eq!(ids, vec![2, 3]);
+    }
+
+    #[test]
+    fn removal_after_the_row_changed_misses() {
+        // The key of a removal comes from the row: once the row has moved,
+        // the bisection looks in the wrong place and the id is not found.
+        // This is why mutations remove before they write the row.
+        let (mut table, norm) = first_octant_setup();
+        let mut idx = SingleIndex::<VecStore>::build(&table, &norm, vec![1.0, 1.0]).unwrap();
+        table.update_row(2, &[0.1, 0.1]).unwrap();
+        assert!(!idx.remove_point(&table, 2));
+        assert_eq!(idx.len(), 5);
     }
 
     #[test]
@@ -714,13 +817,13 @@ mod tests {
         let (mut table, norm) = first_octant_setup();
         let mut idx = SingleIndex::<VecStore>::build(&table, &norm, vec![1.0, 1.0]).unwrap();
         let id = table.push_row(&[10.0, 10.0]).unwrap();
-        idx.insert_point(id, &[10.0, 10.0]);
+        idx.insert_point(&table, id);
         assert_eq!(idx.len(), 6);
         let q = InequalityQuery::geq(vec![1.0, 1.0], 19.0).unwrap();
         let (ids, _) = eval_ids(&idx, &table, &norm, &q);
         assert_eq!(ids, vec![id]);
-        assert!(idx.remove_point(id, &[10.0, 10.0]));
-        assert!(!idx.remove_point(id, &[10.0, 10.0]));
+        assert!(idx.remove_point(&table, id));
+        assert!(!idx.remove_point(&table, id));
         assert_eq!(idx.len(), 5);
     }
 

@@ -63,7 +63,7 @@
 //! | [`table`] | flat row-major feature storage ([`FeatureTable`]) |
 //! | [`query`] | query types and exact predicate evaluation |
 //! | [`domain`] | parameter domains, sampling, online domain tracking (§4.1) |
-//! | [`store`] | sorted key stores: packed [`store::VecStore`] and a B+-tree ([`store::BPlusTree`]) for dynamic workloads (§4.4) |
+//! | [`store`] | the sorted id list of one index ([`store::VecStore`]); keys are computed from rows |
 //! | [`index`] | one Planar index: intervals + Algorithm 1 + Algorithm 2 |
 //! | [`selection`] | best-index selection heuristics (§5.1) |
 //! | [`multi`] | [`PlanarIndexSet`]: budgeted multi-index structure (§5) |
@@ -74,7 +74,7 @@
 //! | [`stats`] | per-query pruning statistics and serving provenance |
 //! | [`memory`] | heap accounting for the memory experiments (Fig. 13b) |
 //! | [`frame`] | shared CRC-64 framing: the seal/verify helpers every on-disk and wire format uses |
-//! | [`persist`] | crash-safe snapshots: sectioned `PLNRIDX2` format, atomic saves, partial recovery |
+//! | [`persist`] | crash-safe snapshots: sectioned `PLNRIDX3` format, atomic saves, partial recovery |
 //! | [`wal`] | crash-consistent mutation durability: CRC-framed write-ahead log, group commit, checkpoints, point-in-time recovery |
 //! | [`concurrent`] | epoch-based snapshot isolation: lock-free concurrent reads under a single group-committing writer |
 //! | [`replicate`] | WAL-shipping replication: snapshot install, segment tailing, LSN-bounded follower reads, failover promotion |
@@ -126,9 +126,9 @@ pub use fault::{SnapshotIo, StdIo};
 pub use feature::{FeatureMap, FnFeatureMap, IdentityMap};
 pub use halfspace::{HalfSpace, HalfSpaceIndex};
 pub use health::{HealthIssue, HealthReport, IndexHealth, ShardedHealthReport};
-pub use index::{IntervalBounds, SingleIndex, TopKStats};
+pub use index::{IndexView, IntervalBounds, SingleIndex, TopKStats};
 pub use memory::HeapSize;
-pub use multi::{DynamicPlanarIndexSet, IndexConfig, PlanarIndexSet, QueryOutcome, TopKOutcome};
+pub use multi::{IndexConfig, PlanarIndexSet, QueryOutcome, TopKOutcome};
 pub use parallel::{ExecutionConfig, QueryScratch};
 pub use persist::{RecoveryReport, SaveOptions, ShardedRecoveryReport};
 pub use quant::{
@@ -149,7 +149,7 @@ pub use shard::{
     ShardedTopKOutcome,
 };
 pub use stats::{ExecutionPath, JsonObject, QueryStats, ServedBy, StatsAggregator, StatsSnapshot};
-pub use store::{BPlusTree, KeyStore, VecStore};
+pub use store::{KeyStore, VecStore};
 pub use table::{ColSegment, ColumnMajorRows, FeatureTable};
 pub use wal::{
     FsyncPolicy, GroupCommitStats, Lsn, Mutation, MutationAck, QuorumGate, WalHealth, WalOptions,

@@ -9,7 +9,7 @@
 
 use crate::domain::ParameterDomain;
 use crate::health::{HealthReport, IndexHealth};
-use crate::index::{SingleIndex, TopKStats};
+use crate::index::{IndexView, SingleIndex, TopKStats};
 use crate::parallel::{self, ExecutionConfig, QueryScratch};
 use crate::query::{Cmp, InequalityQuery, TopKQuery};
 use crate::scan::TopKBuffer;
@@ -17,7 +17,7 @@ use crate::selection::{angle_score, argmin_by_score_filtered, stretch_score, Sel
 use crate::stats::{ExecutionPath, QueryStats, ScanReason, ServedBy};
 use crate::store::{KeyStore, VecStore};
 use crate::table::{FeatureTable, PointId};
-use crate::{BPlusTree, HeapSize, PlanarError, Result};
+use crate::{HeapSize, PlanarError, Result};
 use planar_geom::{NormalizedQuery, Normalizer, BLOCK_ROWS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -140,8 +140,9 @@ pub(crate) fn stamp_partial_completed<O>(
 }
 
 /// A budget of Planar indices over one dataset — the main entry point of
-/// this crate. Generic over the key store: [`VecStore`] (default) for
-/// read-heavy workloads, [`BPlusTree`] for update-heavy ones.
+/// this crate. Each index holds only point ids; its keys are computed from
+/// this set's table (see [`SingleIndex`]), so every mutation here keeps
+/// rows and indices in step. `S` is the id store, [`VecStore`].
 #[derive(Debug, Clone)]
 pub struct PlanarIndexSet<S: KeyStore = VecStore> {
     table: FeatureTable,
@@ -155,17 +156,10 @@ pub struct PlanarIndexSet<S: KeyStore = VecStore> {
     /// not be recovered from a snapshot; the planner skips it until
     /// [`Self::rebuild_quarantined`] restores it.
     quarantined: Vec<bool>,
-    /// Reused old-row buffer for `update_point`/`delete_point`, so the
-    /// mutation path is allocation-free after the first call.
-    row_scratch: Vec<f64>,
     /// Workload counters feeding the quantization autotuner (see
     /// [`crate::quant::retune`]); recorded from `&self` query paths.
     quant_tuner: crate::quant::QuantTuner,
 }
-
-/// A [`PlanarIndexSet`] backed by the B+-tree store: `O(d'·log n)` dynamic
-/// point updates (paper §4.4).
-pub type DynamicPlanarIndexSet = PlanarIndexSet<BPlusTree>;
 
 impl<S: KeyStore> PlanarIndexSet<S> {
     /// Build an index set over `table` for queries drawn from `domain`.
@@ -351,22 +345,22 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             deleted: vec![false; n],
             n_live: n,
             quarantined: vec![false; budget],
-            row_scratch: Vec::new(),
             quant_tuner: crate::quant::QuantTuner::default(),
         }
     }
 
     /// Reassemble a set from persisted parts (see `crate::persist`).
-    /// `quarantined[pos]` marks indices whose entry sections were corrupt
-    /// or already flagged in the snapshot; their `entry_lists` slot is
-    /// typically empty and their normal is retained for rebuilding.
+    /// `quarantined[pos]` marks indices whose sections were corrupt or
+    /// already flagged in the snapshot; their `id_lists` slot is typically
+    /// empty and their normal is retained for rebuilding. Each id list is
+    /// adopted in its stored order.
     pub(crate) fn assemble(
         table: FeatureTable,
         domain: ParameterDomain,
         strategy: SelectionStrategy,
         tombstones: Vec<bool>,
         normals: Vec<Vec<f64>>,
-        entry_lists: Vec<Vec<crate::store::Entry>>,
+        id_lists: Vec<Vec<PointId>>,
         quarantined: Vec<bool>,
     ) -> Result<Self> {
         if domain.dim() != table.dim() {
@@ -387,7 +381,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         }
         let normalizer = Normalizer::fit(&domain.octant(), table.iter().map(|(_, r)| r));
         let mut indices = Vec::with_capacity(normals.len());
-        for (normal, entries) in normals.into_iter().zip(entry_lists) {
+        for (normal, ids) in normals.into_iter().zip(id_lists) {
             if normal.len() != table.dim() || normal.iter().any(|&v| !v.is_finite() || v <= 0.0) {
                 return Err(PlanarError::Persist("invalid stored index normal".into()));
             }
@@ -395,7 +389,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             indices.push(SingleIndex::from_parts(
                 normal,
                 raw_normal,
-                S::build(entries),
+                S::from_sorted_ids(ids),
             ));
         }
         if indices.is_empty() {
@@ -411,7 +405,6 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             deleted: tombstones,
             n_live,
             quarantined,
-            row_scratch: Vec::new(),
             quant_tuner: crate::quant::QuantTuner::default(),
         })
     }
@@ -585,7 +578,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             SelectionStrategy::OracleCount => {
                 argmin_by_score_filtered(self.indices.len(), skip, |i| {
                     let shift = self.normalizer.key_shift(self.indices[i].normal());
-                    self.indices[i].ii_size(nq, shift, cmp) as f64
+                    self.indices[i].ii_size(nq, shift, cmp, &self.table) as f64
                 })
             }
         }?;
@@ -1035,9 +1028,12 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         }
     }
 
-    /// Borrow the index at `pos` (for diagnostics and ablation benches).
-    pub fn index_at(&self, pos: usize) -> Option<&SingleIndex<S>> {
-        self.indices.get(pos)
+    /// Borrow the index at `pos`, paired with the table its keys are
+    /// computed from (for diagnostics and ablation benches).
+    pub fn index_at(&self, pos: usize) -> Option<IndexView<'_, S>> {
+        self.indices
+            .get(pos)
+            .map(|idx| IndexView::new(idx, &self.table))
     }
 
     /// Is the point with this id present and not tombstoned?
@@ -1057,7 +1053,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             Ok((effective, nq)) => {
                 let cmp = effective.as_ref().unwrap_or(q).cmp();
                 let (pos, shift) = self.select_index(&nq, cmp)?;
-                let bounds = self.indices[pos].boundaries(&nq, shift, cmp);
+                let bounds = self.indices[pos].boundaries(&nq, shift, cmp, &self.table);
                 Some((pos, bounds, cmp))
             }
             Err(_) => None,
@@ -1110,7 +1106,8 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         }
     }
 
-    /// Insert a new point; `O(budget · (d' + log n))` with a tree store.
+    /// Insert a new point: per index, `O(d'·log n)` to find its rank plus
+    /// an `O(n)` shift of 4-byte ids.
     ///
     /// # Errors
     ///
@@ -1118,14 +1115,14 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     pub fn insert_point(&mut self, row: &[f64]) -> Result<PointId> {
         let id = self.table.push_row(row)?;
         // Growing the translation deltas only changes the query-time key
-        // shift — stored keys are raw-space and unaffected (see
+        // shift — keys are raw-space and unaffected (see
         // `planar_geom::translation` module docs).
         self.normalizer.absorb(row);
         // Quarantined indices are stale by definition; `rebuild_quarantined`
         // reconstructs them from the table, so mutations skip them.
         for (idx, &quar) in self.indices.iter_mut().zip(&self.quarantined) {
             if !quar {
-                idx.insert_point(id, row);
+                idx.insert_point(&self.table, id);
             }
         }
         self.deleted.push(false);
@@ -1133,7 +1130,10 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         Ok(id)
     }
 
-    /// Update a point's feature row (paper §4.4: `O(d' log n)` per index).
+    /// Update a point's feature row (paper §4.4).
+    ///
+    /// Keys are computed from rows, so the id leaves every index while its
+    /// old row is still in the table, and rejoins once the new row is in.
     ///
     /// # Errors
     ///
@@ -1141,20 +1141,21 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// validation errors.
     pub fn update_point(&mut self, id: PointId, row: &[f64]) -> Result<()> {
         self.check_live(id)?;
-        let mut old = core::mem::take(&mut self.row_scratch);
-        old.clear();
-        old.extend_from_slice(self.table.try_row(id)?);
-        if let Err(e) = self.table.update_row(id, row) {
-            self.row_scratch = old;
-            return Err(e);
+        self.table.validate(row)?;
+        for (idx, &quar) in self.indices.iter_mut().zip(&self.quarantined) {
+            if !quar {
+                idx.remove_point(&self.table, id);
+            }
         }
+        self.table
+            .update_row(id, row)
+            .expect("the id is live and the row validated");
         self.normalizer.absorb(row);
         for (idx, &quar) in self.indices.iter_mut().zip(&self.quarantined) {
             if !quar {
-                idx.update_point(id, &old, row);
+                idx.insert_point(&self.table, id);
             }
         }
-        self.row_scratch = old;
         Ok(())
     }
 
@@ -1166,15 +1167,11 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// [`PlanarError::PointNotFound`] for unknown or already-deleted ids.
     pub fn delete_point(&mut self, id: PointId) -> Result<()> {
         self.check_live(id)?;
-        let mut row = core::mem::take(&mut self.row_scratch);
-        row.clear();
-        row.extend_from_slice(self.table.try_row(id)?);
         for (idx, &quar) in self.indices.iter_mut().zip(&self.quarantined) {
             if !quar {
-                idx.remove_point(id, &row);
+                idx.remove_point(&self.table, id);
             }
         }
-        self.row_scratch = row;
         self.deleted[id as usize] = true;
         self.n_live -= 1;
         Ok(())
@@ -1188,12 +1185,12 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     ///
     /// The normalizer is kept as-is: its translation only ever grows (see
     /// [`Normalizer::absorb`]), so a fit over a superset of the live rows
-    /// stays valid and every stored raw-space key is unchanged — compacted
+    /// stays valid and every raw-space key is unchanged — compacted
     /// answers are bit-identical, minus the dead rows.
     ///
-    /// Rationale: `delete_point` tombstones forever, so [`Self::add_index`]
-    /// pays `O(deleted · log n)` removals and scans walk dead rows
-    /// indefinitely. `O(budget · n log n)`, like a fresh build.
+    /// Rationale: `delete_point` tombstones forever, so the table keeps
+    /// dead rows and scans walk them indefinitely. `O(budget · n log n)`,
+    /// like a fresh build.
     pub fn compact(&mut self) -> Vec<Option<PointId>> {
         let mut remap: Vec<Option<PointId>> = vec![None; self.table.len()];
         // The dim and every retained row were validated when first added,
@@ -1246,13 +1243,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     ///
     /// [`SingleIndex::build`] validation.
     pub fn add_index(&mut self, normal: Vec<f64>) -> Result<usize> {
-        let mut idx = SingleIndex::build(&self.table, &self.normalizer, normal)?;
-        // The bulk build indexed every table row; drop tombstoned ones.
-        for (id, flag) in self.deleted.iter().enumerate() {
-            if *flag {
-                idx.remove_point(id as PointId, self.table.row(id as PointId));
-            }
-        }
+        let idx = SingleIndex::build_live(&self.table, &self.normalizer, normal, &self.deleted)?;
         self.indices.push(idx);
         self.quarantined.push(false);
         Ok(self.indices.len() - 1)
@@ -1307,11 +1298,10 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         }
     }
 
-    /// Run the self-check on every index (quarantined or not) without
-    /// changing any state: key order, key finiteness, id liveness, entry
-    /// counts, and `key_samples` recomputed keys per index (0 skips key
-    /// recomputation; see [`SingleIndex::verify`]).
-    pub fn verify_all(&self, key_samples: usize) -> HealthReport {
+    /// Run the self-check on every non-quarantined index without changing
+    /// any state: id order against the computed keys, id liveness and
+    /// entry counts (see [`SingleIndex::verify`]).
+    pub fn verify_all(&self) -> HealthReport {
         let indices = self
             .indices
             .iter()
@@ -1321,7 +1311,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 issues: if self.quarantined[pos] {
                     Vec::new()
                 } else {
-                    idx.verify(&self.table, &self.deleted, self.n_live, key_samples)
+                    idx.verify(&self.table, &self.deleted, self.n_live)
                 },
             })
             .collect();
@@ -1332,8 +1322,8 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// least one issue. Returns the report so callers can log what failed;
     /// already-quarantined indices are left alone (their issues list is
     /// empty — they are known-bad and skipped).
-    pub fn verify_and_quarantine(&mut self, key_samples: usize) -> HealthReport {
-        let report = self.verify_all(key_samples);
+    pub fn verify_and_quarantine(&mut self) -> HealthReport {
+        let report = self.verify_all();
         for health in &report.indices {
             if !health.is_healthy() {
                 self.quarantined[health.pos] = true;
@@ -1371,18 +1361,14 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         config: IndexConfig,
     ) -> Result<()> {
         let rebuilt = Self::build(self.table.clone(), domain, config)?;
-        let deleted = self.deleted.clone();
-        *self = rebuilt;
+        let deleted = core::mem::replace(self, rebuilt).deleted;
         // Reapply tombstones.
-        for (id, flag) in deleted.iter().enumerate() {
-            if *flag {
-                let row = self.table.row(id as PointId).to_vec();
-                for idx in &mut self.indices {
-                    idx.remove_point(id as PointId, &row);
-                }
-                self.deleted[id] = true;
-                self.n_live -= 1;
+        for (id, _) in deleted.iter().enumerate().filter(|(_, &dead)| dead) {
+            for idx in &mut self.indices {
+                idx.remove_point(&self.table, id as PointId);
             }
+            self.deleted[id] = true;
+            self.n_live -= 1;
         }
         Ok(())
     }
@@ -1556,7 +1542,7 @@ mod tests {
 
     #[test]
     fn insert_update_delete_roundtrip() {
-        let mut set: DynamicPlanarIndexSet = {
+        let mut set: PlanarIndexSet = {
             let table = FeatureTable::from_rows(2, vec![vec![1.0, 1.0], vec![5.0, 5.0]]).unwrap();
             let domain = ParameterDomain::uniform_continuous(2, 0.5, 2.0).unwrap();
             PlanarIndexSet::build(table, domain, IndexConfig::with_budget(3)).unwrap()
@@ -1763,7 +1749,7 @@ mod tests {
 
         // The rebuilt index reflects the mutations it missed: every index
         // now verifies clean and answers match the scan.
-        let report = set.verify_all(usize::MAX);
+        let report = set.verify_all();
         assert!(report.healthy(), "{:?}", report.failing_positions());
         let q = InequalityQuery::leq(vec![1.0, 1.0], 5.0).unwrap();
         assert_eq!(
@@ -1781,7 +1767,7 @@ mod tests {
         set.insert_point(&[2.0, 2.0]).unwrap();
         set.quarantined[1] = false;
 
-        let report = set.verify_and_quarantine(usize::MAX);
+        let report = set.verify_and_quarantine();
         assert_eq!(report.failing_positions(), vec![1]);
         assert_eq!(set.quarantined_positions(), vec![1]);
 
@@ -1792,7 +1778,56 @@ mod tests {
             set.query_scan(&q).unwrap().sorted_ids()
         );
         assert_eq!(set.rebuild_quarantined(), vec![1]);
-        assert!(set.verify_all(usize::MAX).healthy());
+        assert!(set.verify_all().healthy());
+    }
+
+    #[test]
+    fn verify_and_quarantine_flags_swapped_ids() {
+        // Corrupt an index by swapping its first and last ids: the id
+        // order no longer follows the keys computed from the rows.
+        let mut set = small_set(3);
+        let idx = &set.indices[1];
+        let mut ids = idx.ids().to_vec();
+        let last = ids.len() - 1;
+        ids.swap(0, last);
+        let raw_normal = set.normalizer.raw_normal(idx.normal());
+        set.indices[1] = SingleIndex::from_parts(
+            idx.normal().to_vec(),
+            raw_normal,
+            VecStore::from_sorted_ids(ids),
+        );
+
+        let report = set.verify_and_quarantine();
+        assert_eq!(report.failing_positions(), vec![1]);
+        assert!(matches!(
+            report.indices[1].issues[0],
+            crate::health::HealthIssue::UnsortedKeys { .. }
+        ));
+        assert_eq!(set.quarantined_positions(), vec![1]);
+        let table = set.table().clone();
+        let scan = crate::scan::SeqScan::new(&table);
+        for strategy in [
+            SelectionStrategy::MinStretch,
+            SelectionStrategy::OracleCount,
+        ] {
+            set.set_strategy(strategy);
+            for (a, b) in [
+                (vec![1.0, 1.0], 5.0),
+                (vec![2.0, 0.5], 6.0),
+                (vec![0.5, 3.0], 9.0),
+            ] {
+                for cmp in [Cmp::Leq, Cmp::Geq] {
+                    let q = InequalityQuery::new(a.clone(), cmp, b).unwrap();
+                    let out = set.query(&q).unwrap();
+                    assert_ne!(out.served_by, ServedBy::Index(1));
+                    assert_eq!(
+                        out.sorted_ids(),
+                        scan.evaluate(&q).unwrap(),
+                        "{a:?} {cmp:?} {b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

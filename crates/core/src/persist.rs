@@ -5,14 +5,15 @@
 //! millions of points a cold rebuild still costs tens of seconds; restart
 //! recovery should not pay it. The format stores the feature table, the
 //! parameter domain, tombstones, the selection strategy, every index
-//! normal, **and every index's sorted key array** — so loading is a linear
-//! pass (the stores are bulk-loaded from already-sorted entries) instead of
-//! `O(budget · n log n)` of re-sorting.
+//! normal, **and every index's id order** — so loading is a linear pass
+//! (each index adopts its ids as stored) instead of
+//! `O(budget · n log n)` of re-sorting. No key is stored: an index's keys
+//! are computed from the table's rows (see `crate::index`).
 //!
-//! ## `PLNRIDX2` layout (all little-endian)
+//! ## `PLNRIDX3` layout (all little-endian)
 //!
 //! ```text
-//! magic "PLNRIDX2" | flags u32 | core_len u64
+//! magic "PLNRIDX3" | flags u32 | core_len u64
 //! core section (core_len bytes):
 //!     dim u32 | n u64
 //!     table data: n·dim f64
@@ -25,18 +26,22 @@
 //!     quantization policy (only when flags bit 0x1): tier tag u8 | slack f64
 //! crc64 of the core section
 //! per index i: section of length lens[i] —
-//!     entry count u64 | entries (key f64, id u32)… | crc64 of the section
+//!     entry count u64 | ids u32… (in key order) | crc64 of the section
 //!     minus its trailing crc
 //! ```
 //!
 //! The *core* section holds everything needed to rebuild any index from
 //! scratch (rows + normals), plus the framing (`lens`) of the per-index
-//! sections — all under one CRC. Each index's entry array sits in its own
+//! sections — all under one CRC. Each index's id array sits in its own
 //! CRC-framed section, so a flipped bit or torn tail corrupts **one index**,
 //! not the file: [`PlanarIndexSet::from_bytes_recover`] quarantines the bad
 //! section(s) and [`PlanarIndexSet::load_or_recover`] rebuilds them from the
-//! (intact) core. Version-1 files (`PLNRIDX1`, a single whole-file CRC) are
-//! still readable — all-or-nothing, as they were written.
+//! (intact) core.
+//!
+//! Older files still load. `PLNRIDX2` has the same layout with 12-byte
+//! entries (`key f64, id u32`) in its index sections; `PLNRIDX1` (a single
+//! whole-file CRC) is all-or-nothing, as it was written. Both keep their
+//! ids in the stored order and drop the keys.
 //!
 //! Saving is atomic: bytes go to a temp file in the target's directory,
 //! fsync, rename over the target, fsync the directory — with bounded
@@ -54,7 +59,7 @@ use crate::multi::PlanarIndexSet;
 use crate::quant::{QuantPolicy, QuantTier};
 use crate::selection::SelectionStrategy;
 use crate::shard::{Partitioner, ShardedIndexSet};
-use crate::store::{Entry, KeyStore};
+use crate::store::KeyStore;
 use crate::table::FeatureTable;
 use crate::{PlanarError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -64,8 +69,13 @@ use std::time::Duration;
 
 const MAGIC_V1: &[u8; 8] = b"PLNRIDX1";
 const MAGIC_V2: &[u8; 8] = b"PLNRIDX2";
+const MAGIC_V3: &[u8; 8] = b"PLNRIDX3";
+/// Bytes per index-section entry, by format version: `PLNRIDX2` stored a
+/// key beside each id, `PLNRIDX3` stores the id alone.
+const V2_ENTRY_BYTES: usize = 12;
+const V3_ENTRY_BYTES: usize = 4;
 /// Sharded manifest: a partitioner + assignment core wrapping one full
-/// `PLNRIDX2` snapshot per shard (see [`ShardedIndexSet::to_bytes`]).
+/// index snapshot per shard (see [`ShardedIndexSet::to_bytes`]).
 const MAGIC_SHARD: &[u8; 8] = b"PLNRSHD1";
 /// magic + flags + core_len.
 const V2_PREAMBLE: usize = 8 + 4 + 8;
@@ -207,7 +217,7 @@ impl SaveOptions {
 /// [`PlanarIndexSet::load_or_recover`] found and did.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Format version of the snapshot (1 or 2).
+    /// Format version of the snapshot (1, 2 or 3).
     pub version: u32,
     /// Indices recorded in the snapshot.
     pub total_indices: usize,
@@ -390,9 +400,11 @@ fn parse_core(core: &[u8], flags: u32) -> Result<CoreParts> {
     })
 }
 
-/// Parse one per-index section (`entry count | entries | crc`); `Err` means
-/// the section is corrupt/truncated and the index must be quarantined.
-fn parse_index_section(section: &[u8]) -> Result<Vec<Entry>> {
+/// Parse one per-index section (`entry count | entries | crc`) whose
+/// entries are `entry_bytes` wide with the id in their last 4 bytes; `Err`
+/// means the section is corrupt/truncated and the index must be
+/// quarantined.
+fn parse_index_section(section: &[u8], entry_bytes: usize) -> Result<Vec<u32>> {
     if section.len() < 16 {
         return Err(corrupt("index section too short"));
     }
@@ -400,23 +412,37 @@ fn parse_index_section(section: &[u8]) -> Result<Vec<Entry>> {
         .ok_or_else(|| corrupt("index section checksum mismatch"))?;
     let mut buf = Bytes::copy_from_slice(payload);
     let count = buf.get_u64_le() as usize;
-    let total = check_fits(&buf, count, 12, "index entries")?;
+    let total = check_fits(&buf, count, entry_bytes, "index entries")?;
     if total != buf.remaining() {
         return Err(corrupt("index section length disagrees with entry count"));
     }
-    Ok((0..count)
-        .map(|_| {
-            let key = buf.get_f64_le();
-            let id = buf.get_u32_le();
-            Entry::new(key, id)
-        })
-        .collect())
+    Ok(get_ids(&mut buf, count, entry_bytes))
 }
 
-/// Shared v2 load: parse the core strictly, then handle each index section
-/// per `recover` (strict mode errors on the first bad section; recover mode
-/// quarantines it and keeps going).
-fn load_v2<S: KeyStore>(data: &[u8], recover: bool) -> Result<(PlanarIndexSet<S>, RecoveryReport)> {
+/// Read `count` entries of `entry_bytes` each, keeping only the trailing
+/// `u32` id (a legacy entry's leading key is skipped).
+fn get_ids(buf: &mut Bytes, count: usize, entry_bytes: usize) -> Vec<u32> {
+    (0..count)
+        .map(|_| {
+            buf.advance(entry_bytes - 4);
+            buf.get_u32_le()
+        })
+        .collect()
+}
+
+/// Shared v2/v3 load: parse the core strictly, then handle each index
+/// section per `recover` (strict mode errors on the first bad section;
+/// recover mode quarantines it and keeps going).
+fn load_sectioned<S: KeyStore>(
+    data: &[u8],
+    version: u32,
+    recover: bool,
+) -> Result<(PlanarIndexSet<S>, RecoveryReport)> {
+    let entry_bytes = if version == 2 {
+        V2_ENTRY_BYTES
+    } else {
+        V3_ENTRY_BYTES
+    };
     let mut buf = Bytes::copy_from_slice(&data[8..V2_PREAMBLE]);
     let flags = buf.get_u32_le();
     let core_len = buf.get_u64_le() as usize;
@@ -428,7 +454,7 @@ fn load_v2<S: KeyStore>(data: &[u8], recover: bool) -> Result<(PlanarIndexSet<S>
     let parts = parse_core(core, flags)?;
 
     let mut report = RecoveryReport {
-        version: 2,
+        version,
         total_indices: parts.normals.len(),
         ..RecoveryReport::default()
     };
@@ -438,29 +464,29 @@ fn load_v2<S: KeyStore>(data: &[u8], recover: bool) -> Result<(PlanarIndexSet<S>
         }
     }
 
-    let mut entry_lists = Vec::with_capacity(parts.normals.len());
+    let mut id_lists = Vec::with_capacity(parts.normals.len());
     let mut quarantined = parts.quarantined.clone();
     let mut offset = crc_end;
     for (pos, &len) in parts.section_lens.iter().enumerate() {
         let end = offset.checked_add(len);
         let section = end.filter(|&e| e <= data.len()).map(|e| &data[offset..e]);
         let parsed = match section {
-            Some(bytes) => parse_index_section(bytes),
+            Some(bytes) => parse_index_section(bytes, entry_bytes),
             None => Err(corrupt(format!("index section {pos} extends past EOF"))),
         };
         match parsed {
-            Ok(entries) => entry_lists.push(entries),
+            Ok(ids) => id_lists.push(ids),
             Err(e) => {
                 if !recover {
                     return Err(e);
                 }
-                // Quarantine: keep the slot with no entries; the normal in
-                // the core is enough to rebuild later.
+                // Quarantine: keep the slot with no ids; the normal in the
+                // core is enough to rebuild later.
                 if !quarantined[pos] {
                     report.quarantined.push(pos);
                 }
                 quarantined[pos] = true;
-                entry_lists.push(Vec::new());
+                id_lists.push(Vec::new());
             }
         }
         offset = offset.saturating_add(len);
@@ -476,7 +502,7 @@ fn load_v2<S: KeyStore>(data: &[u8], recover: bool) -> Result<(PlanarIndexSet<S>
         parts.strategy,
         parts.tombstones,
         parts.normals,
-        entry_lists,
+        id_lists,
         quarantined,
     )?;
     if parts.quant.tier != QuantTier::Off {
@@ -533,21 +559,14 @@ fn load_v1<S: KeyStore>(data: &[u8]) -> Result<(PlanarIndexSet<S>, RecoveryRepor
         return Err(corrupt("index set must contain at least one index"));
     }
     let mut normals = Vec::with_capacity(index_count);
-    let mut entry_lists = Vec::with_capacity(index_count);
+    let mut id_lists = Vec::with_capacity(index_count);
     for _ in 0..index_count {
         need(&buf, dim * 8 + 8, "index header")?;
         let normal: Vec<f64> = (0..dim).map(|_| buf.get_f64_le()).collect();
         let count = buf.get_u64_le() as usize;
-        check_fits(&buf, count, 12, "index entries")?;
-        let entries: Vec<Entry> = (0..count)
-            .map(|_| {
-                let key = buf.get_f64_le();
-                let id = buf.get_u32_le();
-                Entry::new(key, id)
-            })
-            .collect();
+        check_fits(&buf, count, V2_ENTRY_BYTES, "index entries")?;
         normals.push(normal);
-        entry_lists.push(entries);
+        id_lists.push(get_ids(&mut buf, count, V2_ENTRY_BYTES));
     }
     let total = normals.len();
     let set = PlanarIndexSet::assemble(
@@ -556,7 +575,7 @@ fn load_v1<S: KeyStore>(data: &[u8]) -> Result<(PlanarIndexSet<S>, RecoveryRepor
         strategy,
         tombstones,
         normals,
-        entry_lists,
+        id_lists,
         vec![false; total],
     )?;
     let report = RecoveryReport {
@@ -569,9 +588,16 @@ fn load_v1<S: KeyStore>(data: &[u8]) -> Result<(PlanarIndexSet<S>, RecoveryRepor
 }
 
 impl<S: KeyStore> PlanarIndexSet<S> {
-    /// Serialize the full index set to bytes (`PLNRIDX2`: sectioned, one
-    /// CRC for the core, one per index).
+    /// Serialize the full index set to bytes (`PLNRIDX3`: sectioned, one
+    /// CRC for the core, one per index; index sections hold ids only).
     pub fn to_bytes(&self) -> Bytes {
+        self.to_bytes_as(MAGIC_V3, |sec, id, _| sec.put_u32_le(id))
+    }
+
+    /// The sectioned writer under `magic`, with `put_entry(section, id,
+    /// pos)` encoding each index entry (tests write legacy `PLNRIDX2`
+    /// entries through it).
+    fn to_bytes_as(&self, magic: &[u8; 8], put_entry: impl Fn(&mut BytesMut, u32, usize)) -> Bytes {
         let n = self.table().len();
         let dim = self.dim();
         let count = self.num_indices();
@@ -580,11 +606,10 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         let mut sections: Vec<BytesMut> = Vec::with_capacity(count);
         for pos in 0..count {
             let idx = self.index_at(pos).expect("pos < num_indices");
-            let mut sec = BytesMut::with_capacity(16 + idx.len() * 12);
+            let mut sec = BytesMut::with_capacity(16 + idx.len() * V3_ENTRY_BYTES);
             sec.put_u64_le(idx.len() as u64);
-            for e in idx.entries() {
-                sec.put_f64_le(e.key);
-                sec.put_u32_le(e.id);
+            for &id in idx.ids() {
+                put_entry(&mut sec, id, pos);
             }
             crate::frame::seal_buf(&mut sec);
             sections.push(sec);
@@ -630,7 +655,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         let total: usize =
             V2_PREAMBLE + core.len() + 8 + sections.iter().map(|s| s.len()).sum::<usize>();
         let mut buf = BytesMut::with_capacity(total);
-        buf.put_slice(MAGIC_V2);
+        buf.put_slice(magic);
         buf.put_u32_le(flags);
         buf.put_u64_le(core.len() as u64);
         let core_crc = crc64(&core);
@@ -652,8 +677,8 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// mismatches, or checksum failure of any section.
     pub fn from_bytes(data: &[u8]) -> Result<Self> {
         match Self::dispatch_magic(data)? {
-            2 => load_v2(data, false).map(|(set, _)| set),
-            _ => load_v1(data).map(|(set, _)| set),
+            1 => load_v1(data).map(|(set, _)| set),
+            v => load_sectioned(data, v, false).map(|(set, _)| set),
         }
     }
 
@@ -673,8 +698,8 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// unreadable.
     pub fn from_bytes_recover(data: &[u8]) -> Result<(Self, RecoveryReport)> {
         match Self::dispatch_magic(data)? {
-            2 => load_v2(data, true),
-            _ => load_v1(data),
+            1 => load_v1(data),
+            v => load_sectioned(data, v, true),
         }
     }
 
@@ -683,6 +708,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             return Err(corrupt("file too short"));
         }
         match &data[..8] {
+            m if m == MAGIC_V3 => Ok(3),
             m if m == MAGIC_V2 => Ok(2),
             m if m == MAGIC_V1 => Ok(1),
             _ => Err(corrupt("bad magic (not a planar index file)")),
@@ -764,11 +790,11 @@ impl<S: KeyStore> PlanarIndexSet<S> {
 //     range only: dim u32 | pilot dim·f64 | splits (shards−1)·f64
 //     n_global u64 | per global id: shard u32, local u32
 // crc64 of the core section
-// per shard s: section_len u64 | a full PLNRIDX2 snapshot | crc64 of it
+// per shard s: section_len u64 | a full PLNRIDX3 snapshot | crc64 of it
 // ```
 //
 // Damage containment is two-level. The outer per-shard CRC localizes
-// corruption to one shard without parsing it; the wrapped PLNRIDX2 bytes
+// corruption to one shard without parsing it; the wrapped PLNRIDX3 bytes
 // carry their own core + per-index CRCs, so recovery re-enters
 // [`PlanarIndexSet::from_bytes_recover`] and loses *at most the damaged
 // index sections of the damaged shard*. A shard whose inner core (its rows)
@@ -892,7 +918,7 @@ fn load_sharded<S: KeyStore>(
         if !recover && crate::frame::open_sealed(&data[header_end..sec_end]).is_none() {
             return Err(corrupt(format!("shard {s} section checksum mismatch")));
         }
-        // Recovery skips the outer CRC: the wrapped PLNRIDX2 bytes carry
+        // Recovery skips the outer CRC: the wrapped PLNRIDX3 bytes carry
         // their own section CRCs, so it descends and salvages every index
         // section that still verifies.
         if recover {
@@ -923,7 +949,7 @@ fn load_sharded<S: KeyStore>(
 
 impl<S: KeyStore> ShardedIndexSet<S> {
     /// Serialize the sharded set: a `PLNRSHD1` manifest wrapping one full
-    /// `PLNRIDX2` snapshot per shard, each in its own CRC-framed section,
+    /// `PLNRIDX3` snapshot per shard, each in its own CRC-framed section,
     /// with the partitioner and the global→(shard, local) assignment in
     /// the CRC-protected core.
     pub fn to_bytes(&self) -> Bytes {
@@ -1077,7 +1103,6 @@ mod tests {
     use crate::multi::IndexConfig;
     use crate::query::InequalityQuery;
     use crate::store::VecStore;
-    use crate::DynamicPlanarIndexSet;
 
     fn sample_set() -> PlanarIndexSet<VecStore> {
         let rows: Vec<Vec<f64>> = (0..500)
@@ -1095,8 +1120,25 @@ mod tests {
         set
     }
 
+    /// The key a legacy writer stored beside `id` in index `pos`.
+    fn legacy_key<S: KeyStore>(set: &PlanarIndexSet<S>, pos: usize, id: u32) -> f64 {
+        let raw_normal = set
+            .normalizer()
+            .raw_normal(set.index_at(pos).unwrap().normal());
+        crate::store::canon(planar_geom::dot_slices(&raw_normal, set.table().row(id)))
+    }
+
+    /// Serialize in the legacy PLNRIDX2 layout (`key f64, id u32` index
+    /// entries), for backward-compatibility tests.
+    fn to_bytes_v2<S: KeyStore>(set: &PlanarIndexSet<S>) -> Bytes {
+        set.to_bytes_as(MAGIC_V2, |sec, id, pos| {
+            sec.put_f64_le(legacy_key(set, pos, id));
+            sec.put_u32_le(id);
+        })
+    }
+
     /// Serialize in the legacy PLNRIDX1 layout (whole-file CRC), for
-    /// backward-compatibility tests — the writer itself always emits v2.
+    /// backward-compatibility tests.
     fn to_bytes_v1<S: KeyStore>(set: &PlanarIndexSet<S>) -> Vec<u8> {
         let n = set.table().len();
         let dim = set.dim();
@@ -1124,11 +1166,10 @@ mod tests {
             for &c in idx.normal() {
                 buf.put_f64_le(c);
             }
-            let entries: Vec<Entry> = idx.entries().collect();
-            buf.put_u64_le(entries.len() as u64);
-            for e in entries {
-                buf.put_f64_le(e.key);
-                buf.put_u32_le(e.id);
+            buf.put_u64_le(idx.len() as u64);
+            for &id in idx.ids() {
+                buf.put_f64_le(legacy_key(set, pos, id));
+                buf.put_u32_le(id);
             }
         }
         let checksum = crc64(&buf);
@@ -1140,7 +1181,7 @@ mod tests {
     fn roundtrip_preserves_answers_and_structure() {
         let set = sample_set();
         let bytes = set.to_bytes();
-        assert_eq!(&bytes[..8], MAGIC_V2);
+        assert_eq!(&bytes[..8], MAGIC_V3);
         let loaded = PlanarIndexSet::<VecStore>::from_bytes(&bytes).unwrap();
         assert_eq!(loaded.len(), set.len());
         assert_eq!(loaded.num_indices(), set.num_indices());
@@ -1179,21 +1220,53 @@ mod tests {
         assert!(PlanarIndexSet::<VecStore>::from_bytes_recover(&bad).is_err());
     }
 
+    /// Bytes of the index sections of a sectioned snapshot: everything
+    /// after the preamble, the core and its CRC.
+    fn index_section_bytes(bytes: &[u8]) -> usize {
+        let core_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+        bytes.len() - (V2_PREAMBLE + core_len + 8)
+    }
+
     #[test]
-    fn roundtrip_across_store_types() {
-        // Serialize a Vec-backed set, load as a B+-tree-backed set: the
-        // format is store-agnostic.
-        let set = sample_set();
-        let loaded = DynamicPlanarIndexSet::from_bytes(&set.to_bytes()).unwrap();
-        let q = InequalityQuery::leq(vec![1.0, -1.0], 3.0).unwrap();
-        assert_eq!(
-            loaded.query(&q).unwrap().sorted_ids(),
-            set.query(&q).unwrap().sorted_ids()
-        );
-        // And the loaded dynamic set accepts updates.
-        let mut loaded = loaded;
-        loaded.insert_point(&[1.0, -1.0]).unwrap();
-        assert_eq!(loaded.len(), set.len() + 1);
+    fn v2_files_load_to_identical_answers() {
+        let mut set = sample_set();
+        set.update_point(3, &[0.0, -0.0]).unwrap();
+        set.insert_point(&[2.0, -3.0]).unwrap();
+        let v2 = to_bytes_v2(&set);
+        assert_eq!(&v2[..8], MAGIC_V2);
+        let (loaded, report) = PlanarIndexSet::<VecStore>::from_bytes_recover(&v2).unwrap();
+        assert_eq!(report.version, 2);
+        assert!(report.is_clean());
+        assert!(loaded.verify_all().healthy());
+        for pos in 0..set.num_indices() {
+            assert_eq!(
+                loaded.index_at(pos).unwrap().ids(),
+                set.index_at(pos).unwrap().ids()
+            );
+        }
+        for b in [-30.0, -5.0, 0.0, 5.0, 30.0] {
+            for q in [
+                InequalityQuery::leq(vec![1.0, -1.5], b).unwrap(),
+                InequalityQuery::geq(vec![0.7, -1.0], b).unwrap(),
+            ] {
+                let (want, got) = (set.query(&q).unwrap(), loaded.query(&q).unwrap());
+                assert_eq!(got.matches, want.matches, "b={b}");
+                assert_eq!(got.served_by, want.served_by);
+                let tk = crate::query::TopKQuery::new(q, 5).unwrap();
+                assert_eq!(
+                    loaded.top_k(&tk).unwrap().neighbors,
+                    set.top_k(&tk).unwrap().neighbors
+                );
+            }
+        }
+        // Index sections shrink from 12 to 4 bytes per entry; the 16-byte
+        // count + CRC framing per section stays.
+        let entries: usize = (0..set.num_indices())
+            .map(|pos| set.index_at(pos).unwrap().len())
+            .sum();
+        let framing = 16 * set.num_indices();
+        assert_eq!(index_section_bytes(&v2), framing + 12 * entries);
+        assert_eq!(index_section_bytes(&set.to_bytes()), framing + 4 * entries);
     }
 
     #[test]
@@ -1234,7 +1307,7 @@ mod tests {
 
         // Recovering load quarantines exactly the damaged index.
         let (recovered, report) = PlanarIndexSet::<VecStore>::from_bytes_recover(&bytes).unwrap();
-        assert_eq!(report.version, 2);
+        assert_eq!(report.version, 3);
         assert_eq!(report.total_indices, set.num_indices());
         assert_eq!(report.quarantined, vec![set.num_indices() - 1]);
         assert_eq!(report.loaded, set.num_indices() - 1);
@@ -1283,9 +1356,13 @@ mod tests {
         // would overflow `core_end + 8`; bit flips of a small real length
         // can never reach it, so it gets an explicit crafted case. Both
         // loaders must return a typed error, never panic or wrap.
-        for core_len in [u64::MAX, u64::MAX - 25, u64::MAX - (V2_PREAMBLE as u64 + 7)] {
+        let lens = [u64::MAX, u64::MAX - 25, u64::MAX - (V2_PREAMBLE as u64 + 7)];
+        for (core_len, magic) in lens
+            .into_iter()
+            .flat_map(|l| [(l, MAGIC_V2), (l, MAGIC_V3)])
+        {
             let mut bad = Vec::with_capacity(84);
-            bad.extend_from_slice(MAGIC_V2);
+            bad.extend_from_slice(magic);
             bad.extend_from_slice(&0u32.to_le_bytes()); // flags
             bad.extend_from_slice(&core_len.to_le_bytes());
             bad.resize(84, 0);

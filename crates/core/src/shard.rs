@@ -1022,25 +1022,21 @@ impl<S: KeyStore> ShardedIndexSet<S> {
 
     /// Run every shard's index self-check (see
     /// [`PlanarIndexSet::verify_all`]) without changing any state.
-    pub fn verify_all(&self, key_samples: usize) -> ShardedHealthReport {
+    pub fn verify_all(&self) -> ShardedHealthReport {
         ShardedHealthReport {
-            shards: self
-                .shards
-                .iter()
-                .map(|sh| sh.verify_all(key_samples))
-                .collect(),
+            shards: self.shards.iter().map(|sh| sh.verify_all()).collect(),
         }
     }
 
     /// [`Self::verify_all`], then quarantine every failing index on its
     /// shard. A shard with every index quarantined keeps answering exactly
     /// via its scan path ([`ServedBy::Degraded`] in that shard's slot).
-    pub fn verify_and_quarantine(&mut self, key_samples: usize) -> ShardedHealthReport {
+    pub fn verify_and_quarantine(&mut self) -> ShardedHealthReport {
         ShardedHealthReport {
             shards: self
                 .shards
                 .iter_mut()
-                .map(|sh| sh.verify_and_quarantine(key_samples))
+                .map(|sh| sh.verify_and_quarantine())
                 .collect(),
         }
     }
@@ -1307,7 +1303,7 @@ mod tests {
         let rebuilt = sharded.rebuild_quarantined();
         assert_eq!(rebuilt.len(), 1);
         assert_eq!(rebuilt[0].0, 1);
-        assert!(sharded.verify_all(usize::MAX).healthy());
+        assert!(sharded.verify_all().healthy());
         assert!(sharded.query(&q).unwrap().degraded_shards().is_empty());
     }
 

@@ -503,7 +503,7 @@ impl FeatureTable {
         acc
     }
 
-    fn validate(&self, row: &[f64]) -> Result<()> {
+    pub(crate) fn validate(&self, row: &[f64]) -> Result<()> {
         if row.len() != self.dim {
             return Err(PlanarError::DimensionMismatch {
                 expected: self.dim,

@@ -1,10 +1,10 @@
 //! Durability properties: arbitrary insert/update/delete interleavings
 //! followed by a save→load round trip must be invisible to queries —
-//! bit-identical answers (ids *and* distances) — for every key store.
+//! bit-identical answers (ids *and* distances).
 
 use planar_core::{
-    BPlusTree, Domain, FeatureTable, IndexConfig, InequalityQuery, KeyStore, ParameterDomain,
-    PlanarIndexSet, TopKQuery, VecStore,
+    Domain, FeatureTable, IndexConfig, InequalityQuery, KeyStore, ParameterDomain, PlanarIndexSet,
+    TopKQuery, VecStore,
 };
 use proptest::prelude::*;
 
@@ -116,10 +116,5 @@ proptest! {
     #[test]
     fn mutated_sets_round_trip_exactly_vec_store(t in trace()) {
         check_store::<VecStore>(&t);
-    }
-
-    #[test]
-    fn mutated_sets_round_trip_exactly_bptree(t in trace()) {
-        check_store::<BPlusTree>(&t);
     }
 }

@@ -1,14 +1,13 @@
 //! Property tests for the parallel batched query engine: for arbitrary
 //! data, queries, and thread counts, `build_with`, `query_batch`, and
 //! `top_k_batch` must return exactly what the sequential path returns —
-//! same ids, same order, same distances, same stats — across all three key
-//! stores.
+//! same ids, same order, same distances, same stats.
 
-use planar_core::{BPlusTree, QueryOutcome, TopKOutcome};
 use planar_core::{
     Cmp, Domain, ExecutionConfig, FeatureTable, IndexConfig, InequalityQuery, KeyStore,
     ParameterDomain, PlanarIndexSet, QueryScratch, TopKQuery, VecStore,
 };
+use planar_core::{QueryOutcome, TopKOutcome};
 use proptest::prelude::*;
 
 /// A generated workload: a table with mixed-sign axes, a batch of queries
@@ -164,26 +163,16 @@ fn check_top_k_batch<S: KeyStore + Sync>(s: &Scenario) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Batched inequality queries ≡ the sequential loop, on every store.
+    /// Batched inequality queries ≡ the sequential loop.
     #[test]
     fn query_batch_equals_sequential_vec_store(s in scenario()) {
         check_query_batch::<VecStore>(&s);
     }
 
-    #[test]
-    fn query_batch_equals_sequential_bplus_tree(s in scenario()) {
-        check_query_batch::<BPlusTree>(&s);
-    }
-
-    /// Batched top-k queries ≡ the sequential loop, on every store.
+    /// Batched top-k queries ≡ the sequential loop.
     #[test]
     fn top_k_batch_equals_sequential_vec_store(s in scenario()) {
         check_top_k_batch::<VecStore>(&s);
-    }
-
-    #[test]
-    fn top_k_batch_equals_sequential_bplus_tree(s in scenario()) {
-        check_top_k_batch::<BPlusTree>(&s);
     }
 
     /// `query_with` with a reused scratch and chunked verification matches

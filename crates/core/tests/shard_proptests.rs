@@ -2,11 +2,10 @@
 //! queries, shard counts, partitioners, and thread counts, a
 //! [`ShardedIndexSet`] must answer exactly what the monolithic
 //! [`PlanarIndexSet`] answers — same id sets for inequality queries, the
-//! same bit-identical neighbor lists for top-k — across all three key
-//! stores, through interleaved mutations, per-shard quarantine masks,
+//! same bit-identical neighbor lists for top-k — through interleaved mutations, per-shard quarantine masks,
 //! compaction, and a serialization roundtrip.
 
-use planar_core::{BPlusTree, StatsAggregator};
+use planar_core::StatsAggregator;
 use planar_core::{
     Cmp, Domain, ExecutionConfig, FeatureTable, IndexConfig, InequalityQuery, KeyStore,
     ParameterDomain, PartitionScheme, PlanarError, PlanarIndexSet, ShardConfig, ShardedIndexSet,
@@ -285,27 +284,17 @@ fn check_quarantine_masks<S: KeyStore + Send + Sync>(s: &Scenario) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Sharded ≡ unsharded for inequality and top-k, on every store.
+    /// Sharded ≡ unsharded for inequality and top-k.
     #[test]
     fn sharded_equals_unsharded_vec_store(s in scenario()) {
         check_equivalence::<VecStore>(&s);
     }
 
-    #[test]
-    fn sharded_equals_unsharded_bplus_tree(s in scenario()) {
-        check_equivalence::<BPlusTree>(&s);
-    }
-
     /// Shard-major batches ≡ one-at-a-time ≡ unsharded, for any thread
-    /// count, on every store.
+    /// count.
     #[test]
     fn sharded_batches_equal_unsharded_vec_store(s in scenario()) {
         check_batches::<VecStore>(&s);
-    }
-
-    #[test]
-    fn sharded_batches_equal_unsharded_bplus_tree(s in scenario()) {
-        check_batches::<BPlusTree>(&s);
     }
 
     /// Interleaved insert/update/delete keeps the two engines in lockstep:
@@ -313,11 +302,6 @@ proptest! {
     #[test]
     fn mutations_preserve_equivalence_vec_store(s in scenario()) {
         check_mutations::<VecStore>(&s);
-    }
-
-    #[test]
-    fn mutations_preserve_equivalence_bplus_tree(s in scenario()) {
-        check_mutations::<BPlusTree>(&s);
     }
 
     /// Arbitrary per-shard quarantine masks never change answers, and

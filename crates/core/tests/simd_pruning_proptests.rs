@@ -5,11 +5,11 @@
 //! (2) the block-mask verification path (candidate bitmap, whole-block
 //! passes for dense blocks, per-lane passes for sparse ones) returns
 //! exactly the `SeqScan` answer in the canonical match order, verifying
-//! every intermediate-interval candidate, for every store, quantized tier,
+//! every intermediate-interval candidate, for every quantized tier,
 //! and thread count.
 
 use planar_core::table::PointId;
-use planar_core::{BPlusTree, VecStore};
+use planar_core::VecStore;
 use planar_core::{
     Cmp, ExecutionConfig, ExecutionPath, FeatureTable, IndexConfig, InequalityQuery, KeyStore,
     ParameterDomain, PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, SeqScan, ServedBy,
@@ -182,11 +182,12 @@ fn canonical<S: KeyStore>(
     let idx = set.index_at(pos).unwrap();
     let (j_min, j_max) = (smaller, smaller + intermediate);
     let mut out: Vec<PointId> = match q.cmp() {
-        Cmp::Leq => idx.ids_in(0, j_min).collect(),
-        Cmp::Geq => idx.ids_in(j_max, idx.len()).collect(),
+        Cmp::Leq => idx.ids()[..j_min].to_vec(),
+        Cmp::Geq => idx.ids()[j_max..].to_vec(),
     };
-    let mut ii: Vec<PointId> = idx
-        .ids_in(j_min, j_max)
+    let mut ii: Vec<PointId> = idx.ids()[j_min..j_max]
+        .iter()
+        .copied()
         .filter(|&id| q.satisfies(set.table().row(id)))
         .collect();
     ii.sort_unstable();
@@ -319,15 +320,10 @@ proptest! {
     }
 
     /// The block-mask path equals `SeqScan` (canonical order, bit-exact
-    /// top-k) on every store, quantized tier, and thread count, with
+    /// top-k) on every quantized tier and thread count, with
     /// tombstones inside candidate blocks.
     #[test]
     fn block_masks_equal_scan_vec_store(s in block_scenario()) {
         check_block_masks::<VecStore>(&s);
-    }
-
-    #[test]
-    fn block_masks_equal_scan_bplus_tree(s in block_scenario()) {
-        check_block_masks::<BPlusTree>(&s);
     }
 }

@@ -8,13 +8,13 @@
 //!
 //! Also: the sharded durability round trip — `FsyncPolicy::EveryN(8)`,
 //! kill without checkpoint, recover, and the answers must match a
-//! never-crashed twin for every key store.
+//! never-crashed twin.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use planar_core::{
-    BPlusTree, Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, Corruption, FeatureTable,
+    Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, Corruption, FeatureTable,
     FsyncPolicy, IndexConfig, InequalityQuery, KeyStore, ParameterDomain, ShardConfig,
     ShardedIndexSet, ShardedRecoveryReport, TempDir, TopKQuery, VecStore, WalOptions,
 };
@@ -376,10 +376,5 @@ proptest! {
     #[test]
     fn sharded_roundtrip_vec_store(t in trace()) {
         sharded_kill_recover_roundtrip::<VecStore>(&t);
-    }
-
-    #[test]
-    fn sharded_roundtrip_bplus_tree(t in trace()) {
-        sharded_kill_recover_roundtrip::<BPlusTree>(&t);
     }
 }

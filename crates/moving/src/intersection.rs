@@ -693,7 +693,7 @@ mod tests {
     fn update_object_rekeys_pairs() {
         let a = workload::linear_objects(10, 100.0, 1);
         let b = workload::linear_objects(10, 100.0, 2);
-        let mut idx: LinearIntersectionIndex<planar_core::BPlusTree> =
+        let mut idx: LinearIntersectionIndex =
             LinearIntersectionIndex::build(a.clone(), b.clone(), &INSTANTS).unwrap();
         // Object 3 changes course.
         let new_motion = LinearMotion::planar(0.0, 0.0, 0.9, 0.9);

@@ -44,12 +44,12 @@ pub use planar_relation;
 pub mod prelude {
     pub use planar_core::{
         elect, ChannelTransport, Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet,
-        ConcurrentShardedIndexSet, Domain, DynamicPlanarIndexSet, ExecutionConfig, FailoverConfig,
-        FeatureMap, FeatureTable, FnFeatureMap, FsyncPolicy, IdentityMap, IndexConfig,
-        InequalityQuery, Mutation, MutationAck, ParameterDomain, PartitionScheme, PlanarIndexSet,
-        Primary, QuantAutotuneConfig, QuantPolicy, QuantTier, QueryScratch, ReadConsistency,
-        Replica, SelectionStrategy, SeqScan, ServedBy, ShardConfig, ShardedIndexSet,
-        ShardedQueryOutcome, TopKQuery, VecStore, WalOptions,
+        ConcurrentShardedIndexSet, Domain, ExecutionConfig, FailoverConfig, FeatureMap,
+        FeatureTable, FnFeatureMap, FsyncPolicy, IdentityMap, IndexConfig, InequalityQuery,
+        Mutation, MutationAck, ParameterDomain, PartitionScheme, PlanarIndexSet, Primary,
+        QuantAutotuneConfig, QuantPolicy, QuantTier, QueryScratch, ReadConsistency, Replica,
+        SelectionStrategy, SeqScan, ServedBy, ShardConfig, ShardedIndexSet, ShardedQueryOutcome,
+        TopKQuery, VecStore, WalOptions,
     };
     pub use planar_geom::{Hyperplane, Normalizer, Octant, Vector};
 }

@@ -99,7 +99,7 @@ fn dynamic_workload_over_synthetic_data() {
     let table = SyntheticConfig::paper(SyntheticKind::Correlated, 2_000, 4).generate();
     let rows: Vec<Vec<f64>> = table.iter().map(|(_, r)| r.to_vec()).collect();
     let initial = FeatureTable::from_rows(4, rows[..1_000].to_vec()).expect("table");
-    let mut set: DynamicPlanarIndexSet =
+    let mut set: PlanarIndexSet =
         PlanarIndexSet::build(initial, eq18_domain(4, 4), IndexConfig::with_budget(10))
             .expect("build");
     for row in &rows[1_000..] {
