@@ -1,10 +1,11 @@
 //! Quantized filter-tier experiment: raw filter-pass throughput of the
 //! fused `i8`/`i16` classification kernels vs the exact `f64` compare
 //! kernel, end-to-end query speedup with the tier enabled (answers
-//! asserted bit-identical first), the re-verification band as a function
-//! of the error-bound slack, and the per-shard autotuner's chosen
-//! policies with a no-regression latency check. Results go to
-//! `BENCH_quant.json`.
+//! asserted bit-identical first), the same for top-k queries (whose
+//! intermediate interval goes through the same filter; answers compared
+//! and reported), the re-verification band as a function of the
+//! error-bound slack, and the per-shard autotuner's chosen policies with
+//! a no-regression latency check. Results go to `BENCH_quant.json`.
 
 use crate::report::{self, ms, Table};
 use crate::{time_ms, Config};
@@ -12,7 +13,7 @@ use planar_core::stats::json_array;
 use planar_core::{
     Cmp, IndexConfig, InequalityQuery, JsonObject, PlanarIndexSet, QuantAutotuneConfig,
     QuantFilterStats, QuantPolicy, QuantTier, QuantizedColumns, ShardConfig, ShardedIndexSet,
-    VecStore,
+    TopKQuery, VecStore,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
@@ -29,6 +30,8 @@ const REPS: usize = 5;
 /// Cardinality sweep (pre-`--scale`): the filter pass must clear ≥1.5×
 /// at the largest size.
 const NS: [usize; 3] = [5_000, 50_000, 500_000];
+/// Neighbors per top-k query.
+const TOP_K: usize = 10;
 /// Error-bound slack sweep for the band arm.
 const SLACKS: [f64; 3] = [1.0, 2.0, 4.0];
 
@@ -99,6 +102,15 @@ struct EndToEndPoint {
     fallback: f64,
 }
 
+struct TopKPoint {
+    n: usize,
+    off_ms: f64,
+    i16_ms: f64,
+    i8_ms: f64,
+    lanes_per_query: f64,
+    answers_identical: bool,
+}
+
 struct SlackPoint {
     slack: f64,
     band: f64,
@@ -166,15 +178,44 @@ fn run_queries(
     (elapsed, answers, stats)
 }
 
+/// `(id, distance bits)` answers of one top-k run.
+type TopKAnswers = Vec<Vec<(u32, u64)>>;
+
+/// Run every query as a top-k query (k = [`TOP_K`]) against `set`,
+/// returning elapsed ms, the answers with bit-exact distances, and the
+/// summed quant counters.
+fn run_top_k(
+    set: &PlanarIndexSet<VecStore>,
+    queries: &[TopKQuery],
+) -> (f64, TopKAnswers, QuantFilterStats) {
+    let mut stats = QuantFilterStats::default();
+    let (answers, elapsed) = time_ms(|| {
+        queries
+            .iter()
+            .map(|q| {
+                let out = set.top_k(q).expect("quant experiment top-k");
+                stats.merge(&out.stats.quant);
+                out.neighbors
+                    .iter()
+                    .map(|&(id, d)| (id, d.to_bits()))
+                    .collect()
+            })
+            .collect::<Vec<_>>()
+    });
+    (elapsed, answers, stats)
+}
+
 /// The `quant` experiment (see module docs).
 pub fn quant(cfg: &Config) {
     let mut filter = Vec::new();
     let mut e2e = Vec::new();
+    let mut top_k = Vec::new();
     for raw_n in NS {
         let n = cfg.scaled(raw_n);
         let (set, queries) = dataset(cfg, n);
         filter.push(filter_arm(&set, &queries, n));
         e2e.push(end_to_end_arm(&set, &queries, n));
+        top_k.push(top_k_arm(&set, &queries, n));
     }
     let slack = slack_arm(cfg);
     let tuner = tuner_arm(cfg);
@@ -247,6 +288,47 @@ pub fn quant(cfg: &Config) {
     t.print();
 
     let mut t = Table::new(
+        &format!("Top-k (k = {TOP_K}), tier off vs on (ids and distances vs off)"),
+        &[
+            "n",
+            "off ms",
+            "i16 ms",
+            "i8 ms",
+            "i16 x",
+            "i8 x",
+            "lanes/q",
+            "identical",
+        ],
+    );
+    let mut top_k_rows = Vec::new();
+    for p in &top_k {
+        let (x16, x8) = (p.off_ms / p.i16_ms, p.off_ms / p.i8_ms);
+        t.row(vec![
+            p.n.to_string(),
+            ms(p.off_ms),
+            ms(p.i16_ms),
+            ms(p.i8_ms),
+            format!("{x16:.2}"),
+            format!("{x8:.2}"),
+            format!("{:.0}", p.lanes_per_query),
+            p.answers_identical.to_string(),
+        ]);
+        top_k_rows.push(
+            JsonObject::new()
+                .field_usize("n", p.n)
+                .field_f64("off_ms", p.off_ms)
+                .field_f64("i16_ms", p.i16_ms)
+                .field_f64("i8_ms", p.i8_ms)
+                .field_f64("speedup_i16", x16)
+                .field_f64("speedup_i8", x8)
+                .field_f64("quant_lanes_per_query", p.lanes_per_query)
+                .field_bool("answers_identical", p.answers_identical)
+                .finish(),
+        );
+    }
+    t.print();
+
+    let mut t = Table::new(
         "Re-verification band vs slack (i8, rates over classified lanes)",
         &["slack", "band", "rejected", "accepted"],
     );
@@ -305,6 +387,7 @@ pub fn quant(cfg: &Config) {
             .field_str("kernel_i16", quant_kernel_name(true))
             .field_raw("filter_pass", &json_array(filter_pass))
             .field_raw("end_to_end", &json_array(end_to_end))
+            .field_raw("top_k", &json_array(top_k_rows))
             .field_raw("band_vs_slack", &json_array(band_vs_slack))
             .field_raw("autotuner", &autotuner)
     });
@@ -392,6 +475,38 @@ fn end_to_end_arm(
         band_i16: band_rate(&s16),
         band_i8: band_rate(&s8),
         fallback: fallback_rate(&s8),
+    }
+}
+
+fn top_k_arm(set: &PlanarIndexSet<VecStore>, queries: &[InequalityQuery], n: usize) -> TopKPoint {
+    let queries: Vec<TopKQuery> = queries
+        .iter()
+        .map(|q| TopKQuery::new(q.clone(), TOP_K).expect("top-k query"))
+        .collect();
+    let mut i16_set = set.clone();
+    i16_set.set_quant_policy(QuantPolicy::tier(QuantTier::I16));
+    let mut i8_set = set.clone();
+    i8_set.set_quant_policy(QuantPolicy::tier(QuantTier::I8));
+
+    // Reported rather than asserted: the report test gates on it.
+    let (_, base, _) = run_top_k(set, &queries);
+    let (_, a16, lanes) = run_top_k(&i16_set, &queries);
+    let (_, a8, _) = run_top_k(&i8_set, &queries);
+    let answers_identical = base == a16 && base == a8;
+
+    let (mut off_ms, mut i16_ms, mut i8_ms) = (0.0, 0.0, 0.0);
+    for _ in 0..REPS {
+        off_ms += run_top_k(set, &queries).0;
+        i16_ms += run_top_k(&i16_set, &queries).0;
+        i8_ms += run_top_k(&i8_set, &queries).0;
+    }
+    TopKPoint {
+        n,
+        off_ms: off_ms / REPS as f64,
+        i16_ms: i16_ms / REPS as f64,
+        i8_ms: i8_ms / REPS as f64,
+        lanes_per_query: lanes.lanes as f64 / queries.len() as f64,
+        answers_identical,
     }
 }
 
@@ -504,6 +619,16 @@ mod tests {
         // The identity asserts inside the arm are the test.
         let p = end_to_end_arm(&set, &queries, n);
         assert_eq!(p.n, n);
+    }
+
+    #[test]
+    fn top_k_answers_are_identical_at_tiny_scale() {
+        let cfg = tiny_cfg();
+        let n = cfg.scaled(NS[0]);
+        let (set, queries) = dataset(&cfg, n);
+        let p = top_k_arm(&set, &queries, n);
+        assert!(p.answers_identical);
+        assert!(p.lanes_per_query > 0.0);
     }
 
     #[test]

@@ -185,6 +185,19 @@ fn quant_report() {
             num(row, "off_ms") / num(row, "i8_ms")
         );
     }
+    let top_k = rows(&doc, "top_k");
+    assert_eq!(top_k.len(), rows(&doc, "end_to_end").len());
+    for row in top_k {
+        assert!(is_true(row, "answers_identical"), "top-k answers moved");
+        assert_eq!(
+            num(row, "speedup_i16"),
+            num(row, "off_ms") / num(row, "i16_ms")
+        );
+        assert_eq!(
+            num(row, "speedup_i8"),
+            num(row, "off_ms") / num(row, "i8_ms")
+        );
+    }
     assert_eq!(rows(&doc, "band_vs_slack").len(), 3);
     assert!(is_true(&doc, "autotuner.answers_identical"));
     assert_eq!(

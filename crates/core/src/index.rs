@@ -42,6 +42,7 @@
 //! exactly in raw space.
 
 use crate::parallel::{self, ExecutionConfig, QueryScratch};
+use crate::quant::QuantFilterStats;
 use crate::query::{Cmp, InequalityQuery, TopKQuery};
 use crate::scan::TopKBuffer;
 use crate::stats::{ExecutionPath, QueryStats};
@@ -83,6 +84,9 @@ pub struct TopKStats {
     /// field stays for the repository benchmark (`benchmark/src/replay.rs`),
     /// which reports it as `index.intersect_pruned_per_query`.
     pub intersect_pruned: usize,
+    /// What the quantized filter did while verifying the intermediate
+    /// interval (all zeros when the tier is off).
+    pub quant: QuantFilterStats,
 }
 
 impl TopKStats {
@@ -447,7 +451,11 @@ impl<S: KeyStore> SingleIndex<S> {
     }
 
     /// [`Self::top_k`] with explicit execution configuration and reusable
-    /// scratch buffers; results are identical for every thread count.
+    /// scratch buffers. The intermediate interval is verified exactly as
+    /// [`Self::evaluate_with`] verifies it — through the quantized tier
+    /// when the table has one — so `stats.quant` reports the same filter
+    /// counters an inequality query would. Results are identical for every
+    /// thread count and every tier.
     pub fn top_k_with(
         &self,
         q: &TopKQuery,
@@ -481,11 +489,13 @@ impl<S: KeyStore> SingleIndex<S> {
         )
     }
 
-    /// Algorithm 2 body behind every top-k entry point: the II goes into
-    /// the scratch's candidate bitmap and is verified block by block into
-    /// the top-k buffer; then the
-    /// accepting interval is walked outward from the query hyperplane until
-    /// Claim 3's lower bound stops it (`use_pruning = false` walks it all).
+    /// Algorithm 2 body behind every top-k entry point. The II goes into
+    /// the scratch's candidate bitmap and through Algorithm 1's
+    /// verification ([`parallel::verify_mask`]); the satisfying ids, held in
+    /// the scratch in ascending-id order, are ranked by their row's distance.
+    /// Then the accepting interval is walked outward from the query
+    /// hyperplane until Claim 3's lower bound stops it (`use_pruning =
+    /// false` walks it all).
     #[allow(clippy::too_many_arguments)]
     fn top_k_inner(
         &self,
@@ -504,23 +514,24 @@ impl<S: KeyStore> SingleIndex<S> {
         let mut buffer = TopKBuffer::new(q.k);
         let inv_norm = 1.0 / q.query.a_norm();
 
-        // Intermediate interval first (paper Algorithm 2, lines 3–7), held
-        // as the scratch's candidate bitmap and verified block by block in
-        // ascending-id order. The buffer's total (dist, id) order makes its
-        // contents independent of arrival order, so this matches the
-        // key-order walk exactly.
+        // Intermediate interval first (paper Algorithm 2, lines 3–7). The
+        // satisfying set equals the exact predicate's (the quantized
+        // classifier is sound and its band is re-verified in f64), and the
+        // buffer's total (dist, id) order makes its contents independent of
+        // arrival order, so this matches the key-order walk exactly.
         let candidates = j_max - j_min;
         let words = scratch.fill(table.len(), ids[j_min..j_max].iter().copied());
-        parallel::verify_top_k(
+        scratch.ids.clear();
+        let quant = parallel::verify_mask(
             &q.query,
             table,
             &scratch.mask[words.clone()],
             words.start,
             candidates,
             exec,
-            &mut scratch.dots,
-            &mut buffer,
+            &mut scratch.ids,
         );
+        buffer.offer_rows(&q.query, table, &scratch.ids);
 
         // Walk the accepting interval from the query hyperplane outward,
         // terminating when the lower-bound distance (Def. 5) of the next
@@ -570,6 +581,7 @@ impl<S: KeyStore> SingleIndex<S> {
             walked,
             verified: candidates + walked,
             intersect_pruned: 0,
+            quant,
         };
         (buffer.into_sorted(), stats)
     }

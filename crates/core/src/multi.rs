@@ -11,6 +11,7 @@ use crate::domain::ParameterDomain;
 use crate::health::{HealthReport, IndexHealth};
 use crate::index::{IndexView, SingleIndex, TopKStats};
 use crate::parallel::{self, ExecutionConfig, QueryScratch};
+use crate::quant::QuantFilterStats;
 use crate::query::{Cmp, InequalityQuery, TopKQuery};
 use crate::scan::TopKBuffer;
 use crate::selection::{angle_score, argmin_by_score_filtered, stretch_score, SelectionStrategy};
@@ -724,7 +725,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             verified: 0,
             intersect_pruned: 0,
             matched: 0,
-            quant: crate::quant::QuantFilterStats::default(),
+            quant: QuantFilterStats::default(),
             path: ExecutionPath::ScanFallback(ScanReason::DeadlineExceeded),
         }
     }
@@ -755,6 +756,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 walked: 0,
                 verified: 0,
                 intersect_pruned: 0,
+                quant: QuantFilterStats::default(),
             },
         }
     }
@@ -812,11 +814,12 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         Ok(self.scan_fallback(q, ScanReason::Requested))
     }
 
-    fn scan_fallback(&self, q: &InequalityQuery, reason: ScanReason) -> QueryOutcome {
-        // Verify the live rows' bitmap through the blocked kernels, so the
-        // quantized tier (when active) wholesale-settles most rows on the
-        // scan path too. The kernel mask is bit-identical to the per-row
-        // `q.satisfies` predicate, so answers are unchanged.
+    /// Every live row satisfying `q`, ascending, from a scan of the live
+    /// rows' bitmap through the blocked kernels — so the quantized tier
+    /// (when active) wholesale-settles most rows on the scan paths too, and
+    /// the autotuner observes it. The kernel mask is bit-identical to the
+    /// per-row `q.satisfies` predicate.
+    fn scan_live(&self, q: &InequalityQuery) -> (Vec<PointId>, QuantFilterStats) {
         let live: Vec<u64> = self
             .deleted
             .chunks(BLOCK_ROWS)
@@ -830,6 +833,12 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             .collect();
         let mut matches = Vec::new();
         let quant = parallel::verify_mask_blocked(q, &self.table, &live, 0, &mut matches);
+        self.quant_tuner.observe(&quant);
+        (matches, quant)
+    }
+
+    fn scan_fallback(&self, q: &InequalityQuery, reason: ScanReason) -> QueryOutcome {
+        let (matches, quant) = self.scan_live(q);
         let stats = QueryStats {
             n: self.n_live,
             smaller: 0,
@@ -841,7 +850,6 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             quant,
             path: ExecutionPath::ScanFallback(reason),
         };
-        self.quant_tuner.observe(&stats.quant);
         QueryOutcome {
             matches,
             served_by: ServedBy::from_path(&stats.path),
@@ -988,6 +996,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 };
                 let (neighbors, stats) =
                     self.indices[pos].top_k_with(&eff_q, &nq, shift, &self.table, exec, scratch);
+                self.quant_tuner.observe(&stats.quant);
                 TopKOutcome {
                     neighbors,
                     served_by: ServedBy::Index(pos),
@@ -1081,13 +1090,12 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         Ok((effective.unwrap_or_else(|| q.clone()), nq))
     }
 
+    /// Algorithm 2 without an index: rank every satisfying live row (see
+    /// [`Self::scan_live`]).
     fn top_k_scan(&self, q: &TopKQuery, reason: ScanReason) -> TopKOutcome {
+        let (satisfying, quant) = self.scan_live(&q.query);
         let mut buf = TopKBuffer::new(q.k);
-        for (id, row) in self.table.iter() {
-            if !self.deleted[id as usize] && q.query.satisfies(row) {
-                buf.offer(q.query.distance(row), id);
-            }
-        }
+        buf.offer_rows(&q.query, &self.table, &satisfying);
         let served_by = if matches!(reason, ScanReason::IndexUnavailable) {
             ServedBy::Degraded
         } else {
@@ -1102,6 +1110,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 walked: 0,
                 verified: self.n_live,
                 intersect_pruned: 0,
+                quant,
             },
         }
     }

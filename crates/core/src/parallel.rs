@@ -1,5 +1,5 @@
 //! Parallel execution scaffolding: thread configuration, reusable query
-//! scratch space, and the blocked / chunked verification kernels shared by
+//! scratch space, and the blocked / chunked verification kernel shared by
 //! Algorithm 1 and Algorithm 2.
 //!
 //! ## Determinism contract
@@ -9,29 +9,32 @@
 //!
 //! * Intermediate-interval (II) candidates are held as a bitmap with one
 //!   word per 64-row block ([`QueryScratch`]) and verified in ascending-id
-//!   order. Splitting the bitmap into contiguous word ranges and
-//!   concatenating the per-range matches in range order reproduces the
-//!   serial order exactly.
-//! * Scalar products go through the columnar SIMD kernels
-//!   ([`planar_geom::dot_cmp_block`] / [`planar_geom::dot_block_cols`]) for
-//!   dense blocks and the row-at-a-time [`planar_geom::dot_slices`] for
-//!   sparse ones; the kernels' per-lane accumulation is bit-identical to
-//!   `dot_slices` regardless of the dispatched implementation (AVX2 or
-//!   portable — see `planar_geom::kernels`), so the split never changes a
-//!   verdict or a distance.
-//! * Top-k merging relies on the total `(distance, id)` order of the top-k
-//!   buffer, which makes its contents independent of candidate arrival
-//!   order.
+//!   order by [`verify_mask`]. Splitting the bitmap into contiguous word
+//!   ranges and concatenating the per-range matches in range order
+//!   reproduces the serial order exactly.
+//! * Verdicts come from the quantized classifier when the tier is on (sound:
+//!   its accepts and rejects agree with the exact predicate, and its band
+//!   is re-verified in `f64`), else from the fused columnar SIMD kernel
+//!   [`planar_geom::dot_cmp_block`] for dense blocks and the row-at-a-time
+//!   [`planar_geom::dot_slices`] for sparse ones. The kernels' per-lane
+//!   accumulation is bit-identical to `dot_slices` regardless of the
+//!   dispatched implementation (AVX2 or portable — see
+//!   `planar_geom::kernels`), so neither the tier nor the split ever changes
+//!   a verdict.
+//! * Algorithm 2 verifies its II through the same [`verify_mask`] call, then
+//!   ranks the satisfying ids serially by their row's
+//!   [`InequalityQuery::distance`]. The top-k buffer's total
+//!   `(distance, id)` order makes its contents independent of arrival
+//!   order, so the ranking is identical for every thread count.
 //!
 //! Work is distributed over `std::thread::scope` — no thread pool, no extra
 //! dependencies; workers borrow the index and table immutably.
 
 use crate::quant::{BlockClass, QuantFilter, QuantFilterStats};
 use crate::query::{Cmp, InequalityQuery};
-use crate::scan::TopKBuffer;
 use crate::table::{ColSegment, FeatureTable, PointId};
 use crate::{PlanarError, Result};
-use planar_geom::{dot_block_cols, dot_cmp_block, dot_slices, BLOCK_ROWS};
+use planar_geom::{dot_cmp_block, dot_slices, BLOCK_ROWS};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -221,8 +224,8 @@ impl ExecutionConfig {
 pub struct QueryScratch {
     /// II candidate bitmap, one word per block of the columnar mirror.
     pub(crate) mask: Vec<u64>,
-    /// Blocked scalar-product outputs of one block (top-k).
-    pub(crate) dots: Vec<f64>,
+    /// Satisfying II ids of one top-k query, ascending, before ranking.
+    pub(crate) ids: Vec<PointId>,
 }
 
 impl QueryScratch {
@@ -236,7 +239,7 @@ impl QueryScratch {
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             mask: Vec::with_capacity(capacity.div_ceil(BLOCK_ROWS)),
-            dots: Vec::with_capacity(BLOCK_ROWS),
+            ids: Vec::new(),
         }
     }
 
@@ -463,86 +466,6 @@ pub(crate) fn verify_mask(
     stats
 }
 
-/// Top-k II verification of a bitmap window: every candidate feeds the
-/// top-k buffer serially, or per-chunk buffers (split on word boundaries)
-/// are merged when the `candidates` count crosses the threshold. Buffer
-/// contents are arrival-order independent, so both paths yield identical
-/// results.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn verify_top_k(
-    query: &InequalityQuery,
-    table: &FeatureTable,
-    words: &[u64],
-    first_word: usize,
-    candidates: usize,
-    exec: &ExecutionConfig,
-    dots: &mut Vec<f64>,
-    buffer: &mut TopKBuffer,
-) {
-    if !(exec.is_parallel() && candidates >= exec.parallel_verify_threshold.max(2)) {
-        return verify_top_k_blocked(query, table, words, first_word, dots, buffer);
-    }
-    let k = buffer.k();
-    let workers = exec.threads.min(words.len());
-    let per_chunk = map_chunks(words, workers, |start, chunk| {
-        let (mut local_dots, mut local_buf) = (Vec::new(), TopKBuffer::new(k));
-        verify_top_k_blocked(
-            query,
-            table,
-            chunk,
-            first_word + start,
-            &mut local_dots,
-            &mut local_buf,
-        );
-        local_buf
-    });
-    for part in per_chunk {
-        buffer.merge(part);
-    }
-}
-
-/// Serial blocked top-k verification of a bitmap window. Unlike the
-/// inequality path, top-k ranking needs the raw scalar products: a block
-/// with at least [`QUANT_MIN_SEGMENT_LANES`] candidates computes all of
-/// them with one [`dot_block_cols`] into the `dots` scratch, a sparser
-/// block one [`dot_slices`] per candidate row. Both are bit-identical to
-/// the row-at-a-time product (see module docs).
-fn verify_top_k_blocked(
-    query: &InequalityQuery,
-    table: &FeatureTable,
-    words: &[u64],
-    first_word: usize,
-    dots: &mut Vec<f64>,
-    buffer: &mut TopKBuffer,
-) {
-    dots.resize(BLOCK_ROWS, 0.0);
-    for (i, &cand) in words.iter().enumerate() {
-        if cand == 0 {
-            continue;
-        }
-        let w = first_word + i;
-        let dense = cand.count_ones() as usize >= QUANT_MIN_SEGMENT_LANES;
-        let first = (w * BLOCK_ROWS) as PointId;
-        if dense {
-            let (_, lanes, seg) = block(table, w);
-            dot_block_cols(query.a(), seg.cols, BLOCK_ROWS, &mut dots[..lanes]);
-        }
-        let mut m = cand;
-        while m != 0 {
-            let l = m.trailing_zeros();
-            let dot = if dense {
-                dots[l as usize]
-            } else {
-                dot_slices(query.a(), table.row(first + l))
-            };
-            if query.satisfies_dot(dot) {
-                buffer.offer(query.distance_from_dot(dot), first + l);
-            }
-            m &= m - 1;
-        }
-    }
-}
-
 /// Sharding plan for a batch of queries: how many workers a batch of
 /// `batch_len` queries uses under `exec`, and how many threads remain for
 /// intra-query verification inside each worker.
@@ -571,7 +494,8 @@ pub(crate) fn shard_plan(exec: &ExecutionConfig, shards: usize) -> (usize, Execu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Cmp;
+    use crate::quant::{QuantPolicy, QuantTier};
+    use crate::query::{Cmp, TopKQuery};
 
     fn table(n: usize) -> FeatureTable {
         FeatureTable::from_rows(
@@ -705,35 +629,32 @@ mod tests {
 
     #[test]
     fn parallel_top_k_is_identical_to_serial() {
-        let t = table(2000);
-        let q = query();
-        let ids: Vec<PointId> = (0..2000u32).filter(|i| i % 11 != 4).collect();
-        let words = bitmap(2000, &ids);
-        let mut dots = Vec::new();
-        let mut serial_buf = TopKBuffer::new(7);
-        verify_top_k(
-            &q,
-            &t,
-            &words,
-            0,
-            ids.len(),
-            &ExecutionConfig::serial(),
-            &mut dots,
-            &mut serial_buf,
-        );
-        let serial = serial_buf.into_sorted();
-        let mut want = TopKBuffer::new(7);
-        for &id in &ids {
-            if q.satisfies(t.row(id)) {
-                want.offer(q.distance(t.row(id)), id);
+        // Index normal (2, 1): key = 500 + 0.75·i, and the query's margin is
+        // 0.25·i − 200, so the intermediate interval holds ~930 rows (dense
+        // blocks plus sparse edges) of which ~530 satisfy the predicate.
+        let mut t = table(2000);
+        let norm = planar_geom::Normalizer::identity(2);
+        let idx =
+            crate::index::SingleIndex::<crate::store::VecStore>::build(&t, &norm, vec![2.0, 1.0])
+                .unwrap();
+        for tier in [QuantTier::Off, QuantTier::I16] {
+            t.set_quant_policy(QuantPolicy::tier(tier));
+            for cmp in [Cmp::Leq, Cmp::Geq] {
+                let q =
+                    TopKQuery::new(InequalityQuery::new(vec![1.0, 1.0], cmp, 700.0).unwrap(), 7)
+                        .unwrap();
+                let nq = norm.normalize_query(q.query.a(), q.query.b()).unwrap();
+                let want = crate::scan::SeqScan::new(&t).top_k(&q).unwrap();
+                let mut scratch = QueryScratch::new();
+                for threads in [1, 2, 3, 5] {
+                    let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
+                    let (got, stats) = idx.top_k_with(&q, &nq, 0.0, &t, &exec, &mut scratch);
+                    // Distances are absolute values, never -0.0 or NaN, so
+                    // `==` here is bit-identity.
+                    assert_eq!(got, want, "{tier:?} {cmp:?} threads={threads}");
+                    assert!(stats.intermediate > 500, "{stats:?}");
+                }
             }
-        }
-        assert_eq!(serial, want.into_sorted());
-        for threads in [2, 5] {
-            let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
-            let mut buf = TopKBuffer::new(7);
-            verify_top_k(&q, &t, &words, 0, ids.len(), &exec, &mut dots, &mut buf);
-            assert_eq!(buf.into_sorted(), serial, "threads={threads}");
         }
     }
 

@@ -2,6 +2,11 @@
 //! [`ColumnMajorRows`] blocks, the sound three-way candidate classifier
 //! built on `planar_geom::quant`, and the per-shard workload autotuner.
 //!
+//! The tier serves both of the paper's algorithms: Algorithm 1 and the
+//! intermediate interval of Algorithm 2 (top-k) verify their candidates
+//! through the same blocked call (`parallel::verify_mask`), and both report
+//! the filter's work as a [`QuantFilterStats`] that feeds the autotuner.
+//!
 //! ## Tier format
 //!
 //! Each 64-lane interleaved block of the columnar mirror is encoded

@@ -79,19 +79,18 @@ impl TopKBuffer {
         self.heap.peek().map(|c| c.dist)
     }
 
-    /// The buffer's capacity `k`.
-    pub(crate) fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Fold another buffer's candidates into this one. Because the buffer
-    /// keeps the `k` smallest candidates under the total `(dist, id)`
-    /// order, merging per-chunk buffers yields exactly the buffer a single
-    /// pass over all candidates would have produced — the basis of the
-    /// parallel top-k path's determinism.
-    pub(crate) fn merge(&mut self, other: TopKBuffer) {
-        for c in other.heap {
-            self.offer(c.dist, c.id);
+    /// Offer every id of `ids` — points already known to satisfy `query` —
+    /// at its row's distance from the query hyperplane. The distance comes
+    /// from [`InequalityQuery::distance`], bit-identical to
+    /// [`InequalityQuery::distance_from_dot`] of any block kernel's lane.
+    pub(crate) fn offer_rows(
+        &mut self,
+        query: &InequalityQuery,
+        table: &FeatureTable,
+        ids: &[PointId],
+    ) {
+        for &id in ids {
+            self.offer(query.distance(table.row(id)), id);
         }
     }
 
@@ -149,7 +148,10 @@ impl<'a> SeqScan<'a> {
     }
 
     /// The top-k satisfying points nearest the query hyperplane, sorted by
-    /// ascending distance (paper Problem 2, solved naïvely).
+    /// ascending distance (paper Problem 2, solved naïvely). The only top-k
+    /// path that computes `f64` block products ([`dot_block_cols`]); the
+    /// engine's top-k paths verify through the inequality kernels instead,
+    /// so this stays an independent oracle for them.
     ///
     /// # Errors
     ///
@@ -302,27 +304,6 @@ mod tests {
             }
         }
         assert_eq!(scan.top_k(&topk).unwrap(), buf.into_sorted());
-    }
-
-    #[test]
-    fn buffer_merge_equals_single_pass() {
-        let cands: Vec<(f64, PointId)> = (0..40)
-            .map(|i| (((i * 13) % 17) as f64 * 0.5, i as PointId))
-            .collect();
-        let mut single = TopKBuffer::new(5);
-        for &(d, id) in &cands {
-            single.offer(d, id);
-        }
-        let mut left = TopKBuffer::new(5);
-        let mut right = TopKBuffer::new(5);
-        for &(d, id) in &cands[..23] {
-            left.offer(d, id);
-        }
-        for &(d, id) in &cands[23..] {
-            right.offer(d, id);
-        }
-        left.merge(right);
-        assert_eq!(left.into_sorted(), single.into_sorted());
     }
 
     #[test]

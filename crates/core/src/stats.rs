@@ -210,6 +210,7 @@ impl QueryStats {
 #[derive(Debug, Clone, Default)]
 pub struct StatsAggregator {
     count: usize,
+    topk_queries: usize,
     pruned_sum: f64,
     verified_sum: usize,
     matched_sum: usize,
@@ -288,6 +289,18 @@ impl StatsAggregator {
     /// advances by one, not by the shard count.
     pub fn add_sharded(&mut self, per_shard: &[QueryStats]) {
         self.add(&QueryStats::merged(per_shard));
+    }
+
+    /// Fold in one top-k query's per-shard stats as a single logical
+    /// top-k query. Top-k queries are counted apart from inequality
+    /// queries (they leave [`Self::count`] and the per-query means alone);
+    /// their quantized-filter counters join the shared `quant_*` sums.
+    /// [`StatsSnapshot::topk_queries`] reports the count.
+    pub fn add_top_k_sharded(&mut self, per_shard: &[crate::index::TopKStats]) {
+        self.topk_queries += 1;
+        for s in per_shard {
+            self.quant_sum.merge(&s.quant);
+        }
     }
 
     /// Record an index-quarantine event (see `crate::health`). Quarantines
@@ -388,6 +401,7 @@ impl StatsAggregator {
     /// workers aggregate locally and combine at the end.
     pub fn merge(&mut self, other: &StatsAggregator) {
         self.count += other.count;
+        self.topk_queries += other.topk_queries;
         self.pruned_sum += other.pruned_sum;
         self.verified_sum += other.verified_sum;
         self.matched_sum += other.matched_sum;
@@ -511,6 +525,7 @@ impl StatsAggregator {
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             count: self.count,
+            topk_queries: self.topk_queries,
             mean_pruning_percentage: self.mean_pruning_percentage(),
             mean_verified: self.mean_verified(),
             mean_intermediate: self.mean_intermediate(),
@@ -569,6 +584,8 @@ impl StatsAggregator {
 pub struct StatsSnapshot {
     /// Queries aggregated.
     pub count: usize,
+    /// Top-k queries aggregated (not included in `count`).
+    pub topk_queries: usize,
     /// Mean pruning percentage (paper Figures 9/10 y-axis).
     pub mean_pruning_percentage: f64,
     /// Mean scalar products per query.
@@ -816,6 +833,7 @@ impl StatsSnapshot {
     pub fn to_json(&self) -> String {
         JsonObject::new()
             .field_usize("count", self.count)
+            .field_usize("topk_queries", self.topk_queries)
             .field_f64("mean_pruning_percentage", self.mean_pruning_percentage)
             .field_f64("mean_verified", self.mean_verified)
             .field_f64("mean_intermediate", self.mean_intermediate)
@@ -939,13 +957,19 @@ mod tests {
         for s in &stats {
             sequential.add(s);
         }
+        sequential.add_top_k_sharded(&[]);
         let mut left = StatsAggregator::new();
         left.add(&stats[0]);
         let mut right = StatsAggregator::new();
         right.add(&stats[1]);
         right.add(&stats[2]);
+        right.add_top_k_sharded(&[]);
         left.merge(&right);
         assert_eq!(left.count(), sequential.count());
+        assert_eq!(
+            left.snapshot().topk_queries,
+            sequential.snapshot().topk_queries
+        );
         assert_eq!(
             left.mean_pruning_percentage(),
             sequential.mean_pruning_percentage()
@@ -1070,6 +1094,19 @@ mod tests {
         let mut agg = StatsAggregator::new();
         agg.add(&indexed(100, 40, 20, 40, 30));
         agg.add(&QueryStats::scan(100, 10, ScanReason::DeadlineExceeded));
+        agg.add_top_k_sharded(&[crate::index::TopKStats {
+            n: 100,
+            intermediate: 40,
+            walked: 3,
+            verified: 43,
+            intersect_pruned: 0,
+            quant: crate::quant::QuantFilterStats {
+                lanes: 40,
+                accepted: 40,
+                tier: crate::quant::QuantTier::I16,
+                ..Default::default()
+            },
+        }]);
         agg.record_wal(&crate::wal::WalHealth {
             segments: 2,
             unsynced_records: 1,
@@ -1085,6 +1122,9 @@ mod tests {
         assert_eq!(json.matches('"').count() % 2, 0);
         // Every counter the aggregator computed is present verbatim.
         assert!(json.contains("\"count\":2"));
+        // The top-k query is counted apart; its lanes join the quant sums.
+        assert!(json.contains("\"topk_queries\":1"));
+        assert!(json.contains("\"quant_lanes\":40"));
         assert!(json.contains("\"deadline_hits\":1"));
         assert!(json.contains("\"wal_segments\":2"));
         assert!(json.contains("\"wal_ack_lag\":2"));
@@ -1098,7 +1138,7 @@ mod tests {
         assert!(json.contains("\"replication_link_acked\":[]"));
         // Field count matches the struct: one "key": per field.
         let fields = json.matches("\":").count();
-        assert_eq!(fields, 43, "snapshot JSON should carry all 43 fields");
+        assert_eq!(fields, 44, "snapshot JSON should carry all 44 fields");
     }
 
     #[test]

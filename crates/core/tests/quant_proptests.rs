@@ -8,7 +8,7 @@
 
 use planar_core::{
     Cmp, Domain, ExecutionConfig, FeatureTable, IndexConfig, InequalityQuery, ParameterDomain,
-    PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, TopKQuery, VecStore,
+    PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, SeqScan, ServedBy, TopKQuery, VecStore,
 };
 use planar_core::{
     ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet, ShardConfig,
@@ -307,6 +307,147 @@ fn assert_same_block_answers(
     }
 }
 
+/// Every tier the top-k property runs under, at both slacks.
+fn any_policy() -> impl Strategy<Value = QuantPolicy> {
+    prop_oneof![
+        Just(QuantPolicy::tier(QuantTier::Off)),
+        Just(QuantPolicy {
+            tier: QuantTier::I16,
+            slack: 1.0
+        }),
+        Just(QuantPolicy {
+            tier: QuantTier::I16,
+            slack: 4.0
+        }),
+        Just(QuantPolicy {
+            tier: QuantTier::I8,
+            slack: 1.0
+        }),
+        Just(QuantPolicy {
+            tier: QuantTier::I8,
+            slack: 4.0
+        }),
+    ]
+}
+
+/// The scenario reshaped for the top-k property: its rows tiled `copies`
+/// times with copies paired up exactly (so distances tie exactly and only
+/// the id breaks the tie), column `const_col` (when `< dim`) held at one
+/// value, two grazing queries per scenario query, and, when `huge`, 64
+/// rows of magnitude ~1e300 appended — a block whose code scale overflows
+/// the classifier's guard, so it is served by the exact fallback.
+fn top_k_rows(s: &Scenario, copies: usize, const_col: usize, huge: bool) -> Scenario {
+    let mut t = s.clone();
+    t.rows = (0..copies)
+        .flat_map(|c| {
+            let f = 1.0 + 0.01 * (c / 2) as f64;
+            s.rows
+                .iter()
+                .map(move |row| row.iter().map(|v| v * f).collect())
+        })
+        .collect();
+    if const_col < s.dim {
+        let v = if s.signs[const_col] { 7.5 } else { -7.5 };
+        for row in &mut t.rows {
+            row[const_col] = v;
+        }
+    }
+    // Grazing queries: each hyperplane passes within one ulp of a data
+    // row, on either side, so the row lands in the classifier's band and
+    // is nearest the hyperplane whether or not it satisfies the predicate.
+    let grazing: Vec<_> = s
+        .queries
+        .iter()
+        .enumerate()
+        .flat_map(|(i, (a, _, cmp))| {
+            let row = &t.rows[i % t.rows.len()];
+            let dot: f64 = a.iter().zip(row).map(|(x, y)| x * y).sum();
+            [dot.next_down(), dot.next_up()].map(|b| (a.clone(), b, *cmp))
+        })
+        .collect();
+    t.queries.extend(grazing);
+    if huge {
+        t.rows.extend((0..64).map(|l| {
+            s.signs
+                .iter()
+                .map(|&pos| {
+                    let m = 1e300 * (1.0 + l as f64 / 64.0);
+                    if pos {
+                        m
+                    } else {
+                        -m
+                    }
+                })
+                .collect::<Vec<f64>>()
+        }));
+    }
+    t
+}
+
+/// `SeqScan::top_k` over the live rows of `set` only: the live rows, in
+/// ascending id order, form a fresh table whose dense ids map back
+/// monotonically, so `(distance, id)` ties break the same way.
+fn live_scan_top_k(set: &PlanarIndexSet<VecStore>, q: &TopKQuery) -> Vec<(u32, u64)> {
+    let live: Vec<u32> = (0..set.table().len() as u32)
+        .filter(|&id| set.is_live(id))
+        .collect();
+    let rows = live.iter().map(|&id| set.table().row(id).to_vec());
+    let table = FeatureTable::from_rows(set.table().dim(), rows).unwrap();
+    SeqScan::new(&table)
+        .top_k(q)
+        .unwrap()
+        .into_iter()
+        .map(|(i, d)| (live[i as usize], d.to_bits()))
+        .collect()
+}
+
+/// Top-k on the indexed and the degraded twin equals the live-row scan
+/// bit for bit, for `k` of 1, 7 and more than the live rows, at 1–3
+/// threads; the filter counts every verified lane exactly once.
+fn assert_top_k_equals_scan(
+    indexed: &PlanarIndexSet<VecStore>,
+    degraded: &PlanarIndexSet<VecStore>,
+    s: &Scenario,
+) {
+    let tier = indexed.quant_policy().tier;
+    for q in ineq_queries(s) {
+        for k in [1, 7, indexed.len() + 3] {
+            let q = TopKQuery::new(q.clone(), k).unwrap();
+            let want = live_scan_top_k(indexed, &q);
+            for threads in [1, 2, 3] {
+                let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
+                let mut scratch = QueryScratch::new();
+                for (set, is_degraded) in [(indexed, false), (degraded, true)] {
+                    let out = set.top_k_with(&q, &exec, &mut scratch).unwrap();
+                    let got: Vec<(u32, u64)> = out
+                        .neighbors
+                        .iter()
+                        .map(|&(id, d)| (id, d.to_bits()))
+                        .collect();
+                    assert_eq!(
+                        got, want,
+                        "{tier:?} k={k} threads={threads} degraded={is_degraded}"
+                    );
+                    assert_eq!(out.served_by == ServedBy::Degraded, is_degraded);
+                    let st = out.stats.quant;
+                    assert_eq!(st.tier, tier, "{:?}", out.stats);
+                    if tier == QuantTier::Off {
+                        assert_eq!(st.lanes, 0, "{:?}", out.stats);
+                    } else {
+                        assert_eq!(st.lanes, out.stats.intermediate, "{:?}", out.stats);
+                        assert_eq!(
+                            st.accepted + st.rejected + st.reverified + st.fallback,
+                            st.lanes,
+                            "{:?}",
+                            out.stats
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -533,5 +674,49 @@ proptest! {
             apply_planar(&mut quant, op);
         }
         assert_same_block_answers(&plain, &quant, &s);
+    }
+
+    /// Quantized top-k ≡ the live-row scan: ids and bit-exact distances
+    /// under every tier and slack, through the indexed path and the
+    /// degraded path (every index quarantined), with a forced-fallback
+    /// block, a constant column and exact ties, before and after inserts,
+    /// updates and deletes re-encode quant blocks.
+    #[test]
+    fn quantized_top_k_equals_scan(
+        s in scenario(),
+        copies in 2..5usize,
+        const_col in 0..8usize,
+        huge in any::<u8>(),
+        policy in any_policy(),
+    ) {
+        let huge = huge.is_multiple_of(3);
+        let s = top_k_rows(&s, copies, const_col, huge);
+        let build = || {
+            let table = FeatureTable::from_rows(s.dim, s.rows.clone()).unwrap();
+            let mut set: PlanarIndexSet<VecStore> =
+                PlanarIndexSet::build(table, domain(&s), IndexConfig::with_budget(s.budget))
+                    .unwrap();
+            set.set_quant_policy(policy);
+            set
+        };
+        let mut indexed = build();
+        let mut degraded = build();
+        for pos in 0..degraded.num_indices() {
+            degraded.quarantine(pos);
+        }
+        if huge && policy.tier != QuantTier::Off {
+            // The degraded scan classifies the huge rows' block whole, and
+            // its code scale overflows the guard: every lane falls back.
+            let q = TopKQuery::new(ineq_queries(&s)[0].clone(), 1).unwrap();
+            let st = degraded.top_k(&q).unwrap().stats.quant;
+            prop_assert!(st.fallback >= 64, "{:?}", st);
+        }
+        assert_top_k_equals_scan(&indexed, &degraded, &s);
+
+        for op in &s.ops {
+            apply_planar(&mut indexed, op);
+            apply_planar(&mut degraded, op);
+        }
+        assert_top_k_equals_scan(&indexed, &degraded, &s);
     }
 }

@@ -340,12 +340,16 @@ impl<E: Engine> MicroBatcher<E> {
         if !topks.is_empty() {
             let qs: Vec<TopKQuery> = topks.iter().map(|(_, q)| q.clone()).collect();
             let outs = snapshot.top_k_batch_isolated(&qs, &exec);
+            let mut agg = self.stats.lock().expect("stats lock poisoned");
             for ((slot, _), out) in topks.iter().zip(outs) {
                 responses[*slot] = Some(match out {
-                    Ok(o) => Response::Neighbors {
-                        neighbors: o.neighbors,
-                        provenance: Provenance::from_served_by(&o.served_by),
-                    },
+                    Ok(o) => {
+                        agg.add_top_k_sharded(&o.shard_stats);
+                        Response::Neighbors {
+                            neighbors: o.neighbors,
+                            provenance: Provenance::from_served_by(&o.served_by),
+                        }
+                    }
                     Err(e) => error_response(&e),
                 });
             }

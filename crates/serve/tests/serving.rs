@@ -5,7 +5,7 @@
 use planar_core::{
     Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet,
     ExecutionConfig, FeatureTable, FsyncPolicy, IndexConfig, InequalityQuery, ParameterDomain,
-    ShardConfig, ShardedIndexSet, TempDir, TopKQuery, VecStore, WalOptions,
+    QuantPolicy, QuantTier, ShardConfig, ShardedIndexSet, TempDir, TopKQuery, VecStore, WalOptions,
 };
 use planar_serve::json::Json;
 use planar_serve::{
@@ -428,6 +428,49 @@ fn http_surface_matches_binary_answers() {
         "GET /nope HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
     );
     assert_eq!(status, 404);
+    server.shutdown();
+}
+
+#[test]
+fn top_k_requests_reach_the_metrics_quant_counters() {
+    let mut set = build_sharded(3000);
+    set.set_quant_policy(QuantPolicy::tier(QuantTier::I16));
+    let eng = Arc::new(ConcurrentShardedIndexSet::new(
+        set,
+        ConcurrencyConfig::default(),
+    ));
+    let server = Server::start(Arc::clone(&eng), ServeConfig::default()).unwrap();
+    let engine_counter = |key: &str| {
+        let (status, body) = http_roundtrip(
+            server.addr(),
+            "GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        );
+        assert_eq!(status, 200);
+        Json::parse(&body)
+            .unwrap()
+            .get("engine")
+            .and_then(|e| e.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("engine.{key} missing"))
+    };
+    assert_eq!(engine_counter("topk_queries"), 0);
+    assert_eq!(engine_counter("quant_lanes"), 0);
+
+    // The lanes one top-k query sends through the filter, measured
+    // directly on the engine the server wraps.
+    let tq = TopKQuery::new(query(9.0), 5).unwrap();
+    let direct = eng.snapshot().top_k(&tq).unwrap();
+    let lanes: usize = direct.shard_stats.iter().map(|s| s.quant.lanes).sum();
+    assert!(lanes > 0, "{:?}", direct.shard_stats);
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.top_k(&[1.0, 1.5], Cmp::Leq, 9.0, 5).unwrap() {
+        Response::Neighbors { neighbors, .. } => assert_eq!(neighbors, direct.neighbors),
+        other => panic!("unexpected response {other:?}"),
+    }
+    assert_eq!(engine_counter("topk_queries"), 1);
+    assert_eq!(engine_counter("quant_lanes"), lanes as u64);
+    assert_eq!(engine_counter("count"), 0, "top-k is counted apart");
     server.shutdown();
 }
 
