@@ -183,7 +183,8 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     }
 
     /// [`Self::build`] with the budget-`b` independent [`SingleIndex`]
-    /// constructions distributed over `exec.threads` scoped worker threads.
+    /// constructions split into `exec.threads` chunks of work (see
+    /// [`ExecutionConfig::threads`]).
     ///
     /// Normal sampling stays sequential (one RNG stream), so the resulting
     /// set is identical to [`Self::build`] for every thread count.
@@ -267,8 +268,8 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         ))
     }
 
-    /// [`Self::with_normals`] with index construction distributed over
-    /// `exec.threads` scoped worker threads — each normal's sort is
+    /// [`Self::with_normals`] with index construction split into
+    /// `exec.threads` chunks of work — each normal's sort is
     /// independent, so the resulting indices are identical to the serial
     /// build in content and order.
     ///
@@ -287,24 +288,16 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     {
         let normalizer = Self::validate_normals(&table, &domain, &normals)?;
         let workers = exec.threads.min(normals.len()).max(1);
-        let indices = if workers <= 1 {
-            normals
-                .into_iter()
-                .map(|c| SingleIndex::build(&table, &normalizer, c))
-                .collect::<Result<Vec<_>>>()?
-        } else {
-            let table_ref = &table;
-            let normalizer_ref = &normalizer;
-            parallel::map_chunks(&normals, workers, |_, chunk| {
-                chunk
-                    .iter()
-                    .map(|c| SingleIndex::build(table_ref, normalizer_ref, c.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect::<Result<Vec<_>>>()?
-        };
+        let (table_ref, normalizer_ref) = (&table, &normalizer);
+        let indices = parallel::map_chunks(&normals, workers, |_, chunk| {
+            chunk
+                .iter()
+                .map(|c| SingleIndex::build(table_ref, normalizer_ref, c.clone()))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect::<Result<Vec<_>>>()?;
         Ok(Self::from_built(
             table, domain, normalizer, indices, strategy,
         ))
@@ -620,11 +613,10 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         Ok(self.query_prepared(q, exec, scratch))
     }
 
-    /// Answer a batch of inequality queries, sharded across
-    /// `exec.threads` scoped worker threads (each with its own reusable
-    /// [`QueryScratch`]). Output `i` is exactly what `query(&qs[i])`
-    /// returns — same matches, same order, same stats — for every thread
-    /// count.
+    /// Answer a batch of inequality queries, split into `exec.threads`
+    /// chunks (each with its own reusable [`QueryScratch`]). Output `i` is
+    /// exactly what `query(&qs[i])` returns — same matches, same order,
+    /// same stats — for every thread count.
     ///
     /// Workers are panic-isolated: a query that panics mid-execution
     /// surfaces as [`PlanarError::Internal`] instead of aborting the whole
@@ -683,19 +675,6 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         S: Sync,
     {
         let (workers, inner) = parallel::batch_plan(exec, qs.len());
-        if workers <= 1 {
-            let mut scratch = QueryScratch::new();
-            return qs
-                .iter()
-                .map(|q| {
-                    if guard.expired() {
-                        Ok(self.deadline_placeholder_query())
-                    } else {
-                        self.query_one_isolated(q, &inner, &mut scratch)
-                    }
-                })
-                .collect();
-        }
         let per_chunk = parallel::map_chunks(qs, workers, |_, chunk| {
             let mut scratch = QueryScratch::new();
             chunk
@@ -884,9 +863,9 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         Ok(self.top_k_prepared(q, exec, scratch))
     }
 
-    /// Answer a batch of top-k queries, sharded across `exec.threads`
-    /// scoped worker threads. Output `i` is exactly what `top_k(&qs[i])`
-    /// returns, for every thread count.
+    /// Answer a batch of top-k queries, split into `exec.threads` chunks.
+    /// Output `i` is exactly what `top_k(&qs[i])` returns, for every
+    /// thread count.
     ///
     /// Workers are panic-isolated: a query that panics mid-execution
     /// surfaces as [`PlanarError::Internal`] instead of aborting the whole
@@ -939,19 +918,6 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         S: Sync,
     {
         let (workers, inner) = parallel::batch_plan(exec, qs.len());
-        if workers <= 1 {
-            let mut scratch = QueryScratch::new();
-            return qs
-                .iter()
-                .map(|q| {
-                    if guard.expired() {
-                        Ok(self.deadline_placeholder_top_k())
-                    } else {
-                        self.top_k_one_isolated(q, &inner, &mut scratch)
-                    }
-                })
-                .collect();
-        }
         let per_chunk = parallel::map_chunks(qs, workers, |_, chunk| {
             let mut scratch = QueryScratch::new();
             chunk

@@ -27,8 +27,20 @@
 //!   `(distance, id)` order makes its contents independent of arrival
 //!   order, so the ranking is identical for every thread count.
 //!
-//! Work is distributed over `std::thread::scope` — no thread pool, no extra
-//! dependencies; workers borrow the index and table immutably.
+//! ## Executor
+//!
+//! Every parallel path — the shard fan-out, multi-query batches, chunked
+//! II verification and the multi-index build — goes through one function,
+//! [`map_chunks`]. Its split into chunks, their `start` offsets and the
+//! chunk-order concatenation of their results depend on the requested
+//! worker count alone. The chunks run on at most [`cpus`] OS threads, and
+//! the calling thread is one of them: with one CPU every chunk runs in
+//! order on the caller and nothing is spawned; with more, contiguous groups
+//! of chunks go to threads spawned under `std::thread::scope` (which lets
+//! them borrow the index and table), and the caller runs the first group.
+//! There is no persistent pool — one would have to erase the borrowed
+//! closures' lifetimes — and no extra dependency. [`threads_spawned`]
+//! counts the threads spawned.
 
 use crate::quant::{BlockClass, QuantFilter, QuantFilterStats};
 use crate::query::{Cmp, InequalityQuery};
@@ -38,6 +50,7 @@ use planar_geom::{dot_cmp_block, dot_slices, BLOCK_ROWS};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Minimum candidate lanes in a block for one whole-block verification
@@ -72,6 +85,26 @@ pub(crate) fn clamp_workers(requested: usize, available: usize) -> usize {
         THREAD_CLAMP_EVENTS.fetch_add(1, Ordering::Relaxed);
     }
     clamped
+}
+
+/// Counts the OS threads [`map_chunks`] has spawned. See [`threads_spawned`].
+static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+/// How many OS threads, process-wide, the parallel engine has spawned to
+/// run chunks beside the calling thread. Monotonically increasing; it
+/// stays flat when every fan-out runs inline (one CPU, or serial configs).
+pub fn threads_spawned() -> u64 {
+    THREADS_SPAWNED.load(Ordering::Relaxed)
+}
+
+/// The CPUs this process may run on: `std::thread::available_parallelism`
+/// (which honours the affinity mask and the cgroup CPU quota), read once by
+/// the first caller and cached for the life of the process. 1 when the
+/// platform cannot tell. The parallel engine runs its chunks on at most
+/// this many OS threads.
+pub fn cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Counts queries skipped because a batch's deadline expired before they
@@ -141,7 +174,10 @@ pub(crate) fn run_isolated<T>(f: impl FnOnce() -> T) -> Result<T> {
 /// Thread-count and crossover configuration for the parallel query engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionConfig {
-    /// Number of worker threads; `1` means fully serial execution.
+    /// How many chunks parallel work is split into; `1` means fully serial
+    /// execution. The split, and so every answer, depends on this value
+    /// alone. It is also an upper bound on the OS threads a call runs on:
+    /// the chunks run on at most [`cpus`] threads, the caller among them.
     pub threads: usize,
     /// Minimum intermediate-interval size before one query's verification
     /// is chunked across threads.
@@ -183,10 +219,7 @@ impl ExecutionConfig {
     /// One thread per available CPU (falls back to serial if the platform
     /// cannot report parallelism).
     pub fn available_parallelism() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_threads(threads)
+        Self::with_threads(cpus())
     }
 
     /// Override the II crossover threshold (builder style).
@@ -202,7 +235,7 @@ impl ExecutionConfig {
         self
     }
 
-    /// True when this configuration may spawn worker threads.
+    /// True when this configuration splits work into more than one chunk.
     #[inline]
     pub fn is_parallel(&self) -> bool {
         self.threads > 1
@@ -261,10 +294,22 @@ impl QueryScratch {
 }
 
 /// Split `items` into `workers` contiguous chunks, apply `f(start, chunk)`
-/// to each chunk on its own scoped thread (`start` is the chunk's offset in
-/// `items`), and return the per-chunk results in chunk order. `workers`
-/// must be ≥ 2 and `items` non-empty.
+/// to each chunk (`start` is the chunk's offset in `items`), and return the
+/// per-chunk results in chunk order. The chunks run on at most [`cpus`] OS
+/// threads, the caller among them (see the module docs). A panic in `f`
+/// re-raises here.
 pub(crate) fn map_chunks<I, T, F>(items: &[I], workers: usize, f: F) -> Vec<T>
+where
+    I: Sync,
+    T: Send,
+    F: Fn(usize, &[I]) -> T + Sync,
+{
+    run_chunks(items, workers, cpus(), f)
+}
+
+/// [`map_chunks`] on at most `cpus` OS threads. The CPU count is an
+/// argument so tests can drive the inline and the spawned paths on any host.
+fn run_chunks<I, T, F>(items: &[I], workers: usize, cpus: usize, f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
@@ -276,20 +321,35 @@ where
         .enumerate()
         .map(|(i, chunk)| (i * chunk_len, chunk))
         .collect();
+    let threads = chunks.len().min(cpus).max(1);
+    if threads == 1 {
+        return chunks.into_iter().map(|(start, c)| f(start, c)).collect();
+    }
+    // Contiguous groups of chunks, one per thread; the caller runs group 0.
+    let per_thread = chunks.len().div_ceil(threads);
     let mut results: Vec<Option<T>> = Vec::with_capacity(chunks.len());
     results.resize_with(chunks.len(), || None);
-    let f = &f;
-    std::thread::scope(|s| {
-        for (slot, &(start, chunk)) in results.iter_mut().zip(&chunks) {
-            s.spawn(move || {
-                *slot = Some(f(start, chunk));
-            });
+    let run_group = |slots: &mut [Option<T>], group: &[(usize, &[I])]| {
+        for (slot, &(start, chunk)) in slots.iter_mut().zip(group) {
+            *slot = Some(f(start, chunk));
         }
+    };
+    let run_group = &run_group;
+    std::thread::scope(|s| {
+        let mut groups = results
+            .chunks_mut(per_thread)
+            .zip(chunks.chunks(per_thread));
+        let (first_slots, first_group) = groups.next().expect("at least one chunk");
+        for (slots, group) in groups {
+            THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+            s.spawn(move || run_group(slots, group));
+        }
+        run_group(first_slots, first_group);
     });
-    // Unreachable in practice: `thread::scope` re-raises any worker panic
-    // at the join above, so every slot is filled here. Batch callers wrap
-    // per-item work in `run_isolated`, which keeps worker panics from ever
-    // reaching the scope join.
+    // Unreachable in practice: a panic on the caller, or in a spawned
+    // thread at the scope join, re-raises above, so every slot is filled
+    // here. Batch callers wrap per-item work in `run_isolated`, which keeps
+    // query panics from ever reaching this function.
     results
         .into_iter()
         .map(|r| r.expect("scope join guarantees completion"))
@@ -519,7 +579,8 @@ mod tests {
             DEFAULT_PARALLEL_VERIFY_THRESHOLD
         );
         assert_eq!(ExecutionConfig::with_threads(0).threads, 1);
-        assert!(ExecutionConfig::available_parallelism().threads >= 1);
+        assert!(cpus() >= 1);
+        assert_eq!(ExecutionConfig::available_parallelism().threads, cpus());
         assert_eq!(
             ExecutionConfig::serial()
                 .verify_threshold(0)
@@ -667,6 +728,53 @@ mod tests {
         });
         let flat: Vec<u32> = parts.into_iter().flatten().collect();
         assert_eq!(flat, items);
+    }
+
+    #[test]
+    fn executor_matches_the_serial_map_for_every_cpu_count() {
+        let items: Vec<u32> = (0..23).collect();
+        let caller = std::thread::current().id();
+        for workers in [1, 2, 3, 5, 8] {
+            let chunk_len = items.len().div_ceil(workers);
+            let serial: Vec<(usize, Vec<u32>)> = items
+                .chunks(chunk_len)
+                .enumerate()
+                .map(|(i, c)| (i * chunk_len, c.to_vec()))
+                .collect();
+            for cpus in [1, 2, 3, 16] {
+                let parts = run_chunks(&items, workers, cpus, |start, c| {
+                    (start, c.to_vec(), std::thread::current().id())
+                });
+                let got: Vec<(usize, Vec<u32>)> =
+                    parts.iter().map(|(s, c, _)| (*s, c.clone())).collect();
+                assert_eq!(got, serial, "workers={workers} cpus={cpus}");
+                // The caller runs the first chunk, and the chunks run on at
+                // most `cpus` threads.
+                assert_eq!(parts[0].2, caller, "workers={workers} cpus={cpus}");
+                let mut ids: Vec<_> = parts.iter().map(|p| p.2).collect();
+                ids.dedup();
+                assert!(ids.len() <= cpus.min(serial.len()), "{workers} {cpus}");
+                if cpus == 1 {
+                    assert_eq!(ids, vec![caller], "one CPU runs every chunk inline");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_panics_reach_the_caller_inline_and_spawned() {
+        let items: Vec<u32> = (0..8).collect();
+        // (cpus, poisoned chunk start): every chunk inline; the caller's own
+        // chunk beside spawned ones; a chunk on a spawned thread.
+        for (cpus, poisoned) in [(1, 4), (2, 0), (2, 4), (4, 6)] {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                run_chunks(&items, 4, cpus, |start, c| {
+                    assert_ne!(start, poisoned, "poisoned chunk");
+                    c.len()
+                })
+            }));
+            assert!(caught.is_err(), "cpus={cpus} poisoned={poisoned}");
+        }
     }
 
     #[test]

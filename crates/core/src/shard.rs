@@ -801,9 +801,6 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         F: Fn(&PlanarIndexSet<S>, &ExecutionConfig) -> R + Sync,
     {
         let (workers, inner) = parallel::shard_plan(exec, self.shards.len());
-        if workers <= 1 {
-            return self.shards.iter().map(|sh| f(sh, &inner)).collect();
-        }
         let shard_refs: Vec<&PlanarIndexSet<S>> = self.shards.iter().collect();
         parallel::map_chunks(&shard_refs, workers, |_, chunk| {
             chunk.iter().map(|sh| f(sh, &inner)).collect::<Vec<_>>()
@@ -1158,7 +1155,7 @@ mod tests {
             })
             .collect();
         let want: Vec<ShardedQueryOutcome> = qs.iter().map(|q| sharded.query(q).unwrap()).collect();
-        for threads in [1, 2, 5] {
+        for threads in [1, 2, 3, 4, 5, 8] {
             let exec = ExecutionConfig::with_threads(threads);
             let got = sharded.query_batch(&qs, &exec).unwrap();
             assert_eq!(got, want, "threads={threads}");
@@ -1169,7 +1166,7 @@ mod tests {
             .collect();
         let want_tk: Vec<ShardedTopKOutcome> =
             tqs.iter().map(|q| sharded.top_k(q).unwrap()).collect();
-        for threads in [1, 2, 5] {
+        for threads in [1, 2, 3, 4, 5, 8] {
             let exec = ExecutionConfig::with_threads(threads);
             let got = sharded.top_k_batch(&tqs, &exec).unwrap();
             assert_eq!(got, want_tk, "threads={threads}");

@@ -8,7 +8,7 @@
 //! coalescing, queue depth, latency percentiles) and the engine
 //! (pruning, WAL, epochs, replication).
 
-use planar_core::JsonObject;
+use planar_core::{parallel, JsonObject};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -131,7 +131,10 @@ impl ServerMetrics {
         Self::default()
     }
 
-    /// Render the server-side block of the metrics document.
+    /// Render the server-side block of the metrics document. Besides the
+    /// serving counters it carries `engine_cpus` (the OS threads a fan-out
+    /// may run on) and `engine_threads_spawned` (process-wide; flat when
+    /// every fan-out ran inline on the calling thread).
     pub fn to_json(&self) -> String {
         let load = Ordering::Relaxed;
         JsonObject::new()
@@ -160,6 +163,8 @@ impl ServerMetrics {
             .field_u64("ship_disconnects", self.ship_disconnects.load(load))
             .field_u64("http_recycled", self.http_recycled.load(load))
             .field_u64("http_idle_closed", self.http_idle_closed.load(load))
+            .field_u64("engine_cpus", parallel::cpus() as u64)
+            .field_u64("engine_threads_spawned", parallel::threads_spawned())
             .field_raw("query_latency", &self.query_latency.to_json())
             .field_raw("topk_latency", &self.topk_latency.to_json())
             .finish()
@@ -204,5 +209,7 @@ mod tests {
         assert!(json.contains("\"accepted\":10"));
         assert!(json.contains("\"mean_batch\":5"));
         assert!(json.contains("\"query_latency\":{"));
+        assert!(json.contains(&format!("\"engine_cpus\":{}", parallel::cpus())));
+        assert!(json.contains("\"engine_threads_spawned\":"));
     }
 }

@@ -475,6 +475,40 @@ fn top_k_requests_reach_the_metrics_quant_counters() {
 }
 
 #[test]
+fn metrics_report_the_engine_cpus_and_spawned_threads() {
+    let eng = engine(2000);
+    let cfg = ServeConfig {
+        exec: ExecutionConfig::with_threads(2),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(eng, cfg).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let server_counter = |client: &mut Client, key: &str| {
+        let json = client.metrics().unwrap();
+        Json::parse(&json)
+            .unwrap()
+            .get("server")
+            .and_then(|s| s.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("server.{key} missing"))
+    };
+    assert!(server_counter(&mut client, "engine_cpus") >= 1);
+    // Process-wide and shared with every other test in this binary, so
+    // only its direction is asserted, never a delta.
+    let mut spawned = server_counter(&mut client, "engine_threads_spawned");
+    for b in [4.0, 7.5, 11.0, 20.0] {
+        assert!(matches!(
+            client.query(&[1.0, 1.5], Cmp::Leq, b).unwrap(),
+            Response::Matches { .. }
+        ));
+        let now = server_counter(&mut client, "engine_threads_spawned");
+        assert!(now >= spawned, "the spawn counter went {spawned} → {now}");
+        spawned = now;
+    }
+    server.shutdown();
+}
+
+#[test]
 fn http_quota_maps_to_429_with_retry_after() {
     let eng = engine(100);
     let cfg = ServeConfig {

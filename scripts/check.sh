@@ -17,6 +17,14 @@ echo "== fault suite (injection + durability + WAL crash proptests) =="
 cargo test -p planar-core -q --features fault-injection \
   --test fault_injection --test durability_proptests --test wal_crash_proptests
 
+echo "== one-CPU leg (every fan-out runs inline on the caller: parallel ≡ sharded ≡ serial, panic isolation) =="
+if command -v taskset >/dev/null 2>&1; then
+  taskset -c 0 cargo test -p planar-core -q --features fault-injection \
+    --test parallel_proptests --test shard_proptests --test fault_injection
+else
+  echo "   taskset not installed; skipping the one-CPU leg"
+fi
+
 echo "== concurrency suite (snapshot isolation + group-commit crash sweep) =="
 cargo test -p planar-core -q --test concurrent_proptests
 
