@@ -259,6 +259,13 @@ fn replication_report() {
         num(&doc, "catch_up.total_ms"),
         num(&doc, "catch_up.snapshot_install_ms") + num(&doc, "catch_up.frames_ms")
     );
+    // Deterministic counters: every backlog record applies exactly once,
+    // after exactly one seed.
+    assert_eq!(
+        num(&doc, "catch_up.frames_applied"),
+        num(&doc, "catch_up.backlog_records")
+    );
+    assert_eq!(num(&doc, "catch_up.snapshots_installed"), 1.0);
     let f = at(&doc, "failover");
     assert_eq!(
         num(f, "total_unavailability_ms"),

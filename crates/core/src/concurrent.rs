@@ -56,20 +56,22 @@
 //! assert!(snap.query(&q).is_ok());
 //! ```
 
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
-use crate::persist::ShardedRecoveryReport;
+use crate::fault::StdIo;
+use crate::persist::{atomic_save, SaveOptions, ShardedRecoveryReport};
 use crate::quant::{QuantAutotuneConfig, QuantPolicy};
 use crate::shard::ShardedIndexSet;
 use crate::store::{KeyStore, VecStore};
 use crate::table::PointId;
 use crate::wal::{
     enqueue_all, ensure_fresh_dir, read_manifest, shard_wal_dir, snapshot_path, sweep_snapshots,
-    validate_row, write_manifest, FsyncPolicy, GroupCommitQueue, GroupCommitStats, Lsn, Manifest,
-    Mutation, MutationAck, QuorumGate, WalHealth, WalOptions, WalRecord, WalWriter,
+    validate_row, walerr, write_manifest, FsyncPolicy, GroupCommitQueue, GroupCommitStats, Lsn,
+    Manifest, Mutation, MutationAck, QuorumGate, WalHealth, WalOptions, WalRecord, WalWriter,
 };
 use crate::{PlanarError, Result};
 
@@ -313,13 +315,6 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
         }
     }
 
-    /// Change the publish cadence (failover promotion hands a replica's
-    /// engine to a primary with the primary's cadence).
-    pub(crate) fn with_config(mut self, cfg: ConcurrencyConfig) -> Self {
-        self.publish_every = cfg.publish_every.max(1);
-        self
-    }
-
     fn lock_writer(&self) -> MutexGuard<'_, Staged<S>> {
         self.writer.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -419,7 +414,7 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
             let routed = route_batch(set, muts)?;
             routed
                 .iter()
-                .map(|(_, rec)| apply_record(set, rec))
+                .map(|(shard, rec)| apply_routed(set, *shard, 0, rec))
                 .collect()
         })
     }
@@ -473,28 +468,6 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
     /// Epoch bookkeeping (publish count, grace-period population).
     pub fn epoch_stats(&self) -> EpochStats {
         self.cell.stats()
-    }
-
-    /// Replication apply path: replay a contiguous batch of shipped WAL
-    /// records into the staged set through the same `replay_record` logic
-    /// recovery uses (divergence checks included), then publish **once**
-    /// for the whole batch — per-record copy-on-publish would cap replica
-    /// catch-up far below the cold-replay rate.
-    ///
-    /// # Errors
-    ///
-    /// [`PlanarError::Persist`] on replay divergence (e.g. an insert id
-    /// already assigned): the staged copy may be mid-batch, so the caller
-    /// must treat the replica as diverged and stop applying.
-    pub(crate) fn replay_replicated(&self, frames: &[(usize, Lsn, WalRecord)]) -> Result<()> {
-        if frames.is_empty() {
-            return Ok(());
-        }
-        self.write(Publish::Now, |set| {
-            frames
-                .iter()
-                .try_for_each(|(shard, lsn, rec)| set.replay_record(*shard, *lsn, rec))
-        })
     }
 }
 
@@ -557,40 +530,30 @@ fn route_batch<S: KeyStore + Clone>(
     Ok(routed)
 }
 
-/// Apply one pre-validated point mutation to the staged set. A failure
-/// here means validation and apply disagree — an internal error, never a
-/// user error.
-fn apply_record<S: KeyStore + Clone>(
+/// Apply one routed point mutation to the staged set with the function
+/// recovery and replicas use ([`ShardedIndexSet::replay_record`]; `lsn`
+/// only labels a divergence, 0 when nothing is logged) and acknowledge
+/// it. Routing assigned the id and validated the mutation, so a failure
+/// here is an internal error, never a user error.
+fn apply_routed<S: KeyStore + Clone>(
     set: &mut ShardedIndexSet<S>,
+    shard: usize,
+    lsn: Lsn,
     rec: &WalRecord,
 ) -> Result<MutationAck> {
-    let internal = |e: PlanarError| {
-        PlanarError::Internal(format!(
-            "pre-validated mutation failed to apply to the staged copy: {e}"
-        ))
+    let ack = match rec {
+        WalRecord::Insert { id, .. } => MutationAck::Inserted(*id),
+        WalRecord::Update { .. } => MutationAck::Updated,
+        WalRecord::Delete { .. } => MutationAck::Deleted,
+        _ => {
+            return Err(PlanarError::Internal(
+                "only point mutations are routed".into(),
+            ))
+        }
     };
-    match rec {
-        WalRecord::Insert { id, row } => {
-            let got = set.insert_point(row).map_err(internal)?;
-            if got != *id {
-                return Err(PlanarError::Internal(format!(
-                    "staged insert assigned global id {got}, routing predicted {id}"
-                )));
-            }
-            Ok(MutationAck::Inserted(got))
-        }
-        WalRecord::Update { id, row } => {
-            set.update_point(*id, row).map_err(internal)?;
-            Ok(MutationAck::Updated)
-        }
-        WalRecord::Delete { id } => {
-            set.delete_point(*id).map_err(internal)?;
-            Ok(MutationAck::Deleted)
-        }
-        _ => Err(PlanarError::Internal(
-            "only point mutations are batch-applied".into(),
-        )),
-    }
+    set.replay_record(shard, lsn, rec)
+        .map_err(|e| PlanarError::Internal(format!("routed mutation failed to apply: {e}")))?;
+    Ok(ack)
 }
 
 // ---------------------------------------------------------------------------
@@ -617,7 +580,8 @@ struct LogState {
 /// (independent fsync leaders); mutations hitting the same shard share
 /// commit groups. The global LSN order is assigned under the engine's one
 /// writer mutex, so recovery's cross-shard replay order is exactly the
-/// acknowledged order.
+/// acknowledged order. A replica (`crate::replicate`) is this same
+/// engine, fed shipped records at the LSNs its primary assigned.
 ///
 /// On disk: `CHECKPOINT` (the manifest), `snapshot-N.plnr` (the
 /// `PLNRSHD1` snapshot of generation N), and `wal/shard-NNNN/` (each
@@ -653,23 +617,65 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
         let dir = dir.as_ref();
         ensure_fresh_dir(dir)?;
         set.save_to(snapshot_path(dir, 1))?;
-        write_manifest(
-            dir,
-            Manifest {
-                generation: 1,
-                watermark: 0,
-                term: 0,
-            },
-        )?;
+        let m = Manifest {
+            generation: 1,
+            watermark: 0,
+            term: 0,
+        };
+        Self::lay_out(dir, set, m, opts, cfg)
+    }
+
+    /// Replication seed: install `bytes`, the primary's checkpoint image
+    /// that the caller has already decoded into `set`, as snapshot
+    /// generation `m.generation` of `dir`, and lay the directory out
+    /// around it. A replica's durable engine starts here.
+    pub(crate) fn seed(
+        dir: &Path,
+        set: ShardedIndexSet<S>,
+        bytes: &[u8],
+        m: Manifest,
+        opts: WalOptions,
+    ) -> Result<Self> {
+        fs::create_dir_all(dir).map_err(|e| walerr(format!("create durable dir: {e}")))?;
+        let path = snapshot_path(dir, m.generation);
+        atomic_save(bytes, &path, &mut StdIo, &SaveOptions::default())?;
+        Self::lay_out(dir, set, m, opts, ConcurrencyConfig::default())
+    }
+
+    /// The one durable directory layout around a snapshot already on
+    /// disk: publish the manifest `m`, start every shard log empty at
+    /// `m.watermark + 1` under `m.term` (dropping any older log), sweep
+    /// superseded snapshot generations, and wrap `set` for concurrent
+    /// serving.
+    fn lay_out(
+        dir: &Path,
+        set: ShardedIndexSet<S>,
+        m: Manifest,
+        opts: WalOptions,
+        cfg: ConcurrencyConfig,
+    ) -> Result<Self> {
+        write_manifest(dir, m)?;
         let wals = (0..set.num_shards())
-            .map(|shard| WalWriter::open_repair(&shard_wal_dir(dir, shard), opts).map(|(w, _)| w))
+            .map(|shard| {
+                let wal_dir = shard_wal_dir(dir, shard);
+                if wal_dir.exists() {
+                    fs::remove_dir_all(&wal_dir)
+                        .map_err(|e| walerr(format!("reset shard log: {e}")))?;
+                }
+                let (mut wal, _) = WalWriter::open_repair(&wal_dir, opts)?;
+                wal.set_term(m.term);
+                wal.truncate_all(m.watermark + 1)?;
+                Ok(wal)
+            })
             .collect::<Result<Vec<_>>>()?;
+        sweep_snapshots(dir, m.generation);
         Ok(Self::assemble(
-            ConcurrentShardedIndexSet::new(set, cfg),
+            set,
+            cfg,
             wals,
-            dir.to_path_buf(),
-            1,
-            1,
+            dir,
+            m.generation,
+            m.watermark + 1,
         ))
     }
 
@@ -716,25 +722,18 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
         }
         report.shard_watermarks = watermarks;
         sweep_snapshots(dir, m.generation);
-        let durable = Self::assemble(
-            ConcurrentShardedIndexSet::new(set, cfg),
-            wals,
-            dir.to_path_buf(),
-            m.generation,
-            max_lsn + 1,
-        );
+        let durable = Self::assemble(set, cfg, wals, dir, m.generation, max_lsn + 1);
         Ok((durable, report))
     }
 
-    /// Put an engine and its shard logs together. The caller guarantees
-    /// they agree: the engine's state is exactly the replay of `wals` over
-    /// snapshot `generation` in `dir`, and `next_lsn` is above every
-    /// logged LSN. Failover promotion uses this to turn a replica's
-    /// mirrored logs and applied engine into a writable primary.
-    pub(crate) fn assemble(
-        engine: ConcurrentShardedIndexSet<S>,
+    /// Put a set and its shard logs together. The caller guarantees they
+    /// agree: `set` is exactly the replay of `wals` over snapshot
+    /// `generation` in `dir`, and `next_lsn` is above every logged LSN.
+    fn assemble(
+        set: ShardedIndexSet<S>,
+        cfg: ConcurrencyConfig,
         wals: Vec<WalWriter>,
-        dir: PathBuf,
+        dir: &Path,
         generation: u64,
         next_lsn: Lsn,
     ) -> Self {
@@ -743,46 +742,124 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
             .map(|w| w.options().fsync)
             .unwrap_or(FsyncPolicy::Always);
         Self {
-            engine,
+            engine: ConcurrentShardedIndexSet::new(set, cfg),
             log: Mutex::new(LogState {
                 next_lsn,
                 generation,
             }),
             queues: wals.into_iter().map(GroupCommitQueue::new).collect(),
-            dir,
+            dir: dir.to_path_buf(),
             fsync,
         }
+    }
+
+    /// Change the publish cadence (promotion gives a replica's engine the
+    /// primary's cadence).
+    pub(crate) fn with_config(mut self, cfg: ConcurrencyConfig) -> Self {
+        self.engine.publish_every = cfg.publish_every.max(1);
+        self
     }
 
     fn lock_log(&self) -> MutexGuard<'_, LogState> {
         self.log.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Log `count` consecutive LSNs, starting at the next free one, with
-    /// the `(shard, lsn, record)` entries `entries` builds from that first
-    /// LSN. The enqueue is all-or-nothing across shards, and `next_lsn`
-    /// advances only when it succeeds, so no queue ever holds a record the
-    /// staged set does not apply. Called inside the engine's writer
-    /// closure. Returns the first LSN.
+    /// Log the `(shard, lsn, record)` entries `entries` builds from the
+    /// next free LSN; the next free LSN then follows the last entry. The
+    /// enqueue is all-or-nothing across shards, and the LSN advances only
+    /// when it succeeds, so no queue ever holds a record the staged set
+    /// does not apply. Called inside the engine's writer closure. Returns
+    /// the first LSN.
     fn log(
         &self,
-        count: Lsn,
-        entries: impl FnOnce(Lsn) -> Vec<(usize, Lsn, WalRecord)>,
+        entries: impl FnOnce(Lsn) -> Result<Vec<(usize, Lsn, WalRecord)>>,
     ) -> Result<Lsn> {
         let mut log = self.lock_log();
         let first = log.next_lsn;
-        enqueue_all(&self.queues, entries(first))?;
-        log.next_lsn = first + count;
+        let entries = entries(first)?;
+        if let Some(&(_, last, _)) = entries.last() {
+            enqueue_all(&self.queues, entries)?;
+            log.next_lsn = last + 1;
+        }
         Ok(first)
     }
 
     /// Log one record on every shard at a single shared LSN (compaction
     /// and checkpoint markers: each shard's replay acts on its own part).
     fn log_everywhere(&self, rec: impl Fn(Lsn) -> WalRecord) -> Result<Lsn> {
-        self.log(1, |lsn| {
-            (0..self.queues.len())
+        self.log(|lsn| {
+            Ok((0..self.queues.len())
                 .map(|shard| (shard, lsn, rec(lsn)))
-                .collect()
+                .collect())
+        })
+    }
+
+    /// Replication apply: log shipped `(shard, lsn, record)` entries at
+    /// the LSNs the primary assigned, broadcast records already expanded
+    /// to one entry per shard, through the shard commit queues; fsync
+    /// each touched shard once; replay them with
+    /// [`ShardedIndexSet::replay_record`]; publish one epoch. The entries
+    /// must continue the log: LSNs ascend by one from the next free LSN,
+    /// and only the copies of a broadcast record share one.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanarError::Persist`] if the entries do not continue the log or
+    /// an append/fsync fails (nothing is applied), or on replay
+    /// divergence (the staged copy may be mid-batch). A replica treats
+    /// each as divergence and stops applying.
+    pub(crate) fn apply_shipped(&self, entries: &[(usize, Lsn, WalRecord)]) -> Result<()> {
+        if entries.is_empty() {
+            return Ok(());
+        }
+        self.engine.write(Publish::Now, |set| {
+            self.log(|next| {
+                let mut prev = next - 1;
+                for (i, &(shard, lsn, _)) in entries.iter().enumerate() {
+                    let broadcast_copy = i > 0 && lsn == prev;
+                    if shard >= self.queues.len() || (lsn != prev + 1 && !broadcast_copy) {
+                        return Err(walerr(format!(
+                            "shipped lsn {lsn} on shard {shard} does not continue the log at {}",
+                            prev + 1
+                        )));
+                    }
+                    prev = lsn;
+                }
+                Ok(entries.to_vec())
+            })?;
+            let mut touched = vec![false; self.queues.len()];
+            for &(shard, ..) in entries {
+                touched[shard] = true;
+            }
+            for (queue, _) in self.queues.iter().zip(touched).filter(|(_, t)| *t) {
+                queue.flush(true)?;
+            }
+            entries
+                .iter()
+                .try_for_each(|(shard, lsn, rec)| set.replay_record(*shard, *lsn, rec))
+        })
+    }
+
+    /// Raise the replication term to `term` on every shard writer (the
+    /// segments it creates from now on carry it) and in the manifest, the
+    /// authoritative copy. A replica adopts a newer primary's term through
+    /// this, and promotion bumps it.
+    pub(crate) fn raise_term(&self, term: u64) -> Result<()> {
+        self.engine.write(Publish::Cadence(0), |_| {
+            for queue in &self.queues {
+                queue.with_writer(|wal| {
+                    wal.set_term(term);
+                    Ok(())
+                })?;
+            }
+            let m = read_manifest(&self.dir)?;
+            write_manifest(
+                &self.dir,
+                Manifest {
+                    term: m.term.max(term),
+                    ..m
+                },
+            )
         })
     }
 
@@ -834,12 +911,12 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
     fn commit(&self, when: Publish, muts: &[Mutation]) -> Result<Vec<MutationAck>> {
         let (acks, last) = self.engine.write(when, |set| {
             let routed = route_batch(set, muts)?;
-            let first = self.log(routed.len() as Lsn, |first| {
-                routed
+            let first = self.log(|first| {
+                Ok(routed
                     .iter()
                     .zip(first..)
                     .map(|((shard, rec), lsn)| (*shard, lsn, rec.clone()))
-                    .collect()
+                    .collect())
             })?;
             let mut last: Vec<Option<Lsn>> = vec![None; self.queues.len()];
             for ((shard, _), lsn) in routed.iter().zip(first..) {
@@ -847,7 +924,8 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
             }
             let acks = routed
                 .iter()
-                .map(|(_, rec)| apply_record(set, rec))
+                .zip(first..)
+                .map(|((shard, rec), lsn)| apply_routed(set, *shard, lsn, rec))
                 .collect::<Result<Vec<_>>>()?;
             Ok((acks, last))
         })?;

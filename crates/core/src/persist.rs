@@ -290,15 +290,6 @@ pub(crate) fn atomic_save(
     )))
 }
 
-/// Replication bootstrap: atomically install already-serialized snapshot
-/// bytes at `path`. The replica received the image over the wire and has
-/// no in-memory set to serialize, so this is [`atomic_save`] on raw bytes;
-/// callers validate the image (e.g. `ShardedIndexSet::from_bytes`)
-/// *before* installing so a corrupt ship never lands on disk.
-pub(crate) fn install_snapshot_bytes(path: &Path, bytes: &[u8], opts: &SaveOptions) -> Result<()> {
-    atomic_save(bytes, path, &mut crate::fault::StdIo, opts)
-}
-
 /// The CRC-protected core section, parsed.
 struct CoreParts {
     table: FeatureTable,

@@ -6,11 +6,13 @@
 //! A [`Primary`] wraps a [`ConcurrentDurableShardedIndexSet`] and tails
 //! its own segment files with one cursor per attached replica; a
 //! [`Replica`] bootstraps by installing the primary's latest checkpoint
-//! snapshot, then replays shipped frames through the same
-//! `replay_record` path crash recovery uses — divergence checks
-//! included — into a [`ConcurrentShardedIndexSet`], publishing an epoch
-//! per applied batch and mirroring every frame into its **own** WAL so
-//! it can be promoted.
+//! snapshot as its own [`ConcurrentDurableShardedIndexSet`], then feeds
+//! shipped frames to that engine: they are logged through its shard
+//! group-commit queues at the LSNs the primary assigned and applied by
+//! the same `replay_record` a primary's live writes and crash recovery
+//! use — divergence checks included — one epoch per applied batch. A
+//! replica's directory is therefore an ordinary durable directory, and
+//! promotion is a term bump on the engine it already holds.
 //!
 //! ## Protocol
 //!
@@ -21,7 +23,8 @@
 //! 1. **Seed** — on attach (and whenever a link falls off the retained
 //!    log) the primary ships `Snapshot { term, generation, watermark,
 //!    bytes }`; the replica validates the image *before* installing it
-//!    atomically, lays out fresh per-shard WALs at `watermark + 1`, and
+//!    atomically, lays out the durable directory around it (manifest,
+//!    empty shard logs at `watermark + 1`, older generations swept), and
 //!    acks `watermark`.
 //! 2. **Tail** — the primary polls a per-link segment cursor
 //!    (`WalTailer`) and ships complete frames as `Frames { term,
@@ -29,10 +32,12 @@
 //!    frame CRCs travel end-to-end and detect in-flight corruption.
 //! 3. **Apply** — the replica stages frames by LSN (a bounded reorder
 //!    buffer absorbs out-of-order delivery, duplicates are dropped by
-//!    LSN), mirrors each contiguous run into its own WAL
-//!    (log-then-apply, one fsync per batch), replays it into the staged
-//!    set, and publishes **once per batch** — per-record publishing
-//!    would cap catch-up far below the cold-replay rate.
+//!    LSN), logs each contiguous run through its engine's shard commit
+//!    queues (log-then-apply, one fsync per touched shard per batch),
+//!    replays it into the staged set, and publishes **once per batch** —
+//!    per-record publishing would cap catch-up far below the cold-replay
+//!    rate. A failed append or fsync, like a replay divergence check,
+//!    stops the replica loudly.
 //! 4. **Heal** — transport sends retry under capped exponential backoff
 //!    with deterministic jitter ([`crate::backoff::Backoff`]); a link
 //!    that stops making ack progress is rewound to its acked LSN
@@ -63,10 +68,10 @@
 //! The primary heartbeats `{ term, appended, acked }` on every link;
 //! a replica whose lease (`FailoverConfig::lease_ms`) expires without
 //! one reports `primary_alive == false`. [`elect`] picks the replica
-//! with the highest **acked** (mirrored-and-fsynced) LSN — ties break to
+//! with the highest **acked** (logged-and-fsynced) LSN — ties break to
 //! the lowest index — and [`Replica::promote`] turns it into a new
 //! [`Primary`] under `term + 1`: acked-on-the-old-primary mutations are
-//! on the promoted replica's disk by construction (`acked ⇒ mirrored +
+//! on the promoted replica's disk by construction (`acked ⇒ logged +
 //! fsynced`), which the failover proptests sweep at every kill point.
 //!
 //! ## Wire format
@@ -97,16 +102,12 @@ use std::time::{Duration, Instant};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::backoff::Backoff;
-use crate::concurrent::{
-    ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet, Snapshot,
-};
-use crate::persist::{install_snapshot_bytes, SaveOptions};
+use crate::concurrent::{ConcurrencyConfig, ConcurrentDurableShardedIndexSet, Snapshot};
 use crate::shard::ShardedIndexSet;
 use crate::store::{KeyStore, VecStore};
 use crate::wal::{
-    init_shard_wals, parse_frame, read_manifest, shard_wal_dir, snapshot_path, wal_root,
-    write_manifest, Lsn, Manifest, Mutation, MutationAck, QuorumGate, TailedFrame, WalOptions,
-    WalRecord, WalTailer, WalWriter,
+    parse_frame, read_manifest, shard_wal_dir, snapshot_path, Lsn, Manifest, Mutation, MutationAck,
+    QuorumGate, TailedFrame, WalOptions, WalRecord, WalTailer,
 };
 use crate::{PlanarError, Result};
 
@@ -702,7 +703,7 @@ enum ShipMessage {
         appended: Lsn,
         acked: Lsn,
     },
-    /// Replica progress: `acked` is mirrored-and-fsynced, `applied` is
+    /// Replica progress: `acked` is logged-and-fsynced, `applied` is
     /// queryable.
     Ack {
         term: u64,
@@ -712,7 +713,7 @@ enum ShipMessage {
     },
     /// Fencing: the sender holds `term` and refuses lower-term traffic.
     Reject { term: u64 },
-    /// Replica attach/re-attach announcement: "I have mirrored and
+    /// Replica attach/re-attach announcement: "I have logged and
     /// fsynced up to `acked`; resume me there or re-seed me." Sent on
     /// first contact and after every transport reconnect.
     Hello { term: u64, replica: u32, acked: Lsn },
@@ -1029,7 +1030,7 @@ pub enum AckPolicy {
     #[default]
     Async,
     /// The group-commit acknowledgement of a write is additionally held
-    /// until at least `n` replicas confirm (mirror + fsync) the covering
+    /// until at least `n` replicas confirm (log + fsync) the covering
     /// LSN, or fails typed with [`PlanarError::QuorumTimeout`] after
     /// [`FailoverConfig::quorum_timeout_ms`]. Gating applies to the
     /// `FsyncPolicy::Always` acknowledgement path and to
@@ -1093,7 +1094,7 @@ pub struct ReplicationHealth {
 pub struct ReplicaHealth {
     /// Link id assigned by [`Primary::add_replica`].
     pub id: u32,
-    /// Highest LSN the replica has mirrored and fsynced.
+    /// Highest LSN the replica has logged and fsynced.
     pub acked_lsn: Lsn,
     /// Highest LSN the replica serves reads at.
     pub applied_lsn: Lsn,
@@ -1181,11 +1182,10 @@ impl<S: KeyStore + Clone> Primary<S> {
         }
     }
 
-    /// The underlying store: mutations, reads, and stats go through it
-    /// directly. Checkpoint through [`Primary::checkpoint`], not
-    /// `store().checkpoint()` — the latter truncates segments under the
-    /// link cursors, which heals (automatic re-seed) but costs every
-    /// lagging replica a snapshot reinstall.
+    /// The underlying store: mutations, reads, checkpoints, and stats go
+    /// through it directly. A checkpoint that truncates segments a link
+    /// still needs costs that replica a re-seed: its cursor's next poll
+    /// reports the gap and [`Primary::pump`] ships a fresh snapshot.
     pub fn store(&self) -> &ConcurrentDurableShardedIndexSet<S> {
         &self.store
     }
@@ -1340,26 +1340,6 @@ impl<S: KeyStore + Clone> Primary<S> {
             awaiting_hello: pending,
         });
         id
-    }
-
-    /// Checkpoint the store and rebase every link cursor past the
-    /// truncation point. Links that had not shipped up to the watermark
-    /// re-seed automatically (their history is gone).
-    ///
-    /// # Errors
-    ///
-    /// See [`ConcurrentDurableShardedIndexSet::checkpoint`].
-    pub fn checkpoint(&mut self) -> Result<Lsn> {
-        let watermark = self.store.checkpoint()?;
-        for link in &mut self.links {
-            if link.tailer.next_lsn > watermark {
-                // Already past the truncation point; segments it still
-                // needs were recreated at watermark + 1.
-                continue;
-            }
-            link.needs_seed = true;
-        }
-        Ok(watermark)
     }
 
     /// Current term (highest across the shard WAL writers).
@@ -1673,24 +1653,13 @@ pub struct FollowerRead<S: KeyStore + Clone = VecStore> {
 // Replica
 // ---------------------------------------------------------------------------
 
-struct ReplicaState<S: KeyStore + Clone> {
-    set: ConcurrentShardedIndexSet<S>,
-    wals: Vec<WalWriter>,
-}
-
-impl<S: KeyStore + Clone> std::fmt::Debug for ReplicaState<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplicaState")
-            .field("wals", &self.wals.len())
-            .finish_non_exhaustive()
-    }
-}
-
 /// The read side of a replication link: installs the primary's snapshot,
-/// tails its WAL, mirrors every frame into its own durable directory,
-/// and serves [`FollowerRead`]s with explicit staleness contracts. Can
-/// be [promoted](Replica::promote) to a [`Primary`] after the old
-/// primary dies.
+/// then logs and applies every shipped frame through its own
+/// [`ConcurrentDurableShardedIndexSet`] — the same engine, logs and
+/// replay function a primary and crash recovery use — and serves
+/// [`FollowerRead`]s with explicit staleness contracts. Can be
+/// [promoted](Replica::promote) to a [`Primary`] after the old primary
+/// dies.
 #[derive(Debug)]
 pub struct Replica<S: KeyStore + Clone = VecStore> {
     dir: PathBuf,
@@ -1699,13 +1668,10 @@ pub struct Replica<S: KeyStore + Clone = VecStore> {
     up: Box<dyn Transport>,
     opts: WalOptions,
     cfg: FailoverConfig,
-    state: Option<ReplicaState<S>>,
+    store: Option<ConcurrentDurableShardedIndexSet<S>>,
     reorder: BTreeMap<Lsn, (u32, Vec<u8>)>,
     term: u64,
-    generation: u64,
-    snapshot_watermark: Lsn,
     applied: Lsn,
-    acked: Lsn,
     hb_appended: Lsn,
     hb_at_ms: Option<u64>,
     diverged: Option<String>,
@@ -1717,7 +1683,7 @@ pub struct Replica<S: KeyStore + Clone = VecStore> {
 }
 
 impl<S: KeyStore + Clone> Replica<S> {
-    /// A replica that will keep its durable mirror in `dir` (created on
+    /// A replica that will keep its durable engine in `dir` (laid out on
     /// snapshot install) and speak to the primary over `down`/`up`.
     /// `id` must be unique within the replication group.
     pub fn new(
@@ -1735,13 +1701,10 @@ impl<S: KeyStore + Clone> Replica<S> {
             up,
             opts,
             cfg,
-            state: None,
+            store: None,
             reorder: BTreeMap::new(),
             term: 0,
-            generation: 0,
-            snapshot_watermark: 0,
             applied: 0,
-            acked: 0,
             hb_appended: 0,
             hb_at_ms: None,
             diverged: None,
@@ -1753,7 +1716,7 @@ impl<S: KeyStore + Clone> Replica<S> {
     /// Replace this replica's transports — the reconnect path for
     /// network links whose connection object cannot heal in place (e.g.
     /// a fresh server-side ship connection after a failover promotion).
-    /// All replication state (applied/acked watermarks, mirror, term) is
+    /// All replication state (applied watermark, durable engine, term) is
     /// kept; the next [`Replica::poll`] re-announces with `Hello` so the
     /// new primary resumes or re-seeds as needed.
     pub fn rewire(&mut self, down: Box<dyn Transport>, up: Box<dyn Transport>) {
@@ -1764,7 +1727,7 @@ impl<S: KeyStore + Clone> Replica<S> {
 
     /// True once a snapshot has been installed and reads can be served.
     pub fn is_seeded(&self) -> bool {
-        self.state.is_some()
+        self.store.is_some()
     }
 
     /// Highest LSN applied to the queryable set.
@@ -1772,11 +1735,12 @@ impl<S: KeyStore + Clone> Replica<S> {
         self.applied
     }
 
-    /// Highest LSN mirrored into this replica's own WAL **and** fsynced
-    /// — what this replica can guarantee after promotion, and what
-    /// [`elect`] ranks by.
+    /// Highest LSN logged in this replica's own WAL **and** fsynced —
+    /// what this replica can guarantee after promotion, and what
+    /// [`elect`] ranks by. A batch is logged and fsynced before it is
+    /// applied, so this equals [`Self::applied_lsn`].
     pub fn acked_lsn(&self) -> Lsn {
-        self.acked
+        self.applied
     }
 
     /// The replication term this replica has adopted.
@@ -1808,7 +1772,8 @@ impl<S: KeyStore + Clone> Replica<S> {
     /// # Errors
     ///
     /// [`PlanarError::Persist`] once the replica has **diverged** (a
-    /// replay divergence check fired, or the reorder buffer overflowed):
+    /// replay divergence check fired, a log append or fsync failed, or
+    /// the reorder buffer overflowed):
     /// the error carries the provenance, every subsequent poll fails the
     /// same way, and the replica never serves from the diverged state —
     /// [`Replica::follower_read`] fails too.
@@ -1826,7 +1791,7 @@ impl<S: KeyStore + Clone> Replica<S> {
             let hello = ShipMessage::Hello {
                 term: self.term,
                 replica: self.id,
-                acked: if self.state.is_some() { self.acked } else { 0 },
+                acked: if self.is_seeded() { self.applied } else { 0 },
             };
             if self.up.send(hello.encode()).is_ok() {
                 self.hello_gen = Some(gen);
@@ -1864,7 +1829,7 @@ impl<S: KeyStore + Clone> Replica<S> {
                         continue;
                     }
                     self.adopt_term(term)?;
-                    if self.state.is_some() && watermark <= self.applied {
+                    if self.is_seeded() && watermark <= self.applied {
                         // A re-seed we outran; nothing to do.
                         continue;
                     }
@@ -1907,11 +1872,11 @@ impl<S: KeyStore + Clone> Replica<S> {
         if applied > 0 {
             progressed = true;
         }
-        if progressed && self.state.is_some() {
+        if progressed && self.is_seeded() {
             let ack = ShipMessage::Ack {
                 term: self.term,
                 replica: self.id,
-                acked: self.acked,
+                acked: self.applied,
                 applied: self.applied,
             };
             if self.up.send(ack.encode()).is_err() {
@@ -1929,8 +1894,8 @@ impl<S: KeyStore + Clone> Replica<S> {
     /// applied, [`PlanarError::Persist`] when unseeded or diverged.
     pub fn follower_read(&self, consistency: ReadConsistency) -> Result<FollowerRead<S>> {
         self.check_diverged()?;
-        let state = self
-            .state
+        let store = self
+            .store
             .as_ref()
             .ok_or_else(|| shiperr("replica has not installed a snapshot yet"))?;
         let required = match consistency {
@@ -1947,51 +1912,31 @@ impl<S: KeyStore + Clone> Replica<S> {
             }
         }
         Ok(FollowerRead {
-            snapshot: state.set.snapshot(),
+            snapshot: store.snapshot(),
             applied_lsn: self.applied,
             stale: self.applied < self.hb_appended,
         })
     }
 
-    /// Promote this replica to a primary under `term + 1`: fsync the
-    /// mirrored WALs, stamp the new term into the manifest and future
-    /// segments, and wrap the replica's own engine and mirrored logs as a
-    /// writable [`ConcurrentDurableShardedIndexSet`] over the same
-    /// directory (no copy of the set is taken).
-    /// Frames still in the reorder buffer (beyond the contiguous applied
-    /// prefix) are discarded — they were never acked.
+    /// Promote this replica to a primary under `term + 1`: raise the term
+    /// on the replica's durable engine (shard writers and manifest), give
+    /// it the primary's publish cadence, and wrap it as a [`Primary`] —
+    /// no copy of the set, no new log. Frames still in the reorder buffer
+    /// (beyond the contiguous applied prefix) are discarded; they were
+    /// never acked.
     ///
     /// # Errors
     ///
-    /// [`PlanarError::Persist`] when unseeded, diverged, or the final
-    /// fsync/manifest write fails.
+    /// [`PlanarError::Persist`] when unseeded, diverged, or the term
+    /// cannot be made durable.
     pub fn promote(mut self, ccfg: ConcurrencyConfig) -> Result<Primary<S>> {
         self.check_diverged()?;
-        let mut state = self
-            .state
+        let store = self
+            .store
             .take()
             .ok_or_else(|| shiperr("cannot promote a replica that was never seeded"))?;
-        let new_term = self.term + 1;
-        for wal in &mut state.wals {
-            wal.set_term(new_term);
-            wal.sync()?;
-        }
-        write_manifest(
-            &self.dir,
-            Manifest {
-                generation: self.generation,
-                watermark: self.snapshot_watermark,
-                term: new_term,
-            },
-        )?;
-        let store = ConcurrentDurableShardedIndexSet::assemble(
-            state.set.with_config(ccfg),
-            state.wals,
-            self.dir,
-            self.generation,
-            self.applied + 1,
-        );
-        Ok(Primary::new(store, self.cfg))
+        store.raise_term(self.term + 1)?;
+        Ok(Primary::new(store.with_config(ccfg), self.cfg))
     }
 
     fn check_diverged(&self) -> Result<()> {
@@ -1999,6 +1944,14 @@ impl<S: KeyStore + Clone> Replica<S> {
             Some(provenance) => Err(shiperr(format!("replica diverged: {provenance}"))),
             None => Ok(()),
         }
+    }
+
+    /// Latch divergence with its provenance and return the typed error
+    /// every later poll, read and promotion repeats.
+    fn diverge(&mut self, provenance: String) -> PlanarError {
+        let err = shiperr(format!("replica diverged: {provenance}"));
+        self.diverged = Some(provenance);
+        err
     }
 
     /// True (after sending `Reject`) when `term` is below ours — the
@@ -2016,58 +1969,32 @@ impl<S: KeyStore + Clone> Replica<S> {
     }
 
     fn adopt_term(&mut self, term: u64) -> Result<()> {
-        if term > self.term {
-            self.term = term;
-            if let Some(state) = &mut self.state {
-                for wal in &mut state.wals {
-                    wal.set_term(term);
-                }
-            }
+        if term <= self.term {
+            return Ok(());
+        }
+        self.term = term;
+        if let Some(Err(e)) = self.store.as_ref().map(|store| store.raise_term(term)) {
+            return Err(self.diverge(format!("term {term} not made durable: {e}")));
         }
         Ok(())
     }
 
     fn install_snapshot(&mut self, generation: u64, watermark: Lsn, bytes: &[u8]) -> Result<()> {
         // Validate before anything touches disk: a bit-flipped image
-        // must never land.
+        // must never land, and the current engine keeps serving.
         let set = ShardedIndexSet::<S>::from_bytes(bytes)?;
-        let shards = set.num_shards();
-        fs::create_dir_all(&self.dir).map_err(|e| shipio("create replica dir", e))?;
-        install_snapshot_bytes(
-            &snapshot_path(&self.dir, generation),
-            bytes,
-            &SaveOptions::default(),
-        )?;
-        write_manifest(
-            &self.dir,
-            Manifest {
-                generation,
-                watermark,
-                term: self.term,
-            },
-        )?;
-        // Reset the WAL subtree: a re-seed supersedes any mirrored
-        // history (the snapshot covers it).
-        let old_state = self.state.take();
-        drop(old_state);
-        let root = wal_root(&self.dir);
-        if root.exists() {
-            fs::remove_dir_all(&root).map_err(|e| shipio("reset replica wal", e))?;
-        }
-        init_shard_wals(&self.dir, shards, watermark + 1, self.term)?;
-        let mut wals = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (wal, _) = WalWriter::open_repair(&shard_wal_dir(&self.dir, shard), self.opts)?;
-            wals.push(wal);
-        }
-        self.state = Some(ReplicaState {
-            set: ConcurrentShardedIndexSet::new(set, ConcurrencyConfig::default()),
-            wals,
-        });
-        self.generation = generation;
-        self.snapshot_watermark = watermark;
+        let m = Manifest {
+            generation,
+            watermark,
+            term: self.term,
+        };
+        // The seed supersedes the old engine's logs (the snapshot covers
+        // them), so that engine closes before the directory is laid out.
+        self.store = None;
+        self.store = Some(ConcurrentDurableShardedIndexSet::seed(
+            &self.dir, set, bytes, m, self.opts,
+        )?);
         self.applied = watermark;
-        self.acked = watermark;
         self.reorder = self.reorder.split_off(&(watermark + 1));
         Ok(())
     }
@@ -2094,90 +2021,63 @@ impl<S: KeyStore + Clone> Replica<S> {
             self.stats.duplicate_frames += 1;
         }
         if self.reorder.len() > self.cfg.reorder_cap {
-            let provenance = format!(
+            return Err(self.diverge(format!(
                 "reorder buffer overflowed ({} staged frames, cap {}) waiting for lsn {}; \
                  shipped stream has an unhealed gap",
                 self.reorder.len(),
                 self.cfg.reorder_cap,
                 self.applied + 1
-            );
-            self.diverged = Some(provenance.clone());
-            return Err(shiperr(format!("replica diverged: {provenance}")));
+            )));
         }
         Ok(())
     }
 
-    /// Mirror and apply the contiguous staged run starting at
-    /// `applied + 1`: log-then-apply into this replica's own WAL (one
-    /// fsync per touched shard per batch), then replay into the set and
-    /// publish one epoch.
+    /// Log and apply the contiguous staged run starting at `applied + 1`
+    /// through the replica's durable engine (log-then-apply, one fsync
+    /// per touched shard, one epoch per batch), with broadcast records
+    /// expanded to every shard.
     fn apply_ready(&mut self) -> Result<usize> {
-        let Some(state) = &mut self.state else {
+        let Some(store) = &self.store else {
             return Ok(0);
         };
-        let mut batch: Vec<(u32, Lsn, WalRecord)> = Vec::new();
+        let shards = store.num_queues();
+        let mut batch = 0;
+        let mut entries: Vec<(usize, Lsn, WalRecord)> = Vec::new();
         while let Some(entry) = self.reorder.first_entry() {
             let lsn = *entry.key();
-            if lsn != self.applied + batch.len() as Lsn + 1 {
+            if lsn != self.applied + batch + 1 {
                 break;
             }
             let (shard, bytes) = entry.remove();
+            // Staged frames were parse-checked; an unparseable one here
+            // is memory corruption, and the engine refuses an unknown
+            // shard as a break in its log.
             let Some((_, _, rec)) = parse_frame(&bytes) else {
-                // Staged frames were parse-checked; an unparseable one
-                // here is memory corruption — fail loudly.
-                let provenance = format!("staged frame at lsn {lsn} no longer parses");
-                self.diverged = Some(provenance.clone());
-                return Err(shiperr(format!("replica diverged: {provenance}")));
+                return Err(self.diverge(format!("staged frame at lsn {lsn} no longer parses")));
             };
-            batch.push((shard, lsn, rec));
+            if shard == BROADCAST_SHARD {
+                entries.extend((0..shards).map(|s| (s, lsn, rec.clone())));
+            } else {
+                entries.push((shard as usize, lsn, rec));
+            }
+            batch += 1;
         }
-        if batch.is_empty() {
+        if batch == 0 {
             return Ok(0);
         }
-        let shards = state.wals.len();
-        let mut touched = vec![false; shards];
-        let mut applies: Vec<(usize, Lsn, WalRecord)> = Vec::with_capacity(batch.len());
-        for (shard, lsn, rec) in &batch {
-            if *shard == BROADCAST_SHARD {
-                for (s, wal) in state.wals.iter_mut().enumerate() {
-                    wal.append_frame(*lsn, rec)?;
-                    touched[s] = true;
-                    applies.push((s, *lsn, rec.clone()));
-                }
-            } else {
-                let s = *shard as usize;
-                if s >= shards {
-                    let provenance = format!("frame at lsn {lsn} routed to unknown shard {shard}");
-                    self.diverged = Some(provenance.clone());
-                    return Err(shiperr(format!("replica diverged: {provenance}")));
-                }
-                state.wals[s].append_frame(*lsn, rec)?;
-                touched[s] = true;
-                applies.push((s, *lsn, rec.clone()));
-            }
+        if let Err(e) = store.apply_shipped(&entries) {
+            // The same checks recovery runs (two logs claiming one id, a
+            // gap placeholder filled twice), plus a failed append or
+            // fsync: the replica stops, loudly, with the provenance.
+            return Err(self.diverge(format!("apply failed at lsn {}: {e}", self.applied + 1)));
         }
-        for (s, wal) in state.wals.iter_mut().enumerate() {
-            if touched[s] {
-                wal.sync()?;
-            }
-        }
-        if let Err(e) = state.set.replay_replicated(&applies) {
-            // The same divergence checks recovery runs: two logs
-            // claiming one id, a gap placeholder filled twice. The
-            // replica must stop, loudly, with the provenance.
-            let provenance = format!("replay divergence: {e}");
-            self.diverged = Some(provenance.clone());
-            return Err(shiperr(format!("replica diverged: {provenance}")));
-        }
-        let applied_now = batch.len();
-        self.applied += applied_now as Lsn;
-        self.acked = self.applied;
-        self.stats.applied_frames += applies.len() as u64;
-        Ok(applied_now)
+        self.applied += batch;
+        self.stats.applied_frames += entries.len() as u64;
+        Ok(batch as usize)
     }
 }
 
-/// Pick the replica to promote: highest acked (mirrored + fsynced) LSN
+/// Pick the replica to promote: highest acked (logged + fsynced) LSN
 /// wins, ties break to the lowest index. Diverged and never-seeded
 /// replicas are not electable. Returns `None` when nothing is
 /// electable.
@@ -2502,7 +2402,7 @@ mod tests {
         for _ in 0..6 {
             primary.store().insert_point(&[5.0, 5.0]).unwrap();
         }
-        primary.checkpoint().unwrap();
+        primary.store().checkpoint().unwrap();
         primary.add_replica_pending(down_tx, up_rx);
         let stale = Replica::<VecStore>::new(
             rd.path().join("stale"),
@@ -2648,7 +2548,7 @@ mod tests {
                 .insert_point(&[2.0 + i as f64, 3.0])
                 .unwrap();
         }
-        primary.checkpoint().unwrap();
+        primary.store().checkpoint().unwrap();
         for i in 0..5 {
             primary
                 .store()
@@ -2661,6 +2561,65 @@ mod tests {
         let read = replica.follower_read(ReadConsistency::Any).unwrap();
         let psnap = primary.store().snapshot();
         assert_eq!(read.snapshot.len(), psnap.len());
+    }
+
+    /// A re-seed supersedes the replica's older snapshot generation, and
+    /// the replica's directory reopens, through ordinary recovery, to the
+    /// answers its follower reads served.
+    #[test]
+    fn reseeded_replica_keeps_one_snapshot_and_reopens() {
+        let _g = fault::serial_wal_tests();
+        let (_pd, rd, mut primary, mut replica) = primary_replica(40);
+        let mut now = 0u64;
+        settle(&mut primary, &mut replica, &mut now);
+        for i in 0..10 {
+            primary
+                .store()
+                .insert_point(&[2.0 + i as f64, 3.0])
+                .unwrap();
+        }
+        primary.store().checkpoint().unwrap();
+        for i in 0..5 {
+            primary
+                .store()
+                .insert_point(&[3.0 + i as f64, 2.0])
+                .unwrap();
+        }
+        settle(&mut primary, &mut replica, &mut now);
+        assert_eq!(
+            replica.stats().snapshots,
+            2,
+            "the truncation forced a re-seed"
+        );
+
+        let dir = rd.path().join("r0");
+        let snapshots = fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                let name = name.to_string_lossy();
+                name.starts_with("snapshot-") && name.ends_with(".plnr")
+            })
+            .count();
+        assert_eq!(snapshots, 1, "superseded snapshot generations are swept");
+
+        let read = replica.follower_read(ReadConsistency::Any).unwrap();
+        let served: Vec<Vec<u32>> = probes()
+            .iter()
+            .map(|q| read.snapshot.query(q).unwrap().sorted_ids())
+            .collect();
+        drop(read);
+        drop(replica);
+        let (reopened, _) = ConcurrentDurableShardedIndexSet::<VecStore>::open(
+            &dir,
+            WalOptions::default(),
+            ConcurrencyConfig::default(),
+        )
+        .unwrap();
+        let snap = reopened.snapshot();
+        for (q, want) in probes().iter().zip(&served) {
+            assert_eq!(&snap.query(q).unwrap().sorted_ids(), want);
+        }
     }
 
     #[test]

@@ -244,6 +244,20 @@ fn stamp_sharded_partial_completed<O>(
     skipped
 }
 
+/// Transpose per-shard outcome lists (one outcome per query each) into
+/// the `n` per-query rows, moving every outcome. A row fails with its
+/// first error in shard order.
+fn per_query<T>(per_shard: Vec<Vec<Result<T>>>, n: usize) -> impl Iterator<Item = Result<Vec<T>>> {
+    let mut shards: Vec<_> = per_shard.into_iter().map(Vec::into_iter).collect();
+    (0..n).map(move |_| {
+        let row: Vec<Result<T>> = shards
+            .iter_mut()
+            .map(|outs| outs.next().expect("one outcome per query"))
+            .collect();
+        row.into_iter().collect()
+    })
+}
+
 /// K-way merge of per-shard top-k lists on `(distance, id)`.
 ///
 /// Each input list must be sorted ascending by `(distance, id)` — which
@@ -701,14 +715,8 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         let per_shard: Vec<Vec<Result<QueryOutcome>>> = self.fan_out_batch(exec, |shard, inner| {
             shard.query_batch_isolated_with_guard(qs, inner, &guard)
         });
-        let mut results: Vec<Result<ShardedQueryOutcome>> = (0..qs.len())
-            .map(|i| {
-                let row: Vec<QueryOutcome> = per_shard
-                    .iter()
-                    .map(|outs| outs[i].clone())
-                    .collect::<Result<_>>()?;
-                Ok(self.assemble_query(row))
-            })
+        let mut results: Vec<Result<ShardedQueryOutcome>> = per_query(per_shard, qs.len())
+            .map(|row| Ok(self.assemble_query(row?)))
             .collect();
         let skipped = stamp_sharded_partial_completed(&mut results, |o| &mut o.served_by);
         parallel::record_deadline_events(skipped as u64);
@@ -777,14 +785,9 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         let per_shard: Vec<Vec<Result<TopKOutcome>>> = self.fan_out_batch(exec, |shard, inner| {
             shard.top_k_batch_isolated_with_guard(qs, inner, &guard)
         });
-        let mut results: Vec<Result<ShardedTopKOutcome>> = (0..qs.len())
-            .map(|i| {
-                let row: Vec<TopKOutcome> = per_shard
-                    .iter()
-                    .map(|outs| outs[i].clone())
-                    .collect::<Result<_>>()?;
-                Ok(self.assemble_top_k(qs[i].k, row))
-            })
+        let mut results: Vec<Result<ShardedTopKOutcome>> = per_query(per_shard, qs.len())
+            .zip(qs)
+            .map(|(row, q)| Ok(self.assemble_top_k(q.k, row?)))
             .collect();
         let skipped = stamp_sharded_partial_completed(&mut results, |o| &mut o.served_by);
         parallel::record_deadline_events(skipped as u64);

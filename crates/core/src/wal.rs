@@ -706,7 +706,7 @@ impl WalWriter {
     /// block of group commit, where many appends share one explicit
     /// [`Self::sync`]. The record is written (and rotation handled) but
     /// durability is deferred to the caller.
-    pub(crate) fn append_frame(&mut self, lsn: Lsn, rec: &WalRecord) -> Result<()> {
+    fn append_frame(&mut self, lsn: Lsn, rec: &WalRecord) -> Result<()> {
         if lsn <= self.last_lsn {
             return Err(walerr(format!(
                 "non-monotonic lsn {lsn} (last {})",
@@ -1610,23 +1610,6 @@ pub(crate) fn validate_row(dim: usize, row: &[f64]) -> Result<()> {
 /// One shard's WAL directory.
 pub(crate) fn shard_wal_dir(dir: &Path, shard: usize) -> PathBuf {
     dir.join(WAL_SUBDIR).join(format!("shard-{shard:04}"))
-}
-
-/// The WAL subtree of a durable directory.
-pub(crate) fn wal_root(dir: &Path) -> PathBuf {
-    dir.join(WAL_SUBDIR)
-}
-
-/// Replication bootstrap: lay out fresh per-shard WAL directories for a
-/// just-installed snapshot — one empty segment per shard, named for the
-/// first LSN the replica will mirror and stamped with the primary's term.
-pub(crate) fn init_shard_wals(dir: &Path, shards: usize, next_lsn: Lsn, term: u64) -> Result<()> {
-    for shard in 0..shards {
-        let d = shard_wal_dir(dir, shard);
-        fs::create_dir_all(&d).map_err(|e| walio("create wal dir", e))?;
-        create_segment(&d, next_lsn, term)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]

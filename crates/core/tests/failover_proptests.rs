@@ -173,6 +173,14 @@ fn kill_and_promote(t: &[Op], rounds_per_step: usize, tail_rounds: usize) {
         assert_eq!(acked_watermark, 0, "an acked replica must be electable");
         return;
     };
+    // The losers' acked LSNs and directories, read before the election
+    // result reorders the list.
+    let losers: Vec<(std::path::PathBuf, u64)> = replicas
+        .iter()
+        .enumerate()
+        .filter(|&(i, r)| i != winner && r.is_seeded())
+        .map(|(i, r)| (rdir.path().join(format!("r{i}")), r.acked_lsn()))
+        .collect();
     let winner = replicas.swap_remove(winner);
     assert!(
         winner.acked_lsn() >= acked_watermark,
@@ -195,8 +203,24 @@ fn kill_and_promote(t: &[Op], rounds_per_step: usize, tail_rounds: usize) {
     // The promoted primary is live: it accepts writes under its new term
     // and can checkpoint.
     promoted.store().insert_point(&[5.0, 5.0]).unwrap();
-    let mut promoted = promoted;
-    promoted.checkpoint().unwrap();
+    promoted.store().checkpoint().unwrap();
+
+    // A losing replica's directory is an ordinary durable directory: a
+    // crash of that replica recovers, by single-node recovery, exactly
+    // the history prefix it acked.
+    drop(replicas);
+    for (dir, acked) in losers {
+        let (reopened, _) = ConcurrentDurableShardedIndexSet::<VecStore>::open(
+            &dir,
+            opts,
+            ConcurrencyConfig::default(),
+        )
+        .unwrap();
+        let snap = reopened.snapshot();
+        for (q, expect) in probes().iter().zip(&history[acked as usize]) {
+            assert_eq!(&snap.query(q).unwrap().sorted_ids(), expect);
+        }
+    }
 }
 
 proptest! {

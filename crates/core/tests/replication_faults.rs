@@ -8,11 +8,14 @@
 
 use std::sync::Mutex;
 
-use planar_core::fault::{arm_transport_fault, disarm_transport_fault, TransportFaultKind};
+use planar_core::fault::{
+    arm_transport_fault, arm_wal_fault, disarm_transport_fault, disarm_wal_fault,
+    TransportFaultKind, WalFaultKind,
+};
 use planar_core::replicate::ChannelTransport;
 use planar_core::replicate::FaultyTransport;
 use planar_core::{
-    Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, FailoverConfig, FeatureTable,
+    elect, Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, FailoverConfig, FeatureTable,
     FsyncPolicy, IndexConfig, InequalityQuery, ParameterDomain, PlanarError, Primary,
     ReadConsistency, Replica, ReplicationStats, ShardConfig, ShardedIndexSet, TempDir, VecStore,
     WalOptions,
@@ -298,4 +301,68 @@ fn lost_acks_cause_retransmit_not_divergence() {
         "a later cumulative ack must cover the lost one"
     );
     assert_eq!(replica.divergence(), None);
+}
+
+/// A failed append to the replica's own log while it applies a batch is
+/// a typed divergence: the replica acks nothing more, refuses follower
+/// reads, and is not electable. It must never wedge while still looking
+/// healthy.
+#[test]
+fn failed_replica_append_is_a_typed_divergence() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let pdir = TempDir::new("repl_fault_append").unwrap();
+    let rdir = TempDir::new("repl_fault_appendr").unwrap();
+    let opts = WalOptions::default().fsync(FsyncPolicy::EveryN(4));
+    let store = ConcurrentDurableShardedIndexSet::create(
+        pdir.path(),
+        build_sharded(30),
+        opts,
+        ConcurrencyConfig::default(),
+    )
+    .unwrap();
+    let mut primary = Primary::new(store, FailoverConfig::default());
+    let down = ChannelTransport::new();
+    let up = ChannelTransport::new();
+    primary.add_replica(Box::new(down.clone()), Box::new(up.clone()));
+    let mut replica: Replica<VecStore> = Replica::new(
+        rdir.path().join("r0"),
+        0,
+        Box::new(down),
+        Box::new(up),
+        opts,
+        FailoverConfig::default(),
+    );
+    for i in 0..6 {
+        primary
+            .store()
+            .insert_point(&[2.0 + i as f64, 3.0])
+            .unwrap();
+    }
+    primary.store().sync().unwrap();
+    // Every primary shard writer is past its append 1, so the fault fires
+    // in the middle of the replica's first shipped batch.
+    arm_wal_fault(1, WalFaultKind::FailAppend);
+    let mut now = 0u64;
+    let mut failure = None;
+    for _ in 0..30 {
+        now += 300;
+        primary.pump(now).unwrap();
+        if let Err(e) = replica.poll(now) {
+            failure.get_or_insert(e);
+        }
+    }
+    disarm_wal_fault();
+
+    assert!(
+        matches!(failure, Some(PlanarError::Persist(_))),
+        "poll must fail typed, got {failure:?}"
+    );
+    assert!(replica.divergence().is_some());
+    assert!(replica.follower_read(ReadConsistency::Any).is_err());
+    assert_eq!(elect(std::slice::from_ref(&replica)), None);
+    assert_eq!(
+        replica.acked_lsn(),
+        0,
+        "nothing past the seed watermark acks"
+    );
 }
