@@ -15,6 +15,12 @@
 //! by [`MAX_BODY`] before any allocation, so a corrupt length can neither
 //! OOM the peer nor index past a buffer.
 //!
+//! Each frame is built and read in one buffer: [`encode_response`] and
+//! [`encode_request`] write the header (with a `body_len` placeholder
+//! patched at the end), the body and the seal straight into the frame
+//! they return, and [`read_frame`] reads header, body and seal into one
+//! allocation, verifies it, and trims it to the body in place.
+//!
 //! Requests carry the tenant (for admission control) and an optional
 //! deadline budget in microseconds, measured from server receipt; the
 //! deadline propagates into
@@ -190,6 +196,16 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append `items` as fixed-width little-endian records of `W` bytes in
+/// one pass: grow the buffer once, then fill it record by record.
+fn put_records<T: Copy, const W: usize>(buf: &mut Vec<u8>, items: &[T], le: impl Fn(T) -> [u8; W]) {
+    let start = buf.len();
+    buf.resize(start + items.len() * W, 0);
+    for (dst, &item) in buf[start..].chunks_exact_mut(W).zip(items) {
+        dst.copy_from_slice(&le(item));
+    }
+}
+
 fn cmp_tag(cmp: Cmp) -> u8 {
     match cmp {
         Cmp::Leq => 0,
@@ -203,14 +219,31 @@ fn encode_predicate(buf: &mut Vec<u8>, tenant: u32, deadline_us: u32, a: &[f64],
     buf.push(cmp_tag(cmp));
     put_f64(buf, b);
     put_u32(buf, a.len() as u32);
-    for &c in a {
-        put_f64(buf, c);
-    }
+    put_records(buf, a, f64::to_le_bytes);
+}
+
+/// Start a frame of `kind` whose body will take about `body_cap` bytes:
+/// the header with a `body_len` placeholder that [`seal_frame`] patches.
+fn begin_frame(kind: u8, body_cap: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER + body_cap + CRC_LEN);
+    put_u32(&mut out, 0);
+    out.push(kind);
+    out
+}
+
+/// Finish a frame started by [`begin_frame`]: patch `body_len` to the
+/// bytes written after the header, then append the CRC seal.
+fn seal_frame(mut out: Vec<u8>) -> Vec<u8> {
+    let body_len = out.len() - FRAME_HEADER;
+    debug_assert!(body_len <= MAX_BODY);
+    out[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    seal_vec(&mut out);
+    out
 }
 
 /// Encode a request into one sealed frame.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let (kind, body) = match req {
+    let out = match req {
         Request::Query {
             tenant,
             deadline_us,
@@ -218,9 +251,9 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             cmp,
             b,
         } => {
-            let mut body = Vec::with_capacity(21 + a.len() * 8);
-            encode_predicate(&mut body, *tenant, *deadline_us, a, *cmp, *b);
-            (REQ_QUERY, body)
+            let mut out = begin_frame(REQ_QUERY, 21 + a.len() * 8);
+            encode_predicate(&mut out, *tenant, *deadline_us, a, *cmp, *b);
+            out
         }
         Request::TopK {
             tenant,
@@ -230,66 +263,67 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             b,
             k,
         } => {
-            let mut body = Vec::with_capacity(25 + a.len() * 8);
-            encode_predicate(&mut body, *tenant, *deadline_us, a, *cmp, *b);
-            put_u32(&mut body, *k);
-            (REQ_TOPK, body)
+            let mut out = begin_frame(REQ_TOPK, 25 + a.len() * 8);
+            encode_predicate(&mut out, *tenant, *deadline_us, a, *cmp, *b);
+            put_u32(&mut out, *k);
+            out
         }
-        Request::Metrics => (REQ_METRICS, Vec::new()),
+        Request::Metrics => begin_frame(REQ_METRICS, 0),
     };
-    frame(kind, body)
+    seal_frame(out)
 }
 
-/// Encode a response into one sealed frame.
+/// Encode a response into one sealed frame: header, body and seal are
+/// written straight into the returned buffer, with no intermediate body.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let (kind, body) = match resp {
+    let out = match resp {
         Response::Matches { ids, provenance } => {
-            let mut body = Vec::with_capacity(9 + ids.len() * 4);
-            put_provenance(&mut body, provenance);
-            put_u32(&mut body, ids.len() as u32);
-            for &id in ids {
-                put_u32(&mut body, id);
-            }
-            (RESP_MATCHES, body)
+            let mut out = begin_frame(RESP_MATCHES, 9 + ids.len() * 4);
+            put_provenance(&mut out, provenance);
+            put_u32(&mut out, ids.len() as u32);
+            put_records(&mut out, ids, u32::to_le_bytes);
+            out
         }
         Response::Neighbors {
             neighbors,
             provenance,
         } => {
-            let mut body = Vec::with_capacity(9 + neighbors.len() * 12);
-            put_provenance(&mut body, provenance);
-            put_u32(&mut body, neighbors.len() as u32);
-            for &(id, dist) in neighbors {
-                put_u32(&mut body, id);
-                put_f64(&mut body, dist);
-            }
-            (RESP_NEIGHBORS, body)
+            let mut out = begin_frame(RESP_NEIGHBORS, 9 + neighbors.len() * 12);
+            put_provenance(&mut out, provenance);
+            put_u32(&mut out, neighbors.len() as u32);
+            put_records(&mut out, neighbors, |(id, dist)| {
+                let mut rec = [0u8; 12];
+                rec[..4].copy_from_slice(&id.to_le_bytes());
+                rec[4..].copy_from_slice(&dist.to_le_bytes());
+                rec
+            });
+            out
         }
         Response::Retry { retry_after_us } => {
-            let mut body = Vec::with_capacity(4);
-            put_u32(&mut body, *retry_after_us);
-            (RESP_RETRY, body)
+            let mut out = begin_frame(RESP_RETRY, 4);
+            put_u32(&mut out, *retry_after_us);
+            out
         }
         Response::Overload { queue_depth } => {
-            let mut body = Vec::with_capacity(4);
-            put_u32(&mut body, *queue_depth);
-            (RESP_OVERLOAD, body)
+            let mut out = begin_frame(RESP_OVERLOAD, 4);
+            put_u32(&mut out, *queue_depth);
+            out
         }
         Response::Error { code, message } => {
-            let mut body = Vec::with_capacity(5 + message.len());
-            body.push(*code);
-            put_u32(&mut body, message.len() as u32);
-            body.extend_from_slice(message.as_bytes());
-            (RESP_ERROR, body)
+            let mut out = begin_frame(RESP_ERROR, 5 + message.len());
+            out.push(*code);
+            put_u32(&mut out, message.len() as u32);
+            out.extend_from_slice(message.as_bytes());
+            out
         }
         Response::Metrics { json } => {
-            let mut body = Vec::with_capacity(4 + json.len());
-            put_u32(&mut body, json.len() as u32);
-            body.extend_from_slice(json.as_bytes());
-            (RESP_METRICS, body)
+            let mut out = begin_frame(RESP_METRICS, 4 + json.len());
+            put_u32(&mut out, json.len() as u32);
+            out.extend_from_slice(json.as_bytes());
+            out
         }
     };
-    frame(kind, body)
+    seal_frame(out)
 }
 
 fn put_provenance(buf: &mut Vec<u8>, p: &Provenance) {
@@ -302,16 +336,6 @@ fn put_provenance(buf: &mut Vec<u8>, p: &Provenance) {
     }
     buf.push(flags);
     put_u32(buf, p.completed);
-}
-
-fn frame(kind: u8, body: Vec<u8>) -> Vec<u8> {
-    debug_assert!(body.len() <= MAX_BODY);
-    let mut out = Vec::with_capacity(FRAME_HEADER + body.len() + CRC_LEN);
-    put_u32(&mut out, body.len() as u32);
-    out.push(kind);
-    out.extend_from_slice(&body);
-    seal_vec(&mut out);
-    out
 }
 
 /// A cursor over a frame body with length-bounded reads.
@@ -428,7 +452,11 @@ pub fn decode_response(kind: u8, body: &[u8]) -> Option<Response> {
             if n > (c.bytes.len() - c.pos) / 4 {
                 return None;
             }
-            let ids = (0..n).map(|_| c.u32()).collect::<Option<Vec<_>>>()?;
+            let ids = c
+                .take(n * 4)?
+                .chunks_exact(4)
+                .map(|s| u32::from_le_bytes(s.try_into().expect("4-byte id")))
+                .collect();
             Response::Matches { ids, provenance }
         }
         RESP_NEIGHBORS => {
@@ -437,9 +465,17 @@ pub fn decode_response(kind: u8, body: &[u8]) -> Option<Response> {
             if n > (c.bytes.len() - c.pos) / 12 {
                 return None;
             }
-            let neighbors = (0..n)
-                .map(|_| Some((c.u32()?, c.f64()?)))
-                .collect::<Option<Vec<_>>>()?;
+            let neighbors = c
+                .take(n * 12)?
+                .chunks_exact(12)
+                .map(|s| {
+                    let (id, dist) = s.split_at(4);
+                    (
+                        u32::from_le_bytes(id.try_into().expect("4-byte id")),
+                        f64::from_le_bytes(dist.try_into().expect("8-byte distance")),
+                    )
+                })
+                .collect();
             Response::Neighbors {
                 neighbors,
                 provenance,
@@ -496,14 +532,20 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<(u8, Vec<u8>)>> {
             format!("frame body of {body_len} bytes exceeds the {MAX_BODY} bound"),
         ));
     }
-    let mut rest = vec![0u8; body_len + CRC_LEN];
-    r.read_exact(&mut rest)?;
-    let mut sealed = Vec::with_capacity(FRAME_HEADER + rest.len());
-    sealed.extend_from_slice(&header);
-    sealed.extend_from_slice(&rest);
-    let body = open_sealed(&sealed)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame failed its CRC"))?;
-    Ok(Some((kind, body[FRAME_HEADER..].to_vec())))
+    // One buffer for header, body and seal: verify it whole, then trim
+    // it down to the body in place.
+    let mut frame = vec![0u8; FRAME_HEADER + body_len + CRC_LEN];
+    frame[..FRAME_HEADER].copy_from_slice(&header);
+    r.read_exact(&mut frame[FRAME_HEADER..])?;
+    if open_sealed(&frame).is_none() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "frame failed its CRC",
+        ));
+    }
+    frame.truncate(FRAME_HEADER + body_len);
+    frame.drain(..FRAME_HEADER);
+    Ok(Some((kind, frame)))
 }
 
 /// Write one pre-encoded frame.
@@ -527,6 +569,55 @@ mod tests {
         let frame = encode_response(&resp);
         let mut r = io::Cursor::new(frame);
         let (kind, body) = read_frame(&mut r).unwrap().unwrap();
+        assert_eq!(decode_response(kind, &body), Some(resp));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Response frames pinned byte for byte, so a framing edit that
+    /// drifts the protocol fails here, not in a mixed-version deployment.
+    /// The hex was produced by the per-field encoder that preceded the
+    /// single-buffer one.
+    #[test]
+    fn golden_matches_frame() {
+        let resp = Response::Matches {
+            ids: vec![3, 1, 4, 1_000_000, 0xDEAD_BEEF],
+            provenance: Provenance {
+                partial: true,
+                degraded: false,
+                completed: 17,
+            },
+        };
+        let frame = encode_response(&resp);
+        assert_eq!(
+            hex(&frame),
+            "1d000000810111000000050000000300000001000000040000004042\
+             0f00efbeadde271df6904b6a3c6c"
+        );
+        let (kind, body) = read_frame(&mut frame.as_slice()).unwrap().unwrap();
+        assert_eq!(decode_response(kind, &body), Some(resp));
+    }
+
+    #[test]
+    fn golden_neighbors_frame() {
+        let resp = Response::Neighbors {
+            neighbors: vec![(9, 0.125), (2, f64::MAX), (0x0102_0304, -1.5)],
+            provenance: Provenance {
+                partial: false,
+                degraded: true,
+                completed: 3,
+            },
+        };
+        let frame = encode_response(&resp);
+        assert_eq!(
+            hex(&frame),
+            "2d00000082020300000003000000090000000000000000\
+             00c03f02000000ffffffffffffef7f04030201000000000000f8bf\
+             1a945df924491a9c"
+        );
+        let (kind, body) = read_frame(&mut frame.as_slice()).unwrap().unwrap();
         assert_eq!(decode_response(kind, &body), Some(resp));
     }
 
