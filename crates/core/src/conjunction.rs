@@ -208,7 +208,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                     if reject >> l & 1 == 1 {
                         continue;
                     }
-                    let id = seg.first + l as PointId;
+                    let id = table.id_at(seg.first + l as u32);
                     if !self.is_live(id) {
                         continue;
                     }
@@ -224,6 +224,8 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                     }
                 }
             }
+            // Slots run in the table's block order, not id order.
+            matches.sort_unstable();
         } else {
             // No constraint can use an index: exact scan over live rows.
             for (id, row) in self.table().iter() {
@@ -243,6 +245,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             intersect_pruned: 0,
             matched: matches.len(),
             quant,
+            fill_skipped: 0,
             path: if any_indexed {
                 ExecutionPath::Index { index: 0 }
             } else {

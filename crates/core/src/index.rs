@@ -341,7 +341,8 @@ impl<S: KeyStore> SingleIndex<S> {
         b.j_max - b.j_min
     }
 
-    /// Algorithm 1: answer an inequality query.
+    /// Algorithm 1: answer an inequality query over a table without
+    /// tombstones.
     ///
     /// `verify` is the exact raw-space predicate (the original query), `nq`
     /// its normalized form, `index_pos` only labels the stats.
@@ -361,25 +362,33 @@ impl<S: KeyStore> SingleIndex<S> {
             nq,
             shift,
             table,
+            &crate::multi::live_words(table, &[]),
             index_pos,
             &ExecutionConfig::serial(),
             &mut QueryScratch::new(),
         )
     }
 
-    /// [`Self::evaluate`] with explicit execution configuration and
+    /// [`Self::evaluate`] with the table's live rows (`live`, one word per
+    /// block of its columnar slots), explicit execution configuration and
     /// reusable scratch buffers.
     ///
-    /// The result vector is allocated once with capacity from the interval
-    /// bounds (accepted-interval size + II size). The II ids go from the
-    /// id array's key-order slice straight into the candidate bitmap of
-    /// `scratch` (one word per 64-row block), so reading the words in order
-    /// yields ascending ids without a sort, and every candidate is verified
-    /// block by block (see [`parallel::verify_mask_blocked`]); a warm
-    /// scratch makes the hot loop allocation-free beyond that single result
-    /// allocation. Matches are ordered canonically — the wholesale-accepted
-    /// interval in store (key) order, then II matches in ascending-id order
-    /// — identically for every `exec.threads` value.
+    /// With a quantized tier, a box pass first settles every block it can
+    /// from its bounding box (see [`parallel::box_pass`]). Then one of two
+    /// candidate sets is verified block by block (see
+    /// [`parallel::verify_mask_blocked`]), whichever is smaller:
+    ///
+    /// * the intermediate interval: its ids go from the id array's
+    ///   key-order slice into the candidate bitmap of `scratch` (one word
+    ///   per 64-row block), and the accepted interval's ids into the
+    ///   proven bitmap beside it;
+    /// * the live rows of the blocks the box left mixed — when the interval
+    ///   holds more rows than those, the fill is skipped (`fill_skipped`).
+    ///
+    /// Both give the same answer: the interval's candidates include every
+    /// satisfying row the index did not accept outright. Matches come back
+    /// in ascending id order, identically for every `exec.threads` value
+    /// and whichever index served the query.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_with(
         &self,
@@ -387,6 +396,7 @@ impl<S: KeyStore> SingleIndex<S> {
         nq: &NormalizedQuery,
         shift: f64,
         table: &FeatureTable,
+        live: &[u64],
         index_pos: usize,
         exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
@@ -395,36 +405,57 @@ impl<S: KeyStore> SingleIndex<S> {
         let n = ids.len();
         let IntervalBounds { j_min, j_max } = self.boundaries(nq, shift, verify.cmp(), table);
         let (smaller, intermediate, larger) = (j_min, j_max - j_min, n - j_max);
-
-        // Wholesale-accepted interval.
         let accepted = match verify.cmp() {
             Cmp::Leq => &ids[..j_min],
             Cmp::Geq => &ids[j_max..],
         };
-        let mut matches = Vec::with_capacity(accepted.len() + intermediate);
-        matches.extend_from_slice(accepted);
 
-        // Intermediate interval, verified exactly in ascending id order.
-        let words = scratch.fill(table.len(), ids[j_min..j_max].iter().copied());
-        let quant = parallel::verify_mask(
-            verify,
-            table,
-            &scratch.mask[words.clone()],
-            words.start,
-            intermediate,
-            exec,
-            &mut matches,
-        );
+        // The box pass costs one fold per block, so it only runs when the
+        // interval could cost more than that.
+        let mixed_live = if intermediate > live.len() {
+            parallel::box_pass(verify, table, live, &mut scratch.boxes)
+        } else {
+            scratch.boxes.clear();
+            None
+        };
+        let fill_skipped = mixed_live.is_some_and(|m| intermediate > m);
+        let mut matches = Vec::with_capacity(accepted.len() + intermediate.min(n));
+        let (quant, verified) = if fill_skipped {
+            let words = parallel::BlockWords {
+                boxes: &scratch.boxes,
+                ..parallel::BlockWords::cand(live, 0)
+            };
+            let candidates = mixed_live.unwrap_or(0);
+            parallel::verify_mask(verify, table, words, candidates, exec, &mut matches)
+        } else {
+            let range = scratch.fill(table, &ids[j_min..j_max], accepted);
+            let boxes: &[_] = if scratch.boxes.is_empty() {
+                &[]
+            } else {
+                &scratch.boxes[range.clone()]
+            };
+            let words = parallel::BlockWords {
+                cand: &scratch.mask[range.clone()],
+                accept: &scratch.accept[range.clone()],
+                boxes,
+                first: range.start,
+            };
+            parallel::verify_mask(verify, table, words, intermediate, exec, &mut matches)
+        };
+        if table.is_clustered() {
+            matches.sort_unstable();
+        }
 
         let stats = QueryStats {
             n,
             smaller,
             intermediate,
             larger,
-            verified: intermediate,
+            verified,
             intersect_pruned: 0,
             matched: matches.len(),
             quant,
+            fill_skipped: usize::from(fill_skipped),
             path: ExecutionPath::Index { index: index_pos },
         };
         (matches, stats)
@@ -520,17 +551,11 @@ impl<S: KeyStore> SingleIndex<S> {
         // buffer's total (dist, id) order makes its contents independent of
         // arrival order, so this matches the key-order walk exactly.
         let candidates = j_max - j_min;
-        let words = scratch.fill(table.len(), ids[j_min..j_max].iter().copied());
+        let range = scratch.fill(table, &ids[j_min..j_max], &[]);
         scratch.ids.clear();
-        let quant = parallel::verify_mask(
-            &q.query,
-            table,
-            &scratch.mask[words.clone()],
-            words.start,
-            candidates,
-            exec,
-            &mut scratch.ids,
-        );
+        let words = parallel::BlockWords::cand(&scratch.mask[range.clone()], range.start);
+        let (quant, verified) =
+            parallel::verify_mask(&q.query, table, words, candidates, exec, &mut scratch.ids);
         buffer.offer_rows(&q.query, table, &scratch.ids);
 
         // Walk the accepting interval from the query hyperplane outward,
@@ -579,7 +604,7 @@ impl<S: KeyStore> SingleIndex<S> {
             n,
             intermediate: candidates,
             walked,
-            verified: candidates + walked,
+            verified: verified + walked,
             intersect_pruned: 0,
             quant,
         };

@@ -81,9 +81,8 @@ impl IndexConfig {
 /// Result of an inequality query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
-    /// Ids of all satisfying points. Order is unspecified (interval order
-    /// for indexed execution, id order for scans) — use
-    /// [`Self::sorted_ids`] for a canonical order.
+    /// Ids of all satisfying points, in ascending order — whichever index,
+    /// or the scan, served the query.
     pub matches: Vec<PointId>,
     /// Execution statistics.
     pub stats: QueryStats,
@@ -94,7 +93,7 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// The matching ids in ascending order.
+    /// The matching ids in ascending order (a copy of [`Self::matches`]).
     pub fn sorted_ids(&self) -> Vec<PointId> {
         let mut ids = self.matches.clone();
         ids.sort_unstable();
@@ -143,7 +142,10 @@ pub(crate) fn stamp_partial_completed<O>(
 /// A budget of Planar indices over one dataset — the main entry point of
 /// this crate. Each index holds only point ids; its keys are computed from
 /// this set's table (see [`SingleIndex`]), so every mutation here keeps
-/// rows and indices in step. `S` is the id store, [`VecStore`].
+/// rows and indices in step. The set lays its table's columnar blocks out
+/// in k-d block order when it is built, loaded or compacted
+/// ([`FeatureTable::cluster`]); ids are unaffected. `S` is the id store,
+/// [`VecStore`].
 #[derive(Debug, Clone)]
 pub struct PlanarIndexSet<S: KeyStore = VecStore> {
     table: FeatureTable,
@@ -151,7 +153,9 @@ pub struct PlanarIndexSet<S: KeyStore = VecStore> {
     normalizer: Normalizer,
     indices: Vec<SingleIndex<S>>,
     strategy: SelectionStrategy,
-    deleted: Vec<bool>,
+    /// The live (not tombstoned) rows by columnar slot, one word per
+    /// 64-row block of the table.
+    live: Vec<u64>,
     n_live: usize,
     /// `quarantined[pos]` — the index at `pos` failed verification or could
     /// not be recovered from a snapshot; the planner skips it until
@@ -322,21 +326,22 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     }
 
     fn from_built(
-        table: FeatureTable,
+        mut table: FeatureTable,
         domain: ParameterDomain,
         normalizer: Normalizer,
         indices: Vec<SingleIndex<S>>,
         strategy: SelectionStrategy,
     ) -> Self {
+        table.cluster();
         let n = table.len();
         let budget = indices.len();
         Self {
+            live: live_words(&table, &[]),
             table,
             domain,
             normalizer,
             indices,
             strategy,
-            deleted: vec![false; n],
             n_live: n,
             quarantined: vec![false; budget],
             quant_tuner: crate::quant::QuantTuner::default(),
@@ -349,7 +354,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// empty and their normal is retained for rebuilding. Each id list is
     /// adopted in its stored order.
     pub(crate) fn assemble(
-        table: FeatureTable,
+        mut table: FeatureTable,
         domain: ParameterDomain,
         strategy: SelectionStrategy,
         tombstones: Vec<bool>,
@@ -390,13 +395,14 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             return Err(PlanarError::InvalidBudget);
         }
         let n_live = tombstones.iter().filter(|&&t| !t).count();
+        table.cluster();
         Ok(Self {
+            live: live_words(&table, &tombstones),
             table,
             domain,
             normalizer,
             indices,
             strategy,
-            deleted: tombstones,
             n_live,
             quarantined,
             quant_tuner: crate::quant::QuantTuner::default(),
@@ -516,7 +522,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// quantity of paper Fig. 13b.
     pub fn memory_usage(&self) -> usize {
         self.table.heap_size()
-            + self.deleted.capacity()
+            + self.live.heap_size()
             + self.indices.iter().map(|i| i.heap_size()).sum::<usize>()
     }
 
@@ -705,6 +711,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             intersect_pruned: 0,
             matched: 0,
             quant: QuantFilterStats::default(),
+            fill_skipped: 0,
             path: ExecutionPath::ScanFallback(ScanReason::DeadlineExceeded),
         }
     }
@@ -768,6 +775,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                     &nq,
                     shift,
                     &self.table,
+                    &self.live,
                     pos,
                     exec,
                     scratch,
@@ -795,38 +803,34 @@ impl<S: KeyStore> PlanarIndexSet<S> {
 
     /// Every live row satisfying `q`, ascending, from a scan of the live
     /// rows' bitmap through the blocked kernels — so the quantized tier
-    /// (when active) wholesale-settles most rows on the scan paths too, and
-    /// the autotuner observes it. The kernel mask is bit-identical to the
-    /// per-row `q.satisfies` predicate.
-    fn scan_live(&self, q: &InequalityQuery) -> (Vec<PointId>, QuantFilterStats) {
-        let live: Vec<u64> = self
-            .deleted
-            .chunks(BLOCK_ROWS)
-            .map(|block| {
-                let dead = block
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |m, (l, &d)| m | (u64::from(d) << l));
-                !dead & (u64::MAX >> (BLOCK_ROWS - block.len()))
-            })
-            .collect();
+    /// (when active) settles whole blocks by their box and wholesale-settles
+    /// most other rows on the scan paths too, and the autotuner observes
+    /// it. The kernel mask is bit-identical to the per-row `q.satisfies`
+    /// predicate. Returns the matches, the filter counters and the rows
+    /// verified.
+    fn scan_live(&self, q: &InequalityQuery) -> (Vec<PointId>, QuantFilterStats, usize) {
         let mut matches = Vec::new();
-        let quant = parallel::verify_mask_blocked(q, &self.table, &live, 0, &mut matches);
+        let words = parallel::BlockWords::cand(&self.live, 0);
+        let (quant, verified) = parallel::verify_mask_blocked(q, &self.table, words, &mut matches);
+        if self.table.is_clustered() {
+            matches.sort_unstable();
+        }
         self.quant_tuner.observe(&quant);
-        (matches, quant)
+        (matches, quant, verified)
     }
 
     fn scan_fallback(&self, q: &InequalityQuery, reason: ScanReason) -> QueryOutcome {
-        let (matches, quant) = self.scan_live(q);
+        let (matches, quant, verified) = self.scan_live(q);
         let stats = QueryStats {
             n: self.n_live,
             smaller: 0,
             intermediate: self.n_live,
             larger: 0,
-            verified: self.n_live,
+            verified,
             intersect_pruned: 0,
             matched: matches.len(),
             quant,
+            fill_skipped: 0,
             path: ExecutionPath::ScanFallback(reason),
         };
         QueryOutcome {
@@ -1013,7 +1017,10 @@ impl<S: KeyStore> PlanarIndexSet<S> {
 
     /// Is the point with this id present and not tombstoned?
     pub fn is_live(&self, id: PointId) -> bool {
-        (id as usize) < self.deleted.len() && !self.deleted[id as usize]
+        (id as usize) < self.table.len() && {
+            let slot = self.table.slot_of(id) as usize;
+            self.live[slot / BLOCK_ROWS] >> (slot % BLOCK_ROWS) & 1 == 1
+        }
     }
 
     /// The best index position, interval bounds and effective comparison
@@ -1059,7 +1066,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// Algorithm 2 without an index: rank every satisfying live row (see
     /// [`Self::scan_live`]).
     fn top_k_scan(&self, q: &TopKQuery, reason: ScanReason) -> TopKOutcome {
-        let (satisfying, quant) = self.scan_live(&q.query);
+        let (satisfying, quant, verified) = self.scan_live(&q.query);
         let mut buf = TopKBuffer::new(q.k);
         buf.offer_rows(&q.query, &self.table, &satisfying);
         let served_by = if matches!(reason, ScanReason::IndexUnavailable) {
@@ -1074,7 +1081,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 n: self.n_live,
                 intermediate: self.n_live,
                 walked: 0,
-                verified: self.n_live,
+                verified,
                 intersect_pruned: 0,
                 quant,
             },
@@ -1100,7 +1107,11 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 idx.insert_point(&self.table, id);
             }
         }
-        self.deleted.push(false);
+        let slot = self.table.slot_of(id) as usize;
+        if slot / BLOCK_ROWS == self.live.len() {
+            self.live.push(0);
+        }
+        self.live[slot / BLOCK_ROWS] |= 1 << (slot % BLOCK_ROWS);
         self.n_live += 1;
         Ok(id)
     }
@@ -1147,16 +1158,26 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 idx.remove_point(&self.table, id);
             }
         }
-        self.deleted[id as usize] = true;
-        self.n_live -= 1;
+        self.mark_deleted(id);
         Ok(())
+    }
+
+    /// Tombstone the row of a live id that no index holds any more.
+    fn mark_deleted(&mut self, id: PointId) {
+        let slot = self.table.slot_of(id) as usize;
+        self.live[slot / BLOCK_ROWS] &= !(1 << (slot % BLOCK_ROWS));
+        self.n_live -= 1;
     }
 
     /// Vacuum the set: rebuild the feature table with only live rows and
     /// reconstruct every index from it, dropping all tombstones. Point ids
-    /// are *renumbered* — the returned map gives each old id its new id
-    /// (`None` for tombstoned rows). Quarantined indices are rebuilt from
-    /// the fresh table as a side effect and leave quarantine.
+    /// are *renumbered* in their old relative order — the returned map
+    /// gives each old id its new id (`None` for tombstoned rows) — and the
+    /// fresh table is laid out in k-d block order again
+    /// ([`FeatureTable::cluster`]), so the tail blocks that inserts filled
+    /// since the last clustering regain tight boxes. Quarantined indices
+    /// are rebuilt from the fresh table as a side effect and leave
+    /// quarantine.
     ///
     /// The normalizer is kept as-is: its translation only ever grows (see
     /// [`Normalizer::absorb`]), so a fit over a superset of the live rows
@@ -1173,7 +1194,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         let mut fresh = FeatureTable::with_capacity(self.table.dim(), self.n_live)
             .expect("dimension was validated at build");
         for (id, row) in self.table.iter() {
-            if !self.deleted[id as usize] {
+            if self.is_live(id) {
                 let new_id = fresh.push_row(row).expect("row was validated when added");
                 remap[id as usize] = Some(new_id);
             }
@@ -1183,12 +1204,13 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         // re-evaluate: the data changed, so a previous for-band-width
         // demotion no longer binds.
         let policy = self.table.quant_policy();
+        fresh.cluster();
         self.table = fresh;
         self.table.set_quant_policy(policy);
-        self.deleted = vec![false; self.table.len()];
+        self.live = live_words(&self.table, &[]);
         self.n_live = self.table.len();
         for idx in &mut self.indices {
-            idx.rebuild_from(&self.table, &self.deleted);
+            idx.rebuild_from(&self.table, &[]);
         }
         for flag in &mut self.quarantined {
             *flag = false;
@@ -1198,8 +1220,34 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         remap
     }
 
+    /// Renumber the rows so that new id `i` is the row of old id `order[i]`
+    /// (`order` is a permutation of the table's ids), keeping tombstones
+    /// and quarantine flags. The table is laid out afresh and every healthy
+    /// index re-sorted over the new ids. Used by the sharded loader to
+    /// restore a shard's ascending local→global map.
+    pub(crate) fn relabel(&mut self, order: &[PointId]) {
+        let mut fresh = FeatureTable::with_capacity(self.table.dim(), order.len())
+            .expect("dimension was validated at build");
+        for &old in order {
+            fresh
+                .push_row(self.table.row(old))
+                .expect("row was validated when added");
+        }
+        let policy = self.table.quant_policy();
+        fresh.cluster();
+        let dead: Vec<bool> = order.iter().map(|&old| !self.is_live(old)).collect();
+        self.table = fresh;
+        self.table.set_quant_policy(policy);
+        self.live = live_words(&self.table, &dead);
+        for (idx, &quar) in self.indices.iter_mut().zip(&self.quarantined) {
+            if !quar {
+                idx.rebuild_from(&self.table, &dead);
+            }
+        }
+    }
+
     /// [`Self::compact`] only when the tombstone fraction
-    /// `deleted / table rows` exceeds `threshold`; returns the id remap
+    /// `dead / table rows` exceeds `threshold`; returns the id remap
     /// when a compaction ran.
     pub fn compact_if(&mut self, threshold: f64) -> Option<Vec<Option<PointId>>> {
         let total = self.table.len();
@@ -1218,7 +1266,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     ///
     /// [`SingleIndex::build`] validation.
     pub fn add_index(&mut self, normal: Vec<f64>) -> Result<usize> {
-        let idx = SingleIndex::build_live(&self.table, &self.normalizer, normal, &self.deleted)?;
+        let idx = SingleIndex::build_live(&self.table, &self.normalizer, normal, &self.dead())?;
         self.indices.push(idx);
         self.quarantined.push(false);
         Ok(self.indices.len() - 1)
@@ -1277,6 +1325,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// any state: id order against the computed keys, id liveness and
     /// entry counts (see [`SingleIndex::verify`]).
     pub fn verify_all(&self) -> HealthReport {
+        let dead = self.dead();
         let indices = self
             .indices
             .iter()
@@ -1286,7 +1335,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 issues: if self.quarantined[pos] {
                     Vec::new()
                 } else {
-                    idx.verify(&self.table, &self.deleted, self.n_live)
+                    idx.verify(&self.table, &dead, self.n_live)
                 },
             })
             .collect();
@@ -1313,9 +1362,10 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// `O(n log n)` per rebuilt index, same as [`Self::add_index`].
     pub fn rebuild_quarantined(&mut self) -> Vec<usize> {
         let mut rebuilt = Vec::new();
+        let dead = self.dead();
         for pos in 0..self.indices.len() {
             if self.quarantined[pos] {
-                self.indices[pos].rebuild_from(&self.table, &self.deleted);
+                self.indices[pos].rebuild_from(&self.table, &dead);
                 self.quarantined[pos] = false;
                 rebuilt.push(pos);
             }
@@ -1336,14 +1386,13 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         config: IndexConfig,
     ) -> Result<()> {
         let rebuilt = Self::build(self.table.clone(), domain, config)?;
-        let deleted = core::mem::replace(self, rebuilt).deleted;
+        let dead = core::mem::replace(self, rebuilt).dead();
         // Reapply tombstones.
-        for (id, _) in deleted.iter().enumerate().filter(|(_, &dead)| dead) {
+        for (id, _) in dead.iter().enumerate().filter(|(_, &dead)| dead) {
             for idx in &mut self.indices {
                 idx.remove_point(&self.table, id as PointId);
             }
-            self.deleted[id] = true;
-            self.n_live -= 1;
+            self.mark_deleted(id as PointId);
         }
         Ok(())
     }
@@ -1358,13 +1407,36 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         Ok(())
     }
 
+    /// The tombstone flag of every id, for the paths that rebuild or check
+    /// whole indices.
+    fn dead(&self) -> Vec<bool> {
+        (0..self.table.len() as PointId)
+            .map(|id| !self.is_live(id))
+            .collect()
+    }
+
     fn check_live(&self, id: PointId) -> Result<()> {
-        if (id as usize) < self.deleted.len() && !self.deleted[id as usize] {
+        if self.is_live(id) {
             Ok(())
         } else {
             Err(PlanarError::PointNotFound(id))
         }
     }
+}
+
+/// The live rows of `table` by columnar slot, one word per 64-row block:
+/// every row not marked in `dead` (a shorter `dead` leaves the rest
+/// live).
+pub(crate) fn live_words(table: &FeatureTable, dead: &[bool]) -> Vec<u64> {
+    let n = table.len();
+    let mut live = vec![0u64; n.div_ceil(BLOCK_ROWS)];
+    for slot in 0..n {
+        let id = table.id_at(slot as u32) as usize;
+        if !dead.get(id).copied().unwrap_or(false) {
+            live[slot / BLOCK_ROWS] |= 1 << (slot % BLOCK_ROWS);
+        }
+    }
+    live
 }
 
 #[cfg(test)]

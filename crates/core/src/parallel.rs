@@ -8,10 +8,17 @@
 //! identically ordered with** its serial counterpart, for any thread count:
 //!
 //! * Intermediate-interval (II) candidates are held as a bitmap with one
-//!   word per 64-row block ([`QueryScratch`]) and verified in ascending-id
-//!   order by [`verify_mask`]. Splitting the bitmap into contiguous word
-//!   ranges and concatenating the per-range matches in range order
-//!   reproduces the serial order exactly.
+//!   word per 64-row block of the columnar mirror ([`QueryScratch`]) and
+//!   verified block by block in slot order by [`verify_mask`]. Splitting
+//!   the bitmap into contiguous word ranges and concatenating the
+//!   per-range matches in range order reproduces the serial order exactly;
+//!   callers sort the ids of a clustered table (see
+//!   [`crate::table::FeatureTable::cluster`]) into ascending id order.
+//! * Before a block's codes are read, the quantized tier settles the whole
+//!   block from its bounding box when it can ([`BlockWords`]): a rejected
+//!   block contributes nothing and an accepted one all its candidate
+//!   lanes. The box bounds come from the same fold as the lane classifier,
+//!   so they are sound against the `f64` rounding of the exact dot.
 //! * Verdicts come from the quantized classifier when the tier is on (sound:
 //!   its accepts and rejects agree with the exact predicate, and its band
 //!   is re-verified in `f64`), else from the fused columnar SIMD kernel
@@ -42,7 +49,7 @@
 //! closures' lifetimes — and no extra dependency. [`threads_spawned`]
 //! counts the threads spawned.
 
-use crate::quant::{BlockClass, QuantFilter, QuantFilterStats};
+use crate::quant::{BlockClass, BoxClass, QuantFilter, QuantFilterStats};
 use crate::query::{Cmp, InequalityQuery};
 use crate::table::{ColSegment, FeatureTable, PointId};
 use crate::{PlanarError, Result};
@@ -246,18 +253,23 @@ impl ExecutionConfig {
 ///
 /// Algorithms 1 and 2 hold the intermediate-interval (II) candidate set
 /// here as a bitmap with one `u64` word per [`BLOCK_ROWS`]-row block of the
-/// table's columnar mirror: bit `l` of word `w` is row `w·BLOCK_ROWS + l`.
-/// Setting bits straight from the store's key-order walk and reading the
-/// words in order yields ascending ids in `O(m + n/64)` with no sort, and
-/// each word is exactly the candidate mask of one block for the verification
-/// kernels. A scratch threaded through a batch of queries makes the
-/// verification loop allocation-free once its buffers have grown to the
-/// table's size.
+/// table's columnar mirror: bit `l` of word `w` is the row in slot
+/// `w·BLOCK_ROWS + l`. Setting bits straight from the store's key-order
+/// walk and reading the words in order visits the candidates block by
+/// block in `O(m + n/64)` with no sort, and each word is exactly the
+/// candidate mask of one block for the verification kernels. A scratch
+/// threaded through a batch of queries makes the verification loop
+/// allocation-free once its buffers have grown to the table's size.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
     /// II candidate bitmap, one word per block of the columnar mirror.
     pub(crate) mask: Vec<u64>,
-    /// Satisfying II ids of one top-k query, ascending, before ranking.
+    /// Lanes proven to satisfy the query (the index's accepted interval),
+    /// one word per block; emitted without verification.
+    pub(crate) accept: Vec<u64>,
+    /// Box verdict of every block, from [`box_pass`].
+    pub(crate) boxes: Vec<BoxClass>,
+    /// Satisfying II ids of one top-k query, before ranking.
     pub(crate) ids: Vec<PointId>,
 }
 
@@ -270,27 +282,102 @@ impl QueryScratch {
     /// Scratch pre-sized for tables of up to `capacity` rows, so the first
     /// query allocates nothing.
     pub fn with_capacity(capacity: usize) -> Self {
+        let blocks = capacity.div_ceil(BLOCK_ROWS);
         Self {
-            mask: Vec::with_capacity(capacity.div_ceil(BLOCK_ROWS)),
+            mask: Vec::with_capacity(blocks),
+            accept: Vec::with_capacity(blocks),
+            boxes: Vec::with_capacity(blocks),
             ids: Vec::new(),
         }
     }
 
-    /// Reset the bitmap to the candidate set `ids` over a table of `rows`
-    /// rows. Returns the word range `[lo, hi)` outside which every word is
-    /// zero (empty when `ids` is).
-    pub(crate) fn fill(&mut self, rows: usize, ids: impl Iterator<Item = PointId>) -> Range<usize> {
-        self.mask.clear();
-        self.mask.resize(rows.div_ceil(BLOCK_ROWS), 0);
+    /// Reset the bitmaps to the candidate set `cand` and the proven set
+    /// `accepted` over `table`'s slots. Returns the word range `[lo, hi)`
+    /// outside which every word of both is zero (empty when both sets are).
+    pub(crate) fn fill(
+        &mut self,
+        table: &FeatureTable,
+        cand: &[PointId],
+        accepted: &[PointId],
+    ) -> Range<usize> {
+        let blocks = table.len().div_ceil(BLOCK_ROWS);
         let (mut lo, mut hi) = (usize::MAX, 0);
-        for id in ids {
-            let w = id as usize / BLOCK_ROWS;
-            self.mask[w] |= 1u64 << (id as usize % BLOCK_ROWS);
-            lo = lo.min(w);
-            hi = hi.max(w + 1);
+        for (words, ids) in [(&mut self.mask, cand), (&mut self.accept, accepted)] {
+            words.clear();
+            words.resize(blocks, 0);
+            for &id in ids {
+                let slot = table.slot_of(id) as usize;
+                let w = slot / BLOCK_ROWS;
+                words[w] |= 1u64 << (slot % BLOCK_ROWS);
+                lo = lo.min(w);
+                hi = hi.max(w + 1);
+            }
         }
         lo.min(hi)..hi
     }
+}
+
+/// A window of per-block words for [`verify_mask`]: word `i` describes
+/// block `first + i`. `accept` and `boxes` may be empty (no proven lanes;
+/// box verdicts computed on the fly).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockWords<'a> {
+    /// Candidate lanes, verified unless their block's box settles them.
+    pub cand: &'a [u64],
+    /// Lanes proven to satisfy the query, emitted unverified.
+    pub accept: &'a [u64],
+    /// Precomputed box verdicts (see [`box_pass`]).
+    pub boxes: &'a [BoxClass],
+    /// Block number of word 0.
+    pub first: usize,
+}
+
+impl<'a> BlockWords<'a> {
+    /// Candidate words only, from block `first` on.
+    pub(crate) fn cand(cand: &'a [u64], first: usize) -> Self {
+        Self {
+            cand,
+            accept: &[],
+            boxes: &[],
+            first,
+        }
+    }
+
+    /// The sub-window of words `range`.
+    fn slice(&self, range: Range<usize>) -> Self {
+        Self {
+            cand: &self.cand[range.clone()],
+            accept: self.accept.get(range.clone()).unwrap_or(&[]),
+            boxes: self.boxes.get(range.clone()).unwrap_or(&[]),
+            first: self.first + range.start,
+        }
+    }
+}
+
+/// The box verdict of every block of `table` into `boxes`, and the live
+/// lanes (per `live`, one word per block) of the blocks left `Mixed`.
+/// `None`, with `boxes` empty, when the table has no quantized tier — its
+/// blocks have no boxes.
+pub(crate) fn box_pass(
+    query: &InequalityQuery,
+    table: &FeatureTable,
+    live: &[u64],
+    boxes: &mut Vec<BoxClass>,
+) -> Option<usize> {
+    boxes.clear();
+    let mut filter = QuantFilter::new(query, table.quant()?);
+    let mut mixed_live = 0;
+    boxes.extend(live.iter().enumerate().map(|(b, &lanes)| {
+        if lanes == 0 {
+            return BoxClass::Mixed;
+        }
+        let verdict = filter.box_class(b);
+        if verdict == BoxClass::Mixed {
+            mixed_live += lanes.count_ones() as usize;
+        }
+        verdict
+    }));
+    Some(mixed_live)
 }
 
 /// Split `items` into `workers` contiguous chunks, apply `f(start, chunk)`
@@ -356,22 +443,21 @@ where
         .collect()
 }
 
-/// Block `w`'s first row id, row count (`BLOCK_ROWS` except in the last,
+/// Block `w`'s first slot, lane count (`BLOCK_ROWS` except in the last,
 /// partial block) and columnar storage.
-fn block(table: &FeatureTable, w: usize) -> (PointId, usize, ColSegment<'_>) {
-    let first = (w * BLOCK_ROWS) as PointId;
+fn block(table: &FeatureTable, w: usize) -> (u32, usize, ColSegment<'_>) {
+    let first = (w * BLOCK_ROWS) as u32;
     let lanes = (table.len() - w * BLOCK_ROWS).min(BLOCK_ROWS);
-    let seg = table
-        .columns()
-        .segments(first, first + lanes as PointId)
-        .next();
+    let seg = table.columns().segments(first, first + lanes as u32).next();
     (first, lanes, seg.expect("a non-empty block has a segment"))
 }
 
-/// Verify a window of the candidate bitmap against `query`, pushing
-/// satisfying ids onto `out` in ascending-id order. `words[i]` is the
-/// candidate mask of block `first_word + i`. Every candidate is verified,
-/// block by block:
+/// Verify a window of block words against `query`, pushing the ids of
+/// satisfying lanes onto `out` in slot order. Each non-empty block is
+/// first settled by its bounding box when the table has a quantized tier
+/// (a rejected block emits nothing and reads no code; an accepted one
+/// emits its candidate and proven lanes). In every other block the proven
+/// lanes are emitted and each candidate is verified:
 ///
 /// * a block with at least [`QUANT_MIN_SEGMENT_LANES`] candidates gets one
 ///   whole-block pass — the quantized classifier when the tier is on, else
@@ -382,54 +468,80 @@ fn block(table: &FeatureTable, w: usize) -> (PointId, usize, ColSegment<'_>) {
 ///   columnar pass touches `d` lines for every run of lanes, however short.
 ///
 /// The emitted ids are identical to checking every candidate row by row.
-/// Returns the quantized-filter counters (all zeros when the tier is off).
+/// Returns the quantized-filter counters (all zeros when the tier is off)
+/// and the number of candidate lanes verified — classified or given an
+/// `f64` product.
 pub(crate) fn verify_mask_blocked(
     query: &InequalityQuery,
     table: &FeatureTable,
-    words: &[u64],
-    first_word: usize,
+    words: BlockWords<'_>,
     out: &mut Vec<PointId>,
-) -> QuantFilterStats {
+) -> (QuantFilterStats, usize) {
     let mut stats = QuantFilterStats::default();
+    let mut verified = 0;
     let mut filter = table.quant().map(|q| {
         stats.tier = q.tier();
         QuantFilter::new(query, q)
     });
-    for (i, &cand) in words.iter().enumerate() {
-        if cand == 0 {
+    for (i, &cand) in words.cand.iter().enumerate() {
+        let proven = words.accept.get(i).copied().unwrap_or(0);
+        if cand | proven == 0 {
             continue;
         }
-        let w = first_word + i;
-        let base = (w * BLOCK_ROWS) as PointId;
-        let lanes = cand.count_ones() as usize;
-        let mut mask = if lanes >= QUANT_MIN_SEGMENT_LANES {
-            dense_block_mask(query, table, w, cand, filter.as_mut(), &mut stats)
-        } else {
-            // Too few lanes to amortize a classify dispatch: counting them
-            // as fallback tells the autotuner the filter isn't engaging.
-            if filter.is_some() {
-                stats.lanes += lanes;
-                stats.fallback += lanes;
-            }
-            rowwise_mask(query, table, base, cand)
+        let w = words.first + i;
+        let verdict = match (&mut filter, words.boxes.get(i)) {
+            (None, _) => BoxClass::Mixed,
+            (Some(_), Some(&v)) => v,
+            (Some(f), None) => f.box_class(w),
         };
+        let mut mask = match verdict {
+            BoxClass::Reject => {
+                stats.box_rejected += 1;
+                0
+            }
+            BoxClass::Accept => {
+                stats.box_accepted += 1;
+                cand | proven
+            }
+            BoxClass::Mixed => {
+                let lanes = cand.count_ones() as usize;
+                verified += lanes;
+                let found = if lanes == 0 {
+                    0
+                } else if lanes >= QUANT_MIN_SEGMENT_LANES {
+                    dense_block_mask(query, table, w, cand, filter.as_mut(), &mut stats)
+                } else {
+                    // Too few lanes to amortize a classify dispatch:
+                    // counting them as fallback tells the autotuner the
+                    // filter isn't engaging.
+                    if filter.is_some() {
+                        stats.lanes += lanes;
+                        stats.fallback += lanes;
+                    }
+                    rowwise_mask(query, table, (w * BLOCK_ROWS) as u32, cand)
+                };
+                found | proven
+            }
+        };
+        let base = (w * BLOCK_ROWS) as u32;
         while mask != 0 {
-            out.push(base + mask.trailing_zeros());
+            out.push(table.id_at(base + mask.trailing_zeros()));
             mask &= mask - 1;
         }
     }
-    stats
+    (stats, verified)
 }
 
-/// Exact predicate mask of the lanes `lanes` of the block starting at row
+/// Exact predicate mask of the lanes `lanes` of the block starting at slot
 /// `first`, settling each lane with the row-wise reference dot (the
 /// definition of the exact answer).
-fn rowwise_mask(query: &InequalityQuery, table: &FeatureTable, first: PointId, lanes: u64) -> u64 {
+fn rowwise_mask(query: &InequalityQuery, table: &FeatureTable, first: u32, lanes: u64) -> u64 {
     let mut mask = 0;
     let mut m = lanes;
     while m != 0 {
         let l = m.trailing_zeros();
-        if query.satisfies_dot(dot_slices(query.a(), table.row(first + l))) {
+        let row = table.row(table.id_at(first + l));
+        if query.satisfies_dot(dot_slices(query.a(), row)) {
             mask |= 1u64 << l;
         }
         m &= m - 1;
@@ -494,36 +606,38 @@ fn dense_block_mask(
     }
 }
 
-/// Inequality-query II verification of a bitmap window (see
+/// Inequality-query II verification of a window of block words (see
 /// [`verify_mask_blocked`]): serial, or split on word boundaries across
 /// `exec.threads` workers when the `candidates` count crosses
 /// `exec.parallel_verify_threshold`. Per-chunk matches are concatenated in
-/// chunk order, so the output is ascending-id either way (see module
+/// chunk order, so the output is in slot order either way (see module
 /// docs).
 pub(crate) fn verify_mask(
     query: &InequalityQuery,
     table: &FeatureTable,
-    words: &[u64],
-    first_word: usize,
+    words: BlockWords<'_>,
     candidates: usize,
     exec: &ExecutionConfig,
     out: &mut Vec<PointId>,
-) -> QuantFilterStats {
+) -> (QuantFilterStats, usize) {
     if !(exec.is_parallel() && candidates >= exec.parallel_verify_threshold.max(2)) {
-        return verify_mask_blocked(query, table, words, first_word, out);
+        return verify_mask_blocked(query, table, words, out);
     }
-    let workers = exec.threads.min(words.len());
-    let per_chunk = map_chunks(words, workers, |start, chunk| {
+    let workers = exec.threads.min(words.cand.len());
+    let per_chunk = map_chunks(words.cand, workers, |start, chunk| {
         let mut local = Vec::new();
-        let stats = verify_mask_blocked(query, table, chunk, first_word + start, &mut local);
-        (local, stats)
+        let part = words.slice(start..start + chunk.len());
+        let counts = verify_mask_blocked(query, table, part, &mut local);
+        (local, counts)
     });
     let mut stats = QuantFilterStats::default();
-    for (part, part_stats) in per_chunk {
+    let mut verified = 0;
+    for (part, (part_stats, part_verified)) in per_chunk {
         out.extend_from_slice(&part);
         stats.merge(&part_stats);
+        verified += part_verified;
     }
-    stats
+    (stats, verified)
 }
 
 /// Sharding plan for a batch of queries: how many workers a batch of
@@ -606,23 +720,43 @@ mod tests {
         assert!(!generous.expired());
     }
 
-    /// Candidate bitmap of `ids` over a table of `rows` rows.
-    fn bitmap(rows: usize, ids: &[PointId]) -> Vec<u64> {
+    /// Candidate bitmap of `ids` over `table`'s slots.
+    fn bitmap(table: &FeatureTable, ids: &[PointId]) -> Vec<u64> {
         let mut scratch = QueryScratch::new();
-        scratch.fill(rows, ids.iter().copied());
+        scratch.fill(table, ids, &[]);
         scratch.mask
     }
 
     #[test]
     fn fill_sets_exactly_the_candidate_bits() {
+        let t = table(200);
         let mut scratch = QueryScratch::new();
-        let words = scratch.fill(200, [130u32, 3, 64, 199].into_iter());
+        let words = scratch.fill(&t, &[130u32, 3, 64, 199], &[]);
         assert_eq!(words, 0..4);
         assert_eq!(scratch.mask, vec![1 << 3, 1, 1 << 2, 1 << 7]);
-        // A refill starts from an empty set, whatever the last query left.
-        assert_eq!(scratch.fill(200, [70u32].into_iter()), 1..2);
+        assert_eq!(scratch.accept, vec![0; 4]);
+        // A refill starts from an empty set, whatever the last query left;
+        // proven lanes widen the window.
+        assert_eq!(scratch.fill(&t, &[70u32], &[190]), 1..3);
         assert_eq!(scratch.mask, vec![0, 1 << 6, 0, 0]);
-        assert!(scratch.fill(200, std::iter::empty()).is_empty());
+        assert_eq!(scratch.accept, vec![0, 0, 1 << 62, 0]);
+        assert!(scratch.fill(&t, &[], &[]).is_empty());
+    }
+
+    #[test]
+    fn fill_and_emission_follow_the_block_layout() {
+        // A clustered table keeps candidates in their slots' blocks and
+        // emits ids, which callers sort.
+        let rows = (0..300).map(|i| vec![((i * 37) % 300) as f64, 1.0]);
+        let mut t = FeatureTable::from_rows(2, rows).unwrap();
+        t.cluster();
+        assert!(t.is_clustered());
+        let q = InequalityQuery::new(vec![1.0, 1.0], Cmp::Leq, 120.0).unwrap();
+        let ids: Vec<PointId> = (0..300).collect();
+        let mut got = Vec::new();
+        verify_mask_blocked(&q, &t, BlockWords::cand(&bitmap(&t, &ids), 0), &mut got);
+        got.sort_unstable();
+        assert_eq!(got, crate::scan::SeqScan::new(&t).evaluate(&q).unwrap());
     }
 
     #[test]
@@ -638,30 +772,39 @@ mod tests {
             .filter(|&id| q.satisfies(t.row(id)))
             .collect();
         let mut got = Vec::new();
-        verify_mask_blocked(&q, &t, &bitmap(500, &ids), 0, &mut got);
+        let (_, verified) =
+            verify_mask_blocked(&q, &t, BlockWords::cand(&bitmap(&t, &ids), 0), &mut got);
         assert_eq!(got, expected);
+        assert_eq!(verified, ids.len(), "no tier: every candidate is verified");
     }
 
     #[test]
     fn quant_lanes_count_candidate_lanes_only() {
         let mut t = table(1000);
-        t.set_quant_policy(crate::quant::QuantPolicy::tier(
-            crate::quant::QuantTier::I16,
-        ));
-        let q = query();
+        t.set_quant_policy(QuantPolicy::tier(QuantTier::I16));
+        // ⟨(1, 1), row i⟩ = 250 + i/4: rows up to 500 satisfy, so the blocks
+        // around row 500 straddle the hyperplane and the rest are settled
+        // by their box.
+        let q = InequalityQuery::new(vec![1.0, 1.0], Cmp::Leq, 375.0).unwrap();
         // Dense blocks with holes (4 of every 5 rows), sparse blocks (every
         // ninth row) and a partial last block.
         let ids: Vec<PointId> = (0..1000u32)
             .filter(|i| if *i < 500 { i % 5 != 0 } else { i % 9 == 0 })
             .collect();
         let mut got = Vec::new();
-        let stats = verify_mask_blocked(&q, &t, &bitmap(1000, &ids), 0, &mut got);
-        assert_eq!(stats.tier, crate::quant::QuantTier::I16);
-        assert_eq!(stats.lanes, ids.len(), "{stats:?}");
+        let (stats, verified) =
+            verify_mask_blocked(&q, &t, BlockWords::cand(&bitmap(&t, &ids), 0), &mut got);
+        assert_eq!(stats.tier, QuantTier::I16);
+        assert_eq!(stats.lanes, verified, "{stats:?}");
+        assert!(verified > 0 && verified < ids.len(), "{stats:?}");
+        assert!(
+            stats.box_accepted > 0 && stats.box_rejected > 0,
+            "{stats:?}"
+        );
         assert_eq!(
             stats.accepted + stats.rejected + stats.reverified + stats.fallback,
             stats.lanes,
-            "every candidate lane is accounted for once: {stats:?}"
+            "every verified lane is accounted for once: {stats:?}"
         );
         let expected: Vec<PointId> = ids
             .iter()
@@ -672,19 +815,58 @@ mod tests {
     }
 
     #[test]
+    fn boxes_settle_only_blocks_they_bound() {
+        // ⟨(1, −1), row i⟩ = 0.75·i − 160 grows with both coordinates'
+        // signed weights, so each block's box is as tight as its rows; a
+        // threshold inside block 3 (dots −16 to 31.25) leaves exactly that
+        // block mixed.
+        let mut t = table(640);
+        t.set_quant_policy(QuantPolicy::tier(QuantTier::I8));
+        let q = InequalityQuery::new(vec![1.0, -1.0], Cmp::Geq, 10.0).unwrap();
+        let live = crate::multi::live_words(&t, &[]);
+        let mut boxes = Vec::new();
+        let mixed = box_pass(&q, &t, &live, &mut boxes).unwrap();
+        assert_eq!(mixed, 64);
+        assert_eq!(boxes.len(), 10);
+        assert_eq!(boxes[3], BoxClass::Mixed);
+        assert!(boxes[..3].iter().all(|&b| b == BoxClass::Reject));
+        assert!(boxes[4..].iter().all(|&b| b == BoxClass::Accept));
+        let words = BlockWords {
+            boxes: &boxes,
+            ..BlockWords::cand(&live, 0)
+        };
+        let mut got = Vec::new();
+        let (stats, verified) = verify_mask_blocked(&q, &t, words, &mut got);
+        assert_eq!(got, crate::scan::SeqScan::new(&t).evaluate(&q).unwrap());
+        assert_eq!(
+            (stats.box_accepted, stats.box_rejected, verified),
+            (6, 3, 64)
+        );
+        // Without a tier there are no boxes.
+        t.set_quant_policy(QuantPolicy::off());
+        assert_eq!(box_pass(&q, &t, &live, &mut boxes), None);
+        assert!(boxes.is_empty());
+    }
+
+    #[test]
     fn parallel_verification_is_identical_to_serial() {
-        let t = table(2000);
-        let q = query();
-        let ids: Vec<PointId> = (0..2000u32).filter(|i| i % 7 != 3).collect();
-        let words = bitmap(2000, &ids);
-        let mut serial = Vec::new();
-        let serial_counts = verify_mask_blocked(&q, &t, &words, 0, &mut serial);
-        for threads in [2, 3, 8, 64] {
-            let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
-            let mut out = Vec::new();
-            let counts = verify_mask(&q, &t, &words, 0, ids.len(), &exec, &mut out);
-            assert_eq!(out, serial, "threads={threads}");
-            assert_eq!(counts, serial_counts, "threads={threads}");
+        for tier in [QuantTier::Off, QuantTier::I16] {
+            let mut t = table(2000);
+            t.set_quant_policy(QuantPolicy::tier(tier));
+            let q = InequalityQuery::new(vec![1.0, 1.0], Cmp::Leq, 600.0).unwrap();
+            let ids: Vec<PointId> = (0..2000u32).filter(|i| i % 7 != 3).collect();
+            let words = bitmap(&t, &ids);
+            let mut serial = Vec::new();
+            let serial_counts =
+                verify_mask_blocked(&q, &t, BlockWords::cand(&words, 0), &mut serial);
+            for threads in [2, 3, 8, 64] {
+                let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
+                let mut out = Vec::new();
+                let words = BlockWords::cand(&words, 0);
+                let counts = verify_mask(&q, &t, words, ids.len(), &exec, &mut out);
+                assert_eq!(out, serial, "{tier:?} threads={threads}");
+                assert_eq!(counts, serial_counts, "{tier:?} threads={threads}");
+            }
         }
     }
 

@@ -968,7 +968,7 @@ impl<S: KeyStore> ShardedIndexSet<S> {
             }
         }
         core.put_u64_le(assignment.len() as u64);
-        for &(shard, local) in assignment {
+        for &(shard, local) in &assignment {
             core.put_u32_le(shard);
             core.put_u32_le(local);
         }

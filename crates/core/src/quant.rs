@@ -406,19 +406,46 @@ pub(crate) enum BlockClass {
     },
 }
 
+/// Verdict of a whole block from its bounding box (see
+/// [`QuantFilter::box_class`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BoxClass {
+    /// Every row of the block satisfies the predicate.
+    Accept,
+    /// No row of the block satisfies it.
+    Reject,
+    /// The box straddles the hyperplane (or the block cannot be folded):
+    /// its rows need a per-lane verdict.
+    Mixed,
+}
+
+/// One block's fold of the query: `bias = Σⱼ aⱼ·oⱼ − b`, the error bound
+/// `E`, and `reach = Σ|aⱼ|sⱼ·qmax + E`, so `⟨a, x⟩ − b` lies in
+/// `bias ± reach` over the block's box. The lane classifier's weights (in
+/// [`QuantFilter::w`]) and outward-rounded `f32` thresholds are derived from
+/// it on first use.
+#[derive(Debug, Clone, Copy)]
+struct Fold {
+    bias: f64,
+    e: f64,
+    reach: f64,
+    thresholds: Option<(f32, f32)>,
+}
+
 /// Per-query classification driver: folds the query into per-block `f32`
 /// weights and outward-rounded thresholds, then dispatches the fused
-/// kernels. Create once per (query, table) pair; `classify` is called per
-/// block, at most once per block and query: the verification walk visits
-/// the candidate bitmap one block at a time, so a fold is never reused and
-/// none is cached.
+/// kernels. Create once per (query, table) pair. The last fold is kept, so
+/// a block settled by [`Self::box_class`] and then classified lane by lane
+/// folds once; a block its box settles never computes weights.
 pub(crate) struct QuantFilter<'a> {
     q: &'a QuantizedColumns,
     a: &'a [f64],
     b: f64,
     leq: bool,
-    /// Scratch: per-dimension `f32` weights for the current block.
+    /// Scratch: per-dimension `f32` weights for the last block classified.
     w: Vec<f32>,
+    /// The last block folded; `None` inside when the fold was unsafe.
+    last: Option<(usize, Option<Fold>)>,
 }
 
 impl<'a> QuantFilter<'a> {
@@ -429,23 +456,20 @@ impl<'a> QuantFilter<'a> {
             b: query.b(),
             leq: query.cmp() == Cmp::Leq,
             w: vec![0.0; query.a().len()],
+            last: None,
         }
     }
 
-    /// Classify `lanes` lanes starting at row `first` (all within one
-    /// block). Returns disjoint accept/reject masks (bit `l` ↔ row
+    /// Classify `lanes` lanes starting at slot `first` (all within one
+    /// block). Returns disjoint accept/reject masks (bit `l` ↔ slot
     /// `first + l`) or `Fallback`.
     pub(crate) fn classify(&mut self, first: PointId, lanes: usize) -> BlockClass {
         let dim = self.a.len();
         let block = first as usize / BLOCK_ROWS;
         let shift = first as usize % BLOCK_ROWS;
-        if self.q.fallback[block] {
-            return BlockClass::Fallback;
-        }
-        let Some((t_lo, t_hi)) = self.fold(block) else {
+        let Some((t_lo, t_hi)) = self.thresholds(block) else {
             return BlockClass::Fallback;
         };
-
         let base = block * dim * BLOCK_ROWS + shift;
         let (below, above) = match &self.q.codes {
             Codes::I8(v) => classify_block_i8(&self.w, &v[base..], BLOCK_ROWS, lanes, t_lo, t_hi),
@@ -464,16 +488,87 @@ impl<'a> QuantFilter<'a> {
         }
     }
 
-    /// Fold the query into `block`'s decode, filling `self.w`. Returns the
-    /// outward-rounded thresholds, or `None` when the fold is numerically
-    /// unsafe (the caller must take the exact path).
-    fn fold(&mut self, block: usize) -> Option<(f32, f32)> {
+    /// Settle block `block` as a whole from its box, before any code is
+    /// read. Every coordinate of the block lies within
+    /// `offset ± scale·(qmax + ½)` (the codec's decode error is at most
+    /// half a scale), so `⟨a, x⟩ − b` lies within
+    /// `bias ± (Σ|aⱼ|sⱼ·qmax + E)` — the same `bias`, `Σ|aⱼ|sⱼ` and error
+    /// bound `E` the lane classifier uses, whose quantization term covers
+    /// the half scale and whose `f64` term covers the rounding of the exact
+    /// dot (see the module docs). Fallback blocks and unsafe folds are
+    /// `Mixed`.
+    pub(crate) fn box_class(&mut self, block: usize) -> BoxClass {
+        let Some(fold) = self.folded(block) else {
+            return BoxClass::Mixed;
+        };
+        let (lo, hi) = (fold.bias - fold.reach, fold.bias + fold.reach);
+        let (all_in, all_out) = if self.leq {
+            (hi < 0.0, lo > 0.0)
+        } else {
+            (lo > 0.0, hi < 0.0)
+        };
+        if all_in {
+            BoxClass::Accept
+        } else if all_out {
+            BoxClass::Reject
+        } else {
+            BoxClass::Mixed
+        }
+    }
+
+    /// The fold of `block`, reusing the last one when it is the same block.
+    fn folded(&mut self, block: usize) -> Option<Fold> {
+        match self.last {
+            Some((b, fold)) if b == block => fold,
+            _ => {
+                let fold = if self.q.fallback[block] {
+                    None
+                } else {
+                    self.fold(block)
+                };
+                self.last = Some((block, fold));
+                fold
+            }
+        }
+    }
+
+    /// The classifier thresholds of `block`, with `self.w` holding its
+    /// weights. `None` when the block must take the exact path.
+    fn thresholds(&mut self, block: usize) -> Option<(f32, f32)> {
+        let mut fold = self.folded(block)?;
+        if let Some(t) = fold.thresholds {
+            return Some(t);
+        }
+        let dim = self.a.len();
+        let scales = &self.q.scales[block * dim..(block + 1) * dim];
+        for ((w, &aj), &sj) in self.w.iter_mut().zip(self.a).zip(scales) {
+            *w = (aj * sj) as f32;
+        }
+        // Outward-rounded f32 thresholds. `below` lanes have D ≤ t_lo,
+        // `above` lanes have D ≥ t_hi; meaning depends on direction.
+        let (e, bias) = (fold.e, fold.bias);
+        let t = if self.leq {
+            // accept ⇐ D ≤ −E − bias; reject ⇐ D > E − bias.
+            (f32_at_most(-e - bias), f32_strictly_above(e - bias))
+        } else {
+            // reject ⇐ D < −E − bias; accept ⇐ D ≥ E − bias.
+            (f32_strictly_below(-e - bias), f32_at_least(e - bias))
+        };
+        fold.thresholds = Some(t);
+        self.last = Some((block, Some(fold)));
+        Some(t)
+    }
+
+    /// Fold the query into `block`'s decode: `bias`, the error bound and
+    /// the box reach, or `None` when the fold is numerically unsafe (the
+    /// caller must take the exact path).
+    fn fold(&self, block: usize) -> Option<Fold> {
         let dim = self.a.len();
         let scales = &self.q.scales[block * dim..(block + 1) * dim];
         let offsets = &self.q.offsets[block * dim..(block + 1) * dim];
         let qmax_f = f64::from(self.q.codes.qmax());
 
-        // Fold the query into this block's decode: weights, bias, and the
+        // Fold the query into this block's decode: bias, and the
         // magnitudes the error bound is built from.
         let mut s_sum = 0.0f64;
         let mut bias = -self.b;
@@ -482,7 +577,6 @@ impl<'a> QuantFilter<'a> {
             let aj = self.a[j];
             let sj = scales[j];
             let oj = offsets[j];
-            self.w[j] = (aj * sj) as f32;
             s_sum += aj.abs() * sj;
             bias += aj * oj;
             mag += aj.abs() * (oj.abs() + sj * qmax_f);
@@ -501,17 +595,15 @@ impl<'a> QuantFilter<'a> {
         if !e.is_finite() {
             return None;
         }
-
-        // Outward-rounded f32 thresholds. `below` lanes have D ≤ t_lo,
-        // `above` lanes have D ≥ t_hi; meaning depends on direction.
-        let (t_lo, t_hi) = if self.leq {
-            // accept ⇐ D ≤ −E − bias; reject ⇐ D > E − bias.
-            (f32_at_most(-e - bias), f32_strictly_above(e - bias))
-        } else {
-            // reject ⇐ D < −E − bias; accept ⇐ D ≥ E − bias.
-            (f32_strictly_below(-e - bias), f32_at_least(e - bias))
-        };
-        Some((t_lo, t_hi))
+        // |D| ≤ Σ|aⱼ|sⱼ·qmax for every code in the block; E's f32-kernel
+        // term (no f32 arithmetic happens on this path) covers the f64
+        // rounding of these sums many times over.
+        Some(Fold {
+            bias,
+            e,
+            reach: s_sum * qmax_f + e,
+            thresholds: None,
+        })
     }
 }
 
@@ -584,7 +676,8 @@ fn f32_strictly_above(x: f64) -> f32 {
 // ---------------------------------------------------------------------------
 
 /// What the quantized filter did for one query (all zeros when the tier is
-/// off). Nested in [`crate::QueryStats`] and summed by
+/// off). Lanes of blocks settled by their box never enter the filter, so
+/// they count in `box_accepted`/`box_rejected` (blocks) only. Nested in [`crate::QueryStats`] and summed by
 /// [`crate::StatsAggregator`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QuantFilterStats {
@@ -599,6 +692,11 @@ pub struct QuantFilterStats {
     /// Lanes classified by the full-precision fallback (unsound blocks or
     /// overflow guards).
     pub fallback: usize,
+    /// Blocks with candidates whose bounding box proved every row in,
+    /// settled without reading a code.
+    pub box_accepted: usize,
+    /// Blocks with candidates whose bounding box proved every row out.
+    pub box_rejected: usize,
     /// The tier that served this query.
     pub tier: QuantTier,
 }
@@ -611,6 +709,8 @@ impl QuantFilterStats {
         self.rejected += other.rejected;
         self.reverified += other.reverified;
         self.fallback += other.fallback;
+        self.box_accepted += other.box_accepted;
+        self.box_rejected += other.box_rejected;
         if other.tier != QuantTier::Off {
             self.tier = other.tier;
         }
@@ -1109,6 +1209,7 @@ mod tests {
             reverified: 8,
             fallback: 2,
             tier: QuantTier::I8,
+            ..QuantFilterStats::default()
         });
         tuner.observe(&QuantFilterStats::default()); // Off: ignored
         let obs = tuner.observations();

@@ -125,10 +125,13 @@ impl<'a> SeqScan<'a> {
         let mut out = Vec::new();
         self.masked(query, |first, mut mask| {
             while mask != 0 {
-                out.push(first + mask.trailing_zeros());
+                out.push(self.table.id_at(first + mask.trailing_zeros()));
                 mask &= mask - 1;
             }
         });
+        if self.table.is_clustered() {
+            out.sort_unstable();
+        }
         Ok(out)
     }
 
@@ -167,7 +170,7 @@ impl<'a> SeqScan<'a> {
         Ok(buf.into_sorted())
     }
 
-    /// Drive `f(id, ⟨a, row⟩)` over every row in id order, computing the
+    /// Drive `f(id, ⟨a, row⟩)` over every row in slot order, computing the
     /// scalar products one columnar block at a time with
     /// [`dot_block_cols`]. The dot buffer lives on the stack, so the scan
     /// loop itself allocates nothing; results are bit-identical to the
@@ -179,15 +182,16 @@ impl<'a> SeqScan<'a> {
         for seg in cols.segments(0, self.table.len() as PointId) {
             dot_block_cols(query.a(), seg.cols, cols.stride(), &mut dots[..seg.lanes]);
             for (i, &dot) in dots[..seg.lanes].iter().enumerate() {
-                f(seg.first + i as PointId, dot);
+                f(self.table.id_at(seg.first + i as u32), dot);
             }
         }
     }
 
-    /// Drive `f(first_id, predicate_mask)` over every columnar block in id
-    /// order with the fused [`dot_cmp_block`] kernel — the scalar products
-    /// never leave the vector registers. Bit `i` of the mask corresponds to
-    /// point `first_id + i`.
+    /// Drive `f(first_slot, predicate_mask)` over every columnar block in
+    /// slot order with the fused [`dot_cmp_block`] kernel — the scalar
+    /// products never leave the vector registers. Bit `i` of the mask
+    /// corresponds to slot `first_slot + i` (see
+    /// [`FeatureTable::id_at`]).
     fn masked(&self, query: &InequalityQuery, mut f: impl FnMut(PointId, u64)) {
         let cols = self.table.columns();
         let leq = query.cmp() == Cmp::Leq;

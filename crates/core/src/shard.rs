@@ -37,12 +37,20 @@
 //!
 //! ## Id spaces
 //!
-//! Each shard numbers its points locally. The sharded set owns the mapping
-//! in both directions: `assignment[global] = (shard, local)` and
-//! `global_ids[shard][local] = global`. Because global ids only grow and
-//! every insert appends to its shard, `global_ids[shard]` is always
-//! strictly ascending — per-shard ascending id order concatenates into a
-//! deterministic canonical order without a global sort.
+//! Each shard numbers its points locally, and the sharded set maps them:
+//! `global_ids[shard][local] = global`. Global ids only grow, every insert
+//! appends to its shard, and compaction keeps the survivors' relative
+//! order, so `global_ids[shard]` is always strictly ascending. A global id
+//! is found by a binary search of each shard's list (`O(S·log n)` per
+//! mutation, no per-row reverse map). Ids below the high-water mark that
+//! no shard holds are either rows a compaction dropped (recorded, dead
+//! forever) or WAL-replay gaps.
+//!
+//! A shard's answer is in ascending local id order (see
+//! [`QueryOutcome::matches`]), so once mapped it is in ascending global id
+//! order too: a sharded answer is ascending shard, then ascending global
+//! id, with no global sort. Where a shard keeps a row in its columnar
+//! blocks (see [`crate::table::FeatureTable::cluster`]) is invisible here.
 //!
 //! Top-k answers are produced by pushing the *global* `k` down to every
 //! shard and k-way merging the per-shard lists on `(distance, global id)`
@@ -60,15 +68,15 @@ use crate::store::{KeyStore, VecStore};
 use crate::table::{FeatureTable, PointId};
 use crate::{HeapSize, PlanarError, Result};
 
-/// Sentinel local id for a global id whose row was dropped by a shard
-/// compaction — such ids are permanently dead.
+/// Sentinel local id, in a persisted assignment, for a global id whose row
+/// was dropped by a shard compaction — such ids are permanently dead.
 const DEAD_LOCAL: u32 = u32::MAX;
 
-/// Sentinel shard for a WAL-replay gap placeholder: an id between the
-/// high-water mark and a replayed insert whose own record lives on
-/// another shard's log (or was lost to its torn tail). Distinct from any
-/// real shard so a compaction-killed `(shard, DEAD_LOCAL)` slot is never
-/// mistaken for a fillable gap during replay.
+/// Sentinel shard, in a persisted assignment, for a WAL-replay gap: an id
+/// between the high-water mark and a replayed insert whose own record
+/// lives on another shard's log (or was lost to its torn tail). Distinct
+/// from any real shard so a compaction-killed `(shard, DEAD_LOCAL)` slot is
+/// never mistaken for a fillable gap during replay.
 const GAP_SHARD: u32 = u32::MAX;
 
 /// Which partitioner [`ShardedIndexSet::build`] should construct.
@@ -150,10 +158,10 @@ impl Partitioner {
 /// Result of an inequality query against a [`ShardedIndexSet`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedQueryOutcome {
-    /// Matching **global** ids, concatenated in canonical order: ascending
-    /// shard, and within each shard that shard's interval order (the same
-    /// unspecified-but-deterministic order [`QueryOutcome::matches`] has).
-    /// Use [`Self::sorted_ids`] for ascending global ids.
+    /// Matching **global** ids in canonical order: ascending shard, and
+    /// ascending global id within each shard — whichever index (or scan)
+    /// served each shard. Use [`Self::sorted_ids`] for ascending global ids
+    /// across shards.
     pub matches: Vec<PointId>,
     /// Per-shard execution statistics, indexed by shard.
     pub shard_stats: Vec<QueryStats>,
@@ -261,8 +269,9 @@ fn per_query<T>(per_shard: Vec<Vec<Result<T>>>, n: usize) -> impl Iterator<Item 
 /// K-way merge of per-shard top-k lists on `(distance, id)`.
 ///
 /// Each input list must be sorted ascending by `(distance, id)` — which
-/// per-shard [`TopKOutcome::neighbors`] are, once remapped to global ids
-/// (the local→global map is monotone). Returns the `k` globally smallest
+/// per-shard [`TopKOutcome::neighbors`] are, once remapped to global ids:
+/// a shard breaks distance ties on ascending local id, and its
+/// local→global map is ascending. Returns the `k` globally smallest
 /// pairs. `O((S + k)·log S)` with a cursor heap: the classic merge step of
 /// a partitioned top-k (and the unit the `shard_merge` criterion bench
 /// measures).
@@ -330,12 +339,15 @@ pub fn merge_top_k(per_shard: &[Vec<(PointId, f64)>], k: usize) -> Vec<(PointId,
 pub struct ShardedIndexSet<S: KeyStore = VecStore> {
     shards: Vec<PlanarIndexSet<S>>,
     partitioner: Partitioner,
-    /// `assignment[global] = (shard, local)`; `local == DEAD_LOCAL` marks a
-    /// global id dropped by shard compaction, and `(GAP_SHARD, DEAD_LOCAL)`
-    /// a WAL-replay gap whose insert record lives on another shard's log.
-    assignment: Vec<(u32, u32)>,
-    /// `global_ids[shard][local] = global`, strictly ascending per shard.
+    /// `global_ids[shard][local] = global`, strictly ascending per shard
+    /// (see the module docs).
     global_ids: Vec<Vec<PointId>>,
+    /// One past the highest global id handed out or replayed.
+    next_global: PointId,
+    /// `(global, shard)` of every id whose row a shard compaction dropped,
+    /// ascending. Any other id below `next_global` that no shard holds is
+    /// a WAL-replay gap whose insert record lives on another shard's log.
+    dropped: Vec<(PointId, u32)>,
 }
 
 impl<S: KeyStore> ShardedIndexSet<S> {
@@ -401,12 +413,10 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         let mut tables: Vec<FeatureTable> = (0..s)
             .map(|_| FeatureTable::with_capacity(dim, n / s + 1))
             .collect::<Result<_>>()?;
-        let mut assignment = Vec::with_capacity(n);
         let mut global_ids: Vec<Vec<PointId>> = vec![Vec::with_capacity(n / s + 1); s];
         for (id, row) in table.iter() {
             let shard = partitioner.route(id, row);
-            let local = tables[shard].push_row(row)?;
-            assignment.push((shard as u32, local));
+            tables[shard].push_row(row)?;
             global_ids[shard].push(id);
         }
         if tables.iter().any(|t| t.is_empty()) {
@@ -430,8 +440,9 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         Ok(Self {
             shards,
             partitioner,
-            assignment,
             global_ids,
+            next_global: n as PointId,
+            dropped: Vec::new(),
         })
     }
 
@@ -467,11 +478,13 @@ impl<S: KeyStore> ShardedIndexSet<S> {
 
     /// Reassemble from persisted parts (see `crate::persist`): the shard
     /// sets, the partitioner, and the global→(shard, local) assignment.
-    /// Validates that the assignment is consistent with the shards: local
-    /// ids are dense and ascending per shard and match each shard's table
-    /// length.
+    /// Validates that the assignment is consistent with the shards: each
+    /// shard's local ids, in any order, are a dense permutation of its
+    /// table's ids — every local id exactly once. A shard whose local ids
+    /// do not ascend with their global ids is renumbered so that they do
+    /// (see [`PlanarIndexSet::relabel`]).
     pub(crate) fn assemble_shards(
-        shards: Vec<PlanarIndexSet<S>>,
+        mut shards: Vec<PlanarIndexSet<S>>,
         partitioner: Partitioner,
         assignment: Vec<(u32, u32)>,
     ) -> Result<Self> {
@@ -480,45 +493,62 @@ impl<S: KeyStore> ShardedIndexSet<S> {
                 "shard count disagrees with partitioner".into(),
             ));
         }
-        let mut global_ids: Vec<Vec<PointId>> = shards
+        let mut by_local: Vec<Vec<Option<PointId>>> = shards
             .iter()
-            .map(|sh| Vec::with_capacity(sh.table().len()))
+            .map(|sh| vec![None; sh.table().len()])
             .collect();
+        let mut dropped = Vec::new();
         for (global, &(shard, local)) in assignment.iter().enumerate() {
             if shard == GAP_SHARD && local == DEAD_LOCAL {
                 // WAL-replay gap placeholder (see `replay_insert`);
                 // belongs to no shard.
                 continue;
             }
-            let Some(gids) = global_ids.get_mut(shard as usize) else {
+            let Some(locals) = by_local.get_mut(shard as usize) else {
                 return Err(PlanarError::Persist(format!(
                     "global id {global} routed to unknown shard {shard}"
                 )));
             };
             if local == DEAD_LOCAL {
+                dropped.push((global as PointId, shard));
                 continue;
             }
-            if local as usize != gids.len() {
-                return Err(PlanarError::Persist(format!(
-                    "global id {global}: local id {local} is not dense in shard {shard}"
-                )));
+            match locals.get_mut(local as usize) {
+                Some(slot @ None) => *slot = Some(global as PointId),
+                Some(Some(other)) => {
+                    return Err(PlanarError::Persist(format!(
+                        "global ids {other} and {global} share local id {local} in shard {shard}"
+                    )))
+                }
+                None => {
+                    return Err(PlanarError::Persist(format!(
+                        "global id {global}: local id {local} is out of range in shard {shard}"
+                    )))
+                }
             }
-            gids.push(global as PointId);
         }
-        for (shard, (sh, gids)) in shards.iter().zip(&global_ids).enumerate() {
-            if sh.table().len() != gids.len() {
+        let mut global_ids = Vec::with_capacity(shards.len());
+        for (shard, (sh, locals)) in shards.iter_mut().zip(by_local).enumerate() {
+            let Some(mut gids) = locals.into_iter().collect::<Option<Vec<PointId>>>() else {
                 return Err(PlanarError::Persist(format!(
-                    "shard {shard} holds {} rows but the assignment routes {}",
-                    sh.table().len(),
-                    gids.len()
+                    "shard {shard} holds {} rows but the assignment does not route them all",
+                    sh.table().len()
                 )));
+            };
+            if !gids.is_sorted() {
+                let mut order: Vec<PointId> = (0..gids.len() as PointId).collect();
+                order.sort_unstable_by_key(|&local| gids[local as usize]);
+                sh.relabel(&order);
+                gids.sort_unstable();
             }
+            global_ids.push(gids);
         }
         Ok(Self {
             shards,
             partitioner,
-            assignment,
             global_ids,
+            next_global: assignment.len() as PointId,
+            dropped,
         })
     }
 
@@ -575,9 +605,21 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         }
     }
 
-    /// The global→(shard, local) assignment (persistence support).
-    pub(crate) fn assignment(&self) -> &[(u32, u32)] {
-        &self.assignment
+    /// The global→(shard, local) assignment, one entry per global id below
+    /// the high-water mark (persistence support): `(shard, DEAD_LOCAL)` for
+    /// a row a compaction dropped, `(GAP_SHARD, DEAD_LOCAL)` for a replay
+    /// gap.
+    pub(crate) fn assignment(&self) -> Vec<(u32, u32)> {
+        let mut out = vec![(GAP_SHARD, DEAD_LOCAL); self.next_global as usize];
+        for (shard, gids) in self.global_ids.iter().enumerate() {
+            for (local, &global) in gids.iter().enumerate() {
+                out[global as usize] = (shard as u32, local as u32);
+            }
+        }
+        for &(global, shard) in &self.dropped {
+            out[global as usize] = (shard, DEAD_LOCAL);
+        }
+        out
     }
 
     /// Number of live points across all shards.
@@ -601,7 +643,7 @@ impl<S: KeyStore> ShardedIndexSet<S> {
             .iter()
             .map(PlanarIndexSet::memory_usage)
             .sum::<usize>()
-            + self.assignment.heap_size()
+            + self.dropped.heap_size()
             + self
                 .global_ids
                 .iter()
@@ -617,8 +659,13 @@ impl<S: KeyStore> ShardedIndexSet<S> {
     }
 
     fn slot(&self, id: PointId) -> Option<(usize, u32)> {
-        let &(shard, local) = self.assignment.get(id as usize)?;
-        (local != DEAD_LOCAL).then_some((shard as usize, local))
+        if id >= self.next_global {
+            return None;
+        }
+        self.global_ids
+            .iter()
+            .enumerate()
+            .find_map(|(shard, gids)| Some((shard, gids.binary_search(&id).ok()? as u32)))
     }
 
     fn live_slot(&self, id: PointId) -> Result<(usize, u32)> {
@@ -637,7 +684,7 @@ impl<S: KeyStore> ShardedIndexSet<S> {
 
     /// The global id the next insert will be assigned.
     pub(crate) fn next_global(&self) -> PointId {
-        self.assignment.len() as PointId
+        self.next_global
     }
 
     // ------------------------------------------------------------------
@@ -870,11 +917,11 @@ impl<S: KeyStore> ShardedIndexSet<S> {
                 found: row.len(),
             });
         }
-        let global = self.assignment.len() as PointId;
+        let global = self.next_global;
         let shard = self.partitioner.route(global, row);
-        let local = self.shards[shard].insert_point(row)?;
-        self.assignment.push((shard as u32, local));
+        self.shards[shard].insert_point(row)?;
         self.global_ids[shard].push(global);
+        self.next_global += 1;
         Ok(global)
     }
 
@@ -936,17 +983,20 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         let Some(remap) = self.shards[shard].compact_if(threshold) else {
             return false;
         };
+        // Compaction keeps the survivors' relative order, so the kept
+        // global ids stay ascending.
         let old_gids = std::mem::take(&mut self.global_ids[shard]);
-        let mut new_gids = vec![0 as PointId; self.shards[shard].table().len()];
+        let mut new_gids = Vec::with_capacity(self.shards[shard].table().len());
         for (old_local, gid) in old_gids.into_iter().enumerate() {
             match remap[old_local] {
                 Some(new_local) => {
-                    new_gids[new_local as usize] = gid;
-                    self.assignment[gid as usize].1 = new_local;
+                    debug_assert_eq!(new_local as usize, new_gids.len());
+                    new_gids.push(gid);
                 }
-                None => self.assignment[gid as usize].1 = DEAD_LOCAL,
+                None => self.dropped.push((gid, shard as u32)),
             }
         }
+        self.dropped.sort_unstable();
         self.global_ids[shard] = new_gids;
         true
     }
@@ -987,32 +1037,29 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         row: &[f64],
         lsn: u64,
     ) -> Result<()> {
-        if let Some(&(s, local)) = self.assignment.get(global as usize) {
-            // Shards replay one after another, so an earlier shard's
-            // replay may already have grown the assignment past this id,
-            // leaving a gap placeholder for it. This record is the
-            // authoritative owner of the id — fill the slot. Anything
-            // else — a live slot, or a compaction-killed one — means two
-            // logs claim the same id: real divergence.
-            if s != GAP_SHARD || local != DEAD_LOCAL {
-                return Err(PlanarError::Persist(format!(
-                    "wal: replay diverged at lsn {lsn}: insert id {global} already assigned"
-                )));
-            }
-            let local = self.shards[shard].insert_point(row)?;
-            self.assignment[global as usize] = (shard as u32, local);
-            self.global_ids[shard].push(global);
-            return Ok(());
+        let diverged = |why: &str| {
+            Err(PlanarError::Persist(format!(
+                "wal: replay diverged at lsn {lsn}: insert id {global} {why}"
+            )))
+        };
+        // Shards replay one after another, so an earlier shard's replay
+        // may already have moved the high-water mark past this id, leaving
+        // it a gap. This record is the authoritative owner of a gap —
+        // fill it. An id a shard holds, or one a compaction dropped, means
+        // two logs claim the same id: real divergence.
+        if global < self.next_global
+            && (self.slot(global).is_some()
+                || self.dropped.binary_search_by_key(&global, |d| d.0).is_ok())
+        {
+            return diverged("already assigned");
         }
-        // Ids between the high-water mark and this insert belong to
-        // records on other shards (replayed later) or lost to their torn
-        // tails; leave dead placeholders for them.
-        while self.assignment.len() < global as usize {
-            self.assignment.push((GAP_SHARD, DEAD_LOCAL));
+        // A shard's log holds its inserts in ascending id order.
+        if self.global_ids[shard].last().is_some_and(|&g| g > global) {
+            return diverged("is below an id its shard already holds");
         }
-        let local = self.shards[shard].insert_point(row)?;
-        self.assignment.push((shard as u32, local));
+        self.shards[shard].insert_point(row)?;
         self.global_ids[shard].push(global);
+        self.next_global = self.next_global.max(global + 1);
         Ok(())
     }
 
@@ -1356,7 +1403,7 @@ mod tests {
         let victim = 0u32; // round-robin: global 0 lives on shard 0
         sharded.delete_point(victim).unwrap();
         assert!(sharded.compact_shard(0, 0.0));
-        assert_eq!(sharded.assignment[victim as usize], (0, DEAD_LOCAL));
+        assert_eq!(sharded.assignment()[victim as usize], (0, DEAD_LOCAL));
         let err = sharded
             .replay_record(
                 0,
@@ -1387,7 +1434,7 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(sharded.assignment[next as usize], (GAP_SHARD, DEAD_LOCAL));
+        assert_eq!(sharded.assignment()[next as usize], (GAP_SHARD, DEAD_LOCAL));
         assert!(sharded.is_live(next + 1));
 
         // The gap survives a snapshot round-trip untouched.
@@ -1395,10 +1442,131 @@ mod tests {
         let path = tmp.file("snap.plnr");
         sharded.save_to(&path).unwrap();
         let (loaded, _) = ShardedIndexSet::<VecStore>::load_or_recover(&path).unwrap();
-        assert_eq!(loaded.assignment[next as usize], (GAP_SHARD, DEAD_LOCAL));
+        assert_eq!(loaded.assignment()[next as usize], (GAP_SHARD, DEAD_LOCAL));
         assert!(!loaded.is_live(next));
         assert!(loaded.is_live(next + 1));
         assert_eq!(loaded.next_global(), next + 2);
+    }
+
+    /// The set's assignment with shard 0's local ids reversed (pair it with
+    /// shard 0's rows relabelled the same way).
+    fn reversed_shard_zero(sharded: &ShardedIndexSet<VecStore>) -> Vec<(u32, u32)> {
+        let rows = sharded.shards[0].table().len() as u32;
+        sharded
+            .assignment()
+            .into_iter()
+            .map(|(s, l)| {
+                if s == 0 && l != DEAD_LOCAL {
+                    (s, rows - 1 - l)
+                } else {
+                    (s, l)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn loader_accepts_any_dense_local_permutation() {
+        let (unsharded, mut sharded) = pair(200, ShardConfig::pilot_key_range(3));
+        sharded.delete_point(17).unwrap();
+        let victim = sharded.global_ids[0][5];
+        sharded.delete_point(victim).unwrap();
+        let assignment = reversed_shard_zero(&sharded);
+        let mut shards = sharded.shards.clone();
+        let rows = shards[0].table().len() as PointId;
+        shards[0].relabel(&(0..rows).rev().collect::<Vec<_>>());
+        let partitioner = sharded.partitioner.clone();
+        let loaded = ShardedIndexSet::assemble_shards(shards, partitioner, assignment).unwrap();
+        // Renumbered back to ascending: the same maps, rows and answers.
+        assert_eq!(loaded.global_ids, sharded.global_ids);
+        assert_eq!(loaded.assignment(), sharded.assignment());
+        assert_eq!(loaded.shards[0].table(), sharded.shards[0].table());
+        assert!(!loaded.is_live(victim) && !loaded.is_live(17));
+        for cmp in [Cmp::Leq, Cmp::Geq] {
+            let q = InequalityQuery::new(vec![1.0, 2.0], cmp, 150.0).unwrap();
+            assert_eq!(loaded.query(&q).unwrap(), sharded.query(&q).unwrap());
+            let mut want = unsharded.query(&q).unwrap().matches;
+            want.retain(|&id| id != 17 && id != victim);
+            assert_eq!(loaded.query(&q).unwrap().sorted_ids(), want);
+        }
+        // A clustered snapshot round-trips to the same bytes.
+        let bytes = sharded.to_bytes();
+        let reread = ShardedIndexSet::<VecStore>::from_bytes(&bytes).unwrap();
+        assert_eq!(reread.to_bytes(), bytes);
+        assert!(reread.shards.iter().all(|sh| sh.table().is_clustered()));
+    }
+
+    #[test]
+    fn loader_rejects_duplicate_and_missing_local_ids() {
+        let (_, sharded) = pair(120, ShardConfig::round_robin(3));
+        let load = |assignment: Vec<(u32, u32)>| {
+            ShardedIndexSet::assemble_shards(
+                sharded.shards.clone(),
+                sharded.partitioner.clone(),
+                assignment,
+            )
+        };
+        // Two global ids share shard 1's local id 0.
+        let mut dup = sharded.assignment();
+        let second = dup.iter().position(|&(s, l)| s == 1 && l == 1).unwrap();
+        dup[second] = (1, 0);
+        assert!(matches!(load(dup), Err(PlanarError::Persist(_))));
+        // No global id maps to shard 2's last local id.
+        let mut missing = sharded.assignment();
+        let last = missing.iter().rposition(|&(s, _)| s == 2).unwrap();
+        missing[last] = (GAP_SHARD, DEAD_LOCAL);
+        assert!(matches!(load(missing), Err(PlanarError::Persist(_))));
+        // An out-of-range local id.
+        let mut wide = sharded.assignment();
+        wide[0].1 = 1_000;
+        assert!(matches!(load(wide), Err(PlanarError::Persist(_))));
+        assert!(load(sharded.assignment()).is_ok());
+    }
+
+    #[test]
+    fn top_k_ties_straddling_k_break_on_global_id_across_shards() {
+        // Every row appears three times, so each distance is shared by
+        // three global ids that round-robin sends to three shards; k cuts
+        // through such a run.
+        let base = random_table(40, 11);
+        let rows: Vec<Vec<f64>> = (0..3)
+            .flat_map(|_| base.iter().map(|(_, r)| r.to_vec()).collect::<Vec<_>>())
+            .collect();
+        let table = FeatureTable::from_rows(2, rows).unwrap();
+        let domain = ParameterDomain::uniform_continuous(2, 0.5, 3.0).unwrap();
+        let cfg = IndexConfig::with_budget(3);
+        let unsharded =
+            PlanarIndexSet::<VecStore>::build(table.clone(), domain.clone(), cfg.clone()).unwrap();
+        let scan = crate::scan::SeqScan::new(&table);
+        let mut straddled = 0;
+        for sc in [ShardConfig::round_robin(3), ShardConfig::pilot_key_range(2)] {
+            let sharded =
+                ShardedIndexSet::<VecStore>::build(table.clone(), domain.clone(), cfg.clone(), sc)
+                    .unwrap();
+            for (k, b) in [(4, 90.0), (8, 140.0), (13, 60.0)] {
+                for cmp in [Cmp::Leq, Cmp::Geq] {
+                    let q =
+                        TopKQuery::new(InequalityQuery::new(vec![1.0, 1.5], cmp, b).unwrap(), k)
+                            .unwrap();
+                    let want = unsharded.top_k(&q).unwrap().neighbors;
+                    let got = sharded.top_k(&q).unwrap().neighbors;
+                    let bits = |v: &[(PointId, f64)]| {
+                        v.iter()
+                            .map(|&(id, d)| (id, d.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "{sc:?} k={k} {cmp:?}");
+                    assert_eq!(bits(&want), bits(&scan.top_k(&q).unwrap()));
+                    // Does k cut through a run of equal distances?
+                    let all = scan.top_k(&TopKQuery::new(q.query.clone(), 120).unwrap());
+                    let all = all.unwrap();
+                    if all.len() > k && all[k].1 == all[k - 1].1 {
+                        straddled += 1;
+                    }
+                }
+            }
+        }
+        assert!(straddled > 0, "no case cut through a tie run");
     }
 
     #[test]

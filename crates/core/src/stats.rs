@@ -111,22 +111,30 @@ pub struct QueryStats {
     pub n: usize,
     /// Points in the smaller interval (accepted or rejected wholesale).
     pub smaller: usize,
-    /// Points in the intermediate interval (each verified exactly).
+    /// Points in the intermediate interval: the index's candidates.
     pub intermediate: usize,
     /// Points in the larger interval (accepted or rejected wholesale).
     pub larger: usize,
-    /// Scalar products actually computed.
+    /// Rows whose lanes reached the quantized classifier or an `f64`
+    /// product. Rows of blocks settled by their bounding box are not
+    /// verified (see [`crate::QuantFilterStats::box_accepted`]).
     pub verified: usize,
-    /// Always 0: every intermediate-interval candidate is verified, so
-    /// `verified == intermediate` on the indexed path. The field stays for
-    /// the repository benchmark (`benchmark/src/replay.rs`), which reports
-    /// it as `index.intersect_pruned_per_query`.
+    /// Always 0: no candidate is dropped unverified by another index. The
+    /// field stays for the repository benchmark
+    /// (`benchmark/src/replay.rs`), which reports it as
+    /// `index.intersect_pruned_per_query`.
     pub intersect_pruned: usize,
     /// Points in the answer set (`t` in the paper's complexity bounds).
     pub matched: usize,
     /// What the quantized filter tier did during verification (all zeros
     /// when the tier is off — see [`crate::QuantFilterStats`]).
     pub quant: crate::quant::QuantFilterStats,
+    /// 1 when the intermediate interval held more rows than the live rows
+    /// of the blocks its box pass left mixed, so those rows were verified
+    /// instead and the interval never filled the candidate bitmap (see
+    /// [`crate::SingleIndex::evaluate_with`]); 0 otherwise. A merged
+    /// sharded record counts the shards that skipped.
+    pub fill_skipped: usize,
     /// Execution path taken.
     pub path: ExecutionPath,
 }
@@ -143,6 +151,7 @@ impl QueryStats {
             intersect_pruned: 0,
             matched,
             quant: crate::quant::QuantFilterStats::default(),
+            fill_skipped: 0,
             path: ExecutionPath::ScanFallback(reason),
         }
     }
@@ -190,6 +199,7 @@ impl QueryStats {
             intersect_pruned: 0,
             matched: 0,
             quant: crate::quant::QuantFilterStats::default(),
+            fill_skipped: 0,
             path,
         };
         for s in per_shard {
@@ -200,6 +210,7 @@ impl QueryStats {
             merged.verified += s.verified;
             merged.matched += s.matched;
             merged.quant.merge(&s.quant);
+            merged.fill_skipped += s.fill_skipped;
         }
         merged
     }
@@ -215,6 +226,7 @@ pub struct StatsAggregator {
     verified_sum: usize,
     matched_sum: usize,
     intermediate_sum: usize,
+    fill_skipped_sum: usize,
     index_hits: usize,
     scan_fallbacks: usize,
     degraded: usize,
@@ -263,6 +275,7 @@ impl StatsAggregator {
         self.verified_sum += s.verified;
         self.matched_sum += s.matched;
         self.intermediate_sum += s.intermediate;
+        self.fill_skipped_sum += s.fill_skipped;
         self.quant_sum.merge(&s.quant);
         if matches!(
             s.path,
@@ -406,6 +419,7 @@ impl StatsAggregator {
         self.verified_sum += other.verified_sum;
         self.matched_sum += other.matched_sum;
         self.intermediate_sum += other.intermediate_sum;
+        self.fill_skipped_sum += other.fill_skipped_sum;
         self.quant_sum.merge(&other.quant_sum);
         self.index_hits += other.index_hits;
         self.scan_fallbacks += other.scan_fallbacks;
@@ -546,6 +560,9 @@ impl StatsAggregator {
             quant_rejected: self.quant_sum.rejected,
             quant_reverified: self.quant_sum.reverified,
             quant_fallback: self.quant_sum.fallback,
+            box_accepted_blocks: self.quant_sum.box_accepted,
+            box_rejected_blocks: self.quant_sum.box_rejected,
+            fills_skipped: self.fill_skipped_sum,
             quant_kernel: self.quant_sum.tier.kernel_name(),
             epoch: self.epoch,
             epochs_published: self.epochs_published,
@@ -634,6 +651,16 @@ pub struct StatsSnapshot {
     /// Lanes classified by the exact fallback (unsound blocks / overflow
     /// guards).
     pub quant_fallback: usize,
+    /// Blocks with candidates that their bounding box settled as all
+    /// satisfying (inequality and top-k queries).
+    pub box_accepted_blocks: usize,
+    /// Blocks with candidates that their bounding box settled as all
+    /// failing.
+    pub box_rejected_blocks: usize,
+    /// Shard queries that verified the live rows of their box-mixed blocks
+    /// instead of filling the intermediate interval (see
+    /// [`QueryStats::fill_skipped`]).
+    pub fills_skipped: usize,
     /// Dispatched quantized kernel for the most recent non-off tier
     /// observed (`"avx2-i8"`, `"portable-i16"`, …; `"off"` when the tier
     /// never ran).
@@ -854,6 +881,9 @@ impl StatsSnapshot {
             .field_usize("quant_rejected", self.quant_rejected)
             .field_usize("quant_reverified", self.quant_reverified)
             .field_usize("quant_fallback", self.quant_fallback)
+            .field_usize("box_accepted_blocks", self.box_accepted_blocks)
+            .field_usize("box_rejected_blocks", self.box_rejected_blocks)
+            .field_usize("fills_skipped", self.fills_skipped)
             .field_str("quant_kernel", self.quant_kernel)
             .field_u64("epoch", self.epoch)
             .field_u64("epochs_published", self.epochs_published)
@@ -908,6 +938,7 @@ mod tests {
             intersect_pruned: 0,
             matched,
             quant: crate::quant::QuantFilterStats::default(),
+            fill_skipped: 0,
             path: ExecutionPath::Index { index: 0 },
         }
     }
@@ -1138,7 +1169,7 @@ mod tests {
         assert!(json.contains("\"replication_link_acked\":[]"));
         // Field count matches the struct: one "key": per field.
         let fields = json.matches("\":").count();
-        assert_eq!(fields, 44, "snapshot JSON should carry all 44 fields");
+        assert_eq!(fields, 47, "snapshot JSON should carry all 47 fields");
     }
 
     #[test]

@@ -13,6 +13,19 @@
 //! allocation. The SIMD verification kernels of `planar_geom::kernels` read
 //! through this layout (see [`crate::parallel`] and [`crate::scan`]); the
 //! row-major buffer remains the source of truth for single-row access.
+//!
+//! ## Block layout
+//!
+//! The row-major buffer is always in id order. The columnar mirror (and
+//! the quantized tier derived from it) stores the rows in *slot* order,
+//! which [`FeatureTable::cluster`] sets to the k-d block order of
+//! [`kd_order`]: 64 rows that are close in space share a block, so a
+//! block's per-dimension bounding box is small and a query can settle the
+//! whole block from its box (see `crate::parallel`). Ids never change; the
+//! table maps between the two spaces ([`FeatureTable::slot_of`],
+//! [`FeatureTable::id_at`]). Rows appended after a clustering take the next
+//! slot, so they fill the tail blocks. An unclustered table's slots are its
+//! ids.
 
 use crate::memory::HeapSize;
 use crate::quant::{QuantPolicy, QuantTier, QuantizedColumns};
@@ -35,14 +48,26 @@ pub struct FeatureTable {
     /// Kept in sync by `push_row`/`update_row`; derived state, excluded
     /// from equality.
     quant: Option<QuantizedColumns>,
+    /// The slot order of the columnar mirror; `None` while slots are ids.
+    layout: Option<Layout>,
+}
+
+/// A permutation between ids and columnar slots, both directions.
+#[derive(Debug, Clone)]
+struct Layout {
+    /// `slot_of[id]`.
+    slot_of: Vec<u32>,
+    /// `id_of[slot]`.
+    id_of: Vec<PointId>,
 }
 
 impl PartialEq for FeatureTable {
-    /// Logical equality: same feature values. The quantized mirror is a
-    /// cache of `(data, policy)` — two tables holding identical rows are
-    /// equal even when their (possibly autotuner-chosen) tiers differ.
+    /// Logical equality: same feature values. The columnar mirror, its
+    /// block layout and the quantized mirror are derived from the rows —
+    /// two tables holding identical rows are equal even when their layouts
+    /// or (possibly autotuner-chosen) tiers differ.
     fn eq(&self, other: &Self) -> bool {
-        self.dim == other.dim && self.data == other.data && self.cols == other.cols
+        self.dim == other.dim && self.data == other.data
     }
 }
 
@@ -158,6 +183,21 @@ impl ColumnMajorRows {
         // A Vec<f64> base pointer is 8-byte aligned, so the byte distance to
         // the next 64-byte boundary is a multiple of 8.
         ((64 - (ptr as usize) % 64) % 64) / 8
+    }
+
+    /// Rewrite every slot from `table`'s rows in the slot order `order`
+    /// (the id of each slot; as many as the mirror holds).
+    fn fill_from(&mut self, table: &FeatureTable, order: &[PointId]) {
+        debug_assert_eq!(order.len(), self.len);
+        let (start, blk) = (self.start, self.block_elems());
+        for (b, ids) in order.chunks(BLOCK_ROWS).enumerate() {
+            let block = &mut self.buf[start + b * blk..start + (b + 1) * blk];
+            for (lane, &id) in ids.iter().enumerate() {
+                for (j, &v) in table.row(id).iter().enumerate() {
+                    block[j * BLOCK_ROWS + lane] = v;
+                }
+            }
+        }
     }
 
     /// Mirror an appended row (validation already done by the table).
@@ -307,6 +347,7 @@ impl FeatureTable {
             data: Vec::new(),
             cols: ColumnMajorRows::new(dim),
             quant: None,
+            layout: None,
         })
     }
 
@@ -347,6 +388,10 @@ impl FeatureTable {
         let id = self.len() as PointId;
         self.data.extend_from_slice(row);
         self.cols.push_row(row);
+        if let Some(l) = &mut self.layout {
+            l.slot_of.push(id);
+            l.id_of.push(id);
+        }
         if let Some(q) = &mut self.quant {
             q.sync(&self.cols);
         }
@@ -363,11 +408,59 @@ impl FeatureTable {
         self.validate(row)?;
         let start = self.offset_of(id)?;
         self.data[start..start + self.dim].copy_from_slice(row);
-        self.cols.update_row(id as usize, row);
+        let slot = self.slot_of(id);
+        self.cols.update_row(slot as usize, row);
         if let Some(q) = &mut self.quant {
-            q.reencode_row_block(&self.cols, id);
+            q.reencode_row_block(&self.cols, slot);
         }
         Ok(())
+    }
+
+    /// The columnar slot holding row `id`.
+    #[inline]
+    pub fn slot_of(&self, id: PointId) -> u32 {
+        self.layout.as_ref().map_or(id, |l| l.slot_of[id as usize])
+    }
+
+    /// The id of the row in columnar slot `slot`.
+    #[inline]
+    pub fn id_at(&self, slot: u32) -> PointId {
+        self.layout
+            .as_ref()
+            .map_or(slot, |l| l.id_of[slot as usize])
+    }
+
+    /// Whether slots differ from ids, so that results read off the columnar
+    /// mirror come out of id order.
+    #[inline]
+    pub fn is_clustered(&self) -> bool {
+        self.layout.is_some()
+    }
+
+    /// Lay the columnar mirror (and the quantized tier) out in the k-d
+    /// block order of [`kd_order`]. A pure function of the rows and their
+    /// ids; rows pushed later take the next slot. `O(n log n)`.
+    pub fn cluster(&mut self) {
+        let order = kd_order(self);
+        let identity = order.iter().enumerate().all(|(s, &id)| s == id as usize);
+        // Every slot is rewritten from the row-major source, so the
+        // mirror's allocation is reused in place.
+        let mut cols = std::mem::replace(&mut self.cols, ColumnMajorRows::new(self.dim));
+        cols.fill_from(self, &order);
+        self.cols = cols;
+        self.layout = (!identity).then(|| {
+            let mut slot_of = vec![0u32; order.len()];
+            for (slot, &id) in order.iter().enumerate() {
+                slot_of[id as usize] = slot as u32;
+            }
+            Layout {
+                slot_of,
+                id_of: order,
+            }
+        });
+        if let Some(q) = &self.quant {
+            self.quant = Some(QuantizedColumns::encode(&self.cols, q.tier(), q.slack()));
+        }
     }
 
     /// The feature row of point `id`.
@@ -533,7 +626,139 @@ impl HeapSize for FeatureTable {
         self.data.heap_size()
             + self.cols.heap_size()
             + self.quant.as_ref().map_or(0, HeapSize::heap_size)
+            + self
+                .layout
+                .as_ref()
+                .map_or(0, |l| l.slot_of.heap_size() + l.id_of.heap_size())
     }
+}
+
+/// Rows of a k-d node whose extents pick its split dimension.
+const KD_SAMPLE: usize = 64;
+
+/// The k-d block order of `table`'s rows, as the id of each slot.
+///
+/// Rows are split recursively at the median of each node's widest
+/// dimension, with every cut on a [`BLOCK_ROWS`] boundary, until a node
+/// fits one block; inside a block the rows are in ascending id order. So
+/// the blocks of the result tile space, and each one's bounding box is
+/// small. The splits work on compact keys — each coordinate quantized to
+/// 16 bits over the table's range, one contiguous column per dimension,
+/// ties broken by id. A node's widest dimension comes from the extents of
+/// an evenly spaced sample of [`KD_SAMPLE`] of its rows, and its median
+/// from a byte histogram of that dimension's keys and a selection inside
+/// the median's bucket. The partition
+/// is stable, so every node's ids stay ascending and each column is read in
+/// address order. The order is a pure function of the rows and their ids.
+/// `O(n·(d + log n))`.
+pub fn kd_order(table: &FeatureTable) -> Vec<PointId> {
+    let (n, d) = (table.len(), table.dim());
+    let mut ids: Vec<PointId> = (0..n as PointId).collect();
+    if n <= BLOCK_ROWS {
+        return ids;
+    }
+    let (mut lo, mut hi) = (vec![f64::INFINITY; d], vec![f64::NEG_INFINITY; d]);
+    for row in table.data.chunks_exact(d) {
+        for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(row) {
+            *l = if v < *l { v } else { *l };
+            *h = if v > *h { v } else { *h };
+        }
+    }
+    // Halves keep the range finite for ±f64::MAX rows; the cast saturates.
+    let factor: Vec<f64> = (0..d)
+        .map(|j| {
+            let half = 0.5 * hi[j] - 0.5 * lo[j];
+            if half > 0.0 {
+                f64::from(u16::MAX) / half
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let mut keys = vec![0u16; n * d];
+    for (id, row) in table.data.chunks_exact(d).enumerate() {
+        for j in 0..d {
+            keys[j * n + id] = ((0.5 * row[j] - 0.5 * lo[j]) * factor[j]) as u16;
+        }
+    }
+    // Partition scratch, one slot longer than any side: every row is
+    // written to both sides and only the side it belongs to advances, so
+    // the loop has no branch to mispredict.
+    let (mut lefts, mut rights) = (vec![0 as PointId; n + 1], vec![0 as PointId; n + 1]);
+    let mut bucket: Vec<u64> = Vec::new();
+    let mut stack = vec![(0usize, n)];
+    while let Some((s, e)) = stack.pop() {
+        let m = e - s;
+        if m <= BLOCK_ROWS {
+            continue;
+        }
+        let node = &ids[s..e];
+        let step = (m / KD_SAMPLE).max(1);
+        let width = |j: usize| {
+            let col = &keys[j * n..(j + 1) * n];
+            let (min, max) = node
+                .iter()
+                .step_by(step)
+                .fold((u16::MAX, 0), |(lo, hi), &id| {
+                    let k = col[id as usize];
+                    (lo.min(k), hi.max(k))
+                });
+            max - min
+        };
+        let dim = (1..d).fold((0, width(0)), |best, j| {
+            let w = width(j);
+            if w > best.1 {
+                (j, w)
+            } else {
+                best
+            }
+        });
+        let col = &keys[dim.0 * n..(dim.0 + 1) * n];
+        let key = |id: PointId| col[id as usize];
+        let left = m.div_ceil(BLOCK_ROWS) / 2 * BLOCK_ROWS;
+        // The row of rank `left` in (key, id) order: the high byte of its
+        // key from a histogram, then a selection among the rows sharing
+        // that byte.
+        let mut hist = [0usize; 256];
+        for &id in node {
+            hist[usize::from(key(id) >> 8)] += 1;
+        }
+        let (high, below) = rank_bucket(&hist, left);
+        bucket.clear();
+        bucket.extend(
+            node.iter()
+                .filter(|&&id| usize::from(key(id) >> 8) == high)
+                .map(|&id| u64::from(key(id)) << 32 | u64::from(id)),
+        );
+        let pivot = *bucket.select_nth_unstable(left - below).1;
+        let (mut l, mut r) = (0, 0);
+        for &id in node {
+            let goes_left = usize::from(u64::from(key(id)) << 32 | u64::from(id) < pivot);
+            lefts[l] = id;
+            rights[r] = id;
+            l += goes_left;
+            r += 1 - goes_left;
+        }
+        debug_assert_eq!(l, left);
+        ids[s..s + left].copy_from_slice(&lefts[..left]);
+        ids[s + left..e].copy_from_slice(&rights[..m - left]);
+        stack.push((s + left, e));
+        stack.push((s, s + left));
+    }
+    ids
+}
+
+/// The histogram bucket holding the element of rank `rank` (0-based), and
+/// the count of elements in the buckets below it.
+fn rank_bucket(hist: &[usize; 256], rank: usize) -> (usize, usize) {
+    let mut below = 0;
+    for (bucket, &count) in hist.iter().enumerate() {
+        if below + count > rank {
+            return (bucket, below);
+        }
+        below += count;
+    }
+    unreachable!("rank {rank} is below the histogram's total")
 }
 
 #[cfg(test)]
@@ -670,6 +895,65 @@ mod tests {
     fn empty_segments_range_is_empty() {
         let t = table3x2();
         assert_eq!(t.columns().segments(2, 2).count(), 0);
+    }
+
+    #[test]
+    fn kd_order_tiles_blocks_and_cluster_keeps_rows() {
+        let mut state = 9u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 100.0
+        };
+        let n = 20 * BLOCK_ROWS + 37;
+        let rows: Vec<Vec<f64>> = (0..n).map(|_| vec![next(), next(), next()]).collect();
+        let mut t = FeatureTable::from_rows(3, rows).unwrap();
+        let order = kd_order(&t);
+        // A permutation of the ids, ascending inside every block, and a
+        // pure function of the rows.
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..n as PointId).collect::<Vec<_>>());
+        assert!(order.chunks(BLOCK_ROWS).all(|b| b.is_sorted()));
+        assert_eq!(kd_order(&t.clone()), order);
+        // Blocks tile space: their boxes are far smaller than id order's.
+        let volume = |ids: &[PointId]| {
+            (0..3)
+                .map(|j| {
+                    let v = ids.iter().map(|&id| t.row(id)[j]);
+                    v.clone().fold(f64::MIN, f64::max) - v.fold(f64::MAX, f64::min)
+                })
+                .product::<f64>()
+        };
+        let boxes = |o: &[PointId]| o.chunks(BLOCK_ROWS).map(volume).sum::<f64>();
+        let id_order: Vec<PointId> = (0..n as PointId).collect();
+        assert!(boxes(&order) * 20.0 < boxes(&id_order));
+
+        t.set_quant_policy(QuantPolicy::tier(QuantTier::I16));
+        t.cluster();
+        assert!(t.is_clustered());
+        let mut buf = [0.0; 3];
+        for (slot, &id) in order.iter().enumerate() {
+            assert_eq!(t.id_at(slot as u32), id);
+            assert_eq!(t.slot_of(id), slot as u32);
+            t.columns().gather_row(slot, &mut buf);
+            assert_eq!(&buf[..], t.row(id));
+        }
+        // Updates land in the row's slot, appends in the next slot; the
+        // quantized tier follows.
+        t.update_row(order[5], &[1.0, 2.0, 3.0]).unwrap();
+        t.columns().gather_row(5, &mut buf);
+        assert_eq!(buf, [1.0, 2.0, 3.0]);
+        let id = t.push_row(&[4.0, 5.0, 6.0]).unwrap();
+        assert_eq!((t.slot_of(id), t.id_at(n as u32)), (n as u32, id));
+        assert_eq!(t.quant().unwrap().len(), n + 1);
+        // Logical equality ignores the layout.
+        let mut plain = FeatureTable::new(3).unwrap();
+        for (_, row) in t.iter() {
+            plain.push_row(row).unwrap();
+        }
+        assert_eq!(plain, t);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! interleaved-block columnar layout must agree bit-for-bit with the
 //! row-major layout — same gathered rows, same fused compare masks — and
 //! (2) the block-mask verification path (candidate bitmap, whole-block
-//! passes for dense blocks, per-lane passes for sparse ones) returns
-//! exactly the `SeqScan` answer in the canonical match order, verifying
-//! every intermediate-interval candidate, for every quantized tier,
-//! and thread count.
+//! passes for dense blocks, per-lane passes for sparse ones, blocks
+//! settled by their bounding box) returns exactly the `SeqScan` answer in
+//! ascending id order, verifying every intermediate-interval candidate
+//! the boxes leave open, for every quantized tier and thread count.
 
 use planar_core::table::PointId;
 use planar_core::VecStore;
@@ -169,32 +169,6 @@ fn block_configs() -> Vec<ExecutionConfig> {
         .to_vec()
 }
 
-/// The canonical match order of an indexed answer: the chosen index's
-/// wholesale-accepted interval in key order, then the intermediate
-/// interval's matches in ascending id order.
-fn canonical<S: KeyStore>(
-    set: &PlanarIndexSet<S>,
-    q: &InequalityQuery,
-    pos: usize,
-    smaller: usize,
-    intermediate: usize,
-) -> Vec<PointId> {
-    let idx = set.index_at(pos).unwrap();
-    let (j_min, j_max) = (smaller, smaller + intermediate);
-    let mut out: Vec<PointId> = match q.cmp() {
-        Cmp::Leq => idx.ids()[..j_min].to_vec(),
-        Cmp::Geq => idx.ids()[j_max..].to_vec(),
-    };
-    let mut ii: Vec<PointId> = idx.ids()[j_min..j_max]
-        .iter()
-        .copied()
-        .filter(|&id| q.satisfies(set.table().row(id)))
-        .collect();
-    ii.sort_unstable();
-    out.extend(ii);
-    out
-}
-
 /// Top-k answers: `(id, distance)` ascending by `(distance, id)`.
 type Neighbors = Vec<(PointId, f64)>;
 
@@ -241,22 +215,20 @@ fn check_block_masks<S: KeyStore>(s: &BlockScenario) {
             for exec in block_configs() {
                 let mut scratch = QueryScratch::new();
                 let got = set.query_with(q, &exec, &mut scratch).unwrap();
-                let mut sorted = got.matches.clone();
-                sorted.sort_unstable();
-                assert_eq!(&sorted, want, "{tier:?} {exec:?}");
+                // Canonical order: ascending ids on every path.
+                assert_eq!(&got.matches, want, "{tier:?} {exec:?}");
                 let st = &got.stats;
-                if let ExecutionPath::Index { index } = st.path {
-                    assert_eq!(
-                        got.matches,
-                        canonical(&set, q, index, st.smaller, st.intermediate),
-                        "canonical order, {tier:?} {exec:?}"
-                    );
-                    // The chosen index's whole intermediate interval is
-                    // verified: nothing is settled any other way.
-                    assert_eq!(st.verified, st.intermediate, "{tier:?} {exec:?}");
+                if let ExecutionPath::Index { .. } = st.path {
+                    // Without boxes the chosen index's whole intermediate
+                    // interval is verified; with them, blocks the boxes
+                    // settle are not, and the fill is skipped only for
+                    // fewer rows than the interval holds.
+                    if tier == QuantTier::Off {
+                        assert_eq!(st.verified, st.intermediate, "{tier:?} {exec:?}");
+                    } else {
+                        assert!(st.verified <= st.intermediate, "{tier:?} {exec:?}");
+                    }
                     assert_eq!(st.intersect_pruned, 0, "{tier:?} {exec:?}");
-                } else {
-                    assert_eq!(&got.matches, want, "scan order, {tier:?} {exec:?}");
                 }
                 if tier == QuantTier::Off {
                     assert_eq!(st.quant.lanes, 0);
@@ -272,11 +244,13 @@ fn check_block_masks<S: KeyStore>(s: &BlockScenario) {
                 }
                 if let ServedBy::Index(_) = top.served_by {
                     let ts = &top.stats;
-                    assert_eq!(
-                        ts.verified,
-                        ts.intermediate + ts.walked,
-                        "{tier:?} {exec:?}"
-                    );
+                    let lanes = ts.verified - ts.walked;
+                    if tier == QuantTier::Off {
+                        assert_eq!(lanes, ts.intermediate, "{tier:?} {exec:?}");
+                    } else {
+                        assert!(lanes <= ts.intermediate, "{tier:?} {exec:?}");
+                        assert_eq!(ts.quant.lanes, lanes, "{tier:?} {exec:?}");
+                    }
                 }
             }
         }
@@ -319,7 +293,7 @@ proptest! {
         }
     }
 
-    /// The block-mask path equals `SeqScan` (canonical order, bit-exact
+    /// The block-mask path equals `SeqScan` (ascending ids, bit-exact
     /// top-k) on every quantized tier and thread count, with
     /// tombstones inside candidate blocks.
     #[test]

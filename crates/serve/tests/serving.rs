@@ -475,6 +475,58 @@ fn top_k_requests_reach_the_metrics_quant_counters() {
 }
 
 #[test]
+fn box_settled_blocks_reach_the_metrics() {
+    let mut set = build_sharded(3000);
+    set.set_quant_policy(QuantPolicy::tier(QuantTier::I16));
+    let eng = Arc::new(ConcurrentShardedIndexSet::new(
+        set,
+        ConcurrencyConfig::default(),
+    ));
+    let server = Server::start(Arc::clone(&eng), ServeConfig::default()).unwrap();
+    let engine_counter = |key: &str| {
+        let (status, body) = http_roundtrip(
+            server.addr(),
+            "GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+        );
+        assert_eq!(status, 200);
+        Json::parse(&body)
+            .unwrap()
+            .get("engine")
+            .and_then(|e| e.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("engine.{key} missing"))
+    };
+    for key in [
+        "box_accepted_blocks",
+        "box_rejected_blocks",
+        "fills_skipped",
+    ] {
+        assert_eq!(engine_counter(key), 0, "{key}");
+    }
+
+    // What one query's boxes settle, measured directly on the engine.
+    let direct = eng.snapshot().query(&query(6.0)).unwrap();
+    let stats = direct.merged_stats();
+    assert!(stats.quant.box_rejected > 0, "{stats:?}");
+
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.query(&[1.0, 1.5], Cmp::Leq, 6.0).unwrap() {
+        Response::Matches { ids, .. } => assert_eq!(ids, direct.matches),
+        other => panic!("unexpected response {other:?}"),
+    }
+    assert_eq!(
+        engine_counter("box_accepted_blocks"),
+        stats.quant.box_accepted as u64
+    );
+    assert_eq!(
+        engine_counter("box_rejected_blocks"),
+        stats.quant.box_rejected as u64
+    );
+    assert_eq!(engine_counter("fills_skipped"), stats.fill_skipped as u64);
+    server.shutdown();
+}
+
+#[test]
 fn metrics_report_the_engine_cpus_and_spawned_threads() {
     let eng = engine(2000);
     let cfg = ServeConfig {

@@ -20,7 +20,8 @@ cargo test -p planar-core -q --features fault-injection \
 echo "== one-CPU leg (every fan-out runs inline on the caller: parallel ≡ sharded ≡ serial, panic isolation) =="
 if command -v taskset >/dev/null 2>&1; then
   taskset -c 0 cargo test -p planar-core -q --features fault-injection \
-    --test parallel_proptests --test shard_proptests --test fault_injection
+    --test parallel_proptests --test shard_proptests --test fault_injection \
+    --test box_proptests
 else
   echo "   taskset not installed; skipping the one-CPU leg"
 fi
@@ -43,8 +44,8 @@ echo "== quantization suite (quantized ≡ unquantized twins, both dispatches) =
 cargo test -p planar-core -q --test quant_proptests
 PLANAR_FORCE_PORTABLE=1 cargo test -p planar-core -q --test quant_proptests
 
-echo "== block-mask verification suite (block masks ≡ SeqScan, forced-portable dispatch) =="
-PLANAR_FORCE_PORTABLE=1 cargo test -p planar-core -q --test simd_pruning_proptests
+echo "== block-mask verification suite (block masks and box-settled blocks ≡ SeqScan, forced-portable dispatch) =="
+PLANAR_FORCE_PORTABLE=1 cargo test -p planar-core -q --test simd_pruning_proptests --test box_proptests
 
 echo "== serving suite (loopback wire round trips, coalescing identity, overload) =="
 cargo test -p planar-serve -q

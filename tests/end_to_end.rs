@@ -194,7 +194,7 @@ fn index_selection_does_not_depend_on_the_data() {
     let mut set = ShardedIndexSet::<VecStore>::build(
         initial,
         eq18_domain(dim, rq),
-        IndexConfig::with_budget(16),
+        IndexConfig::with_budget(16).strategy(SelectionStrategy::MinStretch),
         ShardConfig::pilot_key_range(4),
     )
     .expect("build");
@@ -253,4 +253,141 @@ fn index_selection_does_not_depend_on_the_data() {
     }
     check(&set, &rows, &live, "deletes");
     assert!(answers_moved, "the writes must change some answer");
+}
+
+/// `SeqScan`'s answer over the live rows of `rows`, ascending.
+fn live_scan(dim: usize, rows: &[Vec<f64>], live: &[bool], q: &InequalityQuery) -> Vec<PointId> {
+    let table = FeatureTable::from_rows(dim, rows.to_vec()).expect("table");
+    let mut ids = SeqScan::new(&table).evaluate(q).expect("scan");
+    ids.retain(|&id| live[id as usize]);
+    ids
+}
+
+#[test]
+fn every_selection_strategy_answers_in_scan_order() {
+    // Canonical answers: whichever index a strategy picks — or the scan —
+    // an unsharded set answers with `SeqScan`'s ids in `SeqScan`'s order,
+    // and a sharded one with them grouped by ascending shard, before and
+    // after inserts, updates, deletes and a compaction, with and without
+    // the quantized tier's block boxes.
+    let (dim, rq) = (4, 4);
+    let generated = SyntheticConfig::paper(SyntheticKind::Independent, 7_000, dim).generate();
+    let mut all: Vec<Vec<f64>> = generated.iter().map(|(_, r)| r.to_vec()).collect();
+    let spare = all.split_off(6_000);
+    let queries = Eq18Generator::new(&generated, rq, 3)
+        .with_inequality_parameter(0.25)
+        .queries(12);
+    for strategy in [
+        SelectionStrategy::MinStretch,
+        SelectionStrategy::MinAngle,
+        SelectionStrategy::OracleCount,
+    ] {
+        for tier in [QuantTier::Off, QuantTier::I16] {
+            let cfg = IndexConfig::with_budget(8).strategy(strategy);
+            let initial = FeatureTable::from_rows(dim, all.clone()).expect("table");
+            let domain = eq18_domain(dim, rq);
+            let mut flat: PlanarIndexSet =
+                PlanarIndexSet::build(initial.clone(), domain.clone(), cfg.clone()).expect("build");
+            let mut sharded = ShardedIndexSet::<VecStore>::build(
+                initial,
+                domain,
+                cfg,
+                ShardConfig::pilot_key_range(3),
+            )
+            .expect("build");
+            flat.set_quant_policy(QuantPolicy::tier(tier));
+            sharded.set_quant_policy(QuantPolicy::tier(tier));
+            // The unsharded model renumbers at compaction; the sharded one
+            // keeps its global ids.
+            let (mut flat_rows, mut flat_live) = (all.clone(), vec![true; all.len()]);
+            let (mut rows, mut live) = (all.clone(), vec![true; all.len()]);
+            let check = |flat: &PlanarIndexSet,
+                         sharded: &ShardedIndexSet<VecStore>,
+                         (flat_rows, flat_live): (&[Vec<f64>], &[bool]),
+                         (rows, live): (&[Vec<f64>], &[bool]),
+                         phase: &str| {
+                for q in &queries {
+                    let out = flat.query(q).expect("query");
+                    let want = live_scan(dim, flat_rows, flat_live, q);
+                    assert_eq!(out.matches, want, "{strategy:?} {tier:?} {phase}");
+                    let out = sharded.query(q).expect("query");
+                    let want = live_scan(dim, rows, live, q);
+                    let mut grouped = Vec::new();
+                    for s in 0..sharded.num_shards() {
+                        grouped.extend(want.iter().filter(|&&id| sharded.shard_of(id) == Some(s)));
+                    }
+                    assert_eq!(
+                        out.matches, grouped,
+                        "{strategy:?} {tier:?} {phase} sharded"
+                    );
+                }
+            };
+            check(
+                &flat,
+                &sharded,
+                (&flat_rows, &flat_live),
+                (&rows, &live),
+                "build",
+            );
+            for row in &spare {
+                flat.insert_point(row).expect("insert");
+                sharded.insert_point(row).expect("insert");
+                flat_rows.push(row.clone());
+                flat_live.push(true);
+                rows.push(row.clone());
+                live.push(true);
+            }
+            check(
+                &flat,
+                &sharded,
+                (&flat_rows, &flat_live),
+                (&rows, &live),
+                "inserts",
+            );
+            for (i, id) in (0..rows.len()).step_by(11).enumerate() {
+                let row = spare[(i * 7) % spare.len()].clone();
+                flat.update_point(id as PointId, &row).expect("update");
+                sharded.update_point(id as PointId, &row).expect("update");
+                flat_rows[id] = row.clone();
+                rows[id] = row;
+            }
+            check(
+                &flat,
+                &sharded,
+                (&flat_rows, &flat_live),
+                (&rows, &live),
+                "updates",
+            );
+            for id in (0..rows.len()).step_by(3) {
+                flat.delete_point(id as PointId).expect("delete");
+                sharded.delete_point(id as PointId).expect("delete");
+                flat_live[id] = false;
+                live[id] = false;
+            }
+            check(
+                &flat,
+                &sharded,
+                (&flat_rows, &flat_live),
+                (&rows, &live),
+                "deletes",
+            );
+            let remap = flat.compact();
+            flat_rows = flat_rows
+                .iter()
+                .zip(&remap)
+                .filter_map(|(row, new)| new.map(|_| row.clone()))
+                .collect();
+            flat_live = vec![true; flat_rows.len()];
+            assert_eq!(sharded.compact(0.2).len(), 3);
+            flat.set_quant_policy(QuantPolicy::tier(tier));
+            sharded.set_quant_policy(QuantPolicy::tier(tier));
+            check(
+                &flat,
+                &sharded,
+                (&flat_rows, &flat_live),
+                (&rows, &live),
+                "compaction",
+            );
+        }
+    }
 }
