@@ -53,12 +53,11 @@ fn pass_quant(table: &FeatureTable, q: &InequalityQuery, mirror: &QuantizedColum
     let blocks = n.div_ceil(stride);
     for b in 0..blocks {
         let lanes = (n - b * stride).min(stride);
-        let scales = &mirror.scales()[b * dim..(b + 1) * dim];
-        let offsets = &mirror.offsets()[b * dim..(b + 1) * dim];
         let mut bias = -q.b();
-        for j in 0..dim {
-            w[j] = (q.a()[j] * scales[j]) as f32;
-            bias += q.a()[j] * offsets[j];
+        for (j, (w, &aj)) in w.iter_mut().zip(q.a()).enumerate() {
+            let (offset, scale) = mirror.affine(b, j);
+            *w = (aj * scale) as f32;
+            bias += aj * offset;
         }
         let t = (-bias) as f32;
         let (below, above) = match (mirror.codes_i8(), mirror.codes_i16()) {

@@ -57,6 +57,16 @@ use planar_geom::{dot_slices, NormalizedQuery, Normalizer};
 /// always sound.
 const BOUNDARY_EPS: f64 = 1e-9;
 
+/// What filling the candidate bitmaps costs per row marked, in lanes of
+/// the box-mixed blocks' whole-block verification. A fill reads each
+/// interval id's slot (a random `slot_of` read), sets a scattered bit, and
+/// leaves sparse candidate masks that send blocks down the per-row path,
+/// so a query fills only when it would mark under a quarter of the mixed
+/// blocks' live lanes. Measured on the `select_1m` data
+/// (EXPERIMENTS.md, "Box-first Algorithm 1"): at 1:1 the index + box path
+/// was slower than the box alone at index budgets 16 and 4.
+const FILL_LANE_COST: usize = 4;
+
 /// Interval boundaries `(j_min, j_max)` in rank space: ranks `< j_min` are
 /// the smaller interval, ranks `≥ j_max` the larger interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -373,17 +383,20 @@ impl<S: KeyStore> SingleIndex<S> {
     /// block of its columnar slots), explicit execution configuration and
     /// reusable scratch buffers.
     ///
-    /// With a quantized tier, a box pass first settles every block it can
-    /// from its bounding box (see [`parallel::box_pass`]). Then one of two
-    /// candidate sets is verified block by block (see
-    /// [`parallel::verify_mask_blocked`]), whichever is smaller:
+    /// With a quantized tier, and when the fill would mark more rows (the
+    /// intermediate plus the accepted interval) than the table has blocks,
+    /// one box sweep first settles every block it can (see
+    /// [`parallel::sweep`]). Then one of two candidate sets is verified
+    /// block by block (see [`parallel::verify_mask_blocked`]):
     ///
+    /// * the live rows of the blocks the box left mixed — unless the fill
+    ///   would mark under `1 /` [`FILL_LANE_COST`] of them, it is skipped
+    ///   (`fill_skipped`) and the box decides alone;
     /// * the intermediate interval: its ids go from the id array's
     ///   key-order slice into the candidate bitmap of `scratch` (one word
     ///   per 64-row block), and the accepted interval's ids into the
-    ///   proven bitmap beside it;
-    /// * the live rows of the blocks the box left mixed — when the interval
-    ///   holds more rows than those, the fill is skipped (`fill_skipped`).
+    ///   proven bitmap beside it. This is the only planner of a table
+    ///   without boxes.
     ///
     /// Both give the same answer: the interval's candidates include every
     /// satisfying row the index did not accept outright. Matches come back
@@ -410,41 +423,36 @@ impl<S: KeyStore> SingleIndex<S> {
             Cmp::Geq => &ids[j_max..],
         };
 
-        // The box pass costs one fold per block, so it only runs when the
-        // interval could cost more than that.
-        let mixed_live = if intermediate > live.len() {
-            parallel::box_pass(verify, table, live, &mut scratch.boxes)
-        } else {
-            scratch.boxes.clear();
-            None
-        };
-        let fill_skipped = mixed_live.is_some_and(|m| intermediate > m);
-        let mut matches = Vec::with_capacity(accepted.len() + intermediate.min(n));
-        let (quant, verified) = if fill_skipped {
+        // The fill marks the interval and the accepted interval.
+        let filled = intermediate + accepted.len();
+        let mixed_live = parallel::sweep(verify, table, live, 0, filled, &mut scratch.boxes);
+        let fill_skipped = mixed_live.is_some_and(|m| filled * FILL_LANE_COST >= m);
+        let (words, candidates) = if fill_skipped {
             let words = parallel::BlockWords {
                 boxes: &scratch.boxes,
                 ..parallel::BlockWords::cand(live, 0)
             };
-            let candidates = mixed_live.unwrap_or(0);
-            parallel::verify_mask(verify, table, words, candidates, exec, &mut matches)
+            (words, mixed_live.unwrap_or(0))
         } else {
             let range = scratch.fill(table, &ids[j_min..j_max], accepted);
-            let boxes: &[_] = if scratch.boxes.is_empty() {
-                &[]
-            } else {
-                &scratch.boxes[range.clone()]
-            };
             let words = parallel::BlockWords {
                 cand: &scratch.mask[range.clone()],
                 accept: &scratch.accept[range.clone()],
-                boxes,
+                boxes: scratch.boxes.get(range.clone()).unwrap_or(&[]),
                 first: range.start,
             };
-            parallel::verify_mask(verify, table, words, intermediate, exec, &mut matches)
+            (words, intermediate)
         };
-        if table.is_clustered() {
-            matches.sort_unstable();
-        }
+        let mut matches = Vec::with_capacity(accepted.len() + intermediate.min(n));
+        let (quant, verified) = parallel::verify_ascending(
+            verify,
+            table,
+            words,
+            candidates,
+            exec,
+            &mut scratch.found,
+            &mut matches,
+        );
 
         let stats = QueryStats {
             n,
@@ -521,9 +529,11 @@ impl<S: KeyStore> SingleIndex<S> {
     }
 
     /// Algorithm 2 body behind every top-k entry point. The II goes into
-    /// the scratch's candidate bitmap and through Algorithm 1's
-    /// verification ([`parallel::verify_mask`]); the satisfying ids, held in
-    /// the scratch in ascending-id order, are ranked by their row's distance.
+    /// the scratch's candidate bitmap, a box sweep over the bitmap's word
+    /// window settles what blocks it can ([`parallel::sweep`]), and the rest
+    /// goes through Algorithm 1's verification ([`parallel::verify_mask`]);
+    /// the satisfying ids, held in the scratch in slot order, are ranked by
+    /// their row's distance.
     /// Then the accepting interval is walked outward from the query
     /// hyperplane until Claim 3's lower bound stops it (`use_pruning =
     /// false` walks it all).
@@ -552,8 +562,20 @@ impl<S: KeyStore> SingleIndex<S> {
         // arrival order, so this matches the key-order walk exactly.
         let candidates = j_max - j_min;
         let range = scratch.fill(table, &ids[j_min..j_max], &[]);
+        let cand = &scratch.mask[range.clone()];
+        parallel::sweep(
+            &q.query,
+            table,
+            cand,
+            range.start,
+            candidates,
+            &mut scratch.boxes,
+        );
         scratch.ids.clear();
-        let words = parallel::BlockWords::cand(&scratch.mask[range.clone()], range.start);
+        let words = parallel::BlockWords {
+            boxes: &scratch.boxes,
+            ..parallel::BlockWords::cand(cand, range.start)
+        };
         let (quant, verified) =
             parallel::verify_mask(&q.query, table, words, candidates, exec, &mut scratch.ids);
         buffer.offer_rows(&q.query, table, &scratch.ids);

@@ -803,18 +803,27 @@ impl<S: KeyStore> PlanarIndexSet<S> {
 
     /// Every live row satisfying `q`, ascending, from a scan of the live
     /// rows' bitmap through the blocked kernels — so the quantized tier
-    /// (when active) settles whole blocks by their box and wholesale-settles
-    /// most other rows on the scan paths too, and the autotuner observes
-    /// it. The kernel mask is bit-identical to the per-row `q.satisfies`
-    /// predicate. Returns the matches, the filter counters and the rows
-    /// verified.
+    /// (when active) settles whole blocks by one box sweep and
+    /// wholesale-settles most other rows on the scan paths too, and the
+    /// autotuner observes it. The kernel mask is bit-identical to the
+    /// per-row `q.satisfies` predicate. Returns the matches, the filter
+    /// counters and the rows verified.
     fn scan_live(&self, q: &InequalityQuery) -> (Vec<PointId>, QuantFilterStats, usize) {
-        let mut matches = Vec::new();
-        let words = parallel::BlockWords::cand(&self.live, 0);
-        let (quant, verified) = parallel::verify_mask_blocked(q, &self.table, words, &mut matches);
-        if self.table.is_clustered() {
-            matches.sort_unstable();
-        }
+        let (mut boxes, mut found, mut matches) = (Vec::new(), Vec::new(), Vec::new());
+        parallel::sweep(q, &self.table, &self.live, 0, self.n_live, &mut boxes);
+        let words = parallel::BlockWords {
+            boxes: &boxes,
+            ..parallel::BlockWords::cand(&self.live, 0)
+        };
+        let (quant, verified) = parallel::verify_ascending(
+            q,
+            &self.table,
+            words,
+            self.n_live,
+            &ExecutionConfig::serial(),
+            &mut found,
+            &mut matches,
+        );
         self.quant_tuner.observe(&quant);
         (matches, quant, verified)
     }

@@ -11,14 +11,14 @@
 //!   word per 64-row block of the columnar mirror ([`QueryScratch`]) and
 //!   verified block by block in slot order by [`verify_mask`]. Splitting
 //!   the bitmap into contiguous word ranges and concatenating the
-//!   per-range matches in range order reproduces the serial order exactly;
-//!   callers sort the ids of a clustered table (see
-//!   [`crate::table::FeatureTable::cluster`]) into ascending id order.
-//! * Before a block's codes are read, the quantized tier settles the whole
-//!   block from its bounding box when it can ([`BlockWords`]): a rejected
-//!   block contributes nothing and an accepted one all its candidate
-//!   lanes. The box bounds come from the same fold as the lane classifier,
-//!   so they are sound against the `f64` rounding of the exact dot.
+//!   per-range matches in range order reproduces the serial order exactly.
+//!   A clustered table's ids (see [`crate::table::FeatureTable::cluster`])
+//!   come out ascending through an id-space bitmap ([`verify_ascending`]).
+//! * Before a block's codes are read, its box verdict from
+//!   [`crate::quant::QuantizedColumns::box_sweep`] settles the whole block
+//!   when it can ([`BlockWords`]): a rejected block contributes nothing and
+//!   an accepted one all its candidate lanes. The sweep's rounding guard
+//!   makes the verdicts sound against the `f64` rounding of the exact dot.
 //! * Verdicts come from the quantized classifier when the tier is on (sound:
 //!   its accepts and rejects agree with the exact predicate, and its band
 //!   is re-verified in `f64`), else from the fused columnar SIMD kernel
@@ -267,8 +267,11 @@ pub struct QueryScratch {
     /// Lanes proven to satisfy the query (the index's accepted interval),
     /// one word per block; emitted without verification.
     pub(crate) accept: Vec<u64>,
-    /// Box verdict of every block, from [`box_pass`].
+    /// Box verdicts of a window of blocks, from [`sweep`].
     pub(crate) boxes: Vec<BoxClass>,
+    /// Id-space bitmap that orders a clustered table's matches (see
+    /// [`verify_ascending`]).
+    pub(crate) found: Vec<u64>,
     /// Satisfying II ids of one top-k query, before ranking.
     pub(crate) ids: Vec<PointId>,
 }
@@ -287,6 +290,7 @@ impl QueryScratch {
             mask: Vec::with_capacity(blocks),
             accept: Vec::with_capacity(blocks),
             boxes: Vec::with_capacity(blocks),
+            found: Vec::with_capacity(blocks),
             ids: Vec::new(),
         }
     }
@@ -319,14 +323,14 @@ impl QueryScratch {
 
 /// A window of per-block words for [`verify_mask`]: word `i` describes
 /// block `first + i`. `accept` and `boxes` may be empty (no proven lanes;
-/// box verdicts computed on the fly).
+/// every block mixed).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BlockWords<'a> {
     /// Candidate lanes, verified unless their block's box settles them.
     pub cand: &'a [u64],
     /// Lanes proven to satisfy the query, emitted unverified.
     pub accept: &'a [u64],
-    /// Precomputed box verdicts (see [`box_pass`]).
+    /// Box verdicts (see [`sweep`]).
     pub boxes: &'a [BoxClass],
     /// Block number of word 0.
     pub first: usize,
@@ -354,30 +358,63 @@ impl<'a> BlockWords<'a> {
     }
 }
 
-/// The box verdict of every block of `table` into `boxes`, and the live
-/// lanes (per `live`, one word per block) of the blocks left `Mixed`.
-/// `None`, with `boxes` empty, when the table has no quantized tier — its
-/// blocks have no boxes.
-pub(crate) fn box_pass(
+/// The box verdicts of the blocks `first..first + cand.len()` into
+/// `boxes` (see [`crate::quant::QuantizedColumns::box_sweep`]), and the
+/// candidate lanes (`cand`, one word per block) of the blocks left
+/// `Mixed`. The sweep costs `O(d)` per block of the window, so it runs only
+/// when the table has a quantized tier and the window's `candidates`
+/// outnumber its blocks; otherwise `boxes` is left empty (every block
+/// mixed) and the result is `None`.
+pub(crate) fn sweep(
     query: &InequalityQuery,
     table: &FeatureTable,
-    live: &[u64],
+    cand: &[u64],
+    first: usize,
+    candidates: usize,
     boxes: &mut Vec<BoxClass>,
 ) -> Option<usize> {
     boxes.clear();
-    let mut filter = QuantFilter::new(query, table.quant()?);
-    let mut mixed_live = 0;
-    boxes.extend(live.iter().enumerate().map(|(b, &lanes)| {
-        if lanes == 0 {
-            return BoxClass::Mixed;
+    let quant = table.quant().filter(|_| candidates > cand.len())?;
+    quant.box_sweep(query, first..first + cand.len(), boxes);
+    let mixed = boxes
+        .iter()
+        .zip(cand)
+        .filter(|(&v, _)| v == BoxClass::Mixed);
+    Some(mixed.map(|(_, w)| w.count_ones() as usize).sum())
+}
+
+/// Where verification puts satisfying ids.
+pub(crate) trait Emit {
+    /// Record one satisfying id.
+    fn emit(&mut self, id: PointId);
+}
+
+impl Emit for Vec<PointId> {
+    #[inline]
+    fn emit(&mut self, id: PointId) {
+        self.push(id);
+    }
+}
+
+/// An id-space bitmap: bit `id % 64` of word `id / 64` marks `id`.
+pub(crate) struct IdBits<'a>(pub &'a mut [u64]);
+
+impl Emit for IdBits<'_> {
+    #[inline]
+    fn emit(&mut self, id: PointId) {
+        self.0[id as usize / BLOCK_ROWS] |= 1u64 << (id as usize % BLOCK_ROWS);
+    }
+}
+
+/// Push the ids marked in `bits` onto `out` in ascending order.
+pub(crate) fn drain_ascending(bits: &[u64], out: &mut Vec<PointId>) {
+    for (w, &word) in bits.iter().enumerate() {
+        let mut m = word;
+        while m != 0 {
+            out.push((w * BLOCK_ROWS) as PointId + m.trailing_zeros());
+            m &= m - 1;
         }
-        let verdict = filter.box_class(b);
-        if verdict == BoxClass::Mixed {
-            mixed_live += lanes.count_ones() as usize;
-        }
-        verdict
-    }));
-    Some(mixed_live)
+    }
 }
 
 /// Split `items` into `workers` contiguous chunks, apply `f(start, chunk)`
@@ -452,12 +489,11 @@ fn block(table: &FeatureTable, w: usize) -> (u32, usize, ColSegment<'_>) {
     (first, lanes, seg.expect("a non-empty block has a segment"))
 }
 
-/// Verify a window of block words against `query`, pushing the ids of
-/// satisfying lanes onto `out` in slot order. Each non-empty block is
-/// first settled by its bounding box when the table has a quantized tier
-/// (a rejected block emits nothing and reads no code; an accepted one
-/// emits its candidate and proven lanes). In every other block the proven
-/// lanes are emitted and each candidate is verified:
+/// Verify a window of block words against `query`, emitting the ids of
+/// satisfying lanes in slot order. A block its box verdict settles emits
+/// all of its candidate and proven lanes (`Accept`) or none (`Reject`)
+/// and reads no code. Every other block emits its proven lanes, and each
+/// of its candidates is verified:
 ///
 /// * a block with at least [`QUANT_MIN_SEGMENT_LANES`] candidates gets one
 ///   whole-block pass — the quantized classifier when the tier is on, else
@@ -475,7 +511,7 @@ pub(crate) fn verify_mask_blocked(
     query: &InequalityQuery,
     table: &FeatureTable,
     words: BlockWords<'_>,
-    out: &mut Vec<PointId>,
+    out: &mut impl Emit,
 ) -> (QuantFilterStats, usize) {
     let mut stats = QuantFilterStats::default();
     let mut verified = 0;
@@ -489,12 +525,7 @@ pub(crate) fn verify_mask_blocked(
             continue;
         }
         let w = words.first + i;
-        let verdict = match (&mut filter, words.boxes.get(i)) {
-            (None, _) => BoxClass::Mixed,
-            (Some(_), Some(&v)) => v,
-            (Some(f), None) => f.box_class(w),
-        };
-        let mut mask = match verdict {
+        let mut mask = match words.boxes.get(i).copied().unwrap_or(BoxClass::Mixed) {
             BoxClass::Reject => {
                 stats.box_rejected += 1;
                 0
@@ -525,7 +556,7 @@ pub(crate) fn verify_mask_blocked(
         };
         let base = (w * BLOCK_ROWS) as u32;
         while mask != 0 {
-            out.push(table.id_at(base + mask.trailing_zeros()));
+            out.emit(table.id_at(base + mask.trailing_zeros()));
             mask &= mask - 1;
         }
     }
@@ -609,7 +640,7 @@ fn dense_block_mask(
 /// Inequality-query II verification of a window of block words (see
 /// [`verify_mask_blocked`]): serial, or split on word boundaries across
 /// `exec.threads` workers when the `candidates` count crosses
-/// `exec.parallel_verify_threshold`. Per-chunk matches are concatenated in
+/// `exec.parallel_verify_threshold`. Per-chunk matches are emitted in
 /// chunk order, so the output is in slot order either way (see module
 /// docs).
 pub(crate) fn verify_mask(
@@ -618,7 +649,7 @@ pub(crate) fn verify_mask(
     words: BlockWords<'_>,
     candidates: usize,
     exec: &ExecutionConfig,
-    out: &mut Vec<PointId>,
+    out: &mut impl Emit,
 ) -> (QuantFilterStats, usize) {
     if !(exec.is_parallel() && candidates >= exec.parallel_verify_threshold.max(2)) {
         return verify_mask_blocked(query, table, words, out);
@@ -633,11 +664,37 @@ pub(crate) fn verify_mask(
     let mut stats = QuantFilterStats::default();
     let mut verified = 0;
     for (part, (part_stats, part_verified)) in per_chunk {
-        out.extend_from_slice(&part);
+        for id in part {
+            out.emit(id);
+        }
         stats.merge(&part_stats);
         verified += part_verified;
     }
     (stats, verified)
+}
+
+/// [`verify_mask`] with the matches pushed onto `out` in ascending id
+/// order. Slots are ids on an unclustered table, so its slot order is
+/// already ascending; a clustered table's matches are marked in the
+/// id-space bitmap `found` (reset here) and drained in order, in
+/// `O(m + n/64)` and with no sort.
+pub(crate) fn verify_ascending(
+    query: &InequalityQuery,
+    table: &FeatureTable,
+    words: BlockWords<'_>,
+    candidates: usize,
+    exec: &ExecutionConfig,
+    found: &mut Vec<u64>,
+    out: &mut Vec<PointId>,
+) -> (QuantFilterStats, usize) {
+    if !table.is_clustered() {
+        return verify_mask(query, table, words, candidates, exec, out);
+    }
+    found.clear();
+    found.resize(table.len().div_ceil(BLOCK_ROWS), 0);
+    let counts = verify_mask(query, table, words, candidates, exec, &mut IdBits(found));
+    drain_ascending(found, out);
+    counts
 }
 
 /// Sharding plan for a batch of queries: how many workers a batch of
@@ -745,18 +802,26 @@ mod tests {
 
     #[test]
     fn fill_and_emission_follow_the_block_layout() {
-        // A clustered table keeps candidates in their slots' blocks and
-        // emits ids, which callers sort.
+        // A clustered table keeps candidates in their slots' blocks, and
+        // the id-space bitmap puts its matches back in ascending id order
+        // at every thread count.
         let rows = (0..300).map(|i| vec![((i * 37) % 300) as f64, 1.0]);
         let mut t = FeatureTable::from_rows(2, rows).unwrap();
         t.cluster();
         assert!(t.is_clustered());
         let q = InequalityQuery::new(vec![1.0, 1.0], Cmp::Leq, 120.0).unwrap();
         let ids: Vec<PointId> = (0..300).collect();
-        let mut got = Vec::new();
-        verify_mask_blocked(&q, &t, BlockWords::cand(&bitmap(&t, &ids), 0), &mut got);
-        got.sort_unstable();
-        assert_eq!(got, crate::scan::SeqScan::new(&t).evaluate(&q).unwrap());
+        let want = crate::scan::SeqScan::new(&t).evaluate(&q).unwrap();
+        assert!(want.windows(2).all(|w| w[0] < w[1]));
+        let words = bitmap(&t, &ids);
+        let mut found = vec![u64::MAX; 1];
+        for threads in [1, 3] {
+            let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
+            let mut got = Vec::new();
+            let words = BlockWords::cand(&words, 0);
+            verify_ascending(&q, &t, words, ids.len(), &exec, &mut found, &mut got);
+            assert_eq!(got, want, "threads={threads}");
+        }
     }
 
     #[test]
@@ -791,9 +856,15 @@ mod tests {
         let ids: Vec<PointId> = (0..1000u32)
             .filter(|i| if *i < 500 { i % 5 != 0 } else { i % 9 == 0 })
             .collect();
+        let cand = bitmap(&t, &ids);
+        let mut boxes = Vec::new();
+        sweep(&q, &t, &cand, 0, ids.len(), &mut boxes).unwrap();
+        let words = BlockWords {
+            boxes: &boxes,
+            ..BlockWords::cand(&cand, 0)
+        };
         let mut got = Vec::new();
-        let (stats, verified) =
-            verify_mask_blocked(&q, &t, BlockWords::cand(&bitmap(&t, &ids), 0), &mut got);
+        let (stats, verified) = verify_mask_blocked(&q, &t, words, &mut got);
         assert_eq!(stats.tier, QuantTier::I16);
         assert_eq!(stats.lanes, verified, "{stats:?}");
         assert!(verified > 0 && verified < ids.len(), "{stats:?}");
@@ -825,7 +896,7 @@ mod tests {
         let q = InequalityQuery::new(vec![1.0, -1.0], Cmp::Geq, 10.0).unwrap();
         let live = crate::multi::live_words(&t, &[]);
         let mut boxes = Vec::new();
-        let mixed = box_pass(&q, &t, &live, &mut boxes).unwrap();
+        let mixed = sweep(&q, &t, &live, 0, 640, &mut boxes).unwrap();
         assert_eq!(mixed, 64);
         assert_eq!(boxes.len(), 10);
         assert_eq!(boxes[3], BoxClass::Mixed);
@@ -842,9 +913,16 @@ mod tests {
             (stats.box_accepted, stats.box_rejected, verified),
             (6, 3, 64)
         );
-        // Without a tier there are no boxes.
+        // A window sweeps its own blocks: blocks 2..5 are reject, mixed,
+        // accept.
+        assert_eq!(sweep(&q, &t, &live[2..5], 2, 640, &mut boxes), Some(64));
+        assert_eq!(boxes, [BoxClass::Reject, BoxClass::Mixed, BoxClass::Accept]);
+        // No sweep for fewer candidates than blocks, and without a tier
+        // there are no boxes.
+        assert_eq!(sweep(&q, &t, &live, 0, 10, &mut boxes), None);
+        assert!(boxes.is_empty());
         t.set_quant_policy(QuantPolicy::off());
-        assert_eq!(box_pass(&q, &t, &live, &mut boxes), None);
+        assert_eq!(sweep(&q, &t, &live, 0, 640, &mut boxes), None);
         assert!(boxes.is_empty());
     }
 

@@ -24,6 +24,15 @@
 //! encoded soundly (overflowing magnitudes) is flagged for full-precision
 //! fallback instead — the tier *never* guesses.
 //!
+//! The mirror stores no offsets or scales. It stores each block's exact
+//! per-dimension minimum and maximum, in two dimension-major *planes*
+//! (`lo(j)[b]`, `hi(j)[b]`), at the same byte count; `offset` and `scale`
+//! are derived from them by one private function (`affine`) wherever they are
+//! needed, so codes and classifier thresholds are what the two stored
+//! values gave. The planes are also each block's bounding box, which
+//! [`QuantizedColumns::box_sweep`] tests a query against for every block
+//! at once.
+//!
 //! ## Error-bound math (why answers stay bit-identical)
 //!
 //! For a query `⟨a, x⟩ ⋚ b` over a block, the filter computes
@@ -72,6 +81,7 @@
 //! set, and each shard of a [`crate::ShardedIndexSet`] tunes
 //! independently on `compact()`.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use planar_geom::quant::{
@@ -183,22 +193,46 @@ impl Codes {
 }
 
 /// The quantized mirror of a [`ColumnMajorRows`]: per-block fixed-point
-/// codes plus per-`(block, dim)` affine decode parameters, maintained
-/// incrementally alongside the `f64` blocks.
+/// codes plus each block's per-dimension bounds, maintained incrementally
+/// alongside the `f64` blocks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedColumns {
     dim: usize,
     len: usize,
     slack: f64,
     codes: Codes,
-    /// Per `(block, dim)`: decode scale (`0` for a constant dimension).
-    scales: Vec<f64>,
-    /// Per `(block, dim)`: decode offset (the block's per-dim midpoint).
-    offsets: Vec<f64>,
+    /// Per `(dim, block)`, dimension-major (`lo[j · blocks + b]`): the
+    /// smallest value of dimension `j` in block `b`.
+    lo: Vec<f64>,
+    /// Per `(dim, block)`, dimension-major: the largest value.
+    hi: Vec<f64>,
+    /// Per dimension: an upper bound on `|x|` over every value the mirror
+    /// has encoded. It only grows, so it stays a bound after updates.
+    mag: Vec<f64>,
     /// Per block: `true` when the block could not be encoded soundly and
     /// must always take the full-precision path.
     fallback: Vec<bool>,
 }
+
+/// The decode `(offset, scale)` of a block dimension spanning `[lo, hi]`
+/// at code magnitude `qmax`: midpoint and half-range over `qmax`, computed
+/// via halves so ±huge endpoints cannot overflow to ±inf.
+#[inline]
+fn affine(lo: f64, hi: f64, qmax: f64) -> (f64, f64) {
+    let offset = 0.5 * lo + 0.5 * hi;
+    let half = 0.5 * hi - 0.5 * lo;
+    let scale = if half > 0.0 { half / qmax } else { 0.0 };
+    (offset, scale)
+}
+
+/// The classifier's `f32` overflow guard: with `Σⱼ|wⱼ|·qmax` below this,
+/// no partial sum of the fused kernel can leave the finite `f32` range.
+/// A block whose fold reaches it takes the exact fallback.
+const F32_FOLD_LIMIT: f64 = 1e36;
+
+/// Blocks per tile of [`QuantizedColumns::box_sweep`]: a tile's two corner
+/// sums fit the vector registers.
+const SWEEP_TILE: usize = 8;
 
 impl QuantizedColumns {
     /// Encode the whole columnar mirror at `tier` (`I8` or `I16`) with the
@@ -219,8 +253,9 @@ impl QuantizedColumns {
             len: 0,
             slack: slack.max(1.0),
             codes,
-            scales: Vec::new(),
-            offsets: Vec::new(),
+            lo: Vec::new(),
+            hi: Vec::new(),
+            mag: vec![0.0; cols.dim()],
             fallback: Vec::new(),
         };
         q.sync(cols);
@@ -250,6 +285,16 @@ impl QuantizedColumns {
         self.len == 0
     }
 
+    /// Blocks encoded.
+    pub fn blocks(&self) -> usize {
+        self.fallback.len()
+    }
+
+    /// The largest code magnitude of this tier.
+    fn qmax(&self) -> f64 {
+        f64::from(self.codes.qmax())
+    }
+
     /// The `i8` code plane (blocks × dim × [`BLOCK_ROWS`], interleaved
     /// like the `f64` blocks), when this is an `I8` mirror.
     pub fn codes_i8(&self) -> Option<&[i8]> {
@@ -267,14 +312,24 @@ impl QuantizedColumns {
         }
     }
 
-    /// Per-`(block, dim)` decode scales.
-    pub fn scales(&self) -> &[f64] {
-        &self.scales
+    /// The lower-bound plane of dimension `j`: entry `b` is the smallest
+    /// value of dimension `j` in block `b`.
+    pub fn lo(&self, j: usize) -> &[f64] {
+        let blocks = self.blocks();
+        &self.lo[j * blocks..(j + 1) * blocks]
     }
 
-    /// Per-`(block, dim)` decode offsets.
-    pub fn offsets(&self) -> &[f64] {
-        &self.offsets
+    /// The upper-bound plane of dimension `j`.
+    pub fn hi(&self, j: usize) -> &[f64] {
+        let blocks = self.blocks();
+        &self.hi[j * blocks..(j + 1) * blocks]
+    }
+
+    /// The decode `(offset, scale)` of block `b` in dimension `j`, derived
+    /// from the planes by the codec's midpoint/half-range formula.
+    pub fn affine(&self, b: usize, j: usize) -> (f64, f64) {
+        let at = j * self.blocks() + b;
+        affine(self.lo[at], self.hi[at], self.qmax())
     }
 
     /// Blocks flagged for full-precision fallback.
@@ -291,10 +346,16 @@ impl QuantizedColumns {
             return;
         }
         let first_dirty = self.len / BLOCK_ROWS;
-        let blocks = new_len.div_ceil(BLOCK_ROWS);
+        let (old, blocks) = (self.blocks(), new_len.div_ceil(BLOCK_ROWS));
         self.codes.resize(blocks * self.dim * BLOCK_ROWS);
-        self.scales.resize(blocks * self.dim, 0.0);
-        self.offsets.resize(blocks * self.dim, 0.0);
+        for plane in [&mut self.lo, &mut self.hi] {
+            // Re-stride the dimension-major plane in place, last
+            // dimension first, so no run is overwritten before it moves.
+            plane.resize(blocks * self.dim, 0.0);
+            for j in (1..self.dim).rev() {
+                plane.copy_within(j * old..(j + 1) * old, j * blocks);
+            }
+        }
         self.fallback.resize(blocks, false);
         self.len = new_len;
         for b in first_dirty..blocks {
@@ -307,10 +368,10 @@ impl QuantizedColumns {
         self.reencode_block(cols, row as usize / BLOCK_ROWS);
     }
 
-    /// Re-derive scales, offsets, and codes of block `b` from the `f64`
-    /// mirror. `O(dim · BLOCK_ROWS)`.
+    /// Re-derive the bounds and codes of block `b` from the `f64` mirror.
+    /// `O(dim · BLOCK_ROWS)`.
     fn reencode_block(&mut self, cols: &ColumnMajorRows, b: usize) {
-        let dim = self.dim;
+        let (dim, blocks) = (self.dim, self.blocks());
         let from = (b * BLOCK_ROWS) as PointId;
         let to = cols.len().min((b + 1) * BLOCK_ROWS) as PointId;
         let Some(seg) = cols.segments(from, to).next() else {
@@ -328,11 +389,7 @@ impl QuantizedColumns {
                 lo = lo.min(v);
                 hi = hi.max(v);
             }
-            // Midpoint/half-range via halves so ±huge endpoints cannot
-            // overflow to ±inf.
-            let offset = 0.5 * lo + 0.5 * hi;
-            let half = 0.5 * hi - 0.5 * lo;
-            let scale = if half > 0.0 { half / qmax_f } else { 0.0 };
+            let (offset, scale) = affine(lo, hi, qmax_f);
             // The decoded range must stay finite: |offset| + scale·qmax can
             // round past f64::MAX for max-magnitude blocks even though every
             // source value is finite.
@@ -342,8 +399,9 @@ impl QuantizedColumns {
             {
                 sound = false;
             }
-            self.scales[b * dim + j] = scale;
-            self.offsets[b * dim + j] = offset;
+            self.lo[j * blocks + b] = lo;
+            self.hi[j * blocks + b] = hi;
+            self.mag[j] = self.mag[j].max(lo.abs()).max(hi.abs());
             let base = b * dim * BLOCK_ROWS + j * BLOCK_ROWS;
             match &mut self.codes {
                 Codes::I8(v) => encode_col(col, offset, scale, qmax, &mut v[base..]),
@@ -352,13 +410,108 @@ impl QuantizedColumns {
         }
         self.fallback[b] = !sound;
     }
+
+    /// The box verdict of every block in `blocks` against `query`, pushed
+    /// onto `out` (cleared first) in block order.
+    ///
+    /// Tile by tile, it accumulates each block's min-corner and max-corner
+    /// sums over the dimensions, `Σⱼ aⱼ·loⱼ` and `Σⱼ aⱼ·hiⱼ` with the two planes
+    /// swapped where `aⱼ < 0`, so every exact `⟨a, x⟩` of the block lies
+    /// between them. The computed sums and the exact path's
+    /// [`planar_geom::dot_slices`] each round by at most
+    /// `γ_d·Σⱼ|aⱼ|·maxⱼ` plus `d` underflow quanta (`maxⱼ` bounds every
+    /// `|x|` the mirror has held), so one guard per query,
+    /// `g = 4(d+2)·(ε·(|b| + Σⱼ|aⱼ|·maxⱼ) + 2⁻¹⁰⁷⁴)` with
+    /// `ε = f64::EPSILON`, covers both roundings and the comparison's own
+    /// add. A block is accepted or rejected only when its corner sum,
+    /// pushed `g` further toward the hyperplane, still lies strictly on one
+    /// side (`≤`/`≥` for an accept, matching the predicate). Fallback
+    /// blocks — flagged, or past the lane classifier's `f32` guard for this
+    /// query — non-finite sums and a guard that could overflow leave it
+    /// `Mixed`.
+    pub fn box_sweep(
+        &self,
+        query: &InequalityQuery,
+        blocks: Range<usize>,
+        out: &mut Vec<BoxClass>,
+    ) {
+        out.clear();
+        let (a, b) = (query.a(), query.b());
+        let leq = query.cmp() == Cmp::Leq;
+        let d = self.dim as f64;
+        let mut m = b.abs();
+        for (&aj, &mj) in a.iter().zip(&self.mag) {
+            m += aj.abs() * mj;
+        }
+        let g = 4.0 * (d + 2.0) * (f64::EPSILON * m + f64::from_bits(1));
+        if !(2.0 * m + g).is_finite() {
+            out.resize(blocks.len(), BoxClass::Mixed);
+            return;
+        }
+        let verdict = |lo: f64, hi: f64, fallback: bool| {
+            // `(hi − lo)/2 = Σⱼ|aⱼ|·(hiⱼ − loⱼ)/2` is the span the lane
+            // classifier's `f32` guard refuses; such a block stays mixed
+            // like a flagged one, so the exact fallback serves it. The
+            // test is false for every non-finite sum too (`hi ≥ lo`, so the
+            // span is then +∞ or NaN).
+            let ok = !fallback & (0.5 * (hi - lo) < F32_FOLD_LIMIT);
+            // Every computed dot of the block lies in [lo − g, hi + g].
+            let (lo, hi) = (lo - g, hi + g);
+            let (all_in, all_out) = if leq {
+                (hi <= b, lo > b)
+            } else {
+                (lo >= b, hi < b)
+            };
+            match u8::from(ok) * (2 * u8::from(all_in) + u8::from(all_out)) {
+                2 => BoxClass::Accept,
+                1 => BoxClass::Reject,
+                _ => BoxClass::Mixed,
+            }
+        };
+        out.reserve(blocks.len());
+        let mut first = blocks.start;
+        while first + SWEEP_TILE <= blocks.end {
+            let (low, high) = self.corner_sums::<SWEEP_TILE>(a, first);
+            let fallback = &self.fallback[first..first + SWEEP_TILE];
+            let tile: [BoxClass; SWEEP_TILE] =
+                std::array::from_fn(|k| verdict(low[k], high[k], fallback[k]));
+            out.extend_from_slice(&tile);
+            first += SWEEP_TILE;
+        }
+        for block in first..blocks.end {
+            let ([low], [high]) = self.corner_sums::<1>(a, block);
+            out.push(verdict(low, high, self.fallback[block]));
+        }
+    }
+
+    /// The min-corner and max-corner sums `Σⱼ aⱼ·loⱼ`, `Σⱼ aⱼ·hiⱼ` (planes
+    /// swapped where `aⱼ < 0`) of the `T` blocks from `first`. A tile's
+    /// sums stay in registers across the dimensions, and each plane is
+    /// read in address order.
+    #[inline]
+    fn corner_sums<const T: usize>(&self, a: &[f64], first: usize) -> ([f64; T], [f64; T]) {
+        let blocks = self.blocks();
+        let (mut low, mut high) = ([0.0f64; T], [0.0f64; T]);
+        for (j, &aj) in a.iter().enumerate() {
+            let at = j * blocks + first;
+            let lo: &[f64; T] = self.lo[at..at + T].try_into().expect("a tile");
+            let hi: &[f64; T] = self.hi[at..at + T].try_into().expect("a tile");
+            let (min_side, max_side) = if aj >= 0.0 { (lo, hi) } else { (hi, lo) };
+            for k in 0..T {
+                low[k] += aj * min_side[k];
+                high[k] += aj * max_side[k];
+            }
+        }
+        (low, high)
+    }
 }
 
 impl HeapSize for QuantizedColumns {
     fn heap_size(&self) -> usize {
         self.codes.heap_size()
-            + self.scales.capacity() * 8
-            + self.offsets.capacity() * 8
+            + self.lo.capacity() * 8
+            + self.hi.capacity() * 8
+            + self.mag.capacity() * 8
             + self.fallback.capacity()
     }
 }
@@ -407,36 +560,21 @@ pub(crate) enum BlockClass {
 }
 
 /// Verdict of a whole block from its bounding box (see
-/// [`QuantFilter::box_class`]).
+/// [`QuantizedColumns::box_sweep`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BoxClass {
+pub enum BoxClass {
     /// Every row of the block satisfies the predicate.
     Accept,
     /// No row of the block satisfies it.
     Reject,
-    /// The box straddles the hyperplane (or the block cannot be folded):
+    /// The box straddles the hyperplane (or the block cannot be bounded):
     /// its rows need a per-lane verdict.
     Mixed,
 }
 
-/// One block's fold of the query: `bias = Σⱼ aⱼ·oⱼ − b`, the error bound
-/// `E`, and `reach = Σ|aⱼ|sⱼ·qmax + E`, so `⟨a, x⟩ − b` lies in
-/// `bias ± reach` over the block's box. The lane classifier's weights (in
-/// [`QuantFilter::w`]) and outward-rounded `f32` thresholds are derived from
-/// it on first use.
-#[derive(Debug, Clone, Copy)]
-struct Fold {
-    bias: f64,
-    e: f64,
-    reach: f64,
-    thresholds: Option<(f32, f32)>,
-}
-
 /// Per-query classification driver: folds the query into per-block `f32`
 /// weights and outward-rounded thresholds, then dispatches the fused
-/// kernels. Create once per (query, table) pair. The last fold is kept, so
-/// a block settled by [`Self::box_class`] and then classified lane by lane
-/// folds once; a block its box settles never computes weights.
+/// kernels. Create once per (query, table) pair.
 pub(crate) struct QuantFilter<'a> {
     q: &'a QuantizedColumns,
     a: &'a [f64],
@@ -444,8 +582,6 @@ pub(crate) struct QuantFilter<'a> {
     leq: bool,
     /// Scratch: per-dimension `f32` weights for the last block classified.
     w: Vec<f32>,
-    /// The last block folded; `None` inside when the fold was unsafe.
-    last: Option<(usize, Option<Fold>)>,
 }
 
 impl<'a> QuantFilter<'a> {
@@ -456,7 +592,6 @@ impl<'a> QuantFilter<'a> {
             b: query.b(),
             leq: query.cmp() == Cmp::Leq,
             w: vec![0.0; query.a().len()],
-            last: None,
         }
     }
 
@@ -488,105 +623,32 @@ impl<'a> QuantFilter<'a> {
         }
     }
 
-    /// Settle block `block` as a whole from its box, before any code is
-    /// read. Every coordinate of the block lies within
-    /// `offset ± scale·(qmax + ½)` (the codec's decode error is at most
-    /// half a scale), so `⟨a, x⟩ − b` lies within
-    /// `bias ± (Σ|aⱼ|sⱼ·qmax + E)` — the same `bias`, `Σ|aⱼ|sⱼ` and error
-    /// bound `E` the lane classifier uses, whose quantization term covers
-    /// the half scale and whose `f64` term covers the rounding of the exact
-    /// dot (see the module docs). Fallback blocks and unsafe folds are
-    /// `Mixed`.
-    pub(crate) fn box_class(&mut self, block: usize) -> BoxClass {
-        let Some(fold) = self.folded(block) else {
-            return BoxClass::Mixed;
-        };
-        let (lo, hi) = (fold.bias - fold.reach, fold.bias + fold.reach);
-        let (all_in, all_out) = if self.leq {
-            (hi < 0.0, lo > 0.0)
-        } else {
-            (lo > 0.0, hi < 0.0)
-        };
-        if all_in {
-            BoxClass::Accept
-        } else if all_out {
-            BoxClass::Reject
-        } else {
-            BoxClass::Mixed
-        }
-    }
-
-    /// The fold of `block`, reusing the last one when it is the same block.
-    fn folded(&mut self, block: usize) -> Option<Fold> {
-        match self.last {
-            Some((b, fold)) if b == block => fold,
-            _ => {
-                let fold = if self.q.fallback[block] {
-                    None
-                } else {
-                    self.fold(block)
-                };
-                self.last = Some((block, fold));
-                fold
-            }
-        }
-    }
-
-    /// The classifier thresholds of `block`, with `self.w` holding its
-    /// weights. `None` when the block must take the exact path.
+    /// Fold the query into `block`'s decode: `self.w` gets its `f32`
+    /// weights, and the result is the outward-rounded `f32` thresholds.
+    /// `None` when the block is flagged for fallback or the fold is
+    /// numerically unsafe (the caller must take the exact path).
     fn thresholds(&mut self, block: usize) -> Option<(f32, f32)> {
-        let mut fold = self.folded(block)?;
-        if let Some(t) = fold.thresholds {
-            return Some(t);
+        if self.q.fallback[block] {
+            return None;
         }
-        let dim = self.a.len();
-        let scales = &self.q.scales[block * dim..(block + 1) * dim];
-        for ((w, &aj), &sj) in self.w.iter_mut().zip(self.a).zip(scales) {
-            *w = (aj * sj) as f32;
-        }
-        // Outward-rounded f32 thresholds. `below` lanes have D ≤ t_lo,
-        // `above` lanes have D ≥ t_hi; meaning depends on direction.
-        let (e, bias) = (fold.e, fold.bias);
-        let t = if self.leq {
-            // accept ⇐ D ≤ −E − bias; reject ⇐ D > E − bias.
-            (f32_at_most(-e - bias), f32_strictly_above(e - bias))
-        } else {
-            // reject ⇐ D < −E − bias; accept ⇐ D ≥ E − bias.
-            (f32_strictly_below(-e - bias), f32_at_least(e - bias))
-        };
-        fold.thresholds = Some(t);
-        self.last = Some((block, Some(fold)));
-        Some(t)
-    }
+        let qmax_f = self.q.qmax();
 
-    /// Fold the query into `block`'s decode: `bias`, the error bound and
-    /// the box reach, or `None` when the fold is numerically unsafe (the
-    /// caller must take the exact path).
-    fn fold(&self, block: usize) -> Option<Fold> {
-        let dim = self.a.len();
-        let scales = &self.q.scales[block * dim..(block + 1) * dim];
-        let offsets = &self.q.offsets[block * dim..(block + 1) * dim];
-        let qmax_f = f64::from(self.q.codes.qmax());
-
-        // Fold the query into this block's decode: bias, and the
+        // Fold the query into this block's decode: weights, bias, and the
         // magnitudes the error bound is built from.
         let mut s_sum = 0.0f64;
         let mut bias = -self.b;
         let mut mag = self.b.abs();
-        for j in 0..dim {
-            let aj = self.a[j];
-            let sj = scales[j];
-            let oj = offsets[j];
+        for (j, (w, &aj)) in self.w.iter_mut().zip(self.a).enumerate() {
+            let (oj, sj) = self.q.affine(block, j);
+            *w = (aj * sj) as f32;
             s_sum += aj.abs() * sj;
             bias += aj * oj;
             mag += aj.abs() * (oj.abs() + sj * qmax_f);
         }
-        // f32 overflow guard: with Σ|w|·qmax below this, no partial sum
-        // can leave the finite f32 range, so D is always finite.
-        if !bias.is_finite() || !mag.is_finite() || s_sum * qmax_f >= 1e36 {
+        if !bias.is_finite() || !mag.is_finite() || s_sum * qmax_f >= F32_FOLD_LIMIT {
             return None;
         }
-        let d_f = dim as f64;
+        let d_f = self.a.len() as f64;
         let e = self.q.slack
             * (0.5 * s_sum * (1.0 + 1e-6)
                 + (d_f + 6.0) * 2f64.powi(-23) * s_sum * qmax_f
@@ -595,14 +657,14 @@ impl<'a> QuantFilter<'a> {
         if !e.is_finite() {
             return None;
         }
-        // |D| ≤ Σ|aⱼ|sⱼ·qmax for every code in the block; E's f32-kernel
-        // term (no f32 arithmetic happens on this path) covers the f64
-        // rounding of these sums many times over.
-        Some(Fold {
-            bias,
-            e,
-            reach: s_sum * qmax_f + e,
-            thresholds: None,
+        // Outward-rounded f32 thresholds. `below` lanes have D ≤ t_lo,
+        // `above` lanes have D ≥ t_hi; meaning depends on direction.
+        Some(if self.leq {
+            // accept ⇐ D ≤ −E − bias; reject ⇐ D > E − bias.
+            (f32_at_most(-e - bias), f32_strictly_above(e - bias))
+        } else {
+            // reject ⇐ D < −E − bias; accept ⇐ D ≥ E − bias.
+            (f32_strictly_below(-e - bias), f32_at_least(e - bias))
         })
     }
 }
@@ -965,9 +1027,8 @@ mod tests {
     fn decode(q: &QuantizedColumns, row: usize, j: usize) -> f64 {
         let b = row / BLOCK_ROWS;
         let l = row % BLOCK_ROWS;
-        let dim = q.scales.len() / q.fallback.len();
-        let s = q.scales[b * dim + j];
-        let o = q.offsets[b * dim + j];
+        let dim = q.dim;
+        let (o, s) = q.affine(b, j);
         let idx = b * dim * BLOCK_ROWS + j * BLOCK_ROWS + l;
         let code = match &q.codes {
             Codes::I8(v) => f64::from(v[idx]),
@@ -988,7 +1049,7 @@ mod tests {
                 let dim = 3;
                 for (r, row) in rows.iter().enumerate() {
                     for (j, &x) in row.iter().enumerate().take(dim) {
-                        let s = q.scales[(r / BLOCK_ROWS) * dim + j];
+                        let s = q.affine(r / BLOCK_ROWS, j).1;
                         let err = (decode(&q, r, j) - x).abs();
                         assert!(
                             err <= 0.5 * s * (1.0 + 1e-6) || err == 0.0,
@@ -1018,7 +1079,7 @@ mod tests {
                 assert_eq!(decode(&q, r, 1), 5.0);
             }
             // Denormal dimension stays within half a (subnormal) scale.
-            let s = q.scales[0];
+            let s = q.affine(0, 0).1;
             for (r, row) in rows.iter().enumerate() {
                 assert!((decode(&q, r, 0) - row[0]).abs() <= 0.75 * s.max(f64::MIN_POSITIVE));
             }
@@ -1043,7 +1104,7 @@ mod tests {
         let q = QuantizedColumns::encode(t.columns(), QuantTier::I16, 1.0);
         assert_eq!(q.fallback_blocks(), 0);
         for (r, row) in rows.iter().enumerate() {
-            let s = q.scales[0];
+            let s = q.affine(0, 0).1;
             assert!((decode(&q, r, 0) - row[0]).abs() <= 0.5 * s * (1.0 + 1e-6));
         }
     }
@@ -1095,6 +1156,80 @@ mod tests {
     }
 
     #[test]
+    fn box_sweep_settles_subnormal_and_huge_blocks() {
+        use BoxClass::{Accept as A, Mixed as M, Reject as R};
+        // Ten blocks of one ascending column: subnormal rows, and ±1e299
+        // multiples that are constant inside each block.
+        let tiny: Vec<Vec<f64>> = (0..640).map(|i| vec![i as f64 * 1e-312]).collect();
+        let huge: Vec<Vec<f64>> = (0..640)
+            .map(|i| vec![(i / 64) as f64 * 1e299 - 4.5e299])
+            .collect();
+        for (rows, b, leq) in [
+            (&tiny, 300.5e-312, [A, A, A, A, M, R, R, R, R, R]),
+            (&huge, 0.2e299, [A, A, A, A, A, R, R, R, R, R]),
+        ] {
+            let t = table_from(rows);
+            for tier in [QuantTier::I8, QuantTier::I16] {
+                let q = QuantizedColumns::encode(t.columns(), tier, 1.0);
+                let mut out = Vec::new();
+                let query = InequalityQuery::new(vec![-2.0], Cmp::Geq, -2.0 * b).unwrap();
+                q.box_sweep(&query, 0..10, &mut out);
+                assert_eq!(out, leq, "{tier:?} (−2)·x ≥ −2b");
+                let query = InequalityQuery::new(vec![1.0], Cmp::Geq, b).unwrap();
+                q.box_sweep(&query, 3..10, &mut out);
+                let geq: Vec<BoxClass> = leq[3..]
+                    .iter()
+                    .map(|&v| match v {
+                        A => R,
+                        R => A,
+                        M => M,
+                    })
+                    .collect();
+                assert_eq!(out, geq, "{tier:?} x ≥ b over blocks 3..10");
+            }
+        }
+        // A block holding ±f64::MAX is flagged, and its magnitude makes the
+        // guard overflow: nothing is settled.
+        let mut rows = tiny.clone();
+        rows[5] = vec![f64::MAX];
+        rows[6] = vec![-f64::MAX];
+        let q = QuantizedColumns::encode(table_from(&rows).columns(), QuantTier::I16, 1.0);
+        assert_eq!(q.fallback_blocks(), 1);
+        let mut out = Vec::new();
+        let query = InequalityQuery::new(vec![1.0], Cmp::Leq, 0.0).unwrap();
+        q.box_sweep(&query, 0..10, &mut out);
+        assert_eq!(out, [M; 10]);
+    }
+
+    #[test]
+    fn planes_keep_exact_bounds_under_mutation() {
+        let rows = lcg_rows(300, 3, 10.0, 11);
+        let mut t = table_from(&rows);
+        t.set_quant_policy(QuantPolicy::tier(QuantTier::I8));
+        // Appends cross two block boundaries; the update lands in block 1.
+        for i in 0..150 {
+            t.push_row(&[i as f64, -(i as f64), 0.5]).unwrap();
+        }
+        t.update_row(70, &[-99.0, 99.0, 0.25]).unwrap();
+        let q = t.quant().unwrap();
+        let fresh = QuantizedColumns::encode(t.columns(), QuantTier::I8, 1.0);
+        assert_eq!(q.blocks(), 8);
+        for j in 0..3 {
+            assert_eq!(q.lo(j), fresh.lo(j), "dim {j}");
+            assert_eq!(q.hi(j), fresh.hi(j), "dim {j}");
+            for b in 0..q.blocks() {
+                let col = (b * BLOCK_ROWS..t.len().min((b + 1) * BLOCK_ROWS))
+                    .map(|r| t.row(r as PointId)[j]);
+                let lo = col.clone().fold(f64::INFINITY, f64::min);
+                let hi = col.fold(f64::NEG_INFINITY, f64::max);
+                assert_eq!((q.lo(j)[b], q.hi(j)[b]), (lo, hi), "block {b} dim {j}");
+            }
+        }
+        assert_eq!(q.lo(0)[1], -99.0);
+        assert_eq!(q.hi(1)[1], 99.0);
+    }
+
+    #[test]
     fn filter_huge_magnitudes_fall_back() {
         let rows = vec![vec![f64::MAX], vec![-f64::MAX], vec![0.0]];
         let t = table_from(&rows);
@@ -1114,8 +1249,8 @@ mod tests {
         t.update_row(3, &[9.0, 9.0]).unwrap();
         let q = t.quant().unwrap();
         assert_eq!(q.len(), 101);
-        assert!((decode(q, 100, 0) - 123.0).abs() <= q.scales()[2] * 0.51 + 1e-9);
-        assert!((decode(q, 3, 1) - 9.0).abs() <= q.scales()[1] * 0.51 + 1e-9);
+        assert!((decode(q, 100, 0) - 123.0).abs() <= q.affine(1, 0).1 * 0.51 + 1e-9);
+        assert!((decode(q, 3, 1) - 9.0).abs() <= q.affine(0, 1).1 * 0.51 + 1e-9);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! implementation our property tests compare the index against — the index
 //! must return *exactly* the same answer set.
 
+use crate::parallel::{drain_ascending, Emit, IdBits};
 use crate::query::{Cmp, InequalityQuery, TopKQuery};
 use crate::table::{FeatureTable, PointId};
 use crate::{PlanarError, Result};
@@ -122,15 +123,15 @@ impl<'a> SeqScan<'a> {
     /// differs from the table's.
     pub fn evaluate(&self, query: &InequalityQuery) -> Result<Vec<PointId>> {
         self.check_dim(query)?;
+        // Slot order is id order unless the table is clustered; then the
+        // ids go through an id-space bitmap, drained in ascending order.
         let mut out = Vec::new();
-        self.masked(query, |first, mut mask| {
-            while mask != 0 {
-                out.push(self.table.id_at(first + mask.trailing_zeros()));
-                mask &= mask - 1;
-            }
-        });
         if self.table.is_clustered() {
-            out.sort_unstable();
+            let mut found = vec![0u64; self.table.len().div_ceil(BLOCK_ROWS)];
+            self.emit_matches(query, &mut IdBits(&mut found));
+            drain_ascending(&found, &mut out);
+        } else {
+            self.emit_matches(query, &mut out);
         }
         Ok(out)
     }
@@ -185,6 +186,16 @@ impl<'a> SeqScan<'a> {
                 f(self.table.id_at(seg.first + i as u32), dot);
             }
         }
+    }
+
+    /// Emit the id of every row satisfying `query`, in slot order.
+    fn emit_matches(&self, query: &InequalityQuery, out: &mut impl Emit) {
+        self.masked(query, |first, mut mask| {
+            while mask != 0 {
+                out.emit(self.table.id_at(first + mask.trailing_zeros()));
+                mask &= mask - 1;
+            }
+        });
     }
 
     /// Drive `f(first_slot, predicate_mask)` over every columnar block in

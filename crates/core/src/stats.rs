@@ -117,7 +117,9 @@ pub struct QueryStats {
     pub larger: usize,
     /// Rows whose lanes reached the quantized classifier or an `f64`
     /// product. Rows of blocks settled by their bounding box are not
-    /// verified (see [`crate::QuantFilterStats::box_accepted`]).
+    /// verified (see [`crate::QuantFilterStats::box_accepted`]). On a
+    /// clustered table this depends on the block layout, which a loaded or
+    /// replicated copy builds afresh, until the next compaction.
     pub verified: usize,
     /// Always 0: no candidate is dropped unverified by another index. The
     /// field stays for the repository benchmark
@@ -129,9 +131,10 @@ pub struct QueryStats {
     /// What the quantized filter tier did during verification (all zeros
     /// when the tier is off — see [`crate::QuantFilterStats`]).
     pub quant: crate::quant::QuantFilterStats,
-    /// 1 when the intermediate interval held more rows than the live rows
-    /// of the blocks its box pass left mixed, so those rows were verified
-    /// instead and the interval never filled the candidate bitmap (see
+    /// 1 when the box decided: the fill would have marked at least a
+    /// quarter as many interval rows as the blocks its box sweep left mixed
+    /// hold live rows, so those rows were verified instead and the
+    /// candidate bitmap was never filled (see
     /// [`crate::SingleIndex::evaluate_with`]); 0 otherwise. A merged
     /// sharded record counts the shards that skipped.
     pub fill_skipped: usize,

@@ -5,11 +5,19 @@
 //! `I16` tiers, through tombstones inside settled blocks, inserts into the
 //! tail blocks, in-place updates that move a row out of its block's box,
 //! and compactions between the steps.
+//!
+//! A second property checks the box sweep itself on hostile data — rows
+//! near ±1e300, subnormal rows, mixed-sign and constant columns, and
+//! blocks forced onto the full-precision fallback — through the same
+//! mutations: a block it rejects holds no row satisfying the query, a
+//! block it accepts holds only such rows, and the incrementally kept
+//! bound planes equal a fresh encode of the same columnar mirror.
 
 use planar_core::table::PointId;
 use planar_core::{
-    Cmp, FeatureTable, IndexConfig, InequalityQuery, ParameterDomain, PlanarIndexSet, QuantPolicy,
-    QuantTier, SeqScan, ShardConfig, ShardedIndexSet, TopKQuery, VecStore,
+    BoxClass, Cmp, FeatureTable, IndexConfig, InequalityQuery, ParameterDomain, PlanarIndexSet,
+    QuantPolicy, QuantTier, QuantizedColumns, SeqScan, ShardConfig, ShardedIndexSet, TopKQuery,
+    VecStore,
 };
 use proptest::prelude::*;
 
@@ -251,8 +259,291 @@ fn run(s: &Scenario, tier: QuantTier) {
     }
 }
 
+/// How the sweep scenario fills one column.
+#[derive(Debug, Clone, Copy)]
+enum Column {
+    /// Mixed-sign values in `[-100, 100)`.
+    Signed,
+    /// One value in every row.
+    Constant,
+    /// Mixed-sign values near ±1e300.
+    Huge,
+    /// Mixed-sign subnormal values.
+    Subnormal,
+}
+
+#[derive(Debug, Clone)]
+struct SweepScenario {
+    columns: Vec<Column>,
+    rows: usize,
+    seed: u64,
+    /// Every 61st row holds ±`f64::MAX` in column 0, so its block cannot
+    /// be encoded soundly and falls back.
+    fallback: bool,
+    /// `(a, row whose dot sets b, ulps to nudge b)`.
+    queries: Vec<(Vec<f64>, usize, i8)>,
+    steps: Vec<Step>,
+}
+
+fn sweep_scenario() -> impl Strategy<Value = SweepScenario> {
+    let column = prop_oneof![
+        Just(Column::Signed),
+        Just(Column::Constant),
+        Just(Column::Huge),
+        Just(Column::Subnormal),
+    ];
+    (prop::collection::vec(column, 1..=4), any::<u8>()).prop_flat_map(|(columns, fb)| {
+        let dim = columns.len();
+        (
+            Just(columns),
+            600..900usize,
+            any::<u64>(),
+            Just(fb % 4 == 0),
+            prop::collection::vec(
+                (
+                    prop::collection::vec(-5.0..5.0_f64, dim),
+                    0..600usize,
+                    -2..3i8,
+                ),
+                2..5,
+            ),
+            prop::collection::vec(step(), 1..4),
+        )
+            .prop_map(
+                |(columns, rows, seed, fallback, queries, steps)| SweepScenario {
+                    columns,
+                    rows,
+                    seed,
+                    fallback,
+                    queries,
+                    steps,
+                },
+            )
+    })
+}
+
+/// `n` rows of the scenario's column kinds; row `i` of the whole stream
+/// (`first + k`) carries the fallback magnitude when enabled.
+fn sweep_rows(s: &SweepScenario, first: usize, n: usize, state: &mut u64) -> Vec<Vec<f64>> {
+    (first..first + n)
+        .map(|i| {
+            s.columns
+                .iter()
+                .enumerate()
+                .map(|(j, col)| {
+                    *state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let u = (*state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                    if s.fallback && j == 0 && i % 61 == 7 {
+                        return if i % 2 == 0 { f64::MAX } else { -f64::MAX };
+                    }
+                    match col {
+                        Column::Signed => 200.0 * u,
+                        Column::Constant => -7.5,
+                        Column::Huge => 2e300 * u,
+                        Column::Subnormal => 2e-310 * u,
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The sweep's verdicts over every block of `set`'s table agree with the
+/// exact predicate of every row in the block (live or tombstoned — the box
+/// bounds them all), and its planes equal a fresh encode.
+fn check_sweep(s: &SweepScenario, set: &PlanarIndexSet<VecStore>, settled: &mut usize) {
+    let table = set.table();
+    let quant = table.quant().expect("the scenario keeps a tier");
+    let fresh = QuantizedColumns::encode(table.columns(), quant.tier(), quant.slack());
+    prop_assert_eq!(quant.blocks(), fresh.blocks());
+    for j in 0..table.dim() {
+        prop_assert_eq!(quant.lo(j), fresh.lo(j), "lo plane {}", j);
+        prop_assert_eq!(quant.hi(j), fresh.hi(j), "hi plane {}", j);
+    }
+    let n = table.len();
+    let mut verdicts = Vec::new();
+    for (a, row, nudge) in &s.queries {
+        let row = table.row((*row % n) as PointId);
+        let mut b: f64 = a.iter().zip(row).map(|(x, y)| x * y).sum();
+        if !b.is_finite() {
+            b = 0.0;
+        }
+        for _ in 0..nudge.unsigned_abs() {
+            b = if *nudge > 0 {
+                b.next_up()
+            } else {
+                b.next_down()
+            };
+        }
+        for cmp in [Cmp::Leq, Cmp::Geq] {
+            let q = InequalityQuery::new(a.clone(), cmp, b).unwrap();
+            quant.box_sweep(&q, 0..quant.blocks(), &mut verdicts);
+            prop_assert_eq!(verdicts.len(), quant.blocks());
+            for (block, &v) in verdicts.iter().enumerate() {
+                if v == BoxClass::Mixed {
+                    continue;
+                }
+                *settled += 1;
+                for slot in block * 64..n.min((block + 1) * 64) {
+                    let id = table.id_at(slot as u32);
+                    prop_assert_eq!(
+                        q.satisfies(table.row(id)),
+                        v == BoxClass::Accept,
+                        "{:?} block {} row {}",
+                        v,
+                        block,
+                        id
+                    );
+                }
+            }
+        }
+    }
+}
+
+fn run_sweep(s: &SweepScenario, tier: QuantTier) {
+    let dim = s.columns.len();
+    let mut state = s.seed | 1;
+    let initial = sweep_rows(s, 0, s.rows, &mut state);
+    let mut appended = s.rows;
+    let table = FeatureTable::from_rows(dim, initial.clone()).unwrap();
+    let domain = ParameterDomain::uniform_continuous(dim, 0.2, 5.0).unwrap();
+    let mut set =
+        PlanarIndexSet::<VecStore>::build(table, domain, IndexConfig::with_budget(2)).unwrap();
+    let policy = QuantPolicy::tier(tier);
+    set.set_quant_policy(policy);
+    if s.fallback {
+        prop_assert!(set.table().quant().unwrap().fallback_blocks() > 0);
+    }
+    let mut settled = 0;
+    check_sweep(s, &set, &mut settled);
+    for step in &s.steps {
+        let n = set.table().len();
+        match *step {
+            Step::Delete(m, r) => {
+                for id in (r..n).step_by(m) {
+                    if set.is_live(id as PointId) {
+                        set.delete_point(id as PointId).unwrap();
+                    }
+                }
+            }
+            Step::Insert(count) => {
+                for row in sweep_rows(s, appended, count, &mut state) {
+                    set.insert_point(&row).unwrap();
+                }
+                appended += count;
+            }
+            Step::Update(m, r) => {
+                let rows = sweep_rows(s, appended, n.div_ceil(m), &mut state);
+                appended += rows.len();
+                for (id, row) in (r..n).step_by(m).zip(rows) {
+                    if set.is_live(id as PointId) {
+                        set.update_point(id as PointId, &row).unwrap();
+                    }
+                }
+            }
+            Step::Compact => {
+                set.compact();
+                set.set_quant_policy(policy);
+            }
+        }
+        check_sweep(s, &set, &mut settled);
+    }
+    // Data without ±1e300 columns or fallback rows has blocks away from
+    // every threshold, so a sound sweep that works settles some.
+    let tame = !s.fallback && s.columns.iter().all(|c| !matches!(c, Column::Huge));
+    if tame && s.columns.iter().any(|c| matches!(c, Column::Signed)) {
+        prop_assert!(settled > 0, "the sweep settled no block");
+    }
+}
+
+/// A sharded set mutated after its build (tail blocks appended, rows
+/// moved, tombstones), saved and reloaded: the reload clusters its rows
+/// afresh, so its block layout — and with it `verified` and the box
+/// counters — may differ from the writer's, but every query of the pool
+/// returns identical matches and `ServedBy`, and top-k identical
+/// neighbours.
+fn run_reload(s: &Scenario, tier: QuantTier) {
+    let mut state = s.seed | 1;
+    let table = FeatureTable::from_rows(s.dim, rows(s.dim, s.rows, &mut state)).unwrap();
+    let domain = ParameterDomain::uniform_continuous(s.dim, 0.2, 5.0).unwrap();
+    let mut set = ShardedIndexSet::<VecStore>::build(
+        table,
+        domain,
+        IndexConfig::with_budget(4),
+        ShardConfig::pilot_key_range(2),
+    )
+    .unwrap();
+    set.set_quant_policy(QuantPolicy::tier(tier));
+    for step in &s.steps {
+        let n = set.len() as PointId;
+        match *step {
+            Step::Delete(m, r) => {
+                for id in (r as PointId..n).step_by(m) {
+                    if set.is_live(id) {
+                        set.delete_point(id).unwrap();
+                    }
+                }
+            }
+            Step::Insert(count) => {
+                for row in rows(s.dim, count, &mut state) {
+                    set.insert_point(&row).unwrap();
+                }
+            }
+            Step::Update(m, r) => {
+                let far = vec![150.0; s.dim];
+                for id in (r as PointId..n).step_by(m) {
+                    if set.is_live(id) {
+                        set.update_point(id, &far).unwrap();
+                    }
+                }
+            }
+            // A compaction would re-cluster the writer too; keep its
+            // build-time layout.
+            Step::Compact => {}
+        }
+    }
+    let loaded = ShardedIndexSet::<VecStore>::from_bytes(&set.to_bytes()).unwrap();
+    prop_assert_eq!(loaded.quant_policies(), set.quant_policies());
+    for (a, frac, leq) in &s.queries {
+        let top: f64 = a.iter().map(|c| c * 100.0).sum();
+        let b = a.iter().sum::<f64>() + frac * (top - a.iter().sum::<f64>());
+        let cmp = if *leq { Cmp::Leq } else { Cmp::Geq };
+        let q = InequalityQuery::new(a.clone(), cmp, b).unwrap();
+        let (want, got) = (set.query(&q).unwrap(), loaded.query(&q).unwrap());
+        prop_assert_eq!(&got.matches, &want.matches);
+        prop_assert_eq!(&got.served_by, &want.served_by);
+        let tk = TopKQuery::new(q, 9).unwrap();
+        let (want, got) = (set.top_k(&tk).unwrap(), loaded.top_k(&tk).unwrap());
+        prop_assert_eq!(&got.served_by, &want.served_by);
+        prop_assert_eq!(got.neighbors.len(), want.neighbors.len());
+        for (g, w) in got.neighbors.iter().zip(&want.neighbors) {
+            prop_assert_eq!(g.0, w.0);
+            prop_assert_eq!(g.1.to_bits(), w.1.to_bits());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Saved and reloaded sharded sets answer like the writer.
+    #[test]
+    fn reloaded_sharded_set_answers_like_the_writer(s in scenario()) {
+        for tier in [QuantTier::Off, QuantTier::I16] {
+            run_reload(&s, tier);
+        }
+    }
+
+    /// Sweep verdicts are sound and the planes stay exact under mutation,
+    /// on both tiers, for both comparisons.
+    #[test]
+    fn box_sweep_is_sound_on_hostile_rows(s in sweep_scenario()) {
+        for tier in [QuantTier::I8, QuantTier::I16] {
+            run_sweep(&s, tier);
+        }
+    }
 
     #[test]
     fn box_settled_answers_equal_scan(s in scenario()) {

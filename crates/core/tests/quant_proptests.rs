@@ -7,8 +7,9 @@
 //! precision tradeoff.
 
 use planar_core::{
-    Cmp, Domain, ExecutionConfig, FeatureTable, IndexConfig, InequalityQuery, ParameterDomain,
-    PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, SeqScan, ServedBy, TopKQuery, VecStore,
+    BoxClass, Cmp, Domain, ExecutionConfig, FeatureTable, IndexConfig, InequalityQuery,
+    ParameterDomain, PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, SeqScan, ServedBy,
+    TopKQuery, VecStore,
 };
 use planar_core::{
     ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet, ShardConfig,
@@ -291,10 +292,21 @@ fn assert_same_block_answers(
             let p = plain.query_with(&q, &exec, &mut scratch).unwrap();
             let x = quant.query_with(&q, &exec, &mut scratch).unwrap();
             assert_eq!(p.matches, x.matches, "threads={threads}");
-            // Without boxes every candidate is verified; blocks the tier's
-            // boxes settle are not.
+            // Without boxes every candidate is verified. With them, a query
+            // the box decides (the fill skipped) verifies exactly the live
+            // lanes of the blocks the sweep left mixed, and any other
+            // verifies at most its interval.
             assert_eq!(p.stats.verified, p.stats.intermediate, "{:?}", p.stats);
-            assert!(x.stats.verified <= x.stats.intermediate, "{:?}", x.stats);
+            if x.stats.fill_skipped == 1 {
+                assert_eq!(
+                    x.stats.verified,
+                    mixed_live_lanes(quant, &q),
+                    "{:?}",
+                    x.stats
+                );
+            } else {
+                assert!(x.stats.verified <= x.stats.intermediate, "{:?}", x.stats);
+            }
             if x.stats.quant.tier != QuantTier::Off {
                 assert_eq!(x.stats.quant.lanes, x.stats.verified, "{:?}", x.stats);
             }
@@ -308,6 +320,18 @@ fn assert_same_block_answers(
             }
         }
     }
+}
+
+/// The live lanes of the blocks `set`'s box sweep leaves mixed for `q`.
+fn mixed_live_lanes(set: &PlanarIndexSet<VecStore>, q: &InequalityQuery) -> usize {
+    let table = set.table();
+    let quant = table.quant().expect("the box path needs a tier");
+    let mut boxes = Vec::new();
+    quant.box_sweep(q, 0..quant.blocks(), &mut boxes);
+    (0..table.len())
+        .filter(|&slot| boxes[slot / 64] == BoxClass::Mixed)
+        .filter(|&slot| set.is_live(table.id_at(slot as u32)))
+        .count()
 }
 
 /// Every tier the top-k property runs under, at both slacks.

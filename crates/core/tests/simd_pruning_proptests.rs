@@ -11,9 +11,9 @@
 use planar_core::table::PointId;
 use planar_core::VecStore;
 use planar_core::{
-    Cmp, ExecutionConfig, ExecutionPath, FeatureTable, IndexConfig, InequalityQuery, KeyStore,
-    ParameterDomain, PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, SeqScan, ServedBy,
-    TopKQuery,
+    BoxClass, Cmp, ExecutionConfig, ExecutionPath, FeatureTable, IndexConfig, InequalityQuery,
+    KeyStore, ParameterDomain, PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, SeqScan,
+    ServedBy, TopKQuery,
 };
 use planar_geom::{dot_cmp_block, dot_slices};
 use proptest::prelude::*;
@@ -172,6 +172,18 @@ fn block_configs() -> Vec<ExecutionConfig> {
 /// Top-k answers: `(id, distance)` ascending by `(distance, id)`.
 type Neighbors = Vec<(PointId, f64)>;
 
+/// The live lanes of the blocks `set`'s box sweep leaves mixed for `q`.
+fn mixed_live_lanes<S: KeyStore>(set: &PlanarIndexSet<S>, q: &InequalityQuery) -> usize {
+    let table = set.table();
+    let quant = table.quant().expect("the box path needs a tier");
+    let mut boxes = Vec::new();
+    quant.box_sweep(q, 0..quant.blocks(), &mut boxes);
+    (0..table.len())
+        .filter(|&slot| boxes[slot / 64] == BoxClass::Mixed)
+        .filter(|&slot| set.is_live(table.id_at(slot as u32)))
+        .count()
+}
+
 fn check_block_masks<S: KeyStore>(s: &BlockScenario) {
     let table = FeatureTable::from_rows(s.dim, s.rows.clone()).unwrap();
     let domain = ParameterDomain::uniform_continuous(s.dim, 0.1, 10.0).unwrap();
@@ -220,11 +232,15 @@ fn check_block_masks<S: KeyStore>(s: &BlockScenario) {
                 let st = &got.stats;
                 if let ExecutionPath::Index { .. } = st.path {
                     // Without boxes the chosen index's whole intermediate
-                    // interval is verified; with them, blocks the boxes
-                    // settle are not, and the fill is skipped only for
-                    // fewer rows than the interval holds.
+                    // interval is verified. With them, a query the box
+                    // decides (the fill skipped) verifies exactly the live
+                    // lanes of the blocks the sweep left mixed, and one that
+                    // fills verifies at most its interval.
                     if tier == QuantTier::Off {
                         assert_eq!(st.verified, st.intermediate, "{tier:?} {exec:?}");
+                    } else if st.fill_skipped == 1 {
+                        let mixed = mixed_live_lanes(&set, q);
+                        assert_eq!(st.verified, mixed, "{tier:?} {exec:?}");
                     } else {
                         assert!(st.verified <= st.intermediate, "{tier:?} {exec:?}");
                     }

@@ -1,10 +1,12 @@
-//! Block-box ablation on the served configuration: Eq. 18 queries
-//! (RQ = 4, s = 0.25) over Independent rows in 8 dimensions, four
+//! Block-box ablation and check on the served configuration: Eq. 18
+//! queries (RQ = 4, s = 0.25) over Independent rows in 8 dimensions, four
 //! pilot-key-range shards on the `I16` tier, laid out in k-d block order.
-//! Per query, it reports the rows verified and the blocks settled by their
-//! bounding box, answered two ways: the box alone (every live row through
-//! the box kernel) and the chosen planar index plus the box, at index
-//! budgets 16 and 4.
+//! Every query is answered on every shard two ways — the box alone (every
+//! live row through one box sweep and the block kernel) and the chosen
+//! planar index plus the box — at index budgets 16 and 4. The two arms must
+//! return identical matches (the program panics otherwise). Per query, it
+//! reports the rows verified, the blocks settled by their bounding box, the
+//! shards that skipped the interval fill, and the µs of the box sweep alone.
 //!
 //! ```sh
 //! cargo run --release --example box_ablation -- [rows]
@@ -35,24 +37,39 @@ fn main() -> planar::planar_core::Result<()> {
             ShardConfig::pilot_key_range(4),
         )?;
         set.retune_quantization(&QuantAutotuneConfig::default());
-        let blocks: usize = (0..set.num_shards())
-            .map(|s| set.shard(s).map_or(0, |sh| sh.table().len().div_ceil(64)))
-            .sum();
+        let shards: Vec<_> = (0..set.num_shards())
+            .map(|s| set.shard(s).expect("shard"))
+            .collect();
+        let blocks: usize = shards.iter().map(|sh| sh.table().len().div_ceil(64)).sum();
         let mut arms = [Arm::new("box only"), Arm::new("index + box")];
+        let (mut sweep_us, mut verdicts) = (0.0, Vec::new());
         for q in &queries {
-            let start = Instant::now();
-            let mut per_shard = Vec::new();
-            for s in 0..set.num_shards() {
-                per_shard.push(set.shard(s).expect("shard").query_scan(q)?.stats);
+            for shard in &shards {
+                let start = Instant::now();
+                let boxed = shard.query_scan(q)?;
+                arms[0].add(&boxed.stats, start);
+                let start = Instant::now();
+                let indexed = shard.query(q)?;
+                arms[1].add(&indexed.stats, start);
+                assert_eq!(
+                    boxed.matches, indexed.matches,
+                    "budget {budget}: arms disagree"
+                );
+                if let Some(quant) = shard.table().quant() {
+                    let start = Instant::now();
+                    quant.box_sweep(q, 0..quant.blocks(), &mut verdicts);
+                    sweep_us += start.elapsed().as_secs_f64() * 1e6;
+                }
             }
-            arms[0].add(&QueryStats::merged(&per_shard), start);
-            let start = Instant::now();
-            let out = set.query(q)?;
-            arms[1].add(&out.merged_stats(), start);
         }
         for arm in &arms {
             arm.print(budget, blocks, queries.len());
         }
+        println!(
+            "budget {budget:>2}  box sweep alone {:>8.1} us per query over {blocks} blocks; \
+             both arms returned identical matches",
+            sweep_us / queries.len() as f64
+        );
     }
     Ok(())
 }

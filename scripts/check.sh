@@ -47,6 +47,9 @@ PLANAR_FORCE_PORTABLE=1 cargo test -p planar-core -q --test quant_proptests
 echo "== block-mask verification suite (block masks and box-settled blocks ≡ SeqScan, forced-portable dispatch) =="
 PLANAR_FORCE_PORTABLE=1 cargo test -p planar-core -q --test simd_pruning_proptests --test box_proptests
 
+echo "== box ablation check (box alone ≡ index + box on every shard, n = 20k) =="
+cargo run --release -q --example box_ablation -- 20000
+
 echo "== serving suite (loopback wire round trips, coalescing identity, overload) =="
 cargo test -p planar-serve -q
 
