@@ -584,7 +584,7 @@ struct LogState {
 /// engine, fed shipped records at the LSNs its primary assigned.
 ///
 /// On disk: `CHECKPOINT` (the manifest), `snapshot-N.plnr` (the
-/// `PLNRSHD1` snapshot of generation N), and `wal/shard-NNNN/` (each
+/// `PLNRSHD2` snapshot of generation N), and `wal/shard-NNNN/` (each
 /// shard's segments).
 #[derive(Debug)]
 pub struct ConcurrentDurableShardedIndexSet<S: KeyStore + Clone = VecStore> {

@@ -2,7 +2,7 @@
 //!
 //! Every durable or wire format in this crate seals its bytes the same
 //! way: a body, then the CRC-64/XZ of everything before it, little-endian.
-//! The WAL frames (`crate::wal`), the `PLNRIDX3`/`PLNRSHD1` snapshot
+//! The WAL frames (`crate::wal`), the `PLNRIDX3`/`PLNRSHD2` snapshot
 //! sections (`crate::persist`), the `PLNRSHP1` replication messages
 //! (`crate::replicate`), and the `PLNRQRY1` query-service protocol
 //! (`planar-serve`) all share the helpers here instead of hand-rolling

@@ -1229,32 +1229,6 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         remap
     }
 
-    /// Renumber the rows so that new id `i` is the row of old id `order[i]`
-    /// (`order` is a permutation of the table's ids), keeping tombstones
-    /// and quarantine flags. The table is laid out afresh and every healthy
-    /// index re-sorted over the new ids. Used by the sharded loader to
-    /// restore a shard's ascending local→global map.
-    pub(crate) fn relabel(&mut self, order: &[PointId]) {
-        let mut fresh = FeatureTable::with_capacity(self.table.dim(), order.len())
-            .expect("dimension was validated at build");
-        for &old in order {
-            fresh
-                .push_row(self.table.row(old))
-                .expect("row was validated when added");
-        }
-        let policy = self.table.quant_policy();
-        fresh.cluster();
-        let dead: Vec<bool> = order.iter().map(|&old| !self.is_live(old)).collect();
-        self.table = fresh;
-        self.table.set_quant_policy(policy);
-        self.live = live_words(&self.table, &dead);
-        for (idx, &quar) in self.indices.iter_mut().zip(&self.quarantined) {
-            if !quar {
-                idx.rebuild_from(&self.table, &dead);
-            }
-        }
-    }
-
     /// [`Self::compact`] only when the tombstone fraction
     /// `dead / table rows` exceeds `threshold`; returns the id remap
     /// when a compaction ran.

@@ -36,12 +36,12 @@
 //! CRC-framed section, so a flipped bit or torn tail corrupts **one index**,
 //! not the file: [`PlanarIndexSet::from_bytes_recover`] quarantines the bad
 //! section(s) and [`PlanarIndexSet::load_or_recover`] rebuilds them from the
-//! (intact) core.
+//! (intact) core. The preamble is the only part no CRC covers: a wrong
+//! magic is refused, a wrong `core_len` fails the core's CRC, and a flag
+//! bit other than 0x1 is refused, so no byte of a snapshot goes unchecked.
 //!
-//! Older files still load. `PLNRIDX2` has the same layout with 12-byte
-//! entries (`key f64, id u32`) in its index sections; `PLNRIDX1` (a single
-//! whole-file CRC) is all-or-nothing, as it was written. Both keep their
-//! ids in the stored order and drop the keys.
+//! Each format has exactly one reader, for the version its writer
+//! produces; a file of any other version is refused by its magic.
 //!
 //! Saving is atomic: bytes go to a temp file in the target's directory,
 //! fsync, rename over the target, fsync the directory — with bounded
@@ -60,31 +60,22 @@ use crate::quant::{QuantPolicy, QuantTier};
 use crate::selection::SelectionStrategy;
 use crate::shard::{Partitioner, ShardedIndexSet};
 use crate::store::KeyStore;
-use crate::table::FeatureTable;
+use crate::table::{FeatureTable, PointId};
 use crate::{PlanarError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-const MAGIC_V1: &[u8; 8] = b"PLNRIDX1";
-const MAGIC_V2: &[u8; 8] = b"PLNRIDX2";
-const MAGIC_V3: &[u8; 8] = b"PLNRIDX3";
-/// Bytes per index-section entry, by format version: `PLNRIDX2` stored a
-/// key beside each id, `PLNRIDX3` stores the id alone.
-const V2_ENTRY_BYTES: usize = 12;
-const V3_ENTRY_BYTES: usize = 4;
-/// Sharded manifest: a partitioner + assignment core wrapping one full
-/// index snapshot per shard (see [`ShardedIndexSet::to_bytes`]).
-const MAGIC_SHARD: &[u8; 8] = b"PLNRSHD1";
+const MAGIC: &[u8; 8] = b"PLNRIDX3";
+/// Sharded manifest: the partitioner and the id maps wrapping one
+/// `PLNRIDX3` snapshot per shard (see [`ShardedIndexSet::to_bytes`]).
+const MAGIC_SHARD: &[u8; 8] = b"PLNRSHD2";
 /// magic + flags + core_len.
-const V2_PREAMBLE: usize = 8 + 4 + 8;
+const PREAMBLE: usize = 8 + 4 + 8;
 /// Flags bit: the CRC-protected core ends with a quantization policy
-/// (tier tag `u8` + slack `f64`). Snapshots written before the quantized
-/// tier existed — and snapshots of sets with the tier off — clear the bit
-/// and omit the bytes, so both directions stay compatible: old readers
-/// never see the trailing bytes, new readers of old files default to
-/// [`QuantTier::Off`].
+/// (tier tag `u8` + slack `f64`). Snapshots of sets with the tier off
+/// clear the bit and omit the bytes. No other bit is defined.
 const FLAG_QUANT_POLICY: u32 = 0x1;
 
 /// CRC-64/XZ for integrity checking — the shared framing checksum of
@@ -217,8 +208,6 @@ impl SaveOptions {
 /// [`PlanarIndexSet::load_or_recover`] found and did.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Format version of the snapshot (1, 2 or 3).
-    pub version: u32,
     /// Indices recorded in the snapshot.
     pub total_indices: usize,
     /// Indices whose sections verified and were loaded intact.
@@ -391,61 +380,77 @@ fn parse_core(core: &[u8], flags: u32) -> Result<CoreParts> {
     })
 }
 
-/// Parse one per-index section (`entry count | entries | crc`) whose
-/// entries are `entry_bytes` wide with the id in their last 4 bytes; `Err`
-/// means the section is corrupt/truncated and the index must be
-/// quarantined.
-fn parse_index_section(section: &[u8], entry_bytes: usize) -> Result<Vec<u32>> {
+/// Parse one per-index section (`entry count | ids | crc`); `Err` means
+/// the section is corrupt/truncated and the index must be quarantined.
+fn parse_index_section(section: &[u8]) -> Result<Vec<u32>> {
     if section.len() < 16 {
         return Err(corrupt("index section too short"));
     }
     let payload = crate::frame::open_sealed(section)
         .ok_or_else(|| corrupt("index section checksum mismatch"))?;
-    let mut buf = Bytes::copy_from_slice(payload);
-    let count = buf.get_u64_le() as usize;
-    let total = check_fits(&buf, count, entry_bytes, "index entries")?;
-    if total != buf.remaining() {
+    let (count, ids) = payload.split_at(8);
+    let count = u64::from_le_bytes(count.try_into().expect("8 bytes"));
+    if count.checked_mul(4) != Some(ids.len() as u64) {
         return Err(corrupt("index section length disagrees with entry count"));
     }
-    Ok(get_ids(&mut buf, count, entry_bytes))
+    Ok(ids
+        .chunks_exact(4)
+        .map(|id| u32::from_le_bytes(id.try_into().expect("4 bytes")))
+        .collect())
 }
 
-/// Read `count` entries of `entry_bytes` each, keeping only the trailing
-/// `u32` id (a legacy entry's leading key is skipped).
-fn get_ids(buf: &mut Bytes, count: usize, entry_bytes: usize) -> Vec<u32> {
-    (0..count)
-        .map(|_| {
-            buf.advance(entry_bytes - 4);
-            buf.get_u32_le()
-        })
-        .collect()
+/// Write the sealed head both snapshot formats share:
+/// `magic | flags u32 | core_len u64 | core | crc64 of the core`.
+fn put_head(buf: &mut BytesMut, magic: &[u8; 8], flags: u32, core: &[u8]) {
+    buf.put_slice(magic);
+    buf.put_u32_le(flags);
+    buf.put_u64_le(core.len() as u64);
+    buf.put_slice(core);
+    buf.put_u64_le(crc64(core));
 }
 
-/// Shared v2/v3 load: parse the core strictly, then handle each index
-/// section per `recover` (strict mode errors on the first bad section;
-/// recover mode quarantines it and keeps going).
+/// Open the head [`put_head`] writes: check the magic, refuse any flag bit
+/// outside `known_flags`, and verify the core's CRC. Returns the flags,
+/// the core, and the offset just past its seal.
+fn open_head<'a>(
+    data: &'a [u8],
+    magic: &[u8; 8],
+    known_flags: u32,
+) -> Result<(u32, &'a [u8], usize)> {
+    if data.len() < PREAMBLE {
+        return Err(corrupt("file too short"));
+    }
+    if &data[..8] != magic {
+        return Err(corrupt(format!(
+            "bad magic (not a {} file)",
+            String::from_utf8_lossy(magic)
+        )));
+    }
+    let flags = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
+    if flags & !known_flags != 0 {
+        return Err(corrupt(format!("unknown flag bits {flags:#x}")));
+    }
+    let core_len = u64::from_le_bytes(data[12..PREAMBLE].try_into().expect("8 bytes"));
+    let crc_end = usize::try_from(core_len)
+        .ok()
+        .and_then(|len| crate::frame::sealed_end(PREAMBLE, len, data.len()))
+        .ok_or_else(|| corrupt("truncated core section"))?;
+    let core = crate::frame::open_sealed(&data[PREAMBLE..crc_end])
+        .ok_or_else(|| corrupt("core section checksum mismatch"))?;
+    Ok((flags, core, crc_end))
+}
+
+/// Load a `PLNRIDX3` snapshot: parse the core strictly, then handle each
+/// index section per `recover` (strict mode errors on the first bad
+/// section; recover mode quarantines it and keeps going).
 fn load_sectioned<S: KeyStore>(
     data: &[u8],
-    version: u32,
     recover: bool,
 ) -> Result<(PlanarIndexSet<S>, RecoveryReport)> {
-    let entry_bytes = if version == 2 {
-        V2_ENTRY_BYTES
-    } else {
-        V3_ENTRY_BYTES
-    };
-    let mut buf = Bytes::copy_from_slice(&data[8..V2_PREAMBLE]);
-    let flags = buf.get_u32_le();
-    let core_len = buf.get_u64_le() as usize;
-    let core_start = V2_PREAMBLE;
-    let crc_end = crate::frame::sealed_end(core_start, core_len, data.len())
-        .ok_or_else(|| corrupt("truncated core section"))?;
-    let core = crate::frame::open_sealed(&data[core_start..crc_end])
-        .ok_or_else(|| corrupt("core section checksum mismatch"))?;
+    let (flags, core, crc_end) = open_head(data, MAGIC, FLAG_QUANT_POLICY)?;
     let parts = parse_core(core, flags)?;
 
     let mut report = RecoveryReport {
-        version,
         total_indices: parts.normals.len(),
         ..RecoveryReport::default()
     };
@@ -462,7 +467,7 @@ fn load_sectioned<S: KeyStore>(
         let end = offset.checked_add(len);
         let section = end.filter(|&e| e <= data.len()).map(|e| &data[offset..e]);
         let parsed = match section {
-            Some(bytes) => parse_index_section(bytes, entry_bytes),
+            Some(bytes) => parse_index_section(bytes),
             None => Err(corrupt(format!("index section {pos} extends past EOF"))),
         };
         match parsed {
@@ -505,90 +510,10 @@ fn load_sectioned<S: KeyStore>(
     Ok((set, report))
 }
 
-/// Load a `PLNRIDX1` (whole-file CRC) snapshot: all-or-nothing, as written.
-fn load_v1<S: KeyStore>(data: &[u8]) -> Result<(PlanarIndexSet<S>, RecoveryReport)> {
-    let body = crate::frame::open_sealed(data).ok_or_else(|| corrupt("checksum mismatch"))?;
-    let mut buf = Bytes::copy_from_slice(&body[8..]);
-    need(&buf, 16, "header")?;
-    let _flags = buf.get_u32_le();
-    let dim = buf.get_u32_le() as usize;
-    let n = buf.get_u64_le() as usize;
-    if dim == 0 {
-        return Err(corrupt("zero dimensionality"));
-    }
-    let row_bytes = dim
-        .checked_mul(8)
-        .and_then(|b| b.checked_add(1))
-        .ok_or_else(|| corrupt("table row size overflows"))?;
-    check_fits(&buf, n, row_bytes, "table")?;
-    let mut table = FeatureTable::with_capacity(dim, n)?;
-    let mut row = vec![0.0; dim];
-    for _ in 0..n {
-        for slot in row.iter_mut() {
-            *slot = buf.get_f64_le();
-        }
-        table.push_row(&row)?;
-    }
-    let mut tombstones = Vec::with_capacity(n);
-    for _ in 0..n {
-        tombstones.push(buf.get_u8() != 0);
-    }
-    need(&buf, 4, "domain count")?;
-    let axes = buf.get_u32_le() as usize;
-    if axes != dim {
-        return Err(corrupt("domain dimensionality mismatch"));
-    }
-    let domain = ParameterDomain::new(
-        (0..axes)
-            .map(|_| get_domain(&mut buf))
-            .collect::<Result<Vec<_>>>()?,
-    )?;
-    need(&buf, 5, "strategy/index count")?;
-    let strategy = strategy_from_tag(buf.get_u8())?;
-    let index_count = buf.get_u32_le() as usize;
-    if index_count == 0 {
-        return Err(corrupt("index set must contain at least one index"));
-    }
-    let mut normals = Vec::with_capacity(index_count);
-    let mut id_lists = Vec::with_capacity(index_count);
-    for _ in 0..index_count {
-        need(&buf, dim * 8 + 8, "index header")?;
-        let normal: Vec<f64> = (0..dim).map(|_| buf.get_f64_le()).collect();
-        let count = buf.get_u64_le() as usize;
-        check_fits(&buf, count, V2_ENTRY_BYTES, "index entries")?;
-        normals.push(normal);
-        id_lists.push(get_ids(&mut buf, count, V2_ENTRY_BYTES));
-    }
-    let total = normals.len();
-    let set = PlanarIndexSet::assemble(
-        table,
-        domain,
-        strategy,
-        tombstones,
-        normals,
-        id_lists,
-        vec![false; total],
-    )?;
-    let report = RecoveryReport {
-        version: 1,
-        total_indices: total,
-        loaded: total,
-        ..RecoveryReport::default()
-    };
-    Ok((set, report))
-}
-
 impl<S: KeyStore> PlanarIndexSet<S> {
     /// Serialize the full index set to bytes (`PLNRIDX3`: sectioned, one
     /// CRC for the core, one per index; index sections hold ids only).
     pub fn to_bytes(&self) -> Bytes {
-        self.to_bytes_as(MAGIC_V3, |sec, id, _| sec.put_u32_le(id))
-    }
-
-    /// The sectioned writer under `magic`, with `put_entry(section, id,
-    /// pos)` encoding each index entry (tests write legacy `PLNRIDX2`
-    /// entries through it).
-    fn to_bytes_as(&self, magic: &[u8; 8], put_entry: impl Fn(&mut BytesMut, u32, usize)) -> Bytes {
         let n = self.table().len();
         let dim = self.dim();
         let count = self.num_indices();
@@ -597,10 +522,10 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         let mut sections: Vec<BytesMut> = Vec::with_capacity(count);
         for pos in 0..count {
             let idx = self.index_at(pos).expect("pos < num_indices");
-            let mut sec = BytesMut::with_capacity(16 + idx.len() * V3_ENTRY_BYTES);
+            let mut sec = BytesMut::with_capacity(16 + idx.len() * 4);
             sec.put_u64_le(idx.len() as u64);
             for &id in idx.ids() {
-                put_entry(&mut sec, id, pos);
+                sec.put_u32_le(id);
             }
             crate::frame::seal_buf(&mut sec);
             sections.push(sec);
@@ -644,33 +569,25 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         }
 
         let total: usize =
-            V2_PREAMBLE + core.len() + 8 + sections.iter().map(|s| s.len()).sum::<usize>();
+            PREAMBLE + core.len() + 8 + sections.iter().map(|s| s.len()).sum::<usize>();
         let mut buf = BytesMut::with_capacity(total);
-        buf.put_slice(magic);
-        buf.put_u32_le(flags);
-        buf.put_u64_le(core.len() as u64);
-        let core_crc = crc64(&core);
-        buf.put_slice(&core);
-        buf.put_u64_le(core_crc);
+        put_head(&mut buf, MAGIC, flags, &core);
         for sec in sections {
             buf.put_slice(&sec);
         }
         buf.freeze()
     }
 
-    /// Deserialize an index set previously written by [`Self::to_bytes`]
-    /// (either format version). Strict: **any** corrupt section is an
-    /// error. Use [`Self::from_bytes_recover`] to salvage what verifies.
+    /// Deserialize an index set previously written by [`Self::to_bytes`].
+    /// Strict: **any** corrupt section is an error. Use
+    /// [`Self::from_bytes_recover`] to salvage what verifies.
     ///
     /// # Errors
     ///
-    /// [`PlanarError::Persist`] on truncation, bad magic, version/tag
-    /// mismatches, or checksum failure of any section.
+    /// [`PlanarError::Persist`] on truncation, bad magic, unknown flag
+    /// bits, tag mismatches, or checksum failure of any section.
     pub fn from_bytes(data: &[u8]) -> Result<Self> {
-        match Self::dispatch_magic(data)? {
-            1 => load_v1(data).map(|(set, _)| set),
-            v => load_sectioned(data, v, false).map(|(set, _)| set),
-        }
+        load_sectioned(data, false).map(|(set, _)| set)
     }
 
     /// Deserialize, salvaging everything whose checksum verifies.
@@ -680,30 +597,14 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// section quarantines that one index (empty, flagged, skipped by the
     /// planner) instead of failing the load; its normal survives in the
     /// core, so [`Self::rebuild_quarantined`] can restore it. The report
-    /// says exactly what happened. v1 snapshots have a single whole-file
-    /// CRC and are therefore all-or-nothing.
+    /// says exactly what happened.
     ///
     /// # Errors
     ///
     /// [`PlanarError::Persist`] when the preamble or core section is
     /// unreadable.
     pub fn from_bytes_recover(data: &[u8]) -> Result<(Self, RecoveryReport)> {
-        match Self::dispatch_magic(data)? {
-            1 => load_v1(data),
-            v => load_sectioned(data, v, true),
-        }
-    }
-
-    fn dispatch_magic(data: &[u8]) -> Result<u32> {
-        if data.len() < V2_PREAMBLE {
-            return Err(corrupt("file too short"));
-        }
-        match &data[..8] {
-            m if m == MAGIC_V3 => Ok(3),
-            m if m == MAGIC_V2 => Ok(2),
-            m if m == MAGIC_V1 => Ok(1),
-            _ => Err(corrupt("bad magic (not a planar index file)")),
-        }
+        load_sectioned(data, true)
     }
 
     /// Write to a file atomically (temp file + fsync + rename) with the
@@ -771,26 +672,33 @@ impl<S: KeyStore> PlanarIndexSet<S> {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded manifest (PLNRSHD1)
+// Sharded manifest (PLNRSHD2)
 // ---------------------------------------------------------------------------
 //
 // ```text
-// magic "PLNRSHD1" | flags u32 | core_len u64
+// magic "PLNRSHD2" | flags u32 (reserved, 0) | core_len u64
 // core section (core_len bytes):
 //     partitioner tag u8 (0 round-robin, 1 pilot-key range) | shards u32
 //     range only: dim u32 | pilot dim·f64 | splits (shards−1)·f64
-//     n_global u64 | per global id: shard u32, local u32
+//     next_global u32
+//     per shard: rows u64 | its global ids, ascending: rows·u32
+//     dropped count u64 | per dropped id: global u32, shard u32
+//     per shard: section length u64
 // crc64 of the core section
-// per shard s: section_len u64 | a full PLNRIDX3 snapshot | crc64 of it
+// per shard s: a PLNRIDX3 snapshot of the recorded length, unframed
 // ```
 //
-// Damage containment is two-level. The outer per-shard CRC localizes
-// corruption to one shard without parsing it; the wrapped PLNRIDX3 bytes
-// carry their own core + per-index CRCs, so recovery re-enters
-// [`PlanarIndexSet::from_bytes_recover`] and loses *at most the damaged
-// index sections of the damaged shard*. A shard whose inner core (its rows)
-// is corrupt fails the whole load: shards share nothing, so no other
-// replica of those rows exists in the file.
+// The core holds the sharded set's own id maps — each shard's ascending
+// global ids, the high-water mark, and the ids compactions dropped — so a
+// load adopts them as stored. An id below `next_global` that no shard
+// holds and that is not dropped is a WAL-replay gap. Every byte is under
+// exactly one seal: the manifest core under its CRC, each shard's bytes
+// under their own PLNRIDX3 core and index-section CRCs, and neither
+// preamble accepts an unknown flag bit. Recovery re-enters
+// [`PlanarIndexSet::from_bytes_recover`] per shard and loses *at most the
+// damaged index sections of the damaged shard*. A shard whose own core
+// (its rows) is corrupt fails the whole load: shards share nothing, so no
+// other replica of those rows exists in the file.
 
 /// What [`ShardedIndexSet::from_bytes_recover`] /
 /// [`ShardedIndexSet::load_or_recover`] found and did: one
@@ -832,7 +740,16 @@ impl ShardedRecoveryReport {
     }
 }
 
-fn parse_shard_core(core: &[u8]) -> Result<(Partitioner, Vec<(u32, u32)>)> {
+/// The sharded manifest core, parsed.
+struct ShardManifest {
+    partitioner: Partitioner,
+    next_global: PointId,
+    global_ids: Vec<Vec<PointId>>,
+    dropped: Vec<(PointId, u32)>,
+    section_lens: Vec<usize>,
+}
+
+fn parse_shard_core(core: &[u8]) -> Result<ShardManifest> {
     let mut buf = Bytes::copy_from_slice(core);
     need(&buf, 5, "shard core header")?;
     let tag = buf.get_u8();
@@ -859,76 +776,76 @@ fn parse_shard_core(core: &[u8]) -> Result<(Partitioner, Vec<(u32, u32)>)> {
         }
         t => return Err(corrupt(format!("unknown partitioner tag {t}"))),
     };
-    need(&buf, 8, "assignment count")?;
-    let n = buf.get_u64_le() as usize;
-    check_fits(&buf, n, 8, "assignment")?;
-    let assignment: Vec<(u32, u32)> = (0..n)
-        .map(|_| {
-            let shard = buf.get_u32_le();
-            let local = buf.get_u32_le();
-            (shard, local)
-        })
+    need(&buf, 4, "high-water mark")?;
+    let next_global = buf.get_u32_le();
+    // A row count and a section length per shard, at the least.
+    check_fits(&buf, shards, 16, "shard id lists")?;
+    let mut global_ids = Vec::with_capacity(shards);
+    for _ in 0..shards {
+        need(&buf, 8, "shard row count")?;
+        let rows = buf.get_u64_le() as usize;
+        check_fits(&buf, rows, 4, "shard global ids")?;
+        global_ids.push((0..rows).map(|_| buf.get_u32_le()).collect::<Vec<_>>());
+    }
+    need(&buf, 8, "dropped count")?;
+    let count = buf.get_u64_le() as usize;
+    check_fits(&buf, count, 8, "dropped ids")?;
+    let dropped = (0..count)
+        .map(|_| (buf.get_u32_le(), buf.get_u32_le()))
         .collect();
+    check_fits(&buf, shards, 8, "shard section lengths")?;
+    let section_lens = (0..shards)
+        .map(|_| usize::try_from(buf.get_u64_le()))
+        .collect::<std::result::Result<Vec<_>, _>>()
+        .map_err(|_| corrupt("shard section length overflows"))?;
     if buf.has_remaining() {
         return Err(corrupt("trailing bytes in shard core section"));
     }
-    Ok((partitioner, assignment))
+    Ok(ShardManifest {
+        partitioner,
+        next_global,
+        global_ids,
+        dropped,
+        section_lens,
+    })
 }
 
 fn load_sharded<S: KeyStore>(
     data: &[u8],
     recover: bool,
 ) -> Result<(ShardedIndexSet<S>, ShardedRecoveryReport)> {
-    let mut buf = Bytes::copy_from_slice(&data[8..V2_PREAMBLE]);
-    let _flags = buf.get_u32_le();
-    let core_len = buf.get_u64_le() as usize;
-    let core_start = V2_PREAMBLE;
-    let crc_end = crate::frame::sealed_end(core_start, core_len, data.len())
-        .ok_or_else(|| corrupt("truncated shard core section"))?;
-    let core = crate::frame::open_sealed(&data[core_start..crc_end])
-        .ok_or_else(|| corrupt("shard core section checksum mismatch"))?;
-    let (partitioner, assignment) = parse_shard_core(core)?;
+    let (_, core, crc_end) = open_head(data, MAGIC_SHARD, 0)?;
+    let manifest = parse_shard_core(core)?;
 
-    let mut sets = Vec::with_capacity(partitioner.shards());
-    let mut reports = Vec::with_capacity(partitioner.shards());
+    let mut sets = Vec::with_capacity(manifest.section_lens.len());
+    let mut reports = Vec::with_capacity(manifest.section_lens.len());
     let mut offset = crc_end;
-    for s in 0..partitioner.shards() {
-        let header_end = offset
-            .checked_add(8)
-            .filter(|&e| e <= data.len())
-            .ok_or_else(|| corrupt(format!("truncated shard {s} section header")))?;
-        let len = u64::from_le_bytes(
-            data[offset..header_end]
-                .try_into()
-                .map_err(|_| corrupt("bad shard section length"))?,
-        );
-        let len = usize::try_from(len).map_err(|_| corrupt("shard section length overflows"))?;
-        let sec_end = crate::frame::sealed_end(header_end, len, data.len())
-            .ok_or_else(|| corrupt(format!("shard {s} section extends past EOF")))?;
-        let body = &data[header_end..sec_end - crate::frame::CRC_LEN];
-        if !recover && crate::frame::open_sealed(&data[header_end..sec_end]).is_none() {
-            return Err(corrupt(format!("shard {s} section checksum mismatch")));
-        }
-        // Recovery skips the outer CRC: the wrapped PLNRIDX3 bytes carry
-        // their own section CRCs, so it descends and salvages every index
-        // section that still verifies.
+    for (s, &len) in manifest.section_lens.iter().enumerate() {
+        // A truncated section reaches its shard's loader short: strict
+        // mode refuses it there, recovery salvages what still verifies.
+        let end = offset.saturating_add(len).min(data.len());
+        let body = &data[offset..end];
+        let shard = |e: PlanarError| corrupt(format!("shard {s}: {e}"));
         if recover {
-            let (set, report) = PlanarIndexSet::from_bytes_recover(body)
-                .map_err(|e| corrupt(format!("shard {s}: {e}")))?;
+            let (set, report) = PlanarIndexSet::from_bytes_recover(body).map_err(shard)?;
             sets.push(set);
             reports.push(report);
         } else {
-            sets.push(
-                PlanarIndexSet::from_bytes(body).map_err(|e| corrupt(format!("shard {s}: {e}")))?,
-            );
+            sets.push(PlanarIndexSet::from_bytes(body).map_err(shard)?);
             reports.push(RecoveryReport::default());
         }
-        offset = sec_end;
+        offset = end;
     }
     if !recover && offset != data.len() {
         return Err(corrupt("trailing bytes after shard sections"));
     }
-    let set = ShardedIndexSet::assemble_shards(sets, partitioner, assignment)?;
+    let set = ShardedIndexSet::assemble_shards(
+        sets,
+        manifest.partitioner,
+        manifest.global_ids,
+        manifest.next_global,
+        manifest.dropped,
+    )?;
     Ok((
         set,
         ShardedRecoveryReport {
@@ -939,17 +856,18 @@ fn load_sharded<S: KeyStore>(
 }
 
 impl<S: KeyStore> ShardedIndexSet<S> {
-    /// Serialize the sharded set: a `PLNRSHD1` manifest wrapping one full
-    /// `PLNRIDX3` snapshot per shard, each in its own CRC-framed section,
-    /// with the partitioner and the global→(shard, local) assignment in
-    /// the CRC-protected core.
+    /// Serialize the sharded set: a `PLNRSHD2` manifest whose CRC-protected
+    /// core holds the partitioner, the id maps and each shard section's
+    /// length, followed by one `PLNRIDX3` snapshot per shard.
     pub fn to_bytes(&self) -> Bytes {
         let sections: Vec<Bytes> = (0..self.num_shards())
             .map(|s| self.shard(s).expect("s < num_shards").to_bytes())
             .collect();
 
-        let assignment = self.assignment();
-        let mut core = BytesMut::with_capacity(32 + assignment.len() * 8);
+        let (global_ids, dropped) = (self.global_ids(), self.dropped());
+        let held: usize = global_ids.iter().map(Vec::len).sum();
+        let mut core =
+            BytesMut::with_capacity(64 + 4 * held + 8 * dropped.len() + 16 * sections.len());
         match self.partitioner() {
             Partitioner::RoundRobin { shards } => {
                 core.put_u8(0);
@@ -967,26 +885,28 @@ impl<S: KeyStore> ShardedIndexSet<S> {
                 }
             }
         }
-        core.put_u64_le(assignment.len() as u64);
-        for &(shard, local) in &assignment {
+        core.put_u32_le(self.next_global());
+        for gids in global_ids {
+            core.put_u64_le(gids.len() as u64);
+            for &global in gids {
+                core.put_u32_le(global);
+            }
+        }
+        core.put_u64_le(dropped.len() as u64);
+        for &(global, shard) in dropped {
+            core.put_u32_le(global);
             core.put_u32_le(shard);
-            core.put_u32_le(local);
+        }
+        for sec in &sections {
+            core.put_u64_le(sec.len() as u64);
         }
 
         let total: usize =
-            V2_PREAMBLE + core.len() + 8 + sections.iter().map(|s| s.len() + 16).sum::<usize>();
+            PREAMBLE + core.len() + 8 + sections.iter().map(Bytes::len).sum::<usize>();
         let mut buf = BytesMut::with_capacity(total);
-        buf.put_slice(MAGIC_SHARD);
-        buf.put_u32_le(0); // flags, reserved
-        buf.put_u64_le(core.len() as u64);
-        let core_crc = crc64(&core);
-        buf.put_slice(&core);
-        buf.put_u64_le(core_crc);
+        put_head(&mut buf, MAGIC_SHARD, 0, &core);
         for sec in sections {
-            buf.put_u64_le(sec.len() as u64);
-            let crc = crc64(&sec);
             buf.put_slice(&sec);
-            buf.put_u64_le(crc);
         }
         buf.freeze()
     }
@@ -996,16 +916,16 @@ impl<S: KeyStore> ShardedIndexSet<S> {
     ///
     /// # Errors
     ///
-    /// [`PlanarError::Persist`] on truncation, bad magic, or checksum
-    /// failure of any section, outer or inner.
+    /// [`PlanarError::Persist`] on truncation, bad magic, nonzero flags,
+    /// id maps that disagree with the shards, or checksum failure of any
+    /// section.
     pub fn from_bytes(data: &[u8]) -> Result<Self> {
-        Self::check_magic(data)?;
         load_sharded(data, false).map(|(set, _)| set)
     }
 
     /// Deserialize, salvaging everything whose checksums verify.
     ///
-    /// The manifest core (partitioner + assignment) and every shard's inner
+    /// The manifest core (partitioner + id maps) and every shard's own
     /// core (its rows) must be intact — shards share nothing, so a shard's
     /// rows exist nowhere else in the file. Corrupt per-index sections
     /// inside any shard quarantine those indices only (see
@@ -1015,20 +935,9 @@ impl<S: KeyStore> ShardedIndexSet<S> {
     /// # Errors
     ///
     /// [`PlanarError::Persist`] when the preamble, the manifest core, or
-    /// any shard's inner core is unreadable.
+    /// any shard's core is unreadable.
     pub fn from_bytes_recover(data: &[u8]) -> Result<(Self, ShardedRecoveryReport)> {
-        Self::check_magic(data)?;
         load_sharded(data, true)
-    }
-
-    fn check_magic(data: &[u8]) -> Result<()> {
-        if data.len() < V2_PREAMBLE {
-            return Err(corrupt("file too short"));
-        }
-        if &data[..8] != MAGIC_SHARD {
-            return Err(corrupt("bad magic (not a sharded planar index file)"));
-        }
-        Ok(())
     }
 
     /// Write to a file atomically (temp file + fsync + rename) with the
@@ -1111,68 +1020,11 @@ mod tests {
         set
     }
 
-    /// The key a legacy writer stored beside `id` in index `pos`.
-    fn legacy_key<S: KeyStore>(set: &PlanarIndexSet<S>, pos: usize, id: u32) -> f64 {
-        let raw_normal = set
-            .normalizer()
-            .raw_normal(set.index_at(pos).unwrap().normal());
-        crate::store::canon(planar_geom::dot_slices(&raw_normal, set.table().row(id)))
-    }
-
-    /// Serialize in the legacy PLNRIDX2 layout (`key f64, id u32` index
-    /// entries), for backward-compatibility tests.
-    fn to_bytes_v2<S: KeyStore>(set: &PlanarIndexSet<S>) -> Bytes {
-        set.to_bytes_as(MAGIC_V2, |sec, id, pos| {
-            sec.put_f64_le(legacy_key(set, pos, id));
-            sec.put_u32_le(id);
-        })
-    }
-
-    /// Serialize in the legacy PLNRIDX1 layout (whole-file CRC), for
-    /// backward-compatibility tests.
-    fn to_bytes_v1<S: KeyStore>(set: &PlanarIndexSet<S>) -> Vec<u8> {
-        let n = set.table().len();
-        let dim = set.dim();
-        let mut buf = BytesMut::with_capacity(64 + n * dim * 8 + n);
-        buf.put_slice(MAGIC_V1);
-        buf.put_u32_le(0);
-        buf.put_u32_le(dim as u32);
-        buf.put_u64_le(n as u64);
-        for (_, row) in set.table().iter() {
-            for &v in row {
-                buf.put_f64_le(v);
-            }
-        }
-        for id in 0..n as u32 {
-            buf.put_u8(u8::from(!set.is_live(id)));
-        }
-        buf.put_u32_le(set.domain().dim() as u32);
-        for d in set.domain().axes() {
-            put_domain(&mut buf, d);
-        }
-        buf.put_u8(strategy_tag(set.strategy()));
-        buf.put_u32_le(set.num_indices() as u32);
-        for pos in 0..set.num_indices() {
-            let idx = set.index_at(pos).unwrap();
-            for &c in idx.normal() {
-                buf.put_f64_le(c);
-            }
-            buf.put_u64_le(idx.len() as u64);
-            for &id in idx.ids() {
-                buf.put_f64_le(legacy_key(set, pos, id));
-                buf.put_u32_le(id);
-            }
-        }
-        let checksum = crc64(&buf);
-        buf.put_u64_le(checksum);
-        buf.to_vec()
-    }
-
     #[test]
     fn roundtrip_preserves_answers_and_structure() {
         let set = sample_set();
         let bytes = set.to_bytes();
-        assert_eq!(&bytes[..8], MAGIC_V3);
+        assert_eq!(&bytes[..8], MAGIC);
         let loaded = PlanarIndexSet::<VecStore>::from_bytes(&bytes).unwrap();
         assert_eq!(loaded.len(), set.len());
         assert_eq!(loaded.num_indices(), set.num_indices());
@@ -1187,77 +1039,6 @@ mod tests {
             assert_eq!(got.sorted_ids(), want.sorted_ids(), "b={b}");
             assert_eq!(got.stats.used_index(), want.stats.used_index());
         }
-    }
-
-    #[test]
-    fn v1_files_still_load() {
-        let set = sample_set();
-        let v1 = to_bytes_v1(&set);
-        let loaded = PlanarIndexSet::<VecStore>::from_bytes(&v1).unwrap();
-        assert_eq!(loaded.len(), set.len());
-        assert_eq!(loaded.num_indices(), set.num_indices());
-        let q = InequalityQuery::leq(vec![1.0, -1.5], 3.0).unwrap();
-        assert_eq!(
-            loaded.query(&q).unwrap().sorted_ids(),
-            set.query(&q).unwrap().sorted_ids()
-        );
-        // Recovery on v1 is all-or-nothing; clean file → clean report.
-        let (_, report) = PlanarIndexSet::<VecStore>::from_bytes_recover(&v1).unwrap();
-        assert_eq!(report.version, 1);
-        assert!(report.is_clean());
-        let mut bad = v1;
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0x10;
-        assert!(PlanarIndexSet::<VecStore>::from_bytes_recover(&bad).is_err());
-    }
-
-    /// Bytes of the index sections of a sectioned snapshot: everything
-    /// after the preamble, the core and its CRC.
-    fn index_section_bytes(bytes: &[u8]) -> usize {
-        let core_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-        bytes.len() - (V2_PREAMBLE + core_len + 8)
-    }
-
-    #[test]
-    fn v2_files_load_to_identical_answers() {
-        let mut set = sample_set();
-        set.update_point(3, &[0.0, -0.0]).unwrap();
-        set.insert_point(&[2.0, -3.0]).unwrap();
-        let v2 = to_bytes_v2(&set);
-        assert_eq!(&v2[..8], MAGIC_V2);
-        let (loaded, report) = PlanarIndexSet::<VecStore>::from_bytes_recover(&v2).unwrap();
-        assert_eq!(report.version, 2);
-        assert!(report.is_clean());
-        assert!(loaded.verify_all().healthy());
-        for pos in 0..set.num_indices() {
-            assert_eq!(
-                loaded.index_at(pos).unwrap().ids(),
-                set.index_at(pos).unwrap().ids()
-            );
-        }
-        for b in [-30.0, -5.0, 0.0, 5.0, 30.0] {
-            for q in [
-                InequalityQuery::leq(vec![1.0, -1.5], b).unwrap(),
-                InequalityQuery::geq(vec![0.7, -1.0], b).unwrap(),
-            ] {
-                let (want, got) = (set.query(&q).unwrap(), loaded.query(&q).unwrap());
-                assert_eq!(got.matches, want.matches, "b={b}");
-                assert_eq!(got.served_by, want.served_by);
-                let tk = crate::query::TopKQuery::new(q, 5).unwrap();
-                assert_eq!(
-                    loaded.top_k(&tk).unwrap().neighbors,
-                    set.top_k(&tk).unwrap().neighbors
-                );
-            }
-        }
-        // Index sections shrink from 12 to 4 bytes per entry; the 16-byte
-        // count + CRC framing per section stays.
-        let entries: usize = (0..set.num_indices())
-            .map(|pos| set.index_at(pos).unwrap().len())
-            .sum();
-        let framing = 16 * set.num_indices();
-        assert_eq!(index_section_bytes(&v2), framing + 12 * entries);
-        assert_eq!(index_section_bytes(&set.to_bytes()), framing + 4 * entries);
     }
 
     #[test]
@@ -1298,7 +1079,6 @@ mod tests {
 
         // Recovering load quarantines exactly the damaged index.
         let (recovered, report) = PlanarIndexSet::<VecStore>::from_bytes_recover(&bytes).unwrap();
-        assert_eq!(report.version, 3);
         assert_eq!(report.total_indices, set.num_indices());
         assert_eq!(report.quarantined, vec![set.num_indices() - 1]);
         assert_eq!(report.loaded, set.num_indices() - 1);
@@ -1334,9 +1114,9 @@ mod tests {
         // reject it.
         let core_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
         let mut bad = bytes.clone();
-        bad[V2_PREAMBLE + 4..V2_PREAMBLE + 12].copy_from_slice(&u64::MAX.to_le_bytes());
-        let crc = crc64(&bad[V2_PREAMBLE..V2_PREAMBLE + core_len]);
-        bad[V2_PREAMBLE + core_len..V2_PREAMBLE + core_len + 8].copy_from_slice(&crc.to_le_bytes());
+        bad[PREAMBLE + 4..PREAMBLE + 12].copy_from_slice(&u64::MAX.to_le_bytes());
+        let crc = crc64(&bad[PREAMBLE..PREAMBLE + core_len]);
+        bad[PREAMBLE + core_len..PREAMBLE + core_len + 8].copy_from_slice(&crc.to_le_bytes());
         let err = PlanarIndexSet::<VecStore>::from_bytes(&bad).unwrap_err();
         assert!(matches!(err, PlanarError::Persist(_)), "{err:?}");
     }
@@ -1347,13 +1127,9 @@ mod tests {
         // would overflow `core_end + 8`; bit flips of a small real length
         // can never reach it, so it gets an explicit crafted case. Both
         // loaders must return a typed error, never panic or wrap.
-        let lens = [u64::MAX, u64::MAX - 25, u64::MAX - (V2_PREAMBLE as u64 + 7)];
-        for (core_len, magic) in lens
-            .into_iter()
-            .flat_map(|l| [(l, MAGIC_V2), (l, MAGIC_V3)])
-        {
+        for core_len in [u64::MAX, u64::MAX - 25, u64::MAX - (PREAMBLE as u64 + 7)] {
             let mut bad = Vec::with_capacity(84);
-            bad.extend_from_slice(magic);
+            bad.extend_from_slice(MAGIC);
             bad.extend_from_slice(&0u32.to_le_bytes()); // flags
             bad.extend_from_slice(&core_len.to_le_bytes());
             bad.resize(84, 0);
@@ -1479,8 +1255,7 @@ mod tests {
         );
         // The mirror is rebuilt from the parsed rows, never deserialized.
         assert_eq!(loaded.table().quant(), set.table().quant());
-        // Tier Off clears the flag and writes no trailing bytes, so the
-        // file matches one written before the tier existed.
+        // Tier Off clears the flag and writes no trailing bytes.
         let mut plain = sample_set();
         plain.set_quant_policy(QuantPolicy::off());
         let bytes = plain.to_bytes();
@@ -1501,9 +1276,9 @@ mod tests {
         // The policy is the last 9 core bytes; smash the tier tag and
         // re-seal the CRC so only the policy parse can object.
         let mut bad = bytes.to_vec();
-        bad[V2_PREAMBLE + core_len - 9] = 0xEE;
-        let crc = crc64(&bad[V2_PREAMBLE..V2_PREAMBLE + core_len]);
-        bad[V2_PREAMBLE + core_len..V2_PREAMBLE + core_len + 8].copy_from_slice(&crc.to_le_bytes());
+        bad[PREAMBLE + core_len - 9] = 0xEE;
+        let crc = crc64(&bad[PREAMBLE..PREAMBLE + core_len]);
+        bad[PREAMBLE + core_len..PREAMBLE + core_len + 8].copy_from_slice(&crc.to_le_bytes());
         let err = PlanarIndexSet::<VecStore>::from_bytes(&bad).unwrap_err();
         assert!(err.to_string().contains("quantization tier"), "{err}");
     }
@@ -1568,6 +1343,19 @@ mod tests {
             );
             loaded.insert_point(&[2.0, -2.0]).unwrap();
             assert_eq!(loaded.len(), set.len() + 1);
+            // The snapshot round-trips to the same bytes and id maps,
+            // before and after a compaction drops ids, with every loaded
+            // shard clustered afresh.
+            let mut compacted = set.clone();
+            assert!(!compacted.compact(0.0).is_empty());
+            for s in [&set, &compacted] {
+                let bytes = s.to_bytes();
+                let reread = ShardedIndexSet::<VecStore>::from_bytes(&bytes).unwrap();
+                assert_eq!(reread.to_bytes(), bytes);
+                assert_eq!(reread.global_ids(), s.global_ids());
+                assert_eq!(reread.dropped(), s.dropped());
+                assert!((0..3).all(|i| reread.shard(i).unwrap().table().is_clustered()));
+            }
         }
     }
 
@@ -1631,9 +1419,46 @@ mod tests {
     fn corrupt_shard_core_is_fatal_even_in_recovery() {
         let set = sample_sharded(ShardConfig::round_robin(2));
         let mut bytes = set.to_bytes().to_vec();
-        // Offset 30 is inside the assignment array of the manifest core.
+        // Offset 30 is inside the manifest core (shard 0's id-list length).
         Corruption::BitFlip { offset: 30, bit: 0 }.apply(&mut bytes);
         assert!(ShardedIndexSet::<VecStore>::from_bytes_recover(&bytes).is_err());
+    }
+
+    #[test]
+    fn every_bit_flip_of_a_sharded_snapshot_is_refused() {
+        // Small enough to reload once per byte in about a second in an
+        // unoptimized build, with every field present: the range
+        // partitioner, a dropped id, and the quantization flag.
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![1.0 + (i % 5) as f64, -(1.0 + (i % 3) as f64)])
+            .collect();
+        let table = FeatureTable::from_rows(2, rows).unwrap();
+        let domain =
+            ParameterDomain::new(vec![Domain::Continuous { lo: 0.5, hi: 2.0 }; 2]).unwrap();
+        let config = ShardConfig::pilot_key_range(2);
+        let mut set =
+            ShardedIndexSet::<VecStore>::build(table, domain, IndexConfig::with_budget(2), config)
+                .unwrap();
+        set.set_quant_policy(QuantPolicy::tier(QuantTier::I8));
+        set.delete_point(3).unwrap();
+        set.delete_point(4).unwrap();
+        assert!(!set.compact(0.0).is_empty());
+        set.delete_point(5).unwrap();
+        let bytes = set.to_bytes().to_vec();
+        assert!(ShardedIndexSet::<VecStore>::from_bytes(&bytes).is_ok());
+        // Every byte is under a seal or a checked preamble field, so one
+        // flipped bit anywhere is a typed error.
+        for offset in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[offset] ^= 1 << (offset % 8);
+            let got = ShardedIndexSet::<VecStore>::from_bytes(&bad);
+            assert!(
+                matches!(got, Err(PlanarError::Persist(_))),
+                "offset {offset} of {}: {:?}",
+                bytes.len(),
+                got.err()
+            );
+        }
     }
 
     #[test]

@@ -68,17 +68,6 @@ use crate::store::{KeyStore, VecStore};
 use crate::table::{FeatureTable, PointId};
 use crate::{HeapSize, PlanarError, Result};
 
-/// Sentinel local id, in a persisted assignment, for a global id whose row
-/// was dropped by a shard compaction — such ids are permanently dead.
-const DEAD_LOCAL: u32 = u32::MAX;
-
-/// Sentinel shard, in a persisted assignment, for a WAL-replay gap: an id
-/// between the high-water mark and a replayed insert whose own record
-/// lives on another shard's log (or was lost to its torn tail). Distinct
-/// from any real shard so a compaction-killed `(shard, DEAD_LOCAL)` slot is
-/// never mistaken for a fillable gap during replay.
-const GAP_SHARD: u32 = u32::MAX;
-
 /// Which partitioner [`ShardedIndexSet::build`] should construct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionScheme {
@@ -477,77 +466,63 @@ impl<S: KeyStore> ShardedIndexSet<S> {
     }
 
     /// Reassemble from persisted parts (see `crate::persist`): the shard
-    /// sets, the partitioner, and the global→(shard, local) assignment.
-    /// Validates that the assignment is consistent with the shards: each
-    /// shard's local ids, in any order, are a dense permutation of its
-    /// table's ids — every local id exactly once. A shard whose local ids
-    /// do not ascend with their global ids is renumbered so that they do
-    /// (see [`PlanarIndexSet::relabel`]).
+    /// sets, the partitioner, and the id maps as stored. Validates the maps
+    /// against the shards: each shard lists one global id per row, in
+    /// strictly ascending order, and every id below `next_global` is held
+    /// by at most one shard or dropped once, never both.
     pub(crate) fn assemble_shards(
-        mut shards: Vec<PlanarIndexSet<S>>,
+        shards: Vec<PlanarIndexSet<S>>,
         partitioner: Partitioner,
-        assignment: Vec<(u32, u32)>,
+        global_ids: Vec<Vec<PointId>>,
+        next_global: PointId,
+        dropped: Vec<(PointId, u32)>,
     ) -> Result<Self> {
-        if shards.is_empty() || partitioner.shards() != shards.len() {
-            return Err(PlanarError::Persist(
-                "shard count disagrees with partitioner".into(),
+        let bad = |msg: String| Err(PlanarError::Persist(msg));
+        if shards.is_empty()
+            || partitioner.shards() != shards.len()
+            || global_ids.len() != shards.len()
+        {
+            return bad("shard count disagrees with partitioner".into());
+        }
+        for (shard, (sh, gids)) in shards.iter().zip(&global_ids).enumerate() {
+            if gids.len() != sh.table().len() {
+                return bad(format!(
+                    "shard {shard} holds {} rows but lists {} global ids",
+                    sh.table().len(),
+                    gids.len()
+                ));
+            }
+            if gids.windows(2).any(|w| w[0] >= w[1]) {
+                return bad(format!("shard {shard}'s global ids do not ascend"));
+            }
+        }
+        if dropped.windows(2).any(|w| w[0].0 >= w[1].0)
+            || dropped
+                .iter()
+                .any(|&(_, shard)| shard as usize >= shards.len())
+        {
+            return bad("dropped ids not ascending on known shards".into());
+        }
+        let mut held: Vec<PointId> = global_ids
+            .iter()
+            .flatten()
+            .chain(dropped.iter().map(|(global, _)| global))
+            .copied()
+            .collect();
+        held.sort_unstable();
+        if let Some(&top) = held.last().filter(|&&top| top >= next_global) {
+            return bad(format!(
+                "global id {top} is at or above the high-water mark {next_global}"
             ));
         }
-        let mut by_local: Vec<Vec<Option<PointId>>> = shards
-            .iter()
-            .map(|sh| vec![None; sh.table().len()])
-            .collect();
-        let mut dropped = Vec::new();
-        for (global, &(shard, local)) in assignment.iter().enumerate() {
-            if shard == GAP_SHARD && local == DEAD_LOCAL {
-                // WAL-replay gap placeholder (see `replay_insert`);
-                // belongs to no shard.
-                continue;
-            }
-            let Some(locals) = by_local.get_mut(shard as usize) else {
-                return Err(PlanarError::Persist(format!(
-                    "global id {global} routed to unknown shard {shard}"
-                )));
-            };
-            if local == DEAD_LOCAL {
-                dropped.push((global as PointId, shard));
-                continue;
-            }
-            match locals.get_mut(local as usize) {
-                Some(slot @ None) => *slot = Some(global as PointId),
-                Some(Some(other)) => {
-                    return Err(PlanarError::Persist(format!(
-                        "global ids {other} and {global} share local id {local} in shard {shard}"
-                    )))
-                }
-                None => {
-                    return Err(PlanarError::Persist(format!(
-                        "global id {global}: local id {local} is out of range in shard {shard}"
-                    )))
-                }
-            }
-        }
-        let mut global_ids = Vec::with_capacity(shards.len());
-        for (shard, (sh, locals)) in shards.iter_mut().zip(by_local).enumerate() {
-            let Some(mut gids) = locals.into_iter().collect::<Option<Vec<PointId>>>() else {
-                return Err(PlanarError::Persist(format!(
-                    "shard {shard} holds {} rows but the assignment does not route them all",
-                    sh.table().len()
-                )));
-            };
-            if !gids.is_sorted() {
-                let mut order: Vec<PointId> = (0..gids.len() as PointId).collect();
-                order.sort_unstable_by_key(|&local| gids[local as usize]);
-                sh.relabel(&order);
-                gids.sort_unstable();
-            }
-            global_ids.push(gids);
+        if let Some(pair) = held.windows(2).find(|w| w[0] == w[1]) {
+            return bad(format!("global id {} is held twice", pair[0]));
         }
         Ok(Self {
             shards,
             partitioner,
             global_ids,
-            next_global: assignment.len() as PointId,
+            next_global,
             dropped,
         })
     }
@@ -605,21 +580,16 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         }
     }
 
-    /// The global→(shard, local) assignment, one entry per global id below
-    /// the high-water mark (persistence support): `(shard, DEAD_LOCAL)` for
-    /// a row a compaction dropped, `(GAP_SHARD, DEAD_LOCAL)` for a replay
-    /// gap.
-    pub(crate) fn assignment(&self) -> Vec<(u32, u32)> {
-        let mut out = vec![(GAP_SHARD, DEAD_LOCAL); self.next_global as usize];
-        for (shard, gids) in self.global_ids.iter().enumerate() {
-            for (local, &global) in gids.iter().enumerate() {
-                out[global as usize] = (shard as u32, local as u32);
-            }
-        }
-        for &(global, shard) in &self.dropped {
-            out[global as usize] = (shard, DEAD_LOCAL);
-        }
-        out
+    /// `global_ids[shard][local] = global`, strictly ascending per shard
+    /// (persistence support).
+    pub(crate) fn global_ids(&self) -> &[Vec<PointId>] {
+        &self.global_ids
+    }
+
+    /// `(global, shard)` of every id a shard compaction dropped, ascending
+    /// (persistence support).
+    pub(crate) fn dropped(&self) -> &[(PointId, u32)] {
+        &self.dropped
     }
 
     /// Number of live points across all shards.
@@ -1007,7 +977,7 @@ impl<S: KeyStore> ShardedIndexSet<S> {
 
     /// Apply one replayed WAL record from `shard`'s log. `Insert` records
     /// carry the global id assigned at log time: ids lost to another
-    /// shard's torn tail leave tombstoned gaps in the assignment, so each
+    /// shard's torn tail leave gaps below the high-water mark, so each
     /// shard's stream replays independently of cross-shard interleaving.
     pub(crate) fn replay_record(
         &mut self,
@@ -1397,25 +1367,29 @@ mod tests {
     #[test]
     fn replay_insert_rejects_compaction_killed_ids() {
         let (_, mut sharded) = pair(30, ShardConfig::round_robin(3));
-        // Kill a shard-0 global id via delete + compaction: its slot
-        // becomes (0, DEAD_LOCAL), which must stay distinct from a
-        // replay gap placeholder.
+        // Kill a shard-0 global id via delete + compaction: it is recorded
+        // as dropped, which must stay distinct from a replay gap, also
+        // across a snapshot round trip.
         let victim = 0u32; // round-robin: global 0 lives on shard 0
         sharded.delete_point(victim).unwrap();
         assert!(sharded.compact_shard(0, 0.0));
-        assert_eq!(sharded.assignment()[victim as usize], (0, DEAD_LOCAL));
-        let err = sharded
-            .replay_record(
-                0,
-                1,
-                &crate::wal::WalRecord::Insert {
-                    id: victim,
-                    row: vec![1.0, 1.0],
-                },
-            )
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("replay diverged"), "got: {err}");
+        assert_eq!(sharded.dropped(), &[(victim, 0)]);
+        let reloaded = ShardedIndexSet::<VecStore>::from_bytes(&sharded.to_bytes()).unwrap();
+        assert_eq!(reloaded.dropped(), sharded.dropped());
+        for mut set in [sharded, reloaded] {
+            let err = set
+                .replay_record(
+                    0,
+                    1,
+                    &crate::wal::WalRecord::Insert {
+                        id: victim,
+                        row: vec![1.0, 1.0],
+                    },
+                )
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("replay diverged"), "got: {err}");
+        }
     }
 
     #[test]
@@ -1423,104 +1397,73 @@ mod tests {
         let (_, mut sharded) = pair(30, ShardConfig::round_robin(3));
         let next = sharded.next_global();
         // Replay an insert whose predecessor's record was lost to another
-        // shard's torn tail: a gap placeholder fills the hole.
-        sharded
-            .replay_record(
-                1,
-                1,
-                &crate::wal::WalRecord::Insert {
-                    id: next + 1,
-                    row: vec![2.0, 2.0],
-                },
-            )
-            .unwrap();
-        assert_eq!(sharded.assignment()[next as usize], (GAP_SHARD, DEAD_LOCAL));
+        // shard's torn tail: `next` becomes a gap — below the high-water
+        // mark, held by no shard, not dropped.
+        let insert = |id| crate::wal::WalRecord::Insert {
+            id,
+            row: vec![2.0, 2.0],
+        };
+        sharded.replay_record(1, 1, &insert(next + 1)).unwrap();
+        assert!(sharded.slot(next).is_none() && sharded.dropped().is_empty());
         assert!(sharded.is_live(next + 1));
+        assert_eq!(sharded.next_global(), next + 2);
 
         // The gap survives a snapshot round-trip untouched.
         let tmp = crate::fault::TempDir::new("shard_gap_persist").unwrap();
         let path = tmp.file("snap.plnr");
         sharded.save_to(&path).unwrap();
-        let (loaded, _) = ShardedIndexSet::<VecStore>::load_or_recover(&path).unwrap();
-        assert_eq!(loaded.assignment()[next as usize], (GAP_SHARD, DEAD_LOCAL));
+        let (mut loaded, _) = ShardedIndexSet::<VecStore>::load_or_recover(&path).unwrap();
+        assert_eq!(loaded.global_ids(), sharded.global_ids());
+        assert!(loaded.slot(next).is_none() && loaded.dropped().is_empty());
         assert!(!loaded.is_live(next));
         assert!(loaded.is_live(next + 1));
         assert_eq!(loaded.next_global(), next + 2);
-    }
-
-    /// The set's assignment with shard 0's local ids reversed (pair it with
-    /// shard 0's rows relabelled the same way).
-    fn reversed_shard_zero(sharded: &ShardedIndexSet<VecStore>) -> Vec<(u32, u32)> {
-        let rows = sharded.shards[0].table().len() as u32;
-        sharded
-            .assignment()
-            .into_iter()
-            .map(|(s, l)| {
-                if s == 0 && l != DEAD_LOCAL {
-                    (s, rows - 1 - l)
-                } else {
-                    (s, l)
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn loader_accepts_any_dense_local_permutation() {
-        let (unsharded, mut sharded) = pair(200, ShardConfig::pilot_key_range(3));
-        sharded.delete_point(17).unwrap();
-        let victim = sharded.global_ids[0][5];
-        sharded.delete_point(victim).unwrap();
-        let assignment = reversed_shard_zero(&sharded);
-        let mut shards = sharded.shards.clone();
-        let rows = shards[0].table().len() as PointId;
-        shards[0].relabel(&(0..rows).rev().collect::<Vec<_>>());
-        let partitioner = sharded.partitioner.clone();
-        let loaded = ShardedIndexSet::assemble_shards(shards, partitioner, assignment).unwrap();
-        // Renumbered back to ascending: the same maps, rows and answers.
-        assert_eq!(loaded.global_ids, sharded.global_ids);
-        assert_eq!(loaded.assignment(), sharded.assignment());
-        assert_eq!(loaded.shards[0].table(), sharded.shards[0].table());
-        assert!(!loaded.is_live(victim) && !loaded.is_live(17));
-        for cmp in [Cmp::Leq, Cmp::Geq] {
-            let q = InequalityQuery::new(vec![1.0, 2.0], cmp, 150.0).unwrap();
-            assert_eq!(loaded.query(&q).unwrap(), sharded.query(&q).unwrap());
-            let mut want = unsharded.query(&q).unwrap().matches;
-            want.retain(|&id| id != 17 && id != victim);
-            assert_eq!(loaded.query(&q).unwrap().sorted_ids(), want);
-        }
-        // A clustered snapshot round-trips to the same bytes.
-        let bytes = sharded.to_bytes();
-        let reread = ShardedIndexSet::<VecStore>::from_bytes(&bytes).unwrap();
-        assert_eq!(reread.to_bytes(), bytes);
-        assert!(reread.shards.iter().all(|sh| sh.table().is_clustered()));
+        // ...and stays fillable: its owner's record replays into it.
+        loaded.replay_record(2, 2, &insert(next)).unwrap();
+        assert!(loaded.is_live(next));
     }
 
     #[test]
     fn loader_rejects_duplicate_and_missing_local_ids() {
-        let (_, sharded) = pair(120, ShardConfig::round_robin(3));
-        let load = |assignment: Vec<(u32, u32)>| {
+        let (_, mut sharded) = pair(120, ShardConfig::round_robin(3));
+        sharded.delete_point(0).unwrap();
+        assert!(sharded.compact_shard(0, 0.0));
+        let load = |global_ids: Vec<Vec<PointId>>, next_global, dropped| {
             ShardedIndexSet::assemble_shards(
                 sharded.shards.clone(),
                 sharded.partitioner.clone(),
-                assignment,
+                global_ids,
+                next_global,
+                dropped,
             )
         };
-        // Two global ids share shard 1's local id 0.
-        let mut dup = sharded.assignment();
-        let second = dup.iter().position(|&(s, l)| s == 1 && l == 1).unwrap();
-        dup[second] = (1, 0);
-        assert!(matches!(load(dup), Err(PlanarError::Persist(_))));
-        // No global id maps to shard 2's last local id.
-        let mut missing = sharded.assignment();
-        let last = missing.iter().rposition(|&(s, _)| s == 2).unwrap();
-        missing[last] = (GAP_SHARD, DEAD_LOCAL);
-        assert!(matches!(load(missing), Err(PlanarError::Persist(_))));
-        // An out-of-range local id.
-        let mut wide = sharded.assignment();
-        wide[0].1 = 1_000;
-        assert!(matches!(load(wide), Err(PlanarError::Persist(_))));
-        assert!(load(sharded.assignment()).is_ok());
+        let rejects =
+            |r: Result<ShardedIndexSet<VecStore>>| matches!(r, Err(PlanarError::Persist(_)));
+        let (ids, next, dropped) = (
+            || sharded.global_ids.clone(),
+            sharded.next_global,
+            || sharded.dropped.clone(),
+        );
+        // An id held by two shards (shard 2's first id, still ascending in
+        // shard 1's list).
+        let mut dup = ids();
+        dup[1][0] = dup[2][0];
+        assert!(rejects(load(dup, next, dropped())));
+        // A non-ascending list.
+        let mut unsorted = ids();
+        unsorted[1].swap(0, 1);
+        assert!(rejects(load(unsorted, next, dropped())));
+        // A list shorter than its shard's rows.
+        let mut short = ids();
+        short[2].pop();
+        assert!(rejects(load(short, next, dropped())));
+        // An id at the high-water mark.
+        assert!(rejects(load(ids(), next - 1, dropped())));
+        // A dropped id that a shard still holds.
+        let mut held = dropped();
+        held.push((3, 0));
+        assert!(rejects(load(ids(), next, held)));
+        assert!(load(ids(), next, dropped()).is_ok());
     }
 
     #[test]

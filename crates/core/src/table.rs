@@ -665,20 +665,26 @@ pub fn kd_order(table: &FeatureTable) -> Vec<PointId> {
         }
     }
     // Halves keep the range finite for ±f64::MAX rows; the cast saturates.
-    let factor: Vec<f64> = (0..d)
+    // A half-range below `u16::MAX / f64::MAX` (~3.6e-304, subnormal data)
+    // would make the factor +inf, so such a column first scales its
+    // offsets by 2^1022: exact for these tiny values, and it leaves every
+    // other column's keys bit-identical (its scale is 1).
+    let (scale, factor): (Vec<f64>, Vec<f64>) = (0..d)
         .map(|j| {
             let half = 0.5 * hi[j] - 0.5 * lo[j];
-            if half > 0.0 {
-                f64::from(u16::MAX) / half
+            let factor = f64::from(u16::MAX) / half;
+            if half > 0.0 && factor.is_infinite() {
+                let scale = f64::powi(2.0, 1022);
+                (scale, f64::from(u16::MAX) / (half * scale))
             } else {
-                0.0
+                (1.0, if half > 0.0 { factor } else { 0.0 })
             }
         })
-        .collect();
+        .unzip();
     let mut keys = vec![0u16; n * d];
     for (id, row) in table.data.chunks_exact(d).enumerate() {
         for j in 0..d {
-            keys[j * n + id] = ((0.5 * row[j] - 0.5 * lo[j]) * factor[j]) as u16;
+            keys[j * n + id] = ((0.5 * row[j] - 0.5 * lo[j]) * scale[j] * factor[j]) as u16;
         }
     }
     // Partition scratch, one slot longer than any side: every row is
@@ -897,18 +903,19 @@ mod tests {
         assert_eq!(t.columns().segments(2, 2).count(), 0);
     }
 
-    #[test]
-    fn kd_order_tiles_blocks_and_cluster_keeps_rows() {
+    /// A table of pseudo-random rows in `[0, scale)³` and its k-d order,
+    /// checked to be a permutation that tiles space with its blocks.
+    fn tiled(scale: f64) -> (FeatureTable, Vec<PointId>) {
         let mut state = 9u64;
         let mut next = || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64 * 100.0
+            (state >> 11) as f64 / (1u64 << 53) as f64 * scale
         };
         let n = 20 * BLOCK_ROWS + 37;
         let rows: Vec<Vec<f64>> = (0..n).map(|_| vec![next(), next(), next()]).collect();
-        let mut t = FeatureTable::from_rows(3, rows).unwrap();
+        let t = FeatureTable::from_rows(3, rows).unwrap();
         let order = kd_order(&t);
         // A permutation of the ids, ascending inside every block, and a
         // pure function of the rows.
@@ -918,18 +925,28 @@ mod tests {
         assert!(order.chunks(BLOCK_ROWS).all(|b| b.is_sorted()));
         assert_eq!(kd_order(&t.clone()), order);
         // Blocks tile space: their boxes are far smaller than id order's.
+        // Sides are in units of `scale`, so subnormal volumes do not
+        // underflow.
         let volume = |ids: &[PointId]| {
             (0..3)
                 .map(|j| {
                     let v = ids.iter().map(|&id| t.row(id)[j]);
-                    v.clone().fold(f64::MIN, f64::max) - v.fold(f64::MAX, f64::min)
+                    (v.clone().fold(f64::MIN, f64::max) - v.fold(f64::MAX, f64::min)) / scale
                 })
                 .product::<f64>()
         };
         let boxes = |o: &[PointId]| o.chunks(BLOCK_ROWS).map(volume).sum::<f64>();
         let id_order: Vec<PointId> = (0..n as PointId).collect();
-        assert!(boxes(&order) * 20.0 < boxes(&id_order));
+        assert!(boxes(&order) * 20.0 < boxes(&id_order), "scale {scale:e}");
+        (t, order)
+    }
 
+    #[test]
+    fn kd_order_tiles_blocks_and_cluster_keeps_rows() {
+        // Subnormal rows must tile too: their keys stay finite.
+        tiled(1e-310);
+        let (mut t, order) = tiled(100.0);
+        let n = t.len();
         t.set_quant_policy(QuantPolicy::tier(QuantTier::I16));
         t.cluster();
         assert!(t.is_clustered());

@@ -26,9 +26,7 @@
 //!
 //! A segment file starts with a 16-byte header — the 8-byte magic
 //! `PLNRWAL2` plus the **term** (a little-endian u64 fencing token, see
-//! `crate::replicate`) — followed by frames (all integers little-endian).
-//! Legacy `PLNRWAL1` segments (8-byte header, implicit term 0) are still
-//! readable:
+//! `crate::replicate`) — followed by frames (all integers little-endian):
 //!
 //! ```text
 //! | payload_len u32 | lsn u64 | tag u8 | payload | crc64 u64 |
@@ -45,7 +43,7 @@
 //!
 //! ```text
 //! dir/CHECKPOINT                 manifest: generation + LSN watermark (CRC'd, atomically replaced)
-//! dir/snapshot-<gen>.plnr        the PLNRSHD1 snapshot
+//! dir/snapshot-<gen>.plnr        the PLNRSHD2 snapshot
 //! dir/wal/shard-NNNN/wal-<lsn>.log  per-shard segments
 //! ```
 //!
@@ -71,11 +69,9 @@ use crate::{PlanarError, Result};
 pub type Lsn = u64;
 
 const SEGMENT_MAGIC: &[u8; 8] = b"PLNRWAL2";
-const SEGMENT_MAGIC_V1: &[u8; 8] = b"PLNRWAL1";
-/// v2 segment header: magic + term.
+/// Segment header: magic + term.
 const SEGMENT_HEADER_LEN: usize = 16;
 const MANIFEST_MAGIC: &[u8; 8] = b"PLNRCKP2";
-const MANIFEST_MAGIC_V1: &[u8; 8] = b"PLNRCKP1";
 const MANIFEST_FILE: &str = "CHECKPOINT";
 const WAL_SUBDIR: &str = "wal";
 /// `payload_len u32 | lsn u64 | tag u8 | ... | crc64 u64`.
@@ -442,8 +438,7 @@ pub(crate) struct WalScan {
     pub dropped_records: usize,
     /// Torn bytes (a partial frame / unparseable tail) truncated.
     pub torn_bytes: usize,
-    /// Highest replication term stamped into any surviving segment header
-    /// (0 for legacy `PLNRWAL1` segments).
+    /// Highest replication term stamped into any surviving segment header.
     pub term: u64,
     /// All segment files found, in LSN-name order.
     segments: Vec<PathBuf>,
@@ -453,15 +448,13 @@ pub(crate) struct WalScan {
     tail_valid_len: u64,
 }
 
-/// Parse a segment header: `(header_len, term)` for a valid v2 or legacy
-/// v1 header, `None` for a torn or foreign prefix.
-fn segment_header(bytes: &[u8]) -> Option<(usize, u64)> {
+/// Parse a segment header: the term of a valid header (the first
+/// [`SEGMENT_HEADER_LEN`] bytes), `None` for a torn or foreign prefix.
+fn segment_header(bytes: &[u8]) -> Option<u64> {
     if bytes.len() >= SEGMENT_HEADER_LEN && &bytes[..8] == SEGMENT_MAGIC {
-        let term = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes checked"));
-        return Some((SEGMENT_HEADER_LEN, term));
-    }
-    if bytes.len() >= 8 && &bytes[..8] == SEGMENT_MAGIC_V1 {
-        return Some((8, 0));
+        return Some(u64::from_le_bytes(
+            bytes[8..16].try_into().expect("8 bytes checked"),
+        ));
     }
     None
 }
@@ -503,7 +496,7 @@ fn scan_dir(dir: &Path) -> Result<WalScan> {
         if broken {
             // Everything after the first break is dead; count it.
             let body = match segment_header(&bytes) {
-                Some((header_len, _)) => &bytes[header_len..],
+                Some(_) => &bytes[SEGMENT_HEADER_LEN..],
                 None => &bytes[..],
             };
             let (frames, torn) = structural_count(body);
@@ -511,7 +504,7 @@ fn scan_dir(dir: &Path) -> Result<WalScan> {
             scan.torn_bytes += torn;
             continue;
         }
-        let Some((header_len, term)) = segment_header(&bytes) else {
+        let Some(term) = segment_header(&bytes) else {
             // A segment creation torn mid-header; the file carries no
             // usable frames. The *torn* segment is the repair tail
             // (valid length 0, so it gets recreated in place) — earlier
@@ -524,7 +517,7 @@ fn scan_dir(dir: &Path) -> Result<WalScan> {
             continue;
         };
         scan.term = scan.term.max(term);
-        let mut pos = header_len;
+        let mut pos = SEGMENT_HEADER_LEN;
         loop {
             if pos == bytes.len() {
                 break;
@@ -910,12 +903,12 @@ impl WalTailer {
                 self.offset = 0;
             }
             let bytes = fs::read(&segments[idx]).map_err(|e| walio("read tailed segment", e))?;
-            let Some((header_len, term)) = segment_header(&bytes) else {
+            let Some(term) = segment_header(&bytes) else {
                 // Header still being written; retry next poll.
                 return Ok(out);
             };
-            if self.offset < header_len as u64 {
-                self.offset = header_len as u64;
+            if self.offset < SEGMENT_HEADER_LEN as u64 {
+                self.offset = SEGMENT_HEADER_LEN as u64;
             }
             if (bytes.len() as u64) < self.offset {
                 return Err(walerr(
@@ -1487,8 +1480,7 @@ impl Drop for GroupCommitQueue {
 pub(crate) struct Manifest {
     pub(crate) generation: u64,
     pub(crate) watermark: Lsn,
-    /// Replication term (fencing token); 0 on a never-replicated set and
-    /// when reading a legacy `PLNRCKP1` manifest.
+    /// Replication term (fencing token); 0 on a never-replicated set.
     pub(crate) term: u64,
 }
 
@@ -1520,21 +1512,17 @@ pub(crate) fn read_manifest(dir: &Path) -> Result<Manifest> {
             walio("read manifest", e)
         }
     })?;
-    let (body_len, v2) = if bytes.len() == 40 && &bytes[..8] == MANIFEST_MAGIC {
-        (32usize, true)
-    } else if bytes.len() == 32 && &bytes[..8] == MANIFEST_MAGIC_V1 {
-        (24usize, false)
-    } else {
+    if bytes.len() != 40 || &bytes[..8] != MANIFEST_MAGIC {
         return Err(walerr("corrupt CHECKPOINT manifest"));
-    };
-    if crate::frame::open_sealed(&bytes[..body_len + crate::frame::CRC_LEN]).is_none() {
-        return Err(walerr("CHECKPOINT manifest failed its CRC"));
     }
-    let mut buf = Bytes::copy_from_slice(&bytes[8..body_len]);
+    let Some(body) = crate::frame::open_sealed(&bytes) else {
+        return Err(walerr("CHECKPOINT manifest failed its CRC"));
+    };
+    let mut buf = Bytes::copy_from_slice(&body[8..]);
     Ok(Manifest {
         generation: buf.get_u64_le(),
         watermark: buf.get_u64_le(),
-        term: if v2 { buf.get_u64_le() } else { 0 },
+        term: buf.get_u64_le(),
     })
 }
 

@@ -19,7 +19,7 @@
 use planar_core::fault::{Corruption, FaultyIo, IoFault, StdIo, TempDir};
 use planar_core::{
     Domain, ExecutionConfig, FeatureTable, IndexConfig, InequalityQuery, ParameterDomain,
-    PlanarError, PlanarIndexSet, SaveOptions, ServedBy, VecStore,
+    PlanarError, PlanarIndexSet, SaveOptions, ServedBy, ShardConfig, ShardedIndexSet, VecStore,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -58,6 +58,37 @@ fn build(s: &Scenario) -> PlanarIndexSet {
     let domain =
         ParameterDomain::new(vec![Domain::Continuous { lo: 0.1, hi: 10.0 }; s.dim]).unwrap();
     PlanarIndexSet::build(table, domain, IndexConfig::with_budget(s.budget)).unwrap()
+}
+
+/// The scenario's rows in `shards` shards — pilot-key ranges when `range`
+/// holds and the keys give every shard a row, round-robin otherwise —
+/// with the first quarter of the ids deleted and compacted away, so the
+/// snapshot carries dropped ids as well as tombstones.
+fn build_sharded(s: &Scenario, shards: usize, range: bool) -> ShardedIndexSet {
+    let table = FeatureTable::from_rows(s.dim, s.rows.clone()).unwrap();
+    let domain =
+        ParameterDomain::new(vec![Domain::Continuous { lo: 0.1, hi: 10.0 }; s.dim]).unwrap();
+    let shards = shards.min(s.rows.len());
+    let build = |config| {
+        ShardedIndexSet::build(
+            table.clone(),
+            domain.clone(),
+            IndexConfig::with_budget(s.budget),
+            config,
+        )
+    };
+    let built = if range {
+        build(ShardConfig::pilot_key_range(shards)).ok()
+    } else {
+        None
+    };
+    let mut set = built.unwrap_or_else(|| build(ShardConfig::round_robin(shards)).unwrap());
+    for id in 0..s.rows.len() / 4 {
+        set.delete_point(id as u32).unwrap();
+    }
+    set.compact(0.0);
+    set.delete_point(s.rows.len() as u32 - 1).unwrap();
+    set
 }
 
 fn probe_queries(s: &Scenario) -> Vec<InequalityQuery> {
@@ -111,6 +142,43 @@ proptest! {
             let mut rebuilt = recovered;
             rebuilt.rebuild_quarantined();
             prop_assert_eq!(answers(&rebuilt, &qs), want);
+        }
+    }
+
+    /// Contract 1 for the sharded manifest: arbitrary single-site
+    /// corruption of a `ShardedIndexSet` snapshot never panics either
+    /// loader, and whatever `from_bytes_recover` salvages answers exactly
+    /// like the writer.
+    #[test]
+    fn corrupted_sharded_snapshots_never_panic_and_recovery_stays_exact(
+        s in scenario(),
+        shards in 1..4usize,
+        range in any::<bool>(),
+        kind in 0..3u8,
+        offset_seed in any::<u64>(),
+        bit in 0..8u8,
+        len_seed in 0..64usize,
+    ) {
+        let set = build_sharded(&s, shards, range);
+        let qs = probe_queries(&s);
+        let want: Vec<_> = qs.iter().map(|q| set.query(q).unwrap().matches).collect();
+
+        let mut bytes = set.to_bytes().to_vec();
+        let offset = (offset_seed as usize) % bytes.len();
+        let corruption = match kind {
+            0 => Corruption::BitFlip { offset, bit },
+            1 => Corruption::TruncateAt(offset),
+            _ => Corruption::ZeroRange { offset, len: len_seed },
+        };
+        corruption.apply(&mut bytes);
+
+        let _ = ShardedIndexSet::<VecStore>::from_bytes(&bytes);
+        if let Ok((recovered, report)) = ShardedIndexSet::<VecStore>::from_bytes_recover(&bytes) {
+            prop_assert_eq!(report.shards.len(), set.num_shards());
+            let mut rebuilt = recovered;
+            rebuilt.rebuild_quarantined();
+            let got: Vec<_> = qs.iter().map(|q| rebuilt.query(q).unwrap().matches).collect();
+            prop_assert_eq!(got, want);
         }
     }
 
