@@ -1,17 +1,16 @@
 //! Criterion: quantized classification kernels — the exact `f64` fused
-//! compare vs the `i16` and `i8` quantized classifiers — at feature
+//! compare vs the `i16` quantized classifier — at feature
 //! dimensionalities d' ∈ {4, 16, 64}.
 //!
-//! The quantized kernels scan 4× (i16) / 8× (i8) less memory per lane
-//! than the `f64` path, so this measures the filter tier's raw bandwidth
-//! advantage. Portable and AVX2 variants classify bit-identically by
+//! The quantized kernel scans 4× less memory per lane than the `f64`
+//! path, so this measures the filter tier's raw bandwidth advantage. Portable and AVX2 variants classify bit-identically by
 //! contract (`planar_geom::quant`); set `PLANAR_FORCE_PORTABLE=1` to
 //! measure the portable fallback on AVX2 hardware.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use planar_core::{Cmp, FeatureTable, InequalityQuery, QuantTier, QuantizedColumns};
+use planar_core::{Cmp, FeatureTable, InequalityQuery, QuantizedColumns};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
-use planar_geom::{classify_block_i16, classify_block_i8, dot_cmp_block, quant_kernel_name};
+use planar_geom::{classify_block_i16, dot_cmp_block, quant_kernel_name};
 use std::hint::black_box;
 
 const N: usize = 65_536;
@@ -60,41 +59,26 @@ fn pass_quant(table: &FeatureTable, q: &InequalityQuery, mirror: &QuantizedColum
             bias += aj * offset;
         }
         let t = (-bias) as f32;
-        let (below, above) = match (mirror.codes_i8(), mirror.codes_i16()) {
-            (Some(codes), _) => {
-                classify_block_i8(&w, &codes[b * dim * stride..], stride, lanes, t, t)
-            }
-            (_, Some(codes)) => {
-                classify_block_i16(&w, &codes[b * dim * stride..], stride, lanes, t, t)
-            }
-            _ => unreachable!("mirror always holds one code plane"),
-        };
+        let codes = &mirror.codes()[b * dim * stride..];
+        let (below, above) = classify_block_i16(&w, codes, stride, lanes, t, t);
         settled += (below | above).count_ones() as usize;
     }
     settled
 }
 
 fn bench_quant_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group(format!(
-        "quant_kernels/{}+{}",
-        quant_kernel_name(false),
-        quant_kernel_name(true)
-    ));
+    let mut group = c.benchmark_group(format!("quant_kernels/{}", quant_kernel_name()));
     group.sample_size(20);
     group.throughput(Throughput::Elements(N as u64));
     for dim in DIMS {
         let table = table_for(dim);
         let q = query_for(dim);
-        let i8_mirror = QuantizedColumns::encode(table.columns(), QuantTier::I8, 1.0);
-        let i16_mirror = QuantizedColumns::encode(table.columns(), QuantTier::I16, 1.0);
+        let i16_mirror = QuantizedColumns::encode(table.columns());
         group.bench_function(BenchmarkId::new("f64_exact", dim), |b| {
             b.iter(|| black_box(pass_f64(&table, &q)))
         });
         group.bench_function(BenchmarkId::new("i16_classify", dim), |b| {
             b.iter(|| black_box(pass_quant(&table, &q, &i16_mirror)))
-        });
-        group.bench_function(BenchmarkId::new("i8_classify", dim), |b| {
-            b.iter(|| black_box(pass_quant(&table, &q, &i8_mirror)))
         });
     }
     group.finish();

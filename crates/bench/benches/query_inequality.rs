@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use planar_core::{
-    IndexConfig, PlanarIndexSet, QuantPolicy, QuantTier, SeqScan, ServedBy, SingleIndex, VecStore,
+    IndexConfig, PlanarIndexSet, QuantTier, SeqScan, ServedBy, SingleIndex, VecStore,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
@@ -84,7 +84,7 @@ fn bench_block_layout(c: &mut Criterion) {
         })
         .collect();
     let mut id_order = table;
-    id_order.set_quant_policy(QuantPolicy::tier(QuantTier::I16));
+    id_order.set_quant_tier(QuantTier::I16);
     let mut kd_order = id_order.clone();
     kd_order.cluster();
     for (name, rows) in [("id_order", &id_order), ("kd_order", &kd_order)] {

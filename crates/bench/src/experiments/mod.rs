@@ -168,7 +168,7 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             name: "quant",
             description:
-                "quantized filter tier: i8/i16 filter-pass speedup, end-to-end and top-k identity, band vs slack, per-shard autotuner (BENCH_quant.json)",
+                "quantized filter tier: i16 filter-pass speedup, end-to-end and top-k identity (BENCH_quant.json)",
             run: quant::quant,
         },
         Experiment {

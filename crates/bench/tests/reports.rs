@@ -169,20 +169,12 @@ fn quant_report() {
             num(row, "speedup_i16"),
             num(row, "f64_ms") / num(row, "i16_ms")
         );
-        assert_eq!(
-            num(row, "speedup_i8"),
-            num(row, "f64_ms") / num(row, "i8_ms")
-        );
     }
     for row in rows(&doc, "end_to_end") {
         assert!(is_true(row, "answers_identical"));
         assert_eq!(
             num(row, "speedup_i16"),
             num(row, "off_ms") / num(row, "i16_ms")
-        );
-        assert_eq!(
-            num(row, "speedup_i8"),
-            num(row, "off_ms") / num(row, "i8_ms")
         );
     }
     let top_k = rows(&doc, "top_k");
@@ -193,17 +185,7 @@ fn quant_report() {
             num(row, "speedup_i16"),
             num(row, "off_ms") / num(row, "i16_ms")
         );
-        assert_eq!(
-            num(row, "speedup_i8"),
-            num(row, "off_ms") / num(row, "i8_ms")
-        );
     }
-    assert_eq!(rows(&doc, "band_vs_slack").len(), 3);
-    assert!(is_true(&doc, "autotuner.answers_identical"));
-    assert_eq!(
-        rows(&doc, "autotuner.per_shard").len() as f64,
-        num(&doc, "autotuner.shards")
-    );
 }
 
 #[test]

@@ -147,10 +147,8 @@ impl<S: KeyStore> AdaptivePlanarIndexSet<S> {
         self.rebuilds += 1;
         self.since_rebuild = 0;
         self.pruning_window.clear();
-        // The workload shifted enough to justify new index geometry — let
-        // the quantization autotuner re-evaluate over the same evidence.
-        self.set
-            .retune_quantization(&crate::quant::QuantAutotuneConfig::default());
+        // A rebuild is a set-up point: apply the quantization size rule.
+        self.set.retune_quantization();
         true
     }
 

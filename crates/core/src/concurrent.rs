@@ -64,7 +64,7 @@ use std::time::Instant;
 
 use crate::fault::StdIo;
 use crate::persist::{atomic_save, SaveOptions, ShardedRecoveryReport};
-use crate::quant::{QuantAutotuneConfig, QuantPolicy};
+use crate::quant::{QuantAutotuneConfig, QuantTier};
 use crate::shard::ShardedIndexSet;
 use crate::store::{KeyStore, VecStore};
 use crate::table::PointId;
@@ -356,13 +356,6 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
         Ok(out)
     }
 
-    /// Fold reader observations from the published epoch into the staged
-    /// quant tuners, so a retune (explicit, or inside compaction or a
-    /// checkpoint) sees the workload.
-    pub(crate) fn adopt_readers(&self, staged: &ShardedIndexSet<S>) {
-        staged.adopt_quant_window(&self.snapshot());
-    }
-
     /// Pin the current epoch for reading. Queries on the snapshot are the
     /// plain [`ShardedIndexSet`] API (`query`, `query_batch`,
     /// `top_k_batch`, …) and run with no synchronization whatsoever.
@@ -423,35 +416,33 @@ impl<S: KeyStore + Clone> ConcurrentShardedIndexSet<S> {
     /// [`ShardedIndexSet::compact`].
     pub fn compact(&self, threshold: f64) -> Vec<usize> {
         let mut w = self.lock_writer();
-        self.adopt_readers(&w.set);
         let compacted = w.set.compact(threshold);
         self.publish_staged(&mut w);
         compacted
     }
 
-    /// Per-shard quantization policies on the staged writer state (the
-    /// next publish carries them to readers).
-    pub fn quant_policies(&self) -> Vec<QuantPolicy> {
-        self.lock_writer().set.quant_policies()
+    /// Per-shard quantization tiers on the staged writer state (the next
+    /// publish carries them to readers).
+    pub fn quant_tiers(&self) -> Vec<QuantTier> {
+        self.lock_writer().set.quant_tiers()
     }
 
-    /// Install one quantization policy on every shard; always publishes
-    /// so readers get the re-encoded mirror immediately.
-    pub fn set_quant_policy(&self, policy: QuantPolicy) {
+    /// Switch the quantized tier on or off on every shard; always
+    /// publishes so readers get the encoded mirror immediately.
+    pub fn set_quant_tier(&self, tier: QuantTier) {
         let mut w = self.lock_writer();
-        w.set.set_quant_policy(policy);
+        w.set.set_quant_tier(tier);
         self.publish_staged(&mut w);
     }
 
-    /// Fold reader observations into each shard's tuner, retune every
-    /// shard (see [`crate::quant::retune`]), and publish. Returns the
-    /// policy now active per shard.
-    pub fn retune_quantization(&self, cfg: &QuantAutotuneConfig) -> Vec<QuantPolicy> {
+    /// Apply the size rule to every shard (see
+    /// [`ShardedIndexSet::retune_quantization`]) and publish. Returns the
+    /// tier now active per shard.
+    pub fn retune_quantization(&self) -> Vec<QuantTier> {
         let mut w = self.lock_writer();
-        self.adopt_readers(&w.set);
-        let policies = w.set.retune_quantization(cfg);
+        let tiers = w.set.retune_quantization(&QuantAutotuneConfig::default());
         self.publish_staged(&mut w);
-        policies
+        tiers
     }
 
     /// Publish the staged state now, regardless of the dirty counter.
@@ -1011,7 +1002,6 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
             let lsn = self.log_everywhere(|_| WalRecord::Compact {
                 threshold: Some(threshold),
             })?;
-            self.engine.adopt_readers(set);
             Ok((set.compact(threshold), lsn))
         })?;
         for shard in 0..self.queues.len() {
@@ -1047,12 +1037,10 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
         self.engine.write(Publish::Cadence(0), |set| {
             let watermark = self.log_everywhere(|lsn| WalRecord::Checkpoint { watermark: lsn })?;
             self.sync()?;
-            // Checkpoint cadence doubles as the autotuner's retune point;
-            // adopt reader observations from the published epoch first,
-            // and the snapshot below then carries the freshly chosen tier.
-            // The policy is derived state, so it needs no WAL record:
-            // replay without it yields identical answers, just unfiltered.
-            self.engine.adopt_readers(set);
+            // A checkpoint applies the quantization size rule, and the
+            // snapshot below carries the tier. The tier is derived state,
+            // so it needs no WAL record: replay without it yields
+            // identical answers, just unfiltered.
             set.retune_quantization(&QuantAutotuneConfig::default());
             let mut log = self.lock_log();
             let generation = log.generation + 1;
@@ -1074,17 +1062,17 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
         })
     }
 
-    /// Install one quantization policy on every shard; always publishes.
-    /// Derived state — not WAL-logged, so a crash before the next
-    /// checkpoint recovers with the tier from the last snapshot (answers
-    /// are identical under any tier by contract).
-    pub fn set_quant_policy(&self, policy: QuantPolicy) {
-        self.engine.set_quant_policy(policy);
+    /// Switch the quantized tier on or off on every shard; always
+    /// publishes. Derived state — not WAL-logged, so a crash before the
+    /// next checkpoint recovers with the tier from the last snapshot
+    /// (answers are identical under any tier by contract).
+    pub fn set_quant_tier(&self, tier: QuantTier) {
+        self.engine.set_quant_tier(tier);
     }
 
-    /// Per-shard quantization policies on the staged writer state.
-    pub fn quant_policies(&self) -> Vec<QuantPolicy> {
-        self.engine.quant_policies()
+    /// Per-shard quantization tiers on the staged writer state.
+    pub fn quant_tiers(&self) -> Vec<QuantTier> {
+        self.engine.quant_tiers()
     }
 
     /// Publish the staged state now. Returns the published epoch.

@@ -180,7 +180,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             // conjunction. Survivors are checked exactly (skipping the
             // first constraint for lanes the filter already proved), so
             // answers match the plain scan bit for bit.
-            quant.tier = qcols.tier();
+            quant.tier = crate::quant::QuantTier::I16;
             let c0 = &q.constraints()[0];
             let mut filter = crate::quant::QuantFilter::new(c0, qcols);
             let table = self.table();

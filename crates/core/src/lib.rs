@@ -132,8 +132,8 @@ pub use multi::{IndexConfig, PlanarIndexSet, QueryOutcome, TopKOutcome};
 pub use parallel::{ExecutionConfig, QueryScratch};
 pub use persist::{RecoveryReport, SaveOptions, ShardedRecoveryReport};
 pub use quant::{
-    retune, BoxClass, QuantAutotuneConfig, QuantFilterStats, QuantObservations, QuantPolicy,
-    QuantTier, QuantTuner, QuantizedColumns,
+    tier_for_rows, BoxClass, QuantAutotuneConfig, QuantFilterStats, QuantTier, QuantizedColumns,
+    QUANT_MIN_ROWS,
 };
 pub use query::{Cmp, InequalityQuery, InvalidQueryReason, TopKQuery};
 pub use replicate::{

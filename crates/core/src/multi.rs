@@ -11,7 +11,7 @@ use crate::domain::ParameterDomain;
 use crate::health::{HealthReport, IndexHealth};
 use crate::index::{IndexView, SingleIndex, TopKStats};
 use crate::parallel::{self, ExecutionConfig, QueryScratch};
-use crate::quant::QuantFilterStats;
+use crate::quant::{QuantFilterStats, QuantTier};
 use crate::query::{Cmp, InequalityQuery, TopKQuery};
 use crate::scan::TopKBuffer;
 use crate::selection::{angle_score, argmin_by_score_filtered, stretch_score, SelectionStrategy};
@@ -161,9 +161,6 @@ pub struct PlanarIndexSet<S: KeyStore = VecStore> {
     /// not be recovered from a snapshot; the planner skips it until
     /// [`Self::rebuild_quarantined`] restores it.
     quarantined: Vec<bool>,
-    /// Workload counters feeding the quantization autotuner (see
-    /// [`crate::quant::retune`]); recorded from `&self` query paths.
-    quant_tuner: crate::quant::QuantTuner,
 }
 
 impl<S: KeyStore> PlanarIndexSet<S> {
@@ -344,7 +341,6 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             strategy,
             n_live: n,
             quarantined: vec![false; budget],
-            quant_tuner: crate::quant::QuantTuner::default(),
         }
     }
 
@@ -405,7 +401,6 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             strategy,
             n_live,
             quarantined,
-            quant_tuner: crate::quant::QuantTuner::default(),
         })
     }
 
@@ -463,59 +458,31 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         self.strategy = strategy;
     }
 
-    /// The active quantization policy (tier + error-bound slack) of the
-    /// underlying table.
-    pub fn quant_policy(&self) -> crate::quant::QuantPolicy {
-        self.table.quant_policy()
+    /// The active quantization tier of the underlying table.
+    pub fn quant_tier(&self) -> QuantTier {
+        self.table.quant_tier()
     }
 
-    /// Install a quantization policy, (re-)encoding the table's quantized
-    /// mirror as needed (`O(n · d')` on a tier or slack change) and
-    /// resetting the autotuner's observation window. Answers are
-    /// bit-identical under every policy — the tier only changes how many
+    /// Switch the quantized tier on or off explicitly, encoding the
+    /// table's mirror when it turns on (`O(n · d')`). Answers are
+    /// bit-identical either way — the tier only changes how many
     /// candidates the filter pass can settle without full-precision work.
-    pub fn set_quant_policy(&mut self, policy: crate::quant::QuantPolicy) {
-        self.table.set_quant_policy(policy);
-        self.quant_tuner.reset_window();
+    /// The next [`Self::retune_quantization`] (or compaction) applies the
+    /// size rule again.
+    pub fn set_quant_tier(&mut self, tier: QuantTier) {
+        self.table.set_quant_tier(tier);
     }
 
-    /// The autotuner's current observation window (counters since the last
-    /// policy change).
-    pub fn quant_observations(&self) -> crate::quant::QuantObservations {
-        self.quant_tuner.observations()
-    }
-
-    /// Adopt another instance's tuner window (see
-    /// [`crate::quant::QuantTuner::adopt`]). The concurrent engine calls
-    /// this (per shard) with the published epoch's clone — where reader observations
-    /// actually land — before retuning the staged writer set.
-    pub fn adopt_quant_window(&self, other: &Self) {
-        self.quant_tuner.adopt(&other.quant_tuner);
-    }
-
-    /// Re-evaluate the quantization policy from the observed workload (see
-    /// [`crate::quant::retune`]), apply the result, and return it. Called
-    /// automatically by [`Self::compact`]; callers with checkpoint cadence
-    /// (e.g. the durable engine) invoke it there too.
-    pub fn retune_quantization(
-        &mut self,
-        cfg: &crate::quant::QuantAutotuneConfig,
-    ) -> crate::quant::QuantPolicy {
-        let current = self.table.quant_policy();
-        let obs = self.quant_tuner.observations();
-        let next = crate::quant::retune(current, self.table.len(), &obs, cfg);
-        if next.tier == crate::quant::QuantTier::Off
-            && current.tier != crate::quant::QuantTier::Off
-            && self.table.len() >= cfg.min_rows
-        {
-            // The tuner turned the tier off for band width, not table
-            // size: remember that, so it stays off until the data changes
-            // (compaction clears the flag).
-            self.quant_tuner.mark_demoted();
-        }
-        self.table.set_quant_policy(next);
-        self.quant_tuner.reset_window();
-        next
+    /// Apply the size rule ([`crate::quant::tier_for_rows`]) to the table
+    /// and return the tier now active: `I16` from
+    /// [`crate::quant::QUANT_MIN_ROWS`] rows on, else `Off`. Encodes the
+    /// mirror only when the tier turns on. Called by [`Self::compact`];
+    /// callers with checkpoint cadence (e.g. the durable engine) invoke it
+    /// there too.
+    pub fn retune_quantization(&mut self) -> QuantTier {
+        let tier = crate::quant::tier_for_rows(self.table.len());
+        self.table.set_quant_tier(tier);
+        tier
     }
 
     /// Heap bytes owned by the whole structure (table + all indices) — the
@@ -780,7 +747,6 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                     exec,
                     scratch,
                 );
-                self.quant_tuner.observe(&stats.quant);
                 QueryOutcome {
                     matches,
                     served_by: ServedBy::Index(pos),
@@ -804,8 +770,8 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     /// Every live row satisfying `q`, ascending, from a scan of the live
     /// rows' bitmap through the blocked kernels — so the quantized tier
     /// (when active) settles whole blocks by one box sweep and
-    /// wholesale-settles most other rows on the scan paths too, and the
-    /// autotuner observes it. The kernel mask is bit-identical to the
+    /// wholesale-settles most other rows on the scan paths too. The kernel
+    /// mask is bit-identical to the
     /// per-row `q.satisfies` predicate. Returns the matches, the filter
     /// counters and the rows verified.
     fn scan_live(&self, q: &InequalityQuery) -> (Vec<PointId>, QuantFilterStats, usize) {
@@ -824,7 +790,6 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             &mut found,
             &mut matches,
         );
-        self.quant_tuner.observe(&quant);
         (matches, quant, verified)
     }
 
@@ -975,7 +940,6 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 };
                 let (neighbors, stats) =
                     self.indices[pos].top_k_with(&eff_q, &nq, shift, &self.table, exec, scratch);
-                self.quant_tuner.observe(&stats.quant);
                 TopKOutcome {
                     neighbors,
                     served_by: ServedBy::Index(pos),
@@ -1208,14 +1172,10 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 remap[id as usize] = Some(new_id);
             }
         }
-        // Carry the quantization policy onto the fresh table (the mirror
-        // re-encodes over the compacted blocks), then let the autotuner
-        // re-evaluate: the data changed, so a previous for-band-width
-        // demotion no longer binds.
-        let policy = self.table.quant_policy();
+        // The fresh table carries no mirror; the size rule below encodes
+        // one over the compacted blocks when the table keeps enough rows.
         fresh.cluster();
         self.table = fresh;
-        self.table.set_quant_policy(policy);
         self.live = live_words(&self.table, &[]);
         self.n_live = self.table.len();
         for idx in &mut self.indices {
@@ -1224,8 +1184,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         for flag in &mut self.quarantined {
             *flag = false;
         }
-        self.quant_tuner.clear_demotion();
-        self.retune_quantization(&crate::quant::QuantAutotuneConfig::default());
+        self.retune_quantization();
         remap
     }
 

@@ -49,7 +49,7 @@
 //! closures' lifetimes — and no extra dependency. [`threads_spawned`]
 //! counts the threads spawned.
 
-use crate::quant::{BlockClass, BoxClass, QuantFilter, QuantFilterStats};
+use crate::quant::{BlockClass, BoxClass, QuantFilter, QuantFilterStats, QuantTier};
 use crate::query::{Cmp, InequalityQuery};
 use crate::table::{ColSegment, FeatureTable, PointId};
 use crate::{PlanarError, Result};
@@ -516,7 +516,7 @@ pub(crate) fn verify_mask_blocked(
     let mut stats = QuantFilterStats::default();
     let mut verified = 0;
     let mut filter = table.quant().map(|q| {
-        stats.tier = q.tier();
+        stats.tier = QuantTier::I16;
         QuantFilter::new(query, q)
     });
     for (i, &cand) in words.cand.iter().enumerate() {
@@ -542,9 +542,12 @@ pub(crate) fn verify_mask_blocked(
                 } else if lanes >= QUANT_MIN_SEGMENT_LANES {
                     dense_block_mask(query, table, w, cand, filter.as_mut(), &mut stats)
                 } else {
-                    // Too few lanes to amortize a classify dispatch:
-                    // counting them as fallback tells the autotuner the
-                    // filter isn't engaging.
+                    // Too few lanes to amortize a classify dispatch, so
+                    // they are verified row by row. With the tier on they
+                    // still count as filter lanes settled by the fallback:
+                    // `lanes` then equals the lanes verified, and the
+                    // fallback share shows how much of the interval the
+                    // classifier never sees.
                     if filter.is_some() {
                         stats.lanes += lanes;
                         stats.fallback += lanes;
@@ -725,7 +728,7 @@ pub(crate) fn shard_plan(exec: &ExecutionConfig, shards: usize) -> (usize, Execu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::{QuantPolicy, QuantTier};
+    use crate::quant::QuantTier;
     use crate::query::{Cmp, TopKQuery};
 
     fn table(n: usize) -> FeatureTable {
@@ -846,7 +849,7 @@ mod tests {
     #[test]
     fn quant_lanes_count_candidate_lanes_only() {
         let mut t = table(1000);
-        t.set_quant_policy(QuantPolicy::tier(QuantTier::I16));
+        t.set_quant_tier(QuantTier::I16);
         // ⟨(1, 1), row i⟩ = 250 + i/4: rows up to 500 satisfy, so the blocks
         // around row 500 straddle the hyperplane and the rest are settled
         // by their box.
@@ -892,7 +895,7 @@ mod tests {
         // threshold inside block 3 (dots −16 to 31.25) leaves exactly that
         // block mixed.
         let mut t = table(640);
-        t.set_quant_policy(QuantPolicy::tier(QuantTier::I8));
+        t.set_quant_tier(QuantTier::I16);
         let q = InequalityQuery::new(vec![1.0, -1.0], Cmp::Geq, 10.0).unwrap();
         let live = crate::multi::live_words(&t, &[]);
         let mut boxes = Vec::new();
@@ -921,7 +924,7 @@ mod tests {
         // there are no boxes.
         assert_eq!(sweep(&q, &t, &live, 0, 10, &mut boxes), None);
         assert!(boxes.is_empty());
-        t.set_quant_policy(QuantPolicy::off());
+        t.set_quant_tier(QuantTier::Off);
         assert_eq!(sweep(&q, &t, &live, 0, 640, &mut boxes), None);
         assert!(boxes.is_empty());
     }
@@ -930,7 +933,7 @@ mod tests {
     fn parallel_verification_is_identical_to_serial() {
         for tier in [QuantTier::Off, QuantTier::I16] {
             let mut t = table(2000);
-            t.set_quant_policy(QuantPolicy::tier(tier));
+            t.set_quant_tier(tier);
             let q = InequalityQuery::new(vec![1.0, 1.0], Cmp::Leq, 600.0).unwrap();
             let ids: Vec<PointId> = (0..2000u32).filter(|i| i % 7 != 3).collect();
             let words = bitmap(&t, &ids);
@@ -959,7 +962,7 @@ mod tests {
             crate::index::SingleIndex::<crate::store::VecStore>::build(&t, &norm, vec![2.0, 1.0])
                 .unwrap();
         for tier in [QuantTier::Off, QuantTier::I16] {
-            t.set_quant_policy(QuantPolicy::tier(tier));
+            t.set_quant_tier(tier);
             for cmp in [Cmp::Leq, Cmp::Geq] {
                 let q =
                     TopKQuery::new(InequalityQuery::new(vec![1.0, 1.0], cmp, 700.0).unwrap(), 7)

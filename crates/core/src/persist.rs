@@ -23,8 +23,8 @@
 //!     normals: count·dim f64
 //!     quarantine flags: count bytes (0/1)
 //!     index section lengths: count u64
-//!     quantization policy (only when flags bit 0x1): tier tag u8 | slack f64
-//! crc64 of the core section
+//! crc64 of flags | core_len | core section
+//! (flags bit 0x1: the set carries the `I16` quantized tier)
 //! per index i: section of length lens[i] —
 //!     entry count u64 | ids u32… (in key order) | crc64 of the section
 //!     minus its trailing crc
@@ -36,9 +36,9 @@
 //! CRC-framed section, so a flipped bit or torn tail corrupts **one index**,
 //! not the file: [`PlanarIndexSet::from_bytes_recover`] quarantines the bad
 //! section(s) and [`PlanarIndexSet::load_or_recover`] rebuilds them from the
-//! (intact) core. The preamble is the only part no CRC covers: a wrong
-//! magic is refused, a wrong `core_len` fails the core's CRC, and a flag
-//! bit other than 0x1 is refused, so no byte of a snapshot goes unchecked.
+//! (intact) core. The core's CRC also covers the flags word and `core_len`
+//! before it, and the magic is compared exactly, so no byte of a snapshot
+//! goes unchecked; a flag bit other than 0x1 is refused before the CRC.
 //!
 //! Each format has exactly one reader, for the version its writer
 //! produces; a file of any other version is refused by its magic.
@@ -56,7 +56,7 @@
 use crate::domain::{Domain, ParameterDomain};
 use crate::fault::{SnapshotIo, StdIo};
 use crate::multi::PlanarIndexSet;
-use crate::quant::{QuantPolicy, QuantTier};
+use crate::quant::QuantTier;
 use crate::selection::SelectionStrategy;
 use crate::shard::{Partitioner, ShardedIndexSet};
 use crate::store::KeyStore;
@@ -73,10 +73,10 @@ const MAGIC: &[u8; 8] = b"PLNRIDX3";
 const MAGIC_SHARD: &[u8; 8] = b"PLNRSHD2";
 /// magic + flags + core_len.
 const PREAMBLE: usize = 8 + 4 + 8;
-/// Flags bit: the CRC-protected core ends with a quantization policy
-/// (tier tag `u8` + slack `f64`). Snapshots of sets with the tier off
-/// clear the bit and omit the bytes. No other bit is defined.
-const FLAG_QUANT_POLICY: u32 = 0x1;
+/// Flags bit: the set carries the `I16` quantized tier (the bit is the
+/// whole record; the mirror is re-encoded from the rows on load).
+/// Snapshots of sets with the tier off clear it. No other bit is defined.
+const FLAG_QUANT_I16: u32 = 0x1;
 
 /// CRC-64/XZ for integrity checking — the shared framing checksum of
 /// [`crate::frame`], re-exported for this module's call sites.
@@ -288,10 +288,9 @@ struct CoreParts {
     normals: Vec<Vec<f64>>,
     quarantined: Vec<bool>,
     section_lens: Vec<usize>,
-    quant: QuantPolicy,
 }
 
-fn parse_core(core: &[u8], flags: u32) -> Result<CoreParts> {
+fn parse_core(core: &[u8]) -> Result<CoreParts> {
     let mut buf = Bytes::copy_from_slice(core);
     need(&buf, 12, "core header")?;
     let dim = buf.get_u32_le() as usize;
@@ -353,18 +352,6 @@ fn parse_core(core: &[u8], flags: u32) -> Result<CoreParts> {
         let len = buf.get_u64_le();
         section_lens.push(usize::try_from(len).map_err(|_| corrupt("section length overflows"))?);
     }
-    let quant = if flags & FLAG_QUANT_POLICY != 0 {
-        need(&buf, 9, "quantization policy")?;
-        let tier = QuantTier::from_tag(buf.get_u8())
-            .ok_or_else(|| corrupt("unknown quantization tier tag"))?;
-        let slack = buf.get_f64_le();
-        if !(slack.is_finite() && slack >= 1.0) {
-            return Err(corrupt("quantization slack must be finite and >= 1"));
-        }
-        QuantPolicy { tier, slack }
-    } else {
-        QuantPolicy::off()
-    };
     if buf.has_remaining() {
         return Err(corrupt("trailing bytes in core section"));
     }
@@ -376,7 +363,6 @@ fn parse_core(core: &[u8], flags: u32) -> Result<CoreParts> {
         normals,
         quarantined,
         section_lens,
-        quant,
     })
 }
 
@@ -400,18 +386,20 @@ fn parse_index_section(section: &[u8]) -> Result<Vec<u32>> {
 }
 
 /// Write the sealed head both snapshot formats share:
-/// `magic | flags u32 | core_len u64 | core | crc64 of the core`.
+/// `magic | flags u32 | core_len u64 | core | crc64`, the CRC covering
+/// everything after the magic.
 fn put_head(buf: &mut BytesMut, magic: &[u8; 8], flags: u32, core: &[u8]) {
     buf.put_slice(magic);
+    let sealed = buf.len();
     buf.put_u32_le(flags);
     buf.put_u64_le(core.len() as u64);
     buf.put_slice(core);
-    buf.put_u64_le(crc64(core));
+    buf.put_u64_le(crc64(&buf[sealed..]));
 }
 
 /// Open the head [`put_head`] writes: check the magic, refuse any flag bit
-/// outside `known_flags`, and verify the core's CRC. Returns the flags,
-/// the core, and the offset just past its seal.
+/// outside `known_flags`, and verify the CRC over flags, `core_len` and
+/// core. Returns the flags, the core, and the offset just past its seal.
 fn open_head<'a>(
     data: &'a [u8],
     magic: &[u8; 8],
@@ -435,9 +423,9 @@ fn open_head<'a>(
         .ok()
         .and_then(|len| crate::frame::sealed_end(PREAMBLE, len, data.len()))
         .ok_or_else(|| corrupt("truncated core section"))?;
-    let core = crate::frame::open_sealed(&data[PREAMBLE..crc_end])
+    let sealed = crate::frame::open_sealed(&data[8..crc_end])
         .ok_or_else(|| corrupt("core section checksum mismatch"))?;
-    Ok((flags, core, crc_end))
+    Ok((flags, &sealed[PREAMBLE - 8..], crc_end))
 }
 
 /// Load a `PLNRIDX3` snapshot: parse the core strictly, then handle each
@@ -447,8 +435,8 @@ fn load_sectioned<S: KeyStore>(
     data: &[u8],
     recover: bool,
 ) -> Result<(PlanarIndexSet<S>, RecoveryReport)> {
-    let (flags, core, crc_end) = open_head(data, MAGIC, FLAG_QUANT_POLICY)?;
-    let parts = parse_core(core, flags)?;
+    let (flags, core, crc_end) = open_head(data, MAGIC, FLAG_QUANT_I16)?;
+    let parts = parse_core(core)?;
 
     let mut report = RecoveryReport {
         total_indices: parts.normals.len(),
@@ -501,11 +489,11 @@ fn load_sectioned<S: KeyStore>(
         id_lists,
         quarantined,
     )?;
-    if parts.quant.tier != QuantTier::Off {
+    if flags & FLAG_QUANT_I16 != 0 {
         // Re-encode the quantized mirror from the freshly parsed rows —
-        // only the policy is persisted, never the codes, so a bit flip in
+        // only the tier is persisted, never the codes, so a bit flip in
         // the mirror can't survive a round trip.
-        set.set_quant_policy(parts.quant);
+        set.set_quant_tier(QuantTier::I16);
     }
     Ok((set, report))
 }
@@ -560,13 +548,10 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         for sec in &sections {
             core.put_u64_le(sec.len() as u64);
         }
-        let policy = self.quant_policy();
-        let mut flags = 0u32;
-        if policy.tier != QuantTier::Off {
-            flags |= FLAG_QUANT_POLICY;
-            core.put_u8(policy.tier.tag());
-            core.put_f64_le(policy.slack);
-        }
+        let flags = match self.quant_tier() {
+            QuantTier::Off => 0,
+            QuantTier::I16 => FLAG_QUANT_I16,
+        };
 
         let total: usize =
             PREAMBLE + core.len() + 8 + sections.iter().map(|s| s.len()).sum::<usize>();
@@ -684,7 +669,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
 //     per shard: rows u64 | its global ids, ascending: rows·u32
 //     dropped count u64 | per dropped id: global u32, shard u32
 //     per shard: section length u64
-// crc64 of the core section
+// crc64 of flags | core_len | core section
 // per shard s: a PLNRIDX3 snapshot of the recorded length, unframed
 // ```
 //
@@ -692,8 +677,8 @@ impl<S: KeyStore> PlanarIndexSet<S> {
 // global ids, the high-water mark, and the ids compactions dropped — so a
 // load adopts them as stored. An id below `next_global` that no shard
 // holds and that is not dropped is a WAL-replay gap. Every byte is under
-// exactly one seal: the manifest core under its CRC, each shard's bytes
-// under their own PLNRIDX3 core and index-section CRCs, and neither
+// exactly one seal: the manifest head under its CRC, each shard's bytes
+// under their own PLNRIDX3 head and index-section CRCs, and neither
 // preamble accepts an unknown flag bit. Recovery re-enters
 // [`PlanarIndexSet::from_bytes_recover`] per shard and loses *at most the
 // damaged index sections of the damaged shard*. A shard whose own core
@@ -1112,11 +1097,9 @@ mod tests {
         // Patch n (core offset 4) to an absurd value and re-seal the core
         // CRC, so the defensive length check — not the checksum — must
         // reject it.
-        let core_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
         let mut bad = bytes.clone();
         bad[PREAMBLE + 4..PREAMBLE + 12].copy_from_slice(&u64::MAX.to_le_bytes());
-        let crc = crc64(&bad[PREAMBLE..PREAMBLE + core_len]);
-        bad[PREAMBLE + core_len..PREAMBLE + core_len + 8].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut bad);
         let err = PlanarIndexSet::<VecStore>::from_bytes(&bad).unwrap_err();
         assert!(matches!(err, PlanarError::Persist(_)), "{err:?}");
     }
@@ -1237,50 +1220,73 @@ mod tests {
         assert_eq!(loaded.quarantined_positions(), vec![1]);
     }
 
+    /// Re-seal the head of a `PLNRIDX3` snapshot after a test edited its
+    /// flags or core, so only the parse can object.
+    fn reseal(bytes: &mut [u8]) {
+        let core_len = u64::from_le_bytes(bytes[12..PREAMBLE].try_into().unwrap()) as usize;
+        let crc = crc64(&bytes[8..PREAMBLE + core_len]);
+        bytes[PREAMBLE + core_len..PREAMBLE + core_len + 8].copy_from_slice(&crc.to_le_bytes());
+    }
+
     #[test]
     fn quant_policy_survives_roundtrip() {
         let mut set = sample_set();
-        set.set_quant_policy(QuantPolicy {
-            tier: QuantTier::I16,
-            slack: 2.0,
-        });
+        set.set_quant_tier(QuantTier::I16);
         let bytes = set.to_bytes();
-        let loaded = PlanarIndexSet::<VecStore>::from_bytes(&bytes).unwrap();
         assert_eq!(
-            loaded.quant_policy(),
-            QuantPolicy {
-                tier: QuantTier::I16,
-                slack: 2.0,
-            }
+            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
+            FLAG_QUANT_I16
         );
+        let loaded = PlanarIndexSet::<VecStore>::from_bytes(&bytes).unwrap();
+        assert_eq!(loaded.quant_tier(), QuantTier::I16);
         // The mirror is rebuilt from the parsed rows, never deserialized.
         assert_eq!(loaded.table().quant(), set.table().quant());
-        // Tier Off clears the flag and writes no trailing bytes.
+        // Tier Off clears the flag; the bit is the whole record, so the two
+        // snapshots have the same length.
         let mut plain = sample_set();
-        plain.set_quant_policy(QuantPolicy::off());
-        let bytes = plain.to_bytes();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 0);
-        let loaded = PlanarIndexSet::<VecStore>::from_bytes(&bytes).unwrap();
-        assert_eq!(loaded.quant_policy(), QuantPolicy::off());
+        plain.set_quant_tier(QuantTier::Off);
+        let off_bytes = plain.to_bytes();
+        assert_eq!(u32::from_le_bytes(off_bytes[8..12].try_into().unwrap()), 0);
+        assert_eq!(off_bytes.len(), bytes.len());
+        let loaded = PlanarIndexSet::<VecStore>::from_bytes(&off_bytes).unwrap();
+        assert_eq!(loaded.quant_tier(), QuantTier::Off);
+        assert!(loaded.table().quant().is_none());
     }
 
     #[test]
     fn corrupt_quant_policy_is_rejected() {
         let mut set = sample_set();
-        set.set_quant_policy(QuantPolicy {
-            tier: QuantTier::I8,
-            slack: 1.0,
-        });
-        let bytes = set.to_bytes();
-        let core_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-        // The policy is the last 9 core bytes; smash the tier tag and
-        // re-seal the CRC so only the policy parse can object.
-        let mut bad = bytes.to_vec();
-        bad[PREAMBLE + core_len - 9] = 0xEE;
-        let crc = crc64(&bad[PREAMBLE..PREAMBLE + core_len]);
-        bad[PREAMBLE + core_len..PREAMBLE + core_len + 8].copy_from_slice(&crc.to_le_bytes());
-        let err = PlanarIndexSet::<VecStore>::from_bytes(&bad).unwrap_err();
-        assert!(err.to_string().contains("quantization tier"), "{err}");
+        set.set_quant_tier(QuantTier::I16);
+        let bytes = set.to_bytes().to_vec();
+        let core_len = u64::from_le_bytes(bytes[12..PREAMBLE].try_into().unwrap()) as usize;
+        // A core that still ends with the former 9-byte record (tier tag
+        // `u8`, slack `f64`), under a consistent length and seal, is
+        // refused by the parse rather than misread.
+        let mut old = bytes[..12].to_vec();
+        old.extend_from_slice(&(core_len as u64 + 9).to_le_bytes());
+        old.extend_from_slice(&bytes[PREAMBLE..PREAMBLE + core_len]);
+        old.push(2);
+        old.extend_from_slice(&1.0f64.to_le_bytes());
+        old.extend_from_slice(&[0; 8]);
+        old.extend_from_slice(&bytes[PREAMBLE + core_len + 8..]);
+        reseal(&mut old);
+        for got in [
+            PlanarIndexSet::<VecStore>::from_bytes(&old).map(drop),
+            PlanarIndexSet::<VecStore>::from_bytes_recover(&old).map(drop),
+        ] {
+            match got {
+                Err(PlanarError::Persist(msg)) => assert!(msg.contains("trailing bytes"), "{msg}"),
+                other => panic!("old quant record accepted: {other:?}"),
+            }
+        }
+        // The flag bit is under the seal: flipping it either way is caught.
+        for tier in [QuantTier::I16, QuantTier::Off] {
+            set.set_quant_tier(tier);
+            let mut bad = set.to_bytes().to_vec();
+            bad[8] ^= 1;
+            let err = PlanarIndexSet::<VecStore>::from_bytes(&bad).unwrap_err();
+            assert!(err.to_string().contains("checksum"), "{tier:?}: {err}");
+        }
     }
 
     #[test]
@@ -1439,7 +1445,7 @@ mod tests {
         let mut set =
             ShardedIndexSet::<VecStore>::build(table, domain, IndexConfig::with_budget(2), config)
                 .unwrap();
-        set.set_quant_policy(QuantPolicy::tier(QuantTier::I8));
+        set.set_quant_tier(QuantTier::I16);
         set.delete_point(3).unwrap();
         set.delete_point(4).unwrap();
         assert!(!set.compact(0.0).is_empty());

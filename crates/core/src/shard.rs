@@ -62,6 +62,7 @@ use crate::health::ShardedHealthReport;
 use crate::index::TopKStats;
 use crate::multi::{IndexConfig, PlanarIndexSet, QueryOutcome, TopKOutcome};
 use crate::parallel::{self, ExecutionConfig, QueryScratch};
+use crate::quant::{QuantAutotuneConfig, QuantTier};
 use crate::query::{InequalityQuery, TopKQuery};
 use crate::stats::{QueryStats, ServedBy, StatsAggregator};
 use crate::store::{KeyStore, VecStore};
@@ -542,42 +543,30 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         &self.partitioner
     }
 
-    /// Quantization policies per shard, ascending by shard position. The
-    /// autotuner runs independently per shard (each sees its own slice of
-    /// the workload), so tiers can legitimately differ.
-    pub fn quant_policies(&self) -> Vec<crate::quant::QuantPolicy> {
-        self.shards.iter().map(|s| s.quant_policy()).collect()
+    /// Quantization tiers per shard, ascending by shard position. The size
+    /// rule applies per shard, so a small shard can be `Off` beside `I16`
+    /// ones.
+    pub fn quant_tiers(&self) -> Vec<QuantTier> {
+        self.shards.iter().map(|s| s.quant_tier()).collect()
     }
 
-    /// Install one quantization policy on every shard (see
-    /// [`PlanarIndexSet::set_quant_policy`]). Subsequent compactions may
-    /// retune each shard independently.
-    pub fn set_quant_policy(&mut self, policy: crate::quant::QuantPolicy) {
+    /// Switch the quantized tier on or off on every shard (see
+    /// [`PlanarIndexSet::set_quant_tier`]). The next retune or compaction
+    /// applies the size rule again.
+    pub fn set_quant_tier(&mut self, tier: QuantTier) {
         for shard in &mut self.shards {
-            shard.set_quant_policy(policy);
+            shard.set_quant_tier(tier);
         }
     }
 
-    /// Re-evaluate every shard's quantization policy from its observed
-    /// workload. Returns the policy now active on each shard.
-    pub fn retune_quantization(
-        &mut self,
-        cfg: &crate::quant::QuantAutotuneConfig,
-    ) -> Vec<crate::quant::QuantPolicy> {
+    /// Apply the size rule to every shard (see
+    /// [`PlanarIndexSet::retune_quantization`]). Returns the tier now
+    /// active on each shard. The config carries no setting.
+    pub fn retune_quantization(&mut self, _cfg: &QuantAutotuneConfig) -> Vec<QuantTier> {
         self.shards
             .iter_mut()
-            .map(|s| s.retune_quantization(cfg))
+            .map(PlanarIndexSet::retune_quantization)
             .collect()
-    }
-
-    /// Adopt another instance's per-shard tuner windows (see
-    /// [`PlanarIndexSet::adopt_quant_window`]). Shard counts always match:
-    /// the concurrent engine only pairs a staged set with its own
-    /// published clone.
-    pub fn adopt_quant_window(&self, other: &Self) {
-        for (mine, theirs) in self.shards.iter().zip(&other.shards) {
-            mine.adopt_quant_window(theirs);
-        }
     }
 
     /// `global_ids[shard][local] = global`, strictly ascending per shard

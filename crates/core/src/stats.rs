@@ -665,7 +665,7 @@ pub struct StatsSnapshot {
     /// [`QueryStats::fill_skipped`]).
     pub fills_skipped: usize,
     /// Dispatched quantized kernel for the most recent non-off tier
-    /// observed (`"avx2-i8"`, `"portable-i16"`, …; `"off"` when the tier
+    /// observed (`"avx2-i16"` or `"portable-i16"`; `"off"` when the tier
     /// never ran).
     pub quant_kernel: &'static str,
     /// Published epoch at the last [`StatsAggregator::record_epoch`]

@@ -28,7 +28,7 @@
 //! ids.
 
 use crate::memory::HeapSize;
-use crate::quant::{QuantPolicy, QuantTier, QuantizedColumns};
+use crate::quant::{QuantTier, QuantizedColumns};
 use crate::{PlanarError, Result};
 use planar_geom::BLOCK_ROWS;
 
@@ -38,13 +38,13 @@ pub type PointId = u32;
 /// An `n × d'` row-major table of feature values, with an always-in-sync
 /// columnar mirror for blocked verification (see [`Self::columns`]) and an
 /// optional quantized mirror for the fixed-point filter tier (see
-/// [`Self::set_quant_policy`]).
+/// [`Self::set_quant_tier`]).
 #[derive(Debug, Clone)]
 pub struct FeatureTable {
     dim: usize,
     data: Vec<f64>,
     cols: ColumnMajorRows,
-    /// Quantized filter tier, present iff the active policy is not `Off`.
+    /// Quantized filter tier, present iff the active tier is not `Off`.
     /// Kept in sync by `push_row`/`update_row`; derived state, excluded
     /// from equality.
     quant: Option<QuantizedColumns>,
@@ -65,7 +65,7 @@ impl PartialEq for FeatureTable {
     /// Logical equality: same feature values. The columnar mirror, its
     /// block layout and the quantized mirror are derived from the rows —
     /// two tables holding identical rows are equal even when their layouts
-    /// or (possibly autotuner-chosen) tiers differ.
+    /// or tiers differ.
     fn eq(&self, other: &Self) -> bool {
         self.dim == other.dim && self.data == other.data
     }
@@ -458,8 +458,8 @@ impl FeatureTable {
                 id_of: order,
             }
         });
-        if let Some(q) = &self.quant {
-            self.quant = Some(QuantizedColumns::encode(&self.cols, q.tier(), q.slack()));
+        if self.quant.is_some() {
+            self.quant = Some(QuantizedColumns::encode(&self.cols));
         }
     }
 
@@ -502,34 +502,22 @@ impl FeatureTable {
     /// The active quantization tier (`Off` when no mirror is held).
     #[inline]
     pub fn quant_tier(&self) -> QuantTier {
-        self.quant.as_ref().map_or(QuantTier::Off, |q| q.tier())
-    }
-
-    /// The active quantization policy (tier + error-bound slack).
-    pub fn quant_policy(&self) -> QuantPolicy {
-        match &self.quant {
-            None => QuantPolicy::off(),
-            Some(q) => QuantPolicy {
-                tier: q.tier(),
-                slack: q.slack(),
-            },
+        match self.quant {
+            Some(_) => QuantTier::I16,
+            None => QuantTier::Off,
         }
     }
 
-    /// Install (or remove, for `Off`) the quantized filter mirror. A tier
-    /// or slack change re-encodes the whole table — `O(n · d')` — so
-    /// callers batch this behind build, load, and compaction boundaries.
-    /// A no-op when `policy` already matches the active mirror.
-    pub fn set_quant_policy(&mut self, policy: QuantPolicy) {
-        let slack = policy.slack.max(1.0);
-        match policy.tier {
+    /// Install (or remove, for `Off`) the quantized filter mirror. Turning
+    /// the tier on encodes the whole table — `O(n · d')` — so callers batch
+    /// this behind build, load, and compaction boundaries. A no-op when
+    /// `tier` is already active.
+    pub fn set_quant_tier(&mut self, tier: QuantTier) {
+        match tier {
             QuantTier::Off => self.quant = None,
-            tier => {
-                let matches = self.quant.as_ref().is_some_and(|q| {
-                    q.tier() == tier && q.slack() == slack && q.len() == self.len()
-                });
-                if !matches {
-                    self.quant = Some(QuantizedColumns::encode(&self.cols, tier, slack));
+            QuantTier::I16 => {
+                if self.quant.is_none() {
+                    self.quant = Some(QuantizedColumns::encode(&self.cols));
                 }
             }
         }
@@ -947,7 +935,7 @@ mod tests {
         tiled(1e-310);
         let (mut t, order) = tiled(100.0);
         let n = t.len();
-        t.set_quant_policy(QuantPolicy::tier(QuantTier::I16));
+        t.set_quant_tier(QuantTier::I16);
         t.cluster();
         assert!(t.is_clustered());
         let mut buf = [0.0; 3];

@@ -1,8 +1,8 @@
 //! Property tests for settling whole blocks by their bounding box: over
 //! tables of at least eight 64-row blocks per shard, laid out in k-d block
 //! order, every answer equals `SeqScan` over the live rows — ascending ids,
-//! grouped by ascending shard for a sharded set — on the `Off`, `I8` and
-//! `I16` tiers, through tombstones inside settled blocks, inserts into the
+//! grouped by ascending shard for a sharded set — on the `Off` and `I16`
+//! tiers, through tombstones inside settled blocks, inserts into the
 //! tail blocks, in-place updates that move a row out of its block's box,
 //! and compactions between the steps.
 //!
@@ -16,8 +16,7 @@
 use planar_core::table::PointId;
 use planar_core::{
     BoxClass, Cmp, FeatureTable, IndexConfig, InequalityQuery, ParameterDomain, PlanarIndexSet,
-    QuantPolicy, QuantTier, QuantizedColumns, SeqScan, ShardConfig, ShardedIndexSet, TopKQuery,
-    VecStore,
+    QuantTier, QuantizedColumns, SeqScan, ShardConfig, ShardedIndexSet, TopKQuery, VecStore,
 };
 use proptest::prelude::*;
 
@@ -175,9 +174,8 @@ fn run(s: &Scenario, tier: QuantTier) {
     for shard in 0..2 {
         prop_assert!(sharded.shard(shard).unwrap().table().len() >= 8 * 64);
     }
-    let policy = QuantPolicy::tier(tier);
-    flat.set_quant_policy(policy);
-    sharded.set_quant_policy(policy);
+    flat.set_quant_tier(tier);
+    sharded.set_quant_tier(tier);
     let mut flat_model = Model {
         live: vec![true; initial.len()],
         rows: initial.clone(),
@@ -246,8 +244,8 @@ fn run(s: &Scenario, tier: QuantTier) {
                 flat_model.live = vec![true; flat_model.rows.len()];
                 sharded.compact(-1.0);
                 // Compaction retunes; keep the tier under test.
-                flat.set_quant_policy(policy);
-                sharded.set_quant_policy(policy);
+                flat.set_quant_tier(tier);
+                sharded.set_quant_tier(tier);
             }
         }
         check(s, &flat, &flat_model, &sharded, &model, &mut settled);
@@ -356,7 +354,7 @@ fn sweep_rows(s: &SweepScenario, first: usize, n: usize, state: &mut u64) -> Vec
 fn check_sweep(s: &SweepScenario, set: &PlanarIndexSet<VecStore>, settled: &mut usize) {
     let table = set.table();
     let quant = table.quant().expect("the scenario keeps a tier");
-    let fresh = QuantizedColumns::encode(table.columns(), quant.tier(), quant.slack());
+    let fresh = QuantizedColumns::encode(table.columns());
     prop_assert_eq!(quant.blocks(), fresh.blocks());
     for j in 0..table.dim() {
         prop_assert_eq!(quant.lo(j), fresh.lo(j), "lo plane {}", j);
@@ -402,7 +400,7 @@ fn check_sweep(s: &SweepScenario, set: &PlanarIndexSet<VecStore>, settled: &mut 
     }
 }
 
-fn run_sweep(s: &SweepScenario, tier: QuantTier) {
+fn run_sweep(s: &SweepScenario) {
     let dim = s.columns.len();
     let mut state = s.seed | 1;
     let initial = sweep_rows(s, 0, s.rows, &mut state);
@@ -411,8 +409,7 @@ fn run_sweep(s: &SweepScenario, tier: QuantTier) {
     let domain = ParameterDomain::uniform_continuous(dim, 0.2, 5.0).unwrap();
     let mut set =
         PlanarIndexSet::<VecStore>::build(table, domain, IndexConfig::with_budget(2)).unwrap();
-    let policy = QuantPolicy::tier(tier);
-    set.set_quant_policy(policy);
+    set.set_quant_tier(QuantTier::I16);
     if s.fallback {
         prop_assert!(set.table().quant().unwrap().fallback_blocks() > 0);
     }
@@ -445,7 +442,7 @@ fn run_sweep(s: &SweepScenario, tier: QuantTier) {
             }
             Step::Compact => {
                 set.compact();
-                set.set_quant_policy(policy);
+                set.set_quant_tier(QuantTier::I16);
             }
         }
         check_sweep(s, &set, &mut settled);
@@ -475,7 +472,7 @@ fn run_reload(s: &Scenario, tier: QuantTier) {
         ShardConfig::pilot_key_range(2),
     )
     .unwrap();
-    set.set_quant_policy(QuantPolicy::tier(tier));
+    set.set_quant_tier(tier);
     for step in &s.steps {
         let n = set.len() as PointId;
         match *step {
@@ -505,7 +502,7 @@ fn run_reload(s: &Scenario, tier: QuantTier) {
         }
     }
     let loaded = ShardedIndexSet::<VecStore>::from_bytes(&set.to_bytes()).unwrap();
-    prop_assert_eq!(loaded.quant_policies(), set.quant_policies());
+    prop_assert_eq!(loaded.quant_tiers(), set.quant_tiers());
     for (a, frac, leq) in &s.queries {
         let top: f64 = a.iter().map(|c| c * 100.0).sum();
         let b = a.iter().sum::<f64>() + frac * (top - a.iter().sum::<f64>());
@@ -537,17 +534,15 @@ proptest! {
     }
 
     /// Sweep verdicts are sound and the planes stay exact under mutation,
-    /// on both tiers, for both comparisons.
+    /// for both comparisons.
     #[test]
     fn box_sweep_is_sound_on_hostile_rows(s in sweep_scenario()) {
-        for tier in [QuantTier::I8, QuantTier::I16] {
-            run_sweep(&s, tier);
-        }
+        run_sweep(&s);
     }
 
     #[test]
     fn box_settled_answers_equal_scan(s in scenario()) {
-        for tier in [QuantTier::Off, QuantTier::I8, QuantTier::I16] {
+        for tier in [QuantTier::Off, QuantTier::I16] {
             run(&s, tier);
         }
     }

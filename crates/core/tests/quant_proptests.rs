@@ -1,5 +1,5 @@
 //! Property tests for the quantized filter tier: for arbitrary tables,
-//! queries, quarantine patterns, policies, and mutation interleavings, a
+//! queries, quarantine patterns, and mutation interleavings, a
 //! store with quantization enabled must return **bit-identical** answers
 //! to its unquantized twin — on the planar, sharded, durable, and
 //! concurrent surfaces alike. The tier is a filter in front of exact
@@ -8,8 +8,8 @@
 
 use planar_core::{
     BoxClass, Cmp, Domain, ExecutionConfig, FeatureTable, IndexConfig, InequalityQuery,
-    ParameterDomain, PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, SeqScan, ServedBy,
-    TopKQuery, VecStore,
+    ParameterDomain, PlanarIndexSet, QuantTier, QueryScratch, SeqScan, ServedBy, TopKQuery,
+    VecStore,
 };
 use planar_core::{
     ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet, ShardConfig,
@@ -35,7 +35,6 @@ struct Scenario {
     ops: Vec<Op>,
     budget: usize,
     quarantine_mask: u32,
-    policy: QuantPolicy,
     k: usize,
 }
 
@@ -68,25 +67,11 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                 ),
                 1..6usize,
                 any::<u32>(),
-                prop_oneof![
-                    Just(QuantPolicy {
-                        tier: QuantTier::I8,
-                        slack: 1.0
-                    }),
-                    Just(QuantPolicy {
-                        tier: QuantTier::I16,
-                        slack: 1.0
-                    }),
-                    Just(QuantPolicy {
-                        tier: QuantTier::I16,
-                        slack: 4.0
-                    }),
-                ],
                 1..6usize,
             )
         })
         .prop_map(
-            |(dim, mut rows, signs, raw_queries, mut ops, budget, quarantine_mask, policy, k)| {
+            |(dim, mut rows, signs, raw_queries, mut ops, budget, quarantine_mask, k)| {
                 let fold = |row: &mut Vec<f64>, signs: &[bool]| {
                     for (v, &pos) in row.iter_mut().zip(signs) {
                         *v = if pos { v.abs() } else { -v.abs() };
@@ -120,7 +105,6 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                     ops,
                     budget,
                     quarantine_mask,
-                    policy,
                     k,
                 }
             },
@@ -334,27 +318,9 @@ fn mixed_live_lanes(set: &PlanarIndexSet<VecStore>, q: &InequalityQuery) -> usiz
         .count()
 }
 
-/// Every tier the top-k property runs under, at both slacks.
-fn any_policy() -> impl Strategy<Value = QuantPolicy> {
-    prop_oneof![
-        Just(QuantPolicy::tier(QuantTier::Off)),
-        Just(QuantPolicy {
-            tier: QuantTier::I16,
-            slack: 1.0
-        }),
-        Just(QuantPolicy {
-            tier: QuantTier::I16,
-            slack: 4.0
-        }),
-        Just(QuantPolicy {
-            tier: QuantTier::I8,
-            slack: 1.0
-        }),
-        Just(QuantPolicy {
-            tier: QuantTier::I8,
-            slack: 4.0
-        }),
-    ]
+/// Every tier the top-k property runs under.
+fn any_tier() -> impl Strategy<Value = QuantTier> {
+    prop_oneof![Just(QuantTier::Off), Just(QuantTier::I16)]
 }
 
 /// The scenario reshaped for the top-k property: its rows tiled `copies`
@@ -436,7 +402,7 @@ fn assert_top_k_equals_scan(
     degraded: &PlanarIndexSet<VecStore>,
     s: &Scenario,
 ) {
-    let tier = indexed.quant_policy().tier;
+    let tier = indexed.quant_tier();
     for q in ineq_queries(s) {
         for k in [1, 7, indexed.len() + 3] {
             let q = TopKQuery::new(q.clone(), k).unwrap();
@@ -489,7 +455,7 @@ proptest! {
     fn quantized_planar_equals_unquantized(s in scenario()) {
         let plain = build_planar(&s);
         let mut quant = build_planar(&s);
-        quant.set_quant_policy(s.policy);
+        quant.set_quant_tier(QuantTier::I16);
         assert_same_answers(&plain, &quant, &s);
 
         let mut plain = plain;
@@ -497,13 +463,13 @@ proptest! {
             apply_planar(&mut plain, op);
             apply_planar(&mut quant, op);
         }
-        prop_assert_eq!(quant.quant_policy(), s.policy, "mutations must not drop the policy");
+        prop_assert_eq!(quant.quant_tier(), QuantTier::I16, "mutations must not drop the tier");
         assert_same_answers(&plain, &quant, &s);
     }
 
-    /// Sharded twins, including per-shard policies installed via the
-    /// sharded forwarding API and threshold-gated compaction (which
-    /// retunes each compacted shard independently).
+    /// Sharded twins, with the tier installed via the sharded forwarding
+    /// API and threshold-gated compaction (which applies the size rule to
+    /// each compacted shard).
     #[test]
     fn quantized_sharded_equals_unquantized(s in scenario()) {
         let shards = 1 + s.budget % 3;
@@ -521,7 +487,7 @@ proptest! {
         };
         let mut plain = build();
         let mut quant = build();
-        quant.set_quant_policy(s.policy);
+        quant.set_quant_tier(QuantTier::I16);
 
         // Global ids are assigned sequentially from the initial row count,
         // so tracking inserts locally reproduces the valid id range.
@@ -567,8 +533,8 @@ proptest! {
         }
     }
 
-    /// Durable twins: the policy survives checkpoint → reopen (persisted
-    /// as a core flag, mirror re-encoded from parsed rows), and answers
+    /// Durable twins: the tier survives checkpoint → reopen (persisted
+    /// as a flag bit, mirror re-encoded from parsed rows), and answers
     /// stay identical through WAL-logged mutations on both sides of the
     /// restart.
     #[test]
@@ -586,7 +552,7 @@ proptest! {
         };
         let plain = create(&dir_p, build_single(&s));
         let mut quantized = build_single(&s);
-        quantized.set_quant_policy(s.policy);
+        quantized.set_quant_tier(QuantTier::I16);
         let quant = create(&dir_q, quantized);
 
         let mut total = s.rows.len();
@@ -613,8 +579,8 @@ proptest! {
                 }
             }
         }
-        // Checkpoint retunes from the (empty-ish) window; whatever policy
-        // it lands on, answers must not move.
+        // Checkpoint applies the size rule; whatever tier it lands on,
+        // answers must not move.
         plain.checkpoint().unwrap();
         quant.checkpoint().unwrap();
         drop((plain, quant));
@@ -635,14 +601,14 @@ proptest! {
         }
     }
 
-    /// Concurrent twins: policy installed through the epoch-published
+    /// Concurrent twins: tier installed through the epoch-published
     /// wrapper (copy-on-publish clones carry the quantized mirror), with
     /// mutations interleaved between query rounds.
     #[test]
     fn quantized_concurrent_equals_unquantized(s in scenario()) {
         let plain = ConcurrentShardedIndexSet::new(build_single(&s), ConcurrencyConfig::default());
         let quant = ConcurrentShardedIndexSet::new(build_single(&s), ConcurrencyConfig::default());
-        quant.set_quant_policy(s.policy);
+        quant.set_quant_tier(QuantTier::I16);
 
         let check = |round: &str| {
             let ps = plain.snapshot();
@@ -681,9 +647,9 @@ proptest! {
         plain.publish();
         quant.publish();
         check("post-mutation");
-        // Retune folds the published epoch's observations back in and
-        // re-publishes; whatever tier it picks, answers must hold.
-        quant.retune_quantization(&planar_core::QuantAutotuneConfig::default());
+        // Retune applies the size rule and re-publishes; whatever tier it
+        // picks, answers must hold.
+        quant.retune_quantization();
         check("post-retune");
     }
 
@@ -695,7 +661,7 @@ proptest! {
         let s = tiled(&s, copies);
         let plain = build_planar(&s);
         let mut quant = build_planar(&s);
-        quant.set_quant_policy(s.policy);
+        quant.set_quant_tier(QuantTier::I16);
         assert_same_block_answers(&plain, &quant, &s);
 
         let mut plain = plain;
@@ -707,7 +673,7 @@ proptest! {
     }
 
     /// Quantized top-k ≡ the live-row scan: ids and bit-exact distances
-    /// under every tier and slack, through the indexed path and the
+    /// under both tiers, through the indexed path and the
     /// degraded path (every index quarantined), with a forced-fallback
     /// block, a constant column and exact ties, before and after inserts,
     /// updates and deletes re-encode quant blocks.
@@ -717,7 +683,7 @@ proptest! {
         copies in 2..5usize,
         const_col in 0..8usize,
         huge in any::<u8>(),
-        policy in any_policy(),
+        tier in any_tier(),
     ) {
         let huge = huge.is_multiple_of(3);
         let s = top_k_rows(&s, copies, const_col, huge);
@@ -726,7 +692,7 @@ proptest! {
             let mut set: PlanarIndexSet<VecStore> =
                 PlanarIndexSet::build(table, domain(&s), IndexConfig::with_budget(s.budget))
                     .unwrap();
-            set.set_quant_policy(policy);
+            set.set_quant_tier(tier);
             set
         };
         let mut indexed = build();
@@ -734,7 +700,7 @@ proptest! {
         for pos in 0..degraded.num_indices() {
             degraded.quarantine(pos);
         }
-        if huge && policy.tier != QuantTier::Off {
+        if huge && tier != QuantTier::Off {
             // The degraded scan classifies the huge rows' block whole, and
             // its code scale overflows the guard: every lane falls back.
             let q = TopKQuery::new(ineq_queries(&s)[0].clone(), 1).unwrap();

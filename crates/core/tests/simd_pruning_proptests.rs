@@ -12,8 +12,8 @@ use planar_core::table::PointId;
 use planar_core::VecStore;
 use planar_core::{
     BoxClass, Cmp, ExecutionConfig, ExecutionPath, FeatureTable, IndexConfig, InequalityQuery,
-    KeyStore, ParameterDomain, PlanarIndexSet, QuantPolicy, QuantTier, QueryScratch, SeqScan,
-    ServedBy, TopKQuery,
+    KeyStore, ParameterDomain, PlanarIndexSet, QuantTier, QueryScratch, SeqScan, ServedBy,
+    TopKQuery,
 };
 use planar_geom::{dot_cmp_block, dot_slices};
 use proptest::prelude::*;
@@ -220,8 +220,8 @@ fn check_block_masks<S: KeyStore>(s: &BlockScenario) {
             (want, top)
         })
         .collect();
-    for tier in [QuantTier::Off, QuantTier::I8, QuantTier::I16] {
-        set.set_quant_policy(QuantPolicy::tier(tier));
+    for tier in [QuantTier::Off, QuantTier::I16] {
+        set.set_quant_tier(tier);
         for (q, (want, want_top)) in queries.iter().zip(&oracle) {
             let top_q = TopKQuery::new(q.clone(), s.k).unwrap();
             for exec in block_configs() {

@@ -38,10 +38,7 @@ pub use kernels::{
     axpy, dot_block_cols, dot_cmp_block, host_has_fma, kernel, kernel_name, KernelKind, BLOCK_ROWS,
 };
 pub use octant::{Octant, Sign, SignVector};
-pub use quant::{
-    classify_block_i16, classify_block_i8, dot_block_cols_i16, dot_block_cols_i8,
-    quant_kernel_name, QMAX_I16, QMAX_I8,
-};
+pub use quant::{classify_block_i16, dot_block_cols_i16, quant_kernel_name, QMAX_I16};
 pub use translation::{NormalizedQuery, Normalizer, Translation};
 pub use vector::{dot, dot_block, dot_slices, norm, Vector};
 

@@ -5,7 +5,7 @@
 use planar_core::{
     Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet,
     ExecutionConfig, FeatureTable, FsyncPolicy, IndexConfig, InequalityQuery, ParameterDomain,
-    QuantPolicy, QuantTier, ShardConfig, ShardedIndexSet, TempDir, TopKQuery, VecStore, WalOptions,
+    QuantTier, ShardConfig, ShardedIndexSet, TempDir, TopKQuery, VecStore, WalOptions,
 };
 use planar_serve::json::Json;
 use planar_serve::{
@@ -434,7 +434,7 @@ fn http_surface_matches_binary_answers() {
 #[test]
 fn top_k_requests_reach_the_metrics_quant_counters() {
     let mut set = build_sharded(3000);
-    set.set_quant_policy(QuantPolicy::tier(QuantTier::I16));
+    set.set_quant_tier(QuantTier::I16);
     let eng = Arc::new(ConcurrentShardedIndexSet::new(
         set,
         ConcurrencyConfig::default(),
@@ -477,7 +477,7 @@ fn top_k_requests_reach_the_metrics_quant_counters() {
 #[test]
 fn box_settled_blocks_reach_the_metrics() {
     let mut set = build_sharded(3000);
-    set.set_quant_policy(QuantPolicy::tier(QuantTier::I16));
+    set.set_quant_tier(QuantTier::I16);
     let eng = Arc::new(ConcurrentShardedIndexSet::new(
         set,
         ConcurrencyConfig::default(),

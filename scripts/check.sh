@@ -43,6 +43,7 @@ cargo test -p planar-core -q --features fault-injection --lib quorum
 echo "== quantization suite (quantized ≡ unquantized twins, both dispatches) =="
 cargo test -p planar-core -q --test quant_proptests
 PLANAR_FORCE_PORTABLE=1 cargo test -p planar-core -q --test quant_proptests
+PLANAR_FORCE_PORTABLE=1 cargo test -p planar-geom -q
 
 echo "== block-mask verification suite (block masks and box-settled blocks ≡ SeqScan, forced-portable dispatch) =="
 PLANAR_FORCE_PORTABLE=1 cargo test -p planar-core -q --test simd_pruning_proptests --test box_proptests

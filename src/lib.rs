@@ -47,9 +47,9 @@ pub mod prelude {
         ConcurrentShardedIndexSet, Domain, ExecutionConfig, FailoverConfig, FeatureMap,
         FeatureTable, FnFeatureMap, FsyncPolicy, IdentityMap, IndexConfig, InequalityQuery,
         Mutation, MutationAck, ParameterDomain, PartitionScheme, PlanarIndexSet, Primary,
-        QuantAutotuneConfig, QuantPolicy, QuantTier, QueryScratch, ReadConsistency, Replica,
-        SelectionStrategy, SeqScan, ServedBy, ShardConfig, ShardedIndexSet, ShardedQueryOutcome,
-        TopKQuery, VecStore, WalOptions,
+        QuantAutotuneConfig, QuantTier, QueryScratch, ReadConsistency, Replica, SelectionStrategy,
+        SeqScan, ServedBy, ShardConfig, ShardedIndexSet, ShardedQueryOutcome, TopKQuery, VecStore,
+        WalOptions,
     };
     pub use planar_geom::{Hyperplane, Normalizer, Octant, Vector};
 }

@@ -2,6 +2,7 @@
 //! `planar-core` index and always agree with the sequential scan.
 
 use planar::planar_core::table::PointId;
+use planar::planar_core::{TempDir, QUANT_MIN_ROWS};
 use planar::planar_datagen::consumption::{
     consumption_domain, critical_consume_query, ConsumptionGenerator,
 };
@@ -138,8 +139,8 @@ fn sharded_quantized_block_masks_equal_scan() {
         ShardConfig::pilot_key_range(4),
     )
     .expect("build");
-    for policy in set.retune_quantization(&QuantAutotuneConfig::default()) {
-        assert_eq!(policy.tier, QuantTier::I16);
+    for tier in set.retune_quantization(&QuantAutotuneConfig::default()) {
+        assert_eq!(tier, QuantTier::I16);
     }
     let scan = SeqScan::new(&scan_table);
     let queries = Eq18Generator::new(&scan_table, rq, 5)
@@ -174,6 +175,79 @@ fn sharded_quantized_block_masks_equal_scan() {
         filtered > 0,
         "the quantized filter must classify some lanes"
     );
+}
+
+#[test]
+fn quant_tier_holds_through_retunes_and_checkpoints() {
+    // The served configuration: four pilot-key-range shards of at least
+    // 4,096 rows each, set up on the I16 tier. Windows of Eq. 18 queries
+    // between retunes, and between checkpoints of a durable engine, must
+    // not move a shard's tier, the bytes it holds, or an answer: the tier
+    // follows the table's size, never the workload.
+    let (dim, rq) = (8, 4);
+    let table = SyntheticConfig::paper(SyntheticKind::Independent, 20_000, dim).generate();
+    let queries = Eq18Generator::new(&table, rq, 11)
+        .with_inequality_parameter(0.25)
+        .queries(64);
+    let mut set = ShardedIndexSet::<VecStore>::build(
+        table,
+        eq18_domain(dim, rq),
+        IndexConfig::with_budget(16),
+        ShardConfig::pilot_key_range(4),
+    )
+    .expect("build");
+    for s in 0..4 {
+        assert!(set.shard(s).expect("shard").table().len() >= QUANT_MIN_ROWS);
+    }
+    let i16 = vec![QuantTier::I16; 4];
+    assert_eq!(
+        set.retune_quantization(&QuantAutotuneConfig::default()),
+        i16
+    );
+    let bytes = set.memory_usage();
+    let window = |set: &ShardedIndexSet<VecStore>| -> Vec<Vec<PointId>> {
+        queries
+            .iter()
+            .map(|q| set.query(q).expect("query").matches)
+            .collect()
+    };
+    let want = window(&set);
+    for round in 0..3 {
+        assert_eq!(window(&set), want, "window before retune {round}");
+        let tiers = set.retune_quantization(&QuantAutotuneConfig::default());
+        assert_eq!(tiers, i16, "retune {round}");
+        assert_eq!(set.memory_usage(), bytes, "retune {round}");
+    }
+    assert_eq!(window(&set), want, "after the retunes");
+
+    let dir = TempDir::new("quant-tier-checkpoints").expect("temp dir");
+    let durable = ConcurrentDurableShardedIndexSet::create(
+        dir.path(),
+        set,
+        WalOptions::default(),
+        ConcurrencyConfig::default(),
+    )
+    .expect("create");
+    // A published epoch is a clone of the staged set, with capacities of
+    // its own: compare clones with a clone.
+    durable.publish();
+    let bytes = durable.snapshot().memory_usage();
+    for round in 0..3 {
+        assert_eq!(
+            window(&durable.snapshot()),
+            want,
+            "window before checkpoint {round}"
+        );
+        durable.checkpoint().expect("checkpoint");
+        assert_eq!(durable.quant_tiers(), i16, "checkpoint {round}");
+        durable.publish();
+        assert_eq!(
+            durable.snapshot().memory_usage(),
+            bytes,
+            "checkpoint {round}"
+        );
+    }
+    assert_eq!(window(&durable.snapshot()), want, "after the checkpoints");
 }
 
 #[test]
@@ -295,8 +369,8 @@ fn every_selection_strategy_answers_in_scan_order() {
                 ShardConfig::pilot_key_range(3),
             )
             .expect("build");
-            flat.set_quant_policy(QuantPolicy::tier(tier));
-            sharded.set_quant_policy(QuantPolicy::tier(tier));
+            flat.set_quant_tier(tier);
+            sharded.set_quant_tier(tier);
             // The unsharded model renumbers at compaction; the sharded one
             // keeps its global ids.
             let (mut flat_rows, mut flat_live) = (all.clone(), vec![true; all.len()]);
@@ -379,8 +453,8 @@ fn every_selection_strategy_answers_in_scan_order() {
                 .collect();
             flat_live = vec![true; flat_rows.len()];
             assert_eq!(sharded.compact(0.2).len(), 3);
-            flat.set_quant_policy(QuantPolicy::tier(tier));
-            sharded.set_quant_policy(QuantPolicy::tier(tier));
+            flat.set_quant_tier(tier);
+            sharded.set_quant_tier(tier);
             check(
                 &flat,
                 &sharded,
