@@ -5,7 +5,7 @@
 
 use crate::report::{self, ms, Table};
 use crate::{time_ms, Config};
-use planar_core::{Cmp, FeatureTable, InequalityQuery, JsonObject, StatsAggregator};
+use planar_core::{parallel, Cmp, FeatureTable, InequalityQuery, JsonObject};
 use planar_datagen::queries::Eq18Generator;
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
 use planar_datagen::SYNTHETIC_N;
@@ -100,9 +100,6 @@ pub fn simd(cfg: &Config) {
     ]);
     t.print();
 
-    // An empty aggregate still stamps the kernel dispatch, FMA availability
-    // and thread clamps.
-    let snap = StatsAggregator::new().snapshot();
     let verification = JsonObject::new()
         .field_usize("rows_verified", kernel.rows_verified)
         .field_f64("rowmajor_blocked_ms", kernel.rowmajor_ms)
@@ -112,9 +109,9 @@ pub fn simd(cfg: &Config) {
     report::write_json("simd", |doc| {
         doc.field_usize("n", n)
             .field_usize("dim", DIM)
-            .field_str("kernel", snap.kernel)
-            .field_bool("fma_available", snap.fma_available)
-            .field_u64("thread_clamp_events", snap.thread_clamp_events)
+            .field_str("kernel", planar_geom::kernel_name())
+            .field_bool("fma_available", planar_geom::host_has_fma())
+            .field_u64("thread_clamp_events", parallel::thread_clamp_events())
             .field_raw("verification", &verification)
     });
 }

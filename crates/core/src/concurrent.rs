@@ -66,6 +66,7 @@ use crate::fault::StdIo;
 use crate::persist::{atomic_save, SaveOptions, ShardedRecoveryReport};
 use crate::quant::{QuantAutotuneConfig, QuantTier};
 use crate::shard::ShardedIndexSet;
+use crate::stats::JsonObject;
 use crate::store::{KeyStore, VecStore};
 use crate::table::PointId;
 use crate::wal::{
@@ -142,8 +143,8 @@ impl<T> std::ops::Deref for Snapshot<T> {
     }
 }
 
-/// Point-in-time epoch bookkeeping, stamped into [`crate::StatsSnapshot`]
-/// via [`crate::StatsAggregator::record_epoch`].
+/// Point-in-time epoch bookkeeping; [`Self::write_json`] renders it into
+/// the concurrent engines' `/metrics` block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EpochStats {
     /// The currently published epoch.
@@ -165,6 +166,21 @@ pub struct EpochStats {
     pub clone_bytes: u64,
     /// Wall-clock microseconds spent inside those clones.
     pub clone_micros: u64,
+}
+
+impl EpochStats {
+    /// Write the ledger into `doc` as `epoch`, `epochs_published`,
+    /// `epochs_retired_live`, `epochs_reclaimed`, `epoch_clones`,
+    /// `epoch_clone_bytes` and `epoch_clone_micros`.
+    pub fn write_json(&self, doc: JsonObject) -> JsonObject {
+        doc.field_u64("epoch", self.epoch)
+            .field_u64("epochs_published", self.published)
+            .field_usize("epochs_retired_live", self.retired_live)
+            .field_u64("epochs_reclaimed", self.reclaimed)
+            .field_u64("epoch_clones", self.clones)
+            .field_u64("epoch_clone_bytes", self.clone_bytes)
+            .field_u64("epoch_clone_micros", self.clone_micros)
+    }
 }
 
 /// The publish/retire/reclaim core: an atomically swappable `Arc` plus a

@@ -386,11 +386,11 @@ impl<S: KeyStore> SingleIndex<S> {
     /// With a quantized tier, and when the fill would mark more rows (the
     /// intermediate plus the accepted interval) than the table has blocks,
     /// one box sweep first settles every block it can (see
-    /// [`parallel::sweep`]). Then one of two candidate sets is verified
-    /// block by block (see [`parallel::verify_mask_blocked`]):
+    /// `parallel::sweep`). Then one of two candidate sets is verified
+    /// block by block (see `parallel::verify_mask_blocked`):
     ///
     /// * the live rows of the blocks the box left mixed — unless the fill
-    ///   would mark under `1 /` [`FILL_LANE_COST`] of them, it is skipped
+    ///   would mark under `1 /` `FILL_LANE_COST` of them, it is skipped
     ///   (`fill_skipped`) and the box decides alone;
     /// * the intermediate interval: its ids go from the id array's
     ///   key-order slice into the candidate bitmap of `scratch` (one word
@@ -530,7 +530,7 @@ impl<S: KeyStore> SingleIndex<S> {
 
     /// Algorithm 2 body behind every top-k entry point. The II goes into
     /// the scratch's candidate bitmap, a box sweep over the bitmap's word
-    /// window settles what blocks it can ([`parallel::sweep`]), and the rest
+    /// window settles what blocks it can (`parallel::sweep`), and the rest
     /// goes through Algorithm 1's verification ([`parallel::verify_mask`]);
     /// the satisfying ids, held in the scratch in slot order, are ranked by
     /// their row's distance.

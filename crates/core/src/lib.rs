@@ -148,7 +148,7 @@ pub use shard::{
     merge_top_k, PartitionScheme, Partitioner, ShardConfig, ShardedIndexSet, ShardedQueryOutcome,
     ShardedTopKOutcome,
 };
-pub use stats::{ExecutionPath, JsonObject, QueryStats, ServedBy, StatsAggregator, StatsSnapshot};
+pub use stats::{ExecutionPath, JsonObject, QueryStats, ServedBy, StatsAggregator};
 pub use store::{KeyStore, VecStore};
 pub use table::{ColSegment, ColumnMajorRows, FeatureTable};
 pub use wal::{

@@ -9,14 +9,14 @@
 //!
 //! * Intermediate-interval (II) candidates are held as a bitmap with one
 //!   word per 64-row block of the columnar mirror ([`QueryScratch`]) and
-//!   verified block by block in slot order by [`verify_mask`]. Splitting
+//!   verified block by block in slot order by `verify_mask`. Splitting
 //!   the bitmap into contiguous word ranges and concatenating the
 //!   per-range matches in range order reproduces the serial order exactly.
 //!   A clustered table's ids (see [`crate::table::FeatureTable::cluster`])
-//!   come out ascending through an id-space bitmap ([`verify_ascending`]).
+//!   come out ascending through an id-space bitmap (`verify_ascending`).
 //! * Before a block's codes are read, its box verdict from
 //!   [`crate::quant::QuantizedColumns::box_sweep`] settles the whole block
-//!   when it can ([`BlockWords`]): a rejected block contributes nothing and
+//!   when it can (`BlockWords`): a rejected block contributes nothing and
 //!   an accepted one all its candidate lanes. The sweep's rounding guard
 //!   makes the verdicts sound against the `f64` rounding of the exact dot.
 //! * Verdicts come from the quantized classifier when the tier is on (sound:
@@ -28,7 +28,7 @@
 //!   dispatched implementation (AVX2 or portable — see
 //!   `planar_geom::kernels`), so neither the tier nor the split ever changes
 //!   a verdict.
-//! * Algorithm 2 verifies its II through the same [`verify_mask`] call, then
+//! * Algorithm 2 verifies its II through the same `verify_mask` call, then
 //!   ranks the satisfying ids serially by their row's
 //!   [`InequalityQuery::distance`]. The top-k buffer's total
 //!   `(distance, id)` order makes its contents independent of arrival
@@ -38,7 +38,7 @@
 //!
 //! Every parallel path — the shard fan-out, multi-query batches, chunked
 //! II verification and the multi-index build — goes through one function,
-//! [`map_chunks`]. Its split into chunks, their `start` offsets and the
+//! `map_chunks`. Its split into chunks, their `start` offsets and the
 //! chunk-order concatenation of their results depend on the requested
 //! worker count alone. The chunks run on at most [`cpus`] OS threads, and
 //! the calling thread is one of them: with one CPU every chunk runs in

@@ -1452,18 +1452,33 @@ mod tests {
         set.delete_point(5).unwrap();
         let bytes = set.to_bytes().to_vec();
         assert!(ShardedIndexSet::<VecStore>::from_bytes(&bytes).is_ok());
+        // The preambles (magic, flags, core_len) of the manifest and of
+        // each shard's snapshot: every bit of these is flipped, so the
+        // quant flag (bit 0 of a shard's flags word) is among them.
+        let heads: Vec<usize> = std::iter::once(0)
+            .chain((0..bytes.len() - 7).filter(|&i| &bytes[i..i + 8] == MAGIC))
+            .collect();
+        assert_eq!(heads.len(), 1 + set.num_shards());
+        let in_head = |offset: usize| heads.iter().any(|&h| (h..h + PREAMBLE).contains(&offset));
         // Every byte is under a seal or a checked preamble field, so one
         // flipped bit anywhere is a typed error.
         for offset in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[offset] ^= 1 << (offset % 8);
-            let got = ShardedIndexSet::<VecStore>::from_bytes(&bad);
-            assert!(
-                matches!(got, Err(PlanarError::Persist(_))),
-                "offset {offset} of {}: {:?}",
-                bytes.len(),
-                got.err()
-            );
+            let bits = if in_head(offset) {
+                0..8
+            } else {
+                offset % 8..offset % 8 + 1
+            };
+            for bit in bits {
+                let mut bad = bytes.clone();
+                bad[offset] ^= 1 << bit;
+                let got = ShardedIndexSet::<VecStore>::from_bytes(&bad);
+                assert!(
+                    matches!(got, Err(PlanarError::Persist(_))),
+                    "bit {bit} of offset {offset} of {}: {:?}",
+                    bytes.len(),
+                    got.err()
+                );
+            }
         }
     }
 

@@ -1069,9 +1069,8 @@ pub struct ReplicationStats {
     pub link_drops: u64,
 }
 
-/// Point-in-time replication health, as stamped into
-/// [`crate::StatsAggregator::snapshot`] via
-/// [`crate::StatsAggregator::record_replication`].
+/// Point-in-time replication health of a [`Primary`]'s group (see
+/// [`Primary::health`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicationHealth {
     /// The primary's current term.
@@ -1366,7 +1365,7 @@ impl<S: KeyStore + Clone> Primary<S> {
             .collect()
     }
 
-    /// Group-level health for [`crate::StatsAggregator`].
+    /// Group-level health: term, replica count, ack frontier and lag.
     pub fn health(&self) -> ReplicationHealth {
         let appended = self.store.wal_health().appended_lsn;
         ReplicationHealth {
@@ -2503,13 +2502,6 @@ mod tests {
         assert_eq!(health.replicas, 1);
         assert_eq!(health.min_acked_lsn, appended);
         assert_eq!(health.max_lag, 0);
-        let mut agg = crate::stats::StatsAggregator::new();
-        agg.record_replication(&health);
-        agg.record_durable_sharded(primary.store());
-        let snap = agg.snapshot();
-        assert_eq!(snap.replication_lag, 0);
-        assert_eq!(snap.replication_min_acked_lsn, appended);
-        assert_eq!(snap.wal_ack_lag, snap.wal_appended_lsn - snap.wal_acked_lsn);
     }
 
     #[test]

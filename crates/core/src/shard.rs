@@ -659,10 +659,12 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         self.query_with(q, &ExecutionConfig::serial(), &mut QueryScratch::new())
     }
 
-    /// Answer an inequality query: every shard evaluates it (in shard order
-    /// when serial; fanned out over `exec.threads` workers otherwise) and
-    /// the id-remapped matches are concatenated in canonical order. Matches
-    /// as a *set* equal the unsharded set's for the same data.
+    /// Answer an inequality query: every shard evaluates it in shard order
+    /// on the calling thread, and the id-remapped matches are concatenated
+    /// in canonical order. Each shard runs with the threads a shard-major
+    /// batch would leave it (`exec.threads` over the shard workers, at
+    /// least 1), as [`Self::top_k_with`] does. Matches as a *set* equal the
+    /// unsharded set's for the same data.
     ///
     /// # Errors
     ///

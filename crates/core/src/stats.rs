@@ -220,7 +220,10 @@ impl QueryStats {
 }
 
 /// Aggregates [`QueryStats`] across a workload (the paper reports averages
-/// over 100 runs).
+/// over 100 runs). It holds only what it accumulates; lifecycle state (WAL,
+/// epochs, group commit) stays with the structs that own it and renders
+/// itself next to this aggregate's [`Self::write_json`] fields at scrape
+/// time.
 #[derive(Debug, Clone, Default)]
 pub struct StatsAggregator {
     count: usize,
@@ -233,36 +236,8 @@ pub struct StatsAggregator {
     index_hits: usize,
     scan_fallbacks: usize,
     degraded: usize,
-    quarantine_events: usize,
     deadline_hits: usize,
-    wal_recorded: bool,
-    wal_segments: usize,
-    wal_unsynced_records: u64,
-    wal_last_lsn: u64,
-    wal_appended_lsn: u64,
-    wal_acked_lsn: u64,
     quant_sum: crate::quant::QuantFilterStats,
-    epoch_recorded: bool,
-    epoch: u64,
-    epochs_published: u64,
-    epochs_retired_live: usize,
-    epochs_reclaimed: u64,
-    epoch_clones: u64,
-    epoch_clone_bytes: u64,
-    epoch_clone_micros: u64,
-    gc_recorded: bool,
-    gc_fsyncs: u64,
-    gc_committed_records: u64,
-    gc_max_group: u64,
-    repl_recorded: bool,
-    repl_term: u64,
-    repl_replicas: usize,
-    repl_min_acked_lsn: u64,
-    repl_lag: u64,
-    repl_quorum_frontier: u64,
-    repl_quorum_timeouts: u64,
-    repl_link_drops: u64,
-    repl_link_acked: Vec<(u32, u64)>,
 }
 
 impl StatsAggregator {
@@ -311,161 +286,11 @@ impl StatsAggregator {
     /// top-k query. Top-k queries are counted apart from inequality
     /// queries (they leave [`Self::count`] and the per-query means alone);
     /// their quantized-filter counters join the shared `quant_*` sums.
-    /// [`StatsSnapshot::topk_queries`] reports the count.
+    /// [`Self::write_json`] reports the count as `topk_queries`.
     pub fn add_top_k_sharded(&mut self, per_shard: &[crate::index::TopKStats]) {
         self.topk_queries += 1;
         for s in per_shard {
             self.quant_sum.merge(&s.quant);
-        }
-    }
-
-    /// Record an index-quarantine event (see `crate::health`). Quarantines
-    /// are lifecycle events, not per-query stats, so callers report them
-    /// explicitly.
-    pub fn record_quarantine(&mut self) {
-        self.quarantine_events += 1;
-    }
-
-    /// Stamp the latest write-ahead-log health (see [`crate::WalHealth`])
-    /// into the aggregate. Like quarantines, WAL state is a lifecycle
-    /// property, not a per-query stat: the most recent recording wins and
-    /// is surfaced verbatim by [`Self::snapshot`].
-    pub fn record_wal(&mut self, health: &crate::wal::WalHealth) {
-        self.wal_recorded = true;
-        self.wal_segments = health.segments;
-        self.wal_unsynced_records = health.unsynced_records;
-        self.wal_last_lsn = health.last_lsn;
-        self.wal_appended_lsn = health.appended_lsn;
-        self.wal_acked_lsn = health.acked_lsn;
-    }
-
-    /// Stamp the latest epoch bookkeeping (see [`crate::EpochStats`]) into
-    /// the aggregate. Point-in-time like [`Self::record_wal`]: the most
-    /// recent recording wins.
-    pub fn record_epoch(&mut self, stats: &crate::concurrent::EpochStats) {
-        self.epoch_recorded = true;
-        self.epoch = stats.epoch;
-        self.epochs_published = stats.published;
-        self.epochs_retired_live = stats.retired_live;
-        self.epochs_reclaimed = stats.reclaimed;
-        self.epoch_clones = stats.clones;
-        self.epoch_clone_bytes = stats.clone_bytes;
-        self.epoch_clone_micros = stats.clone_micros;
-    }
-
-    /// Stamp the latest group-commit counters (see
-    /// [`crate::GroupCommitStats`]) into the aggregate. Point-in-time like
-    /// [`Self::record_wal`]: the most recent recording wins.
-    pub fn record_group_commit(&mut self, stats: &crate::wal::GroupCommitStats) {
-        self.gc_recorded = true;
-        self.gc_fsyncs = stats.fsyncs;
-        self.gc_committed_records = stats.committed_records;
-        self.gc_max_group = stats.max_group;
-    }
-
-    /// Stamp a durable sharded wrapper's **entire** lifecycle state in
-    /// one call: WAL health (including the group-commit
-    /// `appended`/`acked` watermarks), epoch ledger, and group-commit
-    /// counters. Before this existed callers stamped the three pieces
-    /// individually and durable *sharded* wrappers routinely missed one,
-    /// so replication lag could not be computed from a single
-    /// [`Self::snapshot`]; now `wal_ack_lag` and the epoch reclaim
-    /// counters are always coherent — they come from the same recording.
-    pub fn record_durable_sharded<S>(&mut self, set: &crate::ConcurrentDurableShardedIndexSet<S>)
-    where
-        S: crate::KeyStore + Clone,
-    {
-        self.record_wal(&set.wal_health());
-        self.record_epoch(&set.epoch_stats());
-        self.record_group_commit(&set.group_commit_stats());
-    }
-
-    /// Stamp the latest replication health (see
-    /// [`crate::replicate::ReplicationHealth`]) into the aggregate.
-    /// Point-in-time like [`Self::record_wal`]: the most recent recording
-    /// wins.
-    pub fn record_replication(&mut self, h: &crate::replicate::ReplicationHealth) {
-        self.repl_recorded = true;
-        self.repl_term = h.term;
-        self.repl_replicas = h.replicas;
-        self.repl_min_acked_lsn = h.min_acked_lsn;
-        self.repl_lag = h.max_lag;
-        self.repl_quorum_frontier = h.quorum_frontier;
-    }
-
-    /// Stamp the primary's endpoint counters that matter for quorum
-    /// health monitoring (see [`crate::replicate::ReplicationStats`]).
-    /// Point-in-time: the most recent recording wins.
-    pub fn record_replication_stats(&mut self, s: &crate::replicate::ReplicationStats) {
-        self.repl_recorded = true;
-        self.repl_quorum_timeouts = s.quorum_timeouts;
-        self.repl_link_drops = s.link_drops;
-    }
-
-    /// Stamp the per-link acked-LSN watermarks (see
-    /// [`crate::replicate::Primary::replica_health`]). Point-in-time: the
-    /// most recent recording wins; the snapshot carries them as
-    /// `(link id, acked LSN)` pairs so `/metrics` can expose which
-    /// replica is behind, not just the worst lag.
-    pub fn record_replica_links(&mut self, links: &[crate::replicate::ReplicaHealth]) {
-        self.repl_recorded = true;
-        self.repl_link_acked = links.iter().map(|l| (l.id, l.acked_lsn)).collect();
-    }
-
-    /// Fold another aggregator into this one — equivalent to having
-    /// [`Self::add`]ed all of `other`'s queries here. Lets parallel batch
-    /// workers aggregate locally and combine at the end.
-    pub fn merge(&mut self, other: &StatsAggregator) {
-        self.count += other.count;
-        self.topk_queries += other.topk_queries;
-        self.pruned_sum += other.pruned_sum;
-        self.verified_sum += other.verified_sum;
-        self.matched_sum += other.matched_sum;
-        self.intermediate_sum += other.intermediate_sum;
-        self.fill_skipped_sum += other.fill_skipped_sum;
-        self.quant_sum.merge(&other.quant_sum);
-        self.index_hits += other.index_hits;
-        self.scan_fallbacks += other.scan_fallbacks;
-        self.degraded += other.degraded;
-        self.quarantine_events += other.quarantine_events;
-        self.deadline_hits += other.deadline_hits;
-        // WAL health is point-in-time, not additive: prefer the other
-        // aggregator's recording when it has one (merge order follows
-        // recording order in every current caller).
-        if other.wal_recorded {
-            self.wal_recorded = true;
-            self.wal_segments = other.wal_segments;
-            self.wal_unsynced_records = other.wal_unsynced_records;
-            self.wal_last_lsn = other.wal_last_lsn;
-            self.wal_appended_lsn = other.wal_appended_lsn;
-            self.wal_acked_lsn = other.wal_acked_lsn;
-        }
-        if other.epoch_recorded {
-            self.epoch_recorded = true;
-            self.epoch = other.epoch;
-            self.epochs_published = other.epochs_published;
-            self.epochs_retired_live = other.epochs_retired_live;
-            self.epochs_reclaimed = other.epochs_reclaimed;
-            self.epoch_clones = other.epoch_clones;
-            self.epoch_clone_bytes = other.epoch_clone_bytes;
-            self.epoch_clone_micros = other.epoch_clone_micros;
-        }
-        if other.gc_recorded {
-            self.gc_recorded = true;
-            self.gc_fsyncs = other.gc_fsyncs;
-            self.gc_committed_records = other.gc_committed_records;
-            self.gc_max_group = other.gc_max_group;
-        }
-        if other.repl_recorded {
-            self.repl_recorded = true;
-            self.repl_term = other.repl_term;
-            self.repl_replicas = other.repl_replicas;
-            self.repl_min_acked_lsn = other.repl_min_acked_lsn;
-            self.repl_lag = other.repl_lag;
-            self.repl_quorum_frontier = other.repl_quorum_frontier;
-            self.repl_quorum_timeouts = other.repl_quorum_timeouts;
-            self.repl_link_drops = other.repl_link_drops;
-            self.repl_link_acked = other.repl_link_acked.clone();
         }
     }
 
@@ -525,204 +350,46 @@ impl StatsAggregator {
         self.degraded
     }
 
-    /// Number of quarantine events reported via [`Self::record_quarantine`].
-    pub fn quarantine_event_count(&self) -> usize {
-        self.quarantine_events
-    }
-
     /// Number of query slots skipped because the batch deadline expired.
     pub fn deadline_hit_count(&self) -> usize {
         self.deadline_hits
     }
 
-    /// Point-in-time snapshot of the aggregate counters, stamped with the
-    /// runtime code paths (kernel dispatch, FMA availability, thread-clamp
-    /// events) that produced them. Benchmarks serialize this into their
-    /// JSON output so a result is traceable to the code path that made it.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            count: self.count,
-            topk_queries: self.topk_queries,
-            mean_pruning_percentage: self.mean_pruning_percentage(),
-            mean_verified: self.mean_verified(),
-            mean_intermediate: self.mean_intermediate(),
-            mean_matched: self.mean_matched(),
-            index_hit_rate: self.index_hit_rate(),
-            scan_fallbacks: self.scan_fallbacks,
-            degraded: self.degraded,
-            quarantine_events: self.quarantine_events,
-            deadline_hits: self.deadline_hits,
-            wal_segments: self.wal_segments,
-            wal_unsynced_records: self.wal_unsynced_records,
-            wal_last_lsn: self.wal_last_lsn,
-            wal_appended_lsn: self.wal_appended_lsn,
-            wal_acked_lsn: self.wal_acked_lsn,
-            wal_ack_lag: self.wal_appended_lsn.saturating_sub(self.wal_acked_lsn),
-            quant_lanes: self.quant_sum.lanes,
-            quant_accepted: self.quant_sum.accepted,
-            quant_rejected: self.quant_sum.rejected,
-            quant_reverified: self.quant_sum.reverified,
-            quant_fallback: self.quant_sum.fallback,
-            box_accepted_blocks: self.quant_sum.box_accepted,
-            box_rejected_blocks: self.quant_sum.box_rejected,
-            fills_skipped: self.fill_skipped_sum,
-            quant_kernel: self.quant_sum.tier.kernel_name(),
-            epoch: self.epoch,
-            epochs_published: self.epochs_published,
-            epochs_retired_live: self.epochs_retired_live,
-            epochs_reclaimed: self.epochs_reclaimed,
-            epoch_clones: self.epoch_clones,
-            epoch_clone_bytes: self.epoch_clone_bytes,
-            epoch_clone_micros: self.epoch_clone_micros,
-            group_commit_fsyncs: self.gc_fsyncs,
-            group_commit_records: self.gc_committed_records,
-            group_commit_max_group: self.gc_max_group,
-            replication_term: self.repl_term,
-            replication_replicas: self.repl_replicas,
-            replication_min_acked_lsn: self.repl_min_acked_lsn,
-            replication_lag: self.repl_lag,
-            replication_quorum_frontier: self.repl_quorum_frontier,
-            replication_quorum_timeouts: self.repl_quorum_timeouts,
-            replication_link_drops: self.repl_link_drops,
-            replication_link_acked: self.repl_link_acked.clone(),
-            kernel: planar_geom::kernel_name(),
-            fma_available: planar_geom::host_has_fma(),
-            thread_clamp_events: crate::parallel::thread_clamp_events(),
-        }
+    /// Write the aggregate into `doc` — the `engine` block of
+    /// `planar-serve`'s `/metrics`, before the engine appends its
+    /// lifecycle fields. Besides the per-query means and counters it stamps
+    /// the code paths that produced them: `quant_kernel` (the quantized
+    /// kernel of the most recent tier that ran, `"off"` when none did),
+    /// `kernel` and `fma_available` (the scalar-product dispatch, see
+    /// `planar_geom::kernels`) and the process-wide `thread_clamp_events`.
+    pub fn write_json(&self, doc: JsonObject) -> JsonObject {
+        let q = &self.quant_sum;
+        doc.field_usize("count", self.count)
+            .field_usize("topk_queries", self.topk_queries)
+            .field_f64("mean_pruning_percentage", self.mean_pruning_percentage())
+            .field_f64("mean_verified", self.mean_verified())
+            .field_f64("mean_intermediate", self.mean_intermediate())
+            .field_f64("mean_matched", self.mean_matched())
+            .field_f64("index_hit_rate", self.index_hit_rate())
+            .field_usize("scan_fallbacks", self.scan_fallbacks)
+            .field_usize("degraded", self.degraded)
+            .field_usize("deadline_hits", self.deadline_hits)
+            .field_usize("quant_lanes", q.lanes)
+            .field_usize("quant_accepted", q.accepted)
+            .field_usize("quant_rejected", q.rejected)
+            .field_usize("quant_reverified", q.reverified)
+            .field_usize("quant_fallback", q.fallback)
+            .field_usize("box_accepted_blocks", q.box_accepted)
+            .field_usize("box_rejected_blocks", q.box_rejected)
+            .field_usize("fills_skipped", self.fill_skipped_sum)
+            .field_str("quant_kernel", q.tier.kernel_name())
+            .field_str("kernel", planar_geom::kernel_name())
+            .field_bool("fma_available", planar_geom::host_has_fma())
+            .field_u64(
+                "thread_clamp_events",
+                crate::parallel::thread_clamp_events(),
+            )
     }
-}
-
-/// A [`StatsAggregator`] snapshot plus execution-environment provenance.
-///
-/// `kernel` and `fma_available` record which scalar-product implementation
-/// the process dispatched to (see `planar_geom::kernels`);
-/// `thread_clamp_events` is the process-wide clamp counter at snapshot
-/// time. Together they make a benchmark JSON self-describing: the same
-/// workload measured under `PLANAR_FORCE_PORTABLE=1` and under AVX2 differs
-/// only in these fields and the timings.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsSnapshot {
-    /// Queries aggregated.
-    pub count: usize,
-    /// Top-k queries aggregated (not included in `count`).
-    pub topk_queries: usize,
-    /// Mean pruning percentage (paper Figures 9/10 y-axis).
-    pub mean_pruning_percentage: f64,
-    /// Mean scalar products per query.
-    pub mean_verified: f64,
-    /// Mean intermediate-interval size per query.
-    pub mean_intermediate: f64,
-    /// Mean answer-set size per query.
-    pub mean_matched: f64,
-    /// Fraction of queries served by the indexed path.
-    pub index_hit_rate: f64,
-    /// Queries that fell back to a sequential scan.
-    pub scan_fallbacks: usize,
-    /// Queries served in degraded mode.
-    pub degraded: usize,
-    /// Quarantine events reported.
-    pub quarantine_events: usize,
-    /// Query slots skipped because the batch deadline expired.
-    pub deadline_hits: usize,
-    /// WAL segment files at the last [`StatsAggregator::record_wal`]
-    /// (0 when never recorded).
-    pub wal_segments: usize,
-    /// Appended-but-unsynced WAL records at the last recording.
-    pub wal_unsynced_records: u64,
-    /// Highest LSN appended to the WAL at the last recording.
-    pub wal_last_lsn: u64,
-    /// Highest LSN appended at the last recording (group-commit view;
-    /// equals `wal_last_lsn`).
-    pub wal_appended_lsn: u64,
-    /// Highest fsync-covered LSN at the last recording;
-    /// `wal_appended_lsn − wal_acked_lsn` is the observable group-commit
-    /// lag.
-    pub wal_acked_lsn: u64,
-    /// `wal_appended_lsn − wal_acked_lsn` precomputed (saturating), so
-    /// replication lag math needs no field arithmetic at call sites.
-    pub wal_ack_lag: u64,
-    /// Candidate lanes that entered the quantized filter (sum over all
-    /// aggregated queries; 0 when the tier never ran).
-    pub quant_lanes: usize,
-    /// Lanes the quantized filter proved satisfying without touching `f64`
-    /// rows.
-    pub quant_accepted: usize,
-    /// Lanes the quantized filter proved failing.
-    pub quant_rejected: usize,
-    /// Lanes inside the uncertainty band, re-verified at full precision.
-    pub quant_reverified: usize,
-    /// Lanes classified by the exact fallback (unsound blocks / overflow
-    /// guards).
-    pub quant_fallback: usize,
-    /// Blocks with candidates that their bounding box settled as all
-    /// satisfying (inequality and top-k queries).
-    pub box_accepted_blocks: usize,
-    /// Blocks with candidates that their bounding box settled as all
-    /// failing.
-    pub box_rejected_blocks: usize,
-    /// Shard queries that verified the live rows of their box-mixed blocks
-    /// instead of filling the intermediate interval (see
-    /// [`QueryStats::fill_skipped`]).
-    pub fills_skipped: usize,
-    /// Dispatched quantized kernel for the most recent non-off tier
-    /// observed (`"avx2-i16"` or `"portable-i16"`; `"off"` when the tier
-    /// never ran).
-    pub quant_kernel: &'static str,
-    /// Published epoch at the last [`StatsAggregator::record_epoch`]
-    /// (0 when never recorded).
-    pub epoch: u64,
-    /// Epochs published over the recorded cell's lifetime.
-    pub epochs_published: u64,
-    /// Retired epochs still in their grace period at the last recording.
-    pub epochs_retired_live: usize,
-    /// Retired epochs reclaimed after their grace period ended.
-    pub epochs_reclaimed: u64,
-    /// Copy-on-publish set clones over the recorded cell's lifetime — the
-    /// write-path ceiling ROADMAP item 1 names.
-    pub epoch_clones: u64,
-    /// Bytes deep-copied by those clones (heap footprint of the cloned
-    /// sets at clone time).
-    pub epoch_clone_bytes: u64,
-    /// Wall-clock microseconds spent inside those clones.
-    pub epoch_clone_micros: u64,
-    /// Commit-group leader fsyncs at the last
-    /// [`StatsAggregator::record_group_commit`] (0 when never recorded).
-    pub group_commit_fsyncs: u64,
-    /// Records made durable through those fsyncs.
-    pub group_commit_records: u64,
-    /// Largest single commit group observed.
-    pub group_commit_max_group: u64,
-    /// Replication term at the last
-    /// [`StatsAggregator::record_replication`] (0 when never recorded).
-    pub replication_term: u64,
-    /// Attached replicas at the last recording.
-    pub replication_replicas: usize,
-    /// Lowest replica acked LSN at the last recording — the durable
-    /// replication frontier.
-    pub replication_min_acked_lsn: u64,
-    /// Largest per-replica lag (primary appended − replica acked) at the
-    /// last recording.
-    pub replication_lag: u64,
-    /// Highest quorum-confirmed LSN at the last recording (0 under
-    /// `AckPolicy::Async` or before any quorum forms).
-    pub replication_quorum_frontier: u64,
-    /// Quorum-gated acknowledgements that expired typed at the last
-    /// [`StatsAggregator::record_replication_stats`].
-    pub replication_quorum_timeouts: u64,
-    /// Links reaped after their transport disconnected permanently.
-    pub replication_link_drops: u64,
-    /// Per-link `(id, acked LSN)` watermarks at the last
-    /// [`StatsAggregator::record_replica_links`] — which replica is
-    /// behind, not just the worst lag.
-    pub replication_link_acked: Vec<(u32, u64)>,
-    /// Dispatched scalar-product kernel (`"avx2"` or `"portable"`).
-    pub kernel: &'static str,
-    /// Whether the host advertises FMA (never used by the kernels — see the
-    /// determinism contract — but recorded so a future FMA variant can be
-    /// distinguished in archived results).
-    pub fma_available: bool,
-    /// Process-wide thread-clamp counter at snapshot time.
-    pub thread_clamp_events: u64,
 }
 
 /// A minimal serde-free JSON object builder: flat or nested objects with
@@ -854,79 +521,6 @@ pub fn json_array<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> S
     out
 }
 
-impl StatsSnapshot {
-    /// Serialize the snapshot as a flat JSON object — the `/metrics`
-    /// payload of `planar-serve` and the provenance block of the
-    /// benchmark JSON files. Hand-rolled (no serde in this workspace):
-    /// every field is a number, boolean, or string; field names match the
-    /// struct fields exactly.
-    pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .field_usize("count", self.count)
-            .field_usize("topk_queries", self.topk_queries)
-            .field_f64("mean_pruning_percentage", self.mean_pruning_percentage)
-            .field_f64("mean_verified", self.mean_verified)
-            .field_f64("mean_intermediate", self.mean_intermediate)
-            .field_f64("mean_matched", self.mean_matched)
-            .field_f64("index_hit_rate", self.index_hit_rate)
-            .field_usize("scan_fallbacks", self.scan_fallbacks)
-            .field_usize("degraded", self.degraded)
-            .field_usize("quarantine_events", self.quarantine_events)
-            .field_usize("deadline_hits", self.deadline_hits)
-            .field_usize("wal_segments", self.wal_segments)
-            .field_u64("wal_unsynced_records", self.wal_unsynced_records)
-            .field_u64("wal_last_lsn", self.wal_last_lsn)
-            .field_u64("wal_appended_lsn", self.wal_appended_lsn)
-            .field_u64("wal_acked_lsn", self.wal_acked_lsn)
-            .field_u64("wal_ack_lag", self.wal_ack_lag)
-            .field_usize("quant_lanes", self.quant_lanes)
-            .field_usize("quant_accepted", self.quant_accepted)
-            .field_usize("quant_rejected", self.quant_rejected)
-            .field_usize("quant_reverified", self.quant_reverified)
-            .field_usize("quant_fallback", self.quant_fallback)
-            .field_usize("box_accepted_blocks", self.box_accepted_blocks)
-            .field_usize("box_rejected_blocks", self.box_rejected_blocks)
-            .field_usize("fills_skipped", self.fills_skipped)
-            .field_str("quant_kernel", self.quant_kernel)
-            .field_u64("epoch", self.epoch)
-            .field_u64("epochs_published", self.epochs_published)
-            .field_usize("epochs_retired_live", self.epochs_retired_live)
-            .field_u64("epochs_reclaimed", self.epochs_reclaimed)
-            .field_u64("epoch_clones", self.epoch_clones)
-            .field_u64("epoch_clone_bytes", self.epoch_clone_bytes)
-            .field_u64("epoch_clone_micros", self.epoch_clone_micros)
-            .field_u64("group_commit_fsyncs", self.group_commit_fsyncs)
-            .field_u64("group_commit_records", self.group_commit_records)
-            .field_u64("group_commit_max_group", self.group_commit_max_group)
-            .field_u64("replication_term", self.replication_term)
-            .field_usize("replication_replicas", self.replication_replicas)
-            .field_u64("replication_min_acked_lsn", self.replication_min_acked_lsn)
-            .field_u64("replication_lag", self.replication_lag)
-            .field_u64(
-                "replication_quorum_frontier",
-                self.replication_quorum_frontier,
-            )
-            .field_u64(
-                "replication_quorum_timeouts",
-                self.replication_quorum_timeouts,
-            )
-            .field_u64("replication_link_drops", self.replication_link_drops)
-            .field_raw(
-                "replication_link_acked",
-                &json_array(self.replication_link_acked.iter().map(|&(id, acked)| {
-                    JsonObject::new()
-                        .field_u64("id", id as u64)
-                        .field_u64("acked_lsn", acked)
-                        .finish()
-                })),
-            )
-            .field_str("kernel", self.kernel)
-            .field_bool("fma_available", self.fma_available)
-            .field_u64("thread_clamp_events", self.thread_clamp_events)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -981,56 +575,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_sequential_adds() {
-        let stats = [
-            indexed(100, 50, 0, 50, 50),
-            QueryStats::scan(100, 10, ScanReason::ZeroCoefficient),
-            indexed(200, 20, 100, 80, 60),
-        ];
-        let mut sequential = StatsAggregator::new();
-        for s in &stats {
-            sequential.add(s);
-        }
-        sequential.add_top_k_sharded(&[]);
-        let mut left = StatsAggregator::new();
-        left.add(&stats[0]);
-        let mut right = StatsAggregator::new();
-        right.add(&stats[1]);
-        right.add(&stats[2]);
-        right.add_top_k_sharded(&[]);
-        left.merge(&right);
-        assert_eq!(left.count(), sequential.count());
-        assert_eq!(
-            left.snapshot().topk_queries,
-            sequential.snapshot().topk_queries
-        );
-        assert_eq!(
-            left.mean_pruning_percentage(),
-            sequential.mean_pruning_percentage()
-        );
-        assert_eq!(left.mean_verified(), sequential.mean_verified());
-        assert_eq!(left.mean_matched(), sequential.mean_matched());
-        assert_eq!(left.mean_intermediate(), sequential.mean_intermediate());
-        assert_eq!(left.index_hit_rate(), sequential.index_hit_rate());
-    }
-
-    #[test]
     fn fallback_and_degraded_are_counted() {
         let mut agg = StatsAggregator::new();
         agg.add(&indexed(10, 5, 0, 5, 5));
         agg.add(&QueryStats::scan(10, 1, ScanReason::OctantMismatch));
         agg.add(&QueryStats::scan(10, 1, ScanReason::IndexUnavailable));
-        agg.record_quarantine();
         assert_eq!(agg.scan_fallback_count(), 2);
         assert_eq!(agg.degraded_count(), 1);
-        assert_eq!(agg.quarantine_event_count(), 1);
-        let mut other = StatsAggregator::new();
-        other.add(&QueryStats::scan(10, 0, ScanReason::IndexUnavailable));
-        other.record_quarantine();
-        agg.merge(&other);
-        assert_eq!(agg.scan_fallback_count(), 3);
-        assert_eq!(agg.degraded_count(), 2);
-        assert_eq!(agg.quarantine_event_count(), 2);
     }
 
     #[test]
@@ -1054,14 +605,18 @@ mod tests {
     fn snapshot_records_kernel_provenance() {
         let mut agg = StatsAggregator::new();
         agg.add(&indexed(100, 40, 20, 40, 30));
-        let snap = agg.snapshot();
-        assert_eq!(snap.count, 1);
-        assert_eq!(snap.mean_verified, 20.0);
+        let json = agg.write_json(JsonObject::new()).finish();
+        assert!(json.contains("\"count\":1,"));
+        assert!(json.contains("\"mean_verified\":20,"));
         // 40 + 40 wholesale of 100.
-        assert_eq!(snap.mean_pruning_percentage, 80.0);
-        assert_eq!(snap.kernel, planar_geom::kernel_name());
-        assert!(snap.kernel == "avx2" || snap.kernel == "portable");
-        assert_eq!(snap.fma_available, planar_geom::host_has_fma());
+        assert!(json.contains("\"mean_pruning_percentage\":80,"));
+        let kernel = planar_geom::kernel_name();
+        assert!(kernel == "avx2" || kernel == "portable");
+        assert!(json.contains(&format!("\"kernel\":\"{kernel}\"")));
+        assert!(json.contains(&format!(
+            "\"fma_available\":{}",
+            planar_geom::host_has_fma()
+        )));
     }
 
     #[test]
@@ -1081,11 +636,10 @@ mod tests {
         // A skipped slot is neither an index hit nor a scan fallback.
         assert_eq!(agg.scan_fallback_count(), 0);
         assert_eq!(agg.index_hit_rate(), 0.5);
-        let mut other = StatsAggregator::new();
-        other.add(&QueryStats::scan(10, 0, ScanReason::DeadlineExceeded));
-        agg.merge(&other);
-        assert_eq!(agg.deadline_hit_count(), 2);
-        assert_eq!(agg.snapshot().deadline_hits, 2);
+        assert!(agg
+            .write_json(JsonObject::new())
+            .finish()
+            .contains("\"deadline_hits\":1,"));
         let partial =
             ServedBy::from_path(&ExecutionPath::ScanFallback(ScanReason::DeadlineExceeded));
         assert!(partial.is_partial());
@@ -1141,15 +695,7 @@ mod tests {
                 ..Default::default()
             },
         }]);
-        agg.record_wal(&crate::wal::WalHealth {
-            segments: 2,
-            unsynced_records: 1,
-            last_lsn: 9,
-            appended_lsn: 9,
-            acked_lsn: 7,
-        });
-        let snap = agg.snapshot();
-        let json = snap.to_json();
+        let json = agg.write_json(JsonObject::new()).finish();
         // Structurally an object, no trailing comma, balanced quotes.
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(!json.contains(",}"));
@@ -1160,164 +706,11 @@ mod tests {
         assert!(json.contains("\"topk_queries\":1"));
         assert!(json.contains("\"quant_lanes\":40"));
         assert!(json.contains("\"deadline_hits\":1"));
-        assert!(json.contains("\"wal_segments\":2"));
-        assert!(json.contains("\"wal_ack_lag\":2"));
-        assert!(json.contains(&format!("\"index_hit_rate\":{}", snap.index_hit_rate)));
-        assert!(json.contains(&format!("\"kernel\":\"{}\"", snap.kernel)));
-        assert!(json.contains(&format!(
-            "\"fma_available\":{}",
-            if snap.fma_available { "true" } else { "false" }
-        )));
-        // No links recorded: the per-link array renders empty.
-        assert!(json.contains("\"replication_link_acked\":[]"));
-        // Field count matches the struct: one "key": per field.
-        let fields = json.matches("\":").count();
-        assert_eq!(fields, 47, "snapshot JSON should carry all 47 fields");
-    }
-
-    #[test]
-    fn replication_link_and_quorum_fields_render_and_merge() {
-        let mut agg = StatsAggregator::new();
-        agg.record_replication(&crate::replicate::ReplicationHealth {
-            term: 3,
-            appended_lsn: 20,
-            replicas: 2,
-            min_acked_lsn: 12,
-            max_lag: 8,
-            quorum_frontier: 15,
-        });
-        agg.record_replica_links(&[
-            crate::replicate::ReplicaHealth {
-                id: 0,
-                acked_lsn: 15,
-                applied_lsn: 15,
-                last_progress_ms: 100,
-            },
-            crate::replicate::ReplicaHealth {
-                id: 1,
-                acked_lsn: 12,
-                applied_lsn: 11,
-                last_progress_ms: 80,
-            },
-        ]);
-        let stats = crate::replicate::ReplicationStats {
-            quorum_timeouts: 2,
-            link_drops: 1,
-            ..Default::default()
-        };
-        agg.record_replication_stats(&stats);
-
-        let snap = agg.snapshot();
-        assert_eq!(snap.replication_quorum_frontier, 15);
-        assert_eq!(snap.replication_quorum_timeouts, 2);
-        assert_eq!(snap.replication_link_drops, 1);
-        assert_eq!(snap.replication_link_acked, vec![(0, 15), (1, 12)]);
-        let json = snap.to_json();
-        assert!(json.contains(
-            "\"replication_link_acked\":[{\"id\":0,\"acked_lsn\":15},{\"id\":1,\"acked_lsn\":12}]"
-        ));
-        assert!(json.contains("\"replication_quorum_frontier\":15"));
-
-        // Merge is latest-recording-wins, link vec included.
-        let mut other = StatsAggregator::new();
-        other.merge(&agg);
-        assert_eq!(
-            other.snapshot().replication_link_acked,
-            vec![(0, 15), (1, 12)]
-        );
-    }
-
-    #[test]
-    fn wal_health_is_latest_wins() {
-        let mut agg = StatsAggregator::new();
-        let snap = agg.snapshot();
-        assert_eq!(snap.wal_segments, 0);
-        assert_eq!(snap.wal_last_lsn, 0);
-        agg.record_wal(&crate::wal::WalHealth {
-            segments: 2,
-            unsynced_records: 3,
-            last_lsn: 40,
-            appended_lsn: 40,
-            acked_lsn: 37,
-        });
-        agg.record_wal(&crate::wal::WalHealth {
-            segments: 1,
-            unsynced_records: 0,
-            last_lsn: 57,
-            appended_lsn: 57,
-            acked_lsn: 57,
-        });
-        let snap = agg.snapshot();
-        assert_eq!(snap.wal_segments, 1);
-        assert_eq!(snap.wal_unsynced_records, 0);
-        assert_eq!(snap.wal_last_lsn, 57);
-        assert_eq!(snap.wal_appended_lsn, 57);
-        assert_eq!(snap.wal_acked_lsn, 57);
-        // Merging an aggregator that never recorded keeps ours.
-        agg.merge(&StatsAggregator::new());
-        assert_eq!(agg.snapshot().wal_last_lsn, 57);
-        // Merging one that did record adopts its (later) view.
-        let mut other = StatsAggregator::new();
-        other.record_wal(&crate::wal::WalHealth {
-            segments: 4,
-            unsynced_records: 7,
-            last_lsn: 99,
-            appended_lsn: 99,
-            acked_lsn: 92,
-        });
-        agg.merge(&other);
-        assert_eq!(agg.snapshot().wal_last_lsn, 99);
-        assert_eq!(agg.snapshot().wal_acked_lsn, 92);
-    }
-
-    #[test]
-    fn epoch_and_group_commit_are_latest_wins() {
-        let mut agg = StatsAggregator::new();
-        let snap = agg.snapshot();
-        assert_eq!(snap.epoch, 0);
-        assert_eq!(snap.group_commit_fsyncs, 0);
-        agg.record_epoch(&crate::concurrent::EpochStats {
-            epoch: 3,
-            published: 2,
-            retired_live: 1,
-            reclaimed: 1,
-            clones: 2,
-            clone_bytes: 4096,
-            clone_micros: 17,
-        });
-        agg.record_group_commit(&crate::wal::GroupCommitStats {
-            fsyncs: 4,
-            committed_records: 32,
-            max_group: 12,
-        });
-        let snap = agg.snapshot();
-        assert_eq!(snap.epoch, 3);
-        assert_eq!(snap.epochs_published, 2);
-        assert_eq!(snap.epochs_retired_live, 1);
-        assert_eq!(snap.epochs_reclaimed, 1);
-        assert_eq!(snap.epoch_clones, 2);
-        assert_eq!(snap.epoch_clone_bytes, 4096);
-        assert_eq!(snap.epoch_clone_micros, 17);
-        assert_eq!(snap.group_commit_fsyncs, 4);
-        assert_eq!(snap.group_commit_records, 32);
-        assert_eq!(snap.group_commit_max_group, 12);
-        // Merging a never-recorded aggregator keeps ours…
-        agg.merge(&StatsAggregator::new());
-        assert_eq!(agg.snapshot().epoch, 3);
-        // …and a recorded one wins.
-        let mut other = StatsAggregator::new();
-        other.record_epoch(&crate::concurrent::EpochStats {
-            epoch: 9,
-            published: 8,
-            retired_live: 0,
-            reclaimed: 8,
-            clones: 8,
-            clone_bytes: 1 << 20,
-            clone_micros: 400,
-        });
-        agg.merge(&other);
-        let snap = agg.snapshot();
-        assert_eq!(snap.epoch, 9);
-        assert_eq!(snap.group_commit_fsyncs, 4, "gc recording survives");
+        assert!(json.contains(&format!("\"index_hit_rate\":{}", agg.index_hit_rate())));
+        // One "key": per field, and no lifecycle keys: those belong to the
+        // structs that own them.
+        assert_eq!(json.matches("\":").count(), 22);
+        assert!(!json.contains("wal_"));
+        assert!(!json.contains("epoch"));
     }
 }

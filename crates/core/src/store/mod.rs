@@ -34,7 +34,7 @@ pub(crate) fn canon(key: f64) -> f64 {
 /// The sorted list `L` of one Planar index, stored as ids only.
 ///
 /// Every method that needs keys takes `key`, which maps an id to its
-/// canonical key (see [`canon`]); the store keeps its ids in ascending
+/// canonical key (see `canon`); the store keeps its ids in ascending
 /// `(key(id), id)` order under `f64::total_cmp`, with ids breaking ties so
 /// every id has a unique position and removals are exact. A store is only
 /// correct while `key` returns the keys it was ordered by: callers remove

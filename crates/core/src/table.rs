@@ -633,7 +633,7 @@ const KD_SAMPLE: usize = 64;
 /// small. The splits work on compact keys — each coordinate quantized to
 /// 16 bits over the table's range, one contiguous column per dimension,
 /// ties broken by id. A node's widest dimension comes from the extents of
-/// an evenly spaced sample of [`KD_SAMPLE`] of its rows, and its median
+/// an evenly spaced sample of `KD_SAMPLE` of its rows, and its median
 /// from a byte histogram of that dimension's keys and a selection inside
 /// the median's bucket. The partition
 /// is stable, so every node's ids stay ascending and each column is read in

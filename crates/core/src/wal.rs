@@ -61,6 +61,7 @@ use std::time::{Duration, Instant};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::persist::SaveOptions;
+use crate::stats::JsonObject;
 use crate::table::PointId;
 use crate::{PlanarError, Result};
 
@@ -147,8 +148,8 @@ impl WalOptions {
     }
 }
 
-/// Point-in-time health of a write-ahead log, stamped into
-/// [`crate::StatsSnapshot`] via [`crate::StatsAggregator::record_wal`].
+/// Point-in-time health of a write-ahead log; [`Self::write_json`] renders
+/// it into the durable engine's `/metrics` block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalHealth {
     /// Live segment files (across all shards for a sharded set).
@@ -173,6 +174,18 @@ impl WalHealth {
     /// `appended_lsn − acked_lsn`: records appended but not yet durable.
     pub fn ack_lag(&self) -> u64 {
         self.appended_lsn.saturating_sub(self.acked_lsn)
+    }
+
+    /// Write the health into `doc` as `wal_segments`,
+    /// `wal_unsynced_records`, `wal_last_lsn`, `wal_appended_lsn`,
+    /// `wal_acked_lsn` and `wal_ack_lag` ([`Self::ack_lag`]).
+    pub fn write_json(&self, doc: JsonObject) -> JsonObject {
+        doc.field_usize("wal_segments", self.segments)
+            .field_u64("wal_unsynced_records", self.unsynced_records)
+            .field_u64("wal_last_lsn", self.last_lsn)
+            .field_u64("wal_appended_lsn", self.appended_lsn)
+            .field_u64("wal_acked_lsn", self.acked_lsn)
+            .field_u64("wal_ack_lag", self.ack_lag())
     }
 
     /// The durability bound this log imposes on a merged view: `None`
@@ -946,8 +959,8 @@ impl WalTailer {
 // ---------------------------------------------------------------------------
 
 /// Counters describing how well group commit is amortizing fsyncs,
-/// exposed by the durable engine and stamped into
-/// [`crate::StatsSnapshot`] via [`crate::StatsAggregator::record_group_commit`].
+/// exposed by the durable engine; [`Self::write_json`] renders them into
+/// its `/metrics` block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupCommitStats {
     /// fsyncs issued by commit-group leaders.
@@ -959,6 +972,14 @@ pub struct GroupCommitStats {
 }
 
 impl GroupCommitStats {
+    /// Write the counters into `doc` as `group_commit_fsyncs`,
+    /// `group_commit_records` and `group_commit_max_group`.
+    pub fn write_json(&self, doc: JsonObject) -> JsonObject {
+        doc.field_u64("group_commit_fsyncs", self.fsyncs)
+            .field_u64("group_commit_records", self.committed_records)
+            .field_u64("group_commit_max_group", self.max_group)
+    }
+
     /// Mean records per fsync — the amortization factor group commit
     /// achieved (1.0 means it degenerated to fsync-per-record).
     pub fn mean_group(&self) -> f64 {

@@ -1,8 +1,8 @@
 //! The adaptive micro-batcher: the serving-side analogue of
 //! `query_batch`.
 //!
-//! Connection handlers decode requests and [`MicroBatcher::enqueue`]
-//! them; dispatcher threads coalesce the queue into
+//! Connection handlers decode requests and enqueue them on the
+//! [`MicroBatcher`]; dispatcher threads coalesce the queue into
 //! `query_batch_isolated` / `top_k_batch_isolated` calls against one
 //! epoch snapshot, so concurrent clients get the same batch-execution
 //! amortization (shard-major cache residency, one snapshot pin, one
@@ -37,14 +37,17 @@
 //! Each request may carry a deadline (µs from receipt). At dispatch the
 //! tightest deadline in the batch becomes the batch's
 //! [`ExecutionConfig::with_deadline`] budget; queries the engine could
-//! not start in time come back as [`ServedBy::Partial`] placeholders,
-//! which the batcher surfaces as `partial` provenance on the response —
-//! the engine's partial-answer contract carried end to end.
+//! not start in time come back as [`planar_core::ServedBy::Partial`]
+//! placeholders, which the batcher surfaces as `partial` provenance on
+//! the response — the engine's partial-answer contract carried end to
+//! end.
 
 use crate::metrics::ServerMetrics;
 use crate::wire::{error_code, Provenance, Response};
 use crate::Engine;
-use planar_core::{ExecutionConfig, InequalityQuery, PlanarError, StatsAggregator, TopKQuery};
+use planar_core::{
+    ExecutionConfig, InequalityQuery, JsonObject, PlanarError, StatsAggregator, TopKQuery,
+};
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -384,16 +387,17 @@ impl<E: Engine> MicroBatcher<E> {
     }
 
     /// Render the full metrics document: server counters plus the
-    /// engine's stats snapshot (lifecycle state stamped at render time).
+    /// engine block — the query aggregate, then the engine's lifecycle
+    /// fields read from their owners at render time.
     pub(crate) fn metrics_json(&self) -> String {
-        let engine_json = {
-            let mut agg = self.stats.lock().expect("stats lock poisoned");
-            self.engine.record_lifecycle(&mut agg);
-            agg.snapshot().to_json()
-        };
-        planar_core::JsonObject::new()
+        let doc = self
+            .stats
+            .lock()
+            .expect("stats lock poisoned")
+            .write_json(JsonObject::new());
+        JsonObject::new()
             .field_raw("server", &self.metrics.to_json())
-            .field_raw("engine", &engine_json)
+            .field_raw("engine", &self.engine.write_lifecycle(doc).finish())
             .finish()
     }
 }

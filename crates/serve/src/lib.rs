@@ -7,7 +7,7 @@
 //!
 //! * the compact [`wire`] binary protocol (`PLNRQRY1` preamble, CRC-64
 //!   sealed frames via the shared [`planar_core::frame`] helpers);
-//! * a minimal [`http`] JSON surface (`GET /metrics`, `POST /query`,
+//! * a minimal `http` JSON surface (`GET /metrics`, `POST /query`,
 //!   `POST /topk`);
 //! * the `PLNRSHP1` replication ship protocol ([`planar_core::SHIP_MAGIC`]
 //!   banner): the connection becomes a [`planar_core::ShipEndpoint`] the
@@ -71,8 +71,8 @@ pub use wire::{error_code, Provenance, Request, Response};
 
 use planar_core::{
     endpoint_pair, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet, ExecutionConfig,
-    InequalityQuery, ShardedIndexSet, ShipEndpoint, ShipEndpointDriver, Snapshot, StatsAggregator,
-    TopKQuery, VecStore, SHIP_MAGIC,
+    InequalityQuery, JsonObject, ShardedIndexSet, ShipEndpoint, ShipEndpointDriver, Snapshot,
+    StatsAggregator, TopKQuery, VecStore, SHIP_MAGIC,
 };
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -87,19 +87,23 @@ const IDLE_POLL: Duration = Duration::from_millis(50);
 /// Budget for reading the rest of a frame once its first byte arrived.
 const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// What the server needs from an engine: epoch-snapshot reads plus an
-/// optional hook to stamp lifecycle state (WAL, epochs, group commit)
-/// into the metrics aggregator at scrape time.
+/// What the server needs from an engine: epoch-snapshot reads plus a
+/// read-only hook that renders its lifecycle state (epochs, WAL, group
+/// commit) into the `/metrics` engine block at scrape time.
 pub trait Engine: Send + Sync + 'static {
     /// Pin the current epoch for one coalesced batch.
     fn snapshot(&self) -> Snapshot<ShardedIndexSet<VecStore>>;
-    /// Fold engine-lifecycle state into `agg` (no-op by default).
-    fn record_lifecycle(&self, _agg: &mut StatsAggregator) {}
+    /// Append the engine's lifecycle fields to `doc`.
+    fn write_lifecycle(&self, doc: JsonObject) -> JsonObject;
 }
 
 impl Engine for ConcurrentShardedIndexSet<VecStore> {
     fn snapshot(&self) -> Snapshot<ShardedIndexSet<VecStore>> {
         ConcurrentShardedIndexSet::snapshot(self)
+    }
+
+    fn write_lifecycle(&self, doc: JsonObject) -> JsonObject {
+        self.epoch_stats().write_json(doc)
     }
 }
 
@@ -108,8 +112,10 @@ impl Engine for ConcurrentDurableShardedIndexSet<VecStore> {
         ConcurrentDurableShardedIndexSet::snapshot(self)
     }
 
-    fn record_lifecycle(&self, agg: &mut StatsAggregator) {
-        agg.record_durable_sharded(self);
+    fn write_lifecycle(&self, doc: JsonObject) -> JsonObject {
+        let doc = self.wal_health().write_json(doc);
+        let doc = self.epoch_stats().write_json(doc);
+        self.group_commit_stats().write_json(doc)
     }
 }
 

@@ -2,11 +2,13 @@
 //!
 //! Everything here is lock-free (`AtomicU64`) so the hot request path
 //! never contends on a metrics mutex. The `/metrics` document merges
-//! these server counters with the engine's
-//! [`planar_core::StatsSnapshot`] (rendered by its hand-rolled
-//! `to_json`), so one scrape shows both the serving layer (admission,
-//! coalescing, queue depth, latency percentiles) and the engine
-//! (pruning, WAL, epochs, replication).
+//! these server counters with the engine block: the query aggregate
+//! ([`planar_core::StatsAggregator::write_json`]) followed by the
+//! engine's lifecycle fields, each rendered by the struct that owns them
+//! ([`planar_core::EpochStats`], [`planar_core::WalHealth`],
+//! [`planar_core::GroupCommitStats`]). One scrape shows both the serving
+//! layer (admission, coalescing, queue depth, latency percentiles) and
+//! the engine (pruning, WAL, epochs).
 
 use planar_core::{parallel, JsonObject};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -4,13 +4,15 @@
 
 use planar_core::{
     Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet,
-    ExecutionConfig, FeatureTable, FsyncPolicy, IndexConfig, InequalityQuery, ParameterDomain,
-    QuantTier, ShardConfig, ShardedIndexSet, TempDir, TopKQuery, VecStore, WalOptions,
+    EpochStats, ExecutionConfig, FeatureTable, FsyncPolicy, IndexConfig, InequalityQuery,
+    ParameterDomain, QuantTier, ShardConfig, ShardedIndexSet, TempDir, TopKQuery, VecStore,
+    WalOptions,
 };
 use planar_serve::json::Json;
 use planar_serve::{
     error_code, AdmissionConfig, BatchPolicy, Client, Request, Response, ServeConfig, Server,
 };
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -587,8 +589,113 @@ fn http_quota_maps_to_429_with_retry_after() {
     server.shutdown();
 }
 
+/// The `/metrics` engine-block keys of the query aggregate, the same for
+/// every engine.
+const AGGREGATE_KEYS: [&str; 22] = [
+    "count",
+    "topk_queries",
+    "mean_pruning_percentage",
+    "mean_verified",
+    "mean_intermediate",
+    "mean_matched",
+    "index_hit_rate",
+    "scan_fallbacks",
+    "degraded",
+    "deadline_hits",
+    "quant_lanes",
+    "quant_accepted",
+    "quant_rejected",
+    "quant_reverified",
+    "quant_fallback",
+    "box_accepted_blocks",
+    "box_rejected_blocks",
+    "fills_skipped",
+    "quant_kernel",
+    "kernel",
+    "fma_available",
+    "thread_clamp_events",
+];
+
+/// Keys rendered by `EpochStats`.
+const EPOCH_KEYS: [&str; 7] = [
+    "epoch",
+    "epochs_published",
+    "epochs_retired_live",
+    "epochs_reclaimed",
+    "epoch_clones",
+    "epoch_clone_bytes",
+    "epoch_clone_micros",
+];
+
+/// Keys rendered by `WalHealth`.
+const WAL_KEYS: [&str; 6] = [
+    "wal_segments",
+    "wal_unsynced_records",
+    "wal_last_lsn",
+    "wal_appended_lsn",
+    "wal_acked_lsn",
+    "wal_ack_lag",
+];
+
+/// Keys rendered by `GroupCommitStats`.
+const GROUP_COMMIT_KEYS: [&str; 3] = [
+    "group_commit_fsyncs",
+    "group_commit_records",
+    "group_commit_max_group",
+];
+
+/// Scrape `/metrics` and return its engine block as a key → value map.
+fn engine_block(client: &mut Client) -> BTreeMap<String, Json> {
+    let doc = Json::parse(&client.metrics().unwrap()).unwrap();
+    match doc.get("engine") {
+        Some(Json::Obj(block)) => block.clone(),
+        other => panic!("engine block missing: {other:?}"),
+    }
+}
+
+/// Assert `block` carries exactly the keys of `groups`.
+fn assert_keys(block: &BTreeMap<String, Json>, groups: &[&[&str]]) {
+    let want: BTreeSet<&str> = groups.iter().flat_map(|g| g.iter().copied()).collect();
+    let got: BTreeSet<&str> = block.keys().map(String::as_str).collect();
+    assert_eq!(got, want);
+}
+
+/// Assert each `(key, value)` pair reads `value` in `block`.
+fn assert_values(block: &BTreeMap<String, Json>, want: &[(&str, u64)]) {
+    for &(key, value) in want {
+        assert_eq!(block[key].as_u64(), Some(value), "engine.{key}");
+    }
+}
+
+fn epoch_values(e: EpochStats) -> [(&'static str, u64); 7] {
+    [
+        ("epoch", e.epoch),
+        ("epochs_published", e.published),
+        ("epochs_retired_live", e.retired_live as u64),
+        ("epochs_reclaimed", e.reclaimed),
+        ("epoch_clones", e.clones),
+        ("epoch_clone_bytes", e.clone_bytes),
+        ("epoch_clone_micros", e.clone_micros),
+    ]
+}
+
 #[test]
-fn durable_engine_serves_and_reports_lifecycle_metrics() {
+fn metrics_engine_block_is_read_from_each_engine_s_own_state() {
+    // In memory: the query aggregate plus the live epoch ledger, and no
+    // WAL or group-commit keys.
+    let eng = engine(200);
+    let server = Server::start(Arc::clone(&eng), ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    eng.insert_point(&[2.0, 2.0]).unwrap();
+    eng.publish();
+    let block = engine_block(&mut client);
+    assert_keys(&block, &[&AGGREGATE_KEYS, &EPOCH_KEYS]);
+    let epochs = eng.epoch_stats();
+    assert!(epochs.published >= 2, "{epochs:?}");
+    assert_values(&block, &epoch_values(epochs));
+    server.shutdown();
+
+    // Durable: the query aggregate plus WAL, epoch and group-commit state.
     let dir = TempDir::new("serve_durable").unwrap();
     let store = ConcurrentDurableShardedIndexSet::create(
         dir.path(),
@@ -614,14 +721,38 @@ fn durable_engine_serves_and_reports_lifecycle_metrics() {
         Response::Matches { ids, .. } => assert_eq!(ids, want),
         other => panic!("unexpected response {other:?}"),
     }
-
-    // The durable engine's lifecycle hook stamps WAL/epoch state into the
-    // scrape: the engine block is the full 40-field snapshot.
-    let json = client.metrics().unwrap();
-    let doc = Json::parse(&json).unwrap();
-    let engine_block = doc.get("engine").expect("engine block present");
-    assert!(engine_block.get("count").is_some());
-    assert!(engine_block.get("wal_appended_lsn").is_some());
+    for i in 0..5 {
+        eng.insert_point(&[1.0 + i as f64, 2.0]).unwrap();
+    }
+    let block = engine_block(&mut client);
+    assert_keys(
+        &block,
+        &[&AGGREGATE_KEYS, &WAL_KEYS, &EPOCH_KEYS, &GROUP_COMMIT_KEYS],
+    );
+    assert_eq!(block["count"].as_u64(), Some(1));
+    let wal = eng.wal_health();
+    assert_eq!(wal.appended_lsn, 5);
+    assert_values(
+        &block,
+        &[
+            ("wal_segments", wal.segments as u64),
+            ("wal_unsynced_records", wal.unsynced_records),
+            ("wal_last_lsn", wal.last_lsn),
+            ("wal_appended_lsn", wal.appended_lsn),
+            ("wal_acked_lsn", wal.acked_lsn),
+            ("wal_ack_lag", wal.ack_lag()),
+        ],
+    );
+    assert_values(&block, &epoch_values(eng.epoch_stats()));
+    let gc = eng.group_commit_stats();
+    assert_values(
+        &block,
+        &[
+            ("group_commit_fsyncs", gc.fsyncs),
+            ("group_commit_records", gc.committed_records),
+            ("group_commit_max_group", gc.max_group),
+        ],
+    );
     server.shutdown();
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-wide gate: formatting, lints, and the full test suite.
+# Repo-wide gate: formatting, lints, rustdoc, and the full test suite.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -9,6 +9,9 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (deny warnings: no broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo test =="
 cargo test --workspace -q
