@@ -1,5 +1,5 @@
-//! Criterion: quantized classification kernels — the exact `f64` fused
-//! compare vs the `i16` quantized classifier — at feature
+//! Criterion: quantized classification kernels — the exact row-major
+//! `f64` pass vs the `i16` quantized classifier — at feature
 //! dimensionalities d' ∈ {4, 16, 64}.
 //!
 //! The quantized kernel scans 4× less memory per lane than the `f64`
@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use planar_core::{Cmp, FeatureTable, InequalityQuery, QuantizedColumns};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
-use planar_geom::{classify_block_i16, dot_cmp_block, quant_kernel_name};
+use planar_geom::{classify_block_i16, dot_block, quant_kernel_name, BLOCK_ROWS};
 use std::hint::black_box;
 
 const N: usize = 65_536;
@@ -25,15 +25,15 @@ fn table_for(dim: usize) -> FeatureTable {
     SyntheticConfig::paper(SyntheticKind::Independent, N, dim).generate()
 }
 
-/// Exact fused compare over every block (what the filter tier fronts).
+/// Exact pass over every block's contiguous rows: `dot_block`, then the
+/// compare (what the filter tier fronts).
 fn pass_f64(table: &FeatureTable, q: &InequalityQuery) -> usize {
-    let cols = table.columns();
-    let stride = cols.stride();
-    let leq = q.cmp() == Cmp::Leq;
+    let mut dots = [0.0f64; BLOCK_ROWS];
     let mut matched = 0;
-    for seg in cols.segments(0, table.len() as u32) {
-        matched +=
-            dot_cmp_block(q.a(), seg.cols, stride, seg.lanes, q.b(), leq).count_ones() as usize;
+    for (_, rows) in table.blocks() {
+        let dots = &mut dots[..rows.len() / table.dim()];
+        dot_block(q.a(), rows, dots);
+        matched += dots.iter().filter(|&&d| q.satisfies_dot(d)).count();
     }
     matched
 }
@@ -43,8 +43,7 @@ fn pass_f64(table: &FeatureTable, q: &InequalityQuery) -> usize {
 /// threshold) followed by one fused kernel call — the same work the
 /// production `QuantFilter` does per block.
 fn pass_quant(table: &FeatureTable, q: &InequalityQuery, mirror: &QuantizedColumns) -> usize {
-    let cols = table.columns();
-    let stride = cols.stride();
+    let stride = BLOCK_ROWS;
     let dim = q.a().len();
     let n = table.len();
     let mut w = vec![0.0f32; dim];
@@ -73,7 +72,7 @@ fn bench_quant_kernels(c: &mut Criterion) {
     for dim in DIMS {
         let table = table_for(dim);
         let q = query_for(dim);
-        let i16_mirror = QuantizedColumns::encode(table.columns());
+        let i16_mirror = QuantizedColumns::encode(&table);
         group.bench_function(BenchmarkId::new("f64_exact", dim), |b| {
             b.iter(|| black_box(pass_f64(&table, &q)))
         });

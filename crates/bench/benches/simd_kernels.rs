@@ -1,16 +1,14 @@
-//! Criterion: scalar-product kernels — naive vs blocked vs columnar SIMD —
-//! and full-table verification through the row-major vs columnar layouts,
-//! at feature dimensionalities d' ∈ {4, 16, 64}.
+//! Criterion: scalar-product kernels — naive per-row vs blocked over
+//! contiguous rows — and full-table verification over the table's
+//! row-major blocks, at feature dimensionalities d' ∈ {4, 16, 64}.
 //!
-//! All kernels are bit-identical by contract (`planar_geom::kernels`), so
-//! these benchmarks measure pure layout/dispatch cost. Set
-//! `PLANAR_FORCE_PORTABLE=1` to measure the portable fallback on AVX2
-//! hardware.
+//! Both kernels accumulate in `dot_slices`' order, so they are
+//! bit-identical and these benchmarks measure pure access-pattern cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use planar_core::{Cmp, FeatureTable, InequalityQuery};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
-use planar_geom::{dot_block, dot_block_cols, dot_cmp_block, dot_slices, BLOCK_ROWS};
+use planar_geom::{dot_block, dot_slices, BLOCK_ROWS};
 use std::hint::black_box;
 
 const N: usize = 65_536;
@@ -32,69 +30,30 @@ fn sum_naive(table: &FeatureTable, a: &[f64]) -> f64 {
 
 /// Blocked row-major kernel: 64 contiguous rows per `dot_block` call.
 fn sum_blocked(table: &FeatureTable, a: &[f64]) -> f64 {
-    let n = table.len() as u32;
     let mut dots = [0.0f64; BLOCK_ROWS];
     let mut sum = 0.0;
-    let mut lo = 0u32;
-    while lo < n {
-        let hi = (lo + BLOCK_ROWS as u32).min(n);
-        let lanes = (hi - lo) as usize;
-        dot_block(a, table.rows_between(lo, hi), &mut dots[..lanes]);
-        sum += dots[..lanes].iter().sum::<f64>();
-        lo = hi;
-    }
-    sum
-}
-
-/// Columnar SIMD kernel: `dot_block_cols` over the interleaved-block
-/// layout (AVX2 when dispatched, portable otherwise).
-fn sum_columnar(table: &FeatureTable, a: &[f64]) -> f64 {
-    let cols = table.columns();
-    let stride = cols.stride();
-    let mut dots = [0.0f64; BLOCK_ROWS];
-    let mut sum = 0.0;
-    for seg in cols.segments(0, table.len() as u32) {
-        dot_block_cols(a, seg.cols, stride, &mut dots[..seg.lanes]);
-        sum += dots[..seg.lanes].iter().sum::<f64>();
+    for (_, rows) in table.blocks() {
+        let dots = &mut dots[..rows.len() / table.dim()];
+        dot_block(a, rows, dots);
+        sum += dots.iter().sum::<f64>();
     }
     sum
 }
 
 /// Row-major verification: blocked dots, then compare each.
 fn verify_rowmajor(table: &FeatureTable, q: &InequalityQuery) -> usize {
-    let n = table.len() as u32;
     let mut dots = [0.0f64; BLOCK_ROWS];
     let mut matched = 0;
-    let mut lo = 0u32;
-    while lo < n {
-        let hi = (lo + BLOCK_ROWS as u32).min(n);
-        let lanes = (hi - lo) as usize;
-        dot_block(q.a(), table.rows_between(lo, hi), &mut dots[..lanes]);
-        matched += dots[..lanes]
-            .iter()
-            .filter(|&&d| q.satisfies_dot(d))
-            .count();
-        lo = hi;
-    }
-    matched
-}
-
-/// Columnar fused verification: `dot_cmp_block` produces the ≤ b bitmask
-/// without materializing the products.
-fn verify_columnar(table: &FeatureTable, q: &InequalityQuery) -> usize {
-    let cols = table.columns();
-    let stride = cols.stride();
-    let leq = q.cmp() == Cmp::Leq;
-    let mut matched = 0;
-    for seg in cols.segments(0, table.len() as u32) {
-        matched +=
-            dot_cmp_block(q.a(), seg.cols, stride, seg.lanes, q.b(), leq).count_ones() as usize;
+    for (_, rows) in table.blocks() {
+        let dots = &mut dots[..rows.len() / table.dim()];
+        dot_block(q.a(), rows, dots);
+        matched += dots.iter().filter(|&&d| q.satisfies_dot(d)).count();
     }
     matched
 }
 
 fn bench_dot_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group(format!("dot_kernels/{}", planar_geom::kernel_name()));
+    let mut group = c.benchmark_group("dot_kernels");
     group.sample_size(20);
     group.throughput(Throughput::Elements(N as u64));
     for dim in DIMS {
@@ -102,41 +61,29 @@ fn bench_dot_kernels(c: &mut Criterion) {
         let q = query_for(dim);
         let expected = sum_naive(&table, q.a());
         assert_eq!(sum_blocked(&table, q.a()), expected, "blocked != naive");
-        assert_eq!(sum_columnar(&table, q.a()), expected, "columnar != naive");
         group.bench_function(BenchmarkId::new("naive", dim), |b| {
             b.iter(|| black_box(sum_naive(&table, q.a())))
         });
         group.bench_function(BenchmarkId::new("blocked", dim), |b| {
             b.iter(|| black_box(sum_blocked(&table, q.a())))
         });
-        group.bench_function(BenchmarkId::new("columnar", dim), |b| {
-            b.iter(|| black_box(sum_columnar(&table, q.a())))
-        });
     }
     group.finish();
 }
 
-fn bench_verification_layouts(c: &mut Criterion) {
-    let mut group = c.benchmark_group(format!("verify_layout/{}", planar_geom::kernel_name()));
+fn bench_verification(c: &mut Criterion) {
+    let mut group = c.benchmark_group("verify_layout");
     group.sample_size(20);
     group.throughput(Throughput::Elements(N as u64));
     for dim in DIMS {
         let table = table_for(dim);
         let q = query_for(dim);
-        assert_eq!(
-            verify_rowmajor(&table, &q),
-            verify_columnar(&table, &q),
-            "layouts disagree at dim {dim}"
-        );
         group.bench_function(BenchmarkId::new("rowmajor", dim), |b| {
             b.iter(|| black_box(verify_rowmajor(&table, &q)))
-        });
-        group.bench_function(BenchmarkId::new("columnar_fused", dim), |b| {
-            b.iter(|| black_box(verify_columnar(&table, &q)))
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_dot_kernels, bench_verification_layouts);
+criterion_group!(benches, bench_dot_kernels, bench_verification);
 criterion_main!(benches);

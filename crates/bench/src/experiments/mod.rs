@@ -12,7 +12,6 @@ pub mod realworld;
 pub mod replication;
 pub mod serve;
 pub mod shard;
-pub mod simd;
 pub mod synthetic;
 pub mod topk;
 pub mod wal;
@@ -158,12 +157,6 @@ pub fn registry() -> Vec<Experiment> {
             description:
                 "sharded engine: batch & top-k speedup vs shard count, answers verified (BENCH_shard.json)",
             run: shard::shard,
-        },
-        Experiment {
-            name: "simd",
-            description:
-                "columnar SIMD verification vs row-major blocked scalar; intersection pruning on/off (BENCH_simd.json)",
-            run: simd::simd,
         },
         Experiment {
             name: "quant",

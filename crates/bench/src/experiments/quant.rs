@@ -1,5 +1,5 @@
 //! Quantized filter-tier experiment: raw filter-pass throughput of the
-//! fused `i16` classification kernel vs the exact `f64` compare kernel,
+//! fused `i16` classification kernel vs the exact row-major `f64` pass,
 //! end-to-end query speedup with the tier enabled (answers asserted
 //! bit-identical first), and the same for top-k queries (whose
 //! intermediate interval goes through the same filter; answers compared
@@ -9,12 +9,12 @@ use crate::report::{self, ms, Table};
 use crate::{time_ms, Config};
 use planar_core::stats::json_array;
 use planar_core::{
-    Cmp, IndexConfig, InequalityQuery, JsonObject, PlanarIndexSet, QuantFilterStats, QuantTier,
+    IndexConfig, InequalityQuery, JsonObject, PlanarIndexSet, QuantFilterStats, QuantTier,
     QuantizedColumns, TopKQuery, VecStore,
 };
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
-use planar_geom::{classify_block_i16, dot_cmp_block, quant_kernel_name};
+use planar_geom::{classify_block_i16, dot_block, quant_kernel_name, BLOCK_ROWS};
 
 /// Dataset dimensionality (d' = 8, the paper's mid-size feature space).
 const DIM: usize = 8;
@@ -30,16 +30,16 @@ const NS: [usize; 3] = [5_000, 50_000, 500_000];
 /// Neighbors per top-k query.
 const TOP_K: usize = 10;
 
-/// One pass of the exact `f64` compare kernel over every block of the
-/// table — the work the filter tier fronts. Returns the match count.
+/// One exact `f64` pass over every block of the table — the row-major
+/// [`dot_block`] products of its contiguous rows, then the compare: the
+/// work the filter tier fronts. Returns the match count.
 fn f64_pass(table: &planar_core::FeatureTable, q: &InequalityQuery) -> usize {
-    let cols = table.columns();
-    let stride = cols.stride();
-    let leq = q.cmp() == Cmp::Leq;
+    let mut dots = [0.0f64; BLOCK_ROWS];
     let mut matched = 0usize;
-    for seg in cols.segments(0, table.len() as u32) {
-        matched +=
-            dot_cmp_block(q.a(), seg.cols, stride, seg.lanes, q.b(), leq).count_ones() as usize;
+    for (_, rows) in table.blocks() {
+        let dots = &mut dots[..rows.len() / table.dim()];
+        dot_block(q.a(), rows, dots);
+        matched += dots.iter().filter(|&&d| q.satisfies_dot(d)).count();
     }
     matched
 }
@@ -285,9 +285,8 @@ fn filter_arm(
     queries: &[InequalityQuery],
     n: usize,
 ) -> FilterPoint {
-    let cols = set.table().columns();
-    let stride = cols.stride();
-    let i16_mirror = QuantizedColumns::encode(cols);
+    let stride = BLOCK_ROWS;
+    let i16_mirror = QuantizedColumns::encode(set.table());
     let (mut f64_ms, mut i16_ms) = (0.0, 0.0);
     for _ in 0..REPS {
         let (counts, t) = time_ms(|| {

@@ -148,20 +148,6 @@ fn shard_report() {
 
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release only: see the module docs")]
-fn simd_report() {
-    let doc = report("simd");
-    assert!(matches!(
-        at(&doc, "kernel").as_str(),
-        Some("avx2" | "portable")
-    ));
-    assert_eq!(
-        num(&doc, "verification.speedup"),
-        num(&doc, "verification.rowmajor_blocked_ms") / num(&doc, "verification.columnar_fused_ms")
-    );
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "release only: see the module docs")]
 fn quant_report() {
     let doc = report("quant");
     for row in rows(&doc, "filter_pass") {

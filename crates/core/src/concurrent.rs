@@ -724,7 +724,7 @@ impl<S: KeyStore + Clone> ConcurrentDurableShardedIndexSet<S> {
             }
             report.wal_dropped += scan.dropped_records;
             report.wal_torn_bytes += scan.torn_bytes;
-            max_lsn = max_lsn.max(wal.health().last_lsn).max(*watermark);
+            max_lsn = max_lsn.max(wal.health().appended_lsn).max(*watermark);
             wals.push(wal);
         }
         report.shard_watermarks = watermarks;

@@ -184,36 +184,35 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             let c0 = &q.constraints()[0];
             let mut filter = crate::quant::QuantFilter::new(c0, qcols);
             let table = self.table();
-            let len = table.len() as PointId;
-            for seg in table.columns().segments(0, len) {
-                let lanes_mask = if seg.lanes == planar_geom::BLOCK_ROWS {
+            for (first, rows) in table.blocks() {
+                let lanes = rows.len() / table.dim();
+                let lanes_mask = if lanes == planar_geom::BLOCK_ROWS {
                     u64::MAX
                 } else {
-                    (1u64 << seg.lanes) - 1
+                    (1u64 << lanes) - 1
                 };
-                let (accept, reject) = match filter.classify(seg.first, seg.lanes) {
+                let (accept, reject) = match filter.classify(first, lanes) {
                     crate::quant::BlockClass::Fallback => {
-                        quant.fallback += seg.lanes;
+                        quant.fallback += lanes;
                         (0u64, 0u64)
                     }
                     crate::quant::BlockClass::Classified { accept, reject } => {
-                        quant.lanes += seg.lanes;
+                        quant.lanes += lanes;
                         quant.accepted += accept.count_ones() as usize;
                         quant.rejected += (reject & lanes_mask).count_ones() as usize;
                         quant.reverified += (!(accept | reject) & lanes_mask).count_ones() as usize;
                         (accept, reject)
                     }
                 };
-                for l in 0..seg.lanes {
+                for (l, row) in rows.chunks_exact(table.dim()).enumerate() {
                     if reject >> l & 1 == 1 {
                         continue;
                     }
-                    let id = table.id_at(seg.first + l as u32);
+                    let id = table.id_at(first + l as u32);
                     if !self.is_live(id) {
                         continue;
                     }
                     verified += 1;
-                    let row = table.row(id);
                     let ok = if accept >> l & 1 == 1 {
                         q.constraints()[1..].iter().all(|c| c.satisfies(row))
                     } else {

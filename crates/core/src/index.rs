@@ -380,7 +380,7 @@ impl<S: KeyStore> SingleIndex<S> {
     }
 
     /// [`Self::evaluate`] with the table's live rows (`live`, one word per
-    /// block of its columnar slots), explicit execution configuration and
+    /// block of its slots), explicit execution configuration and
     /// reusable scratch buffers.
     ///
     /// With a quantized tier, and when the fill would mark more rows (the

@@ -150,7 +150,7 @@ pub use shard::{
 };
 pub use stats::{ExecutionPath, JsonObject, QueryStats, ServedBy, StatsAggregator};
 pub use store::{KeyStore, VecStore};
-pub use table::{ColSegment, ColumnMajorRows, FeatureTable};
+pub use table::FeatureTable;
 pub use wal::{
     FsyncPolicy, GroupCommitStats, Lsn, Mutation, MutationAck, QuorumGate, WalHealth, WalOptions,
     WalRecord,

@@ -142,8 +142,8 @@ pub(crate) fn stamp_partial_completed<O>(
 /// A budget of Planar indices over one dataset — the main entry point of
 /// this crate. Each index holds only point ids; its keys are computed from
 /// this set's table (see [`SingleIndex`]), so every mutation here keeps
-/// rows and indices in step. The set lays its table's columnar blocks out
-/// in k-d block order when it is built, loaded or compacted
+/// rows and indices in step. The set lays its table's rows out in k-d
+/// block order when it is built, loaded or compacted
 /// ([`FeatureTable::cluster`]); ids are unaffected. `S` is the id store,
 /// [`VecStore`].
 #[derive(Debug, Clone)]
@@ -153,7 +153,7 @@ pub struct PlanarIndexSet<S: KeyStore = VecStore> {
     normalizer: Normalizer,
     indices: Vec<SingleIndex<S>>,
     strategy: SelectionStrategy,
-    /// The live (not tombstoned) rows by columnar slot, one word per
+    /// The live (not tombstoned) rows by slot, one word per
     /// 64-row block of the table.
     live: Vec<u64>,
     n_live: usize,
@@ -1172,15 +1172,18 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                 remap[id as usize] = Some(new_id);
             }
         }
-        // The fresh table carries no mirror; the size rule below encodes
-        // one over the compacted blocks when the table keeps enough rows.
+        // The indices are rebuilt while the fresh table's slots are its
+        // ids, so their keys come from rows in id order; clustering then
+        // permutes the rows. The fresh table carries no quantized tier;
+        // the size rule below encodes one over the compacted blocks when
+        // the table keeps enough rows.
+        for idx in &mut self.indices {
+            idx.rebuild_from(&fresh, &[]);
+        }
         fresh.cluster();
         self.table = fresh;
         self.live = live_words(&self.table, &[]);
         self.n_live = self.table.len();
-        for idx in &mut self.indices {
-            idx.rebuild_from(&self.table, &[]);
-        }
         for flag in &mut self.quarantined {
             *flag = false;
         }
@@ -1366,7 +1369,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     }
 }
 
-/// The live rows of `table` by columnar slot, one word per 64-row block:
+/// The live rows of `table` by slot, one word per 64-row block:
 /// every row not marked in `dead` (a shorter `dead` leaves the rest
 /// live).
 pub(crate) fn live_words(table: &FeatureTable, dead: &[bool]) -> Vec<u64> {

@@ -8,7 +8,7 @@
 //! identically ordered with** its serial counterpart, for any thread count:
 //!
 //! * Intermediate-interval (II) candidates are held as a bitmap with one
-//!   word per 64-row block of the columnar mirror ([`QueryScratch`]) and
+//!   word per 64-row block of the table's slots ([`QueryScratch`]) and
 //!   verified block by block in slot order by `verify_mask`. Splitting
 //!   the bitmap into contiguous word ranges and concatenating the
 //!   per-range matches in range order reproduces the serial order exactly.
@@ -21,13 +21,11 @@
 //!   makes the verdicts sound against the `f64` rounding of the exact dot.
 //! * Verdicts come from the quantized classifier when the tier is on (sound:
 //!   its accepts and rejects agree with the exact predicate, and its band
-//!   is re-verified in `f64`), else from the fused columnar SIMD kernel
-//!   [`planar_geom::dot_cmp_block`] for dense blocks and the row-at-a-time
-//!   [`planar_geom::dot_slices`] for sparse ones. The kernels' per-lane
-//!   accumulation is bit-identical to `dot_slices` regardless of the
-//!   dispatched implementation (AVX2 or portable — see
-//!   `planar_geom::kernels`), so neither the tier nor the split ever changes
-//!   a verdict.
+//!   is re-verified in `f64`), else from the exact `f64` product: one
+//!   row-major [`planar_geom::dot_block`] over a dense block's contiguous
+//!   rows, or [`planar_geom::dot_slices`] on each row of a sparse one. Both
+//!   accumulate every row in `dot_slices`' order, so neither the tier nor
+//!   the split ever changes a verdict.
 //! * Algorithm 2 verifies its II through the same `verify_mask` call, then
 //!   ranks the satisfying ids serially by their row's
 //!   [`InequalityQuery::distance`]. The top-k buffer's total
@@ -50,10 +48,10 @@
 //! counts the threads spawned.
 
 use crate::quant::{BlockClass, BoxClass, QuantFilter, QuantFilterStats, QuantTier};
-use crate::query::{Cmp, InequalityQuery};
-use crate::table::{ColSegment, FeatureTable, PointId};
+use crate::query::InequalityQuery;
+use crate::table::{FeatureTable, PointId};
 use crate::{PlanarError, Result};
-use planar_geom::{dot_cmp_block, dot_slices, BLOCK_ROWS};
+use planar_geom::{dot_block, dot_slices, BLOCK_ROWS};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -253,7 +251,7 @@ impl ExecutionConfig {
 ///
 /// Algorithms 1 and 2 hold the intermediate-interval (II) candidate set
 /// here as a bitmap with one `u64` word per [`BLOCK_ROWS`]-row block of the
-/// table's columnar mirror: bit `l` of word `w` is the row in slot
+/// table's slots: bit `l` of word `w` is the row in slot
 /// `w·BLOCK_ROWS + l`. Setting bits straight from the store's key-order
 /// walk and reading the words in order visits the candidates block by
 /// block in `O(m + n/64)` with no sort, and each word is exactly the
@@ -262,7 +260,7 @@ impl ExecutionConfig {
 /// allocation-free once its buffers have grown to the table's size.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
-    /// II candidate bitmap, one word per block of the columnar mirror.
+    /// II candidate bitmap, one word per block of the table's slots.
     pub(crate) mask: Vec<u64>,
     /// Lanes proven to satisfy the query (the index's accepted interval),
     /// one word per block; emitted without verification.
@@ -481,12 +479,24 @@ where
 }
 
 /// Block `w`'s first slot, lane count (`BLOCK_ROWS` except in the last,
-/// partial block) and columnar storage.
-fn block(table: &FeatureTable, w: usize) -> (u32, usize, ColSegment<'_>) {
+/// partial block) and contiguous rows.
+fn block(table: &FeatureTable, w: usize) -> (u32, usize, &[f64]) {
     let first = (w * BLOCK_ROWS) as u32;
     let lanes = (table.len() - w * BLOCK_ROWS).min(BLOCK_ROWS);
-    let seg = table.columns().segments(first, first + lanes as u32).next();
-    (first, lanes, seg.expect("a non-empty block has a segment"))
+    (first, lanes, table.slot_rows(first, first + lanes as u32))
+}
+
+/// Exact predicate mask of a run of at most [`BLOCK_ROWS`] contiguous
+/// rows: bit `l` is set iff row `l` satisfies `query`, evaluated on its
+/// [`dot_block`] product exactly as [`InequalityQuery::satisfies_dot`]
+/// does. Bit-identical to checking each row with [`dot_slices`].
+pub(crate) fn exact_mask(query: &InequalityQuery, rows: &[f64]) -> u64 {
+    let mut dots = [0.0f64; BLOCK_ROWS];
+    let dots = &mut dots[..rows.len() / query.a().len()];
+    dot_block(query.a(), rows, dots);
+    dots.iter().enumerate().fold(0, |mask, (l, &dot)| {
+        mask | u64::from(query.satisfies_dot(dot)) << l
+    })
 }
 
 /// Verify a window of block words against `query`, emitting the ids of
@@ -497,11 +507,10 @@ fn block(table: &FeatureTable, w: usize) -> (u32, usize, ColSegment<'_>) {
 ///
 /// * a block with at least [`QUANT_MIN_SEGMENT_LANES`] candidates gets one
 ///   whole-block pass — the quantized classifier when the tier is on, else
-///   one fused [`dot_cmp_block`] — AND-ed with its candidate mask (see
-///   [`dense_block_mask`]);
-/// * a sparser block verifies each candidate on its row-major row (see
-///   [`rowwise_mask`]): about one cache line per lane at `d ≤ 8`, where a
-///   columnar pass touches `d` lines for every run of lanes, however short.
+///   one [`exact_mask`] over the block's rows — AND-ed with its candidate
+///   mask (see [`dense_block_mask`]);
+/// * a sparser block verifies each candidate on its row in the block (see
+///   [`rowwise_mask`]): about one cache line per lane at `d ≤ 8`.
 ///
 /// The emitted ids are identical to checking every candidate row by row.
 /// Returns the quantized-filter counters (all zeros when the tier is off)
@@ -568,13 +577,14 @@ pub(crate) fn verify_mask_blocked(
 
 /// Exact predicate mask of the lanes `lanes` of the block starting at slot
 /// `first`, settling each lane with the row-wise reference dot (the
-/// definition of the exact answer).
+/// definition of the exact answer). Each lane's row is read from its slot,
+/// inside the block.
 fn rowwise_mask(query: &InequalityQuery, table: &FeatureTable, first: u32, lanes: u64) -> u64 {
     let mut mask = 0;
     let mut m = lanes;
     while m != 0 {
         let l = m.trailing_zeros();
-        let row = table.row(table.id_at(first + l));
+        let row = table.slot_row(first + l);
         if query.satisfies_dot(dot_slices(query.a(), row)) {
             mask |= 1u64 << l;
         }
@@ -602,9 +612,8 @@ fn dense_block_mask(
     filter: Option<&mut QuantFilter<'_>>,
     stats: &mut QuantFilterStats,
 ) -> u64 {
-    let leq = query.cmp() == Cmp::Leq;
-    let (first, lanes, seg) = block(table, w);
-    let exact = || dot_cmp_block(query.a(), seg.cols, BLOCK_ROWS, lanes, query.b(), leq) & cand;
+    let (first, lanes, rows) = block(table, w);
+    let exact = || exact_mask(query, rows) & cand;
     let Some(filter) = filter else {
         return exact();
     };

@@ -1,7 +1,7 @@
-//! The quantized columnar filter tier: fixed-point codec over
-//! [`ColumnMajorRows`] blocks, the sound three-way candidate classifier
-//! built on `planar_geom::quant`, and the size rule that decides which
-//! tables carry it.
+//! The quantized filter tier: a fixed-point codec over the table's
+//! 64-row blocks, the sound three-way candidate classifier built on
+//! `planar_geom::quant`, and the size rule that decides which tables carry
+//! it.
 //!
 //! The tier serves both of the paper's algorithms: Algorithm 1 and the
 //! intermediate interval of Algorithm 2 (top-k) verify their candidates
@@ -10,8 +10,9 @@
 //!
 //! ## Tier format
 //!
-//! Each 64-lane interleaved block of the columnar mirror is encoded
-//! per-dimension as an affine fixed-point code:
+//! The codec reads the table's `f64` rows block by block, in slot order
+//! (see [`crate::table`]), and encodes each 64-lane block per dimension as
+//! an affine fixed-point code:
 //!
 //! ```text
 //! x[j][l] ≈ offset[b][j] + scale[b][j] · code[b][j][l]
@@ -55,8 +56,8 @@
 //! Thresholds are rounded *outward* when folded to `f32`, so a lane
 //! classified accept/reject provably agrees with the `f64` path;
 //! everything else is re-verified exactly. `PLANAR_FORCE_PORTABLE`
-//! flips both the `f64` and quantized kernels to their scalar twins, and
-//! the twins are bit-identical, so verdicts are host-independent.
+//! flips the quantized kernels to their scalar twins, and the twins are
+//! bit-identical, so verdicts are host-independent.
 //!
 //! ## Size rule
 //!
@@ -76,8 +77,7 @@ use planar_geom::BLOCK_ROWS;
 
 use crate::memory::HeapSize;
 use crate::query::{Cmp, InequalityQuery};
-use crate::table::ColumnMajorRows;
-use crate::table::PointId;
+use crate::table::{FeatureTable, PointId};
 
 /// Which quantized tier (if any) a table carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,7 +85,7 @@ pub enum QuantTier {
     /// No quantized mirror; every verification is full-precision.
     #[default]
     Off,
-    /// 16-bit codes: a quarter of the `f64` mirror's bytes.
+    /// 16-bit codes: a quarter of the `f64` rows' bytes.
     I16,
 }
 
@@ -120,15 +120,16 @@ pub fn tier_for_rows(n_rows: usize) -> QuantTier {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QuantAutotuneConfig {}
 
-/// The quantized mirror of a [`ColumnMajorRows`]: per-block fixed-point
-/// codes plus each block's per-dimension bounds, maintained incrementally
-/// alongside the `f64` blocks.
+/// The quantized mirror of a [`FeatureTable`]'s rows: per-block
+/// fixed-point codes plus each block's per-dimension bounds, maintained
+/// incrementally alongside the `f64` rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedColumns {
     dim: usize,
     len: usize,
-    /// Blocks × dim × [`BLOCK_ROWS`] codes, interleaved like the `f64`
-    /// blocks.
+    /// Blocks × dim × [`BLOCK_ROWS`] codes, dimension-major inside each
+    /// block: code `(lane l, dim j)` of block `b` is at
+    /// `b · dim · BLOCK_ROWS + j · BLOCK_ROWS + l`.
     codes: Vec<i16>,
     /// Per `(dim, block)`, dimension-major (`lo[j · blocks + b]`): the
     /// smallest value of dimension `j` in block `b`.
@@ -167,18 +168,18 @@ const F32_FOLD_LIMIT: f64 = 1e36;
 const SWEEP_TILE: usize = 8;
 
 impl QuantizedColumns {
-    /// Encode the whole columnar mirror.
-    pub fn encode(cols: &ColumnMajorRows) -> Self {
+    /// Encode every block of `table`'s rows.
+    pub fn encode(table: &FeatureTable) -> Self {
         let mut q = QuantizedColumns {
-            dim: cols.dim(),
+            dim: table.dim(),
             len: 0,
             codes: Vec::new(),
             lo: Vec::new(),
             hi: Vec::new(),
-            mag: vec![0.0; cols.dim()],
+            mag: vec![0.0; table.dim()],
             fallback: Vec::new(),
         };
-        q.sync(cols);
+        q.sync(table.slot_rows(0, table.len() as u32));
         q
     }
 
@@ -197,8 +198,8 @@ impl QuantizedColumns {
         self.fallback.len()
     }
 
-    /// The code plane (blocks × dim × [`BLOCK_ROWS`], interleaved like the
-    /// `f64` blocks).
+    /// The code plane (blocks × dim × [`BLOCK_ROWS`], dimension-major
+    /// inside each block).
     pub fn codes(&self) -> &[i16] {
         &self.codes
     }
@@ -228,11 +229,10 @@ impl QuantizedColumns {
         self.fallback.iter().filter(|&&f| f).count()
     }
 
-    /// Bring the mirror up to date with `cols`: encode any appended rows'
-    /// blocks (called after `push_row`).
-    pub(crate) fn sync(&mut self, cols: &ColumnMajorRows) {
-        debug_assert_eq!(self.dim, cols.dim());
-        let new_len = cols.len();
+    /// Bring the mirror up to date with `rows`, the table's rows in slot
+    /// order: encode any appended rows' blocks (called after `push_row`).
+    pub(crate) fn sync(&mut self, rows: &[f64]) {
+        let new_len = rows.len() / self.dim;
         if new_len == self.len {
             return;
         }
@@ -250,31 +250,26 @@ impl QuantizedColumns {
         self.fallback.resize(blocks, false);
         self.len = new_len;
         for b in first_dirty..blocks {
-            self.reencode_block(cols, b);
+            self.reencode_block(rows, b);
         }
     }
 
-    /// Re-encode the block containing `row` (called after `update_row`).
-    pub(crate) fn reencode_row_block(&mut self, cols: &ColumnMajorRows, row: PointId) {
-        self.reencode_block(cols, row as usize / BLOCK_ROWS);
-    }
-
-    /// Re-derive the bounds and codes of block `b` from the `f64` mirror.
-    /// `O(dim · BLOCK_ROWS)`.
-    fn reencode_block(&mut self, cols: &ColumnMajorRows, b: usize) {
+    /// Re-derive the bounds and codes of block `b` from its `f64` rows
+    /// (`rows` are the table's rows in slot order; called after
+    /// `update_row`). `O(dim · BLOCK_ROWS)`.
+    pub(crate) fn reencode_block(&mut self, rows: &[f64], b: usize) {
         let (dim, blocks) = (self.dim, self.blocks());
-        let from = (b * BLOCK_ROWS) as PointId;
-        let to = cols.len().min((b + 1) * BLOCK_ROWS) as PointId;
-        let Some(seg) = cols.segments(from, to).next() else {
-            return;
-        };
-        debug_assert_eq!(seg.lanes, (to - from) as usize);
-        let stride = cols.stride();
+        let block = &rows[b * BLOCK_ROWS * dim..self.len.min((b + 1) * BLOCK_ROWS) * dim];
+        let lanes = block.len() / dim;
+        let mut col = [0.0f64; BLOCK_ROWS];
         let mut sound = true;
         for j in 0..dim {
-            let col = &seg.cols[j * stride..j * stride + seg.lanes];
+            let col = &mut col[..lanes];
+            for (v, row) in col.iter_mut().zip(block.chunks_exact(dim)) {
+                *v = row[j];
+            }
             let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &v in col {
+            for &v in col.iter() {
                 lo = lo.min(v);
                 hi = hi.max(v);
             }
@@ -661,7 +656,6 @@ impl QuantFilterStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::FeatureTable;
     use planar_geom::dot_slices;
 
     fn table_from(rows: &[Vec<f64>]) -> FeatureTable {
@@ -698,7 +692,7 @@ mod tests {
         for scale in [1e-12, 1.0, 1e6, 1e300] {
             let rows = lcg_rows(150, 3, scale, 42);
             let t = table_from(&rows);
-            let q = QuantizedColumns::encode(t.columns());
+            let q = QuantizedColumns::encode(&t);
             assert_eq!(q.len(), 150);
             assert_eq!(q.fallback_blocks(), 0, "scale {scale}");
             let dim = 3;
@@ -725,7 +719,7 @@ mod tests {
             vec![0.0, 5.0],
         ];
         let t = table_from(&rows);
-        let q = QuantizedColumns::encode(t.columns());
+        let q = QuantizedColumns::encode(&t);
         assert_eq!(q.fallback_blocks(), 0);
         // Constant dimension decodes exactly.
         for r in 0..rows.len() {
@@ -748,12 +742,12 @@ mod tests {
         // PlanarError::NotFinite.
         let rows = vec![vec![f64::MAX], vec![-f64::MAX], vec![0.0]];
         let t = table_from(&rows);
-        let q = QuantizedColumns::encode(t.columns());
+        let q = QuantizedColumns::encode(&t);
         assert_eq!(q.fallback_blocks(), 1);
         // Large-but-representable magnitudes still encode normally.
         let rows = vec![vec![1e300], vec![-1e300], vec![0.0]];
         let t = table_from(&rows);
-        let q = QuantizedColumns::encode(t.columns());
+        let q = QuantizedColumns::encode(&t);
         assert_eq!(q.fallback_blocks(), 0);
         for (r, row) in rows.iter().enumerate() {
             let s = q.affine(0, 0).1;
@@ -766,7 +760,7 @@ mod tests {
         for (dim, scale) in [(1, 1.0), (4, 100.0), (7, 1e-6), (8, 1e8)] {
             let rows = lcg_rows(200, dim, scale, dim as u64 * 31);
             let t = table_from(&rows);
-            let q = QuantizedColumns::encode(t.columns());
+            let q = QuantizedColumns::encode(&t);
             for cmp in [Cmp::Leq, Cmp::Geq] {
                 let a: Vec<f64> = (0..dim).map(|j| 1.0 + j as f64 * 0.5).collect();
                 // Threshold near the middle of the dot distribution.
@@ -818,7 +812,7 @@ mod tests {
             (&tiny, 300.5e-312, [A, A, A, A, M, R, R, R, R, R]),
             (&huge, 0.2e299, [A, A, A, A, A, R, R, R, R, R]),
         ] {
-            let q = QuantizedColumns::encode(table_from(rows).columns());
+            let q = QuantizedColumns::encode(&table_from(rows));
             let mut out = Vec::new();
             let query = InequalityQuery::new(vec![-2.0], Cmp::Geq, -2.0 * b).unwrap();
             q.box_sweep(&query, 0..10, &mut out);
@@ -840,7 +834,7 @@ mod tests {
         let mut rows = tiny.clone();
         rows[5] = vec![f64::MAX];
         rows[6] = vec![-f64::MAX];
-        let q = QuantizedColumns::encode(table_from(&rows).columns());
+        let q = QuantizedColumns::encode(&table_from(&rows));
         assert_eq!(q.fallback_blocks(), 1);
         let mut out = Vec::new();
         let query = InequalityQuery::new(vec![1.0], Cmp::Leq, 0.0).unwrap();
@@ -859,7 +853,7 @@ mod tests {
         }
         t.update_row(70, &[-99.0, 99.0, 0.25]).unwrap();
         let q = t.quant().unwrap();
-        let fresh = QuantizedColumns::encode(t.columns());
+        let fresh = QuantizedColumns::encode(&t);
         assert_eq!(q.blocks(), 8);
         for j in 0..3 {
             assert_eq!(q.lo(j), fresh.lo(j), "dim {j}");
@@ -880,7 +874,7 @@ mod tests {
     fn filter_huge_magnitudes_fall_back() {
         let rows = vec![vec![f64::MAX], vec![-f64::MAX], vec![0.0]];
         let t = table_from(&rows);
-        let q = QuantizedColumns::encode(t.columns());
+        let q = QuantizedColumns::encode(&t);
         let query = InequalityQuery::new(vec![2.0], Cmp::Leq, 0.0).unwrap();
         let mut f = QuantFilter::new(&query, &q);
         // mag = 2·f64::MAX overflows → the classifier must refuse.

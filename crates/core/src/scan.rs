@@ -6,11 +6,11 @@
 //! implementation our property tests compare the index against — the index
 //! must return *exactly* the same answer set.
 
-use crate::parallel::{drain_ascending, Emit, IdBits};
-use crate::query::{Cmp, InequalityQuery, TopKQuery};
+use crate::parallel::{drain_ascending, exact_mask, Emit, IdBits};
+use crate::query::{InequalityQuery, TopKQuery};
 use crate::table::{FeatureTable, PointId};
 use crate::{PlanarError, Result};
-use planar_geom::{dot_block_cols, dot_cmp_block, BLOCK_ROWS};
+use planar_geom::{dot_block, BLOCK_ROWS};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -153,9 +153,10 @@ impl<'a> SeqScan<'a> {
 
     /// The top-k satisfying points nearest the query hyperplane, sorted by
     /// ascending distance (paper Problem 2, solved naïvely). The only top-k
-    /// path that computes `f64` block products ([`dot_block_cols`]); the
-    /// engine's top-k paths verify through the inequality kernels instead,
-    /// so this stays an independent oracle for them.
+    /// path that ranks every row from its `f64` block product
+    /// ([`dot_block`]); the engine's top-k paths verify through the
+    /// inequality kernels instead, so this stays an independent oracle for
+    /// them.
     ///
     /// # Errors
     ///
@@ -172,18 +173,17 @@ impl<'a> SeqScan<'a> {
     }
 
     /// Drive `f(id, ⟨a, row⟩)` over every row in slot order, computing the
-    /// scalar products one columnar block at a time with
-    /// [`dot_block_cols`]. The dot buffer lives on the stack, so the scan
-    /// loop itself allocates nothing; results are bit-identical to the
-    /// row-at-a-time path (see the accumulation guarantee in
-    /// `planar_geom::kernels`).
+    /// scalar products one block of contiguous rows at a time with
+    /// [`dot_block`]. The dot buffer lives on the stack, so the scan loop
+    /// itself allocates nothing; results are bit-identical to the
+    /// row-at-a-time path.
     fn blocked(&self, query: &InequalityQuery, mut f: impl FnMut(PointId, f64)) {
-        let cols = self.table.columns();
         let mut dots = [0.0f64; BLOCK_ROWS];
-        for seg in cols.segments(0, self.table.len() as PointId) {
-            dot_block_cols(query.a(), seg.cols, cols.stride(), &mut dots[..seg.lanes]);
-            for (i, &dot) in dots[..seg.lanes].iter().enumerate() {
-                f(self.table.id_at(seg.first + i as u32), dot);
+        for (first, rows) in self.table.blocks() {
+            let dots = &mut dots[..rows.len() / self.table.dim()];
+            dot_block(query.a(), rows, dots);
+            for (i, &dot) in dots.iter().enumerate() {
+                f(self.table.id_at(first + i as u32), dot);
             }
         }
     }
@@ -198,24 +198,12 @@ impl<'a> SeqScan<'a> {
         });
     }
 
-    /// Drive `f(first_slot, predicate_mask)` over every columnar block in
-    /// slot order with the fused [`dot_cmp_block`] kernel — the scalar
-    /// products never leave the vector registers. Bit `i` of the mask
-    /// corresponds to slot `first_slot + i` (see
-    /// [`FeatureTable::id_at`]).
+    /// Drive `f(first_slot, predicate_mask)` over every block in slot order
+    /// (see [`exact_mask`]). Bit `i` of the mask corresponds to slot
+    /// `first_slot + i` (see [`FeatureTable::id_at`]).
     fn masked(&self, query: &InequalityQuery, mut f: impl FnMut(PointId, u64)) {
-        let cols = self.table.columns();
-        let leq = query.cmp() == Cmp::Leq;
-        for seg in cols.segments(0, self.table.len() as PointId) {
-            let mask = dot_cmp_block(
-                query.a(),
-                seg.cols,
-                cols.stride(),
-                seg.lanes,
-                query.b(),
-                leq,
-            );
-            f(seg.first, mask);
+        for (first, rows) in self.table.blocks() {
+            f(first, exact_mask(query, rows));
         }
     }
 
@@ -293,7 +281,7 @@ mod tests {
 
     #[test]
     fn blocked_scan_matches_rowwise_across_block_boundaries() {
-        // More rows than one columnar block so the loop takes several
+        // More rows than one block so the loop takes several
         // blocks plus a ragged tail.
         let n = 3 * BLOCK_ROWS + 17;
         let t = FeatureTable::from_rows(

@@ -49,7 +49,7 @@
 //! A shard's answer is in ascending local id order (see
 //! [`QueryOutcome::matches`]), so once mapped it is in ascending global id
 //! order too: a sharded answer is ascending shard, then ascending global
-//! id, with no global sort. Where a shard keeps a row in its columnar
+//! id, with no global sort. Where a shard keeps a row in its
 //! blocks (see [`crate::table::FeatureTable::cluster`]) is invisible here.
 //!
 //! Top-k answers are produced by pushing the *global* `k` down to every

@@ -1,29 +1,28 @@
-//! Flat storage for the feature images `φ(x)` of all data points: a
-//! row-major table plus an interleaved-block columnar mirror.
+//! Flat storage for the feature images `φ(x)` of all data points: one
+//! row-major `f64` buffer, laid out in k-d block order.
 //!
 //! The Planar index never needs the original points `x` — only their images
 //! under the application-specific feature map `φ` (and applications usually
 //! keep `x` themselves). `FeatureTable` therefore stores exactly the `n × d'`
 //! matrix of feature values, contiguously, so that sequential verification
-//! scans are cache-friendly and the memory accounting of Fig. 13b is exact.
-//!
-//! Alongside the row-major buffer the table maintains a [`ColumnMajorRows`]
-//! mirror: rows grouped into blocks of [`planar_geom::BLOCK_ROWS`] lanes,
-//! dimension-major within each block, in one contiguous 64-byte-aligned
-//! allocation. The SIMD verification kernels of `planar_geom::kernels` read
-//! through this layout (see [`crate::parallel`] and [`crate::scan`]); the
-//! row-major buffer remains the source of truth for single-row access.
+//! scans are cache-friendly and the memory accounting of Fig. 13b is exact:
+//! `n · d' · 8` bytes of rows, plus the quantized tier and the layout maps.
 //!
 //! ## Block layout
 //!
-//! The row-major buffer is always in id order. The columnar mirror (and
-//! the quantized tier derived from it) stores the rows in *slot* order,
-//! which [`FeatureTable::cluster`] sets to the k-d block order of
-//! [`kd_order`]: 64 rows that are close in space share a block, so a
-//! block's per-dimension bounding box is small and a query can settle the
-//! whole block from its box (see `crate::parallel`). Ids never change; the
-//! table maps between the two spaces ([`FeatureTable::slot_of`],
-//! [`FeatureTable::id_at`]). Rows appended after a clustering take the next
+//! The buffer stores the rows in *slot* order, which
+//! [`FeatureTable::cluster`] sets to the k-d block order of [`kd_order`]:
+//! 64 rows that are close in space share a block of
+//! [`planar_geom::BLOCK_ROWS`] slots, so a block's per-dimension bounding
+//! box is small and a query can settle the whole block from its box (see
+//! `crate::parallel`). Block `w` is the contiguous run of `64 · d'` values
+//! at slots `64w..64w + 64` ([`FeatureTable::slot_rows`]), the input shape
+//! of `planar_geom::dot_block`; the quantized tier derived from it keeps
+//! the same block order. Ids never change; the table maps between the two
+//! spaces ([`FeatureTable::slot_of`], [`FeatureTable::id_at`]), and every
+//! id-addressed view — [`FeatureTable::row`], [`FeatureTable::iter`],
+//! equality — reads through that map, so callers see rows in id order
+//! whatever the layout. Rows appended after a clustering take the next
 //! slot, so they fill the tail blocks. An unclustered table's slots are its
 //! ids.
 
@@ -35,24 +34,23 @@ use planar_geom::BLOCK_ROWS;
 /// Identifier of a data point: its row position in the [`FeatureTable`].
 pub type PointId = u32;
 
-/// An `n × d'` row-major table of feature values, with an always-in-sync
-/// columnar mirror for blocked verification (see [`Self::columns`]) and an
-/// optional quantized mirror for the fixed-point filter tier (see
-/// [`Self::set_quant_tier`]).
+/// An `n × d'` table of feature values, stored row-major in slot order
+/// (see the module docs), with an optional quantized mirror for the
+/// fixed-point filter tier (see [`Self::set_quant_tier`]).
 #[derive(Debug, Clone)]
 pub struct FeatureTable {
     dim: usize,
+    /// The rows, row-major, in slot order.
     data: Vec<f64>,
-    cols: ColumnMajorRows,
     /// Quantized filter tier, present iff the active tier is not `Off`.
     /// Kept in sync by `push_row`/`update_row`; derived state, excluded
     /// from equality.
     quant: Option<QuantizedColumns>,
-    /// The slot order of the columnar mirror; `None` while slots are ids.
+    /// The slot order of the rows; `None` while slots are ids.
     layout: Option<Layout>,
 }
 
-/// A permutation between ids and columnar slots, both directions.
+/// A permutation between ids and slots, both directions.
 #[derive(Debug, Clone)]
 struct Layout {
     /// `slot_of[id]`.
@@ -62,270 +60,14 @@ struct Layout {
 }
 
 impl PartialEq for FeatureTable {
-    /// Logical equality: same feature values. The columnar mirror, its
-    /// block layout and the quantized mirror are derived from the rows —
-    /// two tables holding identical rows are equal even when their layouts
-    /// or tiers differ.
-    fn eq(&self, other: &Self) -> bool {
-        self.dim == other.dim && self.data == other.data
-    }
-}
-
-/// Interleaved-block columnar ("SoA") layout of the same `n × d'` matrix.
-///
-/// Rows are grouped into blocks of [`BLOCK_ROWS`] *lanes*; within a block,
-/// coordinate `j` of all lanes is contiguous. Element `(row r, dim j)` lives
-/// at `block(r / BLOCK_ROWS)[j · BLOCK_ROWS + (r mod BLOCK_ROWS)]`. The
-/// whole structure is a single allocation whose data region starts on a
-/// 64-byte boundary (each per-dimension run is then 512 bytes = 8 cache
-/// lines, also 64-byte aligned, since `BLOCK_ROWS` doubles as the lane
-/// stride). The trailing partial block is allocated full-size and
-/// zero-padded so kernels can always assume a `BLOCK_ROWS` stride.
-///
-/// Built by transposing at index-build time ([`FeatureTable::from_rows`])
-/// and kept in sync by `push_row`/`update_row`; it is a *mirror* — the
-/// row-major buffer stays authoritative — at the cost of 2× feature memory,
-/// which [`HeapSize`] reports honestly.
-#[derive(Debug)]
-pub struct ColumnMajorRows {
-    dim: usize,
-    len: usize,
-    /// Over-allocated backing buffer; the data region is `buf[start..]`.
-    buf: Vec<f64>,
-    /// Element offset of the 64-byte-aligned data region within `buf`.
-    start: usize,
-}
-
-/// Worst-case elements needed to reach a 64-byte boundary from an 8-byte
-/// aligned `Vec<f64>` base pointer.
-const ALIGN_SLACK: usize = 8;
-
-impl ColumnMajorRows {
-    fn new(dim: usize) -> Self {
-        Self {
-            dim,
-            len: 0,
-            buf: Vec::new(),
-            start: 0,
-        }
-    }
-
-    /// Elements per block: `dim` runs of `BLOCK_ROWS` lanes.
-    #[inline]
-    fn block_elems(&self) -> usize {
-        self.dim * BLOCK_ROWS
-    }
-
-    /// Number of rows mirrored.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no rows are mirrored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Feature dimensionality `d'`.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The lane stride of every block (`BLOCK_ROWS`).
-    #[inline]
-    pub fn stride(&self) -> usize {
-        BLOCK_ROWS
-    }
-
-    /// True when the data region starts on a 64-byte boundary (always holds
-    /// for a non-empty mirror; exposed for tests and diagnostics).
-    pub fn alignment_ok(&self) -> bool {
-        self.buf.is_empty() || (self.buf[self.start..].as_ptr() as usize).is_multiple_of(64)
-    }
-
-    fn offset_of(&self, row: usize, j: usize) -> usize {
-        let b = row / BLOCK_ROWS;
-        self.start + b * self.block_elems() + j * BLOCK_ROWS + (row % BLOCK_ROWS)
-    }
-
-    /// Append one zeroed block, preserving the 64-byte alignment of the data
-    /// region across reallocation.
-    fn grow_block(&mut self) {
-        let blk = self.block_elems();
-        if self.buf.len() + blk > self.buf.capacity() {
-            let data = self.buf.len() - self.start;
-            let new_cap = (data + blk).max(data * 2) + ALIGN_SLACK;
-            let mut fresh: Vec<f64> = Vec::with_capacity(new_cap);
-            let new_start = Self::align_offset(fresh.as_ptr());
-            fresh.resize(new_start, 0.0);
-            fresh.extend_from_slice(&self.buf[self.start..]);
-            self.buf = fresh;
-            self.start = new_start;
-        }
-        // Capacity is now sufficient: this resize cannot reallocate, so the
-        // alignment established above survives.
-        self.buf.resize(self.buf.len() + blk, 0.0);
-    }
-
-    fn reserve_rows(&mut self, additional: usize) {
-        let blocks_needed = (self.len + additional).div_ceil(BLOCK_ROWS);
-        let have = (self.buf.len() - self.start) / self.block_elems().max(1);
-        if blocks_needed > have {
-            self.buf
-                .reserve((blocks_needed - have) * self.block_elems() + ALIGN_SLACK);
-        }
-    }
-
-    fn align_offset(ptr: *const f64) -> usize {
-        // A Vec<f64> base pointer is 8-byte aligned, so the byte distance to
-        // the next 64-byte boundary is a multiple of 8.
-        ((64 - (ptr as usize) % 64) % 64) / 8
-    }
-
-    /// Rewrite every slot from `table`'s rows in the slot order `order`
-    /// (the id of each slot; as many as the mirror holds).
-    fn fill_from(&mut self, table: &FeatureTable, order: &[PointId]) {
-        debug_assert_eq!(order.len(), self.len);
-        let (start, blk) = (self.start, self.block_elems());
-        for (b, ids) in order.chunks(BLOCK_ROWS).enumerate() {
-            let block = &mut self.buf[start + b * blk..start + (b + 1) * blk];
-            for (lane, &id) in ids.iter().enumerate() {
-                for (j, &v) in table.row(id).iter().enumerate() {
-                    block[j * BLOCK_ROWS + lane] = v;
-                }
-            }
-        }
-    }
-
-    /// Mirror an appended row (validation already done by the table).
-    fn push_row(&mut self, row: &[f64]) {
-        if self.len.is_multiple_of(BLOCK_ROWS) {
-            self.grow_block();
-        }
-        let r = self.len;
-        for (j, &v) in row.iter().enumerate() {
-            let at = self.offset_of(r, j);
-            self.buf[at] = v;
-        }
-        self.len += 1;
-    }
-
-    /// Mirror an in-place row update.
-    fn update_row(&mut self, row_idx: usize, row: &[f64]) {
-        for (j, &v) in row.iter().enumerate() {
-            let at = self.offset_of(row_idx, j);
-            self.buf[at] = v;
-        }
-    }
-
-    /// Copy row `r` out of the columnar layout (tests / diagnostics).
-    pub fn gather_row(&self, r: usize, out: &mut [f64]) {
-        assert!(r < self.len, "row {r} out of range");
-        for (j, o) in out.iter_mut().enumerate().take(self.dim) {
-            *o = self.buf[self.offset_of(r, j)];
-        }
-    }
-
-    /// Iterate the maximal per-block segments covering rows `[from, to)`.
-    ///
-    /// Each [`ColSegment`] is directly consumable by
-    /// [`planar_geom::dot_block_cols`] / [`planar_geom::dot_cmp_block`]:
-    /// `cols` is the block's storage shifted to the segment's first lane,
-    /// with lane stride [`BLOCK_ROWS`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to > len` or `from > to`.
-    pub fn segments(&self, from: PointId, to: PointId) -> ColSegments<'_> {
-        let (from, to) = (from as usize, to as usize);
-        assert!(from <= to && to <= self.len, "segment range out of bounds");
-        ColSegments {
-            cols: self,
-            cur: from,
-            end: to,
-        }
-    }
-}
-
-impl Clone for ColumnMajorRows {
-    /// Clones re-establish 64-byte alignment for the new allocation (a
-    /// derived clone would copy the old `start`, which is only correct for
-    /// the old base pointer).
-    fn clone(&self) -> Self {
-        let data = self.buf.len() - self.start;
-        let mut fresh: Vec<f64> = Vec::with_capacity(data + ALIGN_SLACK);
-        let new_start = Self::align_offset(fresh.as_ptr());
-        fresh.resize(new_start, 0.0);
-        fresh.extend_from_slice(&self.buf[self.start..]);
-        Self {
-            dim: self.dim,
-            len: self.len,
-            buf: fresh,
-            start: new_start,
-        }
-    }
-}
-
-impl PartialEq for ColumnMajorRows {
-    /// Logical equality: same shape and same mirrored values. Compares the
-    /// data regions directly — zero padding is an invariant, and `start`
-    /// is allocation-specific, so it is excluded.
+    /// Logical equality: the same rows under the same ids. The block
+    /// layout and the quantized mirror are derived from the rows — two
+    /// tables holding identical rows are equal even when their layouts or
+    /// tiers differ.
     fn eq(&self, other: &Self) -> bool {
         self.dim == other.dim
-            && self.len == other.len
-            && self.buf[self.start..] == other.buf[other.start..]
-    }
-}
-
-impl HeapSize for ColumnMajorRows {
-    fn heap_size(&self) -> usize {
-        self.buf.heap_size()
-    }
-}
-
-/// One per-block run of lanes yielded by [`ColumnMajorRows::segments`].
-#[derive(Debug, Clone, Copy)]
-pub struct ColSegment<'a> {
-    /// Row id of the segment's first lane.
-    pub first: PointId,
-    /// Number of lanes (rows) in this segment — at most [`BLOCK_ROWS`].
-    pub lanes: usize,
-    /// Block storage shifted to the first lane: coordinate `j` of lane `l`
-    /// is `cols[j * BLOCK_ROWS + l]`.
-    pub cols: &'a [f64],
-}
-
-/// Iterator over the per-block segments of a row range.
-pub struct ColSegments<'a> {
-    cols: &'a ColumnMajorRows,
-    cur: usize,
-    end: usize,
-}
-
-impl<'a> Iterator for ColSegments<'a> {
-    type Item = ColSegment<'a>;
-
-    fn next(&mut self) -> Option<ColSegment<'a>> {
-        if self.cur >= self.end {
-            return None;
-        }
-        let c = self.cols;
-        let b = self.cur / BLOCK_ROWS;
-        let lane_lo = self.cur % BLOCK_ROWS;
-        let lane_hi = (self.end - b * BLOCK_ROWS).min(BLOCK_ROWS);
-        let block_start = c.start + b * c.block_elems();
-        let lo = block_start + lane_lo;
-        let hi = block_start + (c.dim - 1) * BLOCK_ROWS + lane_hi;
-        let seg = ColSegment {
-            first: self.cur as PointId,
-            lanes: lane_hi - lane_lo,
-            cols: &c.buf[lo..hi],
-        };
-        self.cur += seg.lanes;
-        Some(seg)
+            && self.len() == other.len()
+            && self.iter().zip(other.iter()).all(|((_, a), (_, b))| a == b)
     }
 }
 
@@ -345,7 +87,6 @@ impl FeatureTable {
         Ok(Self {
             dim,
             data: Vec::new(),
-            cols: ColumnMajorRows::new(dim),
             quant: None,
             layout: None,
         })
@@ -359,7 +100,6 @@ impl FeatureTable {
     pub fn with_capacity(dim: usize, capacity: usize) -> Result<Self> {
         let mut t = Self::new(dim)?;
         t.data.reserve(capacity * dim);
-        t.cols.reserve_rows(capacity);
         Ok(t)
     }
 
@@ -377,7 +117,7 @@ impl FeatureTable {
         Ok(t)
     }
 
-    /// Append a row, returning its [`PointId`].
+    /// Append a row in the next slot, returning its [`PointId`].
     ///
     /// # Errors
     ///
@@ -387,18 +127,17 @@ impl FeatureTable {
         self.validate(row)?;
         let id = self.len() as PointId;
         self.data.extend_from_slice(row);
-        self.cols.push_row(row);
         if let Some(l) = &mut self.layout {
             l.slot_of.push(id);
             l.id_of.push(id);
         }
         if let Some(q) = &mut self.quant {
-            q.sync(&self.cols);
+            q.sync(&self.data);
         }
         Ok(id)
     }
 
-    /// Replace the row of point `id` in place.
+    /// Replace the row of point `id` in place, in its slot.
     ///
     /// # Errors
     ///
@@ -408,21 +147,19 @@ impl FeatureTable {
         self.validate(row)?;
         let start = self.offset_of(id)?;
         self.data[start..start + self.dim].copy_from_slice(row);
-        let slot = self.slot_of(id);
-        self.cols.update_row(slot as usize, row);
         if let Some(q) = &mut self.quant {
-            q.reencode_row_block(&self.cols, slot);
+            q.reencode_block(&self.data, start / self.dim / BLOCK_ROWS);
         }
         Ok(())
     }
 
-    /// The columnar slot holding row `id`.
+    /// The slot holding row `id`.
     #[inline]
     pub fn slot_of(&self, id: PointId) -> u32 {
         self.layout.as_ref().map_or(id, |l| l.slot_of[id as usize])
     }
 
-    /// The id of the row in columnar slot `slot`.
+    /// The id of the row in slot `slot`.
     #[inline]
     pub fn id_at(&self, slot: u32) -> PointId {
         self.layout
@@ -430,24 +167,25 @@ impl FeatureTable {
             .map_or(slot, |l| l.id_of[slot as usize])
     }
 
-    /// Whether slots differ from ids, so that results read off the columnar
-    /// mirror come out of id order.
+    /// Whether slots differ from ids, so that results read off the blocks
+    /// come out of id order.
     #[inline]
     pub fn is_clustered(&self) -> bool {
         self.layout.is_some()
     }
 
-    /// Lay the columnar mirror (and the quantized tier) out in the k-d
-    /// block order of [`kd_order`]. A pure function of the rows and their
-    /// ids; rows pushed later take the next slot. `O(n log n)`.
+    /// Lay the rows (and the quantized tier) out in the k-d block order of
+    /// [`kd_order`]. A pure function of the rows and their ids; rows pushed
+    /// later take the next slot. The permuted rows go into a buffer of
+    /// exactly `n · d'` values. `O(n log n)`.
     pub fn cluster(&mut self) {
         let order = kd_order(self);
         let identity = order.iter().enumerate().all(|(s, &id)| s == id as usize);
-        // Every slot is rewritten from the row-major source, so the
-        // mirror's allocation is reused in place.
-        let mut cols = std::mem::replace(&mut self.cols, ColumnMajorRows::new(self.dim));
-        cols.fill_from(self, &order);
-        self.cols = cols;
+        let mut data = Vec::with_capacity(order.len() * self.dim);
+        for &id in &order {
+            data.extend_from_slice(self.row(id));
+        }
+        self.data = data;
         self.layout = (!identity).then(|| {
             let mut slot_of = vec![0u32; order.len()];
             for (slot, &id) in order.iter().enumerate() {
@@ -459,7 +197,7 @@ impl FeatureTable {
             }
         });
         if self.quant.is_some() {
-            self.quant = Some(QuantizedColumns::encode(&self.cols));
+            self.quant = Some(QuantizedColumns::encode(self));
         }
     }
 
@@ -471,26 +209,38 @@ impl FeatureTable {
     /// out-of-range id is a logic error in the caller.
     #[inline]
     pub fn row(&self, id: PointId) -> &[f64] {
-        let start = id as usize * self.dim;
+        self.slot_row(self.slot_of(id))
+    }
+
+    /// The row in slot `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    #[inline]
+    pub fn slot_row(&self, slot: u32) -> &[f64] {
+        let start = slot as usize * self.dim;
         &self.data[start..start + self.dim]
     }
 
-    /// The contiguous row-major storage of the row range `[from, to)` —
-    /// the input shape of `planar_geom::dot_block`.
+    /// The contiguous row-major storage of the slots `[from, to)` — the
+    /// input shape of `planar_geom::dot_block`.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds or `from > to`.
     #[inline]
-    pub fn rows_between(&self, from: PointId, to: PointId) -> &[f64] {
+    pub fn slot_rows(&self, from: u32, to: u32) -> &[f64] {
         &self.data[from as usize * self.dim..to as usize * self.dim]
     }
 
-    /// The interleaved-block columnar mirror of this table — the read path
-    /// of the SIMD verification kernels.
-    #[inline]
-    pub fn columns(&self) -> &ColumnMajorRows {
-        &self.cols
+    /// Iterate over the blocks of [`BLOCK_ROWS`] slots in slot order, as
+    /// `(first slot, rows)`: every block is full except the last.
+    pub fn blocks(&self) -> impl Iterator<Item = (u32, &[f64])> {
+        self.data
+            .chunks(BLOCK_ROWS * self.dim)
+            .enumerate()
+            .map(|(w, rows)| ((w * BLOCK_ROWS) as u32, rows))
     }
 
     /// The quantized filter mirror, when a tier is active.
@@ -517,7 +267,7 @@ impl FeatureTable {
             QuantTier::Off => self.quant = None,
             QuantTier::I16 => {
                 if self.quant.is_none() {
-                    self.quant = Some(QuantizedColumns::encode(&self.cols));
+                    self.quant = Some(QuantizedColumns::encode(self));
                 }
             }
         }
@@ -551,12 +301,9 @@ impl FeatureTable {
         self.dim
     }
 
-    /// Iterate over `(id, row)` pairs.
+    /// Iterate over `(id, row)` pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (PointId, &[f64])> {
-        self.data
-            .chunks_exact(self.dim)
-            .enumerate()
-            .map(|(i, r)| (i as PointId, r))
+        (0..self.len() as PointId).map(move |id| (id, self.row(id)))
     }
 
     /// Per-dimension maxima — `max(i)` in the paper's Eq. 18 query template.
@@ -597,22 +344,20 @@ impl FeatureTable {
         Ok(())
     }
 
+    /// The offset in `data` of row `id`'s slot.
     fn offset_of(&self, id: PointId) -> Result<usize> {
-        let start = id as usize * self.dim;
-        if start + self.dim > self.data.len() {
+        if id as usize >= self.len() {
             return Err(PlanarError::PointNotFound(id));
         }
-        Ok(start)
+        Ok(self.slot_of(id) as usize * self.dim)
     }
 }
 
 impl HeapSize for FeatureTable {
     fn heap_size(&self) -> usize {
-        // Row-major source of truth plus the columnar mirror (the 2× cost
-        // of the SoA layout is reported, not hidden) plus the quantized
-        // mirror when a tier is active.
+        // The one `f64` copy of the rows, the quantized mirror when a tier
+        // is active, and the layout maps.
         self.data.heap_size()
-            + self.cols.heap_size()
             + self.quant.as_ref().map_or(0, HeapSize::heap_size)
             + self
                 .layout
@@ -669,8 +414,10 @@ pub fn kd_order(table: &FeatureTable) -> Vec<PointId> {
             }
         })
         .unzip();
+    // Rows are read in slot order and their keys scattered to their ids.
     let mut keys = vec![0u16; n * d];
-    for (id, row) in table.data.chunks_exact(d).enumerate() {
+    for (slot, row) in table.data.chunks_exact(d).enumerate() {
+        let id = table.id_at(slot as u32) as usize;
         for j in 0..d {
             keys[j * n + id] = ((0.5 * row[j] - 0.5 * lo[j]) * scale[j] * factor[j]) as u16;
         }
@@ -826,71 +573,6 @@ mod tests {
         assert_eq!(row, &[5.0, 0.5]);
     }
 
-    #[test]
-    fn columnar_mirror_matches_rows() {
-        // Cross a block boundary: 150 rows of dim 3.
-        let rows: Vec<Vec<f64>> = (0..150)
-            .map(|r| (0..3).map(|j| (r * 3 + j) as f64 * 0.25 - 10.0).collect())
-            .collect();
-        let mut t = FeatureTable::from_rows(3, rows).unwrap();
-        t.update_row(70, &[-1.0, -2.0, -3.0]).unwrap();
-        let cols = t.columns();
-        assert_eq!(cols.len(), t.len());
-        assert_eq!(cols.dim(), 3);
-        assert!(cols.alignment_ok());
-        let mut buf = [0.0; 3];
-        for (id, row) in t.iter() {
-            cols.gather_row(id as usize, &mut buf);
-            assert_eq!(&buf[..], row);
-        }
-    }
-
-    #[test]
-    fn columnar_segments_split_at_block_boundaries() {
-        let n = 2 * planar_geom::BLOCK_ROWS + 17;
-        let rows: Vec<Vec<f64>> = (0..n).map(|r| vec![r as f64, -(r as f64)]).collect();
-        let t = FeatureTable::from_rows(2, rows).unwrap();
-        // A range crossing two block boundaries yields three segments whose
-        // lane counts cover it exactly, in order.
-        let from = 30u32;
-        let to = (2 * planar_geom::BLOCK_ROWS + 9) as u32;
-        let segs: Vec<_> = t.columns().segments(from, to).collect();
-        assert_eq!(segs.len(), 3);
-        let mut at = from;
-        for seg in &segs {
-            assert_eq!(seg.first, at);
-            assert!(seg.lanes <= planar_geom::BLOCK_ROWS);
-            at += seg.lanes as u32;
-        }
-        assert_eq!(at, to);
-        // Kernel consumption: dots from segments match per-row dot_slices.
-        let a = [0.5, 2.0];
-        for seg in &segs {
-            let mut dots = vec![f64::NAN; seg.lanes];
-            planar_geom::dot_block_cols(&a, seg.cols, t.columns().stride(), &mut dots);
-            for (off, d) in dots.iter().enumerate() {
-                let want = planar_geom::dot_slices(&a, t.row(seg.first + off as u32));
-                assert_eq!(d.to_bits(), want.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_clone_stays_aligned_and_equal() {
-        let rows: Vec<Vec<f64>> = (0..70).map(|r| vec![r as f64]).collect();
-        let t = FeatureTable::from_rows(1, rows).unwrap();
-        let c = t.clone();
-        assert_eq!(t, c);
-        assert!(c.columns().alignment_ok());
-        assert_eq!(t.columns(), c.columns());
-    }
-
-    #[test]
-    fn empty_segments_range_is_empty() {
-        let t = table3x2();
-        assert_eq!(t.columns().segments(2, 2).count(), 0);
-    }
-
     /// A table of pseudo-random rows in `[0, scale)³` and its k-d order,
     /// checked to be a permutation that tiles space with its blocks.
     fn tiled(scale: f64) -> (FeatureTable, Vec<PointId>) {
@@ -938,18 +620,20 @@ mod tests {
         t.set_quant_tier(QuantTier::I16);
         t.cluster();
         assert!(t.is_clustered());
-        let mut buf = [0.0; 3];
         for (slot, &id) in order.iter().enumerate() {
             assert_eq!(t.id_at(slot as u32), id);
             assert_eq!(t.slot_of(id), slot as u32);
-            t.columns().gather_row(slot, &mut buf);
-            assert_eq!(&buf[..], t.row(id));
+            assert_eq!(t.slot_row(slot as u32), t.row(id));
         }
+        // Block w is the contiguous run of its 64 slots' rows.
+        let (first, rows) = t.blocks().nth(2).unwrap();
+        assert_eq!(first, 2 * BLOCK_ROWS as u32);
+        assert_eq!(rows, t.slot_rows(first, first + BLOCK_ROWS as u32));
+        assert_eq!(&rows[..3], t.row(order[2 * BLOCK_ROWS]));
         // Updates land in the row's slot, appends in the next slot; the
         // quantized tier follows.
         t.update_row(order[5], &[1.0, 2.0, 3.0]).unwrap();
-        t.columns().gather_row(5, &mut buf);
-        assert_eq!(buf, [1.0, 2.0, 3.0]);
+        assert_eq!(t.slot_row(5), [1.0, 2.0, 3.0]);
         let id = t.push_row(&[4.0, 5.0, 6.0]).unwrap();
         assert_eq!((t.slot_of(id), t.id_at(n as u32)), (n as u32, id));
         assert_eq!(t.quant().unwrap().len(), n + 1);
@@ -965,5 +649,27 @@ mod tests {
     fn heap_size_tracks_data() {
         let t = table3x2();
         assert!(t.heap_size() >= 6 * 8);
+    }
+
+    #[test]
+    fn clustered_i16_table_holds_one_f64_copy_of_its_rows() {
+        // d' = 8: exactly n·64 B of rows next to the tier and the maps,
+        // in the table and in its clone. A second f64 copy, or capacity
+        // slack left by the pushes, would show up here.
+        let (n, d) = (20 * BLOCK_ROWS + 37, 8);
+        let rows = (0..n).map(|i| (0..d).map(|j| ((i * 7 + j * 3) % 101) as f64).collect());
+        let mut t = FeatureTable::from_rows(d, rows).unwrap();
+        t.set_quant_tier(QuantTier::I16);
+        t.cluster();
+        assert!(t.is_clustered());
+        let blocks = n.div_ceil(BLOCK_ROWS);
+        let tier = blocks * d * BLOCK_ROWS * 2 // codes
+            + 2 * blocks * d * 8 // lo and hi planes
+            + d * 8 // mag
+            + blocks; // fallback flags
+        let maps = 2 * n * 4;
+        assert_eq!(t.quant().unwrap().heap_size(), tier);
+        assert_eq!(t.heap_size(), n * 64 + tier + maps);
+        assert_eq!(t.clone().heap_size(), n * 64 + tier + maps);
     }
 }

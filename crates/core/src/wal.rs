@@ -158,9 +158,6 @@ pub struct WalHealth {
     /// loss window on power failure.
     pub unsynced_records: u64,
     /// LSN of the newest appended record (0 when the log is empty).
-    /// Alias of [`Self::appended_lsn`], kept for dashboard compatibility.
-    pub last_lsn: Lsn,
-    /// LSN of the newest appended record (0 when the log is empty).
     pub appended_lsn: Lsn,
     /// Highest LSN known durable: every record at or below it has been
     /// covered by an fsync. `appended_lsn − acked_lsn` is the group-commit
@@ -177,12 +174,11 @@ impl WalHealth {
     }
 
     /// Write the health into `doc` as `wal_segments`,
-    /// `wal_unsynced_records`, `wal_last_lsn`, `wal_appended_lsn`,
-    /// `wal_acked_lsn` and `wal_ack_lag` ([`Self::ack_lag`]).
+    /// `wal_unsynced_records`, `wal_appended_lsn`, `wal_acked_lsn` and
+    /// `wal_ack_lag` ([`Self::ack_lag`]).
     pub fn write_json(&self, doc: JsonObject) -> JsonObject {
         doc.field_usize("wal_segments", self.segments)
             .field_u64("wal_unsynced_records", self.unsynced_records)
-            .field_u64("wal_last_lsn", self.last_lsn)
             .field_u64("wal_appended_lsn", self.appended_lsn)
             .field_u64("wal_acked_lsn", self.acked_lsn)
             .field_u64("wal_ack_lag", self.ack_lag())
@@ -206,7 +202,6 @@ impl WalHealth {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        self.last_lsn = self.last_lsn.max(other.last_lsn);
         self.appended_lsn = self.appended_lsn.max(other.appended_lsn);
         self.acked_lsn = bound.unwrap_or(self.appended_lsn);
     }
@@ -815,7 +810,6 @@ impl WalWriter {
         WalHealth {
             segments: self.segment_count,
             unsynced_records: self.unsynced,
-            last_lsn: self.last_lsn,
             appended_lsn: self.last_lsn,
             acked_lsn: self.synced_lsn,
         }
@@ -1427,7 +1421,6 @@ impl GroupCommitQueue {
         }
         let mut h = st.writer.as_ref().expect("writer present").health();
         h.appended_lsn = st.appended;
-        h.last_lsn = st.appended;
         h.acked_lsn = st.synced;
         h.unsynced_records = st.appended.saturating_sub(st.synced);
         h
@@ -1753,7 +1746,7 @@ mod tests {
             .unwrap();
         }
         assert!(w.health().segments >= 2, "4 KiB segments must rotate");
-        assert_eq!(w.health().last_lsn, 200);
+        assert_eq!(w.health().appended_lsn, 200);
         // Appends must stay monotonic.
         assert!(w.append(200, &WalRecord::Delete { id: 0 }).is_err());
         w.sync().unwrap();
@@ -1825,7 +1818,7 @@ mod tests {
         // resumes from there.
         let (mut w, scan) = WalWriter::open_repair(tmp.path(), WalOptions::default()).unwrap();
         assert_eq!(scan.frames.len(), 7);
-        assert_eq!(w.health().last_lsn, 7);
+        assert_eq!(w.health().appended_lsn, 7);
         assert_eq!(fs::metadata(&seg).unwrap().len(), offsets[7]);
         w.append(8, &WalRecord::Delete { id: 99 }).unwrap();
         drop(w);
@@ -1854,7 +1847,7 @@ mod tests {
             let (w, scan) = WalWriter::open_repair(tmp.path(), WalOptions::default()).unwrap();
             assert_eq!(scan.frames.len(), 5, "acknowledged records survive");
             assert_eq!(scan.torn_bytes, torn.len());
-            assert_eq!(w.health().last_lsn, 5);
+            assert_eq!(w.health().appended_lsn, 5);
             assert_eq!(
                 fs::metadata(&healthy).unwrap().len(),
                 healthy_len,
@@ -1940,7 +1933,7 @@ mod tests {
             twin.delete_point(id).unwrap();
         }
         assert_eq!(durable.compact(0.01).unwrap(), twin.compact(0.01));
-        assert_eq!(durable.wal_health().last_lsn, 37);
+        assert_eq!(durable.wal_health().appended_lsn, 37);
         drop(durable); // killed without a checkpoint
 
         let (recovered, report) = open(tmp.path(), opts).unwrap();
@@ -1974,7 +1967,7 @@ mod tests {
         assert_eq!(watermark, 11, "10 inserts + checkpoint marker");
         let h = durable.wal_health();
         assert_eq!(h.segments, 1);
-        assert_eq!(h.last_lsn, watermark, "log truncated to the watermark");
+        assert_eq!(h.appended_lsn, watermark, "log truncated to the watermark");
         assert!(
             !snapshot_path(tmp.path(), 1).exists(),
             "stale snapshot generation swept"
@@ -2171,14 +2164,12 @@ mod tests {
         let a = WalHealth {
             segments: 1,
             unsynced_records: 0,
-            last_lsn: 10,
             appended_lsn: 10,
             acked_lsn: 10,
         };
         let b = WalHealth {
             segments: 2,
             unsynced_records: 3,
-            last_lsn: 7,
             appended_lsn: 7,
             acked_lsn: 4,
         };

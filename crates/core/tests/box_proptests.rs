@@ -11,7 +11,7 @@
 //! blocks forced onto the full-precision fallback — through the same
 //! mutations: a block it rejects holds no row satisfying the query, a
 //! block it accepts holds only such rows, and the incrementally kept
-//! bound planes equal a fresh encode of the same columnar mirror.
+//! bound planes equal a fresh encode of the same rows.
 
 use planar_core::table::PointId;
 use planar_core::{
@@ -354,7 +354,7 @@ fn sweep_rows(s: &SweepScenario, first: usize, n: usize, state: &mut u64) -> Vec
 fn check_sweep(s: &SweepScenario, set: &PlanarIndexSet<VecStore>, settled: &mut usize) {
     let table = set.table();
     let quant = table.quant().expect("the scenario keeps a tier");
-    let fresh = QuantizedColumns::encode(table.columns());
+    let fresh = QuantizedColumns::encode(table);
     prop_assert_eq!(quant.blocks(), fresh.blocks());
     for j in 0..table.dim() {
         prop_assert_eq!(quant.lo(j), fresh.lo(j), "lo plane {}", j);

@@ -1,12 +1,12 @@
-//! Property tests for the columnar feature store and the block-mask
+//! Property tests for the block-ordered feature store and the block-mask
 //! verification path: for arbitrary tables, queries, and stores, (1) the
-//! interleaved-block columnar layout must agree bit-for-bit with the
-//! row-major layout — same gathered rows, same fused compare masks — and
-//! (2) the block-mask verification path (candidate bitmap, whole-block
-//! passes for dense blocks, per-lane passes for sparse ones, blocks
-//! settled by their bounding box) returns exactly the `SeqScan` answer in
-//! ascending id order, verifying every intermediate-interval candidate
-//! the boxes leave open, for every quantized tier and thread count.
+//! slot-ordered row blocks must agree bit-for-bit with the rows by id —
+//! same rows, same blocked `dot_block` verdicts — and (2) the block-mask
+//! verification path (candidate bitmap, whole-block passes for dense
+//! blocks, per-lane passes for sparse ones, blocks settled by their
+//! bounding box) returns exactly the `SeqScan` answer in ascending id
+//! order, verifying every intermediate-interval candidate the boxes leave
+//! open, for every quantized tier and thread count.
 
 use planar_core::table::PointId;
 use planar_core::VecStore;
@@ -15,7 +15,7 @@ use planar_core::{
     KeyStore, ParameterDomain, PlanarIndexSet, QuantTier, QueryScratch, SeqScan, ServedBy,
     TopKQuery,
 };
-use planar_geom::{dot_cmp_block, dot_slices};
+use planar_geom::{dot_block, dot_slices};
 use proptest::prelude::*;
 
 /// A generated workload: a table folded into one sign octant and a batch
@@ -276,33 +276,34 @@ fn check_block_masks<S: KeyStore>(s: &BlockScenario) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// The columnar layout is a faithful mirror of the row store: every
-    /// gathered row equals the row-major row, and the fused compare kernel
-    /// over column segments reproduces the per-row scalar verdicts.
+    /// The slot-ordered blocks are a faithful copy of the rows: every
+    /// block row equals the row of the id in its slot, and the blocked
+    /// `dot_block` products over a block's contiguous rows reproduce the
+    /// per-row scalar verdicts.
     #[test]
     fn columnar_layout_equals_row_major(s in scenario()) {
-        let table = FeatureTable::from_rows(s.dim, s.rows.clone()).unwrap();
-        let cols = table.columns();
-        prop_assert!(cols.alignment_ok());
-        let mut buf = vec![0.0; s.dim];
-        for (id, row) in table.iter() {
-            cols.gather_row(id as usize, &mut buf);
-            for (a, b) in buf.iter().zip(row) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+        let mut table = FeatureTable::from_rows(s.dim, s.rows.clone()).unwrap();
+        table.cluster();
+        for (first, rows) in table.blocks() {
+            for (lane, got) in rows.chunks_exact(s.dim).enumerate() {
+                let want = &s.rows[table.id_at(first + lane as u32) as usize];
+                for (a, b) in got.iter().zip(want) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
             }
         }
-        let stride = cols.stride();
+        let mut dots = [0.0; 64];
         for q in ineq_queries(&s) {
-            let leq = q.cmp() == Cmp::Leq;
-            for seg in cols.segments(0, table.len() as u32) {
-                let mask = dot_cmp_block(q.a(), seg.cols, stride, seg.lanes, q.b(), leq);
-                for lane in 0..seg.lanes {
-                    let row = table.row(seg.first + lane as u32);
+            for (first, rows) in table.blocks() {
+                let dots = &mut dots[..rows.len() / s.dim];
+                dot_block(q.a(), rows, dots);
+                for (lane, &dot) in dots.iter().enumerate() {
+                    let row = table.row(table.id_at(first + lane as u32));
                     let want = q.satisfies_dot(dot_slices(q.a(), row));
                     prop_assert_eq!(
-                        mask & (1 << lane) != 0,
+                        q.satisfies_dot(dot),
                         want,
-                        "lane {} of segment at row {}", lane, seg.first
+                        "lane {} of block at slot {}", lane, first
                     );
                 }
             }

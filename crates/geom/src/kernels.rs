@@ -1,23 +1,13 @@
-//! Runtime-dispatched verification kernels over interleaved-block columnar
-//! lanes.
+//! Runtime kernel dispatch for the block-verification kernels.
 //!
 //! The Planar index's hot path is intermediate-interval verification:
 //! computing `⟨a, φ(x)⟩` for a run of candidate rows and comparing against
-//! the threshold `b`. These kernels operate on the *interleaved-block*
-//! columnar layout (`planar_core::table::ColumnMajorRows`): rows are grouped
-//! into blocks of [`BLOCK_ROWS`] lanes, and within a block coordinate `j` of
-//! all lanes is stored contiguously at `block[j * stride + lane]`. That
-//! turns one verification pass into `d'` unit-stride streams that SIMD
-//! units consume at full width, instead of `d'`-strided row walks.
-//!
-//! Three kernels are provided:
-//!
-//! * [`dot_block_cols`] — scalar products of `a` against every lane of a
-//!   block (the top-k distance pass needs the raw products);
-//! * [`dot_cmp_block`] — the fused kernel: products *and* the
-//!   `⟨a,φ(x)⟩ − b ≤ 0` (or `≥ 0`) predicate evaluated into a bitmask
-//!   without materializing the products (inequality verification);
-//! * [`axpy`] — `y ← α·x + y`, used for bulk feature adjustments.
+//! the threshold `b`. The table keeps its `f64` rows row-major in blocks of
+//! [`BLOCK_ROWS`] rows, and the exact products come from
+//! [`crate::dot_block`] and [`crate::dot_slices`], which need no
+//! dispatch. The `i16` filter kernels of [`crate::quant`] read a
+//! dimension-major code plane per block and come in an AVX2 and a
+//! portable twin; this module picks between them.
 //!
 //! ## Dispatch
 //!
@@ -27,32 +17,20 @@
 //! `PLANAR_FORCE_PORTABLE` environment variable is set — useful for A/B
 //! testing and for exercising the fallback on AVX2 hosts). [`kernel_name`]
 //! reports the active choice so benchmarks and stats snapshots can record
-//! which code path produced their numbers.
-//!
-//! ## Bit-identity contract
-//!
-//! Every kernel reproduces, per lane, the exact accumulation order of
-//! [`crate::dot_slices`]: four striped accumulators over `j % 4`, combined
-//! as `(acc0 + acc1) + (acc2 + acc3)`, then a sequential tail. The AVX2
-//! path uses separate multiply and add instructions — deliberately **not**
-//! `vfmadd` — because fused multiply-add skips the intermediate rounding
-//! step and would produce different (if slightly more accurate) sums than
-//! the scalar path. IEEE-754 `mul`/`add` are exactly rounded, so with the
-//! same operation order every path — scalar row-major, portable columnar,
-//! AVX2 columnar — yields bit-identical doubles. The workspace's
-//! index ≡ scan and parallel-determinism guarantees rest on this.
+//! which code path produced their numbers. The twins classify
+//! bit-identically (see [`crate::quant`]), so the choice never changes an
+//! answer.
 
 use std::sync::OnceLock;
 
-/// Number of rows (lanes) per interleaved block. 64 `f64`s = 512 bytes per
-/// coordinate run: eight cache lines, and a block's predicate mask fits one
-/// `u64`.
+/// Number of rows (lanes) per block. 64 rows' predicate mask fits one
+/// `u64`, and a block of `d' = 8` `f64` rows is 4 KiB.
 pub const BLOCK_ROWS: usize = 64;
 
 /// Which kernel implementation was selected at startup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// `std::arch` AVX2 intrinsics (no FMA contraction; see module docs).
+    /// `std::arch` AVX2 intrinsics.
     Avx2,
     /// Portable chunked-scalar fallback (auto-vectorizable, same FP order).
     Portable,
@@ -93,7 +71,7 @@ pub fn kernel_name() -> &'static str {
 }
 
 /// Whether the host additionally reports FMA (recorded for provenance; the
-/// kernels do not use it — see the module docs on reproducibility).
+/// kernels do not use it).
 pub fn host_has_fma() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -105,566 +83,9 @@ pub fn host_has_fma() -> bool {
     }
 }
 
-#[inline]
-fn check_block(a: &[f64], block: &[f64], stride: usize, lanes: usize) {
-    assert!(
-        lanes <= stride,
-        "lanes {lanes} exceed block stride {stride}"
-    );
-    // `block` may be a lane-shifted view into a larger block (a
-    // `ColSegment`), so the requirement is reachability of the last element
-    // read — `block[(dim − 1) · stride + lanes − 1]` — not an exact size.
-    let needed = if a.is_empty() {
-        0
-    } else {
-        (a.len() - 1) * stride + lanes
-    };
-    assert!(
-        block.len() >= needed,
-        "columnar block shape mismatch: need {needed} elements, have {}",
-        block.len()
-    );
-}
-
-/// Scalar products of `a` against `dots.len()` lanes of an interleaved
-/// block: `dots[l] = ⟨a, lane l⟩` where lane `l`'s coordinate `j` lives at
-/// `block[j * stride + l]`.
-///
-/// Bit-identical, per lane, to [`crate::dot_slices`] on the equivalent row.
-///
-/// # Panics
-///
-/// Panics if `dots.len() > stride`, `stride > BLOCK_ROWS`, or
-/// `block.len() != a.len() * stride`.
-#[inline]
-pub fn dot_block_cols(a: &[f64], block: &[f64], stride: usize, dots: &mut [f64]) {
-    check_block(a, block, stride, dots.len());
-    assert!(stride <= BLOCK_ROWS, "stride {stride} exceeds BLOCK_ROWS");
-    match kernel() {
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 => simd::dot_block_cols_avx2(a, block, stride, dots),
-        _ => portable::dot_block_cols(a, block, stride, dots),
-    }
-}
-
-/// Fused dot + threshold compare over `lanes` lanes of an interleaved
-/// block: bit `l` of the result is set iff lane `l` satisfies the
-/// inequality `⟨a, lane l⟩ − b ≤ 0` (`leq = true`) or `≥ 0`
-/// (`leq = false`), evaluated exactly as
-/// `planar_core::InequalityQuery::satisfies_dot` evaluates it (subtract,
-/// then compare). Products are never materialized to memory.
-///
-/// # Panics
-///
-/// Panics if `lanes > 64`, `lanes > stride`, or
-/// `block.len() != a.len() * stride`.
-#[inline]
-pub fn dot_cmp_block(
-    a: &[f64],
-    block: &[f64],
-    stride: usize,
-    lanes: usize,
-    b: f64,
-    leq: bool,
-) -> u64 {
-    check_block(a, block, stride, lanes);
-    assert!(lanes <= 64, "predicate mask holds at most 64 lanes");
-    match kernel() {
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 => simd::dot_cmp_block_avx2(a, block, stride, lanes, b, leq),
-        _ => portable::dot_cmp_block(a, block, stride, lanes, b, leq),
-    }
-}
-
-/// `y[i] += alpha * x[i]` for every `i`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy dimension mismatch");
-    match kernel() {
-        #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2 => simd::axpy_avx2(alpha, x, y),
-        _ => portable::axpy(alpha, x, y),
-    }
-}
-
-/// Portable chunked-scalar implementations. The inner loops run over whole
-/// lane columns at unit stride with independent accumulators, a shape LLVM
-/// auto-vectorizes on any target — without FP contraction, so the result is
-/// bit-identical to the explicit AVX2 path.
-pub(crate) mod portable {
-    use super::BLOCK_ROWS;
-
-    pub(crate) fn dot_block_cols(a: &[f64], block: &[f64], stride: usize, dots: &mut [f64]) {
-        let dim = a.len();
-        let lanes = dots.len();
-        let chunks = dim / 4;
-        // Four striped accumulator columns mirroring dot_slices' acc0..acc3.
-        let mut acc = [[0.0f64; BLOCK_ROWS]; 4];
-        for i in 0..chunks {
-            let j = i * 4;
-            for (s, acc_s) in acc.iter_mut().enumerate() {
-                let aj = a[j + s];
-                let col = &block[(j + s) * stride..(j + s) * stride + lanes];
-                for (l, &v) in col.iter().enumerate() {
-                    acc_s[l] += aj * v;
-                }
-            }
-        }
-        for (l, dot) in dots.iter_mut().enumerate() {
-            *dot = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]);
-        }
-        for j in chunks * 4..dim {
-            let aj = a[j];
-            let col = &block[j * stride..j * stride + lanes];
-            for (l, &v) in col.iter().enumerate() {
-                dots[l] += aj * v;
-            }
-        }
-    }
-
-    pub(crate) fn dot_cmp_block(
-        a: &[f64],
-        block: &[f64],
-        stride: usize,
-        lanes: usize,
-        b: f64,
-        leq: bool,
-    ) -> u64 {
-        let mut dots = [0.0f64; BLOCK_ROWS];
-        dot_block_cols(a, block, stride, &mut dots[..lanes]);
-        let mut mask = 0u64;
-        for (l, &dot) in dots[..lanes].iter().enumerate() {
-            let margin = dot - b;
-            let sat = if leq { margin <= 0.0 } else { margin >= 0.0 };
-            mask |= (sat as u64) << l;
-        }
-        mask
-    }
-
-    pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-        for (yi, &xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-        }
-    }
-}
-
-/// Explicit AVX2 implementations. Kept in one `#[allow(unsafe_code)]`
-/// module so the crate-wide `#![deny(unsafe_code)]` still covers everything
-/// else; the only unsafety is `std::arch` intrinsics plus raw-pointer
-/// loads/stores whose bounds are asserted by the safe dispatchers above.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-pub(crate) mod simd {
-    use std::arch::x86_64::*;
-
-    /// Safe dispatcher-facing wrapper; the caller (this module's parent)
-    /// only routes here after `is_x86_feature_detected!("avx2")`.
-    pub(crate) fn dot_block_cols_avx2(a: &[f64], block: &[f64], stride: usize, dots: &mut [f64]) {
-        // SAFETY: AVX2 availability is established by runtime detection in
-        // `super::kernel()` before this path is ever selected; slice bounds
-        // are asserted by `super::check_block`.
-        unsafe { dot_block_cols_impl(a, block, stride, dots) }
-    }
-
-    pub(crate) fn dot_cmp_block_avx2(
-        a: &[f64],
-        block: &[f64],
-        stride: usize,
-        lanes: usize,
-        b: f64,
-        leq: bool,
-    ) -> u64 {
-        // SAFETY: as above.
-        unsafe { dot_cmp_block_impl(a, block, stride, lanes, b, leq) }
-    }
-
-    pub(crate) fn axpy_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
-        // SAFETY: as above; lengths asserted equal by `super::axpy`.
-        unsafe { axpy_impl(alpha, x, y) }
-    }
-
-    /// Vertical accumulators striped over `j % 4`, combined
-    /// `(acc0 + acc1) + (acc2 + acc3)`, sequential tail — `vmulpd` +
-    /// `vaddpd`, never `vfmadd`, so each lane reproduces `dot_slices`
-    /// bit-for-bit (see module docs).
-    ///
-    /// The main loop covers 8 lanes per iteration (two vectors per stripe:
-    /// 8 independent add chains, enough to cover the FP-add latency, with
-    /// each `a[j]` broadcast amortized over all 8 lanes); a 4-lane loop and
-    /// a scalar tail — in the same accumulation order — cover the rest.
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_block_cols_impl(a: &[f64], block: &[f64], stride: usize, dots: &mut [f64]) {
-        let dim = a.len();
-        let lanes = dots.len();
-        let chunks = dim / 4;
-        let bp = block.as_ptr();
-        let mut lane = 0;
-        while lane + 8 <= lanes {
-            let mut a0 = _mm256_setzero_pd();
-            let mut a1 = _mm256_setzero_pd();
-            let mut a2 = _mm256_setzero_pd();
-            let mut a3 = _mm256_setzero_pd();
-            let mut b0 = _mm256_setzero_pd();
-            let mut b1 = _mm256_setzero_pd();
-            let mut b2 = _mm256_setzero_pd();
-            let mut b3 = _mm256_setzero_pd();
-            for i in 0..chunks {
-                let j = i * 4;
-                let c0 = _mm256_set1_pd(*a.get_unchecked(j));
-                let c1 = _mm256_set1_pd(*a.get_unchecked(j + 1));
-                let c2 = _mm256_set1_pd(*a.get_unchecked(j + 2));
-                let c3 = _mm256_set1_pd(*a.get_unchecked(j + 3));
-                let p0 = bp.add(j * stride + lane);
-                let p1 = bp.add((j + 1) * stride + lane);
-                let p2 = bp.add((j + 2) * stride + lane);
-                let p3 = bp.add((j + 3) * stride + lane);
-                a0 = _mm256_add_pd(a0, _mm256_mul_pd(c0, _mm256_loadu_pd(p0)));
-                b0 = _mm256_add_pd(b0, _mm256_mul_pd(c0, _mm256_loadu_pd(p0.add(4))));
-                a1 = _mm256_add_pd(a1, _mm256_mul_pd(c1, _mm256_loadu_pd(p1)));
-                b1 = _mm256_add_pd(b1, _mm256_mul_pd(c1, _mm256_loadu_pd(p1.add(4))));
-                a2 = _mm256_add_pd(a2, _mm256_mul_pd(c2, _mm256_loadu_pd(p2)));
-                b2 = _mm256_add_pd(b2, _mm256_mul_pd(c2, _mm256_loadu_pd(p2.add(4))));
-                a3 = _mm256_add_pd(a3, _mm256_mul_pd(c3, _mm256_loadu_pd(p3)));
-                b3 = _mm256_add_pd(b3, _mm256_mul_pd(c3, _mm256_loadu_pd(p3.add(4))));
-            }
-            let mut lo = _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
-            let mut hi = _mm256_add_pd(_mm256_add_pd(b0, b1), _mm256_add_pd(b2, b3));
-            for j in chunks * 4..dim {
-                let c = _mm256_set1_pd(*a.get_unchecked(j));
-                let p = bp.add(j * stride + lane);
-                lo = _mm256_add_pd(lo, _mm256_mul_pd(c, _mm256_loadu_pd(p)));
-                hi = _mm256_add_pd(hi, _mm256_mul_pd(c, _mm256_loadu_pd(p.add(4))));
-            }
-            _mm256_storeu_pd(dots.as_mut_ptr().add(lane), lo);
-            _mm256_storeu_pd(dots.as_mut_ptr().add(lane + 4), hi);
-            lane += 8;
-        }
-        while lane + 4 <= lanes {
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            let mut acc2 = _mm256_setzero_pd();
-            let mut acc3 = _mm256_setzero_pd();
-            for i in 0..chunks {
-                let j = i * 4;
-                let v0 = _mm256_loadu_pd(bp.add(j * stride + lane));
-                let v1 = _mm256_loadu_pd(bp.add((j + 1) * stride + lane));
-                let v2 = _mm256_loadu_pd(bp.add((j + 2) * stride + lane));
-                let v3 = _mm256_loadu_pd(bp.add((j + 3) * stride + lane));
-                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_set1_pd(*a.get_unchecked(j)), v0));
-                acc1 = _mm256_add_pd(
-                    acc1,
-                    _mm256_mul_pd(_mm256_set1_pd(*a.get_unchecked(j + 1)), v1),
-                );
-                acc2 = _mm256_add_pd(
-                    acc2,
-                    _mm256_mul_pd(_mm256_set1_pd(*a.get_unchecked(j + 2)), v2),
-                );
-                acc3 = _mm256_add_pd(
-                    acc3,
-                    _mm256_mul_pd(_mm256_set1_pd(*a.get_unchecked(j + 3)), v3),
-                );
-            }
-            let mut acc = _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
-            for j in chunks * 4..dim {
-                let v = _mm256_loadu_pd(bp.add(j * stride + lane));
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(*a.get_unchecked(j)), v));
-            }
-            _mm256_storeu_pd(dots.as_mut_ptr().add(lane), acc);
-            lane += 4;
-        }
-        // Tail lanes (< 4): plain scalar, same accumulation order.
-        for (off, dot) in dots[lane..].iter_mut().enumerate() {
-            let l = lane + off;
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-            for i in 0..chunks {
-                let j = i * 4;
-                s0 += a[j] * block[j * stride + l];
-                s1 += a[j + 1] * block[(j + 1) * stride + l];
-                s2 += a[j + 2] * block[(j + 2) * stride + l];
-                s3 += a[j + 3] * block[(j + 3) * stride + l];
-            }
-            let mut s = (s0 + s1) + (s2 + s3);
-            for j in chunks * 4..dim {
-                s += a[j] * block[j * stride + l];
-            }
-            *dot = s;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_cmp_block_impl(
-        a: &[f64],
-        block: &[f64],
-        stride: usize,
-        lanes: usize,
-        b: f64,
-        leq: bool,
-    ) -> u64 {
-        let dim = a.len();
-        let chunks = dim / 4;
-        let bp = block.as_ptr();
-        let bv = _mm256_set1_pd(b);
-        let zero = _mm256_setzero_pd();
-        let mut mask = 0u64;
-        let mut lane = 0;
-        while lane + 8 <= lanes {
-            let mut a0 = _mm256_setzero_pd();
-            let mut a1 = _mm256_setzero_pd();
-            let mut a2 = _mm256_setzero_pd();
-            let mut a3 = _mm256_setzero_pd();
-            let mut b0 = _mm256_setzero_pd();
-            let mut b1 = _mm256_setzero_pd();
-            let mut b2 = _mm256_setzero_pd();
-            let mut b3 = _mm256_setzero_pd();
-            for i in 0..chunks {
-                let j = i * 4;
-                let c0 = _mm256_set1_pd(*a.get_unchecked(j));
-                let c1 = _mm256_set1_pd(*a.get_unchecked(j + 1));
-                let c2 = _mm256_set1_pd(*a.get_unchecked(j + 2));
-                let c3 = _mm256_set1_pd(*a.get_unchecked(j + 3));
-                let p0 = bp.add(j * stride + lane);
-                let p1 = bp.add((j + 1) * stride + lane);
-                let p2 = bp.add((j + 2) * stride + lane);
-                let p3 = bp.add((j + 3) * stride + lane);
-                a0 = _mm256_add_pd(a0, _mm256_mul_pd(c0, _mm256_loadu_pd(p0)));
-                b0 = _mm256_add_pd(b0, _mm256_mul_pd(c0, _mm256_loadu_pd(p0.add(4))));
-                a1 = _mm256_add_pd(a1, _mm256_mul_pd(c1, _mm256_loadu_pd(p1)));
-                b1 = _mm256_add_pd(b1, _mm256_mul_pd(c1, _mm256_loadu_pd(p1.add(4))));
-                a2 = _mm256_add_pd(a2, _mm256_mul_pd(c2, _mm256_loadu_pd(p2)));
-                b2 = _mm256_add_pd(b2, _mm256_mul_pd(c2, _mm256_loadu_pd(p2.add(4))));
-                a3 = _mm256_add_pd(a3, _mm256_mul_pd(c3, _mm256_loadu_pd(p3)));
-                b3 = _mm256_add_pd(b3, _mm256_mul_pd(c3, _mm256_loadu_pd(p3.add(4))));
-            }
-            let mut lo = _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3));
-            let mut hi = _mm256_add_pd(_mm256_add_pd(b0, b1), _mm256_add_pd(b2, b3));
-            for j in chunks * 4..dim {
-                let c = _mm256_set1_pd(*a.get_unchecked(j));
-                let p = bp.add(j * stride + lane);
-                lo = _mm256_add_pd(lo, _mm256_mul_pd(c, _mm256_loadu_pd(p)));
-                hi = _mm256_add_pd(hi, _mm256_mul_pd(c, _mm256_loadu_pd(p.add(4))));
-            }
-            let (mlo, mhi) = (_mm256_sub_pd(lo, bv), _mm256_sub_pd(hi, bv));
-            let (clo, chi) = if leq {
-                (
-                    _mm256_cmp_pd::<_CMP_LE_OQ>(mlo, zero),
-                    _mm256_cmp_pd::<_CMP_LE_OQ>(mhi, zero),
-                )
-            } else {
-                (
-                    _mm256_cmp_pd::<_CMP_GE_OQ>(mlo, zero),
-                    _mm256_cmp_pd::<_CMP_GE_OQ>(mhi, zero),
-                )
-            };
-            mask |= (_mm256_movemask_pd(clo) as u64) << lane;
-            mask |= (_mm256_movemask_pd(chi) as u64) << (lane + 4);
-            lane += 8;
-        }
-        while lane + 4 <= lanes {
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            let mut acc2 = _mm256_setzero_pd();
-            let mut acc3 = _mm256_setzero_pd();
-            for i in 0..chunks {
-                let j = i * 4;
-                let v0 = _mm256_loadu_pd(bp.add(j * stride + lane));
-                let v1 = _mm256_loadu_pd(bp.add((j + 1) * stride + lane));
-                let v2 = _mm256_loadu_pd(bp.add((j + 2) * stride + lane));
-                let v3 = _mm256_loadu_pd(bp.add((j + 3) * stride + lane));
-                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_set1_pd(*a.get_unchecked(j)), v0));
-                acc1 = _mm256_add_pd(
-                    acc1,
-                    _mm256_mul_pd(_mm256_set1_pd(*a.get_unchecked(j + 1)), v1),
-                );
-                acc2 = _mm256_add_pd(
-                    acc2,
-                    _mm256_mul_pd(_mm256_set1_pd(*a.get_unchecked(j + 2)), v2),
-                );
-                acc3 = _mm256_add_pd(
-                    acc3,
-                    _mm256_mul_pd(_mm256_set1_pd(*a.get_unchecked(j + 3)), v3),
-                );
-            }
-            let mut acc = _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3));
-            for j in chunks * 4..dim {
-                let v = _mm256_loadu_pd(bp.add(j * stride + lane));
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(*a.get_unchecked(j)), v));
-            }
-            // margin = dot − b, then ordered-quiet compare against zero:
-            // exactly `satisfies_dot` (NaN margins compare false).
-            let margin = _mm256_sub_pd(acc, bv);
-            let zero = _mm256_setzero_pd();
-            let cmp = if leq {
-                _mm256_cmp_pd::<_CMP_LE_OQ>(margin, zero)
-            } else {
-                _mm256_cmp_pd::<_CMP_GE_OQ>(margin, zero)
-            };
-            mask |= (_mm256_movemask_pd(cmp) as u64) << lane;
-            lane += 4;
-        }
-        for l in lane..lanes {
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-            for i in 0..chunks {
-                let j = i * 4;
-                s0 += a[j] * block[j * stride + l];
-                s1 += a[j + 1] * block[(j + 1) * stride + l];
-                s2 += a[j + 2] * block[(j + 2) * stride + l];
-                s3 += a[j + 3] * block[(j + 3) * stride + l];
-            }
-            let mut s = (s0 + s1) + (s2 + s3);
-            for j in chunks * 4..dim {
-                s += a[j] * block[j * stride + l];
-            }
-            let margin = s - b;
-            let sat = if leq { margin <= 0.0 } else { margin >= 0.0 };
-            mask |= (sat as u64) << l;
-        }
-        mask
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_impl(alpha: f64, x: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        let av = _mm256_set1_pd(alpha);
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            let xv = _mm256_loadu_pd(xp.add(i));
-            let yv = _mm256_loadu_pd(yp.add(i));
-            _mm256_storeu_pd(yp.add(i), _mm256_add_pd(yv, _mm256_mul_pd(av, xv)));
-            i += 4;
-        }
-        for j in i..n {
-            *y.get_unchecked_mut(j) += alpha * *x.get_unchecked(j);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dot_slices;
-
-    /// Transpose `rows` (row-major, `dim` wide) into one interleaved block
-    /// of `stride` lanes, zero-padded past `rows.len()`.
-    fn to_block(rows: &[Vec<f64>], dim: usize, stride: usize) -> Vec<f64> {
-        let mut block = vec![0.0; dim * stride];
-        for (l, row) in rows.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                block[j * stride + l] = v;
-            }
-        }
-        block
-    }
-
-    fn sample_rows(n: usize, dim: usize) -> Vec<Vec<f64>> {
-        (0..n)
-            .map(|r| {
-                (0..dim)
-                    .map(|j| ((r * dim + j) as f64).sin() * 100.0 + j as f64)
-                    .collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn portable_matches_dot_slices_bitwise() {
-        for dim in [0usize, 1, 3, 4, 5, 8, 13, 16] {
-            for lanes in [0usize, 1, 3, 4, 7, 32, BLOCK_ROWS] {
-                let a: Vec<f64> = (0..dim).map(|j| 0.3 * j as f64 - 1.0).collect();
-                let rows = sample_rows(lanes, dim);
-                let block = to_block(&rows, dim, BLOCK_ROWS);
-                let mut dots = vec![f64::NAN; lanes];
-                portable::dot_block_cols(&a, &block, BLOCK_ROWS, &mut dots);
-                for (row, dot) in rows.iter().zip(&dots) {
-                    assert_eq!(dot.to_bits(), dot_slices(&a, row).to_bits());
-                }
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_matches_portable_bitwise() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        for dim in [0usize, 1, 4, 5, 8, 11, 16] {
-            for lanes in [1usize, 2, 3, 4, 5, 8, 31, 63, BLOCK_ROWS] {
-                let a: Vec<f64> = (0..dim).map(|j| (j as f64 * 1.7).cos()).collect();
-                let rows = sample_rows(lanes, dim);
-                let block = to_block(&rows, dim, BLOCK_ROWS);
-                let mut want = vec![f64::NAN; lanes];
-                let mut got = vec![f64::NAN; lanes];
-                portable::dot_block_cols(&a, &block, BLOCK_ROWS, &mut want);
-                simd::dot_block_cols_avx2(&a, &block, BLOCK_ROWS, &mut got);
-                for (w, g) in want.iter().zip(&got) {
-                    assert_eq!(w.to_bits(), g.to_bits(), "dim {dim} lanes {lanes}");
-                }
-                for leq in [true, false] {
-                    let b = want.first().copied().unwrap_or(0.0);
-                    let pm = portable::dot_cmp_block(&a, &block, BLOCK_ROWS, lanes, b, leq);
-                    let sm = simd::dot_cmp_block_avx2(&a, &block, BLOCK_ROWS, lanes, b, leq);
-                    assert_eq!(pm, sm, "mask dim {dim} lanes {lanes} leq {leq}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cmp_mask_matches_subtract_then_compare() {
-        let dim = 6;
-        let lanes = 10;
-        let a: Vec<f64> = (0..dim).map(|j| j as f64 - 2.5).collect();
-        let rows = sample_rows(lanes, dim);
-        let block = to_block(&rows, dim, BLOCK_ROWS);
-        let mut dots = vec![0.0; lanes];
-        dot_block_cols(&a, &block, BLOCK_ROWS, &mut dots);
-        // Pick b equal to one of the dots so the boundary case is exercised.
-        let b = dots[3];
-        for leq in [true, false] {
-            let mask = dot_cmp_block(&a, &block, BLOCK_ROWS, lanes, b, leq);
-            for (l, &dot) in dots.iter().enumerate() {
-                let margin = dot - b;
-                let want = if leq { margin <= 0.0 } else { margin >= 0.0 };
-                assert_eq!(mask >> l & 1 == 1, want, "lane {l} leq {leq}");
-            }
-        }
-    }
-
-    #[test]
-    fn cmp_mask_nan_is_unsatisfied_both_ways() {
-        let block = to_block(&[vec![f64::NAN], vec![1.0]], 1, BLOCK_ROWS);
-        for leq in [true, false] {
-            let mask = dot_cmp_block(&[1.0], &block, BLOCK_ROWS, 2, 1.0, leq);
-            assert_eq!(mask & 1, 0, "NaN lane must not satisfy (leq {leq})");
-        }
-    }
-
-    #[test]
-    fn axpy_matches_scalar() {
-        let x: Vec<f64> = (0..13).map(|i| (i as f64).sin()).collect();
-        let mut y: Vec<f64> = (0..13).map(|i| i as f64 * 0.5).collect();
-        let mut want = y.clone();
-        for (w, &xi) in want.iter_mut().zip(&x) {
-            *w += -1.75 * xi;
-        }
-        axpy(-1.75, &x, &mut y);
-        for (w, g) in want.iter().zip(&y) {
-            assert_eq!(w.to_bits(), g.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shape mismatch")]
-    fn short_block_panics() {
-        let mut dots = [0.0; 2];
-        dot_block_cols(&[1.0, 2.0], &[0.0; 64], BLOCK_ROWS, &mut dots);
-    }
 
     #[test]
     fn kernel_name_is_stable() {

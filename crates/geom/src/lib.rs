@@ -34,9 +34,7 @@ mod vector;
 
 pub use approx::{approx_eq, approx_eq_eps, DEFAULT_EPS};
 pub use hyperplane::Hyperplane;
-pub use kernels::{
-    axpy, dot_block_cols, dot_cmp_block, host_has_fma, kernel, kernel_name, KernelKind, BLOCK_ROWS,
-};
+pub use kernels::{host_has_fma, kernel, kernel_name, KernelKind, BLOCK_ROWS};
 pub use octant::{Octant, Sign, SignVector};
 pub use quant::{classify_block_i16, dot_block_cols_i16, quant_kernel_name, QMAX_I16};
 pub use translation::{NormalizedQuery, Normalizer, Translation};

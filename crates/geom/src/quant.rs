@@ -1,12 +1,13 @@
-//! Runtime-dispatched kernels over **quantized** interleaved-block columnar
-//! lanes (the compressed filter tier).
+//! Runtime-dispatched kernels over **quantized** block lanes (the
+//! compressed filter tier).
 //!
-//! The quantized tier stores each 64-lane block of
-//! `planar_core::table::ColumnMajorRows` as `i16` fixed-point codes plus a
+//! The quantized tier stores each 64-row block of a `planar_core`
+//! `FeatureTable` as `i16` fixed-point codes, dimension-major inside the
+//! block (code `j` of lane `l` at `codes[j·stride + l]`), plus a
 //! per-`(block, dim)` affine decode `x ≈ offset + scale · code`. A code is a
-//! quarter of an `f64`, which multiplies the cache-residency win the
-//! columnar layout already buys, and the narrower lanes let one AVX2
-//! register cover 8 lanes of `f32` arithmetic.
+//! quarter of an `f64`, each dimension's lanes are one unit-stride run, and
+//! the narrower lanes let one AVX2 register cover 8 lanes of `f32`
+//! arithmetic.
 //!
 //! Kernels here compute, per lane `l`,
 //!
@@ -42,11 +43,12 @@
 //! tail, separate multiply and add (no FMA) — so `D[l]` is bit-identical
 //! between the AVX2 and portable paths. That keeps classification verdicts
 //! (and therefore every counter and every answer) independent of the host's
-//! SIMD level, exactly like the `f64` kernels in [`crate::kernels`].
+//! SIMD level.
 //!
 //! The *answers* of the index never depend on `D` at all: the caller only
 //! acts on verdicts that are sound under its error bound, and re-verifies
-//! the band with the exact `f64` kernels.
+//! the band with the exact `f64` products ([`crate::dot_block`],
+//! [`crate::dot_slices`]).
 
 use crate::kernels::{kernel, BLOCK_ROWS};
 
@@ -70,9 +72,9 @@ fn check_qblock(dim: usize, codes_len: usize, stride: usize, lanes: usize) {
         "lanes {lanes} exceed block stride {stride}"
     );
     assert!(lanes <= 64, "classification mask holds at most 64 lanes");
-    // Like the f64 kernels, `codes` may be a lane-shifted view into a
-    // larger block, so the requirement is reachability of the last element
-    // read, not an exact size.
+    // `codes` may be a lane-shifted view into a larger block, so the
+    // requirement is reachability of the last element read, not an exact
+    // size.
     let needed = if dim == 0 {
         0
     } else {
@@ -184,9 +186,8 @@ pub(crate) mod portable {
     }
 }
 
-/// Explicit AVX2 implementations: the crate's second (and only other)
-/// `#[allow(unsafe_code)]` island, same rules as `kernels::simd` — all
-/// unsafety is `std::arch` intrinsics plus raw-pointer loads whose bounds
+/// Explicit AVX2 implementations: the crate's only `#[allow(unsafe_code)]`
+/// island — all unsafety is `std::arch` intrinsics plus raw-pointer loads whose bounds
 /// the safe dispatchers assert first.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]

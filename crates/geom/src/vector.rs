@@ -22,11 +22,10 @@ pub fn dot_slices(a: &[f64], b: &[f64]) -> f64 {
     dot_unchecked(a, b)
 }
 
-/// Accumulation core shared by every kernel in this crate: 4-way striped
-/// accumulators combined as `(acc0 + acc1) + (acc2 + acc3)`, then a
-/// sequential tail. The SIMD kernels in [`crate::kernels`] replicate this
-/// exact order per lane, which is what makes scalar, blocked and vector
-/// paths bit-identical.
+/// Accumulation core shared by [`dot_slices`] and [`dot_block`]: 4-way
+/// striped accumulators combined as `(acc0 + acc1) + (acc2 + acc3)`, then
+/// a sequential tail. Sharing it is what makes per-row and blocked
+/// verification bit-identical.
 #[inline]
 pub(crate) fn dot_unchecked(a: &[f64], b: &[f64]) -> f64 {
     // Manual 4-way unroll: rustc reliably vectorizes this shape, and the

@@ -628,10 +628,9 @@ const EPOCH_KEYS: [&str; 7] = [
 ];
 
 /// Keys rendered by `WalHealth`.
-const WAL_KEYS: [&str; 6] = [
+const WAL_KEYS: [&str; 5] = [
     "wal_segments",
     "wal_unsynced_records",
-    "wal_last_lsn",
     "wal_appended_lsn",
     "wal_acked_lsn",
     "wal_ack_lag",
@@ -737,7 +736,6 @@ fn metrics_engine_block_is_read_from_each_engine_s_own_state() {
         &[
             ("wal_segments", wal.segments as u64),
             ("wal_unsynced_records", wal.unsynced_records),
-            ("wal_last_lsn", wal.last_lsn),
             ("wal_appended_lsn", wal.appended_lsn),
             ("wal_acked_lsn", wal.acked_lsn),
             ("wal_ack_lag", wal.ack_lag()),

@@ -55,7 +55,7 @@ fn main() -> Result<(), PlanarError> {
     let health = durable.wal_health();
     println!(
         "logged 1001 mutations: {} segment(s), last lsn {}, {} unsynced",
-        health.segments, health.last_lsn, health.unsynced_records
+        health.segments, health.appended_lsn, health.unsynced_records
     );
 
     // ----------------------------------------------------------------
