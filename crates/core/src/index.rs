@@ -41,7 +41,7 @@
 //! widening is always sound because the intermediate interval is verified
 //! exactly in raw space.
 
-use crate::parallel::{self, ExecutionConfig, QueryScratch};
+use crate::parallel::{self, QueryScratch};
 use crate::quant::QuantFilterStats;
 use crate::query::{Cmp, InequalityQuery, TopKQuery};
 use crate::scan::TopKBuffer;
@@ -357,8 +357,8 @@ impl<S: KeyStore> SingleIndex<S> {
     /// `verify` is the exact raw-space predicate (the original query), `nq`
     /// its normalized form, `index_pos` only labels the stats.
     ///
-    /// Convenience wrapper over [`Self::evaluate_with`] with serial
-    /// execution and throwaway scratch.
+    /// Convenience wrapper over [`Self::evaluate_with`] with every row live
+    /// and throwaway scratch.
     pub fn evaluate(
         &self,
         verify: &InequalityQuery,
@@ -374,20 +374,19 @@ impl<S: KeyStore> SingleIndex<S> {
             table,
             &crate::multi::live_words(table, &[]),
             index_pos,
-            &ExecutionConfig::serial(),
             &mut QueryScratch::new(),
         )
     }
 
     /// [`Self::evaluate`] with the table's live rows (`live`, one word per
-    /// block of its slots), explicit execution configuration and
-    /// reusable scratch buffers.
+    /// block of its slots) and reusable scratch buffers. The query runs on
+    /// the calling thread.
     ///
     /// With a quantized tier, and when the fill would mark more rows (the
     /// intermediate plus the accepted interval) than the table has blocks,
     /// one box sweep first settles every block it can (see
     /// `parallel::sweep`). Then one of two candidate sets is verified
-    /// block by block (see `parallel::verify_mask_blocked`):
+    /// block by block (see `parallel::verify_mask`):
     ///
     /// * the live rows of the blocks the box left mixed — unless the fill
     ///   would mark under `1 /` `FILL_LANE_COST` of them, it is skipped
@@ -400,8 +399,7 @@ impl<S: KeyStore> SingleIndex<S> {
     ///
     /// Both give the same answer: the interval's candidates include every
     /// satisfying row the index did not accept outright. Matches come back
-    /// in ascending id order, identically for every `exec.threads` value
-    /// and whichever index served the query.
+    /// in ascending id order, whichever index served the query.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_with(
         &self,
@@ -411,7 +409,6 @@ impl<S: KeyStore> SingleIndex<S> {
         table: &FeatureTable,
         live: &[u64],
         index_pos: usize,
-        exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
     ) -> (Vec<PointId>, QueryStats) {
         let ids = self.store.ids();
@@ -427,32 +424,23 @@ impl<S: KeyStore> SingleIndex<S> {
         let filled = intermediate + accepted.len();
         let mixed_live = parallel::sweep(verify, table, live, 0, filled, &mut scratch.boxes);
         let fill_skipped = mixed_live.is_some_and(|m| filled * FILL_LANE_COST >= m);
-        let (words, candidates) = if fill_skipped {
-            let words = parallel::BlockWords {
+        let words = if fill_skipped {
+            parallel::BlockWords {
                 boxes: &scratch.boxes,
                 ..parallel::BlockWords::cand(live, 0)
-            };
-            (words, mixed_live.unwrap_or(0))
+            }
         } else {
             let range = scratch.fill(table, &ids[j_min..j_max], accepted);
-            let words = parallel::BlockWords {
+            parallel::BlockWords {
                 cand: &scratch.mask[range.clone()],
                 accept: &scratch.accept[range.clone()],
                 boxes: scratch.boxes.get(range.clone()).unwrap_or(&[]),
                 first: range.start,
-            };
-            (words, intermediate)
+            }
         };
         let mut matches = Vec::with_capacity(accepted.len() + intermediate.min(n));
-        let (quant, verified) = parallel::verify_ascending(
-            verify,
-            table,
-            words,
-            candidates,
-            exec,
-            &mut scratch.found,
-            &mut matches,
-        );
+        let (quant, verified) =
+            parallel::verify_ascending(verify, table, words, &mut scratch.found, &mut matches);
 
         let stats = QueryStats {
             n,
@@ -478,33 +466,23 @@ impl<S: KeyStore> SingleIndex<S> {
         shift: f64,
         table: &FeatureTable,
     ) -> (Vec<(PointId, f64)>, TopKStats) {
-        self.top_k_inner(
-            q,
-            nq,
-            shift,
-            table,
-            true,
-            &ExecutionConfig::serial(),
-            &mut QueryScratch::new(),
-        )
+        self.top_k_inner(q, nq, shift, table, true, &mut QueryScratch::new())
     }
 
-    /// [`Self::top_k`] with explicit execution configuration and reusable
-    /// scratch buffers. The intermediate interval is verified exactly as
-    /// [`Self::evaluate_with`] verifies it — through the quantized tier
-    /// when the table has one — so `stats.quant` reports the same filter
-    /// counters an inequality query would. Results are identical for every
-    /// thread count and every tier.
+    /// [`Self::top_k`] with reusable scratch buffers. The intermediate
+    /// interval is verified exactly as [`Self::evaluate_with`] verifies it
+    /// — through the quantized tier when the table has one — so
+    /// `stats.quant` reports the same filter counters an inequality query
+    /// would. Results are identical for every tier.
     pub fn top_k_with(
         &self,
         q: &TopKQuery,
         nq: &NormalizedQuery,
         shift: f64,
         table: &FeatureTable,
-        exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
     ) -> (Vec<(PointId, f64)>, TopKStats) {
-        self.top_k_inner(q, nq, shift, table, true, exec, scratch)
+        self.top_k_inner(q, nq, shift, table, true, scratch)
     }
 
     /// [`Self::top_k`] with the Claim-3 lower-bound pruning disabled: the
@@ -517,27 +495,18 @@ impl<S: KeyStore> SingleIndex<S> {
         shift: f64,
         table: &FeatureTable,
     ) -> (Vec<(PointId, f64)>, TopKStats) {
-        self.top_k_inner(
-            q,
-            nq,
-            shift,
-            table,
-            false,
-            &ExecutionConfig::serial(),
-            &mut QueryScratch::new(),
-        )
+        self.top_k_inner(q, nq, shift, table, false, &mut QueryScratch::new())
     }
 
     /// Algorithm 2 body behind every top-k entry point. The II goes into
     /// the scratch's candidate bitmap, a box sweep over the bitmap's word
     /// window settles what blocks it can (`parallel::sweep`), and the rest
-    /// goes through Algorithm 1's verification ([`parallel::verify_mask`]);
+    /// goes through Algorithm 1's verification (`parallel::verify_mask`);
     /// the satisfying ids, held in the scratch in slot order, are ranked by
     /// their row's distance.
     /// Then the accepting interval is walked outward from the query
     /// hyperplane until Claim 3's lower bound stops it (`use_pruning =
     /// false` walks it all).
-    #[allow(clippy::too_many_arguments)]
     fn top_k_inner(
         &self,
         q: &TopKQuery,
@@ -545,7 +514,6 @@ impl<S: KeyStore> SingleIndex<S> {
         shift: f64,
         table: &FeatureTable,
         use_pruning: bool,
-        exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
     ) -> (Vec<(PointId, f64)>, TopKStats) {
         let ids = self.store.ids();
@@ -576,8 +544,7 @@ impl<S: KeyStore> SingleIndex<S> {
             boxes: &scratch.boxes,
             ..parallel::BlockWords::cand(cand, range.start)
         };
-        let (quant, verified) =
-            parallel::verify_mask(&q.query, table, words, candidates, exec, &mut scratch.ids);
+        let (quant, verified) = parallel::verify_mask(&q.query, table, words, &mut scratch.ids);
         buffer.offer_rows(&q.query, table, &scratch.ids);
 
         // Walk the accepting interval from the query hyperplane outward,

@@ -68,7 +68,7 @@
 //! | [`selection`] | best-index selection heuristics (§5.1) |
 //! | [`multi`] | [`PlanarIndexSet`]: budgeted multi-index structure (§5) |
 //! | [`shard`] | [`ShardedIndexSet`]: shared-nothing horizontal partitioning with k-way top-k merge |
-//! | [`parallel`] | thread configuration, query scratch, blocked/chunked verification |
+//! | [`parallel`] | thread configuration and the batch / shard splits, query scratch, blocked verification |
 //! | [`scan`] | the sequential-scan baseline the paper compares against |
 //! | [`feature`] | the `φ` feature-map abstraction |
 //! | [`stats`] | per-query pruning statistics and serving provenance |

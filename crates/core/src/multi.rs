@@ -270,9 +270,10 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     }
 
     /// [`Self::with_normals`] with index construction split into
-    /// `exec.threads` chunks of work — each normal's sort is
-    /// independent, so the resulting indices are identical to the serial
-    /// build in content and order.
+    /// `exec.threads` chunks of work, clamped to `[1, normals.len()]` as a
+    /// batch's split is — each normal's sort is independent, so the
+    /// resulting indices are identical to the serial build in content and
+    /// order.
     ///
     /// # Errors
     ///
@@ -288,7 +289,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         S: Send,
     {
         let normalizer = Self::validate_normals(&table, &domain, &normals)?;
-        let workers = exec.threads.min(normals.len()).max(1);
+        let workers = parallel::clamp_workers(exec.threads, normals.len());
         let (table_ref, normalizer_ref) = (&table, &normalizer);
         let indices = parallel::map_chunks(&normals, workers, |_, chunk| {
             chunk
@@ -567,11 +568,9 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         self.query_with(q, &ExecutionConfig::serial(), &mut QueryScratch::new())
     }
 
-    /// [`Self::query`] with explicit execution configuration and caller-
-    /// owned scratch buffers. With `exec.threads > 1`, intermediate-
-    /// interval verification is chunked across threads once the interval
-    /// crosses `exec.parallel_verify_threshold`; matches are identical (in
-    /// content *and* order) for every thread count.
+    /// [`Self::query`] with caller-owned scratch buffers. The query runs
+    /// on the calling thread: threads split the queries of a batch
+    /// ([`Self::query_batch`]), never one query, so `_exec` is unused.
     ///
     /// # Errors
     ///
@@ -579,11 +578,11 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     pub fn query_with(
         &self,
         q: &InequalityQuery,
-        exec: &ExecutionConfig,
+        _exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
     ) -> Result<QueryOutcome> {
         self.check_dim(q)?;
-        Ok(self.query_prepared(q, exec, scratch))
+        Ok(self.query_prepared(q, scratch))
     }
 
     /// Answer a batch of inequality queries, split into `exec.threads`
@@ -628,26 +627,28 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         S: Sync,
     {
         let guard = parallel::DeadlineGuard::new(exec.deadline);
-        let mut results = self.query_batch_isolated_with_guard(qs, exec, &guard);
+        let workers = parallel::clamp_workers(exec.threads, qs.len());
+        let mut results = self.query_batch_isolated_with_guard(qs, workers, &guard);
         let skipped = stamp_partial_completed(&mut results, |o| &mut o.served_by);
         parallel::record_deadline_events(skipped as u64);
         results
     }
 
-    /// Batch body shared with the sharded engine: the caller owns the
-    /// [`parallel::DeadlineGuard`] (so one budget can span every shard of a
-    /// sharded batch) and is responsible for stamping `completed` counts
-    /// into the [`ServedBy::Partial`] placeholders afterwards.
+    /// Batch body shared with the sharded engine: the queries split into
+    /// `workers` chunks (a shard of a sharded batch runs them in one), the
+    /// caller owns the [`parallel::DeadlineGuard`] (so one budget can span
+    /// every shard of a sharded batch) and is responsible for stamping
+    /// `completed` counts into the [`ServedBy::Partial`] placeholders
+    /// afterwards.
     pub(crate) fn query_batch_isolated_with_guard(
         &self,
         qs: &[InequalityQuery],
-        exec: &ExecutionConfig,
+        workers: usize,
         guard: &parallel::DeadlineGuard,
     ) -> Vec<Result<QueryOutcome>>
     where
         S: Sync,
     {
-        let (workers, inner) = parallel::batch_plan(exec, qs.len());
         let per_chunk = parallel::map_chunks(qs, workers, |_, chunk| {
             let mut scratch = QueryScratch::new();
             chunk
@@ -656,7 +657,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                     if guard.expired() {
                         Ok(self.deadline_placeholder_query())
                     } else {
-                        self.query_one_isolated(q, &inner, &mut scratch)
+                        self.query_one_isolated(q, &mut scratch)
                     }
                 })
                 .collect::<Vec<_>>()
@@ -717,19 +718,13 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     fn query_one_isolated(
         &self,
         q: &InequalityQuery,
-        exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
     ) -> Result<QueryOutcome> {
         self.check_dim(q)?;
-        parallel::run_isolated(|| self.query_prepared(q, exec, scratch))
+        parallel::run_isolated(|| self.query_prepared(q, scratch))
     }
 
-    fn query_prepared(
-        &self,
-        q: &InequalityQuery,
-        exec: &ExecutionConfig,
-        scratch: &mut QueryScratch,
-    ) -> QueryOutcome {
+    fn query_prepared(&self, q: &InequalityQuery, scratch: &mut QueryScratch) -> QueryOutcome {
         crate::fault::maybe_inject_query_panic(q.b());
         match self.prepare(q) {
             Ok((effective, nq)) => {
@@ -744,7 +739,6 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                     &self.table,
                     &self.live,
                     pos,
-                    exec,
                     scratch,
                 );
                 QueryOutcome {
@@ -781,15 +775,8 @@ impl<S: KeyStore> PlanarIndexSet<S> {
             boxes: &boxes,
             ..parallel::BlockWords::cand(&self.live, 0)
         };
-        let (quant, verified) = parallel::verify_ascending(
-            q,
-            &self.table,
-            words,
-            self.n_live,
-            &ExecutionConfig::serial(),
-            &mut found,
-            &mut matches,
-        );
+        let (quant, verified) =
+            parallel::verify_ascending(q, &self.table, words, &mut found, &mut matches);
         (matches, quant, verified)
     }
 
@@ -824,9 +811,9 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         self.top_k_with(q, &ExecutionConfig::serial(), &mut QueryScratch::new())
     }
 
-    /// [`Self::top_k`] with explicit execution configuration and caller-
-    /// owned scratch buffers; answers are identical for every thread
-    /// count.
+    /// [`Self::top_k`] with caller-owned scratch buffers. The query runs on
+    /// the calling thread, as in [`Self::query_with`], so `_exec` is
+    /// unused.
     ///
     /// # Errors
     ///
@@ -834,11 +821,11 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     pub fn top_k_with(
         &self,
         q: &TopKQuery,
-        exec: &ExecutionConfig,
+        _exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
     ) -> Result<TopKOutcome> {
         self.check_dim(&q.query)?;
-        Ok(self.top_k_prepared(q, exec, scratch))
+        Ok(self.top_k_prepared(q, scratch))
     }
 
     /// Answer a batch of top-k queries, split into `exec.threads` chunks.
@@ -878,7 +865,8 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         S: Sync,
     {
         let guard = parallel::DeadlineGuard::new(exec.deadline);
-        let mut results = self.top_k_batch_isolated_with_guard(qs, exec, &guard);
+        let workers = parallel::clamp_workers(exec.threads, qs.len());
+        let mut results = self.top_k_batch_isolated_with_guard(qs, workers, &guard);
         let skipped = stamp_partial_completed(&mut results, |o| &mut o.served_by);
         parallel::record_deadline_events(skipped as u64);
         results
@@ -889,13 +877,12 @@ impl<S: KeyStore> PlanarIndexSet<S> {
     pub(crate) fn top_k_batch_isolated_with_guard(
         &self,
         qs: &[TopKQuery],
-        exec: &ExecutionConfig,
+        workers: usize,
         guard: &parallel::DeadlineGuard,
     ) -> Vec<Result<TopKOutcome>>
     where
         S: Sync,
     {
-        let (workers, inner) = parallel::batch_plan(exec, qs.len());
         let per_chunk = parallel::map_chunks(qs, workers, |_, chunk| {
             let mut scratch = QueryScratch::new();
             chunk
@@ -904,7 +891,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                     if guard.expired() {
                         Ok(self.deadline_placeholder_top_k())
                     } else {
-                        self.top_k_one_isolated(q, &inner, &mut scratch)
+                        self.top_k_one_isolated(q, &mut scratch)
                     }
                 })
                 .collect::<Vec<_>>()
@@ -912,22 +899,12 @@ impl<S: KeyStore> PlanarIndexSet<S> {
         per_chunk.into_iter().flatten().collect()
     }
 
-    fn top_k_one_isolated(
-        &self,
-        q: &TopKQuery,
-        exec: &ExecutionConfig,
-        scratch: &mut QueryScratch,
-    ) -> Result<TopKOutcome> {
+    fn top_k_one_isolated(&self, q: &TopKQuery, scratch: &mut QueryScratch) -> Result<TopKOutcome> {
         self.check_dim(&q.query)?;
-        parallel::run_isolated(|| self.top_k_prepared(q, exec, scratch))
+        parallel::run_isolated(|| self.top_k_prepared(q, scratch))
     }
 
-    fn top_k_prepared(
-        &self,
-        q: &TopKQuery,
-        exec: &ExecutionConfig,
-        scratch: &mut QueryScratch,
-    ) -> TopKOutcome {
+    fn top_k_prepared(&self, q: &TopKQuery, scratch: &mut QueryScratch) -> TopKOutcome {
         crate::fault::maybe_inject_query_panic(q.query.b());
         match self.prepare(&q.query) {
             Ok((effective, nq)) => {
@@ -939,7 +916,7 @@ impl<S: KeyStore> PlanarIndexSet<S> {
                     return self.top_k_scan(q, ScanReason::IndexUnavailable);
                 };
                 let (neighbors, stats) =
-                    self.indices[pos].top_k_with(&eff_q, &nq, shift, &self.table, exec, scratch);
+                    self.indices[pos].top_k_with(&eff_q, &nq, shift, &self.table, scratch);
                 TopKOutcome {
                     neighbors,
                     served_by: ServedBy::Index(pos),
@@ -1424,6 +1401,42 @@ mod tests {
             PlanarIndexSet::<VecStore>::build(table, bad_domain, IndexConfig::with_budget(1))
                 .is_err()
         );
+    }
+
+    #[test]
+    fn parallel_build_clamps_and_counts_its_workers() {
+        // Zero threads, or more threads than normals, clamp through the
+        // same counted clamp as a batch, and build the serial set.
+        let rows = (0..40).map(|i| vec![1.0 + (i % 7) as f64, 0.5 + (i % 5) as f64]);
+        let table = FeatureTable::from_rows(2, rows).unwrap();
+        let domain = ParameterDomain::uniform_continuous(2, 0.5, 3.0).unwrap();
+        let normals = vec![vec![1.0, 2.0], vec![2.0, 1.0]];
+        let strategy = SelectionStrategy::default();
+        let q = InequalityQuery::new(vec![1.0, 1.5], Cmp::Leq, 5.0).unwrap();
+        let serial: PlanarIndexSet =
+            PlanarIndexSet::with_normals(table.clone(), domain.clone(), normals.clone(), strategy)
+                .unwrap();
+        for threads in [0, 5] {
+            let exec = ExecutionConfig {
+                threads,
+                ..ExecutionConfig::serial()
+            };
+            let before = parallel::thread_clamp_events();
+            let built: PlanarIndexSet = PlanarIndexSet::with_normals_parallel(
+                table.clone(),
+                domain.clone(),
+                normals.clone(),
+                strategy,
+                &exec,
+            )
+            .unwrap();
+            assert!(
+                parallel::thread_clamp_events() > before,
+                "threads={threads}"
+            );
+            assert!(built.normals().eq(serial.normals()), "threads={threads}");
+            assert_eq!(built.query(&q).unwrap(), serial.query(&q).unwrap());
+        }
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! Parallel execution scaffolding: thread configuration, reusable query
-//! scratch space, and the blocked / chunked verification kernel shared by
+//! scratch space, and the blocked verification kernel shared by
 //! Algorithm 1 and Algorithm 2.
 //!
 //! ## Determinism contract
 //!
-//! Every parallel path in this crate returns results **bit-identical to and
-//! identically ordered with** its serial counterpart, for any thread count:
+//! One query runs on one thread. Threads are split only across the queries
+//! of a batch, the shards of a sharded set and the normals of a build, and
+//! every such split returns results **bit-identical to and identically
+//! ordered with** the serial run, for any thread count:
 //!
 //! * Intermediate-interval (II) candidates are held as a bitmap with one
 //!   word per 64-row block of the table's slots ([`QueryScratch`]) and
-//!   verified block by block in slot order by `verify_mask`. Splitting
-//!   the bitmap into contiguous word ranges and concatenating the
-//!   per-range matches in range order reproduces the serial order exactly.
-//!   A clustered table's ids (see [`crate::table::FeatureTable::cluster`])
-//!   come out ascending through an id-space bitmap (`verify_ascending`).
+//!   verified block by block in slot order by `verify_mask`. A clustered
+//!   table's ids (see [`crate::table::FeatureTable::cluster`]) come out
+//!   ascending through an id-space bitmap (`verify_ascending`).
 //! * Before a block's codes are read, its box verdict from
 //!   [`crate::quant::QuantizedColumns::box_sweep`] settles the whole block
 //!   when it can (`BlockWords`): a rejected block contributes nothing and
@@ -24,25 +24,30 @@
 //!   is re-verified in `f64`), else from the exact `f64` product: one
 //!   row-major [`planar_geom::dot_block`] over a dense block's contiguous
 //!   rows, or [`planar_geom::dot_slices`] on each row of a sparse one. Both
-//!   accumulate every row in `dot_slices`' order, so neither the tier nor
-//!   the split ever changes a verdict.
+//!   accumulate every row in `dot_slices`' order, so the tier never changes
+//!   a verdict.
 //! * Algorithm 2 verifies its II through the same `verify_mask` call, then
-//!   ranks the satisfying ids serially by their row's
+//!   ranks the satisfying ids by their row's
 //!   [`InequalityQuery::distance`]. The top-k buffer's total
 //!   `(distance, id)` order makes its contents independent of arrival
-//!   order, so the ranking is identical for every thread count.
+//!   order.
+//! * A batch's queries, or a sharded set's shards, are split into
+//!   contiguous chunks whose results are concatenated in chunk order, so
+//!   output `i` is query `i`'s (or shard `i`'s) answer at every thread
+//!   count.
 //!
 //! ## Executor
 //!
-//! Every parallel path — the shard fan-out, multi-query batches, chunked
-//! II verification and the multi-index build — goes through one function,
-//! `map_chunks`. Its split into chunks, their `start` offsets and the
-//! chunk-order concatenation of their results depend on the requested
-//! worker count alone. The chunks run on at most [`cpus`] OS threads, and
-//! the calling thread is one of them: with one CPU every chunk runs in
-//! order on the caller and nothing is spawned; with more, contiguous groups
-//! of chunks go to threads spawned under `std::thread::scope` (which lets
-//! them borrow the index and table), and the caller runs the first group.
+//! Every parallel path — the shard fan-out, multi-query batches and the
+//! multi-index build — goes through one function, `map_chunks`. Its split
+//! into chunks, their `start` offsets and the chunk-order concatenation of
+//! their results depend on the requested worker count alone, which
+//! `clamp_workers` bounds by the work available. The chunks run on at most
+//! [`cpus`] OS threads, and the calling thread is one of them: with one CPU
+//! every chunk runs in order on the caller and nothing is spawned; with
+//! more, contiguous groups of chunks go to threads spawned under
+//! `std::thread::scope` (which lets them borrow the index and table), and
+//! the caller runs the first group.
 //! There is no persistent pool — one would have to erase the borrowed
 //! closures' lifetimes — and no extra dependency. [`threads_spawned`]
 //! counts the threads spawned.
@@ -61,20 +66,17 @@ use std::time::{Duration, Instant};
 /// Minimum candidate lanes in a block for one whole-block verification
 /// pass (quantized classify, or one exact kernel when the tier is off);
 /// sparser blocks verify each candidate on its row (see
-/// [`verify_mask_blocked`]).
+/// [`verify_mask`]).
 const QUANT_MIN_SEGMENT_LANES: usize = 16;
 
-/// Default minimum II size before a single query's verification is split
-/// across threads. Below this, fan-out overhead exceeds the win.
-pub const DEFAULT_PARALLEL_VERIFY_THRESHOLD: usize = 8192;
-
 /// Counts clamp events: how many times a requested thread count of 0, or
-/// one exceeding the work available, was clamped by [`batch_plan`] /
-/// worker planning. See [`thread_clamp_events`].
+/// one exceeding the work available, was clamped by [`clamp_workers`]. See
+/// [`thread_clamp_events`].
 static THREAD_CLAMP_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// How many times an [`ExecutionConfig`] thread count was clamped because
-/// it was 0 or exceeded the batch/work size. A monotonically increasing
+/// it was 0 or exceeded the work size (the queries of a batch, the shards
+/// of a fan-out or the normals of a build). A monotonically increasing
 /// process-wide debug counter: a non-zero, growing value means callers are
 /// configuring more workers than there is work (or zero workers), which is
 /// handled cleanly but worth fixing at the call site.
@@ -82,8 +84,11 @@ pub fn thread_clamp_events() -> u64 {
     THREAD_CLAMP_EVENTS.load(Ordering::Relaxed)
 }
 
-/// Clamp a requested worker count to `[1, available]`, counting the event
-/// when the request was out of range (0 or more workers than work items).
+/// The workers a split of `available` work items uses: the requested
+/// count clamped to `[1, available]`, counting the event when the request
+/// was out of range (0 or more workers than work items). Every parallel
+/// path — a batch's queries, a sharded set's shards, a build's normals —
+/// plans its split here; each worker runs its items serially.
 pub(crate) fn clamp_workers(requested: usize, available: usize) -> usize {
     let clamped = requested.min(available).max(1);
     if clamped != requested {
@@ -176,7 +181,9 @@ pub(crate) fn run_isolated<T>(f: impl FnOnce() -> T) -> Result<T> {
     })
 }
 
-/// Thread-count and crossover configuration for the parallel query engine.
+/// Thread-count and deadline configuration for batch calls and builds.
+/// One query always runs on one thread; threads split a batch's queries,
+/// a sharded set's shards or a build's normals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutionConfig {
     /// How many chunks parallel work is split into; `1` means fully serial
@@ -184,9 +191,6 @@ pub struct ExecutionConfig {
     /// alone. It is also an upper bound on the OS threads a call runs on:
     /// the chunks run on at most [`cpus`] threads, the caller among them.
     pub threads: usize,
-    /// Minimum intermediate-interval size before one query's verification
-    /// is chunked across threads.
-    pub parallel_verify_threshold: usize,
     /// Wall-clock budget for a whole batch call (`None` = unbounded).
     /// Polled at chunk boundaries only — one `Instant::now()` per query,
     /// never inside the verification hot loop. Queries not started when
@@ -208,7 +212,6 @@ impl ExecutionConfig {
     pub fn serial() -> Self {
         Self {
             threads: 1,
-            parallel_verify_threshold: DEFAULT_PARALLEL_VERIFY_THRESHOLD,
             deadline: None,
         }
     }
@@ -227,23 +230,11 @@ impl ExecutionConfig {
         Self::with_threads(cpus())
     }
 
-    /// Override the II crossover threshold (builder style).
-    pub fn verify_threshold(mut self, threshold: usize) -> Self {
-        self.parallel_verify_threshold = threshold.max(1);
-        self
-    }
-
     /// Set a wall-clock budget for batch calls (builder style). See the
     /// [`Self::deadline`] field for partial-result semantics.
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
         self
-    }
-
-    /// True when this configuration splits work into more than one chunk.
-    #[inline]
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
     }
 }
 
@@ -319,7 +310,7 @@ impl QueryScratch {
     }
 }
 
-/// A window of per-block words for [`verify_mask`]: word `i` describes
+/// A window of per-block words for `verify_mask`: word `i` describes
 /// block `first + i`. `accept` and `boxes` may be empty (no proven lanes;
 /// every block mixed).
 #[derive(Debug, Clone, Copy)]
@@ -342,16 +333,6 @@ impl<'a> BlockWords<'a> {
             accept: &[],
             boxes: &[],
             first,
-        }
-    }
-
-    /// The sub-window of words `range`.
-    fn slice(&self, range: Range<usize>) -> Self {
-        Self {
-            cand: &self.cand[range.clone()],
-            accept: self.accept.get(range.clone()).unwrap_or(&[]),
-            boxes: self.boxes.get(range.clone()).unwrap_or(&[]),
-            first: self.first + range.start,
         }
     }
 }
@@ -516,7 +497,7 @@ pub(crate) fn exact_mask(query: &InequalityQuery, rows: &[f64]) -> u64 {
 /// Returns the quantized-filter counters (all zeros when the tier is off)
 /// and the number of candidate lanes verified — classified or given an
 /// `f64` product.
-pub(crate) fn verify_mask_blocked(
+pub(crate) fn verify_mask(
     query: &InequalityQuery,
     table: &FeatureTable,
     words: BlockWords<'_>,
@@ -649,42 +630,6 @@ fn dense_block_mask(
     }
 }
 
-/// Inequality-query II verification of a window of block words (see
-/// [`verify_mask_blocked`]): serial, or split on word boundaries across
-/// `exec.threads` workers when the `candidates` count crosses
-/// `exec.parallel_verify_threshold`. Per-chunk matches are emitted in
-/// chunk order, so the output is in slot order either way (see module
-/// docs).
-pub(crate) fn verify_mask(
-    query: &InequalityQuery,
-    table: &FeatureTable,
-    words: BlockWords<'_>,
-    candidates: usize,
-    exec: &ExecutionConfig,
-    out: &mut impl Emit,
-) -> (QuantFilterStats, usize) {
-    if !(exec.is_parallel() && candidates >= exec.parallel_verify_threshold.max(2)) {
-        return verify_mask_blocked(query, table, words, out);
-    }
-    let workers = exec.threads.min(words.cand.len());
-    let per_chunk = map_chunks(words.cand, workers, |start, chunk| {
-        let mut local = Vec::new();
-        let part = words.slice(start..start + chunk.len());
-        let counts = verify_mask_blocked(query, table, part, &mut local);
-        (local, counts)
-    });
-    let mut stats = QuantFilterStats::default();
-    let mut verified = 0;
-    for (part, (part_stats, part_verified)) in per_chunk {
-        for id in part {
-            out.emit(id);
-        }
-        stats.merge(&part_stats);
-        verified += part_verified;
-    }
-    (stats, verified)
-}
-
 /// [`verify_mask`] with the matches pushed onto `out` in ascending id
 /// order. Slots are ids on an unclustered table, so its slot order is
 /// already ascending; a clustered table's matches are marked in the
@@ -694,44 +639,17 @@ pub(crate) fn verify_ascending(
     query: &InequalityQuery,
     table: &FeatureTable,
     words: BlockWords<'_>,
-    candidates: usize,
-    exec: &ExecutionConfig,
     found: &mut Vec<u64>,
     out: &mut Vec<PointId>,
 ) -> (QuantFilterStats, usize) {
     if !table.is_clustered() {
-        return verify_mask(query, table, words, candidates, exec, out);
+        return verify_mask(query, table, words, out);
     }
     found.clear();
     found.resize(table.len().div_ceil(BLOCK_ROWS), 0);
-    let counts = verify_mask(query, table, words, candidates, exec, &mut IdBits(found));
+    let counts = verify_mask(query, table, words, &mut IdBits(found));
     drain_ascending(found, out);
     counts
-}
-
-/// Sharding plan for a batch of queries: how many workers a batch of
-/// `batch_len` queries uses under `exec`, and how many threads remain for
-/// intra-query verification inside each worker.
-pub(crate) fn batch_plan(exec: &ExecutionConfig, batch_len: usize) -> (usize, ExecutionConfig) {
-    let workers = clamp_workers(exec.threads, batch_len);
-    let inner = ExecutionConfig {
-        threads: (exec.threads / workers).max(1),
-        ..*exec
-    };
-    (workers, inner)
-}
-
-/// Fan-out plan for a sharded set: how many workers take whole shards
-/// under `exec`, and how many threads remain for each shard's own batch
-/// engine inside a worker. The shard loop is the outer parallel dimension
-/// (shards share nothing), so it gets first claim on the threads.
-pub(crate) fn shard_plan(exec: &ExecutionConfig, shards: usize) -> (usize, ExecutionConfig) {
-    let workers = clamp_workers(exec.threads, shards);
-    let inner = ExecutionConfig {
-        threads: (exec.threads / workers).max(1),
-        ..*exec
-    };
-    (workers, inner)
 }
 
 #[cfg(test)]
@@ -755,21 +673,11 @@ mod tests {
     #[test]
     fn config_defaults_are_serial() {
         let c = ExecutionConfig::default();
+        assert_eq!(c, ExecutionConfig::serial());
         assert_eq!(c.threads, 1);
-        assert!(!c.is_parallel());
-        assert_eq!(
-            c.parallel_verify_threshold,
-            DEFAULT_PARALLEL_VERIFY_THRESHOLD
-        );
         assert_eq!(ExecutionConfig::with_threads(0).threads, 1);
         assert!(cpus() >= 1);
         assert_eq!(ExecutionConfig::available_parallelism().threads, cpus());
-        assert_eq!(
-            ExecutionConfig::serial()
-                .verify_threshold(0)
-                .parallel_verify_threshold,
-            1
-        );
         assert_eq!(c.deadline, None);
         assert_eq!(
             ExecutionConfig::serial()
@@ -815,8 +723,8 @@ mod tests {
     #[test]
     fn fill_and_emission_follow_the_block_layout() {
         // A clustered table keeps candidates in their slots' blocks, and
-        // the id-space bitmap puts its matches back in ascending id order
-        // at every thread count.
+        // the id-space bitmap puts its matches back in ascending id order,
+        // whatever the bitmap held before.
         let rows = (0..300).map(|i| vec![((i * 37) % 300) as f64, 1.0]);
         let mut t = FeatureTable::from_rows(2, rows).unwrap();
         t.cluster();
@@ -827,12 +735,10 @@ mod tests {
         assert!(want.windows(2).all(|w| w[0] < w[1]));
         let words = bitmap(&t, &ids);
         let mut found = vec![u64::MAX; 1];
-        for threads in [1, 3] {
-            let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
+        for pass in 0..2 {
             let mut got = Vec::new();
-            let words = BlockWords::cand(&words, 0);
-            verify_ascending(&q, &t, words, ids.len(), &exec, &mut found, &mut got);
-            assert_eq!(got, want, "threads={threads}");
+            verify_ascending(&q, &t, BlockWords::cand(&words, 0), &mut found, &mut got);
+            assert_eq!(got, want, "pass {pass}");
         }
     }
 
@@ -849,8 +755,7 @@ mod tests {
             .filter(|&id| q.satisfies(t.row(id)))
             .collect();
         let mut got = Vec::new();
-        let (_, verified) =
-            verify_mask_blocked(&q, &t, BlockWords::cand(&bitmap(&t, &ids), 0), &mut got);
+        let (_, verified) = verify_mask(&q, &t, BlockWords::cand(&bitmap(&t, &ids), 0), &mut got);
         assert_eq!(got, expected);
         assert_eq!(verified, ids.len(), "no tier: every candidate is verified");
     }
@@ -876,7 +781,7 @@ mod tests {
             ..BlockWords::cand(&cand, 0)
         };
         let mut got = Vec::new();
-        let (stats, verified) = verify_mask_blocked(&q, &t, words, &mut got);
+        let (stats, verified) = verify_mask(&q, &t, words, &mut got);
         assert_eq!(stats.tier, QuantTier::I16);
         assert_eq!(stats.lanes, verified, "{stats:?}");
         assert!(verified > 0 && verified < ids.len(), "{stats:?}");
@@ -919,7 +824,7 @@ mod tests {
             ..BlockWords::cand(&live, 0)
         };
         let mut got = Vec::new();
-        let (stats, verified) = verify_mask_blocked(&q, &t, words, &mut got);
+        let (stats, verified) = verify_mask(&q, &t, words, &mut got);
         assert_eq!(got, crate::scan::SeqScan::new(&t).evaluate(&q).unwrap());
         assert_eq!(
             (stats.box_accepted, stats.box_rejected, verified),
@@ -939,28 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_verification_is_identical_to_serial() {
-        for tier in [QuantTier::Off, QuantTier::I16] {
-            let mut t = table(2000);
-            t.set_quant_tier(tier);
-            let q = InequalityQuery::new(vec![1.0, 1.0], Cmp::Leq, 600.0).unwrap();
-            let ids: Vec<PointId> = (0..2000u32).filter(|i| i % 7 != 3).collect();
-            let words = bitmap(&t, &ids);
-            let mut serial = Vec::new();
-            let serial_counts =
-                verify_mask_blocked(&q, &t, BlockWords::cand(&words, 0), &mut serial);
-            for threads in [2, 3, 8, 64] {
-                let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
-                let mut out = Vec::new();
-                let words = BlockWords::cand(&words, 0);
-                let counts = verify_mask(&q, &t, words, ids.len(), &exec, &mut out);
-                assert_eq!(out, serial, "{tier:?} threads={threads}");
-                assert_eq!(counts, serial_counts, "{tier:?} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn parallel_top_k_is_identical_to_serial() {
         // Index normal (2, 1): key = 500 + 0.75·i, and the query's margin is
         // 0.25·i − 200, so the intermediate interval holds ~930 rows (dense
@@ -970,6 +853,7 @@ mod tests {
         let idx =
             crate::index::SingleIndex::<crate::store::VecStore>::build(&t, &norm, vec![2.0, 1.0])
                 .unwrap();
+        let mut scratch = QueryScratch::new();
         for tier in [QuantTier::Off, QuantTier::I16] {
             t.set_quant_tier(tier);
             for cmp in [Cmp::Leq, Cmp::Geq] {
@@ -978,14 +862,16 @@ mod tests {
                         .unwrap();
                 let nq = norm.normalize_query(q.query.a(), q.query.b()).unwrap();
                 let want = crate::scan::SeqScan::new(&t).top_k(&q).unwrap();
-                let mut scratch = QueryScratch::new();
-                for threads in [1, 2, 3, 5] {
-                    let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
-                    let (got, stats) = idx.top_k_with(&q, &nq, 0.0, &t, &exec, &mut scratch);
-                    // Distances are absolute values, never -0.0 or NaN, so
-                    // `==` here is bit-identity.
-                    assert_eq!(got, want, "{tier:?} {cmp:?} threads={threads}");
-                    assert!(stats.intermediate > 500, "{stats:?}");
+                let (serial, serial_stats) = idx.top_k(&q, &nq, 0.0, &t);
+                // Distances are absolute values, never -0.0 or NaN, so
+                // `==` here is bit-identity.
+                assert_eq!(serial, want, "{tier:?} {cmp:?}");
+                assert!(serial_stats.intermediate > 500, "{serial_stats:?}");
+                // A scratch reused across queries answers as a fresh one.
+                for pass in 0..2 {
+                    let (got, stats) = idx.top_k_with(&q, &nq, 0.0, &t, &mut scratch);
+                    assert_eq!(got, want, "{tier:?} {cmp:?} pass {pass}");
+                    assert_eq!(stats, serial_stats, "{tier:?} {cmp:?} pass {pass}");
                 }
             }
         }
@@ -1051,29 +937,18 @@ mod tests {
 
     #[test]
     fn batch_plan_divides_threads() {
-        let exec = ExecutionConfig::with_threads(8);
-        let (workers, inner) = batch_plan(&exec, 4);
-        assert_eq!(workers, 4);
-        assert_eq!(inner.threads, 2);
-        let (workers, inner) = batch_plan(&exec, 100);
-        assert_eq!(workers, 8);
-        assert_eq!(inner.threads, 1);
-        let (workers, _) = batch_plan(&ExecutionConfig::serial(), 100);
-        assert_eq!(workers, 1);
+        // A batch divides its threads among its queries, at most one
+        // worker per query; each worker runs its queries serially.
+        assert_eq!(clamp_workers(8, 4), 4);
+        assert_eq!(clamp_workers(8, 100), 8);
+        assert_eq!(clamp_workers(ExecutionConfig::serial().threads, 100), 1);
     }
 
     #[test]
-    fn shard_plan_gives_shards_first_claim() {
-        let exec = ExecutionConfig::with_threads(8);
-        let (workers, inner) = shard_plan(&exec, 4);
-        assert_eq!(workers, 4);
-        assert_eq!(inner.threads, 2);
-        let (workers, inner) = shard_plan(&exec, 16);
-        assert_eq!(workers, 8);
-        assert_eq!(inner.threads, 1);
-        let (workers, inner) = shard_plan(&ExecutionConfig::serial(), 8);
-        assert_eq!(workers, 1);
-        assert_eq!(inner.threads, 1);
+    fn shard_fan_out_takes_at_most_one_worker_per_shard() {
+        assert_eq!(clamp_workers(8, 4), 4);
+        assert_eq!(clamp_workers(8, 16), 8);
+        assert_eq!(clamp_workers(ExecutionConfig::serial().threads, 8), 1);
     }
 
     #[test]
@@ -1084,16 +959,12 @@ mod tests {
             threads: 0,
             ..ExecutionConfig::serial()
         };
-        let (workers, inner) = batch_plan(&zero, 10);
-        assert_eq!(workers, 1);
-        assert_eq!(inner.threads, 1);
+        assert_eq!(clamp_workers(zero.threads, 10), 1);
         // More threads than queries in the batch.
-        let (workers, _) = batch_plan(&ExecutionConfig::with_threads(64), 3);
-        assert_eq!(workers, 3);
+        assert_eq!(clamp_workers(64, 3), 3);
         // An in-range request does not count.
         let counted = thread_clamp_events() - before;
-        let (workers, _) = batch_plan(&ExecutionConfig::with_threads(2), 10);
-        assert_eq!(workers, 2);
+        assert_eq!(clamp_workers(2, 10), 2);
         assert!(counted >= 2, "clamp events must be counted, got {counted}");
         assert_eq!(thread_clamp_events() - before, counted);
     }

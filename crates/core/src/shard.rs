@@ -370,9 +370,10 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         )
     }
 
-    /// [`Self::build`] with per-shard index construction on `exec` (each
-    /// shard's budget of sorts is distributed over `exec.threads`; shards
-    /// themselves build in order). Identical output for any thread count.
+    /// [`Self::build`] with each shard's budget of index sorts split into
+    /// `exec.threads` chunks of work (see
+    /// [`PlanarIndexSet::build_with`]); the shards build one after another.
+    /// Identical output for any thread count.
     ///
     /// # Errors
     ///
@@ -661,10 +662,10 @@ impl<S: KeyStore> ShardedIndexSet<S> {
 
     /// Answer an inequality query: every shard evaluates it in shard order
     /// on the calling thread, and the id-remapped matches are concatenated
-    /// in canonical order. Each shard runs with the threads a shard-major
-    /// batch would leave it (`exec.threads` over the shard workers, at
-    /// least 1), as [`Self::top_k_with`] does. Matches as a *set* equal the
-    /// unsharded set's for the same data.
+    /// in canonical order. One query runs on the caller alone: `_exec` only
+    /// reaches each shard's [`PlanarIndexSet::query_with`], which ignores
+    /// it; threads split a batch's shards ([`Self::query_batch`]).
+    /// Matches as a *set* equal the unsharded set's for the same data.
     ///
     /// # Errors
     ///
@@ -672,23 +673,23 @@ impl<S: KeyStore> ShardedIndexSet<S> {
     pub fn query_with(
         &self,
         q: &InequalityQuery,
-        exec: &ExecutionConfig,
+        _exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
     ) -> Result<ShardedQueryOutcome> {
-        let (_, inner) = parallel::shard_plan(exec, self.shards.len());
         let per_shard = self
             .shards
             .iter()
-            .map(|sh| sh.query_with(q, &inner, scratch))
+            .map(|sh| sh.query_with(q, _exec, scratch))
             .collect::<Result<Vec<_>>>()?;
         Ok(self.assemble_query(per_shard))
     }
 
     /// Answer a batch of inequality queries **shard-major**: each worker
-    /// takes whole shards and runs the full batch against them before
-    /// moving on, keeping the shard's rows and entries cache-resident
-    /// across the batch. Output `i` is deterministic (identical for every
-    /// thread count) and equals `query(&qs[i])` as a set of ids.
+    /// takes whole shards and runs the full batch against them serially
+    /// before moving on, keeping the shard's rows and entries
+    /// cache-resident across the batch. Output `i` is deterministic
+    /// (identical for every thread count) and equals `query(&qs[i])` as a
+    /// set of ids.
     ///
     /// # Errors
     ///
@@ -720,8 +721,8 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         // One deadline budget spans the whole sharded batch: every shard
         // polls the same guard, so shard 3 sees time spent on shard 0.
         let guard = parallel::DeadlineGuard::new(exec.deadline);
-        let per_shard: Vec<Vec<Result<QueryOutcome>>> = self.fan_out_batch(exec, |shard, inner| {
-            shard.query_batch_isolated_with_guard(qs, inner, &guard)
+        let per_shard: Vec<Vec<Result<QueryOutcome>>> = self.fan_out_batch(exec, |shard| {
+            shard.query_batch_isolated_with_guard(qs, 1, &guard)
         });
         let mut results: Vec<Result<ShardedQueryOutcome>> = per_query(per_shard, qs.len())
             .map(|row| Ok(self.assemble_query(row?)))
@@ -743,7 +744,9 @@ impl<S: KeyStore> ShardedIndexSet<S> {
     /// Answer a top-k query: the global `k` is pushed down to every shard
     /// (each answers its local top-k with the same bound) and the id-
     /// remapped per-shard lists are k-way merged on `(distance, global
-    /// id)` — identical neighbors to the unsharded set.
+    /// id)` — identical neighbors to the unsharded set. Every shard runs on
+    /// the calling thread, and `_exec` is ignored, as in
+    /// [`Self::query_with`].
     ///
     /// # Errors
     ///
@@ -751,14 +754,13 @@ impl<S: KeyStore> ShardedIndexSet<S> {
     pub fn top_k_with(
         &self,
         q: &TopKQuery,
-        exec: &ExecutionConfig,
+        _exec: &ExecutionConfig,
         scratch: &mut QueryScratch,
     ) -> Result<ShardedTopKOutcome> {
-        let (_, inner) = parallel::shard_plan(exec, self.shards.len());
         let per_shard = self
             .shards
             .iter()
-            .map(|sh| sh.top_k_with(q, &inner, scratch))
+            .map(|sh| sh.top_k_with(q, _exec, scratch))
             .collect::<Result<Vec<_>>>()?;
         Ok(self.assemble_top_k(q.k, per_shard))
     }
@@ -790,8 +792,8 @@ impl<S: KeyStore> ShardedIndexSet<S> {
         S: Sync,
     {
         let guard = parallel::DeadlineGuard::new(exec.deadline);
-        let per_shard: Vec<Vec<Result<TopKOutcome>>> = self.fan_out_batch(exec, |shard, inner| {
-            shard.top_k_batch_isolated_with_guard(qs, inner, &guard)
+        let per_shard: Vec<Vec<Result<TopKOutcome>>> = self.fan_out_batch(exec, |shard| {
+            shard.top_k_batch_isolated_with_guard(qs, 1, &guard)
         });
         let mut results: Vec<Result<ShardedTopKOutcome>> = per_query(per_shard, qs.len())
             .zip(qs)
@@ -803,18 +805,19 @@ impl<S: KeyStore> ShardedIndexSet<S> {
     }
 
     /// Run `f` once per shard — serially in shard order, or fanned out over
-    /// the shard-level workers of `parallel::shard_plan` — and return the
-    /// per-shard results in shard order regardless of thread count.
+    /// `exec.threads` workers that take whole shards (at most one worker
+    /// per shard) — and return the per-shard results in shard order
+    /// regardless of thread count.
     fn fan_out_batch<R, F>(&self, exec: &ExecutionConfig, f: F) -> Vec<R>
     where
         S: Sync,
         R: Send,
-        F: Fn(&PlanarIndexSet<S>, &ExecutionConfig) -> R + Sync,
+        F: Fn(&PlanarIndexSet<S>) -> R + Sync,
     {
-        let (workers, inner) = parallel::shard_plan(exec, self.shards.len());
+        let workers = parallel::clamp_workers(exec.threads, self.shards.len());
         let shard_refs: Vec<&PlanarIndexSet<S>> = self.shards.iter().collect();
         parallel::map_chunks(&shard_refs, workers, |_, chunk| {
-            chunk.iter().map(|sh| f(sh, &inner)).collect::<Vec<_>>()
+            chunk.iter().map(|sh| f(sh)).collect::<Vec<_>>()
         })
         .into_iter()
         .flatten()

@@ -20,7 +20,6 @@ struct Scenario {
     queries: Vec<(Vec<f64>, f64, Cmp)>,
     budget: usize,
     threads: usize,
-    verify_threshold: usize,
     k: usize,
 }
 
@@ -41,44 +40,38 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                 ),
                 1..6usize,
                 1..8usize,
-                // Tiny thresholds force the chunked-II path even on small
-                // intervals; large ones exercise the serial crossover.
-                prop_oneof![1 => Just(1usize), 1 => Just(8usize), 1 => Just(100_000usize)],
                 1..6usize,
             )
         })
-        .prop_map(
-            |(dim, mut rows, signs, raw_queries, budget, threads, verify_threshold, k)| {
-                // Fold rows into the octant fixed by `signs` so the indexed
-                // path (not just the scan fallback) is exercised.
-                for row in &mut rows {
-                    for (v, &pos) in row.iter_mut().zip(&signs) {
-                        *v = if pos { v.abs() } else { -v.abs() };
-                    }
+        .prop_map(|(dim, mut rows, signs, raw_queries, budget, threads, k)| {
+            // Fold rows into the octant fixed by `signs` so the indexed
+            // path (not just the scan fallback) is exercised.
+            for row in &mut rows {
+                for (v, &pos) in row.iter_mut().zip(&signs) {
+                    *v = if pos { v.abs() } else { -v.abs() };
                 }
-                let queries = raw_queries
-                    .into_iter()
-                    .map(|(mag, b, leq)| {
-                        let a: Vec<f64> = mag
-                            .iter()
-                            .zip(&signs)
-                            .map(|(&m, &pos)| if pos { m } else { -m })
-                            .collect();
-                        (a, b, if leq { Cmp::Leq } else { Cmp::Geq })
-                    })
-                    .collect();
-                Scenario {
-                    dim,
-                    rows,
-                    signs,
-                    queries,
-                    budget,
-                    threads,
-                    verify_threshold,
-                    k,
-                }
-            },
-        )
+            }
+            let queries = raw_queries
+                .into_iter()
+                .map(|(mag, b, leq)| {
+                    let a: Vec<f64> = mag
+                        .iter()
+                        .zip(&signs)
+                        .map(|(&m, &pos)| if pos { m } else { -m })
+                        .collect();
+                    (a, b, if leq { Cmp::Leq } else { Cmp::Geq })
+                })
+                .collect();
+            Scenario {
+                dim,
+                rows,
+                signs,
+                queries,
+                budget,
+                threads,
+                k,
+            }
+        })
 }
 
 fn domain(s: &Scenario) -> ParameterDomain {
@@ -112,7 +105,7 @@ fn ineq_queries(s: &Scenario) -> Vec<InequalityQuery> {
 }
 
 fn exec(s: &Scenario) -> ExecutionConfig {
-    ExecutionConfig::with_threads(s.threads).verify_threshold(s.verify_threshold)
+    ExecutionConfig::with_threads(s.threads)
 }
 
 fn assert_query_outcomes_equal(got: &[QueryOutcome], want: &[QueryOutcome]) {
@@ -175,8 +168,8 @@ proptest! {
         check_top_k_batch::<VecStore>(&s);
     }
 
-    /// `query_with` with a reused scratch and chunked verification matches
-    /// the plain path exactly for any thread count.
+    /// `query_with` with a reused scratch matches the plain path exactly,
+    /// whatever configuration it is handed.
     #[test]
     fn query_with_reused_scratch_equals_query(s in scenario()) {
         let set: PlanarIndexSet<VecStore> = build_set(&s);

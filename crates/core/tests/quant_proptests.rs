@@ -8,8 +8,7 @@
 
 use planar_core::{
     BoxClass, Cmp, Domain, ExecutionConfig, FeatureTable, IndexConfig, InequalityQuery,
-    ParameterDomain, PlanarIndexSet, QuantTier, QueryScratch, SeqScan, ServedBy, TopKQuery,
-    VecStore,
+    ParameterDomain, PlanarIndexSet, QuantTier, SeqScan, ServedBy, TopKQuery, VecStore,
 };
 use planar_core::{
     ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet, ShardConfig,
@@ -261,20 +260,23 @@ fn tiled(s: &Scenario, copies: usize) -> Scenario {
 }
 
 /// Block-mask verification under the quantized tier: the planar twins
-/// answer identically for every thread count (chunks split the candidate
-/// bitmap on word boundaries), and the filter counts exactly the verified
-/// candidate lanes.
+/// answer identically in batches at every thread count (each query runs on
+/// one worker), and the filter counts exactly the verified candidate lanes.
 fn assert_same_block_answers(
     plain: &PlanarIndexSet<VecStore>,
     quant: &PlanarIndexSet<VecStore>,
     s: &Scenario,
 ) {
+    let queries = ineq_queries(s);
+    let top_ks: Vec<TopKQuery> = queries
+        .iter()
+        .map(|q| TopKQuery::new(q.clone(), s.k).unwrap())
+        .collect();
     for threads in [1, 2, 3] {
-        let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
-        let mut scratch = QueryScratch::new();
-        for q in ineq_queries(s) {
-            let p = plain.query_with(&q, &exec, &mut scratch).unwrap();
-            let x = quant.query_with(&q, &exec, &mut scratch).unwrap();
+        let exec = ExecutionConfig::with_threads(threads);
+        let ps = plain.query_batch(&queries, &exec).unwrap();
+        let xs = quant.query_batch(&queries, &exec).unwrap();
+        for ((q, p), x) in queries.iter().zip(&ps).zip(&xs) {
             assert_eq!(p.matches, x.matches, "threads={threads}");
             // Without boxes every candidate is verified. With them, a query
             // the box decides (the fill skipped) verifies exactly the live
@@ -284,7 +286,7 @@ fn assert_same_block_answers(
             if x.stats.fill_skipped == 1 {
                 assert_eq!(
                     x.stats.verified,
-                    mixed_live_lanes(quant, &q),
+                    mixed_live_lanes(quant, q),
                     "{:?}",
                     x.stats
                 );
@@ -294,9 +296,10 @@ fn assert_same_block_answers(
             if x.stats.quant.tier != QuantTier::Off {
                 assert_eq!(x.stats.quant.lanes, x.stats.verified, "{:?}", x.stats);
             }
-            let k = TopKQuery::new(q, s.k).unwrap();
-            let pt = plain.top_k_with(&k, &exec, &mut scratch).unwrap();
-            let xt = quant.top_k_with(&k, &exec, &mut scratch).unwrap();
+        }
+        let pts = plain.top_k_batch(&top_ks, &exec).unwrap();
+        let xts = quant.top_k_batch(&top_ks, &exec).unwrap();
+        for (pt, xt) in pts.iter().zip(&xts) {
             assert_eq!(pt.neighbors.len(), xt.neighbors.len());
             for (a, b) in pt.neighbors.iter().zip(&xt.neighbors) {
                 assert_eq!(a.0, b.0);
@@ -395,49 +398,50 @@ fn live_scan_top_k(set: &PlanarIndexSet<VecStore>, q: &TopKQuery) -> Vec<(u32, u
 }
 
 /// Top-k on the indexed and the degraded twin equals the live-row scan
-/// bit for bit, for `k` of 1, 7 and more than the live rows, at 1–3
-/// threads; the filter counts every verified lane exactly once.
+/// bit for bit, for `k` of 1, 7 and more than the live rows, in batches at
+/// 1–3 threads; the filter counts every verified lane exactly once.
 fn assert_top_k_equals_scan(
     indexed: &PlanarIndexSet<VecStore>,
     degraded: &PlanarIndexSet<VecStore>,
     s: &Scenario,
 ) {
     let tier = indexed.quant_tier();
-    for q in ineq_queries(s) {
-        for k in [1, 7, indexed.len() + 3] {
-            let q = TopKQuery::new(q.clone(), k).unwrap();
-            let want = live_scan_top_k(indexed, &q);
-            for threads in [1, 2, 3] {
-                let exec = ExecutionConfig::with_threads(threads).verify_threshold(1);
-                let mut scratch = QueryScratch::new();
-                for (set, is_degraded) in [(indexed, false), (degraded, true)] {
-                    let out = set.top_k_with(&q, &exec, &mut scratch).unwrap();
-                    let got: Vec<(u32, u64)> = out
-                        .neighbors
-                        .iter()
-                        .map(|&(id, d)| (id, d.to_bits()))
-                        .collect();
+    let qs: Vec<TopKQuery> = ineq_queries(s)
+        .into_iter()
+        .flat_map(|q| [1, 7, indexed.len() + 3].map(|k| TopKQuery::new(q.clone(), k).unwrap()))
+        .collect();
+    let wants: Vec<Vec<(u32, u64)>> = qs.iter().map(|q| live_scan_top_k(indexed, q)).collect();
+    for threads in [1, 2, 3] {
+        let exec = ExecutionConfig::with_threads(threads);
+        for (set, is_degraded) in [(indexed, false), (degraded, true)] {
+            let outs = set.top_k_batch(&qs, &exec).unwrap();
+            for ((q, want), out) in qs.iter().zip(&wants).zip(&outs) {
+                let k = q.k;
+                let got: Vec<(u32, u64)> = out
+                    .neighbors
+                    .iter()
+                    .map(|&(id, d)| (id, d.to_bits()))
+                    .collect();
+                assert_eq!(
+                    &got, want,
+                    "{tier:?} k={k} threads={threads} degraded={is_degraded}"
+                );
+                assert_eq!(out.served_by == ServedBy::Degraded, is_degraded);
+                let st = out.stats.quant;
+                assert_eq!(st.tier, tier, "{:?}", out.stats);
+                if tier == QuantTier::Off {
+                    assert_eq!(st.lanes, 0, "{:?}", out.stats);
+                } else {
+                    // Every verified candidate lane entered the filter;
+                    // the walk computes the rest.
+                    let lanes = out.stats.verified - out.stats.walked;
+                    assert_eq!(st.lanes, lanes, "{:?}", out.stats);
                     assert_eq!(
-                        got, want,
-                        "{tier:?} k={k} threads={threads} degraded={is_degraded}"
+                        st.accepted + st.rejected + st.reverified + st.fallback,
+                        st.lanes,
+                        "{:?}",
+                        out.stats
                     );
-                    assert_eq!(out.served_by == ServedBy::Degraded, is_degraded);
-                    let st = out.stats.quant;
-                    assert_eq!(st.tier, tier, "{:?}", out.stats);
-                    if tier == QuantTier::Off {
-                        assert_eq!(st.lanes, 0, "{:?}", out.stats);
-                    } else {
-                        // Every verified candidate lane entered the filter;
-                        // the walk computes the rest.
-                        let lanes = out.stats.verified - out.stats.walked;
-                        assert_eq!(st.lanes, lanes, "{:?}", out.stats);
-                        assert_eq!(
-                            st.accepted + st.rejected + st.reverified + st.fallback,
-                            st.lanes,
-                            "{:?}",
-                            out.stats
-                        );
-                    }
                 }
             }
         }

@@ -12,8 +12,7 @@ use planar_core::table::PointId;
 use planar_core::VecStore;
 use planar_core::{
     BoxClass, Cmp, ExecutionConfig, ExecutionPath, FeatureTable, IndexConfig, InequalityQuery,
-    KeyStore, ParameterDomain, PlanarIndexSet, QuantTier, QueryScratch, SeqScan, ServedBy,
-    TopKQuery,
+    KeyStore, ParameterDomain, PlanarIndexSet, QuantTier, SeqScan, ServedBy, TopKQuery,
 };
 use planar_geom::{dot_block, dot_slices};
 use proptest::prelude::*;
@@ -159,14 +158,11 @@ fn block_scenario() -> impl Strategy<Value = BlockScenario> {
         })
 }
 
-/// Every verification configuration the block-mask path must be neutral
-/// to: threads 1/2/3, with the chunking threshold at 1 so chunks split the
-/// bitmap on word boundaries (the quantized tiers are the other axis, set
-/// on the index set).
+/// Every batch configuration the block-mask path must be neutral to:
+/// threads 1/2/3, each query on one worker (the quantized tiers are the
+/// other axis, set on the index set).
 fn block_configs() -> Vec<ExecutionConfig> {
-    [1, 2, 3]
-        .map(|threads| ExecutionConfig::with_threads(threads).verify_threshold(1))
-        .to_vec()
+    [1, 2, 3].map(ExecutionConfig::with_threads).to_vec()
 }
 
 /// Top-k answers: `(id, distance)` ascending by `(distance, id)`.
@@ -184,7 +180,7 @@ fn mixed_live_lanes<S: KeyStore>(set: &PlanarIndexSet<S>, q: &InequalityQuery) -
         .count()
 }
 
-fn check_block_masks<S: KeyStore>(s: &BlockScenario) {
+fn check_block_masks<S: KeyStore + Sync>(s: &BlockScenario) {
     let table = FeatureTable::from_rows(s.dim, s.rows.clone()).unwrap();
     let domain = ParameterDomain::uniform_continuous(s.dim, 0.1, 10.0).unwrap();
     let mut set: PlanarIndexSet<S> =
@@ -220,13 +216,18 @@ fn check_block_masks<S: KeyStore>(s: &BlockScenario) {
             (want, top)
         })
         .collect();
+    let top_qs: Vec<TopKQuery> = queries
+        .iter()
+        .map(|q| TopKQuery::new(q.clone(), s.k).unwrap())
+        .collect();
     for tier in [QuantTier::Off, QuantTier::I16] {
         set.set_quant_tier(tier);
-        for (q, (want, want_top)) in queries.iter().zip(&oracle) {
-            let top_q = TopKQuery::new(q.clone(), s.k).unwrap();
-            for exec in block_configs() {
-                let mut scratch = QueryScratch::new();
-                let got = set.query_with(q, &exec, &mut scratch).unwrap();
+        for exec in block_configs() {
+            let gots = set.query_batch(&queries, &exec).unwrap();
+            let tops = set.top_k_batch(&top_qs, &exec).unwrap();
+            for (((q, (want, want_top)), got), top) in
+                queries.iter().zip(&oracle).zip(&gots).zip(&tops)
+            {
                 // Canonical order: ascending ids on every path.
                 assert_eq!(&got.matches, want, "{tier:?} {exec:?}");
                 let st = &got.stats;
@@ -252,7 +253,6 @@ fn check_block_masks<S: KeyStore>(s: &BlockScenario) {
                     assert_eq!(st.quant.lanes, st.verified, "{tier:?} {exec:?}");
                 }
 
-                let top = set.top_k_with(&top_q, &exec, &mut scratch).unwrap();
                 assert_eq!(top.neighbors.len(), want_top.len(), "{tier:?} {exec:?}");
                 for (g, w) in top.neighbors.iter().zip(want_top) {
                     assert_eq!(g.0, w.0, "{tier:?} {exec:?}");

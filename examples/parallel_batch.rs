@@ -25,7 +25,8 @@ fn main() -> planar::planar_core::Result<()> {
         .map(|i| InequalityQuery::leq(vec![1.0, 0.5, 2.0, 0.25], 40.0 * i as f64))
         .collect::<planar::planar_core::Result<_>>()?;
 
-    // One call, sharded across workers; results identical to a serial loop.
+    // One call, its queries split across workers (each query runs on one);
+    // results identical to a serial loop.
     let outcomes = set.query_batch(&queries, &exec)?;
     for (q, o) in queries.iter().zip(&outcomes) {
         println!(

@@ -58,6 +58,9 @@ PLANAR_FORCE_PORTABLE=1 cargo test -p planar-core -q --test simd_pruning_proptes
 echo "== box ablation check (box alone ≡ index + box on every shard, n = 20k) =="
 cargo run --release -q --example box_ablation -- 20000
 
+echo "== parallel batch check (single query_with ≡ query_batch at 4 threads, n = 10k) =="
+cargo run --release -q --example parallel_batch
+
 echo "== serving suite (loopback wire round trips, coalescing identity, overload) =="
 cargo test -p planar-serve -q
 

@@ -146,29 +146,23 @@ fn sharded_quantized_block_masks_equal_scan() {
     let queries = Eq18Generator::new(&scan_table, rq, 5)
         .with_inequality_parameter(0.25)
         .queries(24);
+    let top_ks: Vec<TopKQuery> = queries
+        .iter()
+        .map(|q| TopKQuery::new(q.clone(), 10).expect("k"))
+        .collect();
     let mut filtered = 0;
-    for exec in [
-        ExecutionConfig::serial(),
-        ExecutionConfig::with_threads(2).verify_threshold(1),
-    ] {
-        let mut scratch = QueryScratch::new();
-        for q in &queries {
-            let out = set.query_with(q, &exec, &mut scratch).expect("query");
+    for threads in 1..=3 {
+        let exec = ExecutionConfig::with_threads(threads);
+        let batch = set.query_batch(&queries, &exec).expect("batch");
+        for (out, q) in batch.iter().zip(&queries) {
             assert_eq!(out.sorted_ids(), scan.evaluate(q).expect("scan"));
             let stats = out.merged_stats();
             assert_eq!(stats.quant.lanes, stats.verified);
             filtered += stats.quant.lanes - stats.quant.fallback;
-            let tk = TopKQuery::new(q.clone(), 10).expect("k");
-            assert_eq!(
-                set.top_k_with(&tk, &exec, &mut scratch)
-                    .expect("top_k")
-                    .neighbors,
-                scan.top_k(&tk).expect("scan top_k")
-            );
         }
-        let batch = set.query_batch(&queries, &exec).expect("batch");
-        for (out, q) in batch.iter().zip(&queries) {
-            assert_eq!(out.sorted_ids(), scan.evaluate(q).expect("scan"));
+        let tops = set.top_k_batch(&top_ks, &exec).expect("top_k batch");
+        for (out, tk) in tops.iter().zip(&top_ks) {
+            assert_eq!(out.neighbors, scan.top_k(tk).expect("scan top_k"));
         }
     }
     assert!(
