@@ -65,6 +65,23 @@ pub fn parallel_engine(cfg: &Config) {
         .map(|q| planar_core::TopKQuery::new(q.clone(), 10).expect("k > 0"))
         .collect();
 
+    // Every speed-up divides by the 1-thread row, so one untimed build,
+    // batch and top-k batch warm the caches and the allocator first.
+    let serial = ExecutionConfig::serial();
+    PlanarIndexSet::<VecStore>::build_with(
+        table.clone(),
+        eq18_domain(DIM, RQ),
+        build_cfg(),
+        &serial,
+    )
+    .expect("warm-up build");
+    reference
+        .query_batch(&queries, &serial)
+        .expect("warm-up batch");
+    reference
+        .top_k_batch(&topk_queries, &serial)
+        .expect("warm-up topk batch");
+
     let mut sweeps: Vec<Sweep> = Vec::new();
     for &threads in &thread_counts(cfg) {
         let exec = ExecutionConfig::with_threads(threads);

@@ -5,7 +5,7 @@
 //! micro-batching, engine, response encoding):
 //!
 //! 1. **Coalesced vs per-request dispatch** — many closed-loop clients
-//!    issuing short queries against the adaptive micro-batcher
+//!    issuing short queries against the work-conserving micro-batcher
 //!    (`max_batch = 64`, one dispatcher) and against a thread-per-request
 //!    baseline (`max_batch = 1`, one dispatcher per client). Short
 //!    queries and high client counts are exactly the regime where
@@ -16,9 +16,9 @@
 //!    anything is timed; the headline is requests/sec and the realized
 //!    mean batch size.
 //! 2. **Latency vs offered load** — client-observed p50/p90/p99 as the
-//!    number of closed-loop clients grows. The adaptive close policy
-//!    should deepen batches (reported) instead of letting the queue grow
-//!    unboundedly.
+//!    number of closed-loop clients grows. Requests that queue while a
+//!    batch runs form the next batch, so batches should deepen (reported)
+//!    instead of the queue growing unboundedly.
 //! 3. **Overload degradation** — a quota-limited server under rising
 //!    offered concurrency. Rejections must be *typed* (`Retry` /
 //!    `Overload`), never transport errors or hangs, and every answer that
@@ -36,10 +36,10 @@ use planar_core::{
 use planar_datagen::queries::{eq18_domain, Eq18Generator};
 use planar_datagen::synthetic::{SyntheticConfig, SyntheticKind};
 use planar_datagen::SYNTHETIC_N;
-use planar_serve::{AdmissionConfig, BatchPolicy, Client, Response, ServeConfig, Server};
+use planar_serve::{AdmissionConfig, Client, Response, ServeConfig, Server};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Dataset dimensionality.
 const DIM: usize = 8;
@@ -113,15 +113,7 @@ pub fn serve(cfg: &Config) {
             let server = Server::start(
                 Arc::clone(&dispatch_engine),
                 ServeConfig {
-                    batch: BatchPolicy {
-                        max_batch,
-                        // Generous close budget: on a single core it takes
-                        // a few ms for a burst of clients to all get
-                        // scheduled and their frames decoded; the
-                        // gap-close policy still dispatches far earlier
-                        // once a burst drains.
-                        max_wait: Duration::from_millis(5),
-                    },
+                    max_batch,
                     dispatchers,
                     ..ServeConfig::default()
                 },

@@ -1,5 +1,4 @@
-//! The adaptive micro-batcher: the serving-side analogue of
-//! `query_batch`.
+//! The micro-batcher: the serving-side analogue of `query_batch`.
 //!
 //! Connection handlers decode requests and enqueue them on the
 //! [`MicroBatcher`]; dispatcher threads coalesce the queue into
@@ -9,28 +8,15 @@
 //! dispatch) that `BENCH_parallel.json` and `BENCH_shard.json` measured
 //! for offline batches.
 //!
-//! ## Batch-close policy
+//! ## Dispatch is work-conserving
 //!
-//! A batch closes when any of these holds:
-//!
-//! * **depth** — the queue reached [`BatchPolicy::max_batch`];
-//! * **budget** — the batch has been open for [`BatchPolicy::max_wait`]
-//!   total (the hard latency bound a lone request can ever pay);
-//! * **gap** — no new arrival landed within `2 × EWMA(inter-arrival)`
-//!   of the previous one: the burst that opened the batch has drained,
-//!   so waiting longer adds latency without plausibly adding depth.
-//!   This is what lets a closed-loop client population smaller than
-//!   `max_batch` dispatch promptly — once every in-flight client has
-//!   enqueued, the next arrival cannot come until responses go out, and
-//!   the gap timeout fires within microseconds instead of burning the
-//!   whole budget.
-//!
-//! EWMA samples are clamped to `max_wait` before folding, so the long
-//! silence while a previous batch executes cannot inflate the estimate
-//! and make the policy close depth-1 batches right after each dispatch.
-//! Before the first two arrivals there is no EWMA; the policy waits the
-//! full `max_wait`, which makes cold-start coalescing deterministic for
-//! tests.
+//! A free dispatcher takes everything queued, up to
+//! [`crate::ServeConfig::max_batch`], the moment the queue is non-empty.
+//! It never holds a batch open for arrivals that have not happened yet:
+//! batches form only from requests that arrived while the previous batch
+//! ran, so depth grows with load and a lone request pays no wait beyond
+//! the dispatcher's wake-up. The time each request spent queued is the
+//! `queue_wait` histogram in `/metrics`.
 //!
 //! ## Deadlines
 //!
@@ -53,32 +39,6 @@ use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// EWMA smoothing factor for the inter-arrival estimate.
-const EWMA_ALPHA: f64 = 0.2;
-
-/// Minimum gap-timeout while a batch is filling: a burst whose arrivals
-/// are serialized through the queue mutex can show near-zero gaps, and
-/// closing on those would strand the tail of the burst.
-const GAP_PATIENCE_FLOOR: Duration = Duration::from_micros(20);
-
-/// Batch-close policy knobs.
-#[derive(Debug, Clone)]
-pub struct BatchPolicy {
-    /// Deepest coalesced batch (close on depth).
-    pub max_batch: usize,
-    /// Hard cap on how long an open batch may wait for more arrivals.
-    pub max_wait: Duration,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        Self {
-            max_batch: 64,
-            max_wait: Duration::from_micros(500),
-        }
-    }
-}
-
 /// Work item kinds the batcher coalesces.
 #[derive(Debug, Clone)]
 pub enum Work {
@@ -97,8 +57,6 @@ pub(crate) struct Pending {
 
 struct State {
     queue: VecDeque<Pending>,
-    ewma_gap: Option<Duration>,
-    last_arrival: Option<Instant>,
     shutdown: bool,
 }
 
@@ -114,7 +72,7 @@ pub struct MicroBatcher<E> {
     shared: Arc<Shared>,
     metrics: Arc<ServerMetrics>,
     stats: Arc<Mutex<StatsAggregator>>,
-    policy: BatchPolicy,
+    max_batch: usize,
     exec: ExecutionConfig,
     max_queue: usize,
 }
@@ -126,7 +84,7 @@ impl<E> Clone for MicroBatcher<E> {
             shared: Arc::clone(&self.shared),
             metrics: Arc::clone(&self.metrics),
             stats: Arc::clone(&self.stats),
-            policy: self.policy.clone(),
+            max_batch: self.max_batch,
             exec: self.exec,
             max_queue: self.max_queue,
         }
@@ -136,7 +94,7 @@ impl<E> Clone for MicroBatcher<E> {
 impl<E: Engine> MicroBatcher<E> {
     pub(crate) fn new(
         engine: Arc<E>,
-        policy: BatchPolicy,
+        max_batch: usize,
         exec: ExecutionConfig,
         max_queue: usize,
         metrics: Arc<ServerMetrics>,
@@ -147,15 +105,13 @@ impl<E: Engine> MicroBatcher<E> {
             shared: Arc::new(Shared {
                 state: Mutex::new(State {
                     queue: VecDeque::new(),
-                    ewma_gap: None,
-                    last_arrival: None,
                     shutdown: false,
                 }),
                 cv: Condvar::new(),
             }),
             metrics,
             stats,
-            policy,
+            max_batch: max_batch.max(1),
             exec,
             max_queue,
         }
@@ -176,19 +132,6 @@ impl<E: Engine> MicroBatcher<E> {
             if st.queue.len() >= self.max_queue {
                 return Err(st.queue.len());
             }
-            if let Some(last) = st.last_arrival {
-                // Clamp the sample: the silence while a batch executes is
-                // not a property of the arrival process, and one long gap
-                // must not wreck the burst-rate estimate.
-                let gap = now
-                    .saturating_duration_since(last)
-                    .min(self.policy.max_wait);
-                st.ewma_gap = Some(match st.ewma_gap {
-                    None => gap,
-                    Some(prev) => prev.mul_f64(1.0 - EWMA_ALPHA) + gap.mul_f64(EWMA_ALPHA),
-                });
-            }
-            st.last_arrival = Some(now);
             st.queue.push_back(Pending {
                 work,
                 deadline: deadline.map(|d| now + d),
@@ -223,85 +166,43 @@ impl<E: Engine> MicroBatcher<E> {
         self.shared.cv.notify_all();
     }
 
-    /// Dispatcher loop: block for work, adaptively close a batch, execute
-    /// it, repeat. Run by one or more dedicated threads; multiple
+    /// Dispatcher loop: block for work, take what is queued, execute it,
+    /// repeat. Run by one or more dedicated threads; multiple
     /// dispatchers drain the same queue safely (the mutex arbitrates).
     pub(crate) fn run(&self) {
-        loop {
-            let batch = match self.next_batch() {
-                Some(b) => b,
-                None => return,
-            };
+        while let Some(batch) = self.next_batch() {
             self.execute(batch);
         }
     }
 
-    /// Block until a batch closes (or shutdown drains). `None` = exit.
+    /// Block until the queue is non-empty, then drain up to `max_batch`
+    /// requests at once. `None` = shutdown with the queue drained.
     fn next_batch(&self) -> Option<Vec<Pending>> {
         let mut st = self.shared.state.lock().expect("batcher lock poisoned");
-        loop {
-            if st.queue.is_empty() {
-                if st.shutdown {
-                    return None;
-                }
-                st = self.shared.cv.wait(st).expect("batcher lock poisoned");
-                continue;
+        while st.queue.is_empty() {
+            if st.shutdown {
+                return None;
             }
-            // A batch is open: wait out the adaptive close policy.
-            let opened = Instant::now();
-            loop {
-                let depth = st.queue.len();
-                if depth >= self.policy.max_batch || st.shutdown {
-                    break;
-                }
-                let elapsed = opened.elapsed();
-                if elapsed >= self.policy.max_wait {
-                    break;
-                }
-                let budget_left = self.policy.max_wait - elapsed;
-                let patience = match st.ewma_gap {
-                    // No arrival-rate estimate yet: be patient once.
-                    None => budget_left,
-                    // Sparse stream: even one more slot is not expected
-                    // to fill within the budget — dispatch now.
-                    Some(gap) if gap.mul_f64(2.0) >= self.policy.max_wait => break,
-                    Some(gap) => gap.mul_f64(2.0).max(GAP_PATIENCE_FLOOR).min(budget_left),
-                };
-                // The burst that opened the batch has drained once the
-                // newest arrival is older than the patience window.
-                let since_last = match st.last_arrival {
-                    Some(t) => t.elapsed(),
-                    None => Duration::ZERO,
-                };
-                if since_last >= patience {
-                    break;
-                }
-                let (guard, timeout) = self
-                    .shared
-                    .cv
-                    .wait_timeout(st, patience - since_last)
-                    .expect("batcher lock poisoned");
-                st = guard;
-                if timeout.timed_out() && st.queue.len() == depth {
-                    break;
-                }
-            }
-            let take = st.queue.len().min(self.policy.max_batch);
-            let batch: Vec<Pending> = st.queue.drain(..take).collect();
-            self.metrics
-                .queue_depth
-                .store(st.queue.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            if !batch.is_empty() {
-                return Some(batch);
-            }
+            st = self.shared.cv.wait(st).expect("batcher lock poisoned");
         }
+        let take = st.queue.len().min(self.max_batch);
+        let batch: Vec<Pending> = st.queue.drain(..take).collect();
+        self.metrics
+            .queue_depth
+            .store(st.queue.len() as u64, std::sync::atomic::Ordering::Relaxed);
+        Some(batch)
     }
 
-    /// Execute one closed batch against a single epoch snapshot and
+    /// Execute one drained batch against a single epoch snapshot and
     /// deliver the responses.
     fn execute(&self, batch: Vec<Pending>) {
         use std::sync::atomic::Ordering::Relaxed;
         let now = Instant::now();
+        for p in &batch {
+            self.metrics
+                .queue_wait
+                .record(now.saturating_duration_since(p.enqueued));
+        }
 
         // The tightest per-request deadline becomes the batch budget —
         // already-expired deadlines clamp to zero, which the engine turns

@@ -18,10 +18,10 @@
 //! The performance core is the [`batcher`]: concurrent clients' decoded
 //! requests coalesce into `query_batch` / `top_k_batch` calls against a
 //! single epoch snapshot, recovering the batch-execution amortization the
-//! engine already measures offline. The batch-close policy adapts to the
-//! observed arrival rate — closing early when traffic is sparse (no added
-//! latency), filling deeper as load rises (more amortization exactly when
-//! it pays). Per-request deadlines ride into
+//! engine already measures offline. Dispatch is work-conserving: a free
+//! dispatcher takes everything queued at once, so a lone request waits
+//! for nothing and batches deepen only as load rises (more amortization
+//! exactly when it pays). Per-request deadlines ride into
 //! [`planar_core::ExecutionConfig::with_deadline`], so the engine's
 //! partial-answer contract ([`planar_core::ServedBy::Partial`]) reaches
 //! the client as a `partial` provenance flag instead of a timeout.
@@ -64,7 +64,7 @@ pub mod metrics;
 pub mod wire;
 
 pub use admit::{Admission, AdmissionConfig};
-pub use batcher::{BatchPolicy, MicroBatcher, Work};
+pub use batcher::{MicroBatcher, Work};
 pub use client::Client;
 pub use metrics::{LatencyHistogram, ServerMetrics};
 pub use wire::{error_code, Provenance, Request, Response};
@@ -125,8 +125,9 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Micro-batcher close policy.
-    pub batch: BatchPolicy,
+    /// Deepest batch a dispatcher drains from the queue at once (0 counts
+    /// as 1).
+    pub max_batch: usize,
     /// Admission control (queue bound, connection cap, tenant quotas).
     pub admission: AdmissionConfig,
     /// Execution configuration for coalesced batches (threads etc.);
@@ -152,7 +153,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            batch: BatchPolicy::default(),
+            max_batch: 64,
             admission: AdmissionConfig::default(),
             exec: ExecutionConfig::default(),
             dispatchers: 1,
@@ -257,7 +258,7 @@ impl Server {
         let stats = Arc::new(Mutex::new(StatsAggregator::new()));
         let batcher = MicroBatcher::new(
             engine,
-            cfg.batch.clone(),
+            cfg.max_batch,
             cfg.exec,
             cfg.admission.max_queue,
             Arc::clone(&metrics),

@@ -7,8 +7,8 @@
 //! engine's lifecycle fields, each rendered by the struct that owns them
 //! ([`planar_core::EpochStats`], [`planar_core::WalHealth`],
 //! [`planar_core::GroupCommitStats`]). One scrape shows both the serving
-//! layer (admission, coalescing, queue depth, latency percentiles) and
-//! the engine (pruning, WAL, epochs).
+//! layer (admission, coalescing, queue depth and wait, latency
+//! percentiles) and the engine (pruning, WAL, epochs).
 
 use planar_core::{parallel, JsonObject};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -121,6 +121,9 @@ pub struct ServerMetrics {
     /// HTTP keep-alive connections closed for sitting idle past the
     /// configured timeout.
     pub http_idle_closed: AtomicU64,
+    /// Enqueue→drain wait of every request: how long it sat in the
+    /// batcher queue before a dispatcher took it into a batch.
+    pub queue_wait: LatencyHistogram,
     /// Enqueue→response latency of inequality queries.
     pub query_latency: LatencyHistogram,
     /// Enqueue→response latency of top-k queries.
@@ -167,6 +170,7 @@ impl ServerMetrics {
             .field_u64("http_idle_closed", self.http_idle_closed.load(load))
             .field_u64("engine_cpus", parallel::cpus() as u64)
             .field_u64("engine_threads_spawned", parallel::threads_spawned())
+            .field_raw("queue_wait", &self.queue_wait.to_json())
             .field_raw("query_latency", &self.query_latency.to_json())
             .field_raw("topk_latency", &self.topk_latency.to_json())
             .finish()
@@ -210,6 +214,7 @@ mod tests {
         let json = m.to_json();
         assert!(json.contains("\"accepted\":10"));
         assert!(json.contains("\"mean_batch\":5"));
+        assert!(json.contains("\"queue_wait\":{"));
         assert!(json.contains("\"query_latency\":{"));
         assert!(json.contains(&format!("\"engine_cpus\":{}", parallel::cpus())));
         assert!(json.contains("\"engine_threads_spawned\":"));

@@ -5,18 +5,19 @@
 use planar_core::{
     Cmp, ConcurrencyConfig, ConcurrentDurableShardedIndexSet, ConcurrentShardedIndexSet,
     EpochStats, ExecutionConfig, FeatureTable, FsyncPolicy, IndexConfig, InequalityQuery,
-    ParameterDomain, QuantTier, ShardConfig, ShardedIndexSet, TempDir, TopKQuery, VecStore,
-    WalOptions,
+    JsonObject, ParameterDomain, QuantTier, ShardConfig, ShardedIndexSet, Snapshot, TempDir,
+    TopKQuery, VecStore, WalOptions,
 };
 use planar_serve::json::Json;
 use planar_serve::{
-    error_code, AdmissionConfig, BatchPolicy, Client, Request, Response, ServeConfig, Server,
+    error_code, AdmissionConfig, Client, Engine, Request, Response, ServeConfig, Server,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::{mpsc, Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 /// A deterministic sharded engine: `n` rows in 2-d, 3 shards.
 fn build_sharded(n: usize) -> ShardedIndexSet<VecStore> {
@@ -91,64 +92,87 @@ fn binary_loopback_is_bit_identical_to_direct_calls() {
     server.shutdown();
 }
 
+/// An engine whose first `snapshot()` parks until the test opens its
+/// gate: the batch that calls it holds the only dispatcher, so every
+/// request sent meanwhile queues behind it.
+struct GatedEngine {
+    inner: Arc<ConcurrentShardedIndexSet<VecStore>>,
+    /// Taken by the first `snapshot()`, which reports on the sender that
+    /// it parked and then waits on the receiver for the gate to open.
+    gate: Mutex<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>>,
+}
+
+impl Engine for GatedEngine {
+    fn snapshot(&self) -> Snapshot<ShardedIndexSet<VecStore>> {
+        let gate = self.gate.lock().unwrap().take();
+        if let Some((parked, open)) = gate {
+            parked.send(()).unwrap();
+            open.recv().unwrap();
+        }
+        self.inner.snapshot()
+    }
+
+    fn write_lifecycle(&self, doc: JsonObject) -> JsonObject {
+        Engine::write_lifecycle(&*self.inner, doc)
+    }
+}
+
 #[test]
 fn concurrent_clients_coalesce_and_stay_correct() {
     let eng = engine(400);
     let clients = 8;
-    let per_client = 6;
-    let cfg = ServeConfig {
-        batch: BatchPolicy {
-            max_batch: clients,
-            max_wait: Duration::from_millis(200),
-        },
-        ..ServeConfig::default()
-    };
-    let server = Server::start(Arc::clone(&eng), cfg).unwrap();
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (open_tx, open_rx) = mpsc::channel();
+    let gated = Arc::new(GatedEngine {
+        inner: Arc::clone(&eng),
+        gate: Mutex::new(Some((parked_tx, open_rx))),
+    });
+    let server = Server::start(gated, ServeConfig::default()).unwrap();
     let addr = server.addr();
+    let metrics = server.metrics();
 
-    // Ground truth per threshold, computed directly.
-    let direct: Vec<Vec<u32>> = (0..per_client)
-        .map(|r| {
-            let q = query(4.0 + r as f64);
-            eng.snapshot()
-                .query_batch_isolated(std::slice::from_ref(&q), &ExecutionConfig::default())
-                .remove(0)
-                .unwrap()
-                .matches
-        })
+    // Ground truth per client, computed directly.
+    let qs: Vec<InequalityQuery> = (0..clients).map(|c| query(4.0 + c as f64)).collect();
+    let direct: Vec<Vec<u32>> = eng
+        .snapshot()
+        .query_batch_isolated(&qs, &ExecutionConfig::default())
+        .into_iter()
+        .map(|r| r.unwrap().matches)
         .collect();
 
-    let barrier = Arc::new(Barrier::new(clients));
-    let handles: Vec<_> = (0..clients)
-        .map(|_| {
-            let barrier = Arc::clone(&barrier);
-            let direct = direct.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                barrier.wait();
-                for (r, want) in direct.iter().enumerate() {
-                    match client.query(&[1.0, 1.5], Cmp::Leq, 4.0 + r as f64).unwrap() {
-                        Response::Matches { ids, .. } => assert_eq!(&ids, want),
-                        other => panic!("unexpected response {other:?}"),
-                    }
-                }
-            })
+    let spawn = |c: usize| {
+        let want = direct[c].clone();
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            match client.query(&[1.0, 1.5], Cmp::Leq, 4.0 + c as f64).unwrap() {
+                Response::Matches { ids, .. } => assert_eq!(ids, want),
+                other => panic!("unexpected response {other:?}"),
+            }
         })
-        .collect();
+    };
+    // Client 0's batch takes the dispatcher and parks in `snapshot()`;
+    // the other clients enqueue behind it before the gate opens.
+    let mut handles = vec![spawn(0)];
+    parked_rx.recv().unwrap();
+    handles.extend((1..clients).map(spawn));
+    let started = Instant::now();
+    while metrics.accepted.load(Relaxed) < clients as u64 {
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "clients never enqueued"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    open_tx.send(()).unwrap();
     for h in handles {
         h.join().unwrap();
     }
 
-    let metrics = server.metrics();
-    let accepted = metrics.accepted.load(std::sync::atomic::Ordering::Relaxed);
-    let batches = metrics.batches.load(std::sync::atomic::Ordering::Relaxed);
-    let max_batch = metrics.max_batch.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(accepted, (clients * per_client) as u64);
-    assert!(batches > 0);
-    assert!(
-        max_batch >= 2,
-        "concurrent clients should coalesce (max batch {max_batch})"
-    );
+    // A free dispatcher drains the whole queue at once: one batch for the
+    // parked client, one for the seven that queued behind it.
+    assert_eq!(metrics.batches.load(Relaxed), 2);
+    assert_eq!(metrics.max_batch.load(Relaxed), (clients - 1) as u64);
+    assert_eq!(metrics.queue_wait.count(), clients as u64);
     server.shutdown();
 }
 
@@ -156,18 +180,11 @@ fn concurrent_clients_coalesce_and_stay_correct() {
 fn deadlines_propagate_to_partial_end_to_end() {
     let eng = engine(2000);
     let clients = 4;
-    let cfg = ServeConfig {
-        batch: BatchPolicy {
-            max_batch: clients,
-            max_wait: Duration::from_millis(500),
-        },
-        ..ServeConfig::default()
-    };
-    let server = Server::start(Arc::clone(&eng), cfg).unwrap();
+    let server = Server::start(Arc::clone(&eng), ServeConfig::default()).unwrap();
     let addr = server.addr();
 
-    // Fire a coalesced batch whose every member carries a ~zero deadline:
-    // the batch budget expires before the engine can start most slots.
+    // Fire requests whose every one carries a ~zero deadline: the budget
+    // expires before the engine can start most slots.
     let barrier = Arc::new(Barrier::new(clients));
     let handles: Vec<_> = (0..clients)
         .map(|_| {
